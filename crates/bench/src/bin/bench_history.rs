@@ -5,11 +5,12 @@
 //! bench_history [--dir <path>] [--json]
 //! ```
 //!
-//! Each PR's `scripts/bench.sh` run leaves a `BENCH_PR<N>.json` at the repo
-//! root recording host wall-clock for the quick suite, the SMP grid, and
-//! (since PR 8) the C1M churn workload. This binary reads every such
-//! artifact in `--dir` (default: the current directory), orders them by PR
-//! number, and prints the cross-PR trajectory — the "charting" half of the
+//! Each committed `BENCH_PR<N>.json` at the repo root is one recorded
+//! `scripts/bench.sh` run (the script writes `target/bench.json`): host
+//! wall-clock for the quick suite, the SMP grid, and (since PR 8) the C1M
+//! churn workload. This binary reads every such artifact in `--dir`
+//! (default: the current directory), orders them by PR number, and prints
+//! the cross-PR trajectory — the "charting" half of the
 //! performance-tracking story, with `scripts/bench.sh` as the measuring
 //! half. Output is fully determined by the artifact files: no timestamps,
 //! no host information, so reruns are byte-identical and `check.sh` can

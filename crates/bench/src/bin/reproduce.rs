@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the PTStore paper from the models.
 //!
 //! ```text
-//! reproduce [--quick] [--harts N] [--jobs N] [--host-threads N] [--no-fast-path] \
+//! reproduce [--quick] [--harts N] [--jobs N] [--no-fast-path] \
 //!     [--csv <dir>] [--trace <file>] [--scheme sv39|sv48|sv57] \
 //!     [--drain-policy boundary|watermark[:D]|asid-recycle] [--medium] \
 //!     [table1|table2|table3|hwdetail|ltp|fig4|forkstress|fig5|fig6|fig7|security|smp|c1m|all]
@@ -18,10 +18,6 @@
 //! (clamped to the host's cores; nested fan-outs share one pool).
 //! Every point boots a fresh deterministic kernel, so reports are merged
 //! back in a fixed order and the output is byte-identical at any job count.
-//! `--host-threads N` carries each SMP machine's hart loops on up to N
-//! real OS threads through the logical-time turnstile; modeled cycles,
-//! stats, and every report byte are identical at any value (the property
-//! `check.sh` gates on), so the flag trades only wall-clock time.
 //! `--no-fast-path` disables the host-side memoizations (PMP page cache,
 //! micro-TLB); modeled results are identical, only wall-clock changes.
 //! `--csv <dir>` additionally writes each figure's data series as CSV for
@@ -37,7 +33,7 @@
 //! (minimum 2 — with one hart there is no remote TLB to shoot down).
 //! `c1m` must be named explicitly — `all` is the paper-reproduction
 //! suite and keeps its wall-clock comparable across commits; bench.sh
-//! times c1m in a separate section of BENCH_PR9.json.
+//! times c1m in a separate section of its report.
 //! `--drain-policy boundary|watermark[:D]|asid-recycle` (c1m and
 //! forkstress only) pins the batched rows to one deferred-shootdown
 //! drain policy instead of sweeping all three; security-boundary and
@@ -107,7 +103,7 @@ const EXPERIMENTS: [&str; 13] = [
 /// Prints the usage synopsis to stderr.
 fn usage() {
     eprintln!(
-        "usage: reproduce [--quick] [--medium] [--harts N] [--jobs N] [--host-threads N] [--no-fast-path] [--csv <dir>] [--trace <file>] [--scheme sv39|sv48|sv57] [--drain-policy boundary|watermark[:D]|asid-recycle] [{}|all]",
+        "usage: reproduce [--quick] [--medium] [--harts N] [--jobs N] [--no-fast-path] [--csv <dir>] [--trace <file>] [--scheme sv39|sv48|sv57] [--drain-policy boundary|watermark[:D]|asid-recycle] [{}|all]",
         EXPERIMENTS.join("|")
     );
     eprintln!(
@@ -155,7 +151,6 @@ fn main() {
     let mut trace_file: Option<std::path::PathBuf> = None;
     let mut harts: Option<usize> = None;
     let mut jobs: Option<usize> = None;
-    let mut host_threads: Option<usize> = None;
     let mut seed: Option<u64> = None;
     let mut faults: Option<u64> = None;
     let mut scheme: Option<ptstore_core::PagingScheme> = None;
@@ -177,7 +172,6 @@ fn main() {
             }
             "--harts" => harts = Some(take_number(&mut it, "--harts")),
             "--jobs" => jobs = Some(take_number(&mut it, "--jobs")),
-            "--host-threads" => host_threads = Some(take_number(&mut it, "--host-threads")),
             "--seed" => seed = Some(take_number(&mut it, "--seed")),
             "--faults" => faults = Some(take_number(&mut it, "--faults")),
             "--scheme" => {
@@ -242,14 +236,8 @@ fn main() {
     if jobs == Some(0) {
         die("--jobs takes a positive integer");
     }
-    if host_threads == Some(0) {
-        die("--host-threads takes a positive integer");
-    }
     if depth == Some(0) {
         die("--depth takes a positive integer");
-    }
-    if let Some(n) = host_threads {
-        ptstore_kernel::exec::set_host_threads(n);
     }
     // Flags whose experiment cannot use them are contradictions, not
     // defaults to silently fall back on.
@@ -403,8 +391,8 @@ fn main() {
         .iter()
         // `all` is the paper-reproduction suite; the c1m macro workload runs
         // only when named explicitly so the suite's wall-clock gate
-        // (scripts/bench.sh, BENCH_PR*.json) keeps comparing the same work
-        // across commits. bench.sh times c1m in its own section.
+        // (scripts/bench.sh) keeps comparing the same work across commits.
+        // bench.sh times c1m in its own section.
         .filter(|name| (what == "all" && **name != "c1m") || what == **name)
         .map(|&name| {
             let task: Box<dyn Fn() -> String + Sync> = match name {
@@ -429,7 +417,7 @@ fn main() {
 
     // Deterministic ordered merge: reports come back in task order no
     // matter which thread finished first.
-    for report in par_map(jobs, &tasks, |(_, run)| run()) {
+    for report in ptstore_core::pool::fan_out(jobs, &tasks, |(_, run)| run()) {
         print!("{report}");
     }
 }

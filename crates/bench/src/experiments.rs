@@ -4,6 +4,7 @@ use ptstore_attacks::{
     security_matrix, security_matrix_traced, security_matrix_with, security_matrix_with_harts,
     AttackReport, TracedAttackReport,
 };
+use ptstore_core::pool::fan_out;
 use ptstore_core::{GIB, MIB};
 use ptstore_hwcost::{table3, BoomConfig, Table3Row};
 use ptstore_kernel::{DrainPolicy, Kernel, KernelConfig, DEFAULT_WATERMARK_DEPTH};
@@ -17,7 +18,7 @@ use ptstore_workloads::smp::{run_fork_stress_smp, run_nginx_smp, run_redis_smp, 
 use ptstore_workloads::spec::{run_spec, SPEC_CINT2006};
 use ptstore_workloads::{lmbench, Measurement};
 
-use crate::par::par_map;
+use crate::par::measure_grid;
 
 /// Scale knobs: `paper()` matches the publication; `quick()` runs in
 /// seconds for CI and Criterion.
@@ -235,7 +236,7 @@ pub fn run_ltp_jobs(scale: &Scale, jobs: usize) -> LtpResult {
         }
     };
     let configs = [KernelConfig::cfi(), KernelConfig::cfi_ptstore()];
-    let mut suites = par_map(jobs, &configs, |cfg| run_suite(mk(*cfg)));
+    let mut suites = fan_out(jobs, &configs, |cfg| run_suite(mk(*cfg)));
     let modified = suites.pop().expect("two suites");
     let original = suites.pop().expect("two suites");
     let deviations = diff_outputs(&original, &modified);
@@ -244,54 +245,6 @@ pub fn run_ltp_jobs(scale: &Scale, jobs: usize) -> LtpResult {
         original,
         deviations,
     }
-}
-
-// ---------------------------------------------------------------------
-// Grid measurement — shared per-point fan-out
-// ---------------------------------------------------------------------
-
-/// Measures a (benchmark × configuration) grid with up to `jobs` points in
-/// flight. Every point boots a fresh kernel, so points are independent and
-/// the assembled series are identical at any job count; the first
-/// configuration of each series is its baseline, as in
-/// [`measure`](ptstore_workloads::report::measure).
-fn measure_grid<B: Sync>(
-    jobs: usize,
-    configs: &[KernelConfig],
-    benches: &[B],
-    name: impl Fn(&B) -> String,
-    run: impl Fn(&B, &mut Kernel) -> u64 + Sync,
-) -> Vec<OverheadSeries> {
-    assert!(!configs.is_empty(), "need at least a baseline config");
-    let points: Vec<(usize, usize)> = (0..benches.len())
-        .flat_map(|b| (0..configs.len()).map(move |c| (b, c)))
-        .collect();
-    let cycles = par_map(jobs, &points, |&(b, c)| {
-        let mut k = Kernel::boot(configs[c]).expect("kernel boots");
-        run(&benches[b], &mut k)
-    });
-    benches
-        .iter()
-        .enumerate()
-        .map(|(b, bench)| {
-            let baseline = cycles[b * configs.len()];
-            OverheadSeries {
-                benchmark: name(bench),
-                entries: configs
-                    .iter()
-                    .enumerate()
-                    .map(|(c, cfg)| {
-                        let cy = cycles[b * configs.len() + c];
-                        Measurement {
-                            label: cfg.label(),
-                            cycles: cy,
-                            overhead_pct: overhead_pct(cy, baseline),
-                        }
-                    })
-                    .collect(),
-            }
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -375,7 +328,7 @@ pub fn run_stress_policy_jobs(
             }
         }
     }
-    let results = par_map(jobs, &configs, |cfg| {
+    let results = fan_out(jobs, &configs, |cfg| {
         let mut k = Kernel::boot(*cfg).expect("boot");
         let result = run_fork_stress(&mut k, scale.stress_procs).expect("stress");
         (cfg.label(), result, tlb_digest(&k))
@@ -559,7 +512,7 @@ pub fn run_smp_jobs(scale: &Scale, harts: usize, jobs: usize) -> Vec<SmpComparis
     let points: Vec<(usize, usize)> = (0..names.len())
         .flat_map(|w| [(w, 1), (w, harts)])
         .collect();
-    let reports: Vec<SmpRunReport> = par_map(jobs, &points, |&(w, h)| {
+    let reports: Vec<SmpRunReport> = fan_out(jobs, &points, |&(w, h)| {
         let mut k = boot(h);
         match w {
             0 => run_nginx_smp(&mut k, &nginx_params),
@@ -671,7 +624,7 @@ pub fn run_c1m_sweep_jobs(
             ),
         ));
     }
-    let results = par_map(jobs, &configs, |(label, cfg)| {
+    let results = fan_out(jobs, &configs, |(label, cfg)| {
         let mut k = Kernel::boot(*cfg).expect("c1m kernel boots");
         (label.clone(), run_c1m(&mut k, &p))
     });

@@ -5,10 +5,7 @@
 //! results so callers can print, assert, or benchmark them.
 
 pub mod experiments;
-pub mod par;
-pub mod pool;
+mod par;
 
 pub use experiments::*;
-pub use par::par_map;
-pub use pool::{effective_jobs, fan_out, host_cores};
 pub use ptstore_workloads::{Measurement, OverheadSeries};

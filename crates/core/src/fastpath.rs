@@ -16,16 +16,10 @@ static DEFAULT_ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Sets the process-wide default for newly constructed fast-path units.
 pub fn set_default(enabled: bool) {
-    // ptstore-lint: allow(atomics-confinement) — process-wide boolean
-    // toggle written once at harness startup, before any kernel exists;
-    // it selects host-side memoizations that by construction never change
-    // modeled cycles, so no schedule-dependent behavior can result.
     DEFAULT_ENABLED.store(enabled, Ordering::SeqCst);
 }
 
 /// Whether newly constructed fast-path units start enabled.
 pub fn default_enabled() -> bool {
-    // ptstore-lint: allow(atomics-confinement) — read of the startup
-    // toggle above; see its justification.
     DEFAULT_ENABLED.load(Ordering::SeqCst)
 }

@@ -51,6 +51,7 @@ pub mod fastpath;
 pub mod paging;
 pub mod pmp;
 pub mod policy;
+pub mod pool;
 pub mod privilege;
 pub mod region;
 pub mod token;

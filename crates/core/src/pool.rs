@@ -1,22 +1,19 @@
-//! The bench crate's shared fan-out pool.
+//! The workspace's one parallel map.
 //!
-//! Every `par_map` call in the harness funnels through [`fan_out`], which
-//! fixes the two ways the old per-call-site pools lost wall-clock time:
+//! Host parallelism exists only across independent work items: experiment
+//! points that each boot their own kernel, and model-checker frontier
+//! items that each replay their own trace. [`fan_out`] maps such items on
+//! scoped threads and returns results in input order, so output never
+//! depends on the job count. It guards against two ways a pool loses
+//! wall-clock time:
 //!
-//! * **Oversubscription** — `reproduce --jobs N` fanned out the experiment
-//!   list *and* each experiment fanned out its (benchmark × config) grid,
-//!   so a host with `c` cores could end up carrying `N × N` runnable
-//!   threads. [`fan_out`] marks its worker threads with a thread-local
-//!   flag; a nested call from inside a worker runs inline on that worker,
-//!   keeping the process at one pool's worth of threads total.
-//! * **Phantom parallelism** — a `--jobs` count above the host's core
-//!   count only adds scheduler churn. [`fan_out`] clamps the worker count
-//!   to `std::thread::available_parallelism()`.
-//!
-//! The pool is deliberately free of raw atomics (the `atomics-confinement`
-//! lint confines those to the kernel's process table): the work index is a
-//! mutex-guarded counter, which at experiment granularity — each item
-//! boots and runs a whole kernel — costs nothing measurable.
+//! * **Oversubscription** — an outer fan-out (experiments) whose items fan
+//!   out again (each experiment's benchmark × config grid) would carry
+//!   `N × N` runnable threads. Worker threads carry a thread-local flag,
+//!   and a nested call from inside a worker runs inline on that worker.
+//! * **Phantom parallelism** — a job count above the host's core count
+//!   only adds scheduler churn, so the worker count is clamped to
+//!   `std::thread::available_parallelism()`.
 
 use std::cell::Cell;
 use std::sync::Mutex;
@@ -28,13 +25,13 @@ thread_local! {
 }
 
 /// The host's usable core count (at least 1).
-pub fn host_cores() -> usize {
+fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// `requested` jobs clamped to the host's core count: the widest fan-out
 /// that buys real parallelism.
-pub fn effective_jobs(requested: usize) -> usize {
+fn effective_jobs(requested: usize) -> usize {
     requested.clamp(1, host_cores())
 }
 

@@ -26,10 +26,9 @@
 //!    the drain machinery lost — the missed-drain bug class the
 //!    `DrainDrop` fault injects.
 //! 5. **Table-handle consistency** — the generational process table's
-//!    three views of each live slot agree: the owning-hart payload, the
-//!    lock-free [`TableReader`] metadata, and the pid index all bind the
-//!    same `(slot, gen, pid)` triple, and the slot's handle resolves back
-//!    to the same process.
+//!    views of each live slot agree: the slot walk and the pid index bind
+//!    the same `(slot, gen, pid)` triple, and the slot's handle resolves
+//!    back to the same process.
 //!
 //! The oracle deliberately does **not** check attacker-writable kernel
 //! data (PCB fields of non-running processes, user memory contents):
@@ -42,7 +41,7 @@
 use std::collections::BTreeSet;
 
 use ptstore_core::{PhysAddr, PhysPageNum, SecureRegion, TokenError};
-use ptstore_kernel::{Kernel, Pid, ProcState, TableReader};
+use ptstore_kernel::{Kernel, Pid, ProcState};
 use ptstore_mmu::{Pte, Tlb};
 use ptstore_trace::TraceEvent;
 
@@ -106,7 +105,7 @@ pub enum Violation {
         ppn: PhysPageNum,
     },
     /// A live slot's generational handle failed to resolve consistently
-    /// across the table's owning-hart and lock-free reader views.
+    /// across the table's slot walk and pid index.
     HandleBindingBroken {
         /// The pid whose slot binding broke.
         pid: Pid,
@@ -386,19 +385,16 @@ fn validate_active_token(
     Ok(())
 }
 
-/// Invariant 5: every live slot's three views agree. The owning-hart walk
-/// (`handles`), the lock-free reader metadata (`live`/`pid_of`), the pid
-/// index (`lookup`), and handle resolution (`resolve`) must all bind the
-/// same `(slot, gen, pid)` triple — the property that makes a stale
-/// handle's rejection trustworthy rather than a coincidence.
+/// Invariant 5: every live slot's views agree. The slot walk
+/// (`handles`), the pid index (`lookup`), and handle resolution
+/// (`resolve`) must all bind the same `(slot, gen, pid)` triple — the
+/// property that makes a stale handle's rejection trustworthy rather than
+/// a coincidence.
 fn check_table_handles(k: &Kernel, rep: &mut InvariantReport) {
-    let reader: TableReader = k.procs.reader();
     for (h, p) in k.procs.handles() {
         rep.checks += 1;
-        let consistent = reader.live(h)
-            && reader.pid_of(h) == Some(p.pid)
-            && k.procs.lookup(p.pid) == Some(h)
-            && k.procs.resolve(h).is_some_and(|q| q.pid == p.pid);
+        let consistent =
+            k.procs.lookup(p.pid) == Some(h) && k.procs.resolve(h).is_some_and(|q| q.pid == p.pid);
         if !consistent {
             rep.violations
                 .push(Violation::HandleBindingBroken { pid: p.pid });

@@ -43,4 +43,4 @@ pub use csr::CsrFile;
 pub use decode::decode;
 pub use encode::{assemble, encode};
 pub use inst::{AluOp, BranchOp, CsrOp, Inst, LoadOp, StoreOp};
-pub use machine::{run_fleet, SimMachine};
+pub use machine::SimMachine;

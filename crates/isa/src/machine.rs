@@ -109,34 +109,6 @@ impl SimMachine {
     }
 }
 
-/// Runs every machine for up to `max_steps`, carrying them on up to
-/// `host_threads` real OS threads. Machines share no state (each owns its
-/// bus), so the fleet is split into disjoint `&mut` chunks and each chunk
-/// runs its machines in input order — results land at the same index as
-/// the machine, byte-identical at any thread count. No locks, no atomics.
-pub fn run_fleet(
-    machines: &mut [SimMachine],
-    max_steps: u64,
-    host_threads: usize,
-) -> Vec<Result<Option<Trap>, CpuError>> {
-    let n = machines.len();
-    if host_threads <= 1 || n <= 1 {
-        return machines.iter_mut().map(|m| m.run(max_steps)).collect();
-    }
-    let chunk = n.div_ceil(host_threads.min(n));
-    let mut results: Vec<Option<Result<Option<Trap>, CpuError>>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for (ms, rs) in machines.chunks_mut(chunk).zip(results.chunks_mut(chunk)) {
-            scope.spawn(move || {
-                for (m, r) in ms.iter_mut().zip(rs) {
-                    *r = Some(m.run(max_steps));
-                }
-            });
-        }
-    });
-    results.into_iter().map(|r| r.expect("chunk ran")).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,52 +165,5 @@ mod tests {
         m.load_program(0x1000, &[Inst::Jal { rd: 0, offset: 0 }]);
         m.cpu.pc = 0x1000;
         assert!(m.run(100).is_err());
-    }
-
-    #[test]
-    fn fleet_is_thread_count_invariant() {
-        let build = || {
-            let mut fleet: Vec<SimMachine> = Vec::new();
-            for i in 0..6u8 {
-                let mut m = SimMachine::new(16 * MIB);
-                m.load_program(
-                    0x1000,
-                    &[
-                        Inst::OpImm {
-                            op: AluOp::Add,
-                            rd: 10,
-                            rs1: 0,
-                            imm: i64::from(i) + 1,
-                            word: false,
-                        },
-                        Inst::Op {
-                            op: AluOp::Add,
-                            rd: 10,
-                            rs1: 10,
-                            rs2: 10,
-                            word: false,
-                        },
-                        Inst::Wfi,
-                    ],
-                );
-                m.cpu.pc = 0x1000;
-                fleet.push(m);
-            }
-            fleet
-        };
-        let mut seq = build();
-        let seq_out = run_fleet(&mut seq, 100, 1);
-        for threads in [2, 4, 16] {
-            let mut par = build();
-            let par_out = run_fleet(&mut par, 100, threads);
-            assert_eq!(par_out, seq_out, "{threads} threads");
-            for (a, b) in par.iter().zip(&seq) {
-                assert_eq!(a.cpu.reg(10), b.cpu.reg(10));
-            }
-        }
-        // Results land in machine order: machine i computed 2 * (i + 1).
-        for (i, m) in seq.iter().enumerate() {
-            assert_eq!(m.cpu.reg(10), 2 * (i as u64 + 1));
-        }
     }
 }

@@ -42,8 +42,7 @@ pub enum KernelError {
     InvalidState,
     /// A process with this pid already exists in the process table.
     DuplicatePid(crate::process::Pid),
-    /// The process table has no free slot (all live or awaiting hart
-    /// quiescence).
+    /// The process table has no free slot (every slot is live).
     ProcessTableFull,
 }
 

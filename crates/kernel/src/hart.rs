@@ -16,17 +16,19 @@
 //! stealing — are expressed as [`HartMsg`] values stamped with the
 //! **logical time** (the sender's machine-wide cycle total) at which they
 //! were sent. A hart drains its mailbox when it becomes the active modeling
-//! context, merging messages in `(time, from, seq)` order; because every
-//! kernel entry point runs under the deterministic hart turnstile (see
-//! [`crate::exec`]), that merge is a total order independent of how many
-//! host threads carry the harts.
+//! context, merging messages in `(time, from, seq)` order. Harts take
+//! turns on the one shared [`crate::Kernel`], so that merge is a total
+//! order. Applying the effects directly would leave every experiment's
+//! output unchanged, but the pending mailboxes are part of the model
+//! checker's canonical state, so removing them would change which states
+//! it dedups (DESIGN.md, "Sequential hart turns").
 
 use std::collections::VecDeque;
 
 use ptstore_mmu::Mmu;
 
 use crate::cycles::CycleCounter;
-use crate::process::{Pid, ProcHandle};
+use crate::process::Pid;
 
 /// What a cross-hart message carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,8 +41,6 @@ pub enum HartMsgKind {
     ShootdownAck,
     /// A process became visible machine-wide (fork/clone published it).
     ProcSpawned {
-        /// Handle of the new process in the slot-array table.
-        handle: ProcHandle,
         /// Its pid.
         pid: Pid,
     },

@@ -248,7 +248,7 @@ impl Kernel {
                 .defense
                 .is_ptstore()
                 .then(|| SlabCache::new("ptstore_token", 16, GfpFlags::PTSTORE)),
-            procs: ProcessTable::with_harts(cfg.harts),
+            procs: ProcessTable::new(),
             next_pid: 1,
             next_asid: 1,
             kernel_root: PhysPageNum::new(0),
@@ -369,10 +369,9 @@ impl Kernel {
     }
 
     /// Selects the hart that subsequent kernel entry points (syscalls,
-    /// faults, scheduling) model their work on. The outgoing hart is marked
-    /// quiescent for slot reclamation (it holds no generational handles
-    /// across the handoff), and the incoming hart merges its mailbox in
-    /// logical-time order before any of its kernel work runs.
+    /// faults, scheduling) model their work on. The incoming hart merges
+    /// its mailbox in logical-time order before any of its kernel work
+    /// runs.
     ///
     /// # Panics
     /// When `hart` is out of range for this machine.
@@ -386,7 +385,6 @@ impl Kernel {
             // Security boundary: the outgoing hart may not hand off with
             // remote TLBs still owing invalidations it queued.
             self.drain_deferred_flushes();
-            self.procs.quiesce(self.active_hart);
         }
         self.active_hart = hart;
         self.merge_hart_msgs(hart);
@@ -395,8 +393,7 @@ impl Kernel {
     /// Drains `hart`'s mailbox in the canonical `(time, from, seq)` order
     /// and applies the visibility effects: reaped pids are pruned from the
     /// local run queue (pids never recycle, so late pruning is safe), spawn
-    /// and shootdown records only count. The hart then quiesces at the
-    /// current reclamation epoch.
+    /// and shootdown records only count.
     fn merge_hart_msgs(&mut self, hart: usize) {
         let msgs = self.harts[hart].drain_mailbox();
         for m in &msgs {
@@ -405,7 +402,6 @@ impl Kernel {
             }
         }
         self.stats.hart_msgs_merged += msgs.len() as u64;
-        self.procs.quiesce(hart);
     }
 
     /// Posts a cross-hart message from the active hart to `to`, stamped

@@ -26,11 +26,9 @@
 //!   cross-hart messages, and a modeled IPI/TLB-shootdown path
 //!   (`Kernel::shootdown`) charged to the cycle model; `harts = 1`
 //!   reproduces the single-hart prototype cycle-for-cycle.
-//! * **Generational process table** ([`process::ProcessTable`]): a
-//!   fixed-capacity slot array with lock-free handle validation
-//!   ([`ProcHandle`]/[`TableReader`]) and epoch-based slot reclamation,
-//!   letting hart loops run on real OS threads ([`exec`]) without
-//!   perturbing the deterministic cycle model.
+//! * **Generational process table** ([`process::ProcessTable`]): a slot
+//!   array whose per-slot generations make a [`ProcHandle`] O(1) to
+//!   resolve and detect reuse of its slot (ABA-safe).
 //! * **Baseline defenses** for comparison: PT-Rand-style randomisation and
 //!   virtual isolation ([`config::DefenseMode`]).
 //! * **An attacker API** ([`introspect`]) implementing the §III-A threat
@@ -57,7 +55,6 @@ pub mod config;
 pub mod cycles;
 pub mod drain;
 pub mod error;
-pub mod exec;
 pub mod fs;
 pub mod hart;
 pub mod introspect;
@@ -79,7 +76,7 @@ pub use hart::{Hart, HartMsg, HartMsgKind};
 pub use introspect::AttackerFault;
 pub use kernel::{IpiFault, Kernel};
 pub use proc_mgmt::FaultResolution;
-pub use process::{Pid, ProcHandle, ProcState, ProcessTable, TableError, TableReader};
+pub use process::{Pid, ProcHandle, ProcState, ProcessTable, TableError};
 pub use ptstore_trace::Snapshot;
 pub use sbi::{SbiCall, SbiError, SbiFirmware, SbiResult};
 pub use stats::{KernelStats, SecurityEvent};

@@ -208,7 +208,7 @@ impl Kernel {
             mm_owner: None,
             threads: Vec::new(),
         };
-        let child_handle = self.procs.insert(child)?;
+        self.procs.insert(child)?;
         self.mem_write(pcb_addr + PCB_OFF_PID, child_pid as u64)?;
 
         // Duplicate pipe/socket fd refcounts.
@@ -280,13 +280,7 @@ impl Kernel {
         // Publish the new process to the other harts (visibility record for
         // the deterministic mailbox merge; idle harts learn the pid exists).
         for h in 0..self.harts.len() {
-            self.post_hart_msg(
-                h,
-                crate::hart::HartMsgKind::ProcSpawned {
-                    handle: child_handle,
-                    pid: child_pid,
-                },
-            );
+            self.post_hart_msg(h, crate::hart::HartMsgKind::ProcSpawned { pid: child_pid });
         }
         self.stats.forks += 1;
         Ok(child_pid)
@@ -345,7 +339,7 @@ impl Kernel {
             mm_owner: Some(owner),
             threads: Vec::new(),
         };
-        let thread_handle = self.procs.insert(thread)?;
+        self.procs.insert(thread)?;
         self.mem_write(pcb_addr + PCB_OFF_PID, tid as u64)?;
         self.dup_fd_resources(tid);
         // The shared page-table pointer, copied into the thread's PCB...
@@ -373,13 +367,7 @@ impl Kernel {
         let hart = self.active_hart;
         self.harts[hart].run_queue.push_back(tid);
         for h in 0..self.harts.len() {
-            self.post_hart_msg(
-                h,
-                crate::hart::HartMsgKind::ProcSpawned {
-                    handle: thread_handle,
-                    pid: tid,
-                },
-            );
+            self.post_hart_msg(h, crate::hart::HartMsgKind::ProcSpawned { pid: tid });
         }
         Ok(tid)
     }
@@ -569,9 +557,6 @@ impl Kernel {
         for h in 0..self.harts.len() {
             self.post_hart_msg(h, crate::hart::HartMsgKind::ProcReaped { pid: child });
         }
-        // The reaping hart holds no handle to the dead process: quiesce so
-        // single-hart churn reclaims the slot immediately.
-        self.procs.quiesce(hart);
         let p = self.procs.get_mut(parent).expect("parent exists");
         p.children.retain(|&c| c != child);
         Ok((child, code))

@@ -1,6 +1,5 @@
 //! Processes, PCBs materialised in simulated memory, and VM areas — plus the
-//! **generational slot-array process table** (the ptab model) that makes
-//! cross-hart PCB lookup lock-free.
+//! **generational slot-array process table**.
 //!
 //! The fields PTStore cares about — the **page-table pointer** and the
 //! **token pointer** — live at fixed offsets inside a PCB object in *normal*
@@ -10,33 +9,18 @@
 //!
 //! ## The table
 //!
-//! [`ProcessTable`] is a fixed-capacity slot array. Each slot carries a
-//! monotonically increasing **generation counter** (even = vacant, odd =
-//! occupied); a pid lookup returns a [`ProcHandle`]`{ slot, gen }` instead of
-//! a raw map reference. Readers validate a handle with one atomic load and no
-//! shared writes, so any number of hart threads can check liveness
-//! concurrently through a [`TableReader`] while the owning hart mutates the
-//! table. A reaped slot's generation advances and never repeats, so a stale
-//! handle can only *mismatch* — the ABA resolution a `BTreeMap<Pid, Process>`
-//! cannot express. Freed slots pass through an **epoch-based limbo list**:
-//! a slot is reused only once every hart has quiesced past the epoch at
-//! which it was retired, mirroring how a real lock-free table would defer
-//! payload reclamation until no reader can still hold a reference into it.
-//!
-//! The capacity is a *limit*, not an allocation: slot metadata lives in
-//! lazily initialised fixed-size chunks (stable addresses, so readers stay
-//! lock-free) and the payload vector grows with the high-water mark, so the
-//! many short-lived kernels the test and bench harnesses boot pay for the
-//! handful of slots they use, not for the fork-stress headroom.
-//!
-//! This module is the one place in the workspace where raw
-//! `std::sync::atomic` orderings are allowed (the `atomics-confinement`
-//! ptstore-lint rule); everything else synchronises through messages or
-//! locks.
+//! [`ProcessTable`] is a slot array. Each slot carries a monotonically
+//! increasing **generation counter** (even = vacant, odd = occupied); a pid
+//! lookup returns a [`ProcHandle`]`{ slot, gen }` instead of a raw map
+//! reference, and resolving a handle is one index plus one compare. A
+//! reaped slot's generation advances and never repeats, so a stale handle
+//! can only *mismatch* — the ABA resolution a `BTreeMap<Pid, Process>`
+//! cannot express — and the slot is free for reuse at once. The slot
+//! vector grows with the peak number of live processes, so the many
+//! short-lived kernels the test and bench harnesses boot pay for the
+//! handful of slots they use, not for the fork-stress capacity.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::collections::BTreeMap;
 
 use ptstore_core::{PhysAddr, VirtAddr};
 use serde::{Deserialize, Serialize};
@@ -295,9 +279,8 @@ impl Process {
     }
 }
 
-/// Fixed slot capacity of the process table. Sized for the paper's
-/// 30 000-process fork stress with headroom for limbo slots that cannot be
-/// reclaimed until lagging harts quiesce.
+/// Fixed slot capacity of the process table: the paper's 30 000-process
+/// fork stress with headroom.
 pub const PROC_TABLE_CAPACITY: usize = 65_536;
 
 /// Sentinel in the dense pid index: "pid has no slot".
@@ -322,219 +305,38 @@ pub struct ProcHandle {
 pub enum TableError {
     /// A live entry with this pid already exists.
     DuplicatePid(Pid),
-    /// Every slot is live or still in limbo awaiting hart quiescence.
+    /// Every slot up to [`PROC_TABLE_CAPACITY`] is live.
     Full,
 }
 
-/// Slots per lazily allocated metadata chunk (power of two).
-const META_CHUNK: usize = 1024;
-
-/// One chunk of per-slot atomic metadata. Chunks are allocated on first use
-/// and never move or shrink, so a [`TableReader`] can dereference them
-/// without any lock.
-#[derive(Debug)]
-struct MetaChunk {
-    /// Per-slot generation: even = vacant, odd = occupied. Monotonic.
-    gens: [AtomicU32; META_CHUNK],
-    /// Pid published for an occupied slot (undefined while vacant).
-    pids: [AtomicU32; META_CHUNK],
-}
-
-impl MetaChunk {
-    fn new_boxed() -> Box<Self> {
-        Box::new(Self {
-            gens: std::array::from_fn(|_| AtomicU32::new(0)),
-            pids: std::array::from_fn(|_| AtomicU32::new(0)),
-        })
-    }
-}
-
-/// The shared, atomically readable half of the table: per-slot generations,
-/// published pids, and the reclamation epochs. Everything here is written
-/// only by the table owner and read (lock-free) by any thread holding a
-/// [`TableReader`]. Slot metadata is chunked and chunks materialise on first
-/// write — an untouched chunk reads as "all slots vacant at generation 0",
-/// which no issued handle (generations are odd) can ever match.
-#[derive(Debug)]
-struct SharedMeta {
-    /// Lazily initialised metadata chunks covering the whole capacity.
-    chunks: Box<[OnceLock<Box<MetaChunk>>]>,
-    /// Global reclamation epoch; bumped on every retire.
-    epoch: AtomicU64,
-    /// Last epoch each hart has quiesced at. A retired slot is reusable
-    /// once `min(hart_epochs) >= retire_epoch`.
-    hart_epochs: Box<[AtomicU64]>,
-}
-
-impl SharedMeta {
-    fn new(capacity: usize, harts: usize) -> Self {
-        Self {
-            chunks: (0..capacity.div_ceil(META_CHUNK))
-                .map(|_| OnceLock::new())
-                .collect(),
-            epoch: AtomicU64::new(0),
-            hart_epochs: (0..harts.max(1)).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Total slot capacity covered by the chunk directory.
-    fn capacity(&self) -> usize {
-        self.chunks.len() * META_CHUNK
-    }
-
-    /// The chunk holding `slot`, materialising it on first use (owner side).
-    fn chunk(&self, slot: usize) -> &MetaChunk {
-        self.chunks[slot / META_CHUNK].get_or_init(MetaChunk::new_boxed)
-    }
-
-    /// Lock-free generation read; `None` for slots beyond the capacity.
-    /// Slots in unmaterialised chunks read as generation 0 (vacant).
-    fn gen_of(&self, slot: usize) -> Option<u32> {
-        let chunk = self.chunks.get(slot / META_CHUNK)?;
-        Some(match chunk.get() {
-            Some(c) => c.gens[slot % META_CHUNK].load(Ordering::Acquire),
-            None => 0,
-        })
-    }
-
-    /// Lock-free published-pid read (0 while the chunk is unmaterialised).
-    fn pid_at(&self, slot: usize) -> u32 {
-        match self.chunks[slot / META_CHUNK].get() {
-            Some(c) => c.pids[slot % META_CHUNK].load(Ordering::Acquire),
-            None => 0,
-        }
-    }
-
-    fn min_hart_epoch(&self) -> u64 {
-        self.hart_epochs
-            .iter()
-            .map(|e| e.load(Ordering::Acquire))
-            .min()
-            .unwrap_or(0)
-    }
-}
-
-/// A clonable, lock-free view of the table's generational metadata, safe to
-/// hold on any thread while the owning hart keeps mutating the table. It can
-/// validate handles and read published pids; it can never reach the payload.
+/// One table slot: its generation and, while occupied, its process.
 #[derive(Debug, Clone)]
-pub struct TableReader {
-    meta: Arc<SharedMeta>,
+struct Slot {
+    /// Even = vacant, odd = occupied; advances on every insert and remove.
+    gen: u32,
+    /// Boxed so a vacant slot costs one pointer, not a whole `Process`.
+    proc: Option<Box<Process>>,
 }
 
-impl TableReader {
-    /// True while `h` still refers to the process it was issued for: one
-    /// atomic load, zero shared writes.
-    pub fn live(&self, h: ProcHandle) -> bool {
-        self.meta.gen_of(h.slot as usize) == Some(h.gen)
-    }
-
-    /// The pid behind `h`, or `None` when the handle is stale. Reads the
-    /// generation before *and* after the pid load so a concurrent reap
-    /// cannot hand back a reused slot's pid.
-    pub fn pid_of(&self, h: ProcHandle) -> Option<Pid> {
-        let si = h.slot as usize;
-        if self.meta.gen_of(si)? != h.gen {
-            return None;
-        }
-        let pid = self.meta.pid_at(si);
-        (self.meta.gen_of(si) == Some(h.gen)).then_some(pid)
-    }
-
-    /// Current global reclamation epoch.
-    pub fn epoch(&self) -> u64 {
-        self.meta.epoch.load(Ordering::Acquire)
-    }
-}
-
-/// The process table: a fixed-capacity generational slot array (see the
-/// module docs for the concurrency contract).
-#[derive(Debug)]
+/// The process table: a generational slot array (see the module docs).
+#[derive(Debug, Clone, Default)]
 pub struct ProcessTable {
-    /// Slot payloads. Boxed so a vacant slot costs one pointer, not a whole
-    /// `Process`.
-    slots: Vec<Option<Box<Process>>>,
-    /// Shared atomic metadata (generations, pids, epochs).
-    meta: Arc<SharedMeta>,
+    /// Slots ever used; the vector grows only when no freed slot is left.
+    slots: Vec<Slot>,
     /// Dense pid → slot index (O(1) hot-path lookup; pids are small and
     /// allocated sequentially).
     pid_slots: Vec<u32>,
     /// Ordered pid → slot map, kept solely so `pids()`/`iter()` walk in
     /// deterministic pid order (oracle and stats depend on that order).
     by_pid: BTreeMap<Pid, u32>,
-    /// Retired slots awaiting quiescence: `(slot, retire_epoch)` in retire
-    /// order (epochs are monotonic, so the front is always the oldest).
-    limbo: VecDeque<(u32, u64)>,
-    /// Slots safe to reuse.
+    /// Vacant slots ready for reuse.
     free: Vec<u32>,
-    /// First never-used slot.
-    high_water: u32,
-    /// Slots reclaimed out of limbo over the table's lifetime.
-    reclaimed: u64,
-}
-
-impl Default for ProcessTable {
-    fn default() -> Self {
-        Self::with_harts(1)
-    }
-}
-
-impl Clone for ProcessTable {
-    /// Deep snapshot: the clone gets its own metadata arrays, so readers of
-    /// the original are unaffected and handles stay valid against both.
-    fn clone(&self) -> Self {
-        let meta = SharedMeta::new(self.meta.capacity(), self.meta.hart_epochs.len());
-        for (ci, lock) in self.meta.chunks.iter().enumerate() {
-            let Some(src) = lock.get() else { continue };
-            let dst = meta.chunks[ci].get_or_init(MetaChunk::new_boxed);
-            for i in 0..META_CHUNK {
-                dst.gens[i].store(src.gens[i].load(Ordering::Acquire), Ordering::Release);
-                dst.pids[i].store(src.pids[i].load(Ordering::Acquire), Ordering::Release);
-            }
-        }
-        meta.epoch
-            .store(self.meta.epoch.load(Ordering::Acquire), Ordering::Release);
-        for (i, e) in self.meta.hart_epochs.iter().enumerate() {
-            meta.hart_epochs[i].store(e.load(Ordering::Acquire), Ordering::Release);
-        }
-        Self {
-            slots: self.slots.clone(),
-            meta: Arc::new(meta),
-            pid_slots: self.pid_slots.clone(),
-            by_pid: self.by_pid.clone(),
-            limbo: self.limbo.clone(),
-            free: self.free.clone(),
-            high_water: self.high_water,
-            reclaimed: self.reclaimed,
-        }
-    }
 }
 
 impl ProcessTable {
-    /// Empty table for a single-hart machine.
+    /// Empty table.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty table whose reclamation epochs track `harts` harts.
-    pub fn with_harts(harts: usize) -> Self {
-        Self {
-            slots: Vec::new(),
-            meta: Arc::new(SharedMeta::new(PROC_TABLE_CAPACITY, harts)),
-            pid_slots: Vec::new(),
-            by_pid: BTreeMap::new(),
-            limbo: VecDeque::new(),
-            free: Vec::new(),
-            high_water: 0,
-            reclaimed: 0,
-        }
-    }
-
-    /// A lock-free reader over this table's generational metadata.
-    pub fn reader(&self) -> TableReader {
-        TableReader {
-            meta: Arc::clone(&self.meta),
-        }
     }
 
     /// Slot index for `pid`, if live.
@@ -546,51 +348,23 @@ impl ProcessTable {
         }
     }
 
-    /// Moves limbo slots whose retire epoch every hart has passed onto the
-    /// free list.
-    fn reclaim(&mut self) {
-        let safe = self.meta.min_hart_epoch();
-        while let Some(&(slot, retired)) = self.limbo.front() {
-            if retired > safe {
-                break;
-            }
-            self.limbo.pop_front();
-            self.free.push(slot);
-            self.reclaimed += 1;
-        }
-    }
-
-    /// Picks a slot for a new entry: reclaimed slots first, then fresh ones.
+    /// Picks a slot for a new entry: freed slots first, then fresh ones.
     fn claim_slot(&mut self) -> Option<u32> {
-        self.reclaim();
         if let Some(s) = self.free.pop() {
             return Some(s);
         }
-        if (self.high_water as usize) < self.meta.capacity() {
-            let s = self.high_water;
-            self.high_water += 1;
-            self.slots.push(None);
-            debug_assert_eq!(self.slots.len(), self.high_water as usize);
-            return Some(s);
+        if self.slots.len() < PROC_TABLE_CAPACITY {
+            self.slots.push(Slot { gen: 0, proc: None });
+            return Some((self.slots.len() - 1) as u32);
         }
         None
     }
 
-    /// Marks `hart` quiescent at the current epoch (it holds no handles from
-    /// before this call) and reclaims whatever that unblocks.
-    pub fn quiesce(&mut self, hart: usize) {
-        if let Some(e) = self.meta.hart_epochs.get(hart) {
-            e.store(self.meta.epoch.load(Ordering::Acquire), Ordering::Release);
-        }
-        self.reclaim();
-    }
-
-    /// Inserts a process, publishing its slot for lock-free readers.
+    /// Inserts a process.
     ///
     /// # Errors
     /// [`TableError::DuplicatePid`] when a live entry with the same pid
-    /// exists; [`TableError::Full`] when no slot is free (all live or still
-    /// in limbo).
+    /// exists; [`TableError::Full`] when every slot is live.
     pub fn insert(&mut self, p: Process) -> Result<ProcHandle, TableError> {
         let pid = p.pid;
         if self.slot_of(pid).is_some() {
@@ -599,80 +373,70 @@ impl ProcessTable {
         let Some(slot) = self.claim_slot() else {
             return Err(TableError::Full);
         };
-        let si = slot as usize;
-        debug_assert!(self.slots[si].is_none(), "claimed slot must be vacant");
-        self.slots[si] = Some(Box::new(p));
+        let s = &mut self.slots[slot as usize];
+        debug_assert!(s.proc.is_none(), "claimed slot must be vacant");
+        s.proc = Some(Box::new(p));
+        s.gen += 1;
+        debug_assert_eq!(s.gen % 2, 1, "occupied generation must be odd");
+        let gen = s.gen;
         if self.pid_slots.len() <= pid as usize {
             self.pid_slots.resize(pid as usize + 1, SLOT_NONE);
         }
         self.pid_slots[pid as usize] = slot;
         self.by_pid.insert(pid, slot);
-        // Publish pid first, then flip the generation odd: a reader that
-        // observes the odd generation is guaranteed to read this pid.
-        let c = self.meta.chunk(si);
-        c.pids[si % META_CHUNK].store(pid, Ordering::Release);
-        let gen = c.gens[si % META_CHUNK].load(Ordering::Relaxed) + 1;
-        debug_assert_eq!(gen % 2, 1, "occupied generation must be odd");
-        c.gens[si % META_CHUNK].store(gen, Ordering::Release);
         Ok(ProcHandle { slot, gen })
     }
 
-    /// The live handle for `pid`, if any (O(1), no shared writes).
+    /// The live handle for `pid`, if any (O(1)).
     pub fn lookup(&self, pid: Pid) -> Option<ProcHandle> {
         let slot = self.slot_of(pid)?;
-        let gen = self.meta.gen_of(slot as usize).unwrap_or(0);
+        let gen = self.slots[slot as usize].gen;
         debug_assert_eq!(gen % 2, 1, "indexed slot must be occupied");
         Some(ProcHandle { slot, gen })
     }
 
     /// Resolves a handle, failing on generation mismatch (stale handle).
     pub fn resolve(&self, h: ProcHandle) -> Option<&Process> {
-        let si = h.slot as usize;
-        if self.meta.gen_of(si)? != h.gen {
-            return None;
-        }
-        self.slots[si].as_deref()
+        self.slots
+            .get(h.slot as usize)
+            .filter(|s| s.gen == h.gen)?
+            .proc
+            .as_deref()
     }
 
-    /// Mutable handle resolution (owning-hart side).
+    /// Mutable handle resolution.
     pub fn resolve_mut(&mut self, h: ProcHandle) -> Option<&mut Process> {
-        let si = h.slot as usize;
-        if self.meta.gen_of(si)? != h.gen {
-            return None;
-        }
-        self.slots[si].as_deref_mut()
+        self.slots
+            .get_mut(h.slot as usize)
+            .filter(|s| s.gen == h.gen)?
+            .proc
+            .as_deref_mut()
     }
 
     /// Immutable pid lookup (O(1) through the dense index).
     pub fn get(&self, pid: Pid) -> Option<&Process> {
         self.slot_of(pid)
-            .and_then(|s| self.slots[s as usize].as_deref())
+            .and_then(|s| self.slots[s as usize].proc.as_deref())
     }
 
     /// Mutable pid lookup.
     pub fn get_mut(&mut self, pid: Pid) -> Option<&mut Process> {
         self.slot_of(pid)
-            .and_then(|s| self.slots[s as usize].as_deref_mut())
+            .and_then(|s| self.slots[s as usize].proc.as_deref_mut())
     }
 
     /// Removes a process (final reap): the slot's generation advances (odd →
-    /// even, invalidating every outstanding handle) and the slot enters
-    /// limbo until all harts quiesce past the retire epoch.
+    /// even, invalidating every outstanding handle) and the slot goes
+    /// straight onto the free list.
     pub fn remove(&mut self, pid: Pid) -> Option<Process> {
         let slot = self.slot_of(pid)?;
-        let si = slot as usize;
-        let p = self.slots[si].take().map(|b| *b)?;
+        let s = &mut self.slots[slot as usize];
+        let p = s.proc.take().map(|b| *b)?;
+        s.gen += 1;
+        debug_assert_eq!(s.gen % 2, 0, "vacant generation must be even");
         self.pid_slots[pid as usize] = SLOT_NONE;
         self.by_pid.remove(&pid);
-        // Retire: flip the generation even *before* bumping the epoch so a
-        // reader can never validate a handle against a slot already headed
-        // for reuse.
-        let c = self.meta.chunk(si);
-        let gen = c.gens[si % META_CHUNK].load(Ordering::Relaxed) + 1;
-        debug_assert_eq!(gen % 2, 0, "vacant generation must be even");
-        c.gens[si % META_CHUNK].store(gen, Ordering::Release);
-        let retired = self.meta.epoch.fetch_add(1, Ordering::AcqRel) + 1;
-        self.limbo.push_back((slot, retired));
+        self.free.push(slot);
         Some(p)
     }
 
@@ -686,16 +450,6 @@ impl ProcessTable {
         self.by_pid.is_empty()
     }
 
-    /// Slots currently awaiting quiescence.
-    pub fn limbo_len(&self) -> usize {
-        self.limbo.len()
-    }
-
-    /// Slots reclaimed out of limbo over the table's lifetime.
-    pub fn slots_reclaimed(&self) -> u64 {
-        self.reclaimed
-    }
-
     /// Iterates pids in ascending order (deterministic; the oracle and the
     /// stats walk depend on it).
     pub fn pids(&self) -> impl Iterator<Item = Pid> + '_ {
@@ -706,17 +460,17 @@ impl ProcessTable {
     pub fn iter(&self) -> impl Iterator<Item = &Process> {
         self.by_pid
             .values()
-            .filter_map(|&s| self.slots[s as usize].as_deref())
+            .filter_map(|&s| self.slots[s as usize].proc.as_deref())
     }
 
     /// Iterates `(handle, process)` pairs in pid order — the slot-array walk
     /// the invariant oracle uses to re-derive the satp↔token↔PCB binding.
     pub fn handles(&self) -> impl Iterator<Item = (ProcHandle, &Process)> {
-        self.by_pid.values().filter_map(|&s| {
-            let gen = self.meta.gen_of(s as usize).unwrap_or(0);
-            self.slots[s as usize]
+        self.by_pid.values().filter_map(|&slot| {
+            let s = &self.slots[slot as usize];
+            s.proc
                 .as_deref()
-                .map(move |p| (ProcHandle { slot: s, gen }, p))
+                .map(|p| (ProcHandle { slot, gen: s.gen }, p))
         })
     }
 }
@@ -811,44 +565,34 @@ mod tests {
         assert!(t.lookup(3).is_none());
         // Reuse the slot for a different pid: the old handle must still
         // mismatch (the ABA case).
-        t.quiesce(0);
-        let h2 = t.insert(proc(4)).expect("insert after quiesce");
-        assert_eq!(h.slot, h2.slot, "slot is reused once quiescent");
+        let h2 = t.insert(proc(4)).expect("insert after reap");
+        assert_eq!(h.slot, h2.slot, "the freed slot is reused");
         assert_ne!(h.gen, h2.gen, "generation never repeats");
         assert!(t.resolve(h).is_none());
         assert_eq!(t.resolve(h2).unwrap().pid, 4);
     }
 
     #[test]
-    fn limbo_blocks_reuse_until_every_hart_quiesces() {
-        let mut t = ProcessTable::with_harts(2);
-        let h = t.insert(proc(1)).expect("insert");
-        t.remove(1).expect("reap");
-        assert_eq!(t.limbo_len(), 1);
-        // Only hart 0 quiesces: hart 1 may still hold the handle.
-        t.quiesce(0);
-        assert_eq!(t.limbo_len(), 1, "slot stays in limbo");
-        let h2 = t.insert(proc(2)).expect("fresh slot");
-        assert_ne!(h.slot, h2.slot, "fresh slot, not the limbo one");
-        // Hart 1 quiesces: the limbo slot becomes reusable.
-        t.quiesce(1);
-        assert_eq!(t.limbo_len(), 0);
-        assert_eq!(t.slots_reclaimed(), 1);
-        let h3 = t.insert(proc(3)).expect("reused slot");
-        assert_eq!(h3.slot, h.slot);
-    }
-
-    #[test]
-    fn reader_validates_without_table_access() {
+    fn reaped_slot_is_reused_before_the_table_grows() {
         let mut t = ProcessTable::new();
-        let h = t.insert(proc(9)).expect("insert");
-        let r = t.reader();
-        assert!(r.live(h));
-        assert_eq!(r.pid_of(h), Some(9));
-        t.remove(9).expect("reap");
-        assert!(!r.live(h));
-        assert_eq!(r.pid_of(h), None);
-        assert_eq!(r.epoch(), 1);
+        let a = t.insert(proc(1)).expect("insert");
+        let b = t.insert(proc(2)).expect("insert");
+        // One-at-a-time churn next to a long-lived entry: every reap frees
+        // its slot at once, so the table never needs a third slot.
+        let mut prev = b;
+        for pid in 3..50 {
+            t.remove(pid - 1).expect("reap");
+            let h = t.insert(proc(pid)).expect("insert");
+            assert_eq!(h.slot, b.slot, "pid {pid} reuses the reaped slot");
+            assert_eq!(h.gen, prev.gen + 2, "one vacant generation in between");
+            prev = h;
+        }
+        assert_eq!(
+            t.resolve(a).unwrap().pid,
+            1,
+            "the long-lived entry is untouched"
+        );
+        assert_eq!(t.len(), 2);
     }
 
     #[test]
@@ -858,7 +602,6 @@ mod tests {
             t.insert(proc(pid)).expect("insert");
         }
         t.remove(3).expect("reap");
-        t.quiesce(0);
         t.insert(proc(2)).expect("reuses slot of pid 3");
         let pids: Vec<Pid> = t.pids().collect();
         assert_eq!(pids, [2, 5, 8], "pid order, not slot order");

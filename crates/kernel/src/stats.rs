@@ -74,14 +74,6 @@ pub struct KernelStats {
     pub pt_pages_peak: u64,
 }
 
-impl KernelStats {
-    /// Difference against an earlier snapshot.
-    #[deprecated(note = "use `Snapshot::delta`")]
-    pub fn since(&self, earlier: &KernelStats) -> KernelStats {
-        self.delta(earlier)
-    }
-}
-
 impl Snapshot for KernelStats {
     /// Field-wise difference; the `pt_pages_live`/`pt_pages_peak`/
     /// `deferred_queue_peak` gauges keep their current (absolute) values

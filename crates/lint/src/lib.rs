@@ -9,7 +9,7 @@
 //! It is a self-contained static analyzer (a hand-rolled lexer plus a
 //! per-crate call graph — the offline build vendors no `syn` and the
 //! analyzer deliberately takes no compiler-internals dependency) enforcing
-//! five rules:
+//! four rules:
 //!
 //! | Rule | Guards |
 //! |------|--------|
@@ -17,7 +17,6 @@
 //! | `shootdown-pairing`   | downgrade/invalidate `pt_write`s must reach `tlb_flush_page`/`tlb_flush_asid` or the batched `queue_flush_page`/`drain_deferred_flushes` API (SMP TLB coherence) |
 //! | `allow-justification` | every `#[allow(...)]` carries a justification comment |
 //! | `test-exhaustiveness` | every injector fault class / attack verdict / reject reason / oracle violation / model-check verdict variant is exercised by a test |
-//! | `atomics-confinement` | raw `Ordering::*` atomics confined to the generational process table (deterministic threaded execution) |
 //!
 //! Suppressions are explicit and audited:
 //! `// ptstore-lint: allow(<rule>) — <justification>` above (or on) the

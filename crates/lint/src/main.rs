@@ -13,7 +13,6 @@ Lints the PTStore workspace for secure-access discipline:
   shootdown-pairing     downgrading PT writes must reach a TLB flush
   allow-justification   every #[allow] needs a justification comment
   test-exhaustiveness   verdict/fault enums fully covered by tests
-  atomics-confinement   raw Ordering::* atomics only in the process table
 
 Exit status: 0 clean, 1 findings, 2 usage/I-O error.";
 

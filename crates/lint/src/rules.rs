@@ -1,4 +1,4 @@
-//! The five workspace rules. Each mirrors one guarantee of the paper's
+//! The four workspace rules. Each mirrors one guarantee of the paper's
 //! hardware/compiler contract; see `DESIGN.md` for the mapping.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -15,8 +15,6 @@ pub const RULE_SHOOTDOWN: &str = "shootdown-pairing";
 pub const RULE_ALLOW: &str = "allow-justification";
 /// Rule identifier: security-verdict enums need full test coverage.
 pub const RULE_EXHAUSTIVE: &str = "test-exhaustiveness";
-/// Rule identifier: raw memory-ordering atomics only in the process table.
-pub const RULE_ATOMICS: &str = "atomics-confinement";
 
 /// One reported problem.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -51,9 +49,6 @@ pub struct Config {
     pub flush_fns: Vec<String>,
     /// Exhaustiveness targets: enum name → crate expected to define it.
     pub exhaustive_enums: Vec<(String, String)>,
-    /// Path suffixes (workspace-wide) where raw memory-ordering atomics
-    /// are legal — the generational process table and nothing else.
-    pub atomics_modules: Vec<String>,
 }
 
 impl Default for Config {
@@ -98,7 +93,6 @@ impl Default for Config {
                 // security result nobody would notice regressing.
                 ("ModelVerdict".into(), "ptstore-modelcheck".into()),
             ],
-            atomics_modules: vec!["crates/kernel/src/process.rs".into()],
         }
     }
 }
@@ -112,7 +106,6 @@ pub fn analyze(files: Vec<SourceFile>, cfg: &Config) -> Vec<Finding> {
     findings.extend(rule_shootdown_pairing(&parsed, cfg));
     findings.extend(rule_allow_justification(&parsed));
     findings.extend(rule_test_exhaustiveness(&parsed, cfg));
-    findings.extend(rule_atomics_confinement(&parsed, cfg));
     findings.sort();
     findings.dedup();
     findings
@@ -177,69 +170,6 @@ fn rule_channel_confinement(parsed: &[ParsedFile], cfg: &Config) -> Vec<Finding>
                     "{what} outside the channel module; route it through \
                      `pt_read`/`pt_write`/the channel accessors, or add a justified \
                      `ptstore-lint: allow({RULE_CHANNEL})` marker"
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// The memory-ordering variants of `std::sync::atomic::Ordering`. Listing
-/// them (rather than matching any `Ordering::*` path) keeps
-/// `std::cmp::Ordering::Less`/`Equal`/`Greater` out of the rule.
-const MEM_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
-
-/// Rule 5 — **atomics confinement** (the threaded-execution contract).
-///
-/// Deterministic threaded execution rests on exactly one lock-free
-/// structure: the generational process table, whose publish/retire
-/// orderings are argued in its module docs. Raw memory-ordering atomics
-/// (`Ordering::Relaxed`/`Acquire`/`Release`/`AcqRel`/`SeqCst`) anywhere
-/// else — executor, mailboxes, bench pool — would reintroduce
-/// schedule-dependent behavior the differential goldens cannot catch, so
-/// outside the allowlisted module(s) they require a justified
-/// `// ptstore-lint: allow(atomics-confinement) — why` marker.
-/// Synchronise with `Mutex`/`Condvar` instead; determinism comes from the
-/// logical-time turnstile, not from atomic cleverness.
-fn rule_atomics_confinement(parsed: &[ParsedFile], cfg: &Config) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in parsed {
-        if f.src.is_test {
-            continue;
-        }
-        if cfg.atomics_modules.iter().any(|m| f.src.path.ends_with(m)) {
-            continue;
-        }
-        for i in 0..f.toks.len().saturating_sub(3) {
-            let window = &f.toks[i..i + 4];
-            let Tok::Ident(head) = &window[0].tok else {
-                continue;
-            };
-            if head != "Ordering" {
-                continue;
-            }
-            if !MEM_ORDERINGS.iter().any(|v| path_is(window, "Ordering", v)) {
-                continue;
-            }
-            if f.in_test_span(i) {
-                continue;
-            }
-            let line = window[0].line;
-            if f.allow_marker_for(RULE_ATOMICS, line).is_some() {
-                continue;
-            }
-            let Tok::Ident(variant) = &window[3].tok else {
-                continue;
-            };
-            out.push(Finding {
-                file: f.src.path.clone(),
-                line,
-                rule: RULE_ATOMICS,
-                message: format!(
-                    "raw atomic `Ordering::{variant}` outside the process-table module; \
-                     use `Mutex`/`Condvar` (the logical-time turnstile keeps threaded runs \
-                     deterministic), or add a justified \
-                     `ptstore-lint: allow({RULE_ATOMICS})` marker"
                 ),
             });
         }

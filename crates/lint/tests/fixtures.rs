@@ -3,9 +3,7 @@
 //! files (readable, diffable) and are fed to [`analyze`] as synthetic
 //! kernel-crate sources.
 
-use ptstore_lint::rules::{
-    RULE_ALLOW, RULE_ATOMICS, RULE_CHANNEL, RULE_EXHAUSTIVE, RULE_SHOOTDOWN,
-};
+use ptstore_lint::rules::{RULE_ALLOW, RULE_CHANNEL, RULE_EXHAUSTIVE, RULE_SHOOTDOWN};
 use ptstore_lint::{analyze, Config, Finding, SourceFile};
 
 /// Wraps fixture text as a non-test file inside the policed kernel crate.
@@ -52,71 +50,6 @@ fn channel_rule_fires_on_bad_and_passes_good() {
         &cfg,
     );
     assert!(good.is_empty(), "corrected twin must be clean: {good:#?}");
-}
-
-#[test]
-fn atomics_rule_fires_on_bad_and_passes_good() {
-    let cfg = Config::default();
-    let bad = findings_for(
-        RULE_ATOMICS,
-        vec![kernel_file(
-            "src/bad.rs",
-            include_str!("../fixtures/atomics_bad.rs"),
-        )],
-        &cfg,
-    );
-    assert_eq!(bad.len(), 5, "five raw ordering sites: {bad:#?}");
-    for variant in ["Relaxed", "Release", "Acquire", "AcqRel", "SeqCst"] {
-        assert!(
-            bad.iter().any(|f| f.message.contains(variant)),
-            "missing Ordering::{variant}: {bad:#?}"
-        );
-    }
-
-    let good = findings_for(
-        RULE_ATOMICS,
-        vec![kernel_file(
-            "src/good.rs",
-            include_str!("../fixtures/atomics_good.rs"),
-        )],
-        &cfg,
-    );
-    assert!(good.is_empty(), "corrected twin must be clean: {good:#?}");
-}
-
-#[test]
-fn atomics_rule_skips_the_process_table_and_tests() {
-    let cfg = Config::default();
-    // The same bad text is legal inside the allowlisted table module.
-    let inside = findings_for(
-        RULE_ATOMICS,
-        vec![kernel_file(
-            "crates/kernel/src/process.rs",
-            include_str!("../fixtures/atomics_bad.rs"),
-        )],
-        &cfg,
-    );
-    assert!(inside.is_empty(), "{inside:#?}");
-    // ...and in test files, which may coordinate however they like.
-    let mut test_file = kernel_file("tests/race.rs", include_str!("../fixtures/atomics_bad.rs"));
-    test_file.is_test = true;
-    assert!(findings_for(RULE_ATOMICS, vec![test_file], &cfg).is_empty());
-}
-
-#[test]
-fn atomics_rule_polices_every_crate() {
-    // Unlike channel-confinement, the rule is workspace-wide: a bench or
-    // executor crate sneaking in atomics is exactly the regression it
-    // exists to catch.
-    let cfg = Config::default();
-    let other = SourceFile {
-        crate_name: "ptstore-bench".into(),
-        path: "crates/bench/src/pool.rs".into(),
-        is_test: false,
-        text: include_str!("../fixtures/atomics_bad.rs").into(),
-    };
-    let found = findings_for(RULE_ATOMICS, vec![other], &cfg);
-    assert_eq!(found.len(), 5, "{found:#?}");
 }
 
 #[test]

@@ -9,9 +9,10 @@
 //!
 //! ## Determinism
 //!
-//! Expansion of one level fans out across host threads in contiguous
-//! chunks, and results are merged **in submission order** — the same total
-//! order a single-threaded run produces. Dedup inserts digests in that
+//! Expansion of one level fans out across host threads through the
+//! workspace's parallel map ([`ptstore_core::pool::fan_out`]), and results
+//! are merged **in submission order** — the same total order a
+//! single-threaded run produces. Dedup inserts digests in that
 //! order, the exploration digest folds them in that order, and the first
 //! violation in that order wins. Reports are therefore byte-identical for
 //! every `--jobs` value, which `scripts/check.sh` enforces with a literal
@@ -21,6 +22,7 @@ use core::fmt;
 use std::collections::HashSet;
 use std::str::FromStr;
 
+use ptstore_core::pool::fan_out;
 use ptstore_core::{Fnv1a, PagingScheme, MIB};
 use ptstore_fault::{apply, boot_model, format_trace, replay, replay_trace, Invariants, ModelOp};
 use ptstore_kernel::{DrainPolicy, KernelConfig};
@@ -386,29 +388,6 @@ struct Expansion {
     violations: Vec<String>,
 }
 
-/// Chunked deterministic parallel map: `items` is split into at most
-/// `jobs` contiguous chunks, each mapped on its own scoped thread, and the
-/// per-chunk outputs are concatenated in chunk order — the identity
-/// permutation of a sequential map, so callers can merge in submission
-/// order without any cross-thread coordination.
-fn par_map<T: Sync, R: Send>(jobs: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let jobs = jobs.max(1).min(items.len().max(1));
-    if jobs == 1 {
-        return items.iter().map(f).collect();
-    }
-    let chunk = items.len().div_ceil(jobs);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| scope.spawn(|| c.iter().map(&f).collect::<Vec<R>>()))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("modelcheck worker panicked"))
-            .collect()
-    })
-}
-
 /// Runs the bounded breadth-first search described in the module docs.
 pub fn explore(mc: &McConfig) -> ExploreReport {
     let kcfg = mc.kernel_config();
@@ -476,7 +455,7 @@ pub fn explore(mc: &McConfig) -> ExploreReport {
             .flat_map(|i| alphabet.iter().map(move |&op| (i, op)))
             .collect();
         let frontier_ref = &frontier;
-        let results = par_map(mc.jobs, &work, |&(i, op)| {
+        let results = fan_out(mc.jobs, &work, |&(i, op)| {
             let mut k = replay(&kcfg, &frontier_ref[i]);
             apply(&mut k, op);
             let rep = Invariants::check(&k);

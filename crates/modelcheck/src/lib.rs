@@ -24,7 +24,7 @@
 //! * [`explore()`] replays each frontier state from a fresh boot (the kernel
 //!   is deliberately not cloneable), applies one op, runs the machine-wide
 //!   invariant oracle ([`Invariants::check`](ptstore_fault::Invariants)) on
-//!   the successor, and dedups. Expansion is chunked across host threads
+//!   the successor, and dedups. Expansion fans out across host threads
 //!   with results merged in submission order, so reports are byte-identical
 //!   regardless of `--jobs`.
 //!

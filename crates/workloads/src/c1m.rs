@@ -15,12 +15,11 @@
 //! magazine fast paths exist to collapse.
 //!
 //! Everything reported here is modeled (cycles, counters): the output is
-//! byte-identical across reruns at any host thread count, so the harness
-//! can diff it. Host wall time is measured outside, by `scripts/bench.sh`.
+//! byte-identical across reruns, so the harness can diff it. Host wall time is measured outside, by `scripts/bench.sh`.
 
 use ptstore_core::{Fnv1a, VirtAddr, PAGE_SIZE};
 use ptstore_kernel::process::VmPerms;
-use ptstore_kernel::{exec, CostKind, Kernel, Snapshot};
+use ptstore_kernel::{CostKind, Kernel, Snapshot};
 use serde::{Deserialize, Serialize};
 
 use crate::smp::{self, SmpRunReport};
@@ -124,19 +123,13 @@ impl C1mResult {
 /// Panics on kernel errors (the fleet must run cleanly; OOM means the
 /// configuration is too small for the tenant count).
 pub fn run_c1m(k: &mut Kernel, p: &C1mParams) -> C1mResult {
-    run_c1m_threads(k, p, exec::host_threads())
-}
-
-/// [`run_c1m`] with an explicit host thread count (the differential suite
-/// sweeps this to prove thread-count invariance).
-pub fn run_c1m_threads(k: &mut Kernel, p: &C1mParams, host_threads: usize) -> C1mResult {
     let doc = vec![0x42u8; p.response_bytes as usize];
     k.fs.create("/srv/tenant.bin", doc);
     let stats0 = k.stats;
     let workers = smp::spawn_workers(k).expect("c1m supervisors spawn");
     let worker_pids: Vec<_> = workers.iter().map(|&(pid, _)| pid).collect();
     let shares = smp::partition(p.tenants, k.harts.len());
-    let report = smp::run_distributed(k, "c1m", &workers, &shares, host_threads, |k, h, slots| {
+    let report = smp::run_distributed(k, "c1m", &workers, &shares, |k, h, slots| {
         let supervisor = worker_pids[h];
         for _ in 0..p.churn_rounds {
             for _ in 0..slots {
@@ -343,16 +336,5 @@ mod tests {
         assert_eq!(rb.watermark_drains, 0);
         // ...at the price of more drain rounds — the documented trade-off.
         assert!(rw.deferred_drains > rb.deferred_drains);
-    }
-
-    #[test]
-    fn thread_count_invariant() {
-        let p = C1mParams::quick();
-        let mut a = boot(2, true);
-        let mut b = boot(2, true);
-        let ra = run_c1m_threads(&mut a, &p, 1);
-        let rb = run_c1m_threads(&mut b, &p, 4);
-        assert_eq!(ra, rb, "modeled results depend on host thread count");
-        assert_eq!(a.cycles.total(), b.cycles.total());
     }
 }

@@ -45,11 +45,8 @@ pub mod report;
 pub mod smp;
 pub mod spec;
 
-pub use c1m::{run_c1m, run_c1m_threads, C1mParams, C1mResult};
+pub use c1m::{run_c1m, C1mParams, C1mResult};
 pub use fork_stress::{run_fork_stress, ForkStressResult};
 pub use huge::{run_huge_page, HugePageResult};
 pub use report::{measure, overhead_pct, Measurement, OverheadSeries};
-pub use smp::{
-    run_fork_stress_smp, run_fork_stress_smp_threads, run_nginx_smp, run_nginx_smp_threads,
-    run_redis_smp, run_redis_smp_threads, HartShare, SmpRunReport,
-};
+pub use smp::{run_fork_stress_smp, run_nginx_smp, run_redis_smp, HartShare, SmpRunReport};

@@ -1,24 +1,21 @@
 //! SMP workload drivers: distribute the paper's macrobenchmarks across the
 //! machine's harts and report per-hart utilization plus shootdown traffic.
 //!
-//! Hart serve loops are carried on real OS threads through the
-//! logical-time turnstile ([`ptstore_kernel::exec::run_turns`]): each
-//! hart's turn runs to completion in canonical hart order, so modeled
-//! cycles, stats, and trace output are byte-identical at any host thread
-//! count. "Parallel" throughput is computed the way a hardware run would
-//! observe it: each hart serves its partition of the request stream,
-//! per-hart busy cycles come from the hart-private counters, and the
-//! wall-clock cycle count of the run is the *maximum* per-hart delta —
-//! the harts overlap in time on real silicon. Shootdown IPIs (the cost
-//! SMP adds to every mapping change) are charged by the kernel along the
-//! way and surface in the report.
+//! Hart turns run one after another on the calling thread, in canonical
+//! hart order, against the one shared kernel. "Parallel" throughput is
+//! computed the way a hardware run would observe it: each hart serves its
+//! partition of the request stream, per-hart busy cycles come from the
+//! hart-private counters, and the wall-clock cycle count of the run is the
+//! *maximum* per-hart delta — the harts overlap in time on real silicon.
+//! Shootdown IPIs (the cost SMP adds to every mapping change) are charged
+//! by the kernel along the way and surface in the report.
 //!
 //! Workers are referred to by generational [`ProcHandle`]s, never by raw
 //! table access: a driver that accidentally reaps its own worker is
 //! caught by the handle going stale, not by silently resolving to
 //! whatever process reused the slot.
 
-use ptstore_kernel::{exec, Kernel, KernelError, Pid, ProcHandle};
+use ptstore_kernel::{Kernel, KernelError, Pid, ProcHandle};
 use serde::{Deserialize, Serialize};
 
 use crate::nginx::{self, NginxParams};
@@ -109,34 +106,27 @@ pub(crate) fn spawn_workers(k: &mut Kernel) -> Result<Vec<(Pid, ProcHandle)>, Ke
 }
 
 /// Runs one hart-distributed workload: `serve(k, hart, share)` performs
-/// `share` operations on the already-active hart. Each hart's turn runs
-/// on a real OS thread (up to [`exec::host_threads`] of them) through the
-/// logical-time turnstile, preserving the canonical hart order exactly.
-/// After the run every worker handle must still resolve — a driver that
-/// reaped its own worker trips the stale-handle check here.
+/// `share` operations on the already-active hart. Harts with a non-zero
+/// share take one turn each, in hart order. After the run every worker
+/// handle must still resolve — a driver that reaped its own worker trips
+/// the stale-handle check here.
 pub(crate) fn run_distributed(
     k: &mut Kernel,
     workload: &str,
     workers: &[(Pid, ProcHandle)],
     shares: &[u64],
-    host_threads: usize,
-    serve: impl Fn(&mut Kernel, usize, u64) + Sync,
+    mut serve: impl FnMut(&mut Kernel, usize, u64),
 ) -> SmpRunReport {
     let harts = k.harts.len();
     let shootdowns0 = k.stats.tlb_shootdowns;
     let ipis0 = k.stats.shootdown_ipis;
     let before: Vec<u64> = k.harts.iter().map(|h| h.cycles.total()).collect();
-    let turns: Vec<(usize, u64)> = shares
-        .iter()
-        .copied()
-        .enumerate()
-        .filter(|&(_, share)| share > 0)
-        .collect();
-    exec::run_turns(k, turns.len(), host_threads, |k, t| {
-        let (hart, share) = turns[t];
-        k.set_active_hart(hart);
-        serve(k, hart, share);
-    });
+    for (hart, &share) in shares.iter().enumerate() {
+        if share > 0 {
+            k.set_active_hart(hart);
+            serve(k, hart, share);
+        }
+    }
     k.set_active_hart(0);
     for &(pid, handle) in workers {
         assert!(
@@ -181,25 +171,12 @@ pub(crate) fn run_distributed(
 /// # Panics
 /// Panics on kernel errors (the server must run cleanly).
 pub fn run_nginx_smp(k: &mut Kernel, p: &NginxParams) -> SmpRunReport {
-    run_nginx_smp_threads(k, p, exec::host_threads())
-}
-
-/// [`run_nginx_smp`] with an explicit host thread count (the differential
-/// suite sweeps this to prove thread-count invariance).
-pub fn run_nginx_smp_threads(k: &mut Kernel, p: &NginxParams, host_threads: usize) -> SmpRunReport {
     nginx::stage_document(k, p);
     let workers = spawn_workers(k).expect("nginx workers spawn");
     let shares = partition(p.requests, k.harts.len());
-    run_distributed(
-        k,
-        "nginx",
-        &workers,
-        &shares,
-        host_threads,
-        |k, _h, share| {
-            nginx::serve_requests(k, p, share);
-        },
-    )
+    run_distributed(k, "nginx", &workers, &shares, |k, _h, share| {
+        nginx::serve_requests(k, p, share);
+    })
 }
 
 /// Redis in cluster mode: one single-threaded instance per hart, the
@@ -208,28 +185,11 @@ pub fn run_nginx_smp_threads(k: &mut Kernel, p: &NginxParams, host_threads: usiz
 /// # Panics
 /// Panics on kernel errors.
 pub fn run_redis_smp(k: &mut Kernel, test: &RedisTest, p: &RedisParams) -> SmpRunReport {
-    run_redis_smp_threads(k, test, p, exec::host_threads())
-}
-
-/// [`run_redis_smp`] with an explicit host thread count.
-pub fn run_redis_smp_threads(
-    k: &mut Kernel,
-    test: &RedisTest,
-    p: &RedisParams,
-    host_threads: usize,
-) -> SmpRunReport {
     let workers = spawn_workers(k).expect("redis instances spawn");
     let shares = partition(p.requests, k.harts.len());
-    run_distributed(
-        k,
-        test.name,
-        &workers,
-        &shares,
-        host_threads,
-        |k, _h, share| {
-            redis::serve_requests(k, test, p, share);
-        },
-    )
+    run_distributed(k, test.name, &workers, &shares, |k, _h, share| {
+        redis::serve_requests(k, test, p, share);
+    })
 }
 
 /// The fork stress distributed across harts: each hart's worker creates,
@@ -238,34 +198,18 @@ pub fn run_redis_smp_threads(
 /// # Panics
 /// Panics on kernel errors (OOM means the configuration is too small).
 pub fn run_fork_stress_smp(k: &mut Kernel, count: u64) -> SmpRunReport {
-    run_fork_stress_smp_threads(k, count, exec::host_threads())
-}
-
-/// [`run_fork_stress_smp`] with an explicit host thread count.
-pub fn run_fork_stress_smp_threads(
-    k: &mut Kernel,
-    count: u64,
-    host_threads: usize,
-) -> SmpRunReport {
     let workers = spawn_workers(k).expect("stress workers spawn");
     let shares = partition(count, k.harts.len());
-    run_distributed(
-        k,
-        "fork_stress",
-        &workers,
-        &shares,
-        host_threads,
-        |k, _h, share| {
-            let children: Vec<Pid> = (0..share).map(|_| k.sys_fork().expect("fork")).collect();
-            for &child in &children {
-                k.do_switch_to(child).expect("switch");
-                k.sys_exit(0).expect("exit");
-            }
-            for _ in &children {
-                k.sys_wait().expect("wait");
-            }
-        },
-    )
+    run_distributed(k, "fork_stress", &workers, &shares, |k, _h, share| {
+        let children: Vec<Pid> = (0..share).map(|_| k.sys_fork().expect("fork")).collect();
+        for &child in &children {
+            k.do_switch_to(child).expect("switch");
+            k.sys_exit(0).expect("exit");
+        }
+        for _ in &children {
+            k.sys_wait().expect("wait");
+        }
+    })
 }
 
 #[cfg(test)]

@@ -1,20 +1,21 @@
 #!/usr/bin/env sh
 # Host-performance harness: times `reproduce --quick all` single-threaded
-# and through the shared worker pool, the SMP experiment at 1/2/4 harts
-# with hart loops on 1 vs 2 real OS threads, and the C1M multi-tenant
-# churn experiment (now a drain-policy sweep: native + eager + one
-# batched row per policy; c1m runs only when named explicitly, so `all`
-# stays the same work as the pre-c1m baseline binary and the suite
-# comparison is like-for-like). The quick shape is timed alongside the
-# CI-budgeted --medium trajectory shape (150x8x50), giving BENCH_PR9.json
-# a connections-per-host-second trajectory toward the paper's
-# one-million-connection run. Results land in BENCH_PR9.json at the repo
-# root. Modeled cycles are pinned elsewhere (the differential tests and
-# the check.sh cmp gate); this script measures wall-clock only. The c1m
-# report prints no wall time by design (check.sh cmp-gates its reruns),
-# so its throughput in connections per host second is computed here,
-# outside the deterministic output; the report's drain-policy sweep line
-# (per-policy queue peaks, digest identity) is lifted into the JSON.
+# and through the shared worker pool, the SMP experiment at 1/2/4 harts,
+# and the C1M multi-tenant churn experiment (a drain-policy sweep: native
+# + eager + one batched row per policy; c1m runs only when named
+# explicitly, so `all` stays the same work as the pre-c1m baseline binary
+# and the suite comparison is like-for-like). The quick shape is timed
+# alongside the CI-budgeted --medium trajectory shape (150x8x50), giving a
+# connections-per-host-second trajectory toward the paper's
+# one-million-connection run. Results land in target/bench.json; the
+# committed BENCH_PR*.json files are earlier runs, kept read-only as the
+# history scripts/bench_history.sh charts. Modeled cycles are pinned
+# elsewhere (the differential tests and the check.sh cmp gate); this
+# script measures wall-clock only. The c1m report prints no wall time by
+# design (check.sh cmp-gates its reruns), so its throughput in
+# connections per host second is computed here, outside the deterministic
+# output; the report's drain-policy sweep line (per-policy queue peaks,
+# digest identity) is lifted into the JSON.
 #
 # The shared CI container jitters by ~10% on multi-second timescales,
 # so baseline-vs-current comparisons alternate the two binaries within
@@ -27,7 +28,7 @@ set -eu
 cd "$(dirname "$0")/.."
 
 JOBS="${1:-$( (nproc || sysctl -n hw.ncpu || echo 2) 2>/dev/null )}"
-OUT="BENCH_PR9.json"
+OUT="target/bench.json"
 BIN="target/release/reproduce"
 # Rounds per timing loop; min-of-N on both binaries. Override with
 # BENCH_ROUNDS when the container is jittery and the minimum needs more
@@ -36,6 +37,7 @@ ROUNDS="${BENCH_ROUNDS:-8}"
 
 echo "== build (release) =="
 cargo build --offline --release --quiet -p ptstore-bench --bin reproduce
+mkdir -p target
 
 # Milliseconds since epoch; /usr/bin/time is not in the container.
 now_ms() {
@@ -152,13 +154,11 @@ else
 fi
 echo "  c1m medium: ${C1M_MED_CONNECTIONS} connections in ${C1M_MED_MS} ms (${C1M_MED_CONN_PER_SEC}/s)" >&2
 
-echo "== timing reproduce --quick smp: harts x host threads =="
+echo "== timing reproduce --quick smp: harts =="
 SMP_JSON=""
 for H in 1 2 4; do
-    for T in 1 2; do
-        ms=$(time_run "harts $H, host threads $T" --quick --harts "$H" --host-threads "$T" smp)
-        SMP_JSON="${SMP_JSON}${SMP_JSON:+, }\"harts${H}_threads${T}\": $ms"
-    done
+    ms=$(time_run "harts $H" --quick --harts "$H" smp)
+    SMP_JSON="${SMP_JSON}${SMP_JSON:+, }\"harts${H}\": $ms"
 done
 
 git worktree remove --force "$WT" > /dev/null 2>&1 || true
