@@ -62,7 +62,7 @@ pub use addr::{
 pub use channel::{AccessKind, Channel};
 pub use digest::Fnv1a;
 pub use error::{AccessError, RegionError, TokenError};
-pub use paging::{PageSize, PagingMetaData, PagingScheme, Sv39, Sv48, Sv57};
+pub use paging::PagingScheme;
 pub use pmp::{AccessContext, PmpAddressMode, PmpEntry, PmpPermissions, PmpUnit, PMP_ENTRY_COUNT};
 pub use policy::{check_access, AccessDecision};
 pub use privilege::PrivilegeMode;
@@ -74,7 +74,7 @@ pub mod prelude {
     pub use crate::addr::{PhysAddr, PhysPageNum, VirtAddr, VirtPageNum, GIB, KIB, MIB, PAGE_SIZE};
     pub use crate::channel::{AccessKind, Channel};
     pub use crate::error::{AccessError, RegionError, TokenError};
-    pub use crate::paging::{PageSize, PagingMetaData, PagingScheme};
+    pub use crate::paging::PagingScheme;
     pub use crate::pmp::{AccessContext, PmpPermissions, PmpUnit};
     pub use crate::privilege::PrivilegeMode;
     pub use crate::region::SecureRegion;

@@ -1,118 +1,39 @@
-//! Multi-scheme paging metadata: Sv39/Sv48/Sv57 behind one trait.
+//! The RV64 paging schemes: Sv39, Sv48 and Sv57.
 //!
 //! The paper evaluates PTStore on Sv39 only, but nothing in the mechanism
 //! — PMP S-bit, PTW origin check, tokens — depends on the number of
-//! translation levels. This module makes that scheme-independence a
-//! property of the types (the `PageTable64<M, PTE, H>` pattern of
-//! page_table_multiarch): [`PagingMetaData`] captures what a scheme *is*
-//! (levels, VA/PA widths, `satp` mode encoding, canonical form), the
-//! [`Sv39`]/[`Sv48`]/[`Sv57`] markers implement it, and [`PagingScheme`]
-//! is the runtime-dispatch mirror the `satp` CSR mode field selects.
+//! translation levels. [`PagingScheme`] is the one description of a
+//! scheme (levels, VA width, `satp` mode encoding, canonical form); the
+//! `satp` CSR mode field selects it at run time, so the walk depth is a
+//! value, never a type parameter.
 //!
 //! All RV64 Sv schemes share the same geometry per level: 9-bit VPN
 //! slices above a 12-bit page offset, so a leaf at level `n` maps a
-//! `4 KiB << (9n)` superpage ([`PageSize`]).
+//! `4 KiB << (9n)` superpage.
 
 use core::fmt;
 use core::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 
-use crate::addr::{VirtAddr, GIB, KIB, MIB, PAGE_SHIFT};
+use crate::addr::VirtAddr;
 
 /// Bits of virtual address translated per page-table level (all Sv
 /// schemes: 512-entry tables).
 pub const BITS_PER_LEVEL: u32 = 9;
 
-/// Compile-time description of one RISC-V paging scheme.
-///
-/// Implementors are zero-sized markers; code that is generic over the
-/// scheme takes `M: PagingMetaData` and reads the constants, while code
-/// that follows a runtime `satp` value goes through [`PagingScheme`],
-/// whose accessors dispatch onto these same impls.
-pub trait PagingMetaData {
-    /// Number of translation levels (3 for Sv39, 4 for Sv48, 5 for Sv57).
-    const LEVELS: usize;
-    /// Significant (sign-extended) virtual-address bits.
-    const VA_BITS: u32;
-    /// Physical-address bits the PTE PPN field can express.
-    const PA_BITS: u32;
-    /// The `satp.MODE` encoding selecting this scheme (8, 9, or 10).
-    const SATP_MODE: u64;
-    /// The scheme's architectural name, lowercase (`"sv39"`, ...).
-    const NAME: &'static str;
-
-    /// True when `va` is canonical for this scheme: bits `63..VA_BITS-1`
-    /// all equal bit `VA_BITS-1`.
-    #[inline]
-    fn is_canonical(va: u64) -> bool {
-        let upper = (va as i64) >> (Self::VA_BITS - 1);
-        upper == 0 || upper == -1
-    }
-}
-
-/// The 3-level, 39-bit scheme the paper's prototype runs (512 GiB).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct Sv39;
-
-/// The 4-level, 48-bit scheme (256 TiB).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct Sv48;
-
-/// The 5-level, 57-bit scheme (128 PiB).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct Sv57;
-
-impl PagingMetaData for Sv39 {
-    const LEVELS: usize = 3;
-    const VA_BITS: u32 = 39;
-    const PA_BITS: u32 = 56;
-    const SATP_MODE: u64 = 8;
-    const NAME: &'static str = "sv39";
-}
-
-impl PagingMetaData for Sv48 {
-    const LEVELS: usize = 4;
-    const VA_BITS: u32 = 48;
-    const PA_BITS: u32 = 56;
-    const SATP_MODE: u64 = 9;
-    const NAME: &'static str = "sv48";
-}
-
-impl PagingMetaData for Sv57 {
-    const LEVELS: usize = 5;
-    const VA_BITS: u32 = 57;
-    const PA_BITS: u32 = 56;
-    const SATP_MODE: u64 = 10;
-    const NAME: &'static str = "sv57";
-}
-
-/// Runtime selector for the scheme a `satp` value encodes.
-///
-/// Every accessor dispatches to the corresponding [`PagingMetaData`]
-/// impl, so the enum cannot drift from the trait-level definitions.
+/// The paging scheme a `satp` value encodes.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
 pub enum PagingScheme {
-    /// 3-level Sv39 (the paper's prototype scheme).
+    /// 3-level Sv39 (the paper's prototype scheme, 512 GiB).
     #[default]
     Sv39,
-    /// 4-level Sv48.
+    /// 4-level Sv48 (256 TiB).
     Sv48,
-    /// 5-level Sv57.
+    /// 5-level Sv57 (128 PiB).
     Sv57,
-}
-
-/// Dispatches one associated item of [`PagingMetaData`] by scheme value.
-macro_rules! dispatch {
-    ($self:expr, $item:ident) => {
-        match $self {
-            PagingScheme::Sv39 => Sv39::$item,
-            PagingScheme::Sv48 => Sv48::$item,
-            PagingScheme::Sv57 => Sv57::$item,
-        }
-    };
 }
 
 impl PagingScheme {
@@ -122,7 +43,11 @@ impl PagingScheme {
     /// Number of translation levels.
     #[inline]
     pub const fn levels(self) -> usize {
-        dispatch!(self, LEVELS)
+        match self {
+            PagingScheme::Sv39 => 3,
+            PagingScheme::Sv48 => 4,
+            PagingScheme::Sv57 => 5,
+        }
     }
 
     /// The root table's level (`levels - 1`; 2 for Sv39, up to 4 for Sv57).
@@ -131,28 +56,34 @@ impl PagingScheme {
         self.levels() - 1
     }
 
-    /// Significant virtual-address bits.
+    /// Significant (sign-extended) virtual-address bits.
     #[inline]
     pub const fn va_bits(self) -> u32 {
-        dispatch!(self, VA_BITS)
+        match self {
+            PagingScheme::Sv39 => 39,
+            PagingScheme::Sv48 => 48,
+            PagingScheme::Sv57 => 57,
+        }
     }
 
-    /// Physical-address bits.
-    #[inline]
-    pub const fn pa_bits(self) -> u32 {
-        dispatch!(self, PA_BITS)
-    }
-
-    /// The `satp.MODE` encoding of this scheme.
+    /// The `satp.MODE` encoding of this scheme (8, 9, or 10).
     #[inline]
     pub const fn satp_mode(self) -> u64 {
-        dispatch!(self, SATP_MODE)
+        match self {
+            PagingScheme::Sv39 => 8,
+            PagingScheme::Sv48 => 9,
+            PagingScheme::Sv57 => 10,
+        }
     }
 
-    /// The scheme's architectural name, lowercase.
+    /// The scheme's architectural name, lowercase (`"sv39"`, ...).
     #[inline]
     pub const fn name(self) -> &'static str {
-        dispatch!(self, NAME)
+        match self {
+            PagingScheme::Sv39 => "sv39",
+            PagingScheme::Sv48 => "sv48",
+            PagingScheme::Sv57 => "sv57",
+        }
     }
 
     /// Decodes a `satp.MODE` field; `None` for Bare (0) and reserved
@@ -162,14 +93,12 @@ impl PagingScheme {
         Self::ALL.into_iter().find(|s| s.satp_mode() == mode)
     }
 
-    /// True when `va` is canonical for this scheme.
+    /// True when `va` is canonical for this scheme: bits `63..VA_BITS-1`
+    /// all equal bit `VA_BITS-1`.
     #[inline]
     pub fn is_canonical(self, va: VirtAddr) -> bool {
-        match self {
-            PagingScheme::Sv39 => Sv39::is_canonical(va.as_u64()),
-            PagingScheme::Sv48 => Sv48::is_canonical(va.as_u64()),
-            PagingScheme::Sv57 => Sv57::is_canonical(va.as_u64()),
-        }
+        let upper = (va.as_u64() as i64) >> (self.va_bits() - 1);
+        upper == 0 || upper == -1
     }
 }
 
@@ -202,75 +131,10 @@ impl fmt::Display for UnknownScheme {
 
 impl std::error::Error for UnknownScheme {}
 
-/// The translation granules a leaf PTE can map in this model's kernel.
-///
-/// The walker itself accepts a leaf at *any* non-zero level (e.g. a
-/// 512 GiB Sv48 level-3 leaf); this enum names the sizes the kernel's
-/// mapping API hands out, which is what the lint's exhaustiveness rule
-/// and the huge-page workloads speak in.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-pub enum PageSize {
-    /// A 4 KiB base page (level-0 leaf).
-    #[default]
-    Size4K,
-    /// A 2 MiB superpage (level-1 leaf).
-    Size2M,
-    /// A 1 GiB superpage (level-2 leaf).
-    Size1G,
-}
-
-impl PageSize {
-    /// Every mappable size, smallest first.
-    pub const ALL: [PageSize; 3] = [PageSize::Size4K, PageSize::Size2M, PageSize::Size1G];
-
-    /// The size in bytes.
-    #[inline]
-    pub const fn bytes(self) -> u64 {
-        match self {
-            PageSize::Size4K => 4 * KIB,
-            PageSize::Size2M => 2 * MIB,
-            PageSize::Size1G => GIB,
-        }
-    }
-
-    /// The page-table level whose leaf maps this size.
-    #[inline]
-    pub const fn level(self) -> usize {
-        match self {
-            PageSize::Size4K => 0,
-            PageSize::Size2M => 1,
-            PageSize::Size1G => 2,
-        }
-    }
-
-    /// How many 4 KiB pages this granule spans.
-    #[inline]
-    pub const fn span_pages(self) -> u64 {
-        self.bytes() >> PAGE_SHIFT
-    }
-
-    /// The size mapped by a leaf at `level`, when it has a name here.
-    #[inline]
-    pub fn of_level(level: usize) -> Option<Self> {
-        Self::ALL.into_iter().find(|s| s.level() == level)
-    }
-}
-
-impl fmt::Display for PageSize {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            PageSize::Size4K => "4KiB",
-            PageSize::Size2M => "2MiB",
-            PageSize::Size1G => "1GiB",
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::PAGE_SHIFT;
 
     #[test]
     fn scheme_constants_match_the_privileged_spec() {
@@ -287,7 +151,6 @@ mod tests {
                 s.va_bits(),
                 "{s}"
             );
-            assert_eq!(s.pa_bits(), 56, "{s}");
             assert_eq!(s.root_level(), s.levels() - 1, "{s}");
         }
     }
@@ -329,36 +192,5 @@ mod tests {
         // Just past the sign-extension boundary is never canonical.
         assert!(!PagingScheme::Sv48.is_canonical(VirtAddr::new(0x0001_0000_0000_0000)));
         assert!(!PagingScheme::Sv57.is_canonical(VirtAddr::new(0x0200_0000_0000_0000)));
-    }
-
-    #[test]
-    fn trait_impls_agree_with_enum_dispatch() {
-        fn probe<M: PagingMetaData>(s: PagingScheme) {
-            assert_eq!(M::LEVELS, s.levels());
-            assert_eq!(M::VA_BITS, s.va_bits());
-            assert_eq!(M::SATP_MODE, s.satp_mode());
-            assert_eq!(M::NAME, s.name());
-            assert_eq!(
-                M::is_canonical(0x0000_0040_0000_0000),
-                s.is_canonical(VirtAddr::new(0x0000_0040_0000_0000))
-            );
-        }
-        probe::<Sv39>(PagingScheme::Sv39);
-        probe::<Sv48>(PagingScheme::Sv48);
-        probe::<Sv57>(PagingScheme::Sv57);
-    }
-
-    #[test]
-    fn page_sizes_cover_the_leaf_levels() {
-        assert_eq!(PageSize::Size4K.bytes(), 4 * KIB);
-        assert_eq!(PageSize::Size2M.bytes(), 2 * MIB);
-        assert_eq!(PageSize::Size1G.bytes(), GIB);
-        for size in PageSize::ALL {
-            assert_eq!(PageSize::of_level(size.level()), Some(size));
-            // A leaf at level n spans 512^n base pages.
-            assert_eq!(size.span_pages(), 512u64.pow(size.level() as u32));
-        }
-        assert_eq!(PageSize::of_level(3), None);
-        assert_eq!(PageSize::Size2M.to_string(), "2MiB");
     }
 }

@@ -11,7 +11,7 @@ use ptstore_core::{AccessContext, AccessError, Channel, PhysAddr, PhysPageNum, P
 use ptstore_kernel::{
     DrainFault, GfpFlags, IpiFault, Kernel, KernelError, Pid, SbiCall, SbiResult,
 };
-use ptstore_mmu::{Pte, Satp, TranslateError};
+use ptstore_mmu::{table_entries, Satp, TranslateError};
 use ptstore_trace::{FaultClass, RejectingLayer, TraceEvent};
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -246,16 +246,10 @@ impl FaultInjector {
         };
         // Scan the root page raw for valid non-leaf slots (pointers at
         // next-level tables); pick one of them as the victim PTE.
-        let base = root.base_addr();
-        let mut candidates = Vec::new();
-        for i in 0..512u64 {
-            if let Ok(raw) = k.bus.mem().read_u64(base + i * 8) {
-                let pte = Pte::from_bits(raw);
-                if pte.is_valid() && !pte.is_leaf() {
-                    candidates.push(base + i * 8);
-                }
-            }
-        }
+        let candidates: Vec<PhysAddr> = table_entries(root, |slot| k.bus.mem().read_u64(slot))
+            .filter(|(_, pte)| pte.as_ref().is_ok_and(|pte| pte.is_table()))
+            .map(|(slot, _)| slot)
+            .collect();
         let Some(&addr) = candidates.get((rng.random::<u64>() as usize) % candidates.len().max(1))
         else {
             return InjectOutcome::Skipped;

@@ -63,6 +63,6 @@ pub mod replay;
 
 pub use campaign::{run_campaign, run_one, CampaignConfig, CampaignReport, RunClass, RunResult};
 pub use inject::{DetectedBy, FaultInjector, FaultPlan, InjectOutcome, Trigger};
-pub use oracle::{InvariantReport, Invariants, Violation};
+pub use oracle::{known_pt_pages, InvariantReport, Invariants, Violation};
 pub use ptstore_trace::FaultClass;
 pub use replay::{apply, boot_model, format_trace, replay, replay_trace, ModelOp, OpOutcome};

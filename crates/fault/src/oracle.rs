@@ -41,8 +41,9 @@
 use std::collections::BTreeSet;
 
 use ptstore_core::{PhysAddr, PhysPageNum, SecureRegion, TokenError};
+use ptstore_kernel::process::Process;
 use ptstore_kernel::{Kernel, Pid, ProcState};
-use ptstore_mmu::{Pte, Tlb};
+use ptstore_mmu::{table_entries, walk, Tlb, TlbEntry};
 use ptstore_trace::TraceEvent;
 
 /// One invariant violation, with enough context to debug the run.
@@ -221,20 +222,29 @@ impl Invariants {
 /// kernel template plus each mm owner's root and tracked table pages.
 /// Walks the generational slot array through handles (pid order) so a
 /// slot whose generation moved on mid-sweep is skipped, never misread.
-fn known_pt_pages(k: &Kernel) -> BTreeSet<PhysPageNum> {
+/// The model checker hashes exactly this set, so a landed PTE flip always
+/// lands in a hashed page.
+pub fn known_pt_pages(k: &Kernel) -> BTreeSet<PhysPageNum> {
     let mut known: BTreeSet<PhysPageNum> = BTreeSet::new();
     known.insert(k.kernel_root());
     known.extend(k.kernel_pt_pages().iter().copied());
-    for (_, p) in k.procs.handles() {
-        // Threads (mm_owner = Some) share their owner's tables. Zombies
-        // freed their tables at exit: the stale `root` field may alias a
-        // page since reallocated to another address space.
-        if p.mm_owner.is_none() && p.state != ProcState::Zombie {
-            known.insert(p.aspace.root);
-            known.extend(p.aspace.pt_pages.iter().copied());
-        }
+    for p in space_owners(k) {
+        known.insert(p.aspace.root);
+        known.extend(p.aspace.pt_pages.iter().copied());
     }
     known
+}
+
+/// The processes owning a live address space, in pid order. Threads
+/// (`mm_owner = Some`) share their owner's tables. Zombies freed their
+/// tables at exit: the stale `root` field may alias a page since
+/// reallocated to another address space, even as a lower-level table
+/// that would be misread at root level.
+fn space_owners(k: &Kernel) -> impl Iterator<Item = &Process> {
+    k.procs
+        .handles()
+        .map(|(_, p)| p)
+        .filter(|p| p.mm_owner.is_none() && p.state != ProcState::Zombie)
 }
 
 /// Invariant 1: containment. Tracked pages live in the region; walking
@@ -252,32 +262,22 @@ fn check_containment(
             rep.violations.push(Violation::PtPageOutsideRegion { ppn });
         }
     }
-    // Zombie roots are stale (freed at exit) and must not be walked: the
-    // page may have been reallocated as a *lower-level* table of another
-    // address space, which would be misread at root level here.
-    let roots: Vec<PhysPageNum> = core::iter::once(k.kernel_root())
-        .chain(
-            k.procs
-                .handles()
-                .filter(|(_, p)| p.mm_owner.is_none() && p.state != ProcState::Zombie)
-                .map(|(_, p)| p.aspace.root),
-        )
+    let root_level = k.cfg.scheme.root_level();
+    let mut stack: Vec<(PhysPageNum, usize)> = core::iter::once(k.kernel_root())
+        .chain(space_owners(k).map(|p| p.aspace.root))
+        .map(|root| (root, root_level))
         .collect();
     let mut visited: BTreeSet<PhysPageNum> = BTreeSet::new();
-    let root_level = k.cfg.scheme.root_level() as u8;
-    let mut stack: Vec<(PhysPageNum, u8)> = roots.into_iter().map(|r| (r, root_level)).collect();
     while let Some((page, level)) = stack.pop() {
         if !visited.insert(page) {
             continue;
         }
-        let base = page.base_addr();
-        for i in 0..512u64 {
-            let Ok(raw) = k.bus.mem().read_u64(base + i * 8) else {
+        for (_, pte) in table_entries(page, |slot| k.bus.mem().read_u64(slot)) {
+            let Ok(pte) = pte else {
                 rep.violations
                     .push(Violation::UnreadablePtPage { ppn: page });
                 break;
             };
-            let pte = Pte::from_bits(raw);
             if !pte.is_valid() {
                 continue;
             }
@@ -285,7 +285,7 @@ fn check_containment(
             if pte.is_leaf() {
                 // A superpage leaf at level L spans 512^L pages: flag the
                 // mapping if *any* of that span reaches into the region.
-                let span_bytes = ptstore_core::PAGE_SIZE << (9 * u64::from(level));
+                let span_bytes = ptstore_core::PAGE_SIZE << (9 * level);
                 let pa = pte.phys_addr();
                 let overlaps = region.contains(pa)
                     || region.contains(pa + (span_bytes - 1))
@@ -479,14 +479,11 @@ fn check_tlb_staleness(k: &Kernel, rep: &mut InvariantReport) {
     // Post-rollover ASIDs can collide across live address spaces, so an
     // entry is judged against *every* live space carrying its ASID and
     // accepted when any of them backs it.
-    let spaces: Vec<(u16, PhysPageNum)> = k
-        .procs
-        .handles()
-        .filter(|(_, p)| p.mm_owner.is_none() && p.state != ProcState::Zombie)
-        .map(|(_, p)| (p.aspace.asid, p.aspace.root))
+    let spaces: Vec<(u16, PhysPageNum)> = space_owners(k)
+        .map(|p| (p.aspace.asid, p.aspace.root))
         .collect();
     let pending = k.queued_flush_pairs();
-    let root_level = k.cfg.scheme.root_level() as u8;
+    let root_level = k.cfg.scheme.root_level();
     for hart in &k.harts {
         for tlb in [hart.mmu.itlb(), hart.mmu.dtlb()] {
             for entry in tlb.entries() {
@@ -522,39 +519,21 @@ fn check_tlb_staleness(k: &Kernel, rep: &mut InvariantReport) {
 /// permissions (the tables granting *more* than the TLB caches is the
 /// benign permission-upgrade case; granting less means a tightening whose
 /// shootdown never arrived).
-fn entry_backed_by(
-    k: &Kernel,
-    root: PhysPageNum,
-    entry: &ptstore_mmu::TlbEntry,
-    root_level: u8,
-) -> bool {
-    let vpn = entry.vpn.as_u64();
-    let mut page = root;
-    let mut level = root_level;
-    loop {
-        let idx = (vpn >> (9 * u32::from(level))) & 0x1ff;
-        let Ok(raw) = k.bus.mem().read_u64(page.base_addr() + idx * 8) else {
-            return false;
-        };
-        let pte = Pte::from_bits(raw);
-        if !pte.is_valid() {
-            return false;
-        }
-        if pte.is_leaf() {
-            let offset = vpn & ((1u64 << (9 * u32::from(level))) - 1);
-            if pte.ppn().as_u64() + offset != entry.ppn.as_u64() {
-                return false;
-            }
-            let f = pte.flags();
-            return f.user()
-                && (!entry.flags.readable() || f.readable())
-                && (!entry.flags.writable() || f.writable())
-                && (!entry.flags.executable() || f.executable());
-        }
-        if level == 0 {
-            return false;
-        }
-        page = pte.ppn();
-        level -= 1;
+fn entry_backed_by(k: &Kernel, root: PhysPageNum, entry: &TlbEntry, root_level: usize) -> bool {
+    let read = |slot, _| k.bus.mem().read_u64(slot);
+    let Ok((_, level, pte)) = walk(root, entry.vpn.base_addr(), root_level, 0, read) else {
+        return false;
+    };
+    if !pte.is_leaf() {
+        return false;
     }
+    let offset = entry.vpn.as_u64() & ((1u64 << (9 * level)) - 1);
+    if pte.ppn().as_u64() + offset != entry.ppn.as_u64() {
+        return false;
+    }
+    let f = pte.flags();
+    f.user()
+        && (!entry.flags.readable() || f.readable())
+        && (!entry.flags.writable() || f.writable())
+        && (!entry.flags.executable() || f.executable())
 }

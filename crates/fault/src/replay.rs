@@ -38,7 +38,7 @@ use ptstore_kernel::process::VmPerms;
 use ptstore_kernel::{
     GfpFlags, IpiFault, Kernel, KernelConfig, KernelError, Pid, ProcState, SbiCall, SbiResult,
 };
-use ptstore_mmu::{Pte, Satp, TranslateError};
+use ptstore_mmu::{table_entries, Satp, TranslateError};
 
 use crate::oracle::{InvariantReport, Invariants};
 
@@ -403,18 +403,9 @@ fn apply_pte_flip(k: &mut Kernel, hart: usize, bit: u8) -> OpOutcome {
     let Some(root) = k.process_root(owner) else {
         return OpOutcome::Unavailable;
     };
-    let base = root.base_addr();
-    let mut victim = None;
-    for i in 0..512u64 {
-        if let Ok(raw) = k.bus.mem().read_u64(base + i * 8) {
-            let pte = Pte::from_bits(raw);
-            if pte.is_valid() && !pte.is_leaf() {
-                victim = Some(base + i * 8);
-                break;
-            }
-        }
-    }
-    let Some(addr) = victim else {
+    let victim = table_entries(root, |slot| k.bus.mem().read_u64(slot))
+        .find(|(_, pte)| pte.as_ref().is_ok_and(|pte| pte.is_table()));
+    let Some((addr, _)) = victim else {
         return OpOutcome::Unavailable;
     };
     let ctx = AccessContext::supervisor(k.satp_s_bit()).on_hart(hart);

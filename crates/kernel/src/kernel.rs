@@ -12,7 +12,7 @@ use ptstore_core::{
     PAGE_SHIFT, PAGE_SIZE,
 };
 use ptstore_mem::Bus;
-use ptstore_mmu::{Mmu, Pte, PteFlags, Satp};
+use ptstore_mmu::{walk, Mmu, Pte, PteFlags, Satp};
 use ptstore_trace::{FaultClass, FlushScope, TokenOp, TraceEvent, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -1106,22 +1106,16 @@ impl Kernel {
 
     /// Finds the physical address of the 4 KiB leaf PTE slot for `va` under
     /// `root`, returning `None` when an intermediate level is missing (or is
-    /// a superpage leaf — use [`Self::find_leaf`] for those).
+    /// a superpage leaf — use [`Self::find_leaf`] for those). The leaf
+    /// entry itself is not read.
     pub(crate) fn leaf_slot(
         &mut self,
         root: PhysPageNum,
         va: VirtAddr,
     ) -> Result<Option<PhysAddr>, KernelError> {
-        let mut table = root;
-        for level in (1..self.cfg.scheme.levels()).rev() {
-            let slot = pte_slot(table, va, level);
-            let pte = Pte::from_bits(self.pt_read(slot)?);
-            if !pte.is_table() {
-                return Ok(None);
-            }
-            table = pte.ppn();
-        }
-        Ok(Some(pte_slot(table, va, 0)))
+        let top = self.cfg.scheme.root_level();
+        let (_, _, pte) = walk(root, va, top, 1, |slot, _| self.pt_read(slot))?;
+        Ok(pte.is_table().then(|| pte_slot(pte.ppn(), va, 0)))
     }
 
     /// Walks from `root` to the PTE mapping `va`, returning the slot and
@@ -1132,19 +1126,9 @@ impl Kernel {
         root: PhysPageNum,
         va: VirtAddr,
     ) -> Result<Option<(PhysAddr, usize)>, KernelError> {
-        let mut table = root;
-        for level in (0..self.cfg.scheme.levels()).rev() {
-            let slot = pte_slot(table, va, level);
-            let pte = Pte::from_bits(self.pt_read(slot)?);
-            if !pte.is_valid() {
-                return Ok(None);
-            }
-            if pte.is_leaf() {
-                return Ok(Some((slot, level)));
-            }
-            table = pte.ppn();
-        }
-        Ok(None)
+        let top = self.cfg.scheme.root_level();
+        let (slot, level, pte) = walk(root, va, top, 0, |slot, _| self.pt_read(slot))?;
+        Ok(pte.is_leaf().then_some((slot, level)))
     }
 
     /// Ensures intermediate tables exist for `va` down to (but excluding)
@@ -1164,25 +1148,27 @@ impl Kernel {
             .ok_or(KernelError::NoSuchProcess)?
             .aspace
             .root;
+        let top = self.cfg.scheme.root_level();
         let mut new_pages: Vec<PhysPageNum> = Vec::new();
-        let mut table = root;
-        for level in ((leaf_level + 1)..self.cfg.scheme.levels()).rev() {
-            let slot = pte_slot(table, va, level);
+        // Every entry that is not a table pointer is replaced by one to a
+        // fresh table, so the walk always reaches the level above the leaf.
+        let make_table = |slot: PhysAddr, _: usize| -> Result<u64, KernelError> {
             let pte = Pte::from_bits(self.pt_read(slot)?);
-            table = if pte.is_table() {
-                pte.ppn()
-            } else {
-                let fresh = self.alloc_pt_page()?;
-                self.pt_write(slot, Pte::table(fresh).bits())?;
-                new_pages.push(fresh);
-                fresh
-            };
-        }
+            if pte.is_table() {
+                return Ok(pte.bits());
+            }
+            let fresh = self.alloc_pt_page()?;
+            let table = Pte::table(fresh);
+            self.pt_write(slot, table.bits())?;
+            new_pages.push(fresh);
+            Ok(table.bits())
+        };
+        let (_, _, pte) = walk(root, va, top, leaf_level + 1, make_table)?;
         if !new_pages.is_empty() {
             let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
             p.aspace.pt_pages.extend(new_pages);
         }
-        Ok(pte_slot(table, va, leaf_level))
+        Ok(pte_slot(pte.ppn(), va, leaf_level))
     }
 
     /// Ensures intermediate tables exist for `va` in the address space of

@@ -584,52 +584,55 @@ impl Kernel {
     /// so unmap/remap churn can run indefinitely.
     pub fn sys_mmap(&mut self, len: u64) -> Result<VirtAddr, KernelError> {
         self.syscall_enter(profile::MMAP);
-        let len = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
-        let mm = self.mm_owner_of(self.current_pid());
-        let r = {
-            let p = self.procs.get_mut(mm).ok_or(KernelError::NoSuchProcess)?;
-            let stack_guard = crate::pagetable::USER_STACK_TOP - 64 * PAGE_SIZE;
-            let start = if p.mmap_cursor + len <= stack_guard {
-                let s = p.mmap_cursor;
-                p.mmap_cursor += len;
-                Some(s)
-            } else {
-                // First-fit over the mmap window.
-                let mut vmas: Vec<(u64, u64)> = p
-                    .vmas
-                    .iter()
-                    .filter(|v| v.end > crate::pagetable::USER_MMAP_BASE && v.start < stack_guard)
-                    .map(|v| (v.start, v.end))
-                    .collect();
-                vmas.sort_unstable();
-                let mut candidate = crate::pagetable::USER_MMAP_BASE;
-                let mut found = None;
-                for (vs, ve) in vmas {
-                    if candidate + len <= vs {
-                        found = Some(candidate);
-                        break;
-                    }
-                    candidate = candidate.max(ve);
-                }
-                if found.is_none() && candidate + len <= stack_guard {
-                    found = Some(candidate);
-                }
-                found
-            };
-            match start {
-                Some(start) => {
-                    p.vmas.push(VmArea {
-                        start,
-                        end: start + len,
-                        perms: VmPerms::RW,
-                    });
-                    Ok(VirtAddr::new(start))
-                }
-                None => Err(KernelError::OutOfMemory),
-            }
-        };
+        let r = self.do_mmap(len);
         self.syscall_exit();
         r
+    }
+
+    fn do_mmap(&mut self, len: u64) -> Result<VirtAddr, KernelError> {
+        let stack_guard = crate::pagetable::USER_STACK_TOP - 64 * PAGE_SIZE;
+        // A length past the guard cannot fit; rejecting it up front keeps
+        // every sum below in range.
+        let len = len
+            .checked_next_multiple_of(PAGE_SIZE)
+            .filter(|&len| len <= stack_guard)
+            .ok_or(KernelError::OutOfMemory)?;
+        let mm = self.mm_owner_of(self.current_pid());
+        let p = self.procs.get_mut(mm).ok_or(KernelError::NoSuchProcess)?;
+        let start = if p.mmap_cursor + len <= stack_guard {
+            let s = p.mmap_cursor;
+            p.mmap_cursor += len;
+            Some(s)
+        } else {
+            // First-fit over the mmap window.
+            let mut vmas: Vec<(u64, u64)> = p
+                .vmas
+                .iter()
+                .filter(|v| v.end > crate::pagetable::USER_MMAP_BASE && v.start < stack_guard)
+                .map(|v| (v.start, v.end))
+                .collect();
+            vmas.sort_unstable();
+            let mut candidate = crate::pagetable::USER_MMAP_BASE;
+            let mut found = None;
+            for (vs, ve) in vmas {
+                if candidate + len <= vs {
+                    found = Some(candidate);
+                    break;
+                }
+                candidate = candidate.max(ve);
+            }
+            if found.is_none() && candidate + len <= stack_guard {
+                found = Some(candidate);
+            }
+            found
+        };
+        let start = start.ok_or(KernelError::OutOfMemory)?;
+        p.vmas.push(VmArea {
+            start,
+            end: start + len,
+            perms: VmPerms::RW,
+        });
+        Ok(VirtAddr::new(start))
     }
 
     /// `mmap(MAP_HUGETLB)`-style anonymous memory: 2 MiB-aligned, backed by
@@ -644,11 +647,14 @@ impl Kernel {
     }
 
     fn do_mmap_huge(&mut self, len: u64) -> Result<VirtAddr, KernelError> {
-        let len = len.div_ceil(2 * MIB) * (2 * MIB);
+        let stack_guard = crate::pagetable::USER_STACK_TOP - 64 * PAGE_SIZE;
+        let len = len
+            .checked_next_multiple_of(2 * MIB)
+            .filter(|&len| len <= stack_guard)
+            .ok_or(KernelError::OutOfMemory)?;
         let mm = self.mm_owner_of(self.current_pid());
         let start = {
             let p = self.procs.get_mut(mm).ok_or(KernelError::NoSuchProcess)?;
-            let stack_guard = crate::pagetable::USER_STACK_TOP - 64 * PAGE_SIZE;
             let aligned = p.mmap_cursor.div_ceil(2 * MIB) * (2 * MIB);
             if aligned + len > stack_guard {
                 return Err(KernelError::OutOfMemory);
@@ -680,11 +686,22 @@ impl Kernel {
     /// range boundary is split first, then handled page-by-page.
     pub fn sys_munmap(&mut self, addr: VirtAddr, len: u64) -> Result<(), KernelError> {
         self.syscall_enter(profile::MMAP);
-        let len = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+        let r = match page_range(addr, len) {
+            Some((len, end)) => self.do_munmap(addr, len, end),
+            None => Err(KernelError::BadAddress),
+        };
+        // End of the unmap: the whole range's queued invalidations leave in
+        // one batched broadcast (forced even on the error path — partially
+        // unmapped pages must not linger in remote TLBs).
+        self.drain_deferred_flushes();
+        self.syscall_exit();
+        r
+    }
+
+    fn do_munmap(&mut self, addr: VirtAddr, len: u64, end: VirtAddr) -> Result<(), KernelError> {
         let pid = self.current_pid();
         // Unmap any resident pages.
         let mut va = addr;
-        let end = addr + len;
         let mut r = Ok(());
         while va < end {
             let mapped = {
@@ -738,11 +755,6 @@ impl Kernel {
             p.vmas
                 .retain(|v| !(v.start == addr.as_u64() && v.end == addr.as_u64() + len));
         }
-        // End of the unmap: the whole range's queued invalidations leave in
-        // one batched broadcast (forced even on the error path — partially
-        // unmapped pages must not linger in remote TLBs).
-        self.drain_deferred_flushes();
-        self.syscall_exit();
         r
     }
 
@@ -796,7 +808,7 @@ impl Kernel {
     }
 
     fn do_mprotect(&mut self, addr: VirtAddr, len: u64, perms: VmPerms) -> Result<(), KernelError> {
-        let len = len.div_ceil(PAGE_SIZE) * PAGE_SIZE;
+        let (len, _) = page_range(addr, len).ok_or(KernelError::BadAddress)?;
         let mm = self.mm_owner_of(self.current_pid());
         // Update the VMA (split handling kept simple: exact or inner range
         // updates the whole containing VMA's overlap by splitting).
@@ -1014,6 +1026,13 @@ impl Kernel {
             _ => self.do_write(fd, &vec![0u8; len as usize]),
         }
     }
+}
+
+/// Rounds `len` up to whole pages and pairs it with the end of the range
+/// starting at `addr`; `None` when either overflows the address space.
+fn page_range(addr: VirtAddr, len: u64) -> Option<(u64, VirtAddr)> {
+    let len = len.checked_next_multiple_of(PAGE_SIZE)?;
+    Some((len, addr.checked_add(len)?))
 }
 
 /// Leaf flags for an mprotect'ed resident page: CoW-shared pages never get

@@ -3,6 +3,7 @@
 use ptstore_core::{VirtAddr, MIB, PAGE_SIZE};
 use ptstore_kernel::pagetable::{USER_MMAP_BASE, USER_TEXT_BASE};
 use ptstore_kernel::{DefenseMode, Kernel, KernelConfig, KernelError};
+use ptstore_trace::{TraceEvent, TraceSink};
 
 fn boot(cfg: KernelConfig) -> Kernel {
     Kernel::boot(
@@ -460,4 +461,34 @@ fn mmap_churn_recycles_va_space() {
         k.sys_munmap(a, 64 * PAGE_SIZE).expect("munmap");
     }
     k.sys_touch(pinned, true).expect("pinned region intact");
+}
+
+#[test]
+fn hostile_lengths_are_errors_not_panics() {
+    use ptstore_kernel::process::VmPerms;
+    let mut k = boot(KernelConfig::cfi_ptstore());
+    let va = k.sys_mmap(2 * PAGE_SIZE).unwrap();
+    k.sys_touch(va, true).unwrap();
+    let sink = TraceSink::new();
+    k.set_trace_sink(Some(sink.clone()));
+    // Lengths whose page rounding or range end overflows 64 bits.
+    assert_eq!(k.sys_mmap(u64::MAX), Err(KernelError::OutOfMemory));
+    assert_eq!(k.sys_mmap_huge(u64::MAX), Err(KernelError::OutOfMemory));
+    assert_eq!(k.sys_munmap(va, u64::MAX), Err(KernelError::BadAddress));
+    assert_eq!(
+        k.sys_munmap(VirtAddr::new(u64::MAX - 4095), 8192),
+        Err(KernelError::BadAddress)
+    );
+    assert_eq!(
+        k.sys_mprotect(va, u64::MAX, VmPerms::RW),
+        Err(KernelError::BadAddress)
+    );
+    // Every call left through the syscall exit path.
+    let events = sink.events();
+    let count = |f: fn(&TraceEvent) -> bool| events.iter().filter(|e| f(e)).count();
+    assert_eq!(count(|e| matches!(e, TraceEvent::SyscallEnter { .. })), 5);
+    assert_eq!(count(|e| matches!(e, TraceEvent::SyscallExit { .. })), 5);
+    // The refused calls changed nothing: the mapping is intact.
+    k.sys_touch(va + PAGE_SIZE, true).unwrap();
+    k.sys_munmap(va, 2 * PAGE_SIZE).unwrap();
 }

@@ -86,7 +86,6 @@ impl Default for Config {
                 ("BlockedBy".into(), "ptstore-attacks".into()),
                 ("Violation".into(), "ptstore-fault".into()),
                 ("PagingScheme".into(), "ptstore-core".into()),
-                ("PageSize".into(), "ptstore-core".into()),
                 ("DrainPolicy".into(), "ptstore-kernel".into()),
                 // The model checker's verdict: a search outcome nobody
                 // tests for (e.g. the Truncated state-cap path) is a

@@ -1,16 +1,20 @@
 //! # ptstore-mmu
 //!
-//! The memory-management unit of the PTStore machine model, generic over
-//! the RV64 paging scheme (Sv39/Sv48/Sv57, selected by the `satp` MODE
-//! field — see [`ptstore_core::PagingScheme`]):
+//! The memory-management unit of the PTStore machine model, for whichever
+//! RV64 paging scheme (Sv39/Sv48/Sv57) the `satp` MODE field selects — see
+//! [`ptstore_core::PagingScheme`]:
 //!
-//! * [`pte::Pte`] — RV64 page-table entries (one format across schemes),
-//!   behind the [`pte::GenericPte`] trait the walker is parameterized on;
+//! * [`pte::Pte`] — RV64 page-table entries (one format across schemes);
+//! * [`walker::walk`] — the one page-table descent: from a root toward a
+//!   VA between a top and a floor level, stopping at the first entry that
+//!   is not a table pointer. Its only parameter is the handler that reads
+//!   an entry, so the hardware walker, the kernel's table lookups and the
+//!   invariant oracle all walk the same way; [`walker::table_entries`] is
+//!   the matching scan over one table page;
 //! * [`satp::Satp`] — the `satp` CSR extended with PTStore's **S-bit**
 //!   (paper §IV-A1) that arms the walker's secure-region origin check;
-//! * [`walker::PageTableWalker`] — the hardware page-table walker, looping
-//!   over the active scheme's levels with superpage early-exit. Every
-//!   page-table fetch goes through the memory bus on the
+//! * [`walker::PageTableWalker`] — the hardware page-table walker: [`walk`]
+//!   with a handler that fetches every entry through the memory bus on the
 //!   [`Channel::Ptw`](ptstore_core::Channel) channel, so when `satp.S` is
 //!   set, a fetch outside the secure region raises an access fault — this is
 //!   what defeats PT-Injection;
@@ -42,8 +46,8 @@ pub mod tlb;
 pub mod walker;
 
 pub use mmu::{Mmu, TranslationOutcome};
-pub use pte::{GenericPte, Pte, PteFlags};
+pub use pte::{Pte, PteFlags};
 pub use ptstore_trace::Snapshot;
 pub use satp::Satp;
 pub use tlb::{Tlb, TlbEntry, TlbStats};
-pub use walker::{PageTableWalker, TranslateError, WalkOutcome};
+pub use walker::{table_entries, walk, PageTableWalker, TranslateError, WalkOutcome};

@@ -1,12 +1,7 @@
 //! RV64 page-table entries.
 //!
 //! Sv39, Sv48 and Sv57 share one 64-bit entry format (`PPN[53:10] |
-//! flags[7:0]`); only the number of levels differs. The [`GenericPte`] trait
-//! is the walker's view of an entry, letting alternative encodings (e.g. a
-//! tagged research PTE) plug into [`PageTableWalker::translate_with`]
-//! without touching the walk logic.
-//!
-//! [`PageTableWalker::translate_with`]: crate::walker::PageTableWalker::translate_with
+//! flags[7:0]`); only the number of levels differs.
 
 use core::fmt;
 
@@ -150,29 +145,6 @@ impl fmt::Display for PteFlags {
     }
 }
 
-/// The walker's view of a 64-bit page-table entry.
-///
-/// Implemented by [`Pte`] (the standard RV64 encoding). The flag *semantics*
-/// are fixed by the privileged spec — an implementor may change how bits are
-/// stored in memory, not what V/R/W/X/U/A/D mean — so the trait decodes to
-/// the shared [`PteFlags`] type.
-pub trait GenericPte: Copy + fmt::Debug {
-    /// Decodes an entry from its raw 64-bit memory representation.
-    fn from_bits(bits: u64) -> Self;
-    /// The raw 64-bit memory representation.
-    fn bits(self) -> u64;
-    /// The physical page number this entry points at.
-    fn ppn(self) -> PhysPageNum;
-    /// The decoded flag byte.
-    fn flags(self) -> PteFlags;
-    /// Valid bit set?
-    fn is_valid(self) -> bool;
-    /// Valid leaf (maps memory rather than pointing at a next-level table)?
-    fn is_leaf(self) -> bool;
-    /// Returns a copy with the given flag bits ORed in (A/D updates).
-    fn with_flags(self, bits: u8) -> Self;
-}
-
 /// One 64-bit RV64 page-table entry: `PPN[53:10] | flags[7:0]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub struct Pte(u64);
@@ -239,30 +211,6 @@ impl Pte {
     }
 }
 
-impl GenericPte for Pte {
-    fn from_bits(bits: u64) -> Self {
-        Pte::from_bits(bits)
-    }
-    fn bits(self) -> u64 {
-        Pte::bits(self)
-    }
-    fn ppn(self) -> PhysPageNum {
-        Pte::ppn(self)
-    }
-    fn flags(self) -> PteFlags {
-        Pte::flags(self)
-    }
-    fn is_valid(self) -> bool {
-        Pte::is_valid(self)
-    }
-    fn is_leaf(self) -> bool {
-        Pte::is_leaf(self)
-    }
-    fn with_flags(self, bits: u8) -> Self {
-        Pte::with_flags(self, bits)
-    }
-}
-
 impl fmt::Display for Pte {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "pte{{ppn={} {}}}", self.ppn(), self.flags())
@@ -321,33 +269,6 @@ mod tests {
         assert_eq!(updated.ppn(), pte.ppn());
         assert!(updated.flags().accessed());
         assert!(updated.flags().dirty());
-    }
-
-    #[test]
-    fn generic_pte_agrees_with_inherent_methods() {
-        fn via_trait<P: GenericPte>(bits: u64) -> (u64, u64, u8, bool, bool) {
-            let p = P::from_bits(bits);
-            (
-                p.bits(),
-                p.ppn().as_u64(),
-                p.flags().bits(),
-                p.is_valid(),
-                p.is_leaf(),
-            )
-        }
-        let pte = Pte::leaf(PhysPageNum::new(0x4567), PteFlags::user_rw());
-        assert_eq!(
-            via_trait::<Pte>(pte.bits()),
-            (
-                pte.bits(),
-                pte.ppn().as_u64(),
-                pte.flags().bits(),
-                true,
-                true
-            )
-        );
-        let upd = GenericPte::with_flags(Pte::from_bits(PteFlags::V as u64), PteFlags::A);
-        assert!(upd.flags().accessed());
     }
 
     #[test]

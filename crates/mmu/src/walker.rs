@@ -1,22 +1,78 @@
-//! The hardware page-table walker with the PTStore origin check.
+//! The page-table walk, and the hardware walker with the PTStore origin
+//! check built on it.
 //!
-//! Every page-table fetch is a bus access on [`ptstore_core::Channel::Ptw`]. When the
-//! `satp.S` bit is armed, the PMP refuses walker fetches outside the secure
-//! region, so an attacker who redirects a page-table pointer at a crafted
-//! table in normal memory gets an access fault instead of a translation —
-//! the PT-Injection defense (paper Fig. 1 ⑤, §III-C2).
+//! [`walk`] is the one descent through a page-table tree in the workspace.
+//! It is generic only over how an entry is read: the hardware walker reads
+//! over the bus on [`Channel::Ptw`], the kernel through its charged
+//! page-table channel, and the invariant oracle raw from DRAM.
+//!
+//! Every hardware walker fetch is a bus access on [`Channel::Ptw`]. When
+//! the `satp.S` bit is armed, the PMP refuses walker fetches outside the
+//! secure region, so an attacker who redirects a page-table pointer at a
+//! crafted table in normal memory gets an access fault instead of a
+//! translation — the PT-Injection defense (paper Fig. 1 ⑤, §III-C2).
 
 use core::fmt;
 
 use ptstore_core::{
-    AccessContext, AccessError, AccessKind, PhysAddr, PrivilegeMode, VirtAddr, PAGE_SIZE,
+    AccessContext, AccessError, AccessKind, Channel, PhysAddr, PhysPageNum, PrivilegeMode,
+    VirtAddr, PAGE_SIZE,
 };
 use ptstore_mem::Bus;
 use ptstore_trace::TraceEvent;
 use serde::{Deserialize, Serialize};
 
-use crate::pte::{GenericPte, Pte, PteFlags};
+use crate::pte::{Pte, PteFlags};
 use crate::satp::Satp;
+
+/// Entries in one page-table page (every Sv scheme: 512 × 8 bytes).
+const ENTRIES_PER_TABLE: u64 = 512;
+
+/// Descends from the table page `root` toward `va`, starting at level
+/// `top` and going no lower than `floor`, reading each entry through
+/// `read(slot, level)`.
+///
+/// Stops at the first entry that is not a valid pointer to a next-level
+/// table (an invalid entry or a leaf), or at `floor` whatever the entry
+/// there holds, and returns that entry's slot, level, and value.
+///
+/// # Errors
+/// The first error `read` returns, unchanged; no read follows it.
+///
+/// # Panics
+/// If `floor > top`, or `top` is above Sv57's root level (4).
+#[inline]
+pub fn walk<E>(
+    root: PhysPageNum,
+    va: VirtAddr,
+    top: usize,
+    floor: usize,
+    mut read: impl FnMut(PhysAddr, usize) -> Result<u64, E>,
+) -> Result<(PhysAddr, usize, Pte), E> {
+    let mut table = root;
+    for level in (floor..=top).rev() {
+        let slot = table.base_addr() + va.vpn_slice(level) * 8;
+        let pte = Pte::from_bits(read(slot, level)?);
+        if level == floor || !pte.is_table() {
+            return Ok((slot, level, pte));
+        }
+        table = pte.ppn();
+    }
+    unreachable!("walk floor {floor} above top {top}");
+}
+
+/// The entries of the table page `table` in slot order, each paired with
+/// its slot address and read through `read`.
+pub fn table_entries<E>(
+    table: PhysPageNum,
+    mut read: impl FnMut(PhysAddr) -> Result<u64, E>,
+) -> impl Iterator<Item = (PhysAddr, Result<Pte, E>)> {
+    let base = table.base_addr();
+    (0..ENTRIES_PER_TABLE).map(move |i| {
+        let slot = base + i * 8;
+        (slot, read(slot).map(Pte::from_bits))
+    })
+}
 
 /// Why a translation failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -92,31 +148,15 @@ impl PageTableWalker {
     }
 
     /// Translates `va` for an access of `kind` in `mode`, updating PTE A/D
-    /// bits as real hardware does.
+    /// bits as real hardware does. The walk is scheme-generic: the number
+    /// of levels and the canonical-form check come from `satp.scheme`, and
+    /// a leaf at level *n* maps a `512^n`-page superpage.
     ///
     /// # Errors
     /// [`TranslateError::PageFault`] on invalid/insufficient mappings;
     /// [`TranslateError::AccessFault`] when a page-table fetch is denied by
     /// the PMP (the PTStore origin check).
     pub fn translate(
-        &self,
-        bus: &mut Bus,
-        satp: Satp,
-        va: VirtAddr,
-        kind: AccessKind,
-        mode: PrivilegeMode,
-    ) -> Result<WalkOutcome, TranslateError> {
-        self.translate_with::<Pte>(bus, satp, va, kind, mode)
-    }
-
-    /// [`translate`](Self::translate) with an explicit PTE encoding. The
-    /// walk is scheme-generic: the number of levels and the canonical-form
-    /// check come from `satp.scheme`, and a leaf at level *n* maps a
-    /// `512^n`-page superpage.
-    ///
-    /// # Errors
-    /// Same as [`translate`](Self::translate).
-    pub fn translate_with<P: GenericPte>(
         &self,
         bus: &mut Bus,
         satp: Satp,
@@ -145,74 +185,61 @@ impl PageTableWalker {
             satp_s: satp.s_bit,
             hart: self.hart,
         };
-        let mut table = satp.root_addr();
-        let mut fetches = 0u32;
-        #[allow(clippy::explicit_counter_loop)] // `fetches` counts bus ops, not iterations
-        for level in (0..scheme.levels()).rev() {
-            let pte_addr = table + va.vpn_slice(level) * 8;
-            let raw = match bus.read::<u64>(pte_addr, ptstore_core::Channel::Ptw, ctx) {
-                Ok(raw) => raw,
-                Err(e) => {
-                    if matches!(e, AccessError::PtwOutsideRegion { .. }) {
-                        if let Some(sink) = bus.trace_sink() {
-                            sink.emit(TraceEvent::PtwOriginRejected {
-                                va: va.as_u64(),
-                                pte_addr: pte_addr.as_u64(),
-                            });
-                        }
-                    }
-                    return Err(e.into());
-                }
-            };
+        let top = scheme.root_level();
+        let fetch = |pte_addr: PhysAddr, level: usize| {
+            let raw = bus.read::<u64>(pte_addr, Channel::Ptw, ctx);
             if let Some(sink) = bus.trace_sink() {
-                sink.emit(TraceEvent::PtwStep {
-                    va: va.as_u64(),
-                    level: level as u8,
-                    pte_addr: pte_addr.as_u64(),
-                    pte: raw,
-                });
-            }
-            fetches += 1;
-            let pte = P::from_bits(raw);
-            if !pte.is_valid() {
-                return Err(TranslateError::PageFault { va, kind });
-            }
-            if pte.is_leaf() {
-                Self::check_leaf_perms(pte.flags(), kind, mode, va)?;
-                // Superpage PPN alignment check.
-                let span_pages = 1u64 << (9 * level);
-                if !pte.ppn().as_u64().is_multiple_of(span_pages) {
-                    return Err(TranslateError::PageFault { va, kind });
+                match raw {
+                    Ok(pte) => sink.emit(TraceEvent::PtwStep {
+                        va: va.as_u64(),
+                        level: level as u8,
+                        pte_addr: pte_addr.as_u64(),
+                        pte,
+                    }),
+                    Err(AccessError::PtwOutsideRegion { .. }) => {
+                        sink.emit(TraceEvent::PtwOriginRejected {
+                            va: va.as_u64(),
+                            pte_addr: pte_addr.as_u64(),
+                        });
+                    }
+                    Err(_) => {}
                 }
-                // A/D update through the walker's own (checked) channel.
-                let mut new_flags = PteFlags::A;
-                if kind == AccessKind::Write {
-                    new_flags |= PteFlags::D;
-                }
-                if pte.flags().bits() & new_flags != new_flags {
-                    bus.write::<u64>(
-                        pte_addr,
-                        pte.with_flags(new_flags).bits(),
-                        ptstore_core::Channel::Ptw,
-                        ctx,
-                    )?;
-                }
-                let page_size = PAGE_SIZE * span_pages;
-                let offset = va.as_u64() & (page_size - 1);
-                return Ok(WalkOutcome {
-                    pa: PhysAddr::new(pte.ppn().base_addr().as_u64() + offset),
-                    flags: pte.flags(),
-                    fetches,
-                    page_size,
-                });
             }
-            // Non-leaf: descend.
-            if level == 0 {
-                return Err(TranslateError::PageFault { va, kind });
-            }
-            table = pte.ppn().base_addr();
+            raw.map_err(TranslateError::from)
+        };
+        let (pte_addr, level, pte) = walk(satp.root_ppn, va, top, 0, fetch)?;
+        // An invalid entry, or a table pointer where a leaf must be.
+        if !pte.is_leaf() {
+            return Err(TranslateError::PageFault { va, kind });
         }
-        unreachable!("loop always returns");
+        Self::check_leaf_perms(pte.flags(), kind, mode, va)?;
+        // Superpage PPN alignment check.
+        let span_pages = 1u64 << (9 * level);
+        if !pte.ppn().as_u64().is_multiple_of(span_pages) {
+            return Err(TranslateError::PageFault { va, kind });
+        }
+        // A/D update through the walker's own (checked) channel.
+        let mut new_flags = PteFlags::A;
+        if kind == AccessKind::Write {
+            new_flags |= PteFlags::D;
+        }
+        if pte.flags().bits() & new_flags != new_flags {
+            bus.write::<u64>(
+                pte_addr,
+                pte.with_flags(new_flags).bits(),
+                Channel::Ptw,
+                ctx,
+            )?;
+        }
+        let page_size = PAGE_SIZE * span_pages;
+        let offset = va.as_u64() & (page_size - 1);
+        Ok(WalkOutcome {
+            pa: PhysAddr::new(pte.ppn().base_addr().as_u64() + offset),
+            flags: pte.flags(),
+            // One fetch per level from the root down to the leaf.
+            fetches: (top - level + 1) as u32,
+            page_size,
+        })
     }
 
     fn check_leaf_perms(
@@ -250,8 +277,10 @@ impl PageTableWalker {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
-    use ptstore_core::{Channel, PagingScheme, PhysPageNum, SecureRegion, MIB};
+    use ptstore_core::{PagingScheme, SecureRegion, MIB};
 
     /// Builds a table chain for `scheme` mapping `va -> data_ppn` with a leaf
     /// at `leaf_level`, using one page per level starting at `base`.
@@ -288,40 +317,143 @@ mod tests {
         .unwrap();
     }
 
-    /// Builds a 3-level table mapping `va -> data_ppn` inside `table_base`,
-    /// writing PTEs through the given channel.
-    // Test fixture spelling out every level of one mapping beats a builder.
-    #[allow(clippy::too_many_arguments)]
-    fn build_mapping(
-        bus: &mut Bus,
-        root: PhysAddr,
-        l1: PhysAddr,
-        l0: PhysAddr,
-        va: VirtAddr,
-        data_ppn: PhysPageNum,
-        flags: PteFlags,
-        channel: Channel,
-        ctx: AccessContext,
-    ) {
-        let root_slot = root + va.vpn_slice(2) * 8;
-        let l1_slot = l1 + va.vpn_slice(1) * 8;
-        let l0_slot = l0 + va.vpn_slice(0) * 8;
-        bus.write::<u64>(
-            root_slot,
-            Pte::table(PhysPageNum::from(l1)).bits(),
-            channel,
-            ctx,
-        )
-        .unwrap();
-        bus.write::<u64>(
-            l1_slot,
-            Pte::table(PhysPageNum::from(l0)).bits(),
-            channel,
-            ctx,
-        )
-        .unwrap();
-        bus.write::<u64>(l0_slot, Pte::leaf(data_ppn, flags).bits(), channel, ctx)
-            .unwrap();
+    // ---- `walk` stop rules, at every level of every scheme ----
+
+    /// A VA with a distinct, non-zero VPN slice at every Sv57 level.
+    const WALK_VA: VirtAddr = VirtAddr::new(0x0123_4567_89ab_c000);
+
+    /// The table page holding the level-`level` entry of [`chain`].
+    fn table_page(level: usize) -> PhysPageNum {
+        PhysPageNum::new(0x100 + level as u64)
+    }
+
+    /// The slot of the level-`level` entry for [`WALK_VA`] in [`chain`].
+    fn chain_slot(level: usize) -> PhysAddr {
+        table_page(level).base_addr() + WALK_VA.vpn_slice(level) * 8
+    }
+
+    /// Sparse memory holding a table pointer at every level from `top`
+    /// down to 0 along [`WALK_VA`]; the level-0 entry points at a page
+    /// past the chain.
+    fn chain(top: usize) -> BTreeMap<PhysAddr, u64> {
+        (0..=top)
+            .map(|level| {
+                let next = match level {
+                    0 => PhysPageNum::new(0x200),
+                    _ => table_page(level - 1),
+                };
+                (chain_slot(level), Pte::table(next).bits())
+            })
+            .collect()
+    }
+
+    type WalkResult = Result<(PhysAddr, usize, Pte), (&'static str, usize)>;
+
+    /// Walks `mem` from the chain's root, logging every read; the read at
+    /// `fail_at` returns an error instead.
+    fn logged_walk(
+        mem: &BTreeMap<PhysAddr, u64>,
+        top: usize,
+        floor: usize,
+        fail_at: Option<usize>,
+    ) -> (WalkResult, Vec<(PhysAddr, usize)>) {
+        let mut reads = Vec::new();
+        let r = walk(table_page(top), WALK_VA, top, floor, |slot, level| {
+            reads.push((slot, level));
+            if fail_at == Some(level) {
+                return Err(("refused", level));
+            }
+            Ok(mem.get(&slot).copied().unwrap_or(0))
+        });
+        (r, reads)
+    }
+
+    /// The reads of a walk from `top` that ends at `last`, in order.
+    fn reads_down_to(top: usize, last: usize) -> Vec<(PhysAddr, usize)> {
+        (last..=top).rev().map(|l| (chain_slot(l), l)).collect()
+    }
+
+    #[test]
+    fn walk_stops_at_an_invalid_entry() {
+        for scheme in PagingScheme::ALL {
+            let top = scheme.root_level();
+            for level in 0..=top {
+                let mut mem = chain(top);
+                mem.insert(chain_slot(level), 0);
+                let (r, reads) = logged_walk(&mem, top, 0, None);
+                let want = (chain_slot(level), level, Pte::invalid());
+                assert_eq!(r, Ok(want), "{scheme} level {level}");
+                assert_eq!(reads, reads_down_to(top, level), "{scheme} level {level}");
+            }
+        }
+    }
+
+    #[test]
+    fn walk_stops_at_a_leaf_at_any_level() {
+        for scheme in PagingScheme::ALL {
+            let top = scheme.root_level();
+            for level in 0..=top {
+                let leaf = Pte::leaf(PhysPageNum::new(0x4_0000), PteFlags::user_rw());
+                let mut mem = chain(top);
+                mem.insert(chain_slot(level), leaf.bits());
+                let (r, reads) = logged_walk(&mem, top, 0, None);
+                assert_eq!(
+                    r,
+                    Ok((chain_slot(level), level, leaf)),
+                    "{scheme} level {level}"
+                );
+                assert_eq!(reads, reads_down_to(top, level), "{scheme} level {level}");
+            }
+        }
+    }
+
+    #[test]
+    fn walk_returns_the_table_pointer_at_its_floor() {
+        for scheme in PagingScheme::ALL {
+            let top = scheme.root_level();
+            let mem = chain(top);
+            for floor in 0..=top {
+                let (r, reads) = logged_walk(&mem, top, floor, None);
+                let pointer = Pte::from_bits(mem[&chain_slot(floor)]);
+                assert!(pointer.is_table());
+                assert_eq!(
+                    r,
+                    Ok((chain_slot(floor), floor, pointer)),
+                    "{scheme} floor {floor}"
+                );
+                assert_eq!(reads, reads_down_to(top, floor), "{scheme} floor {floor}");
+            }
+        }
+    }
+
+    #[test]
+    fn walk_propagates_a_read_error_unchanged() {
+        for scheme in PagingScheme::ALL {
+            let top = scheme.root_level();
+            let mem = chain(top);
+            for level in 0..=top {
+                let (r, reads) = logged_walk(&mem, top, 0, Some(level));
+                assert_eq!(r, Err(("refused", level)), "{scheme} level {level}");
+                assert_eq!(reads, reads_down_to(top, level), "{scheme} level {level}");
+            }
+        }
+    }
+
+    #[test]
+    fn table_entries_reads_every_slot_in_order() {
+        let table = PhysPageNum::new(0x300);
+        let mut reads = Vec::new();
+        let entries: Vec<_> = table_entries(table, |slot| {
+            reads.push(slot);
+            Ok::<_, ()>(slot.as_u64())
+        })
+        .collect();
+        assert_eq!(entries.len() as u64, ENTRIES_PER_TABLE);
+        assert_eq!(reads.len() as u64, ENTRIES_PER_TABLE);
+        for (i, (slot, pte)) in entries.into_iter().enumerate() {
+            assert_eq!(slot, table.base_addr() + i as u64 * 8);
+            assert_eq!(pte, Ok(Pte::from_bits(slot.as_u64())));
+        }
     }
 
     fn secured_bus() -> (Bus, SecureRegion) {
@@ -336,19 +468,16 @@ mod tests {
         let (mut bus, region) = secured_bus();
         let ctx = AccessContext::supervisor(true);
         let root = region.base();
-        let l1 = region.base() + PAGE_SIZE;
-        let l0 = region.base() + 2 * PAGE_SIZE;
         let va = VirtAddr::new(0x4000_1000);
         let data = PhysPageNum::new(0x100);
-        build_mapping(
+        build_chain(
             &mut bus,
+            PagingScheme::Sv39,
             root,
-            l1,
-            l0,
             va,
             data,
             PteFlags::user_rw(),
-            Channel::SecurePt,
+            0,
             ctx,
         );
 
@@ -425,19 +554,16 @@ mod tests {
         let (mut bus, region) = secured_bus();
         let ctx = AccessContext::supervisor(true);
         let root = region.base();
-        let l1 = region.base() + PAGE_SIZE;
-        let l0 = region.base() + 2 * PAGE_SIZE;
         let va = VirtAddr::new(0x4000_0000);
         // Kernel-only RW page.
-        build_mapping(
+        build_chain(
             &mut bus,
+            PagingScheme::Sv39,
             root,
-            l1,
-            l0,
             va,
             PhysPageNum::new(0x200),
             PteFlags::kernel_rw(),
-            Channel::SecurePt,
+            0,
             ctx,
         );
         let satp = Satp::new(PagingScheme::Sv39, PhysPageNum::from(root), 1, true);
@@ -472,20 +598,19 @@ mod tests {
         let (mut bus, region) = secured_bus();
         let ctx = AccessContext::supervisor(true);
         let root = region.base();
-        let l1 = region.base() + PAGE_SIZE;
+        // `build_chain` puts the level-0 table two pages above the root.
         let l0 = region.base() + 2 * PAGE_SIZE;
         let va = VirtAddr::new(0x4000_0000);
         // Leaf without A/D.
         let flags = PteFlags::from_bits(PteFlags::V | PteFlags::R | PteFlags::W | PteFlags::U);
-        build_mapping(
+        build_chain(
             &mut bus,
+            PagingScheme::Sv39,
             root,
-            l1,
-            l0,
             va,
             PhysPageNum::new(0x300),
             flags,
-            Channel::SecurePt,
+            0,
             ctx,
         );
         let satp = Satp::new(PagingScheme::Sv39, PhysPageNum::from(root), 1, true);

@@ -33,12 +33,11 @@
 //! only in *which* entry a future eviction drops; the invariant oracle's
 //! verdict depends on the entry set alone, never on the victim choice.
 
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
-use ptstore_core::{Fnv1a, PhysPageNum};
-use ptstore_fault::ModelOp;
-use ptstore_kernel::{Kernel, ProcState};
+use ptstore_core::Fnv1a;
+use ptstore_fault::{known_pt_pages, ModelOp};
+use ptstore_kernel::Kernel;
 
 /// Renders `k` into its canonical text encoding.
 ///
@@ -140,7 +139,7 @@ pub fn encode(k: &Kernel) -> String {
         );
     }
 
-    for ppn in reachable_pt_pages(k) {
+    for ppn in known_pt_pages(k) {
         let _ = writeln!(
             out,
             "ptpage {:?} {:016x}",
@@ -155,23 +154,6 @@ pub fn encode(k: &Kernel) -> String {
     let _ = writeln!(out, "slab {:x?}", k.slab_canon_words());
 
     out
-}
-
-/// Every page-table page the machine can currently reach: the kernel
-/// template (root included) plus root and interior pages of each live
-/// address space — the same page set the invariant oracle's containment
-/// walk covers, so a landed PTE flip always lands in a hashed page.
-fn reachable_pt_pages(k: &Kernel) -> BTreeSet<PhysPageNum> {
-    let mut pages: BTreeSet<PhysPageNum> = BTreeSet::new();
-    pages.insert(k.kernel_root());
-    pages.extend(k.kernel_pt_pages().iter().copied());
-    for (_, p) in k.procs.handles() {
-        if p.mm_owner.is_none() && p.state != ProcState::Zombie {
-            pages.insert(p.aspace.root);
-            pages.extend(p.aspace.pt_pages.iter().copied());
-        }
-    }
-    pages
 }
 
 /// FNV-1a digest of [`encode`]. BFS dedups on this; the injectivity

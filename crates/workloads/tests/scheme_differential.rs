@@ -1,6 +1,7 @@
-//! Scheme-differential anchors: the generic paging API (Sv39/Sv48/Sv57
-//! behind `PagingMetaData`/`GenericPte`) must change *walk depth only*,
-//! never behavior the mechanism promises about.
+//! Scheme-differential anchors: the paging scheme (Sv39/Sv48/Sv57, a
+//! runtime `PagingScheme` every page-table walk reads its levels from)
+//! must change *walk depth only*, never behavior the mechanism promises
+//! about.
 //!
 //! Three claims, each asserted here:
 //!

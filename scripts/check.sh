@@ -32,6 +32,11 @@ rm -f target/lint-a.json target/lint-b.json
 echo "== cargo test =="
 cargo test --offline --workspace -q
 
+echo "== perfbench tests (benchmark builds against crates/ by path) =="
+# perfbench/ is its own Cargo workspace, so the workspace test run above
+# never compiles it; an API change that breaks the benchmark fails here.
+CARGO_TARGET_DIR=target/perfbench cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== smoke: 2-hart security battery =="
 cargo run --offline --quiet -p ptstore-bench --bin reproduce -- --quick --harts 2 security \
     | grep -q "PTStore (full design) blocks every attack"
