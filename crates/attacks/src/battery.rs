@@ -145,28 +145,6 @@ pub fn run_attack_on_scheme(
     }
 }
 
-/// Like [`run_attack_on`], but with the host-side fast paths (PMP page
-/// cache, micro-TLB) forced on or off right after boot. The verdict must
-/// be identical either way — the fast paths are wall-clock memoizations,
-/// not model changes — which the differential tests assert.
-pub fn run_attack_on_with_fast_path(
-    harts: usize,
-    kind: AttackKind,
-    defense: DefenseMode,
-    tokens: bool,
-    fast_path: bool,
-) -> AttackReport {
-    let mut k = Kernel::boot(attack_config(defense, tokens, harts)).expect("kernel boots");
-    k.set_fast_paths(fast_path);
-    let outcome = run(kind, &mut k);
-    AttackReport {
-        attack: kind,
-        defense,
-        tokens,
-        outcome,
-    }
-}
-
 /// Like [`run_attack`], but with a [`TraceSink`] attached for the duration
 /// of the scenario, returning the captured event chain alongside the
 /// verdict.

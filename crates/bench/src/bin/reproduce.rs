@@ -1,7 +1,7 @@
 //! Regenerates every table and figure of the PTStore paper from the models.
 //!
 //! ```text
-//! reproduce [--quick] [--harts N] [--jobs N] [--no-fast-path] \
+//! reproduce [--quick] [--harts N] [--jobs N] \
 //!     [--csv <dir>] [--trace <file>] [--scheme sv39|sv48|sv57] \
 //!     [--drain-policy boundary|watermark[:D]|asid-recycle] [--medium] \
 //!     [table1|table2|table3|hwdetail|ltp|fig4|forkstress|fig5|fig6|fig7|security|smp|c1m|all]
@@ -18,8 +18,6 @@
 //! (clamped to the host's cores; nested fan-outs share one pool).
 //! Every point boots a fresh deterministic kernel, so reports are merged
 //! back in a fixed order and the output is byte-identical at any job count.
-//! `--no-fast-path` disables the host-side memoizations (PMP page cache,
-//! micro-TLB); modeled results are identical, only wall-clock changes.
 //! `--csv <dir>` additionally writes each figure's data series as CSV for
 //! external plotting.
 //! `--trace <file>` re-runs the PTStore security rows with a trace sink
@@ -103,7 +101,7 @@ const EXPERIMENTS: [&str; 13] = [
 /// Prints the usage synopsis to stderr.
 fn usage() {
     eprintln!(
-        "usage: reproduce [--quick] [--medium] [--harts N] [--jobs N] [--no-fast-path] [--csv <dir>] [--trace <file>] [--scheme sv39|sv48|sv57] [--drain-policy boundary|watermark[:D]|asid-recycle] [{}|all]",
+        "usage: reproduce [--quick] [--medium] [--harts N] [--jobs N] [--csv <dir>] [--trace <file>] [--scheme sv39|sv48|sv57] [--drain-policy boundary|watermark[:D]|asid-recycle] [{}|all]",
         EXPERIMENTS.join("|")
     );
     eprintln!(
@@ -146,7 +144,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut medium = false;
-    let mut no_fast_path = false;
     let mut csv_dir: Option<std::path::PathBuf> = None;
     let mut trace_file: Option<std::path::PathBuf> = None;
     let mut harts: Option<usize> = None;
@@ -165,7 +162,6 @@ fn main() {
         match arg.as_str() {
             "--quick" => quick = true,
             "--medium" => medium = true,
-            "--no-fast-path" => no_fast_path = true,
             "--csv" => csv_dir = Some(std::path::PathBuf::from(take_value(&mut it, "--csv"))),
             "--trace" => {
                 trace_file = Some(std::path::PathBuf::from(take_value(&mut it, "--trace")));
@@ -333,9 +329,6 @@ fn main() {
     } else {
         Scale::paper()
     };
-    if no_fast_path {
-        ptstore_core::fastpath::set_default(false);
-    }
     if let Some(dir) = &csv_dir {
         std::fs::create_dir_all(dir).expect("create csv dir");
     }

@@ -47,7 +47,6 @@ pub mod addr;
 pub mod channel;
 pub mod digest;
 pub mod error;
-pub mod fastpath;
 pub mod paging;
 pub mod pmp;
 pub mod policy;

@@ -22,13 +22,12 @@
 //! The kernel model always runs with a full background mapping, so the
 //! distinction never matters here; it is documented for fidelity.
 
-use core::cell::Cell;
 use core::fmt;
 
 use ptstore_trace::{TraceEvent, TraceSink, Verdict};
 use serde::{Deserialize, Serialize};
 
-use crate::addr::{PhysAddr, PAGE_SHIFT, PAGE_SIZE};
+use crate::addr::PhysAddr;
 use crate::channel::{AccessKind, Channel};
 use crate::error::{AccessError, RegionError};
 use crate::privilege::PrivilegeMode;
@@ -234,55 +233,6 @@ struct MatchResult {
     cfg: PmpPermissions,
 }
 
-/// Slots in the per-page match cache, direct-mapped by the low PPN bits.
-const MATCH_CACHE_SLOTS: usize = 64;
-
-/// What the match cache knows about one physical page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PageMatch {
-    /// No active entry boundary cuts through the page, so every address in
-    /// it resolves to the same highest-priority entry (or to none).
-    Uniform(Option<MatchResult>),
-    /// An entry boundary crosses the page (TOR/NA4 are 4-byte granular);
-    /// addresses within it must take the full scan.
-    Mixed,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct MatchCacheSlot {
-    /// Configuration epoch the slot was filled under.
-    epoch: u64,
-    ppn: u64,
-    state: PageMatch,
-}
-
-/// Epoch-tagged per-page memoization of [`PmpUnit::match_entry`].
-///
-/// The PMP verdict is a pure function of the entry file and the physical
-/// page (plus channel/context, which [`PmpUnit::decide`] folds in cheaply),
-/// so repeated accesses to the same page can skip the prioritised entry
-/// scan. Every configuration mutation — a `pmpcfg`/`pmpaddr` CSR write or a
-/// secure-region install/adjust — bumps `epoch`, which lazily invalidates
-/// all slots. Host-side only: never serialized, never part of equality, and
-/// bypassed entirely when disabled so differential tests can pin the cached
-/// and uncached paths against each other.
-#[derive(Debug, Clone)]
-struct MatchCache {
-    enabled: bool,
-    epoch: u64,
-    slots: [Cell<Option<MatchCacheSlot>>; MATCH_CACHE_SLOTS],
-}
-
-impl Default for MatchCache {
-    fn default() -> Self {
-        Self {
-            enabled: crate::fastpath::default_enabled(),
-            epoch: 0,
-            slots: core::array::from_fn(|_| Cell::new(None)),
-        }
-    }
-}
-
 /// Context needed to evaluate an access: the hart's privilege mode and the
 /// `satp.S` bit that arms the page-table-walker origin check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -344,9 +294,6 @@ pub struct PmpUnit {
     /// Optional decision-trace sink; not part of the architectural state.
     #[serde(skip)]
     trace: Option<TraceSink>,
-    /// Host-side per-page match memoization; not architectural state.
-    #[serde(skip)]
-    match_cache: MatchCache,
     /// Ablation switch (defaults to `true`): when `false`, the S-bit loses
     /// its channel semantics and regular accesses reach the secure region
     /// subject only to the entry's R/W permissions. The fault-injection
@@ -378,7 +325,6 @@ impl PmpUnit {
             entries: [PmpEntry::default(); PMP_ENTRY_COUNT],
             secure_tor_index: None,
             trace: None,
-            match_cache: MatchCache::default(),
             secure_enforcement: true,
         }
     }
@@ -389,31 +335,11 @@ impl PmpUnit {
     /// dedicated-channel and walker rules are unchanged.
     pub fn set_secure_enforcement(&mut self, enabled: bool) {
         self.secure_enforcement = enabled;
-        self.invalidate_match_cache();
     }
 
     /// Whether S-bit enforcement is active (true in the full design).
     pub fn secure_enforcement(&self) -> bool {
         self.secure_enforcement
-    }
-
-    /// Enables or disables the per-page match cache. Purely a host-side
-    /// speed switch: verdicts are identical either way.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.match_cache.enabled = enabled;
-        self.invalidate_match_cache();
-    }
-
-    /// Whether the per-page match cache is enabled.
-    pub fn fast_path(&self) -> bool {
-        self.match_cache.enabled
-    }
-
-    /// Lazily invalidates every match-cache slot. Must be called by every
-    /// mutation of the entry file.
-    #[inline]
-    fn invalidate_match_cache(&mut self) {
-        self.match_cache.epoch = self.match_cache.epoch.wrapping_add(1);
     }
 
     /// Attaches (or detaches) a decision-trace sink. Every subsequent
@@ -439,7 +365,6 @@ impl PmpUnit {
     /// Panics if `index >= PMP_ENTRY_COUNT`.
     pub fn set_entry(&mut self, index: usize, entry: PmpEntry) {
         self.entries[index] = entry;
-        self.invalidate_match_cache();
     }
 
     /// Reads one raw entry.
@@ -480,7 +405,6 @@ impl PmpUnit {
             addr: PmpEntry::encode_addr(region.end()),
         };
         self.secure_tor_index = Some(i + 1);
-        self.invalidate_match_cache();
         Ok(())
     }
 
@@ -493,7 +417,6 @@ impl PmpUnit {
         let tor = self.secure_tor_index.ok_or(RegionError::NoPmpEntry)?;
         self.entries[tor - 1].addr = PmpEntry::encode_addr(region.base());
         self.entries[tor].addr = PmpEntry::encode_addr(region.end());
-        self.invalidate_match_cache();
         Ok(())
     }
 
@@ -510,84 +433,8 @@ impl PmpUnit {
         matches!(self.match_entry(addr), Some(m) if m.cfg.secure())
     }
 
-    /// Finds the highest-priority (lowest-index) entry matching `addr`,
-    /// consulting the per-page cache first. Returns exactly what
-    /// [`Self::match_entry_uncached`] would: a cached page is only trusted
-    /// when it is *uniform* (no active entry boundary crosses it), so the
-    /// memoized result is the scan result for every address in the page.
-    #[inline]
+    /// Finds the highest-priority (lowest-index) entry matching `addr`.
     fn match_entry(&self, addr: PhysAddr) -> Option<MatchResult> {
-        if !self.match_cache.enabled {
-            return self.match_entry_uncached(addr);
-        }
-        let ppn = addr.as_u64() >> PAGE_SHIFT;
-        let slot = &self.match_cache.slots[(ppn as usize) & (MATCH_CACHE_SLOTS - 1)];
-        if let Some(s) = slot.get() {
-            if s.epoch == self.match_cache.epoch && s.ppn == ppn {
-                return match s.state {
-                    PageMatch::Uniform(m) => m,
-                    PageMatch::Mixed => self.match_entry_uncached(addr),
-                };
-            }
-        }
-        let state = if self.page_is_uniform(ppn) {
-            PageMatch::Uniform(self.match_entry_uncached(addr))
-        } else {
-            PageMatch::Mixed
-        };
-        slot.set(Some(MatchCacheSlot {
-            epoch: self.match_cache.epoch,
-            ppn,
-            state,
-        }));
-        match state {
-            PageMatch::Uniform(m) => m,
-            PageMatch::Mixed => self.match_entry_uncached(addr),
-        }
-    }
-
-    /// The byte range `[lo, hi)` an active entry covers, in u128 so NAPOT
-    /// sizes cannot overflow. `None` for OFF entries; a TOR entry with
-    /// `hi <= lo` matches nothing and is returned as-is.
-    fn entry_range(&self, i: usize) -> Option<(u128, u128)> {
-        let e = self.entries[i];
-        match e.cfg.address_mode() {
-            PmpAddressMode::Off => None,
-            PmpAddressMode::Tor => {
-                let lo = if i == 0 {
-                    0
-                } else {
-                    (self.entries[i - 1].addr as u128) << 2
-                };
-                Some((lo, (e.addr as u128) << 2))
-            }
-            PmpAddressMode::Na4 => {
-                let base = (e.addr as u128) << 2;
-                Some((base, base + 4))
-            }
-            PmpAddressMode::Napot => {
-                let trailing = e.addr.trailing_ones();
-                let base = ((e.addr as u128) & !((1u128 << trailing) - 1)) << 2;
-                Some((base, base + (8u128 << trailing)))
-            }
-        }
-    }
-
-    /// True when no active entry boundary cuts through page `ppn`: every
-    /// entry range either misses the page entirely or contains all of it.
-    fn page_is_uniform(&self, ppn: u64) -> bool {
-        let page_lo = (ppn as u128) << PAGE_SHIFT;
-        let page_hi = page_lo + PAGE_SIZE as u128;
-        (0..PMP_ENTRY_COUNT).all(|i| match self.entry_range(i) {
-            None => true,
-            Some((lo, hi)) => {
-                hi <= lo || hi <= page_lo || lo >= page_hi || (lo <= page_lo && hi >= page_hi)
-            }
-        })
-    }
-
-    /// The full prioritised entry scan behind [`Self::match_entry`].
-    fn match_entry_uncached(&self, addr: PhysAddr) -> Option<MatchResult> {
         let a = addr.as_u64();
         for (i, e) in self.entries.iter().enumerate() {
             let hit = match e.cfg.address_mode() {

@@ -320,20 +320,6 @@ impl Kernel {
         self.trace.as_ref()
     }
 
-    /// Enables or disables every host-side fast path in the machine: the
-    /// PMP's per-page match cache and each hart's micro-TLBs. Purely a
-    /// wall-clock switch — modeled cycles, statistics, and verdicts are
-    /// identical either way (pinned by the fast-path differential tests).
-    pub fn set_fast_paths(&mut self, enabled: bool) {
-        // ptstore-lint: allow(channel-confinement) — host-side wall-clock
-        // switch for the PMP's match cache; no architectural state or modeled
-        // cycles change (pinned by the fast-path differential suites).
-        self.bus.pmp_mut().set_fast_path(enabled);
-        for hart in &mut self.harts {
-            hart.mmu.set_fast_path(enabled);
-        }
-    }
-
     // ------------------------------------------------------------------
     // Access-context helpers
     // ------------------------------------------------------------------

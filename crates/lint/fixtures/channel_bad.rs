@@ -21,7 +21,7 @@ impl Kernel {
     }
 
     fn reprogram(&mut self, region: &SecureRegion) {
-        self.bus.pmp_mut().set_fast_path(true);
+        self.bus.pmp_mut().set_secure_enforcement(true);
         Bus::install_secure_region(&mut self.bus, region);
     }
 }

@@ -18,7 +18,7 @@ impl Kernel {
     fn reprogram(&mut self, region: &SecureRegion) {
         // ptstore-lint: allow(channel-confinement) — M-mode firmware path:
         // the ablation toggle models an SBI call, not a kernel store.
-        self.bus.pmp_mut().set_fast_path(true);
+        self.bus.pmp_mut().set_secure_enforcement(true);
         // ptstore-lint: allow(channel-confinement) — firmware PMP programming
         // during the modeled boot handshake (paper §IV-A).
         Bus::install_secure_region(&mut self.bus, region);

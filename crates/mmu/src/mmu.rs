@@ -177,13 +177,6 @@ impl Mmu {
         Ok(TranslationOutcome::Walk { pa, fetches })
     }
 
-    /// Enables or disables the micro-TLB fast path on both TLBs. Purely a
-    /// host-side speed switch: modeled behaviour is identical either way.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.itlb.set_fast_path(enabled);
-        self.dtlb.set_fast_path(enabled);
-    }
-
     /// `sfence.vma x0, x0` over both TLBs.
     pub fn sfence_all(&mut self) {
         self.itlb.flush_all();

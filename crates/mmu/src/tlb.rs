@@ -88,10 +88,10 @@ struct MicroEntry {
 ///
 /// A small direct-mapped micro-TLB (host-side only) fronts the associative
 /// scan: it memoizes the scan result per `(vpn, asid)` and is conservatively
-/// invalidated by every mutation — insert, eviction, and all three flush
-/// scopes — so a micro hit returns exactly what the scan would. Modeled
-/// behaviour (hit/miss accounting, trace events, returned entries) is
-/// identical with the fast path on or off.
+/// invalidated by every mutation — insert (for both the new entry and the
+/// one it replaces), eviction, and all three flush scopes — so a micro hit
+/// returns exactly what the scan would. Modeled behaviour (hit/miss
+/// accounting, trace events, returned entries) is that of the scan alone.
 #[derive(Debug, Clone)]
 pub struct Tlb {
     entries: Vec<Option<TlbEntry>>,
@@ -100,7 +100,6 @@ pub struct Tlb {
     /// slots in `entries` at all times).
     live: usize,
     micro: [Option<MicroEntry>; MICRO_TLB_SLOTS],
-    fast_path: bool,
     stats: TlbStats,
     unit: TlbUnit,
     /// Owning hart, stamped into trace events (0 on single-hart machines).
@@ -128,25 +127,11 @@ impl Tlb {
             next_victim: 0,
             live: 0,
             micro: [None; MICRO_TLB_SLOTS],
-            fast_path: ptstore_core::fastpath::default_enabled(),
             stats: TlbStats::default(),
             unit,
             hart: 0,
             trace: None,
         }
-    }
-
-    /// Enables or disables the micro-TLB fast path. Purely a host-side
-    /// speed switch: lookups, stats, and trace events are identical either
-    /// way.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.fast_path = enabled;
-        self.micro = [None; MICRO_TLB_SLOTS];
-    }
-
-    /// Whether the micro-TLB fast path is enabled.
-    pub fn fast_path(&self) -> bool {
-        self.fast_path
     }
 
     #[inline]
@@ -203,20 +188,16 @@ impl Tlb {
         kind: AccessKind,
         mode: PrivilegeMode,
     ) -> Option<TlbEntry> {
-        let found = if self.fast_path {
-            let idx = Self::micro_index(vpn);
-            match self.micro[idx] {
-                Some(m) if m.vpn == vpn && m.asid == asid => Some(m.entry),
-                _ => {
-                    let found = self.scan(vpn, asid);
-                    if let Some(entry) = found {
-                        self.micro[idx] = Some(MicroEntry { vpn, asid, entry });
-                    }
-                    found
+        let idx = Self::micro_index(vpn);
+        let found = match self.micro[idx] {
+            Some(m) if m.vpn == vpn && m.asid == asid => Some(m.entry),
+            _ => {
+                let found = self.scan(vpn, asid);
+                if let Some(entry) = found {
+                    self.micro[idx] = Some(MicroEntry { vpn, asid, entry });
                 }
+                found
             }
-        } else {
-            self.scan(vpn, asid)
         };
         match found {
             Some(e) if Self::permits(e.flags, kind, mode) => {
@@ -289,13 +270,17 @@ impl Tlb {
         // The scan result for the covered vpns changes whatever branch we
         // take.
         self.micro_invalidate_entry(&entry);
-        // Replace an existing mapping of the same (vpn, asid) first.
+        // Replace an existing mapping of the same (vpn, asid) first. The
+        // replaced entry may span more pages than the new one, so its
+        // memoized lookups go too.
         if let Some(slot) = self
             .entries
             .iter_mut()
             .find(|s| matches!(s, Some(e) if e.vpn == entry.vpn && e.asid == entry.asid))
         {
-            *slot = Some(entry);
+            if let Some(old) = slot.replace(entry) {
+                self.micro_invalidate_entry(&old);
+            }
             return;
         }
         if let Some(slot) = self.entries.iter_mut().find(|s| s.is_none()) {
@@ -592,6 +577,35 @@ mod tests {
             )
             .is_none());
         assert_eq!(tlb.occupancy(), 1);
+    }
+
+    #[test]
+    fn replacing_a_superpage_with_a_base_page_drops_its_span() {
+        let mut tlb = Tlb::new(4);
+        tlb.insert(TlbEntry {
+            page_size: 8 * PAGE_SIZE,
+            ..entry(0x200, 1, 0x4000, PteFlags::user_rw())
+        });
+        // Memoize a non-base page of the span, then replace the superpage
+        // under the same (vpn, asid) with a base page.
+        assert!(tlb
+            .lookup(
+                VirtPageNum::new(0x203),
+                1,
+                AccessKind::Read,
+                PrivilegeMode::User
+            )
+            .is_some());
+        tlb.insert(entry(0x200, 1, 0x5000, PteFlags::user_rw()));
+        assert_eq!(tlb.occupancy(), 1);
+        assert!(tlb
+            .lookup(
+                VirtPageNum::new(0x203),
+                1,
+                AccessKind::Read,
+                PrivilegeMode::User
+            )
+            .is_none());
     }
 
     #[test]

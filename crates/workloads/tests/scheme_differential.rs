@@ -58,7 +58,7 @@ fn security_verdicts_are_byte_identical_across_schemes() {
 // work for strictly more walk cycles
 // ---------------------------------------------------------------------
 
-/// The five configurations of `fastpath_differential.rs`, same geometry.
+/// The five configurations of `smp_differential.rs`, same geometry.
 fn configs() -> [(&'static str, KernelConfig); 5] {
     let geom = |c: KernelConfig| {
         c.with_mem_size(256 * MIB)
@@ -76,7 +76,7 @@ fn configs() -> [(&'static str, KernelConfig); 5] {
     ]
 }
 
-/// The fixed syscall mix of `fastpath_differential.rs`, parameterised by
+/// The fixed syscall mix of `smp_differential.rs`, parameterised by
 /// paging scheme.
 fn syscall_battery(cfg: KernelConfig, scheme: PagingScheme) -> (u64, KernelStats) {
     let mut k = Kernel::boot(cfg.with_scheme(scheme)).expect("boot");
@@ -119,9 +119,8 @@ fn syscall_battery(cfg: KernelConfig, scheme: PagingScheme) -> (u64, KernelStats
     (k.cycles.total(), k.stats)
 }
 
-/// The pre-SMP seed goldens (identical to `fastpath_differential.rs` and
-/// `smp_differential.rs`): making the walker scheme-generic must not move
-/// one Sv39 cycle.
+/// The pre-SMP seed goldens (identical to `smp_differential.rs`): making
+/// the walker scheme-generic must not move one Sv39 cycle.
 const GOLDEN_SYSCALLS: [(u64, u64); 5] = [
     (57_943, 22),
     (59_644, 22),

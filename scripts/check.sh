@@ -45,12 +45,6 @@ echo "== smoke: sv48 security battery (scheme-independent verdicts) =="
 cargo run --offline --quiet -p ptstore-bench --bin reproduce -- --quick --scheme sv48 security \
     | grep -q "PTStore (full design) blocks every attack"
 
-echo "== fast-path differential tests (cycle identity) =="
-cargo test --offline -q -p ptstore-mmu --test tlb_fastpath_properties
-cargo test --offline -q -p ptstore-core --test pmp_fastpath_properties
-cargo test --offline -q -p ptstore-workloads --test fastpath_differential
-cargo test --offline -q -p ptstore-attacks --test fastpath_attacks
-
 echo "== scheme differential (sv39 goldens + sv48/sv57 verdict identity) =="
 cargo test --offline -q -p ptstore-workloads --test scheme_differential
 
