@@ -226,7 +226,9 @@ impl FaultInjector {
             Undo::TokenSlot { slot, old } => {
                 let _ = k.bus.mem_unchecked().write_u64(slot, old);
             }
-            Undo::Zone => k.refill_pt_zone(),
+            Undo::Zone => {
+                let _ = k.refill_pt_zone();
+            }
         }
     }
 

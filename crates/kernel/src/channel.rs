@@ -11,10 +11,11 @@
 //!
 //! Grouped by trust level:
 //!
-//! * **Checked, channel-tagged accessors** — `Kernel::pt_read` /
-//!   `Kernel::pt_write` (the `ld.pt`/`sd.pt` path), `Kernel::mem_read` /
-//!   `Kernel::mem_write` (regular kernel data), and the token-field
-//!   accessors. These go through the PMP and pay modeled cycles.
+//! * **Checked, channel-tagged accessors** — `Kernel::pt_read`, the two
+//!   page-table stores `Kernel::pt_install` / `Kernel::pt_replace` (the
+//!   `ld.pt`/`sd.pt` path), `Kernel::mem_read` / `Kernel::mem_write`
+//!   (regular kernel data), and the token-field accessors. These go
+//!   through the PMP and pay modeled cycles.
 //! * **Host-side bulk helpers** — `Kernel::raw_copy_page` /
 //!   `Kernel::raw_zero_page` / `Kernel::image_write_u64`: unchecked
 //!   `PhysMem` operations used only where the modeled machine would issue a
@@ -23,13 +24,65 @@
 //!   touch secure-region state behind the PMP's back except via
 //!   `Kernel::zero_page`, whose first store is checked precisely so the
 //!   channel permission is validated before the bulk clear.
+//!
+//! Page-table stores come in two kinds. `pt_install` writes an invalid
+//! slot, or any slot of a table page no root reaches yet: no TLB can hold
+//! the old entry, so nothing is owed. `pt_replace` overwrites an entry a
+//! TLB may hold and returns a [`Flush`] (the `MapperFlush` idiom of the
+//! x86_64 crate). `Flush` is `#[must_use]` and only this crate can build
+//! or consume it, so under the crate's `deny(unused_must_use,
+//! clippy::let_underscore_must_use)` a replacing write whose stale
+//! translation nobody invalidates — the TLB-inconsistency attack of §V-E —
+//! does not compile.
 
-use ptstore_core::{Channel, PhysAddr, PhysPageNum};
+use ptstore_core::{Channel, PhysAddr, PhysPageNum, VirtAddr};
 
 use crate::config::DefenseMode;
 use crate::cycles::{cost, CostKind};
 use crate::error::KernelError;
 use crate::kernel::Kernel;
+
+/// A TLB invalidation owed by a replaced page-table entry.
+///
+/// Only the kernel builds one (its page-table store that overwrites a live
+/// entry returns it) and only the kernel consumes it: eagerly, deferred to
+/// the batched shootdown, or by naming the wider flush that already covers
+/// it. Dropping one unconsumed is a compile error inside the kernel:
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// fn replace() -> ptstore_kernel::channel::Flush {
+///     unreachable!()
+/// }
+/// fn main() {
+///     replace();
+/// }
+/// ```
+///
+/// and no other crate can forge one to hand back:
+///
+/// ```compile_fail
+/// let _ = ptstore_kernel::channel::Flush(());
+/// ```
+#[must_use = "the replaced entry may still be cached in a TLB: flush it"]
+pub struct Flush(());
+
+impl Flush {
+    /// Invalidates the page now, on every hart (`Kernel::tlb_flush_page`).
+    pub(crate) fn page(self, k: &mut Kernel, va: VirtAddr, asid: u16) {
+        k.tlb_flush_page(va, asid);
+    }
+
+    /// Invalidates the page locally now and queues the remote broadcast
+    /// for the next drain (`Kernel::queue_flush_page`).
+    pub(crate) fn queue(self, k: &mut Kernel, va: VirtAddr, asid: u16) {
+        k.queue_flush_page(va, asid);
+    }
+
+    /// Discharges the obligation without a flush of its own: `why` names
+    /// the wider flush that follows and covers this page.
+    pub(crate) fn covered_by(self, _why: &'static str) {}
+}
 
 impl Kernel {
     /// A checked regular-channel 8-byte read (kernel data structures).
@@ -55,13 +108,26 @@ impl Kernel {
 
     /// A page-table write via the defense channel (`sd.pt` under PTStore).
     /// The virtual-isolation baseline pays its write-window toll here.
-    pub(crate) fn pt_write(&mut self, pa: PhysAddr, v: u64) -> Result<(), KernelError> {
+    fn pt_write(&mut self, pa: PhysAddr, v: u64) -> Result<(), KernelError> {
         self.charge(CostKind::PtWrite, cost::MEM_ACCESS);
         if self.cfg.defense == DefenseMode::VirtualIsolation {
             self.charge(CostKind::VirtIsolationSwitch, cost::VIRT_ISO_WINDOW);
         }
         let ch = self.pt_channel();
         Ok(self.bus.write::<u64>(pa, v, ch, self.kctx())?)
+    }
+
+    /// Writes a page-table entry no TLB can hold: an invalid slot, or any
+    /// slot of a table page no root reaches yet. Owes no flush.
+    pub(crate) fn pt_install(&mut self, pa: PhysAddr, v: u64) -> Result<(), KernelError> {
+        self.pt_write(pa, v)
+    }
+
+    /// Overwrites a page-table entry a TLB may hold; the returned [`Flush`]
+    /// must invalidate the old translation.
+    pub(crate) fn pt_replace(&mut self, pa: PhysAddr, v: u64) -> Result<Flush, KernelError> {
+        self.pt_write(pa, v)?;
+        Ok(Flush(()))
     }
 
     /// An 8-byte secure-channel read (`ld.pt`) of a token field. Cycle
@@ -97,7 +163,8 @@ impl Kernel {
 
     /// Copies one whole *data* frame host-side (page migration, CoW break).
     /// Never used on page-table frames — those are written PTE-by-PTE via
-    /// [`Self::pt_write`] so the PMP adjudicates every store.
+    /// [`Self::pt_install`] / [`Self::pt_replace`] so the PMP adjudicates
+    /// every store.
     pub(crate) fn raw_copy_page(
         &mut self,
         from: PhysPageNum,

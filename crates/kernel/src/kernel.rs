@@ -517,8 +517,8 @@ impl Kernel {
     /// IPI count drops.
     ///
     /// Forced at every security-relevant boundary: secure-region
-    /// adjustment, context switch / hart handoff, and after W-stripping
-    /// hazard-marked writes. A no-op when the queue is empty.
+    /// adjustment, context switch / hart handoff, and the end of a CoW
+    /// break. A no-op when the queue is empty.
     pub fn drain_deferred_flushes(&mut self) {
         let from = self.active_hart;
         let mut queue = std::mem::take(&mut self.harts[from].flush_queue);
@@ -1010,10 +1010,8 @@ impl Kernel {
             (p.aspace.root, p.aspace.asid, m.flags)
         };
         let slot = self.leaf_slot(root, va)?.ok_or(KernelError::BadAddress)?;
-        // ptstore-lint: hazard(shootdown-pairing) — repointing invalidates the
-        // old translation; a stale TLB entry would keep the page writable.
-        self.pt_write(slot, Pte::leaf(new, flags).bits())?;
-        self.tlb_flush_page(va, asid);
+        self.pt_replace(slot, Pte::leaf(new, flags).bits())?
+            .page(self, va, asid);
         if let Some(p) = self.procs.get_mut(pid) {
             if let Some(m) = p.aspace.user.get_mut(&vpn) {
                 m.ppn = new;
@@ -1045,7 +1043,7 @@ impl Kernel {
         for level in (3..levels).rev() {
             let t = self.alloc_pt_page()?;
             self.kernel_pt_pages.push(t);
-            self.pt_write(pte_slot(gib_table, va0, level), Pte::table(t).bits())?;
+            self.pt_install(pte_slot(gib_table, va0, level), Pte::table(t).bits())?;
             gib_table = t;
         }
         let gib_count = self.cfg.mem_size.div_ceil(ptstore_core::GIB);
@@ -1054,7 +1052,7 @@ impl Kernel {
             self.kernel_pt_pages.push(l1);
             let va = VirtAddr::new(DIRECT_MAP_BASE + g * ptstore_core::GIB);
             let gib_slot = pte_slot(gib_table, va, 2);
-            self.pt_write(gib_slot, Pte::table(l1).bits())?;
+            self.pt_install(gib_slot, Pte::table(l1).bits())?;
             // 512 2-MiB leaves per GiB (bounded by mem_size).
             for i in 0..512u64 {
                 let pa = g * ptstore_core::GIB + i * 2 * MIB;
@@ -1066,7 +1064,7 @@ impl Kernel {
                 let slot = PhysAddr::new(l1.base_addr().as_u64() + i * 8);
                 match flags {
                     Some(f) => {
-                        self.pt_write(slot, Pte::leaf(leaf_ppn, f.with(PteFlags::G)).bits())?
+                        self.pt_install(slot, Pte::leaf(leaf_ppn, f.with(PteFlags::G)).bits())?
                     }
                     None => { /* PT-Rand: hole over the pt area */ }
                 }
@@ -1145,7 +1143,7 @@ impl Kernel {
             }
             let fresh = self.alloc_pt_page()?;
             let table = Pte::table(fresh);
-            self.pt_write(slot, table.bits())?;
+            self.pt_install(slot, table.bits())?;
             new_pages.push(fresh);
             Ok(table.bits())
         };
@@ -1178,7 +1176,7 @@ impl Kernel {
     ) -> Result<(), KernelError> {
         let pid = self.mm_owner_of(pid);
         let slot = self.ensure_leaf_slot(pid, va)?;
-        self.pt_write(slot, Pte::leaf(ppn, flags).bits())?;
+        self.pt_install(slot, Pte::leaf(ppn, flags).bits())?;
         let vpn = va.as_u64() >> PAGE_SHIFT;
         let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
         p.aspace.user.insert(
@@ -1208,8 +1206,8 @@ impl Kernel {
             (p.aspace.root, p.aspace.asid, m.ppn)
         };
         let slot = self.leaf_slot(root, va)?.ok_or(KernelError::BadAddress)?;
-        self.pt_write(slot, Pte::invalid().bits())?;
-        self.queue_flush_page(va, asid);
+        self.pt_replace(slot, Pte::invalid().bits())?
+            .queue(self, va, asid);
         if let Some(p) = self.procs.get_mut(pid) {
             p.aspace.user.remove(&vpn);
         }
@@ -1280,7 +1278,7 @@ impl Kernel {
         );
         let pid = self.mm_owner_of(pid);
         let slot = self.ensure_slot_at(pid, va, 1)?;
-        self.pt_write(slot, Pte::leaf(block, flags).bits())?;
+        self.pt_install(slot, Pte::leaf(block, flags).bits())?;
         let vpn = va.as_u64() >> PAGE_SHIFT;
         let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
         p.aspace.user.insert(
@@ -1317,8 +1315,8 @@ impl Kernel {
         };
         let (slot, level) = self.find_leaf(root, va)?.ok_or(KernelError::BadAddress)?;
         debug_assert_eq!(level, 1, "shadow says huge but the PTE is not level-1");
-        self.pt_write(slot, Pte::invalid().bits())?;
-        self.queue_flush_page(va, asid);
+        self.pt_replace(slot, Pte::invalid().bits())?
+            .queue(self, va, asid);
         if let Some(p) = self.procs.get_mut(pid) {
             p.aspace.user.remove(&vpn);
         }
@@ -1387,14 +1385,14 @@ impl Kernel {
         for i in 0..HUGE_PAGE_SPAN {
             let slot = PhysAddr::new(table.base_addr().as_u64() + i * 8);
             let page = PhysPageNum::new(m.ppn.as_u64() + i);
-            self.pt_write(slot, Pte::leaf(page, m.flags).bits())?;
+            self.pt_install(slot, Pte::leaf(page, m.flags).bits())?;
         }
         let (l1_slot, level) = self
             .find_leaf(root, base_va)?
             .ok_or(KernelError::BadAddress)?;
         debug_assert_eq!(level, 1, "split of a non-huge leaf");
-        self.pt_write(l1_slot, Pte::table(table).bits())?;
-        self.queue_flush_page(base_va, asid);
+        self.pt_replace(l1_slot, Pte::table(table).bits())?
+            .queue(self, base_va, asid);
         // The buddy block becomes 512 order-0 pages; refcounts and the rmap
         // become per-page (each inherits the block's single owner).
         self.normal_zone.split_allocation(m.ppn)?;
@@ -1789,16 +1787,20 @@ impl Kernel {
     /// Returns every page held by [`Self::drain_pt_zone`] to the PTStore
     /// zone. Pages the zone no longer covers (the region grew and the zone
     /// was re-based meanwhile) are dropped silently.
-    pub fn refill_pt_zone(&mut self) {
+    ///
+    /// # Errors
+    /// The zone's refusal of a page, after which the rest are dropped.
+    pub fn refill_pt_zone(&mut self) -> Result<(), KernelError> {
+        let drained = std::mem::take(&mut self.drained_pt_pages);
         let Some(zone) = self.pt_zone.as_mut() else {
-            self.drained_pt_pages.clear();
-            return;
+            return Ok(());
         };
-        for ppn in std::mem::take(&mut self.drained_pt_pages) {
+        for ppn in drained {
             if zone.contains(ppn) {
-                let _ = zone.free(ppn);
+                zone.free(ppn)?;
             }
         }
+        Ok(())
     }
 
     /// The PT-Rand window base + secret offset (tests/attacks compute

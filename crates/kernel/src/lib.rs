@@ -50,6 +50,10 @@
 //! # }
 //! ```
 
+// A replaced page-table entry's `channel::Flush` may be neither dropped
+// nor discarded with `let _ =`.
+#![deny(unused_must_use, clippy::let_underscore_must_use)]
+
 pub mod channel;
 pub mod config;
 pub mod cycles;

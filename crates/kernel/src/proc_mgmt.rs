@@ -132,7 +132,7 @@ impl Kernel {
             let raw = self.pt_read(src)?;
             if Pte::from_bits(raw).is_valid() {
                 let dst = root.base_addr() + slot_idx * 8;
-                self.pt_write(dst, raw)?;
+                self.pt_install(dst, raw)?;
             }
         }
         Ok(AddressSpace {
@@ -244,7 +244,8 @@ impl Kernel {
                     self.leaf_slot(parent_root, va)?
                         .ok_or(KernelError::BadAddress)?
                 };
-                self.pt_write(slot, Pte::leaf(mapping.ppn, child_flags).bits())?;
+                self.pt_replace(slot, Pte::leaf(mapping.ppn, child_flags).bits())?
+                    .covered_by("tlb_flush_asid(parent_asid) after the loop");
                 let p = self.procs.get_mut(parent_pid).expect("parent exists");
                 if let Some(m) = p.aspace.user.get_mut(&vpn) {
                     m.flags = child_flags;
@@ -373,9 +374,16 @@ impl Kernel {
     }
 
     /// `execve()`: replaces the user address space with a fresh text+stack.
+    ///
+    /// # Errors
+    /// [`KernelError::InvalidState`] from a thread: the model has no
+    /// `de_thread`, so only an mm owner may replace its address space.
     pub fn do_exec(&mut self) -> Result<(), KernelError> {
         self.charge(CostKind::Kernel, cost::EXEC_BASE);
         let pid = self.current_pid();
+        if self.mm_owner_of(pid) != pid {
+            return Err(KernelError::InvalidState);
+        }
         self.teardown_user_mappings(pid)?;
         {
             let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
@@ -690,16 +698,14 @@ impl Kernel {
         };
         let new_flags = flags.with(PteFlags::W);
         let vpn = va.as_u64() >> PAGE_SHIFT;
-        if refs > 1 {
+        let flush = if refs > 1 {
             // Copy the page.
             let new = self.alloc_page(GfpFlags::MOVABLE)?;
             self.charge(CostKind::MemAccess, cost::ZERO_PAGE); // page copy
             self.raw_copy_page(old, new)?;
             *self.page_refs.entry(new.as_u64()).or_insert(0) += 1;
             let slot = self.leaf_slot(root, va)?.ok_or(KernelError::BadAddress)?;
-            // ptstore-lint: hazard(shootdown-pairing) — COW break repoints the
-            // leaf; the old read-only translation must not survive in any TLB.
-            self.pt_write(slot, Pte::leaf(new, new_flags).bits())?;
+            let flush = self.pt_replace(slot, Pte::leaf(new, new_flags).bits())?;
             // Shadow + rmap rewire.
             if let Some(p) = self.procs.get_mut(pid) {
                 if let Some(m) = p.aspace.user.get_mut(&vpn) {
@@ -713,22 +719,24 @@ impl Kernel {
             }
             self.rmap.entry(new.as_u64()).or_default().push((pid, vpn));
             self.put_user_page(old)?;
+            flush
         } else {
             // Sole owner: restore write permission in place.
             let slot = self.leaf_slot(root, va)?.ok_or(KernelError::BadAddress)?;
-            self.pt_write(slot, Pte::leaf(old, new_flags).bits())?;
+            let flush = self.pt_replace(slot, Pte::leaf(old, new_flags).bits())?;
             if let Some(p) = self.procs.get_mut(pid) {
                 if let Some(m) = p.aspace.user.get_mut(&vpn) {
                     m.flags = new_flags;
                     m.cow = false;
                 }
             }
-        }
+            flush
+        };
         // The CoW break W-strips nothing, but it *repoints* the leaf: the
         // old read-only translation must leave every TLB before the fault
         // returns, so the queued flush drains immediately (a one-page
         // batch; deferral still wins when faults cluster before a drain).
-        self.queue_flush_page(va, asid);
+        flush.queue(self, va, asid);
         self.drain_deferred_flushes();
         Ok(())
     }
@@ -751,7 +759,7 @@ impl Kernel {
             .find_leaf(root, base_va)?
             .ok_or(KernelError::BadAddress)?;
         debug_assert_eq!(level, 1, "huge CoW break on a non-huge leaf");
-        if refs > 1 {
+        let flush = if refs > 1 {
             let fresh = self.alloc_user_huge_block()?;
             for i in 0..HUGE_PAGE_SPAN {
                 self.charge(CostKind::MemAccess, cost::ZERO_PAGE); // page copy
@@ -761,9 +769,7 @@ impl Kernel {
                 )?;
             }
             self.page_refs.insert(fresh.as_u64(), 1);
-            // ptstore-lint: hazard(shootdown-pairing) — COW break repoints the
-            // leaf; the old read-only translation must not survive in any TLB.
-            self.pt_write(slot, Pte::leaf(fresh, new_flags).bits())?;
+            let flush = self.pt_replace(slot, Pte::leaf(fresh, new_flags).bits())?;
             if let Some(p) = self.procs.get_mut(pid) {
                 if let Some(sm) = p.aspace.user.get_mut(&base_vpn) {
                     sm.ppn = fresh;
@@ -772,18 +778,20 @@ impl Kernel {
                 }
             }
             self.put_user_huge_block(m.ppn)?;
+            flush
         } else {
-            self.pt_write(slot, Pte::leaf(m.ppn, new_flags).bits())?;
+            let flush = self.pt_replace(slot, Pte::leaf(m.ppn, new_flags).bits())?;
             if let Some(p) = self.procs.get_mut(pid) {
                 if let Some(sm) = p.aspace.user.get_mut(&base_vpn) {
                     sm.flags = new_flags;
                     sm.cow = false;
                 }
             }
-        }
+            flush
+        };
         // As in `break_cow`: the repointed span entry drains out of remote
         // TLBs before the faulting write retires.
-        self.queue_flush_page(base_va, asid);
+        flush.queue(self, base_va, asid);
         self.drain_deferred_flushes();
         Ok(())
     }

@@ -699,7 +699,7 @@ impl Kernel {
     }
 
     fn do_munmap(&mut self, addr: VirtAddr, len: u64, end: VirtAddr) -> Result<(), KernelError> {
-        let pid = self.current_pid();
+        let pid = self.mm_owner_of(self.current_pid());
         // Unmap any resident pages.
         let mut va = addr;
         let mut r = Ok(());
@@ -764,7 +764,7 @@ impl Kernel {
         let r = {
             let p = self
                 .procs
-                .get_mut(self.current_pid())
+                .get_mut(self.mm_owner_of(self.current_pid()))
                 .ok_or(KernelError::NoSuchProcess)?;
             if !(crate::pagetable::USER_HEAP_BASE..crate::pagetable::USER_MMAP_BASE)
                 .contains(&new_brk)
@@ -879,10 +879,8 @@ impl Kernel {
                     .find_leaf(root, base_va)?
                     .ok_or(KernelError::BadAddress)?;
                 debug_assert_eq!(level, 1, "huge shadow entry over a non-huge leaf");
-                // ptstore-lint: hazard(shootdown-pairing) — mprotect may drop
-                // W/R; cached span translations must be shot down too.
-                self.pt_write(slot, ptstore_mmu::Pte::leaf(block, flags).bits())?;
-                self.queue_flush_page(base_va, asid);
+                self.pt_replace(slot, ptstore_mmu::Pte::leaf(block, flags).bits())?
+                    .queue(self, base_va, asid);
                 if let Some(p) = self.procs.get_mut(mm) {
                     if let Some(m) = p.aspace.user.get_mut(&base) {
                         m.flags = flags;
@@ -907,10 +905,8 @@ impl Kernel {
             let root = self.procs.get(mm).expect("exists").aspace.root;
             let slot = self.leaf_slot(root, va)?.ok_or(KernelError::BadAddress)?;
             let flags = mprotect_leaf_flags(perms, cow);
-            // ptstore-lint: hazard(shootdown-pairing) — mprotect may drop W/R;
-            // cached translations with the old permissions must be shot down.
-            self.pt_write(slot, ptstore_mmu::Pte::leaf(ppn, flags).bits())?;
-            self.queue_flush_page(va, asid);
+            self.pt_replace(slot, ptstore_mmu::Pte::leaf(ppn, flags).bits())?
+                .queue(self, va, asid);
             if let Some(p) = self.procs.get_mut(mm) {
                 if let Some(m) = p.aspace.user.get_mut(&vpn) {
                     m.flags = flags;

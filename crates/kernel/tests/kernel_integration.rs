@@ -391,6 +391,29 @@ fn thread_token_is_not_transferable() {
 }
 
 #[test]
+fn address_space_syscalls_from_a_thread_act_on_the_owners_mm() {
+    let mut k = boot(KernelConfig::cfi_ptstore());
+    let brk0 = k.procs.get(1).expect("init").brk;
+    let page = k.sys_mmap(PAGE_SIZE).expect("mmap");
+    k.user_write_u64(page, 0xBEEF).expect("stamp");
+    let tid = k.sys_clone_thread().expect("clone");
+    k.do_switch_to(tid).expect("switch to thread");
+
+    // exec would map fresh text and stack over the owner's live leaves.
+    assert_eq!(k.sys_exec(), Err(KernelError::InvalidState));
+    // munmap and brk change the shared address space, not a thread copy.
+    k.sys_munmap(page, PAGE_SIZE).expect("munmap");
+    assert_eq!(k.user_read_u64(page), Err(KernelError::SegFault));
+    k.sys_brk(brk0 + PAGE_SIZE).expect("brk");
+    let heap = VirtAddr::new(brk0);
+    k.user_write_u64(heap, 7).expect("grown heap faults in");
+
+    k.do_switch_to(1).expect("switch to owner");
+    assert_eq!(k.user_read_u64(page), Err(KernelError::SegFault));
+    assert_eq!(k.user_read_u64(heap), Ok(7));
+}
+
+#[test]
 fn mprotect_downgrades_and_restores() {
     use ptstore_kernel::process::VmPerms;
     let mut k = boot(KernelConfig::cfi_ptstore());

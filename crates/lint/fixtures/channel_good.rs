@@ -4,7 +4,7 @@
 
 impl Kernel {
     fn poke_pte(&mut self, pa: PhysAddr, v: u64) -> Result<(), KernelError> {
-        self.pt_write(pa, v)
+        self.pt_install(pa, v)
     }
 
     fn peek(&mut self, pa: PhysAddr) -> Result<u64, KernelError> {

@@ -6,23 +6,24 @@
 //! enforce that contract only by convention; this crate makes it a checked
 //! property of the source tree.
 //!
-//! It is a self-contained static analyzer (a hand-rolled lexer plus a
-//! per-crate call graph — the offline build vendors no `syn` and the
-//! analyzer deliberately takes no compiler-internals dependency) enforcing
-//! four rules:
+//! It is a self-contained static analyzer (a hand-rolled lexer — the
+//! offline build vendors no `syn` and the analyzer deliberately takes no
+//! compiler-internals dependency) enforcing three rules:
 //!
 //! | Rule | Guards |
 //! |------|--------|
 //! | `channel-confinement` | raw `Bus`/`PhysMem` access in `ptstore-kernel` confined to `src/channel.rs` (§IV-C2 channel discipline) |
-//! | `shootdown-pairing`   | downgrade/invalidate `pt_write`s must reach `tlb_flush_page`/`tlb_flush_asid` or the batched `queue_flush_page`/`drain_deferred_flushes` API (SMP TLB coherence) |
 //! | `allow-justification` | every `#[allow(...)]` carries a justification comment |
 //! | `test-exhaustiveness` | every injector fault class / attack verdict / reject reason / oracle violation / model-check verdict variant is exercised by a test |
 //!
 //! Suppressions are explicit and audited:
 //! `// ptstore-lint: allow(<rule>) — <justification>` above (or on) the
-//! offending line; `// ptstore-lint: hazard(shootdown-pairing) — <why>`
-//! conversely *tags* a PT write as a stale-TLB hazard the lexical
-//! heuristics cannot see.
+//! offending line.
+//!
+//! TLB-shootdown pairing is not a lint rule: the compiler enforces it. A
+//! kernel page-table store that replaces a live entry returns a
+//! `#[must_use]` `ptstore_kernel::channel::Flush`, and the kernel crate
+//! denies `unused_must_use` and `clippy::let_underscore_must_use`.
 //!
 //! Run it with `cargo run -p ptstore-lint -- --format human|json`; output
 //! is sorted and byte-deterministic, and the exit status is non-zero when
@@ -30,14 +31,12 @@
 
 #![deny(missing_docs)]
 
-pub mod graph;
 pub mod lexer;
 pub mod model;
 pub mod output;
 pub mod rules;
 pub mod workspace;
 
-pub use graph::CallGraph;
 pub use model::{ParsedFile, SourceFile};
 pub use output::{render, Format};
 pub use rules::{analyze, Config, Finding};

@@ -10,7 +10,6 @@ const USAGE: &str = "usage: ptstore-lint [--format human|json] [--root <workspac
 
 Lints the PTStore workspace for secure-access discipline:
   channel-confinement   raw Bus/PhysMem access only in the channel module
-  shootdown-pairing     downgrading PT writes must reach a TLB flush
   allow-justification   every #[allow] needs a justification comment
   test-exhaustiveness   verdict/fault enums fully covered by tests
 

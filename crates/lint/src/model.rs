@@ -1,7 +1,6 @@
-//! The per-file source model: functions with body spans, enums with
-//! variants, `#[allow]` attributes, `#[cfg(test)]` regions, and
-//! `ptstore-lint:` control markers — all extracted from the flat token
-//! stream of [`crate::lexer`].
+//! The per-file source model: enums with variants, `#[allow]` attributes,
+//! `#[cfg(test)]` regions, and `ptstore-lint: allow(...)` markers — all
+//! extracted from the flat token stream of [`crate::lexer`].
 
 use crate::lexer::{lex, Comment, Lexed, SpannedTok, Tok};
 
@@ -17,19 +16,6 @@ pub struct SourceFile {
     pub is_test: bool,
     /// The file contents.
     pub text: String,
-}
-
-/// A function item with its body's token range.
-#[derive(Debug, Clone)]
-pub struct FnItem {
-    /// Function name.
-    pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
-    /// Token index range of the body, *excluding* the outer braces.
-    pub body: std::ops::Range<usize>,
-    /// True when the function lives inside a `#[cfg(test)]` region.
-    pub in_test: bool,
 }
 
 /// An enum definition with its variant names.
@@ -52,21 +38,10 @@ pub struct AllowAttr {
     pub lints: String,
 }
 
-/// What a `// ptstore-lint: <kind>(<rule>) — justification` marker does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MarkerKind {
-    /// Suppresses a finding of the named rule on the marked line.
-    Allow,
-    /// Tags the marked line as a shootdown-pairing hazard the lexical
-    /// heuristics cannot see (e.g. a leaf repoint with unchanged flags).
-    Hazard,
-}
-
-/// A parsed control marker.
+/// A parsed `// ptstore-lint: allow(<rule>) — justification` marker,
+/// which suppresses a finding of the named rule on the marked line.
 #[derive(Debug, Clone)]
 pub struct Marker {
-    /// Marker kind.
-    pub kind: MarkerKind,
     /// The rule name in parens.
     pub rule: String,
     /// The first *code* line at or after the marker — the line it governs.
@@ -86,8 +61,6 @@ pub struct ParsedFile {
     pub toks: Vec<SpannedTok>,
     /// Comments.
     pub comments: Vec<Comment>,
-    /// Function items (outermost and nested).
-    pub fns: Vec<FnItem>,
     /// Enum definitions.
     pub enums: Vec<EnumItem>,
     /// `#[allow]` attributes.
@@ -103,7 +76,6 @@ impl ParsedFile {
     pub fn parse(src: SourceFile) -> Self {
         let Lexed { toks, comments } = lex(&src.text);
         let test_spans = find_test_spans(&toks);
-        let fns = find_fns(&toks, &test_spans);
         let enums = find_enums(&toks);
         let allows = find_allows(&toks);
         let markers = find_markers(&comments, &toks);
@@ -111,7 +83,6 @@ impl ParsedFile {
             src,
             toks,
             comments,
-            fns,
             enums,
             allows,
             test_spans,
@@ -124,11 +95,11 @@ impl ParsedFile {
         self.test_spans.iter().any(|r| r.contains(&i))
     }
 
-    /// The `Allow` marker governing `line` for `rule`, if any.
+    /// The justified marker governing `line` for `rule`, if any.
     pub fn allow_marker_for(&self, rule: &str, line: u32) -> Option<&Marker> {
-        self.markers.iter().find(|m| {
-            m.kind == MarkerKind::Allow && m.rule == rule && m.target_line == line && m.justified
-        })
+        self.markers
+            .iter()
+            .find(|m| m.rule == rule && m.target_line == line && m.justified)
     }
 }
 
@@ -207,47 +178,6 @@ fn find_test_spans(toks: &[SpannedTok]) -> Vec<std::ops::Range<usize>> {
         i += 1;
     }
     spans
-}
-
-/// Extracts all `fn` items (including nested ones) with body token ranges.
-fn find_fns(toks: &[SpannedTok], test_spans: &[std::ops::Range<usize>]) -> Vec<FnItem> {
-    let mut fns = Vec::new();
-    let mut i = 0usize;
-    while i + 1 < toks.len() {
-        if matches!(&toks[i].tok, Tok::Ident(s) if s == "fn") {
-            if let Tok::Ident(name) = &toks[i + 1].tok {
-                // Walk to the body `{`, skipping parenthesised/ bracketed
-                // groups (params, where-bounds); `;` first means no body.
-                let mut j = i + 2;
-                let mut paren = 0i32;
-                let mut body = None;
-                while j < toks.len() {
-                    match toks[j].tok {
-                        Tok::Punct('(') | Tok::Punct('[') => paren += 1,
-                        Tok::Punct(')') | Tok::Punct(']') => paren -= 1,
-                        Tok::Punct('{') if paren == 0 => {
-                            body = Some(j);
-                            break;
-                        }
-                        Tok::Punct(';') if paren == 0 => break,
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                if let Some(open) = body {
-                    let close = match_brace(toks, open);
-                    fns.push(FnItem {
-                        name: name.clone(),
-                        line: toks[i].line,
-                        body: open + 1..close,
-                        in_test: test_spans.iter().any(|r| r.contains(&i)),
-                    });
-                }
-            }
-        }
-        i += 1;
-    }
-    fns
 }
 
 /// Extracts enum definitions and their variant names.
@@ -390,18 +320,13 @@ fn find_markers(comments: &[Comment], toks: &[SpannedTok]) -> Vec<Marker> {
             continue;
         };
         let rest = c.text[pos + "ptstore-lint:".len()..].trim_start();
-        let kind = if rest.starts_with("allow(") {
-            MarkerKind::Allow
-        } else if rest.starts_with("hazard(") {
-            MarkerKind::Hazard
-        } else {
+        let Some(rest) = rest.strip_prefix("allow(") else {
             continue;
         };
-        let open = rest.find('(').expect("checked by starts_with");
         let Some(close) = rest.find(')') else {
             continue;
         };
-        let rule = rest[open + 1..close].trim().to_string();
+        let rule = rest[..close].trim().to_string();
         // Justification: anything substantive after the closing paren on the
         // marker line, or the continuation comment lines directly below.
         let mut justification = rest[close + 1..]
@@ -431,7 +356,6 @@ fn find_markers(comments: &[Comment], toks: &[SpannedTok]) -> Vec<Marker> {
                 .unwrap_or(c.end_line)
         };
         out.push(Marker {
-            kind,
             rule,
             target_line,
             line: c.line,
@@ -457,15 +381,6 @@ mod tests {
     }
 
     #[test]
-    fn fn_bodies_and_nesting() {
-        let p = parse("fn outer() { fn inner() { a(); } b(); }");
-        let names: Vec<_> = p.fns.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, vec!["outer", "inner"]);
-        assert!(p.fns[0].body.start < p.fns[1].body.start);
-        assert!(p.fns[0].body.end >= p.fns[1].body.end);
-    }
-
-    #[test]
     fn enum_variants_with_fields_and_attrs() {
         let p = parse(
             "pub enum E { Plain, Tuple(u8, u8), Struct { x: u64, y: u64 }, #[doc = \"d\"] Attr, }",
@@ -479,8 +394,14 @@ mod tests {
     fn cfg_test_spans_cover_mod() {
         let p = parse("fn real() {} #[cfg(test)] mod tests { fn fake() { x(); } }");
         assert_eq!(p.test_spans.len(), 1);
-        assert!(!p.fns[0].in_test);
-        assert!(p.fns[1].in_test);
+        let at = |name: &str| {
+            p.toks
+                .iter()
+                .position(|t| matches!(&t.tok, Tok::Ident(s) if s == name))
+                .expect("token present")
+        };
+        assert!(!p.in_test_span(at("real")));
+        assert!(p.in_test_span(at("fake")));
     }
 
     #[test]
@@ -497,7 +418,6 @@ mod tests {
         );
         assert_eq!(p.markers.len(), 1);
         let m = &p.markers[0];
-        assert_eq!(m.kind, MarkerKind::Allow);
         assert_eq!(m.rule, "channel-confinement");
         assert_eq!(m.target_line, 4);
         assert!(m.justified);

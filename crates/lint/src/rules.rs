@@ -1,16 +1,13 @@
-//! The four workspace rules. Each mirrors one guarantee of the paper's
+//! The three workspace rules. Each mirrors one guarantee of the paper's
 //! hardware/compiler contract; see `DESIGN.md` for the mapping.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::graph::CallGraph;
 use crate::lexer::Tok;
-use crate::model::{MarkerKind, ParsedFile, SourceFile};
+use crate::model::{ParsedFile, SourceFile};
 
 /// Rule identifier: raw bus/physmem access outside the channel module.
 pub const RULE_CHANNEL: &str = "channel-confinement";
-/// Rule identifier: downgrading PT writes must reach a TLB flush.
-pub const RULE_SHOOTDOWN: &str = "shootdown-pairing";
 /// Rule identifier: `#[allow]` attributes need a justification comment.
 pub const RULE_ALLOW: &str = "allow-justification";
 /// Rule identifier: security-verdict enums need full test coverage.
@@ -33,7 +30,7 @@ pub struct Finding {
 /// contract; tests substitute narrower configs for fixtures.
 #[derive(Debug, Clone)]
 pub struct Config {
-    /// The crate whose page-table discipline rules 1 and 2 police.
+    /// The crate whose channel discipline rule 1 polices.
     pub kernel_crate: String,
     /// File suffixes (within the kernel crate) where raw access is legal.
     pub channel_modules: Vec<String>,
@@ -43,10 +40,6 @@ pub struct Config {
     pub bus_methods: Vec<String>,
     /// Identifiers that are raw on their own, any receiver.
     pub raw_idents: Vec<String>,
-    /// The channel accessor whose downgrade writes rule 2 pairs with.
-    pub pt_write_fn: String,
-    /// Functions that satisfy the pairing when reachable.
-    pub flush_fns: Vec<String>,
     /// Exhaustiveness targets: enum name → crate expected to define it.
     pub exhaustive_enums: Vec<(String, String)>,
 }
@@ -64,22 +57,6 @@ impl Default for Config {
                 "update_secure_region".into(),
             ],
             raw_idents: vec!["mem_unchecked".into(), "pmp_mut".into()],
-            pt_write_fn: "pt_write".into(),
-            flush_fns: vec![
-                "tlb_flush_page".into(),
-                "tlb_flush_asid".into(),
-                // Batched-shootdown API: queueing defers only the remote
-                // broadcast (the local invalidation stays eager), and every
-                // security boundary force-drains, so a downgrade reaching
-                // either side of the deferred path is coherent.
-                "queue_flush_page".into(),
-                "drain_deferred_flushes".into(),
-                // Drain-policy entry points: a watermark trigger or an
-                // ASID-recycle guard both end in `drain_deferred_flushes`,
-                // so reaching them satisfies the pairing too.
-                "maybe_watermark_drain".into(),
-                "drain_on_asid_recycle".into(),
-            ],
             exhaustive_enums: vec![
                 ("FaultClass".into(), "ptstore-trace".into()),
                 ("AttackOutcome".into(), "ptstore-attacks".into()),
@@ -102,7 +79,6 @@ pub fn analyze(files: Vec<SourceFile>, cfg: &Config) -> Vec<Finding> {
     let parsed: Vec<ParsedFile> = files.into_iter().map(ParsedFile::parse).collect();
     let mut findings = Vec::new();
     findings.extend(rule_channel_confinement(&parsed, cfg));
-    findings.extend(rule_shootdown_pairing(&parsed, cfg));
     findings.extend(rule_allow_justification(&parsed));
     findings.extend(rule_test_exhaustiveness(&parsed, cfg));
     findings.sort();
@@ -134,16 +110,15 @@ fn rule_channel_confinement(parsed: &[ParsedFile], cfg: &Config) -> Vec<Finding>
                 Some(format!("raw physical-memory accessor `{name}`"))
             } else if cfg.bus_receivers.contains(name) {
                 // `bus.read`, `bus.write::<..>`, `Bus::write`, ...
-                let (sep_len, method) = match f.toks.get(i + 1).map(|t| &t.tok) {
-                    Some(Tok::Punct('.')) => (2, f.toks.get(i + 2)),
+                let method = match f.toks.get(i + 1).map(|t| &t.tok) {
+                    Some(Tok::Punct('.')) => f.toks.get(i + 2),
                     Some(Tok::Punct(':'))
                         if matches!(f.toks.get(i + 2).map(|t| &t.tok), Some(Tok::Punct(':'))) =>
                     {
-                        (3, f.toks.get(i + 3))
+                        f.toks.get(i + 3)
                     }
-                    _ => (0, None),
+                    _ => None,
                 };
-                let _ = sep_len;
                 match method.map(|t| &t.tok) {
                     Some(Tok::Ident(m)) if cfg.bus_methods.contains(m) => {
                         Some(format!("raw bus access `{name}`…`{m}`"))
@@ -167,7 +142,7 @@ fn rule_channel_confinement(parsed: &[ParsedFile], cfg: &Config) -> Vec<Finding>
                 rule: RULE_CHANNEL,
                 message: format!(
                     "{what} outside the channel module; route it through \
-                     `pt_read`/`pt_write`/the channel accessors, or add a justified \
+                     `pt_read`/`pt_install`/`pt_replace`/the channel accessors, or add a justified \
                      `ptstore-lint: allow({RULE_CHANNEL})` marker"
                 ),
             });
@@ -176,113 +151,7 @@ fn rule_channel_confinement(parsed: &[ParsedFile], cfg: &Config) -> Vec<Finding>
     out
 }
 
-/// Rule 2 — **shootdown pairing** (TLB coherence; the SMP hazard class).
-///
-/// A kernel function containing a *permission-reducing or invalidating*
-/// `pt_write` — one whose arguments invoke `Pte::invalid`, whose enclosing
-/// function strips `PteFlags::W` via `without`, or one tagged with a
-/// `ptstore-lint: hazard(shootdown-pairing)` marker — must reach one of
-/// the configured flush functions on some call-graph path: the eager
-/// `tlb_flush_page`/`tlb_flush_asid`, or the batched `queue_flush_page`/
-/// `drain_deferred_flushes` pair (queueing keeps the local invalidation
-/// eager and defers only the remote broadcast).
-fn rule_shootdown_pairing(parsed: &[ParsedFile], cfg: &Config) -> Vec<Finding> {
-    let kernel_files: Vec<&ParsedFile> = parsed
-        .iter()
-        .filter(|f| f.src.crate_name == cfg.kernel_crate && !f.src.is_test)
-        .collect();
-    if kernel_files.is_empty() {
-        return Vec::new();
-    }
-    let flush: Vec<&str> = cfg.flush_fns.iter().map(String::as_str).collect();
-    // Flush helpers are sinks: calls to them count even if their definition
-    // lives outside the scanned files.
-    let graph = CallGraph::build_with_sinks(kernel_files.iter().copied(), &flush);
-    let mut out = Vec::new();
-    for f in &kernel_files {
-        for item in &f.fns {
-            if item.in_test {
-                continue;
-            }
-            // `without(..PteFlags..W..)` anywhere in the body marks the
-            // function as downgrade-shaped.
-            let body = &f.toks[item.body.clone()];
-            let strips_w = body.windows(2).any(|w| {
-                matches!(&w[0].tok, Tok::Ident(s) if s == "without")
-                    && matches!(w[1].tok, Tok::Punct('('))
-            }) && body.windows(4).any(|w| path_is(w, "PteFlags", "W"));
-            for i in item.body.clone() {
-                if !matches!(&f.toks[i].tok, Tok::Ident(s) if *s == cfg.pt_write_fn) {
-                    continue;
-                }
-                if !matches!(f.toks.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('('))) {
-                    continue;
-                }
-                let line = f.toks[i].line;
-                let args_end = matching_paren(&f.toks, i + 1);
-                let invalidating = f.toks[i + 1..args_end]
-                    .windows(4)
-                    .any(|w| path_is(w, "Pte", "invalid"));
-                let tagged = f.markers.iter().any(|m| {
-                    m.kind == MarkerKind::Hazard
-                        && m.rule == RULE_SHOOTDOWN
-                        && m.target_line == line
-                });
-                if !(invalidating || strips_w || tagged) {
-                    continue;
-                }
-                if graph.reaches_any(&item.name, &flush) {
-                    continue;
-                }
-                if f.allow_marker_for(RULE_SHOOTDOWN, line).is_some() {
-                    continue;
-                }
-                out.push(Finding {
-                    file: f.src.path.clone(),
-                    line,
-                    rule: RULE_SHOOTDOWN,
-                    message: format!(
-                        "`{}` performs a permission-reducing/invalidating `{}` but reaches \
-                         none of [{}] on any call-graph path — stale TLB hazard",
-                        item.name,
-                        cfg.pt_write_fn,
-                        cfg.flush_fns.join(", ")
-                    ),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// True when a 4-token window spells `head::tail`.
-fn path_is(w: &[crate::lexer::SpannedTok], head: &str, tail: &str) -> bool {
-    matches!(
-        (&w[0].tok, &w[1].tok, &w[2].tok, &w[3].tok),
-        (Tok::Ident(h), Tok::Punct(':'), Tok::Punct(':'), Tok::Ident(t))
-            if h == head && t == tail
-    )
-}
-
-/// Index of the `)` matching the `(` at `open` (or stream end).
-fn matching_paren(toks: &[crate::lexer::SpannedTok], open: usize) -> usize {
-    let mut depth = 0usize;
-    for (i, t) in toks.iter().enumerate().skip(open) {
-        match t.tok {
-            Tok::Punct('(') => depth += 1,
-            Tok::Punct(')') => {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
-            }
-            _ => {}
-        }
-    }
-    toks.len()
-}
-
-/// Rule 3 — **allow-attribute hygiene**.
+/// Rule 2 — **allow-attribute hygiene**.
 ///
 /// Every `#[allow(...)]`/`#![allow(...)]` in the workspace must carry a
 /// justification: a non-doc `//` comment trailing on the attribute's line
@@ -314,7 +183,7 @@ fn rule_allow_justification(parsed: &[ParsedFile]) -> Vec<Finding> {
     out
 }
 
-/// Rule 4 — **exhaustiveness**: every variant of the configured
+/// Rule 3 — **exhaustiveness**: every variant of the configured
 /// security-verdict enums (injector fault classes, attack verdicts, reject
 /// reasons, oracle violations) must be referenced as `Enum::Variant` by at
 /// least one test.

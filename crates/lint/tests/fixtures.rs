@@ -3,7 +3,7 @@
 //! files (readable, diffable) and are fed to [`analyze`] as synthetic
 //! kernel-crate sources.
 
-use ptstore_lint::rules::{RULE_ALLOW, RULE_CHANNEL, RULE_EXHAUSTIVE, RULE_SHOOTDOWN};
+use ptstore_lint::rules::{RULE_ALLOW, RULE_CHANNEL, RULE_EXHAUSTIVE};
 use ptstore_lint::{analyze, Config, Finding, SourceFile};
 
 /// Wraps fixture text as a non-test file inside the policed kernel crate.
@@ -80,97 +80,9 @@ fn channel_rule_ignores_other_crates() {
 }
 
 #[test]
-fn shootdown_rule_fires_on_bad_and_passes_good() {
-    let cfg = Config::default();
-    let bad = findings_for(
-        RULE_SHOOTDOWN,
-        vec![kernel_file(
-            "src/bad.rs",
-            include_str!("../fixtures/shootdown_bad.rs"),
-        )],
-        &cfg,
-    );
-    let names: Vec<&str> = bad
-        .iter()
-        .map(|f| {
-            f.message
-                .split('`')
-                .nth(1)
-                .expect("message names the function")
-        })
-        .collect();
-    assert_eq!(
-        names,
-        [
-            "unmap_no_flush",
-            "write_protect_no_flush",
-            "tagged_no_flush"
-        ],
-        "all three downgrade shapes, and only them: {bad:#?}"
-    );
-
-    let good = findings_for(
-        RULE_SHOOTDOWN,
-        vec![kernel_file(
-            "src/good.rs",
-            include_str!("../fixtures/shootdown_good.rs"),
-        )],
-        &cfg,
-    );
-    assert!(
-        good.is_empty(),
-        "direct and transitive flushes both satisfy pairing: {good:#?}"
-    );
-}
-
-#[test]
-fn shootdown_rule_accepts_the_batched_drain_api() {
-    let cfg = Config::default();
-    let bad = findings_for(
-        RULE_SHOOTDOWN,
-        vec![kernel_file(
-            "src/bad.rs",
-            include_str!("../fixtures/shootdown_deferred_bad.rs"),
-        )],
-        &cfg,
-    );
-    let names: Vec<&str> = bad
-        .iter()
-        .map(|f| {
-            f.message
-                .split('`')
-                .nth(1)
-                .expect("message names the function")
-        })
-        .collect();
-    assert_eq!(
-        names,
-        [
-            "unmap_queues_nothing",
-            "downgrade_reads_generation_only",
-            "repoint_pushes_raw_queue"
-        ],
-        "queue-adjacent bookkeeping is not a flush: {bad:#?}"
-    );
-
-    let good = findings_for(
-        RULE_SHOOTDOWN,
-        vec![kernel_file(
-            "src/good.rs",
-            include_str!("../fixtures/shootdown_deferred_good.rs"),
-        )],
-        &cfg,
-    );
-    assert!(
-        good.is_empty(),
-        "queue_flush_page / drain_deferred_flushes satisfy pairing: {good:#?}"
-    );
-}
-
-#[test]
 fn allow_rule_fires_on_bad_and_passes_good() {
     let cfg = Config::default();
-    // Rule 3 is workspace-wide: use a non-kernel crate to prove it.
+    // Rule 2 is workspace-wide: use a non-kernel crate to prove it.
     let wrap = |path: &str, text: &str| SourceFile {
         crate_name: "ptstore-isa".into(),
         path: path.into(),
