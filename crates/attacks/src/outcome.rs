@@ -80,36 +80,67 @@ impl fmt::Display for AttackOutcome {
 mod tests {
     use super::*;
 
+    const LAYERS: [BlockedBy; 7] = [
+        BlockedBy::SecureRegionPmp,
+        BlockedBy::PtwOriginCheck,
+        BlockedBy::TokenCheck,
+        BlockedBy::ZeroCheck,
+        BlockedBy::PagePermissions,
+        BlockedBy::UnmappedTarget,
+        BlockedBy::InvalidAsPte,
+    ];
+
+    fn outcomes() -> impl Iterator<Item = AttackOutcome> {
+        [
+            AttackOutcome::Succeeded,
+            AttackOutcome::SucceededViaLeak,
+            AttackOutcome::HarmlessToKernel,
+        ]
+        .into_iter()
+        .chain(LAYERS.map(AttackOutcome::Blocked))
+    }
+
+    /// Whether the attacker won, and a phrase the display must carry. The
+    /// match has no wildcard arm, here or inside `Blocked(..)`, so a new
+    /// outcome or defense layer does not compile until it is listed here.
+    fn expected(outcome: &AttackOutcome) -> (bool, &'static str) {
+        match outcome {
+            AttackOutcome::Succeeded => (true, "SUCCEEDED"),
+            AttackOutcome::SucceededViaLeak => (true, "leak"),
+            AttackOutcome::Blocked(BlockedBy::SecureRegionPmp) => (false, "S-bit"),
+            AttackOutcome::Blocked(BlockedBy::PtwOriginCheck) => (false, "satp.S"),
+            AttackOutcome::Blocked(BlockedBy::TokenCheck) => (false, "token"),
+            AttackOutcome::Blocked(BlockedBy::ZeroCheck) => (false, "zero-check"),
+            AttackOutcome::Blocked(BlockedBy::PagePermissions) => (false, "virtual isolation"),
+            AttackOutcome::Blocked(BlockedBy::UnmappedTarget) => (false, "randomisation"),
+            AttackOutcome::Blocked(BlockedBy::InvalidAsPte) => (false, "invalid PTEs"),
+            AttackOutcome::HarmlessToKernel => (false, "no kernel impact"),
+        }
+    }
+
     #[test]
     fn attacker_won_classification() {
-        assert!(AttackOutcome::Succeeded.attacker_won());
-        assert!(AttackOutcome::SucceededViaLeak.attacker_won());
-        assert!(!AttackOutcome::Blocked(BlockedBy::TokenCheck).attacker_won());
-        assert!(!AttackOutcome::HarmlessToKernel.attacker_won());
+        for outcome in outcomes() {
+            assert_eq!(outcome.attacker_won(), expected(&outcome).0, "{outcome}");
+        }
     }
 
     #[test]
     fn displays_are_informative() {
-        assert!(AttackOutcome::Blocked(BlockedBy::ZeroCheck)
-            .to_string()
-            .contains("zero-check"));
-        assert!(AttackOutcome::SucceededViaLeak.to_string().contains("leak"));
+        for outcome in outcomes() {
+            let phrase = expected(&outcome).1;
+            assert!(
+                outcome.to_string().contains(phrase),
+                "{outcome} lacks {phrase:?}"
+            );
+        }
     }
 
     /// Every defense layer renders a distinct, non-empty explanation.
     #[test]
     fn every_blocked_by_variant_displays_distinctly() {
-        let all = [
-            BlockedBy::SecureRegionPmp,
-            BlockedBy::PtwOriginCheck,
-            BlockedBy::TokenCheck,
-            BlockedBy::ZeroCheck,
-            BlockedBy::PagePermissions,
-            BlockedBy::UnmappedTarget,
-            BlockedBy::InvalidAsPte,
-        ];
         let mut seen = std::collections::BTreeSet::new();
-        for by in all {
+        for by in LAYERS {
             let s = by.to_string();
             assert!(!s.is_empty(), "{by:?} renders empty");
             assert!(seen.insert(s.clone()), "duplicate display {s:?}");

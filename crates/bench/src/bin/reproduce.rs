@@ -24,8 +24,9 @@
 //! attached and writes each cell's full event chain (JSON array, one
 //! object per cell with counters and per-event rejecting-layer
 //! attribution) to `file`.
-//! `--harts N` boots N-hart machines: the security battery reruns every
-//! cell on the SMP machine, the `smp` experiment compares
+//! `--harts N` (1 to 64, the kernel's `MAX_HARTS`) boots N-hart
+//! machines: the security battery reruns every cell on the SMP machine,
+//! the `smp` experiment compares
 //! hart-distributed nginx/redis/fork-stress throughput against one hart,
 //! and the `c1m` multi-tenant churn experiment runs its fleet on N harts
 //! (minimum 2 — with one hart there is no remote TLB to shoot down).
@@ -69,12 +70,14 @@
 //! two runs). Like `fuzz` and `c1m`, `modelcheck` is not part of `all`.
 //! Flags that cannot apply to the selected experiment (for example
 //! `--seed` without `fuzz`, or `--jobs`/`--trace`/`--csv` with `fuzz`)
-//! are rejected rather than silently ignored.
+//! are rejected rather than silently ignored. Rejected invocations, and
+//! `--csv`/`--trace` paths that cannot be written, exit with status 2.
 
 use std::fmt::Write as _;
 
 use ptstore_bench::*;
 use ptstore_fault::CampaignConfig;
+use ptstore_kernel::config::MAX_HARTS;
 
 /// Appends one line to a report buffer (writing to a `String` is
 /// infallible).
@@ -226,8 +229,8 @@ fn main() {
     {
         die(&format!("unknown experiment {what:?}"));
     }
-    if harts == Some(0) {
-        die("--harts takes a positive integer");
+    if harts.is_some_and(|h| !(1..=MAX_HARTS).contains(&h)) {
+        die(&format!("--harts takes an integer from 1 to {MAX_HARTS}"));
     }
     if jobs == Some(0) {
         die("--jobs takes a positive integer");
@@ -330,7 +333,9 @@ fn main() {
         Scale::paper()
     };
     if let Some(dir) = &csv_dir {
-        std::fs::create_dir_all(dir).expect("create csv dir");
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            die(&format!("cannot create csv dir {}: {e}", dir.display()));
+        }
     }
     set_csv_dir(csv_dir);
 
@@ -440,7 +445,9 @@ fn write_series_csv(out: &mut String, name: &str, series: &[OverheadSeries]) {
         }
     }
     let path = dir.join(format!("{name}.csv"));
-    std::fs::write(&path, csv).expect("write csv");
+    if let Err(e) = std::fs::write(&path, csv) {
+        die(&format!("cannot write csv file {}: {e}", path.display()));
+    }
     w!(out, "(csv written to {})", path.display());
 }
 
@@ -813,12 +820,10 @@ fn report_security(
         json.push_str(&cell.to_json());
     }
     json.push(']');
-    match std::fs::write(path, json) {
-        Ok(()) => {
-            w!(out, "(trace written to {})", path.display());
-        }
-        Err(e) => eprintln!("error: cannot write trace file {}: {e}", path.display()),
+    if let Err(e) = std::fs::write(path, json) {
+        die(&format!("cannot write trace file {}: {e}", path.display()));
     }
+    w!(out, "(trace written to {})", path.display());
     out
 }
 

@@ -138,13 +138,16 @@ mod tests {
 
     #[test]
     fn scheme_constants_match_the_privileged_spec() {
-        assert_eq!(PagingScheme::Sv39.levels(), 3);
-        assert_eq!(PagingScheme::Sv48.levels(), 4);
-        assert_eq!(PagingScheme::Sv57.levels(), 5);
-        assert_eq!(PagingScheme::Sv39.satp_mode(), 8);
-        assert_eq!(PagingScheme::Sv48.satp_mode(), 9);
-        assert_eq!(PagingScheme::Sv57.satp_mode(), 10);
         for s in PagingScheme::ALL {
+            // No wildcard arm: a new scheme does not compile until its
+            // spec constants are written down here.
+            let (levels, satp_mode) = match s {
+                PagingScheme::Sv39 => (3, 8),
+                PagingScheme::Sv48 => (4, 9),
+                PagingScheme::Sv57 => (5, 10),
+            };
+            assert_eq!(s.levels(), levels, "{s}");
+            assert_eq!(s.satp_mode(), satp_mode, "{s}");
             // 12-bit offset + 9 bits per level = the VA width.
             assert_eq!(
                 PAGE_SHIFT + BITS_PER_LEVEL * s.levels() as u32,

@@ -7,9 +7,11 @@
 //! the rest of the pipeline never knows the difference (as in hardware,
 //! where the expander sits in fetch/decode).
 
-// Binary literals in this file are grouped by instruction *field*
-// (funct3 / imm / rs / op), not in even digit blocks.
-#![allow(clippy::unusual_byte_groupings)]
+#![allow(
+    clippy::unusual_byte_groupings,
+    reason = "binary literals are grouped by instruction field (funct3 / imm / rs / op), \
+              not in even digit blocks"
+)]
 
 use crate::inst::{AluOp, BranchOp, Inst, LoadOp, StoreOp};
 

@@ -262,7 +262,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::identity_op)] // funct3=000 spelled out for contrast with 011
+    #[allow(
+        clippy::identity_op,
+        reason = "funct3=000 spelled out for contrast with 011"
+    )]
     fn custom_opcode_with_wrong_funct3_is_none() {
         // ld.pt requires funct3=011; anything else in custom-0 is illegal.
         let bad = OPCODE_LD_PT | (0b000 << 12);

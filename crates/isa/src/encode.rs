@@ -78,8 +78,10 @@ fn j_type(opcode: u32, rd: u8, offset: i64) -> u32 {
 /// # Panics
 /// Panics (in debug builds) when an immediate is out of range for its
 /// encoding, and on shift-immediate ALU ops outside 0–63.
-// Opcode literals are grouped by instruction field (funct/op), not digits.
-#[allow(clippy::unusual_byte_groupings)]
+#[allow(
+    clippy::unusual_byte_groupings,
+    reason = "opcode literals are grouped by instruction field (funct/op), not digits"
+)]
 pub fn encode(inst: Inst) -> u32 {
     match inst {
         Inst::Lui { rd, imm } => u_type(0b011_0111, rd, imm),

@@ -1,8 +1,10 @@
 //! Executing mixed compressed/full instruction streams: the fetch unit must
 //! handle 2-byte alignment, variable lengths, and C↔I interleaving.
 
-// Binary literals are grouped by instruction field, not even digit blocks.
-#![allow(clippy::unusual_byte_groupings)]
+#![allow(
+    clippy::unusual_byte_groupings,
+    reason = "binary literals are grouped by instruction field, not even digit blocks"
+)]
 
 use ptstore_core::{PhysAddr, MIB};
 use ptstore_isa::{encode, AluOp, Inst, SimMachine, TrapCause};

@@ -4,10 +4,14 @@
 //! page-table accessor *must* compile to `ld.pt`/`sd.pt` — the secure channel
 //! cannot be bypassed by construction. This module is the source-level twin
 //! of that guarantee: every `Bus`/`PhysMem` access the kernel performs is
-//! concentrated here, and `ptstore-lint`'s *channel-confinement* rule forbids
-//! raw bus access anywhere else in `ptstore-kernel` (the M-mode firmware in
-//! [`crate::sbi`] and two boot/host-switch sites carry explicit, justified
-//! `ptstore-lint: allow(...)` markers).
+//! concentrated here. The crate's `clippy.toml` lists the raw `Bus` methods
+//! under `disallowed-methods`, so `cargo clippy -D warnings` rejects a raw
+//! bus call anywhere else in `ptstore-kernel`, whatever the receiver is
+//! named. The few sites outside this module that must call the raw bus (the
+//! M-mode firmware in [`crate::sbi`], the attacker API in
+//! [`crate::introspect`], the boot-time ablation knob) each carry an
+//! `#[expect(clippy::disallowed_methods, reason = "..")]`, which also fails
+//! once the raw call it excuses is gone.
 //!
 //! Grouped by trust level:
 //!
@@ -34,6 +38,11 @@
 //! clippy::let_underscore_must_use)` a replacing write whose stale
 //! translation nobody invalidates — the TLB-inconsistency attack of §V-E —
 //! does not compile.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the channel module is the one place raw bus access is allowed"
+)]
 
 use ptstore_core::{Channel, PhysAddr, PhysPageNum, VirtAddr};
 

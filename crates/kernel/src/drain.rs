@@ -196,13 +196,21 @@ mod tests {
     #[test]
     fn policy_helpers() {
         assert_eq!(DrainPolicy::default(), DrainPolicy::Boundary);
-        assert_eq!(DrainPolicy::Boundary.watermark_depth(), None);
-        assert_eq!(
-            DrainPolicy::Watermark { depth: 4 }.watermark_depth(),
-            Some(4)
-        );
-        assert!(DrainPolicy::AsidRecycle.drains_on_asid_alloc());
-        assert!(!DrainPolicy::Boundary.drains_on_asid_alloc());
+        for p in [
+            DrainPolicy::Boundary,
+            DrainPolicy::Watermark { depth: 4 },
+            DrainPolicy::AsidRecycle,
+        ] {
+            // No wildcard arm: a new policy does not compile until its
+            // helpers' answers are written down here.
+            let (depth, on_alloc) = match p {
+                DrainPolicy::Boundary => (None, false),
+                DrainPolicy::Watermark { depth } => (Some(depth), false),
+                DrainPolicy::AsidRecycle => (None, true),
+            };
+            assert_eq!(p.watermark_depth(), depth, "{p}");
+            assert_eq!(p.drains_on_asid_alloc(), on_alloc, "{p}");
+        }
     }
 
     #[test]

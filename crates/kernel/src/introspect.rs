@@ -71,22 +71,27 @@ impl Kernel {
     }
 
     /// The attacker's arbitrary 8-byte read (regular load).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the §III-A attacker's regular load; the PMP adjudicates it, which is the point"
+    )]
     pub fn attacker_read_u64(&mut self, va: VirtAddr) -> Result<u64, AttackerFault> {
         let pa = self.attacker_translate(va, AccessKind::Read)?;
         let ctx = self.kctx();
-        // ptstore-lint: allow(channel-confinement) — the §III-A attacker's
-        // regular load; the PMP adjudicates it, which is the point.
         self.bus
             .read::<u64>(pa, Channel::Regular, ctx)
             .map_err(AttackerFault::AccessFault)
     }
 
     /// The attacker's arbitrary 8-byte write (regular store).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the §III-A attacker's regular store; must hit the PMP S-bit, not the kernel \
+                  channel"
+    )]
     pub fn attacker_write_u64(&mut self, va: VirtAddr, value: u64) -> Result<(), AttackerFault> {
         let pa = self.attacker_translate(va, AccessKind::Write)?;
         let ctx = self.kctx();
-        // ptstore-lint: allow(channel-confinement) — the §III-A attacker's
-        // regular store; must hit the PMP S-bit, not the kernel channel.
         self.bus
             .write::<u64>(pa, value, Channel::Regular, ctx)
             .map_err(AttackerFault::AccessFault)
@@ -96,14 +101,17 @@ impl Kernel {
     /// *stale D-TLB translation* — the §V-E5 TLB-inconsistency scenario. The
     /// translation step is bypassed (the stale TLB already produced `pa`);
     /// only the physical-access checks remain.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "§V-E5 stale-TLB store: the attacker bypasses translation, never the physical \
+                  checks"
+    )]
     pub fn attacker_write_phys_via_stale_tlb(
         &mut self,
         pa: PhysAddr,
         value: u64,
     ) -> Result<(), AttackerFault> {
         let ctx = self.kctx();
-        // ptstore-lint: allow(channel-confinement) — §V-E5 stale-TLB store:
-        // the attacker bypasses translation, never the physical checks.
         self.bus
             .write::<u64>(pa, value, Channel::Regular, ctx)
             .map_err(AttackerFault::AccessFault)

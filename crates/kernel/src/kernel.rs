@@ -216,9 +216,12 @@ impl Kernel {
         // Ablation: drop the S-bit's channel semantics so landed faults are
         // visible to the invariant oracle (never cleared in the full design).
         if cfg.defense.is_ptstore() && !cfg.pmp_s_bit_check {
-            // ptstore-lint: allow(channel-confinement) — boot-time ablation
-            // knob flipped before the kernel object (and with it the channel
-            // module's accessors) exists; never taken in the full design.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "boot-time ablation knob flipped before the kernel object (and with \
+                          it the channel module's accessors) exists; never taken in the full \
+                          design"
+            )]
             bus.pmp_mut().set_secure_enforcement(false);
         }
 

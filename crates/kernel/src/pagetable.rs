@@ -140,7 +140,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::assertions_on_constants)] // the layout *is* the constant under test
+    #[allow(
+        clippy::assertions_on_constants,
+        reason = "the layout *is* the constant under test"
+    )]
     fn layout_is_disjoint_and_ordered() {
         assert!(USER_TEXT_BASE < USER_HEAP_BASE);
         assert!(USER_HEAP_BASE < USER_MMAP_BASE);

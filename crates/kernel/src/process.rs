@@ -480,7 +480,10 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(clippy::assertions_on_constants)] // the layout *is* the constant under test
+    #[allow(
+        clippy::assertions_on_constants,
+        reason = "the layout *is* the constant under test"
+    )]
     fn pcb_field_offsets_are_pointer_aligned() {
         // §V-E2 relies on PCB/token fields being 8-byte aligned.
         assert_eq!(PCB_OFF_PT_PTR % 8, 0);

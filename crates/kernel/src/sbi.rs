@@ -109,10 +109,14 @@ impl SbiFirmware {
                     Ok(r) => r,
                     Err(_) => return SbiResult::Err(SbiError::InvalidParam),
                 };
-                // ptstore-lint: allow(channel-confinement) — M-mode firmware
-                // programming the PMP at secure-region bring-up (§IV-B); the
-                // reference monitor sits below the S-mode channel discipline.
-                match bus.install_secure_region(&region) {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "M-mode firmware programming the PMP at secure-region bring-up \
+                              (§IV-B); the reference monitor sits below the S-mode channel \
+                              discipline"
+                )]
+                let installed = bus.install_secure_region(&region);
+                match installed {
                     Ok(()) => {
                         self.region = Some(region);
                         SbiResult::Ok
@@ -141,10 +145,13 @@ impl SbiFirmware {
                     Ok(r) => r,
                     Err(_) => return SbiResult::Err(SbiError::InvalidParam),
                 };
-                // ptstore-lint: allow(channel-confinement) — M-mode firmware
-                // moving the validated PMP boundary (§IV-C1 adjustment); only
-                // downward moves reach this arm.
-                match bus.update_secure_region(&grown) {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "M-mode firmware moving the validated PMP boundary (§IV-C1 \
+                              adjustment); only downward moves reach this arm"
+                )]
+                let updated = bus.update_secure_region(&grown);
+                match updated {
                     Ok(()) => {
                         self.region = Some(grown);
                         SbiResult::Ok
@@ -157,6 +164,10 @@ impl SbiFirmware {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "probes the PMP with a raw regular store, as an attacker would"
+)]
 mod tests {
     use super::*;
     use ptstore_core::{AccessContext, Channel, MIB};

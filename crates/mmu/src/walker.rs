@@ -284,8 +284,10 @@ mod tests {
 
     /// Builds a table chain for `scheme` mapping `va -> data_ppn` with a leaf
     /// at `leaf_level`, using one page per level starting at `base`.
-    // Test fixture spelling out every level of one mapping beats a builder.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "a test fixture spelling out every level of one mapping beats a builder"
+    )]
     fn build_chain(
         bus: &mut Bus,
         scheme: PagingScheme,

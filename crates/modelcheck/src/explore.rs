@@ -564,10 +564,29 @@ mod tests {
         }
     }
 
+    /// Runs the search each verdict is tested on and checks that it
+    /// reaches that verdict and prints it. A search outcome nobody tests for
+    /// is a security result nobody would notice regressing: the match has
+    /// no wildcard arm, so a new verdict does not compile until a search
+    /// that reaches it is written down here.
+    fn reaching(verdict: ModelVerdict) -> ExploreReport {
+        let mc = match verdict {
+            ModelVerdict::Verified => quick(2, None),
+            ModelVerdict::Falsified => quick(3, Some(Ablation::PmpSBitCheck)),
+            ModelVerdict::Truncated => McConfig {
+                max_states: 3,
+                ..quick(3, None)
+            },
+        };
+        let rep = explore(&mc);
+        assert_eq!(rep.verdict, verdict, "{}", rep.summary());
+        assert!(rep.summary().contains(&verdict.to_string()));
+        rep
+    }
+
     #[test]
     fn defended_small_bound_verifies() {
-        let rep = explore(&quick(2, None));
-        assert_eq!(rep.verdict, ModelVerdict::Verified, "{}", rep.summary());
+        let rep = reaching(ModelVerdict::Verified);
         assert!(rep.counterexample.is_none());
         assert!(rep.states > 1);
         assert_eq!(rep.states_per_depth.iter().sum::<u64>(), rep.states);
@@ -595,8 +614,7 @@ mod tests {
 
     #[test]
     fn ablation_falsifies_with_minimal_trace() {
-        let rep = explore(&quick(3, Some(Ablation::PmpSBitCheck)));
-        assert_eq!(rep.verdict, ModelVerdict::Falsified, "{}", rep.summary());
+        let rep = reaching(ModelVerdict::Falsified);
         let cex = rep.counterexample.expect("counterexample");
         assert_eq!(cex.trace.len(), 1, "BFS + shrink must find the 1-op trace");
         assert!(cex.trace[0].is_attack());
@@ -605,12 +623,8 @@ mod tests {
 
     #[test]
     fn state_cap_truncates_the_search() {
-        let mut mc = quick(3, None);
-        mc.max_states = 3;
-        let rep = explore(&mc);
-        assert_eq!(rep.verdict, ModelVerdict::Truncated, "{}", rep.summary());
+        let rep = reaching(ModelVerdict::Truncated);
         assert!(rep.counterexample.is_none());
-        assert!(rep.summary().contains("TRUNCATED"));
     }
 
     #[test]

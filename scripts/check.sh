@@ -9,6 +9,12 @@ echo "== cargo fmt --check =="
 cargo fmt --all --check
 
 echo "== cargo clippy (-D warnings) =="
+# Besides clippy's defaults this enforces the secure-access discipline:
+# raw `Bus` access in ptstore-kernel outside `src/channel.rs` is a
+# `disallowed_methods` error (crates/kernel/clippy.toml), an exempted call
+# site whose raw call is gone leaves its `#[expect]` unfulfilled, and every
+# `#[allow]` must carry a `reason` (`allow_attributes_without_reason`,
+# the workspace `[lints]` table).
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "== cargo doc (-D warnings) =="
@@ -18,16 +24,7 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --quiet \
     -p ptstore-core -p ptstore-mem -p ptstore-mmu -p ptstore-isa \
     -p ptstore-kernel -p ptstore-trace -p ptstore-workloads \
     -p ptstore-attacks -p ptstore-fault -p ptstore-hwcost \
-    -p ptstore-bench -p ptstore -p ptstore-lint -p ptstore-modelcheck
-
-echo "== ptstore-lint: secure-access discipline =="
-cargo run --offline --quiet -p ptstore-lint -- --format human
-
-echo "== ptstore-lint: JSON output is deterministic =="
-cargo run --offline --quiet -p ptstore-lint -- --format json > target/lint-a.json || true
-cargo run --offline --quiet -p ptstore-lint -- --format json > target/lint-b.json || true
-cmp target/lint-a.json target/lint-b.json
-rm -f target/lint-a.json target/lint-b.json
+    -p ptstore-bench -p ptstore -p ptstore-modelcheck
 
 echo "== cargo test =="
 cargo test --offline --workspace -q
