@@ -2,14 +2,15 @@
 //! replaces. Each test warms hart 1 with the old translation (a 2 MiB span
 //! entry, or a copy-on-write read-only entry), performs the operation on
 //! hart 0, then checks that the oracle is clean and that hart 1 re-walks or
-//! faults instead of consuming the stale entry. The last test covers page
-//! migration during secure-region growth, where the stale entry would sit
-//! in the local TLB and point into the grown region.
+//! faults instead of consuming the stale entry. The last two tests cover
+//! page migration during secure-region growth, where a stale entry would
+//! sit in the local TLB, or a mapping left unrepointed would sit in a page
+//! table, and point into the grown region.
 
 use ptstore_core::{AccessKind, PrivilegeMode, VirtAddr, MIB, PAGE_SIZE};
 use ptstore_fault::Invariants;
 use ptstore_kernel::process::VmPerms;
-use ptstore_kernel::{DrainFault, Kernel, KernelConfig};
+use ptstore_kernel::{DrainFault, Kernel, KernelConfig, Pid};
 use ptstore_mmu::{TranslateError, TranslationOutcome};
 
 fn boot_smp(deferred: bool) -> Kernel {
@@ -156,5 +157,45 @@ fn migration_repoints_a_page_hot_in_the_local_tlb() {
     assert_eq!(k.user_read_u64(hot), Ok(n - 1));
     let pa = k.touch_user(hot, AccessKind::Read).expect("mapped");
     assert!(!k.is_secure_phys(pa));
+    assert_clean(&k);
+}
+
+#[test]
+fn migration_repoints_every_sharer_of_a_page() {
+    let mut cfg = KernelConfig::cfi_ptstore()
+        .with_mem_size(64 * MIB)
+        .with_initial_secure_size(4 * MIB);
+    cfg.adjust_chunk = MIB;
+    let mut k = Kernel::boot(cfg).expect("boots");
+    // As above, but 1,024 pages are freed: room for three children, a
+    // copy-on-write copy and the migration targets.
+    let base = k.sys_mmap(64 * MIB).expect("mmap");
+    let page = |i: u64| base + i * PAGE_SIZE;
+    let mut n = 0;
+    while k.user_write_u64(page(n), n).is_ok() {
+        n += 1;
+    }
+    k.sys_munmap(base, 1024 * PAGE_SIZE).expect("munmap");
+    let hot = page(n - 1);
+    let before = k.touch_user(hot, AccessKind::Read).expect("mapped");
+    let kids: Vec<Pid> = (0..3).map(|_| k.sys_fork().expect("fork")).collect();
+    // The middle child breaks sharing, so the page's remaining sharers
+    // are not a contiguous run of pids.
+    k.do_switch_to(kids[1]).expect("switch");
+    k.user_write_u64(hot, u64::MAX)
+        .expect("copy-on-write break");
+
+    k.adjust_secure_region().expect("adjustment");
+    let mut frames = Vec::new();
+    for pid in [1, kids[0], kids[2]] {
+        k.do_switch_to(pid).expect("switch");
+        assert_eq!(k.user_read_u64(hot), Ok(n - 1), "pid {pid}");
+        frames.push(k.touch_user(hot, AccessKind::Read).expect("mapped"));
+    }
+    assert!(frames.iter().all(|&pa| pa == frames[0]), "{frames:?}");
+    assert_ne!(frames[0], before, "the page did not move");
+    assert!(!k.is_secure_phys(frames[0]));
+    k.do_switch_to(kids[1]).expect("switch");
+    assert_eq!(k.user_read_u64(hot), Ok(u64::MAX));
     assert_clean(&k);
 }

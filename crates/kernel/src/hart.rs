@@ -44,8 +44,8 @@ pub enum HartMsgKind {
         /// Its pid.
         pid: Pid,
     },
-    /// A process was reaped; the receiving hart prunes any stale run-queue
-    /// entry when it merges this message.
+    /// A process was reaped (a visibility record only: no run queue is
+    /// pruned, because `pick_next` drops an entry whose process is gone).
     ProcReaped {
         /// The reaped pid (never reused: pids are monotonic).
         pid: Pid,

@@ -40,6 +40,9 @@ pub struct Socket {
     pub rx: u64,
     /// Bytes the application has sent.
     pub tx: u64,
+    /// Descriptors, across every process, that refer to this socket; the
+    /// last one to close removes it.
+    pub holders: u32,
 }
 
 /// The kernel model.
@@ -87,8 +90,6 @@ pub struct Kernel {
     pub(crate) shared_text_ppn: PhysPageNum,
     /// Reference counts of user data pages.
     pub(crate) page_refs: HashMap<u64, u32>,
-    /// Reverse map: user page → (pid, vpn) mappings.
-    pub(crate) rmap: HashMap<u64, Vec<(Pid, u64)>>,
     pub(crate) pipes: PipeTable,
     pub(crate) sockets: HashMap<u32, Socket>,
     pub(crate) next_socket: u32,
@@ -258,7 +259,6 @@ impl Kernel {
             kernel_pt_pages: Vec::new(),
             shared_text_ppn: PhysPageNum::new(0),
             page_refs: HashMap::new(),
-            rmap: HashMap::new(),
             pipes: PipeTable::new(),
             sockets: HashMap::new(),
             next_socket: 1,
@@ -379,17 +379,11 @@ impl Kernel {
         self.merge_hart_msgs(hart);
     }
 
-    /// Drains `hart`'s mailbox in the canonical `(time, from, seq)` order
-    /// and applies the visibility effects: reaped pids are pruned from the
-    /// local run queue (pids never recycle, so late pruning is safe), spawn
-    /// and shootdown records only count.
+    /// Drains `hart`'s mailbox in the canonical `(time, from, seq)` order.
+    /// Every record only counts: a reaped pid stays in the run queue until
+    /// `pick_next` reaches and drops it (pids never recycle).
     fn merge_hart_msgs(&mut self, hart: usize) {
         let msgs = self.harts[hart].drain_mailbox();
-        for m in &msgs {
-            if let HartMsgKind::ProcReaped { pid } = m.kind {
-                self.harts[hart].run_queue.retain(|&p| p != pid);
-            }
-        }
         self.stats.hart_msgs_merged += msgs.len() as u64;
     }
 
@@ -940,8 +934,9 @@ impl Kernel {
                     other => KernelError::from(other),
                 })?;
         let to_migrate = reservation.to_migrate.clone();
+        let mut sharers = self.user_mappings_in(start, chunk_pages);
         for (block, info) in to_migrate {
-            self.migrate_block(block, info.order)?;
+            self.migrate_block(block, info.order, &mut sharers)?;
         }
 
         // Release the contiguous pages to the PTStore zone.
@@ -978,8 +973,34 @@ impl Kernel {
         Ok(())
     }
 
-    /// Migrates one movable block out of an adjustment range.
-    fn migrate_block(&mut self, block: PhysPageNum, order: u8) -> Result<(), KernelError> {
+    /// Every 4 KiB user mapping of a page in `[start, start + pages)`,
+    /// keyed by page: processes in pid order, each shadow in vpn order.
+    /// For a movable page that is the order its mappings were made in —
+    /// fork appends the newest pid, and every other mapping of a movable
+    /// page is that page's only one. Huge blocks are pinned, so they are
+    /// skipped.
+    fn user_mappings_in(&self, start: PhysPageNum, pages: u64) -> HashMap<u64, Vec<(Pid, u64)>> {
+        let range = start.as_u64()..start.as_u64() + pages;
+        let mut index: HashMap<u64, Vec<(Pid, u64)>> = HashMap::new();
+        for p in self.procs.iter() {
+            for (&vpn, m) in &p.aspace.user {
+                if !m.huge && range.contains(&m.ppn.as_u64()) {
+                    index.entry(m.ppn.as_u64()).or_default().push((p.pid, vpn));
+                }
+            }
+        }
+        index
+    }
+
+    /// Migrates one movable block out of an adjustment range, re-pointing
+    /// each page's mappings as `sharers` (from [`Self::user_mappings_in`])
+    /// lists them.
+    fn migrate_block(
+        &mut self,
+        block: PhysPageNum,
+        order: u8,
+        sharers: &mut HashMap<u64, Vec<(Pid, u64)>>,
+    ) -> Result<(), KernelError> {
         let pages = 1u64 << order;
         for i in 0..pages {
             let old = block + i;
@@ -987,11 +1008,8 @@ impl Kernel {
             self.charge(CostKind::Adjustment, cost::ADJUST_MIGRATE_PAGE);
             self.raw_copy_page(old, new)?;
             // Re-point every mapping of the old page.
-            if let Some(users) = self.rmap.remove(&old.as_u64()) {
-                for &(pid, vpn) in &users {
-                    self.repoint_mapping(pid, vpn, new)?;
-                }
-                self.rmap.insert(new.as_u64(), users);
+            for (pid, vpn) in sharers.remove(&old.as_u64()).unwrap_or_default() {
+                self.repoint_mapping(pid, vpn, new)?;
             }
             if let Some(refs) = self.page_refs.remove(&old.as_u64()) {
                 self.page_refs.insert(new.as_u64(), refs);
@@ -1191,7 +1209,6 @@ impl Kernel {
                 huge: false,
             },
         );
-        self.rmap.entry(ppn.as_u64()).or_default().push((pid, vpn));
         Ok(())
     }
 
@@ -1213,12 +1230,6 @@ impl Kernel {
             .queue(self, va, asid);
         if let Some(p) = self.procs.get_mut(pid) {
             p.aspace.user.remove(&vpn);
-        }
-        if let Some(users) = self.rmap.get_mut(&ppn.as_u64()) {
-            users.retain(|&(up, uv)| !(up == pid && uv == vpn));
-            if users.is_empty() {
-                self.rmap.remove(&ppn.as_u64());
-            }
         }
         Ok(ppn)
     }
@@ -1263,8 +1274,8 @@ impl Kernel {
 
     /// Maps a 2 MiB block at `va` (both must be 2 MiB-aligned) as a single
     /// level-1 leaf PTE. The shadow records one huge entry at the
-    /// span-aligned vpn; huge blocks are deliberately absent from the rmap —
-    /// they are pinned, so migration never needs to find them.
+    /// span-aligned vpn. The block is pinned, so migration never needs to
+    /// find its mappings.
     pub(crate) fn map_user_huge_page(
         &mut self,
         pid: Pid,
@@ -1349,7 +1360,7 @@ impl Kernel {
     /// `split_huge_pmd` + `split_page` analogue): a CoW-shared block is
     /// privatized first, then a fresh level-0 table of 4 KiB leaves replaces
     /// the level-1 leaf, the buddy allocation is split page-by-page, and the
-    /// shadow/refcount/rmap bookkeeping is rewritten per page.
+    /// shadow/refcount bookkeeping is rewritten per page.
     pub(crate) fn split_huge_mapping(&mut self, pid: Pid, va: VirtAddr) -> Result<(), KernelError> {
         let pid = self.mm_owner_of(pid);
         let base_vpn = (va.as_u64() >> PAGE_SHIFT) & !(HUGE_PAGE_SPAN - 1);
@@ -1396,14 +1407,12 @@ impl Kernel {
         debug_assert_eq!(level, 1, "split of a non-huge leaf");
         self.pt_replace(l1_slot, Pte::table(table).bits())?
             .queue(self, base_va, asid);
-        // The buddy block becomes 512 order-0 pages; refcounts and the rmap
-        // become per-page (each inherits the block's single owner).
+        // The buddy block becomes 512 order-0 pages; refcounts become
+        // per-page (each inherits the block's single owner).
         self.normal_zone.split_allocation(m.ppn)?;
         self.page_refs.remove(&m.ppn.as_u64());
         for i in 0..HUGE_PAGE_SPAN {
-            let page = m.ppn.as_u64() + i;
-            self.page_refs.insert(page, 1);
-            self.rmap.entry(page).or_default().push((pid, base_vpn + i));
+            self.page_refs.insert(m.ppn.as_u64() + i, 1);
         }
         let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
         p.aspace.user.remove(&base_vpn);

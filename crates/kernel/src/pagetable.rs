@@ -3,7 +3,8 @@
 //! The authoritative page tables live in simulated physical memory and are
 //! read by the hardware walker; [`AddressSpace`] additionally keeps a
 //! Rust-side shadow of the *user* mappings so fork/exit can iterate them
-//! without re-walking (the Linux analogue is the mm rmap/vma machinery).
+//! without re-walking (the Linux analogue is the mm vma machinery); page
+//! migration derives each page's sharers from these shadows.
 
 use std::collections::BTreeMap;
 

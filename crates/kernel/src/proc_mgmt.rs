@@ -1,6 +1,8 @@
 //! Process lifecycle: creation, fork with copy-on-write, exec, exit/wait,
 //! demand paging, and scheduling (`copy_mm`/`switch_mm` of paper §IV-C4).
 
+use std::collections::VecDeque;
+
 use ptstore_core::{AccessKind, PhysPageNum, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
 use ptstore_mmu::{Pte, PteFlags, TranslateError};
 
@@ -11,7 +13,9 @@ use crate::pagetable::{
     AddressSpace, HUGE_PAGE_SPAN, USER_HEAP_BASE, USER_MMAP_BASE, USER_STACK_PAGES, USER_STACK_TOP,
     USER_TEXT_BASE,
 };
-use crate::process::{FdTable, Pid, ProcState, Process, SignalTable, VmArea, VmPerms, PCB_OFF_PID};
+use crate::process::{
+    FdEntry, FdTable, Pid, ProcState, Process, SignalTable, VmArea, VmPerms, PCB_OFF_PID,
+};
 use crate::zones::GfpFlags;
 
 /// How a page fault was resolved (returned to workload drivers).
@@ -57,7 +61,7 @@ impl Kernel {
             fds: FdTable::with_std(),
             signals: SignalTable::default(),
             exit_code: 0,
-            children: Vec::new(),
+            children: VecDeque::new(),
             mm_owner: None,
             threads: Vec::new(),
         };
@@ -204,7 +208,7 @@ impl Kernel {
             fds,
             signals,
             exit_code: 0,
-            children: Vec::new(),
+            children: VecDeque::new(),
             mm_owner: None,
             threads: Vec::new(),
         };
@@ -275,7 +279,7 @@ impl Kernel {
             .get_mut(parent_pid)
             .expect("parent exists")
             .children
-            .push(child_pid);
+            .push_back(child_pid);
         let hart = self.active_hart;
         self.harts[hart].run_queue.push_back(child_pid);
         // Publish the new process to the other harts (visibility record for
@@ -287,16 +291,23 @@ impl Kernel {
         Ok(child_pid)
     }
 
+    /// Adds `pid` as one more holder of every pipe end and socket its
+    /// (inherited) descriptor table refers to.
     fn dup_fd_resources(&mut self, pid: Pid) {
-        let entries: Vec<crate::process::FdEntry> = {
+        let entries: Vec<FdEntry> = {
             let p = self.procs.get(pid).expect("exists");
-            (0..64).filter_map(|fd| p.fds.get(fd).cloned()).collect()
+            p.fds.iter().cloned().collect()
         };
         for e in entries {
             match e {
-                crate::process::FdEntry::PipeRead { id } => self.pipes.dup_end(id, false),
-                crate::process::FdEntry::PipeWrite { id } => self.pipes.dup_end(id, true),
-                _ => {}
+                FdEntry::PipeRead { id } => self.pipes.dup_end(id, false),
+                FdEntry::PipeWrite { id } => self.pipes.dup_end(id, true),
+                FdEntry::Socket { id } => {
+                    if let Some(s) = self.sockets.get_mut(&id) {
+                        s.holders += 1;
+                    }
+                }
+                FdEntry::File { .. } | FdEntry::Console => {}
             }
         }
     }
@@ -336,7 +347,7 @@ impl Kernel {
             fds,
             signals,
             exit_code: 0,
-            children: Vec::new(),
+            children: VecDeque::new(),
             mm_owner: Some(owner),
             threads: Vec::new(),
         };
@@ -364,7 +375,7 @@ impl Kernel {
             .get_mut(spawner)
             .expect("spawner exists")
             .children
-            .push(tid);
+            .push_back(tid);
         let hart = self.active_hart;
         self.harts[hart].run_queue.push_back(tid);
         for h in 0..self.harts.len() {
@@ -505,26 +516,32 @@ impl Kernel {
     }
 
     pub(crate) fn close_all_fds(&mut self, pid: Pid) -> Result<(), KernelError> {
-        let entries: Vec<(i32, crate::process::FdEntry)> = {
-            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
-            (0..256)
-                .filter_map(|fd| p.fds.get(fd).map(|e| (fd, e.clone())))
-                .collect()
+        let fds = {
+            let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
+            std::mem::take(&mut p.fds)
         };
-        for (fd, e) in entries {
-            match e {
-                crate::process::FdEntry::PipeRead { id } => self.pipes.close_end(id, false),
-                crate::process::FdEntry::PipeWrite { id } => self.pipes.close_end(id, true),
-                crate::process::FdEntry::Socket { id } => {
-                    self.sockets.remove(&id);
-                }
-                _ => {}
-            }
-            if let Some(p) = self.procs.get_mut(pid) {
-                p.fds.remove(fd);
-            }
+        for e in fds.iter() {
+            self.release_fd_entry(e);
         }
         Ok(())
+    }
+
+    /// Drops one holder of the pipe end or socket behind a closed
+    /// descriptor; the last holder's close removes it.
+    pub(crate) fn release_fd_entry(&mut self, e: &FdEntry) {
+        match *e {
+            FdEntry::PipeRead { id } => self.pipes.close_end(id, false),
+            FdEntry::PipeWrite { id } => self.pipes.close_end(id, true),
+            FdEntry::Socket { id } => {
+                if let Some(s) = self.sockets.get_mut(&id) {
+                    s.holders = s.holders.saturating_sub(1);
+                    if s.holders == 0 {
+                        self.sockets.remove(&id);
+                    }
+                }
+            }
+            FdEntry::File { .. } | FdEntry::Console => {}
+        }
     }
 
     /// `wait()`: reaps one zombie child, freeing its PCB; returns
@@ -536,12 +553,11 @@ impl Kernel {
         let parent = self.current_pid();
         let zombie = {
             let p = self.procs.get(parent).ok_or(KernelError::NoSuchProcess)?;
-            p.children
-                .iter()
-                .copied()
-                .find(|&c| matches!(self.procs.get(c), Some(cp) if cp.state == ProcState::Zombie))
+            p.children.iter().copied().enumerate().find(
+                |&(_, c)| matches!(self.procs.get(c), Some(cp) if cp.state == ProcState::Zombie),
+            )
         };
-        let Some(child) = zombie else {
+        let Some((index, child)) = zombie else {
             return Err(KernelError::InvalidState);
         };
         let (pcb_addr, code) = {
@@ -557,16 +573,14 @@ impl Kernel {
             self.pcb_slab.free(pcb_addr);
         }
         self.procs.remove(child);
-        // Prune the reaping hart's queue now; remote harts learn of the reap
-        // through their mailboxes and prune at their next activation (safe to
-        // defer: pids are never recycled, and `pick_next` validates entries).
-        let hart = self.active_hart;
-        self.harts[hart].run_queue.retain(|&p| p != child);
+        // No run queue is pruned: `pick_next` drops the stale entry when it
+        // reaches it (pids are never recycled). The other harts still learn
+        // of the reap through their mailboxes.
         for h in 0..self.harts.len() {
             self.post_hart_msg(h, crate::hart::HartMsgKind::ProcReaped { pid: child });
         }
         let p = self.procs.get_mut(parent).expect("parent exists");
-        p.children.retain(|&c| c != child);
+        p.children.remove(index);
         Ok((child, code))
     }
 
@@ -706,7 +720,6 @@ impl Kernel {
             *self.page_refs.entry(new.as_u64()).or_insert(0) += 1;
             let slot = self.leaf_slot(root, va)?.ok_or(KernelError::BadAddress)?;
             let flush = self.pt_replace(slot, Pte::leaf(new, new_flags).bits())?;
-            // Shadow + rmap rewire.
             if let Some(p) = self.procs.get_mut(pid) {
                 if let Some(m) = p.aspace.user.get_mut(&vpn) {
                     m.ppn = new;
@@ -714,10 +727,6 @@ impl Kernel {
                     m.cow = false;
                 }
             }
-            if let Some(users) = self.rmap.get_mut(&old.as_u64()) {
-                users.retain(|&(up, uv)| !(up == pid && uv == vpn));
-            }
-            self.rmap.entry(new.as_u64()).or_default().push((pid, vpn));
             self.put_user_page(old)?;
             flush
         } else {
@@ -869,5 +878,48 @@ trait PageAlignVa {
 impl PageAlignVa for VirtAddr {
     fn page_align_down_va(self) -> VirtAddr {
         VirtAddr::new(self.as_u64() & !(PAGE_SIZE - 1))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ptstore_core::MIB;
+
+    use crate::config::KernelConfig;
+    use crate::kernel::Kernel;
+
+    fn boot() -> Kernel {
+        Kernel::boot(
+            KernelConfig::cfi_ptstore()
+                .with_mem_size(256 * MIB)
+                .with_initial_secure_size(16 * MIB),
+        )
+        .expect("boot")
+    }
+
+    #[test]
+    fn exit_closes_every_descriptor() {
+        // 140 pipes put descriptors up to fd 282.
+        let mut k = boot();
+        let child = k.sys_fork().expect("fork");
+        k.do_switch_to(child).expect("switch");
+        let last = (0..140).map(|_| k.sys_pipe().expect("pipe")).last();
+        assert_eq!(last, Some((281, 282)));
+        k.sys_exit(0).expect("exit");
+        k.sys_wait().expect("reap");
+        assert_eq!(k.pipes.len(), 0, "pipes outlive their only holder");
+    }
+
+    #[test]
+    fn the_last_holder_removes_a_socket() {
+        let mut k = boot();
+        let fd = k.sys_accept(8).expect("accept");
+        let child = k.sys_fork().expect("fork");
+        k.sys_close(fd).expect("parent closes");
+        assert_eq!(k.sockets.len(), 1, "the child still holds it");
+        k.do_switch_to(child).expect("switch");
+        k.sys_exit(0).expect("exit");
+        k.sys_wait().expect("reap");
+        assert!(k.sockets.is_empty());
     }
 }

@@ -20,7 +20,7 @@
 //! short-lived kernels the test and bench harnesses boot pay for the
 //! handful of slots they use, not for the fork-stress capacity.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use ptstore_core::{PhysAddr, VirtAddr};
 use serde::{Deserialize, Serialize};
@@ -193,7 +193,12 @@ impl FdTable {
 
     /// Number of open descriptors.
     pub fn open_count(&self) -> usize {
-        self.entries.iter().flatten().count()
+        self.iter().count()
+    }
+
+    /// The open descriptions, in fd order.
+    pub fn iter(&self) -> impl Iterator<Item = &FdEntry> {
+        self.entries.iter().flatten()
     }
 }
 
@@ -245,8 +250,8 @@ pub struct Process {
     pub signals: SignalTable,
     /// Exit code once zombie.
     pub exit_code: i32,
-    /// Children pids.
-    pub children: Vec<Pid>,
+    /// Children pids, oldest first.
+    pub children: VecDeque<Pid>,
     /// For a thread: the pid owning the shared address space (`None` for
     /// the mm owner itself). The thread's PCB carries the *same* page-table
     /// pointer, bound by its own **copied token** (paper §III-C3: "copy the
@@ -531,7 +536,7 @@ mod tests {
             fds: FdTable::with_std(),
             signals: SignalTable::default(),
             exit_code: 0,
-            children: Vec::new(),
+            children: VecDeque::new(),
             mm_owner: None,
             threads: Vec::new(),
         }

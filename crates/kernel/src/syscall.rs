@@ -250,14 +250,7 @@ impl Kernel {
                 .ok_or(KernelError::NoSuchProcess)?;
             p.fds.remove(fd).ok_or(KernelError::BadFd)
         };
-        let r = entry.map(|e| match e {
-            FdEntry::PipeRead { id } => self.pipes.close_end(id, false),
-            FdEntry::PipeWrite { id } => self.pipes.close_end(id, true),
-            FdEntry::Socket { id } => {
-                self.sockets.remove(&id);
-            }
-            _ => {}
-        });
+        let r = entry.map(|e| self.release_fd_entry(&e));
         self.syscall_exit();
         r
     }
@@ -943,6 +936,7 @@ impl Kernel {
             Socket {
                 rx: rx_bytes,
                 tx: 0,
+                holders: 1,
             },
         );
         let r = {

@@ -73,6 +73,39 @@ fn fork_wait_exit_lifecycle() {
 }
 
 #[test]
+fn a_childs_exit_leaves_the_parents_pipes_open() {
+    // Forty pipes put the parent's descriptors at fds 3..=82.
+    let mut k = boot(KernelConfig::cfi_ptstore());
+    let pipes: Vec<(i32, i32)> = (0..40).map(|_| k.sys_pipe().expect("pipe")).collect();
+    assert_eq!(pipes.last(), Some(&(81, 82)));
+    let child = k.sys_fork().expect("fork");
+    k.do_switch_to(child).expect("switch");
+    k.sys_exit(0).expect("exit");
+    k.sys_wait().expect("reap");
+    for (r, w) in pipes {
+        assert_eq!(k.sys_write(w, b"x"), Ok(1), "write end {w}");
+        assert_eq!(k.sys_read(r, 1).as_deref(), Ok(&b"x"[..]), "read end {r}");
+    }
+}
+
+#[test]
+fn a_socket_outlives_a_forked_or_cloned_holder() {
+    type Spawn = fn(&mut Kernel) -> Result<ptstore_kernel::Pid, KernelError>;
+    for (what, spawn) in [
+        ("fork", Kernel::sys_fork as Spawn),
+        ("clone", Kernel::sys_clone_thread),
+    ] {
+        let mut k = boot(KernelConfig::cfi_ptstore());
+        let fd = k.sys_accept(8).expect("accept");
+        let child = spawn(&mut k).expect(what);
+        k.do_switch_to(child).expect("switch");
+        k.sys_exit(0).expect("exit");
+        k.sys_wait().expect("reap");
+        assert_eq!(k.sys_read(fd, 8).map(|d| d.len()), Ok(8), "after {what}");
+    }
+}
+
+#[test]
 fn fork_exit_cycle_leaks_nothing() {
     let mut k = boot(KernelConfig::cfi_ptstore());
     let free_before = k.pt_area_free_pages().unwrap();

@@ -7,7 +7,7 @@
 //! resolves again, that the pid index, handle resolution and the slot walk
 //! agree, and that freed slots are reused before the table grows.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -29,7 +29,7 @@ fn proc(pid: Pid) -> Process {
         fds: FdTable::with_std(),
         signals: SignalTable::default(),
         exit_code: 0,
-        children: Vec::new(),
+        children: VecDeque::new(),
         mm_owner: None,
         threads: Vec::new(),
     }

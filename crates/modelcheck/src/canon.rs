@@ -10,9 +10,10 @@
 //!   enforcement ablation switch);
 //! * the allocation cursors (`next_pid`, `next_asid`, ASID-wrap flag) —
 //!   states differing only here diverge on the very next `fork`;
-//! * per hart: the running pid, `satp`, the run queue, the deferred-flush
-//!   queue (in order — drains pop in order), the page-table magazine, the
-//!   mailbox payloads, and the TLB entry *sets* (sorted — see below);
+//! * per hart: the running pid, `satp`, the run queue (without pids that
+//!   have left the process table), the deferred-flush queue (in order —
+//!   drains pop in order), the page-table magazine, the mailbox payloads,
+//!   and the TLB entry *sets* (sorted — see below);
 //! * the process table in pid order: identity, state, VMAs, user-mapping
 //!   metadata, address-space handles, **and the raw PCB credential words**
 //!   (page-table pointer, token pointer, and the pointed-to token fields),
@@ -80,10 +81,17 @@ pub fn encode(k: &Kernel) -> String {
             .iter()
             .map(|m| (m.from, format!("{:?}", m.kind)))
             .collect();
+        // A reaped pid's stale entry is invisible to every op (`pick_next`
+        // drops it), so the queue is hashed without it.
+        let rq: Vec<_> = h
+            .run_queue
+            .iter()
+            .filter(|&&pid| k.procs.get(pid).is_some())
+            .collect();
         let _ = writeln!(
             out,
             "hart {} current={} satp={:?} rq={:?} flushq={:?} mag={:?} mbox={:?}",
-            h.id, h.current, h.mmu.satp, h.run_queue, h.flush_queue, h.pt_magazine, mbox
+            h.id, h.current, h.mmu.satp, rq, h.flush_queue, h.pt_magazine, mbox
         );
         let mut tlb: Vec<String> = h
             .mmu
@@ -217,6 +225,23 @@ mod tests {
         assert_eq!(d0, digest(&k), "denied PTE flip must be invisible");
         apply(&mut k, ModelOp::TokenForge { hart: 0 });
         assert_eq!(d0, digest(&k), "denied token forge must be invisible");
+    }
+
+    #[test]
+    fn reaped_pids_left_in_a_run_queue_are_not_hashed() {
+        let cfg = cfg();
+        let mut k = boot_model(&cfg);
+        apply(&mut k, ModelOp::Fork { hart: 0 });
+        let child = k.next_pid() - 1;
+        apply(&mut k, ModelOp::ExitChild { hart: 0 });
+        assert!(k.procs.get(child).is_none(), "the child was reaped");
+        assert!(k.harts[0].run_queue.contains(&child), "its entry is stale");
+        let stale = digest(&k);
+        k.harts[0].run_queue.retain(|&p| p != child);
+        assert_eq!(stale, digest(&k), "a reaped pid's entry must not count");
+        // An entry for a live pid is scheduling state.
+        k.harts[0].run_queue.push_back(1);
+        assert_ne!(stale, digest(&k), "a live pid's entry must count");
     }
 
     #[test]

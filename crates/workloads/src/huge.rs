@@ -54,7 +54,7 @@ pub fn run_huge_page(k: &mut Kernel, blocks: u64) -> Result<HugePageResult, Kern
     }
 
     // Fork: the child shares every block CoW (one shadow entry per block,
-    // no per-page rmap until a split). The child's first write privatises
+    // no per-page entries until a split). The child's first write privatises
     // all 2 MiB of block 0 in one break.
     let child = k.sys_fork()?;
     k.do_switch_to(child)?;

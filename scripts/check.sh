@@ -78,6 +78,14 @@ echo "== policy differential: boundary vs watermark (state byte-identical) =="
 cmp target/pol-boundary.txt target/pol-watermark.txt
 rm -f target/pol-boundary.txt target/pol-watermark.txt
 
+echo "== paper-scale fork stress (§V-D1 figures) =="
+# 30,000 processes alive at once. The CFI+PTStore row must keep the cycle
+# total, overhead and adjustment count EXPERIMENTS.md quotes. Exit and
+# wait cost does not grow with the live set, so this runs in seconds.
+./target/release/reproduce forkstress > target/forkstress.txt
+grep -Eq "^CFI\+PTStore +434639726 +6\.96 +33 " target/forkstress.txt
+rm -f target/forkstress.txt
+
 echo "== smoke: fixed-seed fuzz campaign (deterministic, contained) =="
 # The 70-fault round-robin covers all nine classes, including the PR 9
 # drain-machinery pair; drain-drop must land (and stay contained) on
