@@ -24,7 +24,7 @@
 
 use core::fmt;
 
-use ptstore_trace::{TraceEvent, TraceSink, Verdict};
+use ptstore_trace::{SinkSlot, TraceEvent, TraceSink, Verdict};
 use serde::{Deserialize, Serialize};
 
 use crate::addr::PhysAddr;
@@ -293,7 +293,7 @@ pub struct PmpUnit {
     secure_tor_index: Option<usize>,
     /// Optional decision-trace sink; not part of the architectural state.
     #[serde(skip)]
-    trace: Option<TraceSink>,
+    trace: SinkSlot,
     /// Ablation switch (defaults to `true`): when `false`, the S-bit loses
     /// its channel semantics and regular accesses reach the secure region
     /// subject only to the entry's R/W permissions. The fault-injection
@@ -324,7 +324,7 @@ impl PmpUnit {
         Self {
             entries: [PmpEntry::default(); PMP_ENTRY_COUNT],
             secure_tor_index: None,
-            trace: None,
+            trace: SinkSlot::default(),
             secure_enforcement: true,
         }
     }
@@ -346,12 +346,12 @@ impl PmpUnit {
     /// [`check`](Self::check) emits one [`TraceEvent::PmpCheck`] naming the
     /// matching entry and the verdict.
     pub fn set_trace_sink(&mut self, sink: Option<TraceSink>) {
-        self.trace = sink;
+        self.trace.set(sink);
     }
 
     /// The currently attached trace sink, if any.
     pub fn trace_sink(&self) -> Option<&TraceSink> {
-        self.trace.as_ref()
+        self.trace.get()
     }
 
     /// Read-only view of the raw entries.
@@ -486,7 +486,7 @@ impl PmpUnit {
     ) -> Result<(), AccessError> {
         let matched = self.match_entry(addr);
         let result = self.decide(addr, kind, channel, ctx, matched);
-        if let Some(sink) = &self.trace {
+        if let Some(sink) = self.trace.get() {
             sink.emit(TraceEvent::PmpCheck {
                 addr: addr.as_u64(),
                 kind: kind.into(),

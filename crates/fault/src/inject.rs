@@ -247,9 +247,12 @@ impl FaultInjector {
             return InjectOutcome::Skipped;
         };
         // Scan the root page raw for valid non-leaf slots (pointers at
-        // next-level tables); pick one of them as the victim PTE.
-        let candidates: Vec<PhysAddr> = table_entries(root, |slot| k.bus.mem().read_u64(slot))
-            .filter(|(_, pte)| pte.as_ref().is_ok_and(|pte| pte.is_table()))
+        // next-level tables); pick one of them as the victim PTE. An
+        // unreadable root offers none.
+        let candidates: Vec<PhysAddr> = table_entries(root, k.bus.mem())
+            .into_iter()
+            .flatten()
+            .filter(|(_, pte)| pte.is_table())
             .map(|(slot, _)| slot)
             .collect();
         let Some(&addr) = candidates.get((rng.random::<u64>() as usize) % candidates.len().max(1))

@@ -272,12 +272,12 @@ fn check_containment(
         if !visited.insert(page) {
             continue;
         }
-        for (_, pte) in table_entries(page, |slot| k.bus.mem().read_u64(slot)) {
-            let Ok(pte) = pte else {
-                rep.violations
-                    .push(Violation::UnreadablePtPage { ppn: page });
-                break;
-            };
+        let Ok(entries) = table_entries(page, k.bus.mem()) else {
+            rep.violations
+                .push(Violation::UnreadablePtPage { ppn: page });
+            continue;
+        };
+        for (_, pte) in entries {
             if !pte.is_valid() {
                 continue;
             }

@@ -1,10 +1,11 @@
 //! Deterministic op-sequence replay: the model checker's transition relation.
 //!
-//! The bounded model checker (`ptstore-modelcheck`) cannot clone a
-//! [`Kernel`], so it represents every frontier state as the op sequence that
-//! reaches it and re-executes that sequence from a fresh boot whenever it
-//! expands the state. This module owns the pieces that make such replay
-//! meaningful:
+//! The bounded model checker (`ptstore-modelcheck`) represents every
+//! frontier state as the op sequence that reaches it, because storing a
+//! [`Kernel`] per state would cost too much host memory. It re-executes
+//! that sequence from a fresh boot once per expansion and applies each op
+//! to a clone of the result. This module owns the pieces that make such
+//! replay meaningful:
 //!
 //! * [`ModelOp`] — a small, fully deterministic operation alphabet: the
 //!   kernel ops the paper's mechanism must survive (fork/exit churn,
@@ -22,13 +23,16 @@
 //!   boot; `replay_trace` re-asserts the final oracle verdict, which is what
 //!   makes a printed counterexample *replayable*: the shrinker uses it to
 //!   validate every candidate shortening, and the regression tests use it to
-//!   pin one counterexample per ablated defense.
+//!   pin one counterexample per ablated defense. A differential test checks
+//!   that applying an op to a clone of a replayed machine and to a fresh
+//!   replay reach the same state.
 //!
 //! Determinism contract: `apply` consults no randomness and no ambient
 //! state; two replays of the same trace from the same [`KernelConfig`]
-//! produce byte-identical machines. Every op derives its concrete targets
-//! (which child, which VMA, which PTE slot) from the kernel state at the
-//! moment it runs, so a trace is self-contained.
+//! produce byte-identical machines, and so does a clone of either. Every
+//! op derives its concrete targets (which child, which VMA, which PTE
+//! slot) from the kernel state at the moment it runs, so a trace is
+//! self-contained.
 
 use core::fmt;
 
@@ -403,8 +407,10 @@ fn apply_pte_flip(k: &mut Kernel, hart: usize, bit: u8) -> OpOutcome {
     let Some(root) = k.process_root(owner) else {
         return OpOutcome::Unavailable;
     };
-    let victim = table_entries(root, |slot| k.bus.mem().read_u64(slot))
-        .find(|(_, pte)| pte.as_ref().is_ok_and(|pte| pte.is_table()));
+    let victim = table_entries(root, k.bus.mem())
+        .into_iter()
+        .flatten()
+        .find(|(_, pte)| pte.is_table());
     let Some((addr, _)) = victim else {
         return OpOutcome::Unavailable;
     };
@@ -632,6 +638,39 @@ mod tests {
             OpOutcome::Unavailable
         );
         assert!(Invariants::check(&k).ok());
+    }
+
+    #[test]
+    fn a_cloned_machine_writes_to_no_sink() {
+        let mut k = boot_model(&model_cfg());
+        let sink = ptstore_trace::TraceSink::new();
+        k.set_trace_sink(Some(sink.clone()));
+        let mut clone = k.clone();
+        assert!(clone.trace_sink().is_none());
+        assert!(clone.bus.trace_sink().is_none());
+        assert!(clone.bus.pmp().trace_sink().is_none());
+        // Syscalls (kernel), translations (both TLBs of each hart), bus
+        // transfers and PMP checks: every layer that can hold a sink.
+        let ops = [
+            ModelOp::Mmap { hart: 0 },
+            ModelOp::Touch {
+                hart: 1,
+                write: false,
+            },
+            ModelOp::Fork { hart: 1 },
+            ModelOp::PteFlip { hart: 0, bit: 35 },
+        ];
+        let counters = sink.counters();
+        for op in ops {
+            apply(&mut clone, op);
+        }
+        assert_eq!(sink.counters(), counters, "the clone emitted into the sink");
+        assert!(sink.is_empty());
+        // The original keeps its sink.
+        for op in ops {
+            apply(&mut k, op);
+        }
+        assert!(!sink.is_empty());
     }
 
     #[test]

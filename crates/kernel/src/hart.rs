@@ -31,7 +31,7 @@ use crate::cycles::CycleCounter;
 use crate::process::Pid;
 
 /// What a cross-hart message carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum HartMsgKind {
     /// A TLB-shootdown IPI arrived from `HartMsg::from` (the flush itself
     /// is modeled synchronously at the barrier; this is the visibility
@@ -76,7 +76,7 @@ pub struct HartMsg {
 /// Hart 0 is the boot hart; a machine configured with one hart reproduces
 /// the original single-hart prototype cycle-for-cycle (no IPI or
 /// shootdown costs are ever charged at `harts == 1`).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Hart {
     /// Hart id (0-based).
     pub id: usize,

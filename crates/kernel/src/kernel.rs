@@ -13,7 +13,7 @@ use ptstore_core::{
 };
 use ptstore_mem::Bus;
 use ptstore_mmu::{walk, Mmu, Pte, PteFlags, Satp};
-use ptstore_trace::{FaultClass, FlushScope, TokenOp, TraceEvent, TraceSink};
+use ptstore_trace::{FaultClass, FlushScope, SinkSlot, TokenOp, TraceEvent, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,7 +50,11 @@ pub struct Socket {
 /// See the crate docs for the subsystem map. All public experiment surfaces
 /// (workloads, attacks, benchmarks) drive the kernel through syscalls and
 /// the introspection API; nothing reaches around the access-checked paths.
-#[derive(Debug)]
+///
+/// A clone is an independent machine in the same state, with no trace sink
+/// attached: the model checker expands each frontier state by cloning it
+/// once per op.
+#[derive(Debug, Clone)]
 pub struct Kernel {
     /// Static configuration.
     pub cfg: KernelConfig,
@@ -117,8 +121,8 @@ pub struct Kernel {
     /// True once boot completed and the PTW origin check is armed.
     pub(crate) ptw_check_armed: bool,
     /// Attached trace sink for kernel-level events (tokens, syscalls,
-    /// region moves). `None` keeps every emit site a no-op.
-    pub(crate) trace: Option<TraceSink>,
+    /// region moves). An empty slot keeps every emit site a no-op.
+    pub(crate) trace: SinkSlot,
     /// `(name, cycle total at entry)` of the in-flight traced syscall.
     pub(crate) syscall_mark: Option<(&'static str, u64)>,
     /// Monotonic count of deferred-shootdown drains completed machine-wide;
@@ -270,7 +274,7 @@ impl Kernel {
             drained_pt_pages: Vec::new(),
             security_log: Vec::new(),
             ptw_check_armed: false,
-            trace: None,
+            trace: SinkSlot::default(),
             syscall_mark: None,
             flush_generation: 0,
         };
@@ -315,12 +319,12 @@ impl Kernel {
         for hart in &mut self.harts {
             hart.mmu.set_trace_sink(sink.clone());
         }
-        self.trace = sink;
+        self.trace.set(sink);
     }
 
     /// The attached trace sink, if any.
     pub fn trace_sink(&self) -> Option<&TraceSink> {
-        self.trace.as_ref()
+        self.trace.get()
     }
 
     // ------------------------------------------------------------------
@@ -492,7 +496,7 @@ impl Kernel {
             Some(crate::drain::DrainFault::SkipWatermarkNext)
         ) {
             self.drain_fault = None;
-            if let Some(sink) = &self.trace {
+            if let Some(sink) = self.trace.get() {
                 sink.emit(TraceEvent::IpiFault {
                     kind: FaultClass::WatermarkSkip,
                     victim: self.active_hart as u32,
@@ -531,7 +535,7 @@ impl Kernel {
         if let Some(crate::drain::DrainFault::DropQueuedNext { index }) = self.drain_fault {
             self.drain_fault = None;
             queue.remove((index % queue.len() as u64) as usize);
-            if let Some(sink) = &self.trace {
+            if let Some(sink) = self.trace.get() {
                 sink.emit(TraceEvent::IpiFault {
                     kind: FaultClass::DrainDrop,
                     victim: from as u32,
@@ -559,7 +563,7 @@ impl Kernel {
         } else {
             (0..n).collect()
         };
-        if let (Some(sink), Some(f)) = (&self.trace, fault) {
+        if let (Some(sink), Some(f)) = (self.trace.get(), fault) {
             let (kind, victim) = match f {
                 IpiFault::DropNext { victim } => (FaultClass::IpiDrop, victim as u32),
                 IpiFault::ReorderNext => (FaultClass::IpiReorder, from as u32),
@@ -602,7 +606,7 @@ impl Kernel {
         self.stats.deferred_drains += 1;
         self.stats.deferred_pages_coalesced += queue.len() as u64;
         self.flush_generation += 1;
-        if let Some(sink) = &self.trace {
+        if let Some(sink) = self.trace.get() {
             // One trace record per consecutive run; the whole batch rode a
             // single IPI round, so only the first run reports the acks.
             let mut runs: Vec<(u64, u64, u16)> = Vec::new();
@@ -678,7 +682,7 @@ impl Kernel {
         } else {
             (0..n).collect()
         };
-        if let (Some(sink), Some(f)) = (&self.trace, fault) {
+        if let (Some(sink), Some(f)) = (self.trace.get(), fault) {
             let (kind, victim) = match f {
                 IpiFault::DropNext { victim } => (FaultClass::IpiDrop, victim as u32),
                 IpiFault::ReorderNext => (FaultClass::IpiReorder, from as u32),
@@ -723,7 +727,7 @@ impl Kernel {
         }
         self.stats.tlb_shootdowns += 1;
         self.stats.shootdown_ipis += remotes;
-        if let Some(sink) = &self.trace {
+        if let Some(sink) = self.trace.get() {
             sink.emit(TraceEvent::TlbShootdown {
                 scope,
                 from_hart: from as u32,
@@ -963,7 +967,7 @@ impl Kernel {
         }
         self.secure_region = Some(grown);
         self.stats.adjustments += 1;
-        if let Some(sink) = &self.trace {
+        if let Some(sink) = self.trace.get() {
             sink.emit(TraceEvent::RegionMove {
                 old_base: region.base().as_u64(),
                 new_base: grown.base().as_u64(),
@@ -1480,7 +1484,7 @@ impl Kernel {
             p.pt_ptr_slot()
         };
         self.mem_write(pt_slot, pt_ptr.as_u64())?;
-        if let Some(sink) = &self.trace {
+        if let Some(sink) = self.trace.get() {
             sink.emit(TraceEvent::Token {
                 op,
                 pid: u64::from(pid),
@@ -1512,7 +1516,7 @@ impl Kernel {
             self.token_slab.as_mut().expect("checked").free(token_addr);
         }
         self.mem_write(token_slot, 0)?;
-        if let Some(sink) = &self.trace {
+        if let Some(sink) = self.trace.get() {
             sink.emit(TraceEvent::Token {
                 op: TokenOp::Clear,
                 pid: u64::from(pid),
@@ -1571,7 +1575,7 @@ impl Kernel {
     }
 
     fn emit_token_validate(&self, pid: Pid, ok: bool) {
-        if let Some(sink) = &self.trace {
+        if let Some(sink) = self.trace.get() {
             sink.emit(TraceEvent::Token {
                 op: TokenOp::Validate,
                 pid: u64::from(pid),

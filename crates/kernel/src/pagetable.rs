@@ -56,7 +56,7 @@ pub fn pte_slot(table: PhysPageNum, va: VirtAddr, level: usize) -> PhysAddr {
 }
 
 /// One user-page mapping in the Rust-side shadow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct UserMapping {
     /// Mapped physical page — for a huge mapping, the naturally aligned
     /// base of the 2 MiB block.

@@ -46,7 +46,7 @@ pub const PCB_OFF_PID: u64 = 0x00;
 pub const PCB_OFF_UPC: u64 = 0x18;
 
 /// Scheduling state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ProcState {
     /// Currently on the (single) hart.
     Running,
@@ -59,7 +59,7 @@ pub enum ProcState {
 }
 
 /// Per-VMA permissions (the VM metadata the §V-E4 attack targets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct VmPerms {
     /// Readable.
     pub read: bool,
@@ -91,7 +91,7 @@ impl VmPerms {
 }
 
 /// A user virtual memory area (demand-paged).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct VmArea {
     /// Inclusive page-aligned start.
     pub start: u64,

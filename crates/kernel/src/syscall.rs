@@ -166,7 +166,7 @@ impl Kernel {
     /// calls.
     pub(crate) fn syscall_enter(&mut self, p: SyscallProfile) {
         self.stats.syscalls += 1;
-        if let Some(sink) = &self.trace {
+        if let Some(sink) = self.trace.get() {
             sink.emit(ptstore_trace::TraceEvent::SyscallEnter { name: p.name });
             self.syscall_mark = Some((p.name, self.cycles.total()));
         }
@@ -178,7 +178,7 @@ impl Kernel {
     pub(crate) fn syscall_exit(&mut self) {
         self.charge(CostKind::Kernel, cost::SYSCALL_EXIT);
         if let Some((name, entry_total)) = self.syscall_mark.take() {
-            if let Some(sink) = &self.trace {
+            if let Some(sink) = self.trace.get() {
                 sink.emit(ptstore_trace::TraceEvent::SyscallExit {
                     name,
                     cycles: self.cycles.since(entry_total),

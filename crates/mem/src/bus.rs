@@ -11,7 +11,7 @@
 use ptstore_core::{
     AccessContext, AccessError, AccessKind, Channel, PhysAddr, PhysPageNum, PmpUnit, SecureRegion,
 };
-use ptstore_trace::{TraceEvent, TraceSink};
+use ptstore_trace::{SinkSlot, TraceEvent, TraceSink};
 
 use crate::phys::PhysMem;
 use crate::stats::AccessStats;
@@ -90,7 +90,7 @@ pub struct Bus {
     mem: PhysMem,
     pmp: PmpUnit,
     stats: AccessStats,
-    trace: Option<TraceSink>,
+    trace: SinkSlot,
 }
 
 impl Bus {
@@ -103,7 +103,7 @@ impl Bus {
             mem: PhysMem::new(size),
             pmp: PmpUnit::new(),
             stats: AccessStats::new(),
-            trace: None,
+            trace: SinkSlot::default(),
         }
     }
 
@@ -112,13 +112,13 @@ impl Bus {
     /// one event stream.
     pub fn set_trace_sink(&mut self, sink: Option<TraceSink>) {
         self.pmp.set_trace_sink(sink.clone());
-        self.trace = sink;
+        self.trace.set(sink);
     }
 
     /// The attached trace sink, if any. The MMU walker borrows this to emit
     /// walk-step events into the same stream.
     pub fn trace_sink(&self) -> Option<&TraceSink> {
-        self.trace.as_ref()
+        self.trace.get()
     }
 
     /// Installs the secure region into the PMP (the boot-time SBI call).
@@ -214,7 +214,7 @@ impl Bus {
         self.guard(addr, AccessKind::Read, channel, ctx)?;
         let v = W::load(&self.mem, addr)?;
         self.stats.record(channel, AccessKind::Read);
-        if let Some(sink) = &self.trace {
+        if let Some(sink) = self.trace.get() {
             sink.emit(TraceEvent::BusRead {
                 addr: addr.as_u64(),
                 width: W::WIDTH,
@@ -239,7 +239,7 @@ impl Bus {
         self.guard(addr, AccessKind::Write, channel, ctx)?;
         W::store(&mut self.mem, addr, value)?;
         self.stats.record(channel, AccessKind::Write);
-        if let Some(sink) = &self.trace {
+        if let Some(sink) = self.trace.get() {
             sink.emit(TraceEvent::BusWrite {
                 addr: addr.as_u64(),
                 width: W::WIDTH,
@@ -263,7 +263,7 @@ impl Bus {
         self.guard(addr, AccessKind::Execute, Channel::Regular, ctx)?;
         let v = W::load(&self.mem, addr)?;
         self.stats.record(Channel::Regular, AccessKind::Execute);
-        if let Some(sink) = &self.trace {
+        if let Some(sink) = self.trace.get() {
             sink.emit(TraceEvent::BusFetch {
                 addr: addr.as_u64(),
                 width: W::WIDTH,

@@ -13,6 +13,9 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use ptstore_core::{Fnv1a, PAGE_SIZE};
 
+/// 8-byte words in one frame.
+pub const PAGE_WORDS: usize = (PAGE_SIZE / 8) as usize;
+
 /// Number of distinct 8-byte words after which a sparse frame is promoted to
 /// dense backing.
 const DENSE_PROMOTION_WORDS: usize = 96;
@@ -112,6 +115,25 @@ impl Frame {
                 bytes[off..off + 8].copy_from_slice(&value.to_le_bytes());
             }
         }
+    }
+
+    /// All 512 words of the frame, in index order.
+    pub fn words(&self) -> [u64; PAGE_WORDS] {
+        let mut words = [0; PAGE_WORDS];
+        match self {
+            Frame::Zero => {}
+            Frame::Words(map) => {
+                for (&i, &v) in map {
+                    words[usize::from(i)] = v;
+                }
+            }
+            Frame::Dense(bytes) => {
+                for (w, chunk) in words.iter_mut().zip(bytes.chunks_exact(8)) {
+                    *w = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+                }
+            }
+        }
+        words
     }
 
     /// Reads a single byte at `offset`.

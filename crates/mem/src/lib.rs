@@ -22,7 +22,7 @@ pub mod phys;
 pub mod stats;
 
 pub use bus::{Bus, BusData};
-pub use frame::Frame;
+pub use frame::{Frame, PAGE_WORDS};
 pub use phys::PhysMem;
 pub use ptstore_trace::Snapshot;
 pub use stats::AccessStats;

@@ -2,7 +2,7 @@
 
 use ptstore_core::{AccessError, PhysAddr, PhysPageNum, GIB, PAGE_SIZE};
 
-use crate::frame::Frame;
+use crate::frame::{Frame, PAGE_WORDS};
 
 /// Frames per second-level chunk. A chunk spans 2 MiB of physical memory,
 /// so a 4 GiB machine needs a 2048-slot root table (16 KiB of pointers).
@@ -142,6 +142,22 @@ impl PhysMem {
         let word = (addr.page_offset() / 8) as u16;
         self.with_frame_mut(ppn, |f| f.write_word(word, value));
         Ok(())
+    }
+
+    /// Reads the whole page `ppn` as its 512 words, in index order: one
+    /// range check and one frame lookup, where 512 [`Self::read_u64`] calls
+    /// would make 512 of each. The page-table scan reads a table page
+    /// through this.
+    ///
+    /// # Errors
+    /// [`AccessError::OutOfRange`] at the page's base address when `ppn` is
+    /// outside physical memory — the error a read of its first word gives.
+    #[inline]
+    pub fn read_page(&self, ppn: PhysPageNum) -> Result<[u64; PAGE_WORDS], AccessError> {
+        self.check_range(ppn.base_addr(), PAGE_SIZE)?;
+        Ok(self
+            .frame(ppn.as_u64())
+            .map_or([0; PAGE_WORDS], Frame::words))
     }
 
     /// Reads one byte.
@@ -427,6 +443,34 @@ mod tests {
         assert_eq!(m.touched_frames(), 1);
         m.copy_page(PhysPageNum::new(9), b).unwrap();
         assert_eq!(m.touched_frames(), 0);
+    }
+
+    #[test]
+    fn read_page_matches_word_reads_in_every_backing() {
+        let mut m = PhysMem::new(CHUNK_FRAMES * PAGE_SIZE + PAGE_SIZE);
+        let (zero, sparse, dense) = (
+            PhysPageNum::new(1),
+            PhysPageNum::new(2),
+            PhysPageNum::new(3),
+        );
+        m.write_u64(sparse.base_addr() + 8 * 7, 0x77).unwrap();
+        for i in 0..PAGE_WORDS as u64 {
+            m.write_u64(dense.base_addr() + 8 * i, i + 1).unwrap();
+        }
+        for ppn in [zero, sparse, dense, PhysPageNum::new(CHUNK_FRAMES)] {
+            let words = m.read_page(ppn).unwrap();
+            for (i, &w) in words.iter().enumerate() {
+                assert_eq!(Ok(w), m.read_u64(ppn.base_addr() + 8 * i as u64));
+            }
+        }
+        assert_eq!(m.read_page(sparse).unwrap()[7], 0x77);
+        let outside = PhysPageNum::new(CHUNK_FRAMES + 1);
+        assert_eq!(
+            m.read_page(outside),
+            Err(AccessError::OutOfRange {
+                addr: outside.base_addr()
+            })
+        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! it still intercepts the access after the (stale) translation.
 
 use ptstore_core::{AccessKind, PhysPageNum, PrivilegeMode, VirtPageNum, PAGE_SIZE};
-use ptstore_trace::{FlushScope, Snapshot, TlbUnit, TraceEvent, TraceSink};
+use ptstore_trace::{FlushScope, SinkSlot, Snapshot, TlbUnit, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 
 use crate::pte::PteFlags;
@@ -104,7 +104,7 @@ pub struct Tlb {
     unit: TlbUnit,
     /// Owning hart, stamped into trace events (0 on single-hart machines).
     hart: u32,
-    trace: Option<TraceSink>,
+    trace: SinkSlot,
 }
 
 impl Tlb {
@@ -130,7 +130,7 @@ impl Tlb {
             stats: TlbStats::default(),
             unit,
             hart: 0,
-            trace: None,
+            trace: SinkSlot::default(),
         }
     }
 
@@ -157,7 +157,7 @@ impl Tlb {
 
     /// Attaches (or detaches) a trace sink for hit/miss/flush events.
     pub fn set_trace_sink(&mut self, sink: Option<TraceSink>) {
-        self.trace = sink;
+        self.trace.set(sink);
     }
 
     /// Capacity in entries.
@@ -202,7 +202,7 @@ impl Tlb {
         match found {
             Some(e) if Self::permits(e.flags, kind, mode) => {
                 self.stats.hits += 1;
-                if let Some(sink) = &self.trace {
+                if let Some(sink) = self.trace.get() {
                     sink.emit(TraceEvent::TlbHit {
                         unit: self.unit,
                         vpn: vpn.as_u64(),
@@ -214,7 +214,7 @@ impl Tlb {
             }
             _ => {
                 self.stats.misses += 1;
-                if let Some(sink) = &self.trace {
+                if let Some(sink) = self.trace.get() {
                     sink.emit(TraceEvent::TlbMiss {
                         unit: self.unit,
                         vpn: vpn.as_u64(),
@@ -343,7 +343,7 @@ impl Tlb {
     }
 
     fn emit_flush(&self, scope: FlushScope) {
-        if let Some(sink) = &self.trace {
+        if let Some(sink) = self.trace.get() {
             sink.emit(TraceEvent::TlbFlush {
                 unit: self.unit,
                 scope,

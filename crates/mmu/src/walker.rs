@@ -18,15 +18,12 @@ use ptstore_core::{
     AccessContext, AccessError, AccessKind, Channel, PhysAddr, PhysPageNum, PrivilegeMode,
     VirtAddr, PAGE_SIZE,
 };
-use ptstore_mem::Bus;
+use ptstore_mem::{Bus, PhysMem};
 use ptstore_trace::TraceEvent;
 use serde::{Deserialize, Serialize};
 
 use crate::pte::{Pte, PteFlags};
 use crate::satp::Satp;
-
-/// Entries in one page-table page (every Sv scheme: 512 × 8 bytes).
-const ENTRIES_PER_TABLE: u64 = 512;
 
 /// Descends from the table page `root` toward `va`, starting at level
 /// `top` and going no lower than `floor`, reading each entry through
@@ -61,17 +58,21 @@ pub fn walk<E>(
     unreachable!("walk floor {floor} above top {top}");
 }
 
-/// The entries of the table page `table` in slot order, each paired with
-/// its slot address and read through `read`.
-pub fn table_entries<E>(
+/// All 512 entries of the table page `table`, raw from DRAM, in slot order,
+/// each paired with its slot address. The page is read once, through
+/// [`PhysMem::read_page`].
+///
+/// # Errors
+/// The page's read error when `table` lies outside physical memory.
+pub fn table_entries(
     table: PhysPageNum,
-    mut read: impl FnMut(PhysAddr) -> Result<u64, E>,
-) -> impl Iterator<Item = (PhysAddr, Result<Pte, E>)> {
+    mem: &PhysMem,
+) -> Result<impl Iterator<Item = (PhysAddr, Pte)>, AccessError> {
     let base = table.base_addr();
-    (0..ENTRIES_PER_TABLE).map(move |i| {
-        let slot = base + i * 8;
-        (slot, read(slot).map(Pte::from_bits))
-    })
+    let words = mem.read_page(table)?;
+    Ok((0..)
+        .zip(words)
+        .map(move |(i, word)| (base + i * 8, Pte::from_bits(word))))
 }
 
 /// Why a translation failed.
@@ -281,6 +282,7 @@ mod tests {
 
     use super::*;
     use ptstore_core::{PagingScheme, SecureRegion, MIB};
+    use ptstore_mem::PAGE_WORDS;
 
     /// Builds a table chain for `scheme` mapping `va -> data_ppn` with a leaf
     /// at `leaf_level`, using one page per level starting at `base`.
@@ -444,18 +446,26 @@ mod tests {
     #[test]
     fn table_entries_reads_every_slot_in_order() {
         let table = PhysPageNum::new(0x300);
-        let mut reads = Vec::new();
-        let entries: Vec<_> = table_entries(table, |slot| {
-            reads.push(slot);
-            Ok::<_, ()>(slot.as_u64())
-        })
-        .collect();
-        assert_eq!(entries.len() as u64, ENTRIES_PER_TABLE);
-        assert_eq!(reads.len() as u64, ENTRIES_PER_TABLE);
+        let mut mem = PhysMem::new(4 * MIB);
+        for i in (0..PAGE_WORDS as u64).step_by(3) {
+            let slot = table.base_addr() + i * 8;
+            mem.write_u64(slot, slot.as_u64()).unwrap();
+        }
+        let entries: Vec<_> = table_entries(table, &mem).unwrap().collect();
+        assert_eq!(entries.len(), PAGE_WORDS);
         for (i, (slot, pte)) in entries.into_iter().enumerate() {
             assert_eq!(slot, table.base_addr() + i as u64 * 8);
-            assert_eq!(pte, Ok(Pte::from_bits(slot.as_u64())));
+            assert_eq!(Ok(pte.bits()), mem.read_u64(slot));
         }
+    }
+
+    #[test]
+    fn table_entries_fails_like_a_read_of_the_first_slot() {
+        let mem = PhysMem::new(4 * MIB);
+        let outside = PhysPageNum::new(4 * MIB / PAGE_SIZE);
+        let err = table_entries(outside, &mem).err();
+        assert_eq!(err, mem.read_u64(outside.base_addr()).err());
+        assert!(err.is_some());
     }
 
     fn secured_bus() -> (Bus, SecureRegion) {

@@ -1,10 +1,11 @@
-//! Canonical state encoding and hashing for BFS dedup.
+//! Canonical state hashing for BFS dedup.
 //!
 //! Two machine states deserve the same canonical digest exactly when no
 //! future op sequence can distinguish them — dedup on anything coarser
 //! would prune states the exhaustive claim must visit, anything finer
-//! merely wastes replays. The encoding therefore covers every piece of
-//! state that the op alphabet's behavior reads, directly or transitively:
+//! merely wastes expansions. The canonical state is one walk over the
+//! kernel's fields, in a fixed order, and it covers every piece of state
+//! that the op alphabet's behavior reads, directly or transitively:
 //!
 //! * the secure region and the raw PMP entry file (plus the S-bit
 //!   enforcement ablation switch);
@@ -33,147 +34,165 @@
 //! rotation is host-private state, so two states merged here can diverge
 //! only in *which* entry a future eviction drops; the invariant oracle's
 //! verdict depends on the entry set alone, never on the victim choice.
+//! They are sorted by the tuple of all their fields.
+//!
+//! The walk feeds one of two sinks. [`digest`] feeds each field's derived
+//! `Hash` into FNV-1a, whose `Hasher` writes every integer little-endian,
+//! so the digest is the same on every host. [`encode`] writes each field's
+//! derived `Debug` as text; only tests use it, to check that two states
+//! have equal digests exactly when they have equal texts.
 
-use std::fmt::Write as _;
+use core::fmt::{Debug, Write as _};
+use core::hash::Hash;
 
-use ptstore_core::Fnv1a;
-use ptstore_fault::{known_pt_pages, ModelOp};
-use ptstore_kernel::Kernel;
+use ptstore_core::{Fnv1a, PhysAddr};
+use ptstore_fault::known_pt_pages;
+use ptstore_kernel::{Kernel, Pid};
 
-/// Renders `k` into its canonical text encoding.
-///
-/// The encoding is injective on the state the model checker's op alphabet
-/// can observe (see the module docs for the exact coverage); [`digest`] is
-/// its FNV-1a fold. Line framing uses `\n`, so distinct field sequences
-/// cannot collide by concatenation.
-pub fn encode(k: &Kernel) -> String {
-    let mut out = String::new();
+/// What the canonical walk feeds each record and field to.
+trait Sink {
+    /// Starts a record; `tag` names what its fields describe.
+    fn record(&mut self, tag: &'static str);
+    /// One field of the current record.
+    fn field<T: Hash + Debug + ?Sized>(&mut self, name: &'static str, value: &T);
+}
 
-    match k.secure_region() {
-        Some(r) => {
-            let _ = writeln!(
-                out,
-                "region base={:#x} size={:#x}",
-                r.base().as_u64(),
-                r.size()
-            );
-        }
-        None => out.push_str("region none\n"),
+/// [`digest`]'s sink: each tag and each field's derived `Hash`, in walk
+/// order. Tags are `str`s (terminated in the hash stream) and every field
+/// has a fixed type per tag, so distinct walks feed distinct byte streams.
+impl Sink for Fnv1a {
+    fn record(&mut self, tag: &'static str) {
+        tag.hash(self);
     }
+
+    fn field<T: Hash + Debug + ?Sized>(&mut self, _name: &'static str, value: &T) {
+        value.hash(self);
+    }
+}
+
+/// [`encode`]'s sink: a line with each record's tag, then an indented
+/// `name=value` line per field, the value in its derived `Debug`.
+impl Sink for String {
+    fn record(&mut self, tag: &'static str) {
+        self.push_str(tag);
+        self.push('\n');
+    }
+
+    fn field<T: Hash + Debug + ?Sized>(&mut self, name: &'static str, value: &T) {
+        let _ = writeln!(self, "  {name}={value:?}");
+    }
+}
+
+/// The canonical walk over `k` (see the module docs for its coverage).
+fn walk(k: &Kernel, out: &mut impl Sink) {
+    out.record("region");
+    out.field(
+        "base_size",
+        &k.secure_region().map(|r| (r.base(), r.size())),
+    );
     let pmp = k.bus.pmp();
-    let _ = writeln!(
-        out,
-        "pmp enforce={} {:?}",
-        pmp.secure_enforcement(),
-        pmp.entries()
-    );
-    let _ = writeln!(
-        out,
-        "alloc next_pid={} next_asid={} asid_wrapped={}",
-        k.next_pid(),
-        k.next_asid(),
-        k.asid_rollover_happened()
-    );
+    out.record("pmp");
+    out.field("enforce", &pmp.secure_enforcement());
+    out.field("entries", pmp.entries());
+    out.record("alloc");
+    out.field("next_pid", &k.next_pid());
+    out.field("next_asid", &k.next_asid());
+    out.field("asid_wrapped", &k.asid_rollover_happened());
 
     for h in &k.harts {
-        let mbox: Vec<(usize, String)> = h
-            .mailbox
-            .iter()
-            .map(|m| (m.from, format!("{:?}", m.kind)))
-            .collect();
         // A reaped pid's stale entry is invisible to every op (`pick_next`
         // drops it), so the queue is hashed without it.
-        let rq: Vec<_> = h
+        let rq: Vec<Pid> = h
             .run_queue
             .iter()
-            .filter(|&&pid| k.procs.get(pid).is_some())
+            .copied()
+            .filter(|&pid| k.procs.get(pid).is_some())
             .collect();
-        let _ = writeln!(
-            out,
-            "hart {} current={} satp={:?} rq={:?} flushq={:?} mag={:?} mbox={:?}",
-            h.id, h.current, h.mmu.satp, rq, h.flush_queue, h.pt_magazine, mbox
-        );
-        let mut tlb: Vec<String> = h
-            .mmu
-            .itlb()
-            .entries()
-            .map(|e| format!("hart{} itlb {e:?}", h.id))
-            .chain(
-                h.mmu
-                    .dtlb()
-                    .entries()
-                    .map(|e| format!("hart{} dtlb {e:?}", h.id)),
-            )
-            .collect();
-        tlb.sort();
-        for line in tlb {
-            out.push_str(&line);
-            out.push('\n');
+        let mbox: Vec<_> = h.mailbox.iter().map(|m| (m.from, m.kind)).collect();
+        out.record("hart");
+        out.field("id", &h.id);
+        out.field("current", &h.current);
+        out.field("satp", &h.mmu.satp);
+        out.field("rq", &rq);
+        out.field("flushq", &h.flush_queue);
+        out.field("mag", &h.pt_magazine);
+        out.field("mbox", &mbox);
+        for (unit, tlb) in [("itlb", h.mmu.itlb()), ("dtlb", h.mmu.dtlb())] {
+            let mut entries: Vec<_> = tlb
+                .entries()
+                .map(|e| (e.vpn, e.asid, e.ppn, e.flags.bits(), e.page_size))
+                .collect();
+            entries.sort_unstable();
+            for e in &entries {
+                out.record(unit);
+                out.field("vpn_asid_ppn_flags_size", e);
+            }
         }
     }
 
     let mem = k.bus.mem();
     for (_, p) in k.procs.handles() {
-        let _ = writeln!(
-            out,
-            "proc {} parent={:?} state={:?} root={:?} asid={} ptpages={:?} brk={:#x} \
-             cursor={:#x} mm_owner={:?} threads={:?} kids={:?} vmas={:?}",
-            p.pid,
-            p.parent,
-            p.state,
-            p.aspace.root,
-            p.aspace.asid,
-            p.aspace.pt_pages,
-            p.brk,
-            p.mmap_cursor,
-            p.mm_owner,
-            p.threads,
-            p.children,
-            p.vmas
-        );
-        let _ = writeln!(out, "  user={:?}", p.aspace.user);
+        out.record("proc");
+        out.field("pid", &p.pid);
+        out.field("parent", &p.parent);
+        out.field("state", &p.state);
+        out.field("root", &p.aspace.root);
+        out.field("asid", &p.aspace.asid);
+        out.field("ptpages", &p.aspace.pt_pages);
+        out.field("brk", &p.brk);
+        out.field("cursor", &p.mmap_cursor);
+        out.field("mm_owner", &p.mm_owner);
+        out.field("threads", &p.threads);
+        out.field("kids", &p.children);
+        out.field("vmas", &p.vmas);
+        out.field("user", &p.aspace.user);
         // The attacker-writable credential words, raw from DRAM: the PCB
         // page-table pointer, the token pointer, and — when the token
         // pointer is in-bounds — the two token fields it designates.
         let pt_raw = k.pcb_pt_ptr_slot(p.pid).and_then(|s| mem.read_u64(s).ok());
         let tok_ptr = k.pcb_token_slot(p.pid).and_then(|s| mem.read_u64(s).ok());
         let tok_words = tok_ptr.and_then(|t| {
-            let a = ptstore_core::PhysAddr::new(t);
+            let a = PhysAddr::new(t);
             Some((mem.read_u64(a).ok()?, mem.read_u64(a + 8).ok()?))
         });
-        let _ = writeln!(
-            out,
-            "  pcbraw pt={pt_raw:?} tok={tok_ptr:?} tokwords={tok_words:?}"
-        );
+        out.field("pcb_pt", &pt_raw);
+        out.field("pcb_tok", &tok_ptr);
+        out.field("tok_words", &tok_words);
     }
 
     for ppn in known_pt_pages(k) {
-        let _ = writeln!(
-            out,
-            "ptpage {:?} {:016x}",
-            ppn,
-            mem.page_digest(ppn).unwrap_or(u64::MAX)
-        );
+        out.record("ptpage");
+        out.field("ppn", &ppn);
+        out.field("digest", &mem.page_digest(ppn).unwrap_or(u64::MAX));
     }
 
     for (zone, order, ppn) in k.zone_free_blocks() {
-        let _ = writeln!(out, "zone {zone} o={order} {ppn:?}");
+        out.record("zone");
+        out.field("name", zone);
+        out.field("order", &order);
+        out.field("ppn", &ppn);
     }
-    let _ = writeln!(out, "slab {:x?}", k.slab_canon_words());
+    out.record("slab");
+    out.field("words", &k.slab_canon_words());
+}
 
+/// Renders `k` as text: the canonical walk with every field's derived
+/// `Debug`, one line per record and per field. Tests compare states
+/// through this; the search itself only needs [`digest`].
+pub fn encode(k: &Kernel) -> String {
+    let mut out = String::new();
+    walk(k, &mut out);
     out
 }
 
-/// FNV-1a digest of [`encode`]. BFS dedups on this; the injectivity
-/// property test drives sampled op corpora through both and checks that
-/// equal digests imply equal encodings.
+/// FNV-1a digest of the canonical walk: every field's derived `Hash`, fed
+/// straight into the hasher. BFS dedups on this; the injectivity property
+/// test checks that two sampled states' digests are equal exactly when
+/// their [`encode`] texts are.
 pub fn digest(k: &Kernel) -> u64 {
-    Fnv1a::hash_bytes(encode(k).as_bytes())
-}
-
-/// Digest of a state reached by replaying `trace` — convenience for tests.
-pub fn trace_digest(cfg: &ptstore_kernel::KernelConfig, trace: &[ModelOp]) -> u64 {
-    digest(&ptstore_fault::replay(cfg, trace))
+    let mut h = Fnv1a::new();
+    walk(k, &mut h);
+    h.finish()
 }
 
 #[cfg(test)]

@@ -1,22 +1,27 @@
 //! Bounded breadth-first exploration of the miniature machine.
 //!
-//! The kernel is deliberately not cloneable (its determinism story leans on
-//! that), so a frontier state is represented by the op sequence that reaches
-//! it and re-executed from a fresh [`boot_model`] whenever it is expanded —
-//! the replay discipline of [`ptstore_fault::replay()`]. BFS guarantees that
-//! the first violating state found is reached by a *minimal-length* trace:
-//! any shorter violating trace would have been expanded at an earlier level.
+//! A frontier state is stored as the op sequence that reaches it, not as a
+//! machine: one machine costs ~93 KiB of host memory, so a stored depth-5
+//! frontier would take gigabytes. Expanding a state replays its trace once
+//! from a fresh boot ([`ptstore_fault::replay()`]), then applies each op of
+//! the alphabet to its own clone of that machine. Each successor is
+//! oracle-checked and deduplicated on its canonical digest. BFS guarantees
+//! that the first violating state found is reached by a *minimal-length*
+//! trace: any shorter violating trace would have been expanded at an
+//! earlier level. [`replay_trace`] then validates the shrinker's candidates
+//! and the printed counterexample on fresh machines.
 //!
 //! ## Determinism
 //!
-//! Expansion of one level fans out across host threads through the
-//! workspace's parallel map ([`ptstore_core::pool::fan_out`]), and results
-//! are merged **in submission order** — the same total order a
-//! single-threaded run produces. Dedup inserts digests in that
-//! order, the exploration digest folds them in that order, and the first
-//! violation in that order wins. Reports are therefore byte-identical for
-//! every `--jobs` value, which `scripts/check.sh` enforces with a literal
-//! `cmp` of two runs and the property tests re-check in-process.
+//! Expansion of one level fans out, one frontier state per work item,
+//! across host threads through the workspace's parallel map
+//! ([`ptstore_core::pool::fan_out`]), and results are merged **in
+//! submission order** — the same total order a single-threaded run
+//! produces. Dedup inserts digests in that order, the exploration digest
+//! folds them in that order, and the first violation in that order wins.
+//! Reports are therefore byte-identical for every `--jobs` value, which
+//! `scripts/check.sh` enforces with a literal `cmp` of two runs and the
+//! property tests re-check in-process.
 
 use core::fmt;
 use std::collections::HashSet;
@@ -227,7 +232,7 @@ pub fn parse_op_kinds(s: &str) -> Result<Vec<OpKind>, String> {
 /// Search configuration: machine geometry plus bound and filters.
 #[derive(Debug, Clone)]
 pub struct McConfig {
-    /// Harts on the miniature machine (1 or 2).
+    /// Harts on the miniature machine (1 to 64; the default is 2).
     pub harts: usize,
     /// Paging scheme to boot under.
     pub scheme: PagingScheme,
@@ -382,10 +387,28 @@ impl ExploreReport {
     }
 }
 
-/// One frontier expansion: successor digest plus oracle verdict.
+/// One successor of a frontier state: its digest plus oracle verdict.
 struct Expansion {
     digest: u64,
     violations: Vec<String>,
+}
+
+/// Expands the frontier state `trace` reaches: replays the trace once,
+/// then applies each op of `alphabet` to its own clone of that machine.
+fn expand(kcfg: &KernelConfig, trace: &[ModelOp], alphabet: &[ModelOp]) -> Vec<Expansion> {
+    let state = replay(kcfg, trace);
+    alphabet
+        .iter()
+        .map(|&op| {
+            let mut k = state.clone();
+            apply(&mut k, op);
+            let rep = Invariants::check(&k);
+            Expansion {
+                digest: canon::digest(&k),
+                violations: rep.violations.iter().map(|v| format!("{v:?}")).collect(),
+            }
+        })
+        .collect()
 }
 
 /// Runs the bounded breadth-first search described in the module docs.
@@ -451,27 +474,24 @@ pub fn explore(mc: &McConfig) -> ExploreReport {
         if frontier.is_empty() || truncated {
             break;
         }
-        let work: Vec<(usize, ModelOp)> = (0..frontier.len())
-            .flat_map(|i| alphabet.iter().map(move |&op| (i, op)))
-            .collect();
-        let frontier_ref = &frontier;
-        let results = fan_out(mc.jobs, &work, |&(i, op)| {
-            let mut k = replay(&kcfg, &frontier_ref[i]);
-            apply(&mut k, op);
-            let rep = Invariants::check(&k);
-            Expansion {
-                digest: canon::digest(&k),
-                violations: rep.violations.iter().map(|v| format!("{v:?}")).collect(),
-            }
-        });
+        let results = fan_out(mc.jobs, &frontier, |trace| expand(&kcfg, trace, &alphabet));
 
         let mut next: Vec<Vec<ModelOp>> = Vec::new();
         let mut discovered = 0u64;
-        for (&(i, op), ex) in work.iter().zip(results) {
+        let transitions = frontier
+            .iter()
+            .zip(results)
+            .flat_map(|(trace, successors)| {
+                alphabet
+                    .iter()
+                    .zip(successors)
+                    .map(move |(&op, ex)| (trace, op, ex))
+            });
+        for (prefix, op, ex) in transitions {
             report.transitions += 1;
             report.oracle_checks += 1;
             if !ex.violations.is_empty() {
-                let mut trace = frontier[i].clone();
+                let mut trace = prefix.clone();
                 trace.push(op);
                 raw_counterexample = Some((trace, ex.violations));
                 // First violation in submission order at the minimal BFS
@@ -491,7 +511,7 @@ pub fn explore(mc: &McConfig) -> ExploreReport {
                 if report.states >= mc.max_states {
                     truncated = true;
                 } else {
-                    let mut trace = frontier[i].clone();
+                    let mut trace = prefix.clone();
                     trace.push(op);
                     next.push(trace);
                 }

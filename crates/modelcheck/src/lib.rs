@@ -13,20 +13,22 @@
 //!
 //! The search is a breadth-first enumeration with canonical state hashing:
 //!
-//! * [`canon`] renders a kernel into a canonical text encoding — secure
-//!   region, PMP entry file, allocation cursors, per-hart MMU/queue state
-//!   with sorted TLB entries, the process table in pid order with the raw
+//! * [`canon`] walks a kernel's canonical fields — secure region, PMP
+//!   entry file, allocation cursors, per-hart MMU/queue state with sorted
+//!   TLB entries, the process table in pid order with the raw
 //!   (attacker-writable) PCB credential words, a content digest of every
 //!   reachable page-table page, and the buddy/slab free-structure — and
-//!   folds it through the workspace FNV-1a ([`ptstore_core::Fnv1a`]).
-//!   Two states with equal encodings behave identically under every future
-//!   op, so BFS dedups on the digest.
-//! * [`explore()`] replays each frontier state from a fresh boot (the kernel
-//!   is deliberately not cloneable), applies one op, runs the machine-wide
-//!   invariant oracle ([`Invariants::check`](ptstore_fault::Invariants)) on
-//!   the successor, and dedups. Expansion fans out across host threads
-//!   with results merged in submission order, so reports are byte-identical
-//!   regardless of `--jobs`.
+//!   feeds each field's derived `Hash` into the workspace FNV-1a
+//!   ([`ptstore_core::Fnv1a`]). Two states with equal canonical fields
+//!   behave identically under every future op, so BFS dedups on the
+//!   digest.
+//! * [`explore()`] replays each frontier state once from a fresh boot,
+//!   applies each op of the alphabet to a clone of that machine, runs the
+//!   machine-wide invariant oracle
+//!   ([`Invariants::check`](ptstore_fault::Invariants)) on every
+//!   successor, and dedups. Expansion fans out across host threads, one
+//!   frontier state per work item, with results merged in submission
+//!   order, so reports are byte-identical regardless of `--jobs`.
 //!
 //! With every defense enabled the search terminates with **zero violations
 //! in every reachable state** — the bounded-exhaustive counterpart of the

@@ -2,9 +2,10 @@
 //!
 //! Two properties carry the dedup's soundness story:
 //!
-//! 1. **Injectivity on the explored corpus** — whenever two sampled op
-//!    sequences produce the same digest, their full canonical encodings are
-//!    identical too (no observed collision ever merges distinct states).
+//! 1. **Injectivity on the explored corpus** — two sampled states have
+//!    the same digest exactly when they have the same canonical text: no
+//!    observed collision merges distinct states, and no field the text
+//!    omits splits equal ones.
 //! 2. **Jobs-independence** — the exploration digest (an order-sensitive
 //!    fold of every discovered state) and the whole rendered report are
 //!    identical whatever the host thread count, which is what lets
@@ -24,10 +25,10 @@ fn mc() -> McConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Equal digests imply equal encodings over a corpus of sampled op
-    /// sequences (with collisions *between* sequences made likely by
-    /// including denied attacks and unavailable ops, which leave the state
-    /// unchanged).
+    /// Equal digests and equal encodings imply each other over a corpus of
+    /// sampled op sequences (with repeats *between* sequences made likely
+    /// by including denied attacks and unavailable ops, which leave the
+    /// state unchanged).
     #[test]
     fn digest_is_injective_on_sampled_traces(picks in vec(0usize..1000, 0..6)) {
         let mc = mc();
@@ -36,21 +37,24 @@ proptest! {
         let trace: Vec<_> = picks.iter().map(|&i| alphabet[i % alphabet.len()]).collect();
 
         let mut by_digest: HashMap<u64, String> = HashMap::new();
+        let mut by_encoding: HashMap<String, u64> = HashMap::new();
         // Hash every prefix of the trace, not just its endpoint: prefixes
         // are exactly the states BFS dedups against each other.
         for len in 0..=trace.len() {
             let k = replay(&kcfg, &trace[..len]);
             let enc = canon::encode(&k);
             let digest = canon::digest(&k);
-            match by_digest.get(&digest) {
-                Some(prev) => prop_assert_eq!(
+            if let Some(prev) = by_digest.get(&digest) {
+                prop_assert_eq!(
                     prev, &enc,
                     "digest collision between distinct canonical states"
-                ),
-                None => {
-                    by_digest.insert(digest, enc);
-                }
+                );
             }
+            if let Some(&prev) = by_encoding.get(&enc) {
+                prop_assert_eq!(prev, digest, "equal canonical states, distinct digests");
+            }
+            by_digest.insert(digest, enc.clone());
+            by_encoding.insert(enc, digest);
         }
     }
 

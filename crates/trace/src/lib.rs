@@ -9,10 +9,11 @@
 //! graph (it depends on nothing but the serde markers), so every other
 //! layer — `ptstore-core`'s PMP, `ptstore-mem`'s bus, `ptstore-mmu`'s
 //! walker and TLBs, and `ptstore-kernel`'s token/syscall/SBI paths — can
-//! hold an optional [`TraceSink`] handle and emit [`TraceEvent`]s through
-//! it. Events therefore describe hardware facts in primitive terms
-//! (addresses as `u64`, channels/kinds as local tags) rather than
-//! referencing upper-layer types.
+//! hold an optional [`TraceSink`] handle in a [`SinkSlot`] (which a
+//! cloned layer does not inherit) and emit [`TraceEvent`]s through it.
+//! Events therefore describe hardware facts in primitive terms (addresses
+//! as `u64`, channels/kinds as local tags) rather than referencing
+//! upper-layer types.
 //!
 //! ## Zero overhead when disabled
 //!
@@ -55,5 +56,5 @@ pub use event::{
     Access, Chan, FaultClass, FlushScope, Layer, RejectingLayer, TlbUnit, TokenOp, TraceEvent,
     Verdict,
 };
-pub use sink::{TraceBuffer, TraceSink, DEFAULT_CAPACITY};
+pub use sink::{SinkSlot, TraceBuffer, TraceSink, DEFAULT_CAPACITY};
 pub use snapshot::Snapshot;

@@ -146,6 +146,33 @@ impl Default for TraceSink {
     }
 }
 
+/// Where a layer keeps its attached [`TraceSink`], if any.
+///
+/// A sink observes one machine. Cloning a layer therefore yields an empty
+/// slot: a cloned machine starts with no sink attached, instead of writing
+/// into its original's event stream through a shared handle.
+#[derive(Debug, Default)]
+pub struct SinkSlot(Option<TraceSink>);
+
+impl Clone for SinkSlot {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl SinkSlot {
+    /// The attached sink, if any.
+    #[inline]
+    pub fn get(&self) -> Option<&TraceSink> {
+        self.0.as_ref()
+    }
+
+    /// Attaches `sink`, or detaches with `None`.
+    pub fn set(&mut self, sink: Option<TraceSink>) {
+        self.0 = sink;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,6 +199,14 @@ mod tests {
         let events = sink.events();
         assert_eq!(events[0], read_event(6), "oldest surviving event");
         assert_eq!(events[3], read_event(9), "newest event");
+    }
+
+    #[test]
+    fn a_cloned_slot_is_empty() {
+        let mut slot = SinkSlot::default();
+        slot.set(Some(TraceSink::new()));
+        assert!(slot.get().is_some());
+        assert!(slot.clone().get().is_none());
     }
 
     #[test]

@@ -115,11 +115,15 @@ rm -f target/mc-a.txt target/mc-b.txt
 echo "== modelcheck: default bound (>= 10^4 deduped states, 0 violations) =="
 # The acceptance floor: the default depth-5 search over the full op
 # alphabet explores at least ten thousand deduped states and every one of
-# them satisfies every invariant.
+# them satisfies every invariant. The exact per-depth counts and
+# transition total pin the canonical state's dedup classes at this bound,
+# as the depth-4 step does at its own.
 ./target/release/reproduce modelcheck --jobs 4 > target/mc-full.txt
 grep -q ": VERIFIED" target/mc-full.txt
 STATES=$(sed -n 's/^  states explored  : \([0-9]*\) .*/\1/p' target/mc-full.txt)
 [ "$STATES" -ge 10000 ]
+grep -q "per depth: 1 7 59 522 4579 39915)" target/mc-full.txt
+grep -q "transitions      : 155040$" target/mc-full.txt
 rm -f target/mc-full.txt
 
 echo "== modelcheck: ablation counterexample (minimal, replayable) =="
