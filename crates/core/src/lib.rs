@@ -62,7 +62,10 @@ pub use channel::{AccessKind, Channel};
 pub use digest::Fnv1a;
 pub use error::{AccessError, RegionError, TokenError};
 pub use paging::PagingScheme;
-pub use pmp::{AccessContext, PmpAddressMode, PmpEntry, PmpPermissions, PmpUnit, PMP_ENTRY_COUNT};
+pub use pmp::{
+    AccessContext, PmpAddressMode, PmpEntry, PmpPermissions, PmpRun, PmpUnit, PMPADDR_MASK,
+    PMP_ENTRY_COUNT,
+};
 pub use policy::{check_access, AccessDecision};
 pub use privilege::PrivilegeMode;
 pub use region::SecureRegion;

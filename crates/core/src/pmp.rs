@@ -36,6 +36,10 @@ use crate::region::SecureRegion;
 /// Number of PMP entries implemented by the modelled core (BOOM default).
 pub const PMP_ENTRY_COUNT: usize = 8;
 
+/// The writable bits of an RV64 `pmpaddr` register: physical address bits
+/// `[55:2]`. The register is WARL, so [`PmpUnit::set_entry`] drops the rest.
+pub const PMPADDR_MASK: u64 = (1 << 54) - 1;
+
 /// PMP address-matching mode (the `A` field of `pmpcfg`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum PmpAddressMode {
@@ -215,15 +219,6 @@ impl PmpEntry {
     pub const fn decode_addr(raw: u64) -> PhysAddr {
         PhysAddr::new(raw << 2)
     }
-
-    /// For a NAPOT entry, the (base, size) it covers.
-    fn napot_range(self) -> (u64, u64) {
-        // pmpaddr = base/4 | (size/8 - 1): trailing ones encode the size.
-        let trailing = self.addr.trailing_ones() as u64;
-        let size = 8u64 << trailing;
-        let base = (self.addr & !((1 << trailing) - 1)) << 2;
-        (base, size)
-    }
 }
 
 /// Which decision the PMP reached for an access, with entry attribution.
@@ -231,6 +226,21 @@ impl PmpEntry {
 struct MatchResult {
     index: usize,
     cfg: PmpPermissions,
+}
+
+/// The decision [`PmpUnit::decide_run`] reaches for the run of addresses at
+/// the start of a range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PmpRun {
+    /// Bytes in the run: at least 1, at most the range's length.
+    pub len: u64,
+    /// Index of the entry that matches every address of the run, or `None`
+    /// when no entry matches any of them.
+    pub entry: Option<usize>,
+    /// The verdict [`PmpUnit::check`] gives the run's first address. Every
+    /// other address of the run gets the same verdict, with its own address
+    /// in the error.
+    pub verdict: Result<(), AccessError>,
 }
 
 /// Context needed to evaluate an access: the hart's privilege mode and the
@@ -359,12 +369,16 @@ impl PmpUnit {
         &self.entries
     }
 
-    /// Writes one raw entry (the M-mode CSR interface).
+    /// Writes one raw entry (the M-mode CSR interface). `pmpaddr` keeps
+    /// only its [`PMPADDR_MASK`] bits, as the WARL register does.
     ///
     /// # Panics
     /// Panics if `index >= PMP_ENTRY_COUNT`.
     pub fn set_entry(&mut self, index: usize, entry: PmpEntry) {
-        self.entries[index] = entry;
+        self.entries[index] = PmpEntry {
+            addr: entry.addr & PMPADDR_MASK,
+            ..entry
+        };
     }
 
     /// Reads one raw entry.
@@ -433,31 +447,43 @@ impl PmpUnit {
         matches!(self.match_entry(addr), Some(m) if m.cfg.secure())
     }
 
+    /// The byte range `[lo, hi)` entry `i` matches: the one decode of an
+    /// entry's address bits, shared by [`Self::check`] and
+    /// [`Self::decide_run`]. Empty (`lo >= hi`) for an `Off` entry and for an
+    /// inverted TOR pair. No sum overflows: `set_entry` keeps 54 address
+    /// bits, and the secure-region helpers only write TOR bounds.
+    #[inline]
+    fn entry_range(&self, i: usize) -> (u64, u64) {
+        let e = self.entries[i];
+        match e.cfg.address_mode() {
+            PmpAddressMode::Off => (0, 0),
+            PmpAddressMode::Tor => {
+                let lo = if i == 0 {
+                    0
+                } else {
+                    self.entries[i - 1].addr << 2
+                };
+                (lo, e.addr << 2)
+            }
+            PmpAddressMode::Na4 => {
+                let base = e.addr << 2;
+                (base, base + 4)
+            }
+            PmpAddressMode::Napot => {
+                // pmpaddr = base/4 | (size/8 - 1): trailing ones encode the size.
+                let trailing = e.addr.trailing_ones();
+                let base = (e.addr & !((1 << trailing) - 1)) << 2;
+                (base, base + (8 << trailing))
+            }
+        }
+    }
+
     /// Finds the highest-priority (lowest-index) entry matching `addr`.
     fn match_entry(&self, addr: PhysAddr) -> Option<MatchResult> {
         let a = addr.as_u64();
         for (i, e) in self.entries.iter().enumerate() {
-            let hit = match e.cfg.address_mode() {
-                PmpAddressMode::Off => false,
-                PmpAddressMode::Tor => {
-                    let lo = if i == 0 {
-                        0
-                    } else {
-                        self.entries[i - 1].addr << 2
-                    };
-                    let hi = e.addr << 2;
-                    a >= lo && a < hi
-                }
-                PmpAddressMode::Na4 => {
-                    let base = e.addr << 2;
-                    a >= base && a < base + 4
-                }
-                PmpAddressMode::Napot => {
-                    let (base, size) = e.napot_range();
-                    a >= base && a < base + size
-                }
-            };
-            if hit {
+            let (lo, hi) = self.entry_range(i);
+            if lo <= a && a < hi {
                 return Some(MatchResult {
                     index: i,
                     cfg: e.cfg,
@@ -465,6 +491,44 @@ impl PmpUnit {
             }
         }
         None
+    }
+
+    /// Decides the longest prefix of `[addr, addr + len)` that one entry, or
+    /// no entry, decides. PMP picks the lowest-numbered entry that matches
+    /// an address, so the run ends where its entry's range ends or where a
+    /// higher-priority entry's range begins; [`check`](Self::check) gives
+    /// every address in it the returned entry and verdict. One pass over
+    /// the entries and one call of the same decision function, however long
+    /// the run. Nothing is traced. A `len` of 0 is taken as 1.
+    pub fn decide_run(
+        &self,
+        addr: PhysAddr,
+        len: u64,
+        kind: AccessKind,
+        channel: Channel,
+        ctx: AccessContext,
+    ) -> PmpRun {
+        let a = addr.as_u64();
+        let mut run = len.max(1);
+        let mut matched = None;
+        for i in 0..PMP_ENTRY_COUNT {
+            let (lo, hi) = self.entry_range(i);
+            if a < lo && lo < hi {
+                run = run.min(lo - a);
+            } else if lo <= a && a < hi {
+                run = run.min(hi - a);
+                matched = Some(MatchResult {
+                    index: i,
+                    cfg: self.entries[i].cfg,
+                });
+                break;
+            }
+        }
+        PmpRun {
+            len: run,
+            entry: matched.map(|m| m.index),
+            verdict: self.decide(addr, kind, channel, ctx, matched),
+        }
     }
 
     /// Evaluates one physical access against the PMP, applying PTStore's
@@ -871,6 +935,80 @@ mod tests {
             pmp.check(region.base(), AccessKind::Write, Channel::SecurePt, ctx),
             Err(AccessError::PmpDenied { .. })
         ));
+    }
+
+    #[test]
+    fn napot_with_every_address_bit_set_covers_the_whole_space() {
+        let mut pmp = PmpUnit::new();
+        let cfg = PmpPermissions::new()
+            .with_read()
+            .with_mode(PmpAddressMode::Napot);
+        pmp.set_entry(
+            0,
+            PmpEntry {
+                cfg,
+                addr: u64::MAX,
+            },
+        );
+        assert_eq!(pmp.entry(0).addr, PMPADDR_MASK);
+        let ctx = AccessContext::supervisor(false);
+        for a in [0, (1 << 56) - 8] {
+            let addr = PhysAddr::new(a);
+            assert!(pmp
+                .check(addr, AccessKind::Read, Channel::Regular, ctx)
+                .is_ok());
+            assert!(matches!(
+                pmp.check(addr, AccessKind::Write, Channel::Regular, ctx),
+                Err(AccessError::PmpDenied { .. })
+            ));
+            let run = pmp.decide_run(addr, PAGE_SIZE, AccessKind::Write, Channel::Regular, ctx);
+            assert_eq!((run.len, run.entry), (PAGE_SIZE, Some(0)));
+        }
+    }
+
+    #[test]
+    fn a_run_ends_where_its_entry_ends_or_a_higher_priority_entry_begins() {
+        let (mut pmp, region) = unit_with_region(0x10000, 4 * PAGE_SIZE);
+        // A read-only NA4 at index 2, below the secure TOR pair (0, 1) in
+        // priority, and one at index 3 inside the secure region: shadowed.
+        let na4 = |a: u64| PmpEntry {
+            cfg: PmpPermissions::new()
+                .with_read()
+                .with_mode(PmpAddressMode::Na4),
+            addr: a >> 2,
+        };
+        pmp.set_entry(2, na4(0xf000 + 0x40));
+        pmp.set_entry(3, na4(0x10000 + 0x40));
+        let ctx = AccessContext::supervisor(true);
+        let run = |a: u64, len: u64| {
+            pmp.decide_run(
+                PhysAddr::new(a),
+                len,
+                AccessKind::Write,
+                Channel::Regular,
+                ctx,
+            )
+        };
+        // Unmatched up to the NA4, which decides exactly four bytes.
+        assert_eq!(
+            (run(0xf000, PAGE_SIZE).len, run(0xf000, PAGE_SIZE).entry),
+            (0x40, None)
+        );
+        let denied = run(0xf040, PAGE_SIZE);
+        assert_eq!((denied.len, denied.entry), (4, Some(2)));
+        assert!(matches!(denied.verdict, Err(AccessError::PmpDenied { .. })));
+        // From after the NA4 to the secure region's base.
+        assert_eq!(run(0xf044, 2 * PAGE_SIZE).len, 0x10000 - 0xf044);
+        // The secure TOR outranks the NA4 inside it, to its end.
+        let secure = run(region.base().as_u64(), 8 * PAGE_SIZE);
+        assert_eq!((secure.len, secure.entry), (4 * PAGE_SIZE, Some(1)));
+        assert!(matches!(
+            secure.verdict,
+            Err(AccessError::SecureRegionDenied { .. })
+        ));
+        // A run never outgrows its range, and is never empty.
+        assert_eq!(run(0x20000, 24).len, 24);
+        assert_eq!(run(0x20000, 0).len, 1);
     }
 
     #[test]

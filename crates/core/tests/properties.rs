@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use ptstore_core::prelude::*;
-use ptstore_core::{check_access, AccessDecision, PmpEntry};
+use ptstore_core::{check_access, AccessDecision, PmpEntry, PrivilegeMode, PMP_ENTRY_COUNT};
 
 const PAGE: u64 = PAGE_SIZE;
 
@@ -159,5 +159,115 @@ proptest! {
         }
         // And both agree on secure-region membership.
         prop_assert_eq!(napot.is_secure(pa), tor.is_secure(pa));
+    }
+}
+
+/// The test page the range-decision property splits with PMP entries.
+const SPLIT_PAGE: u64 = 0x40_000;
+
+prop_compose! {
+    /// One entry of any mode and any L/S/R/W/X bits, with its address
+    /// within half a page of [`SPLIT_PAGE`] so that programs split it.
+    fn arb_split_entry()(
+        mode in 0u8..4,
+        bits in any::<u8>(),
+        at in (SPLIT_PAGE - PAGE / 2)..(SPLIT_PAGE + PAGE + PAGE / 2),
+        napot_log2 in 3u32..14,
+    ) -> PmpEntry {
+        use ptstore_core::{PmpAddressMode, PmpPermissions};
+        let mode = PmpAddressMode::from_encoding(mode);
+        let addr = if mode == PmpAddressMode::Napot {
+            let size = 1u64 << napot_log2;
+            ((at & !(size - 1)) >> 2) | ((size >> 3) - 1)
+        } else {
+            at >> 2
+        };
+        // L, S, X, W and R: everything but the A field and reserved bit 6.
+        let cfg = PmpPermissions::from_bits(bits & 0b1010_0111).with_mode(mode);
+        PmpEntry { cfg, addr }
+    }
+}
+
+/// `e` as raised at `addr` instead.
+fn raised_at(e: AccessError, addr: PhysAddr) -> AccessError {
+    match e {
+        AccessError::SecureRegionDenied { kind, .. } => {
+            AccessError::SecureRegionDenied { addr, kind }
+        }
+        AccessError::SecureInstructionOutsideRegion { kind, .. } => {
+            AccessError::SecureInstructionOutsideRegion { addr, kind }
+        }
+        AccessError::PtwOutsideRegion { .. } => AccessError::PtwOutsideRegion { addr },
+        AccessError::PmpDenied { kind, channel, .. } => AccessError::PmpDenied {
+            addr,
+            kind,
+            channel,
+        },
+        AccessError::OutOfRange { .. } => AccessError::OutOfRange { addr },
+        AccessError::Misaligned { required, .. } => AccessError::Misaligned { addr, required },
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Splitting a range into the runs `decide_run` reports loses nothing:
+    /// `check` gives every 4-byte-aligned address (every word and every
+    /// NA4 granule) of a run the run's verdict, raised at that address, and
+    /// names the run's entry, and no run stops before its entry's reach
+    /// ends, for any 8-entry program and any channel, kind, privilege,
+    /// `satp.S` and S-bit enforcement.
+    #[test]
+    fn decide_run_agrees_with_check_at_every_word(
+        entries in proptest::collection::vec(arb_split_entry(), PMP_ENTRY_COUNT..PMP_ENTRY_COUNT + 1),
+        first_word in 0u64..512,
+        words in 1u64..=512,
+        channel in prop_oneof![Just(Channel::Regular), Just(Channel::SecurePt), Just(Channel::Ptw)],
+        kind in prop_oneof![Just(AccessKind::Read), Just(AccessKind::Write), Just(AccessKind::Execute)],
+        mode in prop_oneof![
+            Just(PrivilegeMode::User),
+            Just(PrivilegeMode::Supervisor),
+            Just(PrivilegeMode::Machine)
+        ],
+        satp_s in any::<bool>(),
+        enforce in any::<bool>(),
+    ) {
+        use ptstore_trace::{TraceEvent, TraceSink};
+        let mut pmp = PmpUnit::new();
+        for (i, e) in entries.into_iter().enumerate() {
+            pmp.set_entry(i, e);
+        }
+        pmp.set_secure_enforcement(enforce);
+        let sink = TraceSink::with_capacity(1);
+        pmp.set_trace_sink(Some(sink.clone()));
+        let ctx = AccessContext { mode, satp_s, hart: 0 };
+        let start = SPLIT_PAGE + 8 * first_word;
+        let end = (start + 8 * words).min(SPLIT_PAGE + PAGE);
+        let mut at = start;
+        while at < end {
+            let run = pmp.decide_run(PhysAddr::new(at), end - at, kind, channel, ctx);
+            prop_assert!(run.len >= 1 && at + run.len <= end, "run {:?} at {:#x}", run, at);
+            for a in (at..at + run.len).step_by(4) {
+                let pa = PhysAddr::new(a);
+                let verdict = pmp.check(pa, kind, channel, ctx);
+                let entry = match sink.events().last() {
+                    Some(TraceEvent::PmpCheck { entry, .. }) => entry.map(usize::from),
+                    other => panic!("check traced {other:?}"),
+                };
+                prop_assert_eq!(verdict, run.verdict.map_err(|e| raised_at(e, pa)), "at {:#x}", a);
+                prop_assert_eq!(entry, run.entry, "at {:#x}", a);
+            }
+            at += run.len;
+            // The run is the longest one: the next address in the range
+            // is decided by another entry (or by one, after none).
+            if at < end {
+                let _ = pmp.check(PhysAddr::new(at), kind, channel, ctx);
+                let next = match sink.events().last() {
+                    Some(TraceEvent::PmpCheck { entry, .. }) => entry.map(usize::from),
+                    other => panic!("check traced {other:?}"),
+                };
+                prop_assert!(next != run.entry, "run {:?} stops short of {:#x}", run, at);
+            }
+        }
     }
 }

@@ -1296,6 +1296,61 @@ mod tests {
     }
 
     #[test]
+    fn an_all_ones_pmpaddr_keeps_its_writable_bits() {
+        // M-mode writes -1 to pmpaddr0 and makes entry 0 a readable NAPOT
+        // region: the widest encoding, covering all of memory.
+        let csrw = |rs1, csr| Inst::Csr {
+            op: CsrOp::ReadWrite,
+            rd: 0,
+            rs1,
+            csr,
+            imm_form: false,
+        };
+        let li = |rd, imm| Inst::OpImm {
+            op: AluOp::Add,
+            rd,
+            rs1: 0,
+            imm,
+            word: false,
+        };
+        let prog = [
+            li(5, -1),
+            csrw(5, csr_addr::PMPADDR0),
+            li(6, 0b1_1001), // NAPOT | R
+            csrw(6, csr_addr::PMPCFG0),
+            Inst::Load {
+                op: LoadOp::D,
+                rd: 7,
+                rs1: 0,
+                offset: 0x200,
+            },
+            Inst::Store {
+                op: StoreOp::D,
+                rs1: 0,
+                rs2: 5,
+                offset: 0x200,
+            },
+            li(8, 1),
+        ];
+        let (mut cpu, mut bus) = boot(&prog, 0x1000);
+        for _ in 0..prog.len() {
+            assert_eq!(cpu.step(&mut bus).unwrap(), StepEvent::Retired);
+        }
+        let entry = bus.pmp().entry(0);
+        assert_eq!(entry.addr, ptstore_core::PMPADDR_MASK);
+        assert_eq!(
+            entry.cfg.address_mode(),
+            ptstore_core::PmpAddressMode::Napot
+        );
+        // The entry is unlocked, so M-mode's store went through.
+        assert_eq!(cpu.reg(8), 1);
+        assert_eq!(
+            bus.mem().read_u64(ptstore_core::PhysAddr::new(0x200)),
+            Ok(u64::MAX)
+        );
+    }
+
+    #[test]
     fn trap_without_vector_is_loud() {
         let prog = [Inst::Ecall];
         let (mut cpu, mut bus) = boot(&prog, 0x1000);

@@ -18,16 +18,20 @@
 //! * **Checked, channel-tagged accessors** — `Kernel::pt_read`, the two
 //!   page-table stores `Kernel::pt_install` / `Kernel::pt_replace` (the
 //!   `ld.pt`/`sd.pt` path), `Kernel::mem_read` / `Kernel::mem_write`
-//!   (regular kernel data), and the token-field accessors. These go
-//!   through the PMP and pay modeled cycles.
+//!   (regular kernel data), the token-field accessors, and fork's
+//!   `Kernel::copy_kernel_half`, which reads the kernel root's upper half
+//!   through the bus's range read (`Bus::read_u64_run`): the words, checks,
+//!   counts, trace and cycles of a `pt_read` per slot, with the PMP
+//!   decided once per run of slots. These go through the PMP and pay
+//!   modeled cycles. So does `Kernel::zero_page`, whose one check decides
+//!   every word of the page before the bulk clear.
 //! * **Host-side bulk helpers** — `Kernel::raw_copy_page` /
 //!   `Kernel::raw_zero_page` / `Kernel::image_write_u64`: unchecked
 //!   `PhysMem` operations used only where the modeled machine would issue a
 //!   long run of ordinary stores to *non-page-table* frames (page migration,
 //!   user-page scrubbing, writing the kernel image at boot). They never
-//!   touch secure-region state behind the PMP's back except via
-//!   `Kernel::zero_page`, whose first store is checked precisely so the
-//!   channel permission is validated before the bulk clear.
+//!   touch secure-region state: secure frames are cleared only through
+//!   `Kernel::zero_page`.
 //!
 //! Page-table stores come in two kinds. `pt_install` writes an invalid
 //! slot, or any slot of a table page no root reaches yet: no TLB can hold
@@ -45,6 +49,8 @@
 )]
 
 use ptstore_core::{Channel, PhysAddr, PhysPageNum, VirtAddr};
+use ptstore_mem::PAGE_WORDS;
+use ptstore_mmu::Pte;
 
 use crate::config::DefenseMode;
 use crate::cycles::{cost, CostKind};
@@ -139,6 +145,36 @@ impl Kernel {
         Ok(Flush(()))
     }
 
+    /// Installs the kernel root's valid upper-half entries into the same
+    /// slots of the fresh root `root`, as Linux shares the kernel PGD
+    /// entries. The slots are read in order from 256 through the defense
+    /// channel, and each valid one is installed before the next slot is
+    /// read, so the bus sees a [`Self::pt_read`] per slot and a
+    /// [`Self::pt_install`] right after each valid one. Every slot read,
+    /// and a slot whose read fails, costs [`cost::MEM_ACCESS`], as each
+    /// `pt_read` does.
+    pub(crate) fn copy_kernel_half(&mut self, root: PhysPageNum) -> Result<(), KernelError> {
+        let (src, ch, ctx) = (self.kernel_root.base_addr(), self.pt_channel(), self.kctx());
+        let mut words = [0; PAGE_WORDS / 2];
+        let mut slot = PAGE_WORDS / 2;
+        while slot < PAGE_WORDS {
+            let (read, found) = self.bus.read_u64_run(
+                src + 8 * slot as u64,
+                &mut words[..PAGE_WORDS - slot],
+                ch,
+                ctx,
+                |raw| Pte::from_bits(raw).is_valid(),
+            );
+            let attempted = read + usize::from(found.is_err());
+            self.charge(CostKind::MemAccess, cost::MEM_ACCESS * attempted as u64);
+            slot += read;
+            if found? {
+                self.pt_install(root.base_addr() + 8 * (slot - 1) as u64, words[read - 1])?;
+            }
+        }
+        Ok(())
+    }
+
     /// An 8-byte secure-channel read (`ld.pt`) of a token field. Cycle
     /// accounting is the caller's: token costs are charged per operation
     /// ([`cost::TOKEN_VALIDATE`] etc.), not per store.
@@ -155,19 +191,16 @@ impl Kernel {
     }
 
     /// Zeroes a page through the appropriate channel; `secure` selects the
-    /// `sd.pt` path.
+    /// `sd.pt` path. The PMP must permit the store at every word of the
+    /// page ([`ptstore_mem::Bus::zero_page`]).
     pub(crate) fn zero_page(&mut self, ppn: PhysPageNum, secure: bool) -> Result<(), KernelError> {
         self.charge(CostKind::MemAccess, cost::ZERO_PAGE);
-        // One checked store validates the channel is actually permitted...
         let ch = if secure {
             Channel::SecurePt
         } else {
             Channel::Regular
         };
-        self.bus.write::<u64>(ppn.base_addr(), 0, ch, self.kctx())?;
-        // ...then the rest of the page is cleared in bulk.
-        self.bus.mem_unchecked().zero_page(ppn);
-        Ok(())
+        Ok(self.bus.zero_page(ppn, ch, self.kctx())?)
     }
 
     /// Copies one whole *data* frame host-side (page migration, CoW break).
@@ -194,5 +227,53 @@ impl Kernel {
     /// so this is the loader's store, not a kernel runtime access.
     pub(crate) fn image_write_u64(&mut self, pa: PhysAddr, v: u64) -> Result<(), KernelError> {
         Ok(self.bus.mem_unchecked().write_u64(pa, v)?)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use ptstore_core::{
+        AccessError, AccessKind, Channel, PmpAddressMode, PmpEntry, PmpPermissions, MIB, PAGE_SIZE,
+    };
+
+    use crate::config::KernelConfig;
+    use crate::error::KernelError;
+    use crate::kernel::Kernel;
+    use crate::zones::GfpFlags;
+
+    #[test]
+    fn zero_page_is_decided_at_every_word() {
+        let mut k = Kernel::boot(
+            KernelConfig::cfi_ptstore()
+                .with_mem_size(256 * MIB)
+                .with_initial_secure_size(16 * MIB),
+        )
+        .expect("boot");
+        let ppn = k.alloc_page(GfpFlags::KERNEL).expect("page");
+        let middle = ppn.base_addr() + PAGE_SIZE / 2;
+        k.bus
+            .mem_unchecked()
+            .write_u64(ppn.base_addr(), 9)
+            .expect("store");
+        // The secure TOR pair holds entries 0 and 1; nothing else matches
+        // this page, so a read-only NA4 at 2 decides its middle word.
+        k.bus.pmp_mut().set_entry(
+            2,
+            PmpEntry {
+                cfg: PmpPermissions::new()
+                    .with_read()
+                    .with_mode(PmpAddressMode::Na4),
+                addr: PmpEntry::encode_addr(middle),
+            },
+        );
+        assert_eq!(
+            k.zero_page(ppn, false),
+            Err(KernelError::Access(AccessError::PmpDenied {
+                addr: middle,
+                kind: AccessKind::Write,
+                channel: Channel::Regular,
+            }))
+        );
+        assert_eq!(k.bus.mem().read_u64(ppn.base_addr()), Ok(9));
     }
 }

@@ -129,16 +129,7 @@ impl Kernel {
             self.next_asid += 1;
         }
         self.drain_on_asid_recycle();
-        // Copy the kernel-half root entries (upper 256 slots).
-        let kroot = self.kernel_root;
-        for slot_idx in 256..512u64 {
-            let src = kroot.base_addr() + slot_idx * 8;
-            let raw = self.pt_read(src)?;
-            if Pte::from_bits(raw).is_valid() {
-                let dst = root.base_addr() + slot_idx * 8;
-                self.pt_install(dst, raw)?;
-            }
-        }
+        self.copy_kernel_half(root)?;
         Ok(AddressSpace {
             root,
             asid,
@@ -883,7 +874,9 @@ impl PageAlignVa for VirtAddr {
 
 #[cfg(test)]
 mod tests {
-    use ptstore_core::MIB;
+    use ptstore_core::{PhysAddr, MIB};
+    use ptstore_mmu::Pte;
+    use ptstore_trace::{Access, Chan, TraceEvent, TraceSink, Verdict};
 
     use crate::config::KernelConfig;
     use crate::kernel::Kernel;
@@ -895,6 +888,62 @@ mod tests {
                 .with_initial_secure_size(16 * MIB),
         )
         .expect("boot")
+    }
+
+    #[test]
+    fn fork_reads_every_kernel_half_slot_and_installs_each_valid_one_after_its_read() {
+        let mut k = boot();
+        let sink = TraceSink::new();
+        k.set_trace_sink(Some(sink.clone()));
+        let child = k.sys_fork().expect("fork");
+        let root = k.procs.get(child).expect("child").aspace.root;
+        let slot_of = |table: ptstore_core::PhysPageNum, i: u64| table.base_addr().as_u64() + 8 * i;
+        let src = |i| slot_of(k.kernel_root, i);
+        let events = sink.events();
+        let first = events
+            .iter()
+            .position(|e| matches!(e, TraceEvent::PmpCheck { addr, .. } if *addr == src(256)))
+            .expect("fork reads slot 256");
+        let mut next = events[first..].iter();
+        let mut installed = 0;
+        for i in 256..512 {
+            assert_eq!(
+                next.next(),
+                Some(&TraceEvent::PmpCheck {
+                    addr: src(i),
+                    kind: Access::Read,
+                    channel: Chan::SecurePt,
+                    entry: Some(1),
+                    verdict: Verdict::Allowed,
+                }),
+                "slot {i}"
+            );
+            assert_eq!(
+                next.next(),
+                Some(&TraceEvent::BusRead {
+                    addr: src(i),
+                    width: 8,
+                    channel: Chan::SecurePt,
+                }),
+                "slot {i}"
+            );
+            let raw = k.bus.mem().read_u64(PhysAddr::new(src(i))).expect("slot");
+            if Pte::from_bits(raw).is_valid() {
+                let dst = slot_of(root, i);
+                assert!(
+                    matches!(next.next(), Some(TraceEvent::PmpCheck { addr, kind: Access::Write, .. }) if *addr == dst),
+                    "slot {i}"
+                );
+                assert!(
+                    matches!(next.next(), Some(TraceEvent::BusWrite { addr, .. }) if *addr == dst),
+                    "slot {i}"
+                );
+                assert_eq!(k.bus.mem().read_u64(PhysAddr::new(dst)), Ok(raw));
+                installed += 1;
+            }
+        }
+        // A 256 MiB direct map is one GiB-level entry under Sv39.
+        assert_eq!(installed, 1);
     }
 
     #[test]

@@ -120,20 +120,37 @@ impl Frame {
     /// All 512 words of the frame, in index order.
     pub fn words(&self) -> [u64; PAGE_WORDS] {
         let mut words = [0; PAGE_WORDS];
+        self.read_words(0, &mut words);
+        words
+    }
+
+    /// Reads `out.len()` consecutive words from word index `first` into
+    /// `out`: one pass over the backing, where as many [`Self::read_word`]
+    /// calls would make one map probe each.
+    ///
+    /// # Panics
+    /// Panics if the words run past the end of the frame.
+    #[inline]
+    pub(crate) fn read_words(&self, first: usize, out: &mut [u64]) {
+        let range = first..first + out.len();
+        assert!(range.end <= PAGE_WORDS, "words {range:?} leave the frame");
         match self {
-            Frame::Zero => {}
+            Frame::Zero => out.fill(0),
             Frame::Words(map) => {
+                out.fill(0);
                 for (&i, &v) in map {
-                    words[usize::from(i)] = v;
+                    if range.contains(&usize::from(i)) {
+                        out[usize::from(i) - first] = v;
+                    }
                 }
             }
             Frame::Dense(bytes) => {
-                for (w, chunk) in words.iter_mut().zip(bytes.chunks_exact(8)) {
+                let chunks = bytes[8 * first..8 * range.end].chunks_exact(8);
+                for (w, chunk) in out.iter_mut().zip(chunks) {
                     *w = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
                 }
             }
         }
-        words
     }
 
     /// Reads a single byte at `offset`.
@@ -247,12 +264,6 @@ impl Frame {
     }
 }
 
-/// The digest of an all-zero page (the empty fold — the FNV offset basis):
-/// untouched frames are the common case for sparse physical memory.
-pub fn zero_page_digest() -> u64 {
-    Fnv1a::new().finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,12 +350,13 @@ mod tests {
 
     #[test]
     fn content_digest_is_representation_independent() {
-        // Zero vs never-written sparse vs zero-filled dense: same digest.
-        assert_eq!(Frame::Zero.content_digest(), zero_page_digest());
+        // Zero vs never-written sparse vs zero-filled dense: same digest,
+        // the empty fold.
+        assert_eq!(Frame::Zero.content_digest(), Fnv1a::new().finish());
         let mut sparse = Frame::new();
         sparse.write_word(9, 1);
         sparse.write_word(9, 0);
-        assert_eq!(sparse.content_digest(), zero_page_digest());
+        assert_eq!(sparse.content_digest(), Fnv1a::new().finish());
 
         // Sparse vs dense with identical contents: same digest.
         let mut a = Frame::new();

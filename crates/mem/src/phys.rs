@@ -144,6 +144,21 @@ impl PhysMem {
         Ok(())
     }
 
+    /// The frame behind page `ppn`, for reading many of its words at once;
+    /// a page never written reads as [`Frame::Zero`]. The one frame reader
+    /// behind [`Self::read_page`], [`Self::page_digest`] and the bus's
+    /// multi-word read.
+    ///
+    /// # Errors
+    /// [`AccessError::OutOfRange`] at the page's base address when `ppn` is
+    /// outside physical memory — the error a read of its first word gives.
+    #[inline]
+    pub(crate) fn page(&self, ppn: PhysPageNum) -> Result<&Frame, AccessError> {
+        static ZERO: Frame = Frame::Zero;
+        self.check_range(ppn.base_addr(), PAGE_SIZE)?;
+        Ok(self.frame(ppn.as_u64()).unwrap_or(&ZERO))
+    }
+
     /// Reads the whole page `ppn` as its 512 words, in index order: one
     /// range check and one frame lookup, where 512 [`Self::read_u64`] calls
     /// would make 512 of each. The page-table scan reads a table page
@@ -154,10 +169,7 @@ impl PhysMem {
     /// outside physical memory — the error a read of its first word gives.
     #[inline]
     pub fn read_page(&self, ppn: PhysPageNum) -> Result<[u64; PAGE_WORDS], AccessError> {
-        self.check_range(ppn.base_addr(), PAGE_SIZE)?;
-        Ok(self
-            .frame(ppn.as_u64())
-            .map_or([0; PAGE_WORDS], Frame::words))
+        self.page(ppn).map(Frame::words)
     }
 
     /// Reads one byte.
@@ -285,11 +297,7 @@ impl PhysMem {
     /// [`AccessError::OutOfRange`] when `ppn` is outside physical memory.
     #[inline]
     pub fn page_digest(&self, ppn: PhysPageNum) -> Result<u64, AccessError> {
-        self.check_range(ppn.base_addr(), PAGE_SIZE)?;
-        Ok(self
-            .frame(ppn.as_u64())
-            .map(Frame::content_digest)
-            .unwrap_or_else(crate::frame::zero_page_digest))
+        self.page(ppn).map(Frame::content_digest)
     }
 
     /// True when the whole page is zero — the kernel's allocator-metadata

@@ -67,6 +67,14 @@ grep -q "CFI+PTStore batched" target/c1m-a.txt
 grep -q "tlb-digest-identical=yes" target/c1m-a.txt
 rm -f target/c1m-a.txt target/c1m-b.txt
 
+echo "== north star: c1m --medium (tenant-churn figures) =="
+# The medium c1m shape is the one the tenant-churn benchmark anchors to.
+# Its batched/boundary row must keep the wall cycles, overhead, shootdowns
+# and IPIs the anchor checks, so a change that moves them fails here.
+./target/release/reproduce --medium c1m > target/c1m-medium.txt
+grep -Eq "^CFI\+PTStore batched/boundary +446064574 +2\.46 +[0-9.]+ +3600 +3600 " target/c1m-medium.txt
+rm -f target/c1m-medium.txt
+
 echo "== policy differential: boundary vs watermark (state byte-identical) =="
 # Drain policies are pure placement: a boundary run and a watermark run
 # may move IPI rounds around, but every fork-stress row's post-run TLB
