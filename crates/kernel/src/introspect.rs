@@ -17,7 +17,7 @@
 use ptstore_core::{
     AccessError, AccessKind, Channel, PhysAddr, PhysPageNum, PrivilegeMode, VirtAddr,
 };
-use ptstore_mmu::{PageTableWalker, Satp, TranslateError};
+use ptstore_mmu::{walk, PageTableWalker, Satp, TranslateError};
 
 use crate::config::DefenseMode;
 use crate::error::KernelError;
@@ -160,7 +160,7 @@ impl Kernel {
             .ok_or(KernelError::NoSuchProcess)?
             .aspace
             .root;
-        self.leaf_slot(root, va)?.ok_or(KernelError::BadAddress)
+        self.user_leaf_slot(root, va, false)
     }
 
     /// The physical address and level of the PTE actually mapping `va` in
@@ -178,7 +178,11 @@ impl Kernel {
             .ok_or(KernelError::NoSuchProcess)?
             .aspace
             .root;
-        self.find_leaf(root, va)?.ok_or(KernelError::BadAddress)
+        let top = self.cfg.scheme.root_level();
+        let (slot, level, pte) = walk(root, va, top, 0, |slot, _| self.pt_read(slot))?;
+        pte.is_leaf()
+            .then_some((slot, level))
+            .ok_or(KernelError::BadAddress)
     }
 
     /// The shared user text physical page (a tampering target).

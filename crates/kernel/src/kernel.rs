@@ -22,7 +22,9 @@ use crate::cycles::{cost, CostKind, CycleCounter};
 use crate::error::KernelError;
 use crate::fs::{PipeTable, RamFs};
 use crate::hart::{Hart, HartMsg, HartMsgKind};
-use crate::pagetable::{direct_map_va, pte_slot, DIRECT_MAP_BASE, HUGE_PAGE_SPAN};
+use crate::pagetable::{
+    direct_map_va, leaf_pages, pte_slot, UserMapping, DIRECT_MAP_BASE, HUGE_PAGE_SPAN,
+};
 use crate::process::{Pid, Process, ProcessTable};
 use crate::sbi::{SbiCall, SbiFirmware, SbiResult};
 use crate::slab::SlabCache;
@@ -547,62 +549,11 @@ impl Kernel {
                 return;
             }
         }
-        let n = self.harts.len();
-        let remotes = (n - 1) as u64;
-        let fault = self.ipi_fault.take();
-        self.charge(
-            CostKind::Ipi,
-            (cost::IPI_SEND + cost::IPI_ACK_WAIT) * remotes,
-        );
-        let dropped = match fault {
-            Some(IpiFault::DropNext { victim }) if victim != from && victim < n => Some(victim),
-            _ => None,
-        };
-        let order: Vec<usize> = if matches!(fault, Some(IpiFault::ReorderNext)) {
-            (0..n).rev().collect()
-        } else {
-            (0..n).collect()
-        };
-        if let (Some(sink), Some(f)) = (self.trace.get(), fault) {
-            let (kind, victim) = match f {
-                IpiFault::DropNext { victim } => (FaultClass::IpiDrop, victim as u32),
-                IpiFault::ReorderNext => (FaultClass::IpiReorder, from as u32),
-            };
-            sink.emit(TraceEvent::IpiFault { kind, victim });
-        }
-        for i in order {
-            if i == from {
-                continue;
-            }
-            if Some(i) == dropped {
-                // The batched IPI is lost whole: the victim flushes none of
-                // the queued pages and pays nothing — its TLBs go stale.
-                continue;
-            }
-            self.harts[i].cycles.charge(CostKind::Ipi, cost::IPI_RECV);
-            self.cycles.charge(CostKind::Ipi, cost::IPI_RECV);
-            for &(vpn, asid) in &queue {
-                self.harts[i]
-                    .mmu
-                    .sfence_page(VirtAddr::new(vpn << PAGE_SHIFT), asid);
-                self.stats.sfences += 1;
-                self.harts[i]
-                    .cycles
-                    .charge(CostKind::TlbFlush, cost::SFENCE_PAGE);
-                self.cycles.charge(CostKind::TlbFlush, cost::SFENCE_PAGE);
-            }
-            self.post_hart_msg(i, HartMsgKind::ShootdownIpi);
-            let ack = HartMsg {
-                time: self.cycles.total(),
-                from: i,
-                seq: self.harts[i].msg_seq,
-                kind: HartMsgKind::ShootdownAck,
-            };
-            self.harts[i].msg_seq += 1;
-            self.harts[from].mailbox.push_back(ack);
-        }
-        self.stats.tlb_shootdowns += 1;
-        self.stats.shootdown_ipis += remotes;
+        let scopes: Vec<FlushScope> = queue
+            .iter()
+            .map(|&(vpn, asid)| FlushScope::Page { vpn, asid })
+            .collect();
+        let acks = self.ipi_round(&scopes);
         self.stats.deferred_drains += 1;
         self.stats.deferred_pages_coalesced += queue.len() as u64;
         self.flush_generation += 1;
@@ -620,7 +571,7 @@ impl Kernel {
                 sink.emit(TraceEvent::TlbShootdown {
                     scope: FlushScope::Range { vpn, pages, asid },
                     from_hart: from as u32,
-                    acks: if idx == 0 { remotes as u32 } else { 0 },
+                    acks: if idx == 0 { acks } else { 0 },
                 });
             }
         }
@@ -649,28 +600,36 @@ impl Kernel {
     /// Broadcasts a TLB shootdown to every remote hart and waits for the
     /// acks. A no-op on a single-hart machine, so `--harts 1` stays
     /// cycle-identical to the original prototype.
-    ///
-    /// The initiator pays an IPI send plus an ack-wait per remote hart;
-    /// each remote hart pays the IPI receive and the flush itself on its
-    /// own counter (all of it also lands in the machine-wide aggregate).
     pub(crate) fn shootdown(&mut self, scope: FlushScope) {
-        let n = self.harts.len();
-        if n <= 1 {
+        if self.harts.len() <= 1 {
             return;
         }
-        let fault = self.ipi_fault.take();
+        let acks = self.ipi_round(&[scope]);
+        if let Some(sink) = self.trace.get() {
+            sink.emit(TraceEvent::TlbShootdown {
+                scope,
+                from_hart: self.active_hart as u32,
+                acks,
+            });
+        }
+    }
+
+    /// One IPI round from the active hart, the barrier that eager
+    /// shootdowns and batched drains share; returns the acks collected.
+    ///
+    /// The initiator pays an IPI send plus an ack-wait per remote hart.
+    /// Each remote hart that receives the IPI pays the receive and makes
+    /// every flush in `scopes` on its own counter (all of it also lands in
+    /// the machine-wide aggregate), then posts its ack.
+    fn ipi_round(&mut self, scopes: &[FlushScope]) -> u32 {
+        let n = self.harts.len();
         let from = self.active_hart;
         let remotes = (n - 1) as u64;
+        let fault = self.ipi_fault.take();
         self.charge(
             CostKind::Ipi,
             (cost::IPI_SEND + cost::IPI_ACK_WAIT) * remotes,
         );
-        let flush_cost = match scope {
-            FlushScope::Page { .. } => cost::SFENCE_PAGE,
-            FlushScope::Asid { .. } | FlushScope::All => cost::SFENCE_ALL,
-            // Ranges only exist as drain records; drains broadcast themselves.
-            FlushScope::Range { .. } => unreachable!("range scopes never take the eager path"),
-        };
         // The IPI fault tap: drop one IPI, or visit remotes in reverse order
         // (the shootdown is a barrier, so ack order is behaviour-preserving).
         let dropped = match fault {
@@ -694,26 +653,37 @@ impl Kernel {
                 continue;
             }
             if Some(i) == dropped {
-                // The IPI is lost in the fabric: the victim neither flushes
-                // nor pays the receive cost, and its TLBs go stale.
+                // The IPI is lost in the fabric: the victim flushes nothing
+                // and pays nothing, and its TLBs go stale.
                 continue;
             }
-            match scope {
-                FlushScope::Page { vpn, asid } => self.harts[i]
-                    .mmu
-                    .sfence_page(VirtAddr::new(vpn << PAGE_SHIFT), asid),
-                FlushScope::Asid { asid } => self.harts[i].mmu.sfence_asid(asid),
-                FlushScope::All => self.harts[i].mmu.sfence_all(),
-                FlushScope::Range { .. } => unreachable!("range scopes never take the eager path"),
-            }
-            self.stats.sfences += 1;
             self.harts[i].cycles.charge(CostKind::Ipi, cost::IPI_RECV);
-            self.harts[i].cycles.charge(CostKind::TlbFlush, flush_cost);
             self.cycles.charge(CostKind::Ipi, cost::IPI_RECV);
-            self.cycles.charge(CostKind::TlbFlush, flush_cost);
+            for &scope in scopes {
+                let mmu = &mut self.harts[i].mmu;
+                let flush_cost = match scope {
+                    FlushScope::Page { vpn, asid } => {
+                        mmu.sfence_page(VirtAddr::new(vpn << PAGE_SHIFT), asid);
+                        cost::SFENCE_PAGE
+                    }
+                    FlushScope::Asid { asid } => {
+                        mmu.sfence_asid(asid);
+                        cost::SFENCE_ALL
+                    }
+                    FlushScope::All => {
+                        mmu.sfence_all();
+                        cost::SFENCE_ALL
+                    }
+                    // Ranges only exist as drain trace records.
+                    FlushScope::Range { .. } => unreachable!("an IPI never carries a range"),
+                };
+                self.stats.sfences += 1;
+                self.harts[i].cycles.charge(CostKind::TlbFlush, flush_cost);
+                self.cycles.charge(CostKind::TlbFlush, flush_cost);
+            }
             // Visibility records for the deterministic mailbox merge: the
             // remote hart sees the IPI, the initiator sees the ack. Costs
-            // were already charged synchronously above (the shootdown is a
+            // were already charged synchronously above (the round is a
             // barrier), so these messages carry no cycles.
             self.post_hart_msg(i, HartMsgKind::ShootdownIpi);
             let ack = HartMsg {
@@ -727,13 +697,7 @@ impl Kernel {
         }
         self.stats.tlb_shootdowns += 1;
         self.stats.shootdown_ipis += remotes;
-        if let Some(sink) = self.trace.get() {
-            sink.emit(TraceEvent::TlbShootdown {
-                scope,
-                from_hart: from as u32,
-                acks: remotes as u32,
-            });
-        }
+        remotes as u32
     }
 
     // ------------------------------------------------------------------
@@ -1034,7 +998,7 @@ impl Kernel {
             let m = p.aspace.mapping(va).ok_or(KernelError::BadAddress)?;
             (p.aspace.root, p.aspace.asid, m.flags)
         };
-        let slot = self.leaf_slot(root, va)?.ok_or(KernelError::BadAddress)?;
+        let slot = self.user_leaf_slot(root, va, false)?;
         self.pt_replace(slot, Pte::leaf(new, flags).bits())?
             .page(self, va, asid);
         if let Some(p) = self.procs.get_mut(pid) {
@@ -1113,31 +1077,30 @@ impl Kernel {
         }
     }
 
-    /// Finds the physical address of the 4 KiB leaf PTE slot for `va` under
-    /// `root`, returning `None` when an intermediate level is missing (or is
-    /// a superpage leaf — use [`Self::find_leaf`] for those). The leaf
-    /// entry itself is not read.
-    pub(crate) fn leaf_slot(
+    /// The slot of the user leaf at `va` under `root`: for a 4 KiB page,
+    /// the level-0 slot computed from the table pointer above it (the leaf
+    /// itself is not read); for a 2 MiB block (`huge`), the level-1 leaf
+    /// the walk ends at.
+    ///
+    /// # Errors
+    /// [`KernelError::BadAddress`] when no table sits above a 4 KiB slot,
+    /// or when a 2 MiB walk ends anywhere but a level-1 leaf: the tables
+    /// then differ from what the shadow entry describes (the fault
+    /// injector's corruption, say), and no store may go to that slot.
+    pub(crate) fn user_leaf_slot(
         &mut self,
         root: PhysPageNum,
         va: VirtAddr,
-    ) -> Result<Option<PhysAddr>, KernelError> {
+        huge: bool,
+    ) -> Result<PhysAddr, KernelError> {
         let top = self.cfg.scheme.root_level();
-        let (_, _, pte) = walk(root, va, top, 1, |slot, _| self.pt_read(slot))?;
-        Ok(pte.is_table().then(|| pte_slot(pte.ppn(), va, 0)))
-    }
-
-    /// Walks from `root` to the PTE mapping `va`, returning the slot and
-    /// the level it terminated at: 0 for a 4 KiB leaf, 1 for a 2 MiB leaf,
-    /// 2 for 1 GiB. `None` when the walk hits an invalid entry.
-    pub(crate) fn find_leaf(
-        &mut self,
-        root: PhysPageNum,
-        va: VirtAddr,
-    ) -> Result<Option<(PhysAddr, usize)>, KernelError> {
-        let top = self.cfg.scheme.root_level();
-        let (slot, level, pte) = walk(root, va, top, 0, |slot, _| self.pt_read(slot))?;
-        Ok(pte.is_leaf().then_some((slot, level)))
+        let floor = usize::from(!huge);
+        let (slot, level, pte) = walk(root, va, top, floor, |slot, _| self.pt_read(slot))?;
+        match (huge, level) {
+            (false, _) if pte.is_table() => Ok(pte_slot(pte.ppn(), va, 0)),
+            (true, 1) if pte.is_leaf() => Ok(slot),
+            _ => Err(KernelError::BadAddress),
+        }
     }
 
     /// Ensures intermediate tables exist for `va` down to (but excluding)
@@ -1180,77 +1143,93 @@ impl Kernel {
         Ok(pte_slot(pte.ppn(), va, leaf_level))
     }
 
-    /// Ensures intermediate tables exist for `va` in the address space of
-    /// `pid`, allocating them as needed; returns the 4 KiB leaf slot.
-    pub(crate) fn ensure_leaf_slot(
+    /// Maps one user leaf at `va` into `pid`'s address space (the
+    /// `set_pte`/`set_pmd` path): a 4 KiB page, or a pinned 2 MiB block as
+    /// one level-1 leaf when `m.huge` (both then 2 MiB-aligned). The shadow
+    /// records `m` at `va`'s vpn.
+    pub(crate) fn map_user_leaf(
         &mut self,
         pid: Pid,
         va: VirtAddr,
-    ) -> Result<PhysAddr, KernelError> {
-        self.ensure_slot_at(pid, va, 0)
-    }
-
-    /// Maps one user page into `pid`'s address space (the `set_pte` path).
-    pub(crate) fn map_user_page(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-        ppn: PhysPageNum,
-        flags: PteFlags,
-        cow: bool,
+        m: UserMapping,
     ) -> Result<(), KernelError> {
         let pid = self.mm_owner_of(pid);
-        let slot = self.ensure_leaf_slot(pid, va)?;
-        self.pt_install(slot, Pte::leaf(ppn, flags).bits())?;
-        let vpn = va.as_u64() >> PAGE_SHIFT;
+        let slot = self.ensure_slot_at(pid, va, usize::from(m.huge))?;
+        self.pt_install(slot, Pte::leaf(m.ppn, m.flags).bits())?;
         let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
-        p.aspace.user.insert(
-            vpn,
-            crate::pagetable::UserMapping {
-                ppn,
-                flags,
-                cow,
-                huge: false,
-            },
-        );
+        p.aspace.user.insert(va.as_u64() >> PAGE_SHIFT, m);
         Ok(())
     }
 
-    /// Unmaps one user page; returns the page it pointed at.
-    pub(crate) fn unmap_user_page(
+    /// Unmaps the user leaf whose shadow entry sits at `va`'s vpn and
+    /// returns that entry. For a 2 MiB block, flushing the one page `va`
+    /// drops the span entry from every TLB (span entries match any page
+    /// they cover).
+    pub(crate) fn unmap_user_leaf(
         &mut self,
         pid: Pid,
         va: VirtAddr,
-    ) -> Result<PhysPageNum, KernelError> {
+    ) -> Result<UserMapping, KernelError> {
         let pid = self.mm_owner_of(pid);
         let vpn = va.as_u64() >> PAGE_SHIFT;
-        let (root, asid, ppn) = {
+        let (root, asid, m) = {
             let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
-            let m = p.aspace.mapping(va).ok_or(KernelError::BadAddress)?;
-            (p.aspace.root, p.aspace.asid, m.ppn)
+            let m = p.aspace.user.get(&vpn).ok_or(KernelError::BadAddress)?;
+            (p.aspace.root, p.aspace.asid, *m)
         };
-        let slot = self.leaf_slot(root, va)?.ok_or(KernelError::BadAddress)?;
+        let slot = self.user_leaf_slot(root, va, m.huge)?;
         self.pt_replace(slot, Pte::invalid().bits())?
             .queue(self, va, asid);
         if let Some(p) = self.procs.get_mut(pid) {
             p.aspace.user.remove(&vpn);
         }
-        Ok(ppn)
+        Ok(m)
     }
 
-    /// Drops one reference to a user data page, freeing it at zero.
-    pub(crate) fn put_user_page(&mut self, ppn: PhysPageNum) -> Result<(), KernelError> {
+    /// Drops one reference to a user page, or to a 2 MiB block when `huge`
+    /// (refcounted at its base, like a compound page's head); at zero the
+    /// whole allocation is scrubbed and freed.
+    ///
+    /// # Errors
+    /// [`KernelError::InvalidState`] when `ppn` holds no reference.
+    pub(crate) fn put_user_leaf(
+        &mut self,
+        ppn: PhysPageNum,
+        huge: bool,
+    ) -> Result<(), KernelError> {
         let refs = self
             .page_refs
             .get_mut(&ppn.as_u64())
-            .expect("put of untracked user page");
+            .ok_or(KernelError::InvalidState)?;
         *refs -= 1;
         if *refs == 0 {
             self.page_refs.remove(&ppn.as_u64());
-            self.raw_zero_page(ppn);
+            for i in 0..leaf_pages(huge) {
+                self.raw_zero_page(ppn + i);
+            }
             self.free_page(ppn)?;
         }
         Ok(())
+    }
+
+    /// Copies a user page, or a whole 2 MiB block when `huge`, into a
+    /// fresh private allocation that holds one reference; returns it.
+    pub(crate) fn copy_user_leaf(
+        &mut self,
+        from: PhysPageNum,
+        huge: bool,
+    ) -> Result<PhysPageNum, KernelError> {
+        let to = if huge {
+            self.alloc_user_huge_block()?
+        } else {
+            self.alloc_page(GfpFlags::MOVABLE)?
+        };
+        for i in 0..leaf_pages(huge) {
+            self.charge(CostKind::MemAccess, cost::ZERO_PAGE); // page copy
+            self.raw_copy_page(from + i, to + i)?;
+        }
+        self.page_refs.insert(to.as_u64(), 1);
+        Ok(to)
     }
 
     /// Resolves the pid owning `pid`'s address space (threads share their
@@ -1258,10 +1237,6 @@ impl Kernel {
     pub fn mm_owner_of(&self, pid: Pid) -> Pid {
         self.procs.get(pid).and_then(|p| p.mm_owner).unwrap_or(pid)
     }
-
-    // ------------------------------------------------------------------
-    // Huge (2 MiB) user mappings — one level-1 leaf PTE per block
-    // ------------------------------------------------------------------
 
     /// Allocates and zeroes a naturally aligned 2 MiB block for a huge user
     /// mapping. The block is *pinned* (non-movable): like Linux hugetlb
@@ -1271,93 +1246,9 @@ impl Kernel {
         self.charge(CostKind::PageAlloc, cost::PAGE_ALLOC);
         let block = self.normal_zone.alloc(9, false)?;
         for i in 0..HUGE_PAGE_SPAN {
-            self.zero_page(PhysPageNum::new(block.as_u64() + i), false)?;
+            self.zero_page(block + i, false)?;
         }
         Ok(block)
-    }
-
-    /// Maps a 2 MiB block at `va` (both must be 2 MiB-aligned) as a single
-    /// level-1 leaf PTE. The shadow records one huge entry at the
-    /// span-aligned vpn. The block is pinned, so migration never needs to
-    /// find its mappings.
-    pub(crate) fn map_user_huge_page(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-        block: PhysPageNum,
-        flags: PteFlags,
-        cow: bool,
-    ) -> Result<(), KernelError> {
-        debug_assert_eq!(va.as_u64() % (2 * MIB), 0, "huge va must be 2 MiB-aligned");
-        debug_assert_eq!(
-            block.as_u64() % HUGE_PAGE_SPAN,
-            0,
-            "huge block must be naturally aligned"
-        );
-        let pid = self.mm_owner_of(pid);
-        let slot = self.ensure_slot_at(pid, va, 1)?;
-        self.pt_install(slot, Pte::leaf(block, flags).bits())?;
-        let vpn = va.as_u64() >> PAGE_SHIFT;
-        let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
-        p.aspace.user.insert(
-            vpn,
-            crate::pagetable::UserMapping {
-                ppn: block,
-                flags,
-                cow,
-                huge: true,
-            },
-        );
-        Ok(())
-    }
-
-    /// Unmaps the 2 MiB mapping at `va`; returns the block it pointed at.
-    /// One covered-page flush is enough to drop the span entry from every
-    /// TLB (span entries match any page they cover).
-    pub(crate) fn unmap_user_huge_page(
-        &mut self,
-        pid: Pid,
-        va: VirtAddr,
-    ) -> Result<PhysPageNum, KernelError> {
-        let pid = self.mm_owner_of(pid);
-        let vpn = va.as_u64() >> PAGE_SHIFT;
-        let (root, asid, block) = {
-            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
-            let m = p
-                .aspace
-                .user
-                .get(&vpn)
-                .filter(|m| m.huge)
-                .ok_or(KernelError::BadAddress)?;
-            (p.aspace.root, p.aspace.asid, m.ppn)
-        };
-        let (slot, level) = self.find_leaf(root, va)?.ok_or(KernelError::BadAddress)?;
-        debug_assert_eq!(level, 1, "shadow says huge but the PTE is not level-1");
-        self.pt_replace(slot, Pte::invalid().bits())?
-            .queue(self, va, asid);
-        if let Some(p) = self.procs.get_mut(pid) {
-            p.aspace.user.remove(&vpn);
-        }
-        Ok(block)
-    }
-
-    /// Drops one reference to a huge block (refcounted at its base, like a
-    /// compound page's head), zeroing and freeing the whole order-9
-    /// allocation at zero.
-    pub(crate) fn put_user_huge_block(&mut self, block: PhysPageNum) -> Result<(), KernelError> {
-        let refs = self
-            .page_refs
-            .get_mut(&block.as_u64())
-            .expect("put of untracked huge block");
-        *refs -= 1;
-        if *refs == 0 {
-            self.page_refs.remove(&block.as_u64());
-            for i in 0..HUGE_PAGE_SPAN {
-                self.raw_zero_page(PhysPageNum::new(block.as_u64() + i));
-            }
-            self.free_page(block)?;
-        }
-        Ok(())
     }
 
     /// Splits the huge mapping covering `va` into 512 4 KiB mappings (the
@@ -1383,16 +1274,8 @@ impl Kernel {
         // Un-share first (split never propagates to the sharers): copy the
         // whole block into a private one, then split the private copy.
         if self.page_refs.get(&m.ppn.as_u64()).copied().unwrap_or(1) > 1 {
-            let fresh = self.alloc_user_huge_block()?;
-            for i in 0..HUGE_PAGE_SPAN {
-                self.charge(CostKind::MemAccess, cost::ZERO_PAGE); // page copy
-                self.raw_copy_page(
-                    PhysPageNum::new(m.ppn.as_u64() + i),
-                    PhysPageNum::new(fresh.as_u64() + i),
-                )?;
-            }
-            self.page_refs.insert(fresh.as_u64(), 1);
-            self.put_user_huge_block(m.ppn)?;
+            let fresh = self.copy_user_leaf(m.ppn, true)?;
+            self.put_user_leaf(m.ppn, true)?;
             m.ppn = fresh;
             m.cow = false;
         }
@@ -1401,14 +1284,10 @@ impl Kernel {
         // state consistent at every step.
         let table = self.alloc_pt_page()?;
         for i in 0..HUGE_PAGE_SPAN {
-            let slot = PhysAddr::new(table.base_addr().as_u64() + i * 8);
-            let page = PhysPageNum::new(m.ppn.as_u64() + i);
-            self.pt_install(slot, Pte::leaf(page, m.flags).bits())?;
+            let slot = table.base_addr() + i * 8;
+            self.pt_install(slot, Pte::leaf(m.ppn + i, m.flags).bits())?;
         }
-        let (l1_slot, level) = self
-            .find_leaf(root, base_va)?
-            .ok_or(KernelError::BadAddress)?;
-        debug_assert_eq!(level, 1, "split of a non-huge leaf");
+        let l1_slot = self.user_leaf_slot(root, base_va, true)?;
         self.pt_replace(l1_slot, Pte::table(table).bits())?
             .queue(self, base_va, asid);
         // The buddy block becomes 512 order-0 pages; refcounts become
@@ -1423,11 +1302,10 @@ impl Kernel {
         for i in 0..HUGE_PAGE_SPAN {
             p.aspace.user.insert(
                 base_vpn + i,
-                crate::pagetable::UserMapping {
-                    ppn: PhysPageNum::new(m.ppn.as_u64() + i),
-                    flags: m.flags,
-                    cow: m.cow,
+                UserMapping {
+                    ppn: m.ppn + i,
                     huge: false,
+                    ..m
                 },
             );
         }

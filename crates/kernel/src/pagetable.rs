@@ -55,6 +55,15 @@ pub fn pte_slot(table: PhysPageNum, va: VirtAddr, level: usize) -> PhysAddr {
     PhysAddr::new(table.base_addr().as_u64() + va.vpn_slice(level) * 8)
 }
 
+/// Pages one user leaf spans: [`HUGE_PAGE_SPAN`] for a 2 MiB block, else 1.
+pub(crate) fn leaf_pages(huge: bool) -> u64 {
+    if huge {
+        HUGE_PAGE_SPAN
+    } else {
+        1
+    }
+}
+
 /// One user-page mapping in the Rust-side shadow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct UserMapping {
@@ -103,17 +112,22 @@ impl AddressSpace {
     /// span-aligned entry.
     pub fn mapping(&self, va: VirtAddr) -> Option<UserMapping> {
         let vpn = va.as_u64() >> ptstore_core::PAGE_SHIFT;
+        self.leaf(va).map(|(key, m)| UserMapping {
+            ppn: m.ppn + (vpn - key),
+            ..m
+        })
+    }
+
+    /// The shadow entry of the leaf covering `va`, with the vpn it is
+    /// keyed at: `va`'s own page, or the span-aligned base of a covering
+    /// huge mapping.
+    pub(crate) fn leaf(&self, va: VirtAddr) -> Option<(u64, UserMapping)> {
+        let vpn = va.as_u64() >> ptstore_core::PAGE_SHIFT;
         if let Some(m) = self.user.get(&vpn) {
-            return Some(*m);
+            return Some((vpn, *m));
         }
         let base = vpn & !(HUGE_PAGE_SPAN - 1);
-        self.user
-            .get(&base)
-            .filter(|m| m.huge)
-            .map(|m| UserMapping {
-                ppn: PhysPageNum::new(m.ppn.as_u64() + (vpn - base)),
-                ..*m
-            })
+        self.user.get(&base).filter(|m| m.huge).map(|m| (base, *m))
     }
 }
 

@@ -10,7 +10,7 @@ use crate::cycles::{cost, CostKind};
 use crate::error::KernelError;
 use crate::kernel::Kernel;
 use crate::pagetable::{
-    AddressSpace, HUGE_PAGE_SPAN, USER_HEAP_BASE, USER_MMAP_BASE, USER_STACK_PAGES, USER_STACK_TOP,
+    AddressSpace, UserMapping, USER_HEAP_BASE, USER_MMAP_BASE, USER_STACK_PAGES, USER_STACK_TOP,
     USER_TEXT_BASE,
 };
 use crate::process::{
@@ -39,23 +39,7 @@ impl Kernel {
             state: ProcState::Running,
             pcb_addr,
             aspace,
-            vmas: vec![
-                VmArea {
-                    start: USER_TEXT_BASE,
-                    end: USER_TEXT_BASE + PAGE_SIZE,
-                    perms: VmPerms::RX,
-                },
-                VmArea {
-                    start: USER_HEAP_BASE,
-                    end: USER_HEAP_BASE, // empty until brk grows it
-                    perms: VmPerms::RW,
-                },
-                VmArea {
-                    start: USER_STACK_TOP - USER_STACK_PAGES * PAGE_SIZE,
-                    end: USER_STACK_TOP,
-                    perms: VmPerms::RW,
-                },
-            ],
+            vmas: program_vmas(),
             brk: USER_HEAP_BASE,
             mmap_cursor: USER_MMAP_BASE,
             fds: FdTable::with_std(),
@@ -67,28 +51,33 @@ impl Kernel {
         };
         self.procs.insert(proc)?;
         self.mem_write(pcb_addr + PCB_OFF_PID, pid as u64)?;
-        // Map the shared text and eager stack pages.
+        self.map_program_image(pid)?;
+        // PCB pt pointer + token.
+        let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
+        let (pt_slot, root) = (p.pt_ptr_slot(), p.aspace.root);
+        self.mem_write(pt_slot, root.base_addr().as_u64())?;
+        self.token_issue(pid)?;
+        Ok(pid)
+    }
+
+    /// Maps the program image every `init` and `exec` starts from into
+    /// `pid`'s empty user address space: the shared text page, then the
+    /// eagerly populated stack pages.
+    fn map_program_image(&mut self, pid: Pid) -> Result<(), KernelError> {
         let text = self.shared_text_ppn;
         *self.page_refs.entry(text.as_u64()).or_insert(0) += 1;
-        self.map_user_page(
+        self.map_user_leaf(
             pid,
             VirtAddr::new(USER_TEXT_BASE),
-            text,
-            PteFlags::user_rx(),
-            false,
+            small_leaf(text, PteFlags::user_rx()),
         )?;
         for i in 0..USER_STACK_PAGES {
             let page = self.alloc_page(GfpFlags::MOVABLE | GfpFlags::ZERO)?;
             *self.page_refs.entry(page.as_u64()).or_insert(0) += 1;
             let va = VirtAddr::new(USER_STACK_TOP - (i + 1) * PAGE_SIZE);
-            self.map_user_page(pid, va, page, PteFlags::user_rw(), false)?;
+            self.map_user_leaf(pid, va, small_leaf(page, PteFlags::user_rw()))?;
         }
-        // PCB pt pointer + token.
-        let pt_slot = self.procs.get(pid).expect("inserted").pt_ptr_slot();
-        let root = self.procs.get(pid).expect("inserted").aspace.root;
-        self.mem_write(pt_slot, root.base_addr().as_u64())?;
-        self.token_issue(pid)?;
-        Ok(pid)
+        Ok(())
     }
 
     fn allocate_pid(&mut self) -> Pid {
@@ -219,40 +208,33 @@ impl Kernel {
             } else {
                 (mapping.flags, mapping.cow)
             };
-            // Parent side: drop W for CoW. A huge mapping's leaf lives one
-            // level up; the 4 KiB path keeps the cheaper slot computation
-            // (leaf_slot never reads the leaf itself).
+            // Parent side: drop W for CoW.
             if mapping.flags.writable() {
                 let parent_root = self
                     .procs
                     .get(parent_pid)
-                    .expect("parent exists")
+                    .ok_or(KernelError::NoSuchProcess)?
                     .aspace
                     .root;
-                let slot = if mapping.huge {
-                    let (slot, level) = self
-                        .find_leaf(parent_root, va)?
-                        .ok_or(KernelError::BadAddress)?;
-                    debug_assert_eq!(level, 1, "huge shadow entry over a non-huge leaf");
-                    slot
-                } else {
-                    self.leaf_slot(parent_root, va)?
-                        .ok_or(KernelError::BadAddress)?
-                };
+                let slot = self.user_leaf_slot(parent_root, va, mapping.huge)?;
                 self.pt_replace(slot, Pte::leaf(mapping.ppn, child_flags).bits())?
                     .covered_by("tlb_flush_asid(parent_asid) after the loop");
-                let p = self.procs.get_mut(parent_pid).expect("parent exists");
+                let p = self
+                    .procs
+                    .get_mut(parent_pid)
+                    .ok_or(KernelError::NoSuchProcess)?;
                 if let Some(m) = p.aspace.user.get_mut(&vpn) {
                     m.flags = child_flags;
                     m.cow = true;
                 }
                 made_parent_ro = true;
             }
-            if mapping.huge {
-                self.map_user_huge_page(child_pid, va, mapping.ppn, child_flags, share_cow)?;
-            } else {
-                self.map_user_page(child_pid, va, mapping.ppn, child_flags, share_cow)?;
-            }
+            let child_mapping = UserMapping {
+                flags: child_flags,
+                cow: share_cow,
+                ..mapping
+            };
+            self.map_user_leaf(child_pid, va, child_mapping)?;
         }
         if made_parent_ro {
             self.tlb_flush_asid(parent_asid);
@@ -389,59 +371,23 @@ impl Kernel {
         self.teardown_user_mappings(pid)?;
         {
             let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
-            p.vmas = vec![
-                VmArea {
-                    start: USER_TEXT_BASE,
-                    end: USER_TEXT_BASE + PAGE_SIZE,
-                    perms: VmPerms::RX,
-                },
-                VmArea {
-                    start: USER_HEAP_BASE,
-                    end: USER_HEAP_BASE,
-                    perms: VmPerms::RW,
-                },
-                VmArea {
-                    start: USER_STACK_TOP - USER_STACK_PAGES * PAGE_SIZE,
-                    end: USER_STACK_TOP,
-                    perms: VmPerms::RW,
-                },
-            ];
+            p.vmas = program_vmas();
             p.brk = USER_HEAP_BASE;
             p.mmap_cursor = USER_MMAP_BASE;
         }
-        let text = self.shared_text_ppn;
-        *self.page_refs.entry(text.as_u64()).or_insert(0) += 1;
-        self.map_user_page(
-            pid,
-            VirtAddr::new(USER_TEXT_BASE),
-            text,
-            PteFlags::user_rx(),
-            false,
-        )?;
-        for i in 0..USER_STACK_PAGES {
-            let page = self.alloc_page(GfpFlags::MOVABLE | GfpFlags::ZERO)?;
-            *self.page_refs.entry(page.as_u64()).or_insert(0) += 1;
-            let va = VirtAddr::new(USER_STACK_TOP - (i + 1) * PAGE_SIZE);
-            self.map_user_page(pid, va, page, PteFlags::user_rw(), false)?;
-        }
+        self.map_program_image(pid)?;
         self.stats.execs += 1;
         Ok(())
     }
 
     fn teardown_user_mappings(&mut self, pid: Pid) -> Result<(), KernelError> {
-        let entries: Vec<(u64, bool)> = {
+        let vpns: Vec<u64> = {
             let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
-            p.aspace.user.iter().map(|(&v, m)| (v, m.huge)).collect()
+            p.aspace.user.keys().copied().collect()
         };
-        for (vpn, huge) in entries {
-            let va = VirtAddr::new(vpn << PAGE_SHIFT);
-            if huge {
-                let block = self.unmap_user_huge_page(pid, va)?;
-                self.put_user_huge_block(block)?;
-            } else {
-                let ppn = self.unmap_user_page(pid, va)?;
-                self.put_user_page(ppn)?;
-            }
+        for vpn in vpns {
+            let m = self.unmap_user_leaf(pid, VirtAddr::new(vpn << PAGE_SHIFT))?;
+            self.put_user_leaf(m.ppn, m.huge)?;
         }
         // The whole address space left in one batched broadcast; its pages
         // are about to be reused, so nothing may linger in remote TLBs.
@@ -670,11 +616,7 @@ impl Kernel {
         };
         match mapping {
             Some(m) if kind == AccessKind::Write && m.cow => {
-                if m.huge {
-                    self.break_cow_huge(pid, va)?;
-                } else {
-                    self.break_cow(pid, va, m.ppn)?;
-                }
+                self.break_cow(pid, va)?;
                 self.stats.cow_faults += 1;
                 Ok(FaultResolution::CowBroken)
             }
@@ -686,112 +628,49 @@ impl Kernel {
             None => {
                 let page = self.alloc_page(GfpFlags::MOVABLE | GfpFlags::ZERO)?;
                 *self.page_refs.entry(page.as_u64()).or_insert(0) += 1;
-                let flags = perms_to_flags(perms);
-                self.map_user_page(pid, va.page_align_down_va(), page, flags, false)?;
+                let leaf = small_leaf(page, perms_to_flags(perms));
+                self.map_user_leaf(pid, va.page_align_down_va(), leaf)?;
                 self.stats.demand_faults += 1;
                 Ok(FaultResolution::DemandMapped)
             }
         }
     }
 
-    fn break_cow(&mut self, pid: Pid, va: VirtAddr, old: PhysPageNum) -> Result<(), KernelError> {
-        let refs = self.page_refs.get(&old.as_u64()).copied().unwrap_or(1);
-        let (root, asid, flags) = {
-            let p = self.procs.get(pid).expect("exists");
-            let m = p.aspace.mapping(va).expect("mapped");
-            (p.aspace.root, p.aspace.asid, m.flags)
+    /// Breaks copy-on-write on the user leaf covering `va`. A shared leaf
+    /// is repointed at a private copy, and a sole owner just gets W back.
+    /// Either way a 2 MiB block stays mapped whole: no split (Linux's
+    /// `do_huge_pmd_wp_page` analogue).
+    fn break_cow(&mut self, pid: Pid, va: VirtAddr) -> Result<(), KernelError> {
+        let (root, asid, (vpn, m)) = {
+            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
+            let leaf = p.aspace.leaf(va).ok_or(KernelError::BadAddress)?;
+            (p.aspace.root, p.aspace.asid, leaf)
         };
-        let new_flags = flags.with(PteFlags::W);
-        let vpn = va.as_u64() >> PAGE_SHIFT;
-        let flush = if refs > 1 {
-            // Copy the page.
-            let new = self.alloc_page(GfpFlags::MOVABLE)?;
-            self.charge(CostKind::MemAccess, cost::ZERO_PAGE); // page copy
-            self.raw_copy_page(old, new)?;
-            *self.page_refs.entry(new.as_u64()).or_insert(0) += 1;
-            let slot = self.leaf_slot(root, va)?.ok_or(KernelError::BadAddress)?;
-            let flush = self.pt_replace(slot, Pte::leaf(new, new_flags).bits())?;
-            if let Some(p) = self.procs.get_mut(pid) {
-                if let Some(m) = p.aspace.user.get_mut(&vpn) {
-                    m.ppn = new;
-                    m.flags = new_flags;
-                    m.cow = false;
-                }
-            }
-            self.put_user_page(old)?;
-            flush
+        let leaf_va = VirtAddr::new(vpn << PAGE_SHIFT);
+        let shared = self.page_refs.get(&m.ppn.as_u64()).copied().unwrap_or(1) > 1;
+        let slot = self.user_leaf_slot(root, leaf_va, m.huge)?;
+        let ppn = if shared {
+            self.copy_user_leaf(m.ppn, m.huge)?
         } else {
-            // Sole owner: restore write permission in place.
-            let slot = self.leaf_slot(root, va)?.ok_or(KernelError::BadAddress)?;
-            let flush = self.pt_replace(slot, Pte::leaf(old, new_flags).bits())?;
-            if let Some(p) = self.procs.get_mut(pid) {
-                if let Some(m) = p.aspace.user.get_mut(&vpn) {
-                    m.flags = new_flags;
-                    m.cow = false;
-                }
-            }
-            flush
+            m.ppn
         };
-        // The CoW break W-strips nothing, but it *repoints* the leaf: the
-        // old read-only translation must leave every TLB before the fault
+        let flags = m.flags.with(PteFlags::W);
+        let flush = self.pt_replace(slot, Pte::leaf(ppn, flags).bits())?;
+        if let Some(p) = self.procs.get_mut(pid) {
+            if let Some(sm) = p.aspace.user.get_mut(&vpn) {
+                sm.ppn = ppn;
+                sm.flags = flags;
+                sm.cow = false;
+            }
+        }
+        if shared {
+            self.put_user_leaf(m.ppn, m.huge)?;
+        }
+        // The break W-strips nothing, but it *repoints* the leaf: the old
+        // read-only translation must leave every TLB before the fault
         // returns, so the queued flush drains immediately (a one-page
         // batch; deferral still wins when faults cluster before a drain).
-        flush.queue(self, va, asid);
-        self.drain_deferred_flushes();
-        Ok(())
-    }
-
-    /// Breaks CoW on a huge mapping whole-block: a shared block is copied
-    /// into a fresh private one and the level-1 leaf repointed; a sole owner
-    /// just gets W restored. Either way the faulting process keeps its 2 MiB
-    /// mapping — no split (Linux's `do_huge_pmd_wp_page` analogue).
-    fn break_cow_huge(&mut self, pid: Pid, va: VirtAddr) -> Result<(), KernelError> {
-        let base_vpn = (va.as_u64() >> PAGE_SHIFT) & !(HUGE_PAGE_SPAN - 1);
-        let base_va = VirtAddr::new(base_vpn << PAGE_SHIFT);
-        let (root, asid, m) = {
-            let p = self.procs.get(pid).expect("exists");
-            let m = *p.aspace.user.get(&base_vpn).expect("huge mapping present");
-            (p.aspace.root, p.aspace.asid, m)
-        };
-        let new_flags = m.flags.with(PteFlags::W);
-        let refs = self.page_refs.get(&m.ppn.as_u64()).copied().unwrap_or(1);
-        let (slot, level) = self
-            .find_leaf(root, base_va)?
-            .ok_or(KernelError::BadAddress)?;
-        debug_assert_eq!(level, 1, "huge CoW break on a non-huge leaf");
-        let flush = if refs > 1 {
-            let fresh = self.alloc_user_huge_block()?;
-            for i in 0..HUGE_PAGE_SPAN {
-                self.charge(CostKind::MemAccess, cost::ZERO_PAGE); // page copy
-                self.raw_copy_page(
-                    PhysPageNum::new(m.ppn.as_u64() + i),
-                    PhysPageNum::new(fresh.as_u64() + i),
-                )?;
-            }
-            self.page_refs.insert(fresh.as_u64(), 1);
-            let flush = self.pt_replace(slot, Pte::leaf(fresh, new_flags).bits())?;
-            if let Some(p) = self.procs.get_mut(pid) {
-                if let Some(sm) = p.aspace.user.get_mut(&base_vpn) {
-                    sm.ppn = fresh;
-                    sm.flags = new_flags;
-                    sm.cow = false;
-                }
-            }
-            self.put_user_huge_block(m.ppn)?;
-            flush
-        } else {
-            let flush = self.pt_replace(slot, Pte::leaf(m.ppn, new_flags).bits())?;
-            if let Some(p) = self.procs.get_mut(pid) {
-                if let Some(sm) = p.aspace.user.get_mut(&base_vpn) {
-                    sm.flags = new_flags;
-                    sm.cow = false;
-                }
-            }
-            flush
-        };
-        // As in `break_cow`: the repointed span entry drains out of remote
-        // TLBs before the faulting write retires.
-        flush.queue(self, base_va, asid);
+        flush.queue(self, leaf_va, asid);
         self.drain_deferred_flushes();
         Ok(())
     }
@@ -842,6 +721,38 @@ impl Kernel {
     pub fn user_write_u64(&mut self, va: VirtAddr, v: u64) -> Result<(), KernelError> {
         let pa = self.touch_user(va, AccessKind::Write)?;
         self.mem_write(pa, v)
+    }
+}
+
+/// The areas of the program image `init` and `exec` start from: text,
+/// an empty heap that `brk` grows, and the stack.
+fn program_vmas() -> Vec<VmArea> {
+    vec![
+        VmArea {
+            start: USER_TEXT_BASE,
+            end: USER_TEXT_BASE + PAGE_SIZE,
+            perms: VmPerms::RX,
+        },
+        VmArea {
+            start: USER_HEAP_BASE,
+            end: USER_HEAP_BASE,
+            perms: VmPerms::RW,
+        },
+        VmArea {
+            start: USER_STACK_TOP - USER_STACK_PAGES * PAGE_SIZE,
+            end: USER_STACK_TOP,
+            perms: VmPerms::RW,
+        },
+    ]
+}
+
+/// A private, non-CoW 4 KiB leaf of `ppn`.
+fn small_leaf(ppn: PhysPageNum, flags: PteFlags) -> UserMapping {
+    UserMapping {
+        ppn,
+        flags,
+        cow: false,
+        huge: false,
     }
 }
 

@@ -13,7 +13,7 @@ use crate::cycles::{cost, CostKind};
 use crate::error::KernelError;
 use crate::fs::FileStat;
 use crate::kernel::{Kernel, Socket};
-use crate::pagetable::HUGE_PAGE_SPAN;
+use crate::pagetable::{leaf_pages, UserMapping, HUGE_PAGE_SPAN};
 use crate::process::{FdEntry, Pid, SigAction, VmArea, VmPerms};
 
 /// Static per-syscall cost profile.
@@ -646,30 +646,48 @@ impl Kernel {
             .filter(|&len| len <= stack_guard)
             .ok_or(KernelError::OutOfMemory)?;
         let mm = self.mm_owner_of(self.current_pid());
-        let start = {
+        let (start, cursor) = {
             let p = self.procs.get_mut(mm).ok_or(KernelError::NoSuchProcess)?;
             let aligned = p.mmap_cursor.div_ceil(2 * MIB) * (2 * MIB);
             if aligned + len > stack_guard {
                 return Err(KernelError::OutOfMemory);
             }
+            let cursor = p.mmap_cursor;
             p.mmap_cursor = aligned + len;
             p.vmas.push(VmArea {
                 start: aligned,
                 end: aligned + len,
                 perms: VmPerms::RW,
             });
-            aligned
+            (aligned, cursor)
         };
         for off in (0..len).step_by(2 * MIB as usize) {
-            let block = self.alloc_user_huge_block()?;
-            self.page_refs.insert(block.as_u64(), 1);
-            self.map_user_huge_page(
-                mm,
-                VirtAddr::new(start + off),
-                block,
-                PteFlags::user_rw(),
-                false,
-            )?;
+            let va = VirtAddr::new(start + off);
+            let mapped = self.alloc_user_huge_block().and_then(|block| {
+                self.page_refs.insert(block.as_u64(), 1);
+                let leaf = UserMapping {
+                    ppn: block,
+                    flags: PteFlags::user_rw(),
+                    cow: false,
+                    huge: true,
+                };
+                self.map_user_leaf(mm, va, leaf).or_else(|e| {
+                    // Not mapped: the block goes straight back.
+                    self.put_user_leaf(block, true)?;
+                    Err(e)
+                })
+            });
+            if let Err(e) = mapped {
+                // The caller gets no address to unmap, so nothing it asked
+                // for may stay behind: the blocks mapped so far, the area
+                // and the cursor.
+                let base = VirtAddr::new(start);
+                self.do_munmap(base, len, base + len)?;
+                self.drain_deferred_flushes();
+                let p = self.procs.get_mut(mm).ok_or(KernelError::NoSuchProcess)?;
+                p.mmap_cursor = cursor;
+                return Err(e);
+            }
         }
         Ok(VirtAddr::new(start))
     }
@@ -695,7 +713,6 @@ impl Kernel {
         let pid = self.mm_owner_of(self.current_pid());
         // Unmap any resident pages.
         let mut va = addr;
-        let mut r = Ok(());
         while va < end {
             let mapped = {
                 let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
@@ -705,50 +722,20 @@ impl Kernel {
                 va += PAGE_SIZE;
                 continue;
             };
-            if m.huge {
-                let span_aligned = va.as_u64().is_multiple_of(2 * MIB);
-                if span_aligned && va + 2 * MIB <= end {
-                    match self
-                        .unmap_user_huge_page(pid, va)
-                        .and_then(|block| self.put_user_huge_block(block))
-                    {
-                        Ok(()) => {
-                            va += 2 * MIB;
-                            continue;
-                        }
-                        Err(e) => {
-                            r = Err(e);
-                            break;
-                        }
-                    }
-                }
+            let span = leaf_pages(m.huge) * PAGE_SIZE;
+            if m.huge && !(va.as_u64().is_multiple_of(span) && va + span <= end) {
                 // Partial overlap: split, then retry this page as 4 KiB.
-                if let Err(e) = self.split_huge_mapping(pid, va) {
-                    r = Err(e);
-                    break;
-                }
+                self.split_huge_mapping(pid, va)?;
                 continue;
             }
-            match self.unmap_user_page(pid, va) {
-                Ok(ppn) => {
-                    if let Err(e) = self.put_user_page(ppn) {
-                        r = Err(e);
-                        break;
-                    }
-                }
-                Err(e) => {
-                    r = Err(e);
-                    break;
-                }
-            }
-            va += PAGE_SIZE;
+            let m = self.unmap_user_leaf(pid, va)?;
+            self.put_user_leaf(m.ppn, m.huge)?;
+            va += span;
         }
-        if r.is_ok() {
-            let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
-            p.vmas
-                .retain(|v| !(v.start == addr.as_u64() && v.end == addr.as_u64() + len));
-        }
-        r
+        let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
+        p.vmas
+            .retain(|v| !(v.start == addr.as_u64() && v.end == addr.as_u64() + len));
+        Ok(())
     }
 
     /// `brk()`: grows (or shrinks) the heap; returns the new break.
@@ -839,18 +826,12 @@ impl Kernel {
                 p.vmas.extend(tail);
             }
         }
-        // Huge mappings first: a block wholly inside the range has its
-        // level-1 leaf rewritten in place; one that straddles the boundary
-        // is split so the 4 KiB loop below can retouch just the overlap.
+        // Blocks first: one wholly inside the range has its level-1 leaf
+        // rewritten in place; one that straddles the boundary is split so
+        // the 4 KiB pass below can retouch just the overlap.
         let start_vpn = addr.as_u64() >> 12;
         let end_vpn = (addr.as_u64() + len) >> 12;
-        let asid = self
-            .procs
-            .get(mm)
-            .ok_or(KernelError::NoSuchProcess)?
-            .aspace
-            .asid;
-        let huge_bases: Vec<u64> = {
+        let blocks: Vec<u64> = {
             let p = self.procs.get(mm).ok_or(KernelError::NoSuchProcess)?;
             p.aspace
                 .user
@@ -859,51 +840,44 @@ impl Kernel {
                 .map(|(&base, _)| base)
                 .collect()
         };
-        for base in huge_bases {
-            let base_va = VirtAddr::new(base << 12);
+        for base in blocks {
             if base >= start_vpn && base + HUGE_PAGE_SPAN <= end_vpn {
-                let (root, block, cow) = {
-                    let p = self.procs.get(mm).expect("exists");
-                    let m = p.aspace.user.get(&base).expect("huge base present");
-                    (p.aspace.root, m.ppn, m.cow)
-                };
-                let flags = mprotect_leaf_flags(perms, cow);
-                let (slot, level) = self
-                    .find_leaf(root, base_va)?
-                    .ok_or(KernelError::BadAddress)?;
-                debug_assert_eq!(level, 1, "huge shadow entry over a non-huge leaf");
-                self.pt_replace(slot, ptstore_mmu::Pte::leaf(block, flags).bits())?
-                    .queue(self, base_va, asid);
-                if let Some(p) = self.procs.get_mut(mm) {
-                    if let Some(m) = p.aspace.user.get_mut(&base) {
-                        m.flags = flags;
-                    }
-                }
+                self.protect_user_leaf(mm, base, perms)?;
             } else {
-                self.split_huge_mapping(mm, base_va)?;
+                self.split_huge_mapping(mm, VirtAddr::new(base << 12))?;
             }
         }
-        // Rewrite resident 4 KiB leaf PTEs to the new permissions.
-        let resident: Vec<(u64, ptstore_core::PhysPageNum, bool)> = {
+        let pages: Vec<u64> = {
             let p = self.procs.get(mm).ok_or(KernelError::NoSuchProcess)?;
             p.aspace
                 .user
                 .range(start_vpn..end_vpn)
                 .filter(|(_, m)| !m.huge)
-                .map(|(&vpn, m)| (vpn, m.ppn, m.cow))
+                .map(|(&vpn, _)| vpn)
                 .collect()
         };
-        for (vpn, ppn, cow) in resident {
-            let va = VirtAddr::new(vpn << 12);
-            let root = self.procs.get(mm).expect("exists").aspace.root;
-            let slot = self.leaf_slot(root, va)?.ok_or(KernelError::BadAddress)?;
-            let flags = mprotect_leaf_flags(perms, cow);
-            self.pt_replace(slot, ptstore_mmu::Pte::leaf(ppn, flags).bits())?
-                .queue(self, va, asid);
-            if let Some(p) = self.procs.get_mut(mm) {
-                if let Some(m) = p.aspace.user.get_mut(&vpn) {
-                    m.flags = flags;
-                }
+        for vpn in pages {
+            self.protect_user_leaf(mm, vpn, perms)?;
+        }
+        Ok(())
+    }
+
+    /// Rewrites the resident user leaf keyed at `vpn` to `perms` and queues
+    /// the flush of its old translation.
+    fn protect_user_leaf(&mut self, mm: Pid, vpn: u64, perms: VmPerms) -> Result<(), KernelError> {
+        let va = VirtAddr::new(vpn << 12);
+        let (root, asid, m) = {
+            let p = self.procs.get(mm).ok_or(KernelError::NoSuchProcess)?;
+            let m = p.aspace.user.get(&vpn).ok_or(KernelError::BadAddress)?;
+            (p.aspace.root, p.aspace.asid, *m)
+        };
+        let flags = mprotect_leaf_flags(perms, m.cow);
+        let slot = self.user_leaf_slot(root, va, m.huge)?;
+        self.pt_replace(slot, ptstore_mmu::Pte::leaf(m.ppn, flags).bits())?
+            .queue(self, va, asid);
+        if let Some(p) = self.procs.get_mut(mm) {
+            if let Some(m) = p.aspace.user.get_mut(&vpn) {
+                m.flags = flags;
             }
         }
         Ok(())

@@ -548,3 +548,47 @@ fn hostile_lengths_are_errors_not_panics() {
     k.sys_touch(va + PAGE_SIZE, true).unwrap();
     k.sys_munmap(va, 2 * PAGE_SIZE).unwrap();
 }
+
+#[test]
+fn a_failed_huge_mmap_leaves_nothing_behind() {
+    // 64 MiB of RAM holds fewer than the 32 blocks asked for.
+    let mut k = Kernel::boot(
+        KernelConfig::cfi_ptstore()
+            .with_mem_size(64 * MIB)
+            .with_initial_secure_size(4 * MIB),
+    )
+    .expect("kernel boots");
+    let pid = k.current_pid();
+    let state = |k: &Kernel| {
+        let p = k.procs.get(pid).expect("init");
+        let shadow = p.aspace.user.clone();
+        (k.normal_free_pages(), p.vmas.clone(), p.mmap_cursor, shadow)
+    };
+    let before = state(&k);
+    assert_eq!(k.sys_mmap_huge(64 * MIB), Err(KernelError::OutOfMemory));
+    assert_eq!(state(&k), before);
+    k.sys_mmap_huge(2 * MIB).expect("one block still fits");
+}
+
+#[test]
+fn a_corrupted_table_above_a_huge_leaf_is_a_bad_address() {
+    use ptstore_mmu::PteFlags;
+    // With the S-bit check ablated, a regular store reaches page tables.
+    let mut cfg = KernelConfig::cfi_ptstore();
+    cfg.pmp_s_bit_check = false;
+    let mut k = boot(cfg);
+    let pid = k.current_pid();
+    let va = k.sys_mmap_huge(2 * MIB).expect("mmap_huge");
+    assert_eq!(k.leaf_pte_phys_addr(pid, va).expect("leaf").1, 1);
+    // Under Sv39 the root is the level-2 table above the block's leaf.
+    let root = k.process_root(pid).expect("root");
+    let slot = root.base_addr() + va.vpn_slice(2) * 8;
+    let leafy = k.read_pte_raw(slot).expect("read") | u64::from(PteFlags::R | PteFlags::W);
+    k.attacker_write_u64(k.direct_map(slot), leafy)
+        .expect("the ablated PMP lets the store land");
+    assert_eq!(k.sys_munmap(va, 2 * MIB), Err(KernelError::BadAddress));
+    // No store went to the slot the shadow entry does not describe.
+    assert_eq!(k.read_pte_raw(slot), Ok(leafy));
+    let p = k.procs.get(pid).expect("init");
+    assert!(p.aspace.user[&(va.as_u64() >> 12)].huge);
+}

@@ -111,13 +111,17 @@ echo "== modelcheck: jobs determinism at a mid bound (byte-identical) =="
 # information, so a sequential run and a 4-job run of the same search must
 # compare byte-for-byte — the same `cmp` discipline as the parallel runner.
 # The per-depth counts and transition total pin the canonical encoding's
-# dedup: a canon change that merges or splits states fails here.
+# dedup: a canon change that merges or splits states fails here. The
+# exploration hash also covers each hart's mailbox records (sender and
+# kind), which every IPI round posts, so a change to what a shootdown
+# posts fails here too.
 ./target/release/reproduce modelcheck --depth 4 > target/mc-a.txt
 ./target/release/reproduce modelcheck --depth 4 --jobs 4 > target/mc-b.txt
 cmp target/mc-a.txt target/mc-b.txt
 grep -q ": VERIFIED" target/mc-a.txt
 grep -q "per depth: 1 7 59 522 4579)" target/mc-a.txt
 grep -q "transitions      : 17670$" target/mc-a.txt
+grep -q "exploration hash : 0x4dc3a766a16d8458$" target/mc-a.txt
 rm -f target/mc-a.txt target/mc-b.txt
 
 echo "== modelcheck: default bound (>= 10^4 deduped states, 0 violations) =="
@@ -125,13 +129,15 @@ echo "== modelcheck: default bound (>= 10^4 deduped states, 0 violations) =="
 # alphabet explores at least ten thousand deduped states and every one of
 # them satisfies every invariant. The exact per-depth counts and
 # transition total pin the canonical state's dedup classes at this bound,
-# as the depth-4 step does at its own.
+# and the exploration hash the states themselves, as the depth-4 step
+# does at its own.
 ./target/release/reproduce modelcheck --jobs 4 > target/mc-full.txt
 grep -q ": VERIFIED" target/mc-full.txt
 STATES=$(sed -n 's/^  states explored  : \([0-9]*\) .*/\1/p' target/mc-full.txt)
 [ "$STATES" -ge 10000 ]
 grep -q "per depth: 1 7 59 522 4579 39915)" target/mc-full.txt
 grep -q "transitions      : 155040$" target/mc-full.txt
+grep -q "exploration hash : 0xd7487b2bd73dbce4$" target/mc-full.txt
 rm -f target/mc-full.txt
 
 echo "== modelcheck: ablation counterexample (minimal, replayable) =="
