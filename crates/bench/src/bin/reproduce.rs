@@ -1,83 +1,51 @@
 //! Regenerates every table and figure of the PTStore paper from the models.
 //!
 //! ```text
-//! reproduce [--quick] [--harts N] [--jobs N] \
-//!     [--csv <dir>] [--trace <file>] [--scheme sv39|sv48|sv57] \
-//!     [--drain-policy boundary|watermark[:D]|asid-recycle] [--medium] \
-//!     [table1|table2|table3|hwdetail|ltp|fig4|forkstress|fig5|fig6|fig7|security|smp|c1m|all]
-//! reproduce fuzz [--seed S] [--faults N] [--harts H] [--quick] [--scheme sv39|sv48|sv57]
-//! reproduce modelcheck [--depth N] [--ops k1,k2,...] [--ablate <check>] [--harts H] \
-//!     [--jobs N] [--quick] [--scheme sv39|sv48|sv57] \
-//!     [--drain-policy boundary|watermark[:D]|asid-recycle]
+//! reproduce [<flag>...] [<experiment>]
 //! ```
+//!
+//! The experiment defaults to `all`, the paper-reproduction suite: Tables
+//! I–III and their hardware detail, §V-C, Figures 4–7, §V-D1, §V-E and SMP
+//! scaling. `c1m`, `ablation`, `fuzz` and `modelcheck` run only when named,
+//! so `all` keeps doing the same work across commits.
+//!
+//! The `EXPERIMENTS` table declares each experiment once: its name,
+//! whether `all` runs it, the flags it reads and its runner. Parsing,
+//! rejection, the usage text (`reproduce --help`) and dispatch all read
+//! it. README.md's flag table, which `tests/cli.rs` mirrors, says what
+//! each flag does and where it applies. A flag the selected experiment
+//! does not read is rejected, not ignored. Rejected invocations, and
+//! `--csv`/`--trace` paths that cannot be written, exit with status 2.
 //!
 //! `--quick` runs scaled-down workloads (seconds); the default uses the
 //! paper's parameters (30 000 processes, 100 000 Redis requests, ...).
-//! `--jobs N` runs independent experiments — and the independent
-//! (benchmark × config) points inside each — on up to N scoped threads
-//! (clamped to the host's cores; nested fan-outs share one pool).
-//! Every point boots a fresh deterministic kernel, so reports are merged
-//! back in a fixed order and the output is byte-identical at any job count.
-//! `--csv <dir>` additionally writes each figure's data series as CSV for
-//! external plotting.
-//! `--trace <file>` re-runs the PTStore security rows with a trace sink
-//! attached and writes each cell's full event chain (JSON array, one
-//! object per cell with counters and per-event rejecting-layer
-//! attribution) to `file`.
-//! `--harts N` (1 to 64, the kernel's `MAX_HARTS`) boots N-hart
-//! machines: the security battery reruns every cell on the SMP machine,
-//! the `smp` experiment compares
-//! hart-distributed nginx/redis/fork-stress throughput against one hart,
-//! and the `c1m` multi-tenant churn experiment runs its fleet on N harts
-//! (minimum 2 — with one hart there is no remote TLB to shoot down).
-//! `c1m` must be named explicitly — `all` is the paper-reproduction
-//! suite and keeps its wall-clock comparable across commits; bench.sh
-//! times c1m in a separate section of its report.
-//! `--drain-policy boundary|watermark[:D]|asid-recycle` (c1m and
-//! forkstress only) pins the batched rows to one deferred-shootdown
-//! drain policy instead of sweeping all three; security-boundary and
-//! ASID-reuse drains stay mandatory under every policy, so the reported
-//! TLB digests must not move with this flag (`check.sh` gates on that).
-//! `--medium` (c1m only, incompatible with `--quick`) selects the
-//! CI-budgeted 150×8×50 C1M trajectory shape bench.sh tracks
-//! connections-per-second on.
+//! `--jobs N` runs independent experiments, and the independent points
+//! inside each, on up to N threads of the one parallel map
+//! (`ptstore_core::pool::fan_out`). Every point boots a fresh
+//! deterministic kernel and reports merge back in a fixed order, so the
+//! output is byte-identical at any job count.
 //!
-//! `fuzz` runs the ptstore-fault campaign: `--faults N` seeded runs
-//! (default 70), each injecting one fault drawn round-robin from the
-//! nine fault classes, classified as detected-and-contained / benign /
-//! invariant-violated. `--seed S` (default 1) fixes the campaign seed —
-//! the report is byte-identical across invocations. `--harts H` defaults
-//! to 2 here so the IPI fault classes have a victim hart. With `--quick`
-//! the campaign runs the invariant oracle after every workload operation
-//! (paranoid mode). `fuzz` is not part of `all`; run it explicitly.
-//! `--scheme sv39|sv48|sv57` boots every kernel of the `security` battery,
-//! `fuzz` campaign, or `modelcheck` search under that RISC-V paging scheme
-//! (default sv39). The verdicts are scheme-independent — PTStore's checks
-//! fire on physical addresses and credentials, not on walk depth — which
-//! the scheme-differential test suite asserts.
-//!
-//! `modelcheck` runs the ptstore-modelcheck bounded exhaustive search: BFS
-//! over every interleaving of the deterministic op alphabet up to `--depth`
-//! ops (default 5), deduping states by canonical hash and running the
-//! invariant oracle on each. With all defenses on the verdict must be
-//! VERIFIED (0 violations in every reachable state); `--ablate
-//! pmp_s_bit_check|ptw_origin_check|token_checks` disables one check and
-//! must print FALSIFIED with a minimal replayable counterexample trace.
-//! `--ops` restricts the alphabet to a comma-separated list of op families,
-//! `--harts` sizes the miniature machine (default 2), `--quick` lowers the
-//! default depth to 3, and `--jobs` fans frontier expansion out across host
-//! threads — the report is byte-identical at any job count (check.sh `cmp`s
-//! two runs). Like `fuzz` and `c1m`, `modelcheck` is not part of `all`.
-//! Flags that cannot apply to the selected experiment (for example
-//! `--seed` without `fuzz`, or `--jobs`/`--trace`/`--csv` with `fuzz`)
-//! are rejected rather than silently ignored. Rejected invocations, and
-//! `--csv`/`--trace` paths that cannot be written, exit with status 2.
+//! `fuzz` runs the ptstore-fault campaign: seeded runs, each injecting one
+//! fault drawn round-robin from the fault classes, classified as
+//! detected-and-contained / benign / invariant-violated; the report is
+//! byte-identical across invocations. `modelcheck` runs the
+//! ptstore-modelcheck bounded exhaustive search: BFS over every
+//! interleaving of the op alphabet, deduping states by canonical hash and
+//! running the invariant oracle on each. With all defenses on the verdict
+//! must be VERIFIED; an ablated check must print FALSIFIED with a minimal
+//! replayable counterexample.
 
 use std::fmt::Write as _;
+use std::path::PathBuf;
+use std::str::FromStr;
 
 use ptstore_bench::*;
+use ptstore_core::pool::fan_out;
+use ptstore_core::PagingScheme;
 use ptstore_fault::CampaignConfig;
 use ptstore_kernel::config::MAX_HARTS;
+use ptstore_kernel::DrainPolicy;
+use ptstore_modelcheck::{Ablation, McConfig, OpKind};
 
 /// Appends one line to a report buffer (writing to a `String` is
 /// infallible).
@@ -85,35 +53,242 @@ macro_rules! w {
     ($($t:tt)*) => { let _ = writeln!($($t)*); };
 }
 
-const EXPERIMENTS: [&str; 13] = [
-    "table1",
-    "table2",
-    "table3",
-    "hwdetail",
-    "ltp",
-    "fig4",
-    "forkstress",
-    "fig5",
-    "fig6",
-    "fig7",
-    "security",
-    "smp",
-    "c1m",
+/// A set of flags, one bit per [`FLAGS`] entry.
+type FlagSet = u16;
+
+const QUICK: FlagSet = 1 << 0;
+const MEDIUM: FlagSet = 1 << 1;
+const HARTS: FlagSet = 1 << 2;
+const JOBS: FlagSet = 1 << 3;
+const CSV: FlagSet = 1 << 4;
+const TRACE: FlagSet = 1 << 5;
+const SCHEME: FlagSet = 1 << 6;
+const DRAIN: FlagSet = 1 << 7;
+const SEED: FlagSet = 1 << 8;
+const FAULTS: FlagSet = 1 << 9;
+const DEPTH: FlagSet = 1 << 10;
+const OPS: FlagSet = 1 << 11;
+const ABLATE: FlagSet = 1 << 12;
+
+/// Stores a flag's parsed value in [`Opts`], or says why it is not one.
+type Setter = fn(&mut Opts, &str) -> Result<(), String>;
+
+/// One command-line flag.
+struct Flag {
+    bit: FlagSet,
+    name: &'static str,
+    /// The value's placeholder in the usage text; empty for a switch, which
+    /// [`Opts::given`] records.
+    value: &'static str,
+    set: Setter,
+}
+
+impl Flag {
+    const fn new(bit: FlagSet, name: &'static str, value: &'static str, set: Setter) -> Self {
+        Self {
+            bit,
+            name,
+            value,
+            set,
+        }
+    }
+}
+
+/// Every flag `reproduce` knows.
+const FLAGS: [Flag; 13] = [
+    Flag::new(QUICK, "--quick", "", |_, _| Ok(())),
+    Flag::new(MEDIUM, "--medium", "", |_, _| Ok(())),
+    Flag::new(HARTS, "--harts", "N", |o, v| {
+        int(v, 1, Some(MAX_HARTS)).map(|n| o.harts = Some(n))
+    }),
+    Flag::new(JOBS, "--jobs", "N", |o, v| {
+        int(v, 1, None).map(|n| o.jobs = Some(n))
+    }),
+    Flag::new(CSV, "--csv", "<dir>", |o, v| {
+        parsed(v).map(|p| o.csv = Some(p))
+    }),
+    Flag::new(TRACE, "--trace", "<file>", |o, v| {
+        parsed(v).map(|p| o.trace = Some(p))
+    }),
+    Flag::new(SCHEME, "--scheme", "sv39|sv48|sv57", |o, v| {
+        parsed(v).map(|s| o.scheme = Some(s))
+    }),
+    Flag::new(
+        DRAIN,
+        "--drain-policy",
+        "boundary|watermark[:D]|asid-recycle",
+        |o, v| parsed(v).map(|p| o.drain_policy = Some(p)),
+    ),
+    Flag::new(SEED, "--seed", "S", |o, v| {
+        int(v, 0, None).map(|n| o.seed = Some(n))
+    }),
+    Flag::new(FAULTS, "--faults", "N", |o, v| {
+        int(v, 0, None).map(|n| o.faults = Some(n))
+    }),
+    Flag::new(DEPTH, "--depth", "N", |o, v| {
+        int(v, 1, None).map(|n| o.depth = Some(n))
+    }),
+    Flag::new(OPS, "--ops", "k1,k2,...", |o, v| {
+        let kinds = ptstore_modelcheck::parse_op_kinds(v)?;
+        if kinds.is_empty() {
+            return Err("expected a non-empty comma-separated op list".into());
+        }
+        o.ops = Some(kinds);
+        Ok(())
+    }),
+    Flag::new(
+        ABLATE,
+        "--ablate",
+        "pmp_s_bit_check|ptw_origin_check|token_checks",
+        |o, v| parsed(v).map(|a| o.ablate = Some(a)),
+    ),
 ];
 
-/// Prints the usage synopsis to stderr.
+/// One experiment.
+struct Experiment {
+    name: &'static str,
+    /// Whether `all` runs it; `all` runs its members in table order.
+    in_all: bool,
+    /// The flags it reads; any other flag is rejected.
+    flags: FlagSet,
+    /// Builds its whole report, so `all` can run members in parallel and
+    /// print them in order.
+    run: fn(&Opts) -> String,
+}
+
+impl Experiment {
+    const fn new(
+        name: &'static str,
+        in_all: bool,
+        flags: FlagSet,
+        run: fn(&Opts) -> String,
+    ) -> Self {
+        Self {
+            name,
+            in_all,
+            flags,
+            run,
+        }
+    }
+}
+
+/// Every experiment, in `all`'s output order. README.md's flag table is the
+/// spec of the flags column: `--quick` applies to every experiment and
+/// `--jobs` to every one but `fuzz`.
+const EXPERIMENTS: [Experiment; 17] = [
+    Experiment::new("all", false, QUICK | HARTS | JOBS | CSV | TRACE, report_all),
+    Experiment::new("table1", true, QUICK | JOBS, |_| report_table1()),
+    Experiment::new("table2", true, QUICK | JOBS, |_| report_table2()),
+    Experiment::new("table3", true, QUICK | JOBS, |_| report_table3()),
+    Experiment::new("hwdetail", true, QUICK | JOBS, |_| report_hwdetail()),
+    Experiment::new("ltp", true, QUICK | JOBS, report_ltp),
+    Experiment::new("fig4", true, QUICK | JOBS | CSV, report_fig4),
+    Experiment::new("forkstress", true, QUICK | JOBS | DRAIN, report_stress),
+    Experiment::new("fig5", true, QUICK | JOBS | CSV, report_fig5),
+    Experiment::new("fig6", true, QUICK | JOBS | CSV, report_fig6),
+    Experiment::new("fig7", true, QUICK | JOBS | CSV, report_fig7),
+    Experiment::new(
+        "security",
+        true,
+        QUICK | HARTS | JOBS | TRACE | SCHEME,
+        report_security,
+    ),
+    Experiment::new("smp", true, QUICK | HARTS | JOBS, report_smp),
+    Experiment::new(
+        "c1m",
+        false,
+        QUICK | MEDIUM | HARTS | JOBS | DRAIN,
+        report_c1m,
+    ),
+    Experiment::new("ablation", false, QUICK | JOBS, report_ablation),
+    Experiment::new(
+        "fuzz",
+        false,
+        QUICK | HARTS | SCHEME | SEED | FAULTS,
+        report_fuzz,
+    ),
+    Experiment::new(
+        "modelcheck",
+        false,
+        QUICK | HARTS | JOBS | SCHEME | DRAIN | DEPTH | OPS | ABLATE,
+        report_modelcheck,
+    ),
+];
+
+/// The parsed command line. Each experiment supplies its own default for a
+/// flag that was not given.
+#[derive(Default)]
+struct Opts {
+    /// Every flag given, switches included.
+    given: FlagSet,
+    harts: Option<usize>,
+    jobs: Option<usize>,
+    csv: Option<PathBuf>,
+    trace: Option<PathBuf>,
+    scheme: Option<PagingScheme>,
+    drain_policy: Option<DrainPolicy>,
+    seed: Option<u64>,
+    faults: Option<u64>,
+    depth: Option<u32>,
+    ops: Option<Vec<OpKind>>,
+    ablate: Option<Ablation>,
+}
+
+impl Opts {
+    fn quick(&self) -> bool {
+        self.given & QUICK != 0
+    }
+
+    fn scale(&self) -> Scale {
+        if self.given & MEDIUM != 0 {
+            Scale::medium()
+        } else if self.quick() {
+            Scale::quick()
+        } else {
+            Scale::paper()
+        }
+    }
+
+    fn jobs(&self) -> usize {
+        self.jobs.unwrap_or(1)
+    }
+}
+
+/// Parses an integer of at least `min` (and at most `max`).
+fn int<T: FromStr + PartialOrd + std::fmt::Display>(
+    v: &str,
+    min: T,
+    max: Option<T>,
+) -> Result<T, String> {
+    match v.parse::<T>() {
+        Ok(n) if n >= min && max.as_ref().is_none_or(|m| n <= *m) => Ok(n),
+        _ => Err(match max {
+            Some(max) => format!("expected an integer from {min} to {max}, got {v:?}"),
+            None => format!("expected an integer of at least {min}, got {v:?}"),
+        }),
+    }
+}
+
+/// Parses a value through its type's `FromStr`.
+fn parsed<T: FromStr<Err: std::fmt::Display>>(v: &str) -> Result<T, String> {
+    v.parse().map_err(|e: T::Err| e.to_string())
+}
+
+/// Prints the usage synopsis, one line per experiment with the flags it
+/// reads, to stderr.
 fn usage() {
-    eprintln!(
-        "usage: reproduce [--quick] [--medium] [--harts N] [--jobs N] [--csv <dir>] [--trace <file>] [--scheme sv39|sv48|sv57] [--drain-policy boundary|watermark[:D]|asid-recycle] [{}|all]",
-        EXPERIMENTS.join("|")
-    );
-    eprintln!(
-        "       reproduce fuzz [--seed S] [--faults N] [--harts H] [--quick] [--scheme sv39|sv48|sv57]"
-    );
-    eprintln!(
-        "       reproduce modelcheck [--depth N] [--ops k1,k2,...] [--ablate pmp_s_bit_check|ptw_origin_check|token_checks] [--harts H] [--jobs N] [--quick] [--scheme sv39|sv48|sv57] [--drain-policy boundary|watermark[:D]|asid-recycle]"
-    );
-    eprintln!("run `reproduce --help` for what each flag does");
+    eprintln!("usage: reproduce [<flag>...] [<experiment>]  (the experiment defaults to all)");
+    for e in &EXPERIMENTS {
+        let mut line = format!("  {:<10}", e.name);
+        for f in FLAGS.iter().filter(|f| e.flags & f.bit != 0) {
+            let _ = match f.value {
+                "" => write!(line, " [{}]", f.name),
+                value => write!(line, " [{} {value}]", f.name),
+            };
+        }
+        eprintln!("{line}");
+    }
+    eprintln!("README.md's flag table says what each flag does");
 }
 
 /// Rejects the invocation with a clear error (exit 2).
@@ -123,315 +298,78 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Consumes the value of `--flag <value>`, failing loudly when missing.
-fn take_value<'a>(it: &mut impl Iterator<Item = &'a String>, flag: &str) -> &'a str {
-    match it.next() {
-        Some(v) if !v.starts_with("--") => v,
-        _ => die(&format!("{flag} requires a value")),
+/// Parses the command line against [`FLAGS`] and [`EXPERIMENTS`],
+/// rejecting anything the selected experiment cannot carry out before
+/// it runs.
+fn parse(args: &[String]) -> (&'static Experiment, Opts) {
+    let mut opts = Opts::default();
+    let mut what: Option<&str> = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        if arg == "--help" || arg == "-h" {
+            usage();
+            std::process::exit(0);
+        }
+        if !arg.starts_with("--") {
+            if let Some(first) = what {
+                die(&format!(
+                    "at most one experiment may be selected, got {first:?} and {arg:?}"
+                ));
+            }
+            what = Some(arg);
+            continue;
+        }
+        let Some(flag) = FLAGS.iter().find(|f| f.name == arg) else {
+            die(&format!("unknown flag {arg:?}"));
+        };
+        let value = if flag.value.is_empty() {
+            ""
+        } else {
+            match it.next() {
+                Some(v) if !v.starts_with("--") => v.as_str(),
+                _ => die(&format!("{} requires a value", flag.name)),
+            }
+        };
+        if let Err(e) = (flag.set)(&mut opts, value) {
+            die(&format!("{}: {e}", flag.name));
+        }
+        opts.given |= flag.bit;
     }
-}
-
-/// Parses a positive integer flag value.
-fn take_number<'a, T: std::str::FromStr>(
-    it: &mut impl Iterator<Item = &'a String>,
-    flag: &str,
-) -> T {
-    let v = take_value(it, flag);
-    match v.parse() {
-        Ok(n) => n,
-        Err(_) => die(&format!("{flag} takes a non-negative integer, got {v:?}")),
+    let what = what.unwrap_or("all");
+    let Some(exp) = EXPERIMENTS.iter().find(|e| e.name == what) else {
+        die(&format!("unknown experiment {what:?}"));
+    };
+    if let Some(f) = FLAGS.iter().find(|f| opts.given & !exp.flags & f.bit != 0) {
+        die(&format!("{} does not apply to {what}", f.name));
     }
+    if opts.given & (MEDIUM | QUICK) == MEDIUM | QUICK {
+        die("--medium and --quick are contradictory: pick one scale");
+    }
+    (exp, opts)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
-    let mut medium = false;
-    let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut trace_file: Option<std::path::PathBuf> = None;
-    let mut harts: Option<usize> = None;
-    let mut jobs: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut faults: Option<u64> = None;
-    let mut scheme: Option<ptstore_core::PagingScheme> = None;
-    let mut drain_policy: Option<ptstore_kernel::DrainPolicy> = None;
-    let mut depth: Option<u32> = None;
-    let mut ops: Option<Vec<ptstore_modelcheck::OpKind>> = None;
-    let mut ablate: Option<ptstore_modelcheck::Ablation> = None;
-    let mut what: Option<String> = None;
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--medium" => medium = true,
-            "--csv" => csv_dir = Some(std::path::PathBuf::from(take_value(&mut it, "--csv"))),
-            "--trace" => {
-                trace_file = Some(std::path::PathBuf::from(take_value(&mut it, "--trace")));
-            }
-            "--harts" => harts = Some(take_number(&mut it, "--harts")),
-            "--jobs" => jobs = Some(take_number(&mut it, "--jobs")),
-            "--seed" => seed = Some(take_number(&mut it, "--seed")),
-            "--faults" => faults = Some(take_number(&mut it, "--faults")),
-            "--scheme" => {
-                let v = take_value(&mut it, "--scheme");
-                scheme = match v.parse() {
-                    Ok(s) => Some(s),
-                    Err(_) => die(&format!(
-                        "unknown paging scheme {v:?}: --scheme takes sv39, sv48, or sv57"
-                    )),
-                };
-            }
-            "--drain-policy" => {
-                let v = take_value(&mut it, "--drain-policy");
-                drain_policy = match v.parse() {
-                    Ok(p) => Some(p),
-                    Err(e) => die(&format!("{e}")),
-                };
-            }
-            "--depth" => depth = Some(take_number(&mut it, "--depth")),
-            "--ops" => {
-                let v = take_value(&mut it, "--ops");
-                ops = match ptstore_modelcheck::parse_op_kinds(v) {
-                    Ok(kinds) if !kinds.is_empty() => Some(kinds),
-                    Ok(_) => die("--ops takes a non-empty comma-separated op list"),
-                    Err(e) => die(&e),
-                };
-            }
-            "--ablate" => {
-                let v = take_value(&mut it, "--ablate");
-                ablate = match v.parse() {
-                    Ok(a) => Some(a),
-                    Err(e) => die(&e),
-                };
-            }
-            "--help" | "-h" => {
-                usage();
-                std::process::exit(0);
-            }
-            flag if flag.starts_with("--") => die(&format!("unknown flag {flag:?}")),
-            exp => {
-                if let Some(first) = &what {
-                    die(&format!(
-                        "at most one experiment may be selected, got {first:?} and {exp:?}"
-                    ));
-                }
-                what = Some(exp.to_string());
-            }
-        }
-    }
-
-    let what = what.unwrap_or_else(|| "all".to_string());
-    if what != "all"
-        && what != "fuzz"
-        && what != "modelcheck"
-        && !EXPERIMENTS.contains(&what.as_str())
-    {
-        die(&format!("unknown experiment {what:?}"));
-    }
-    if harts.is_some_and(|h| !(1..=MAX_HARTS).contains(&h)) {
-        die(&format!("--harts takes an integer from 1 to {MAX_HARTS}"));
-    }
-    if jobs == Some(0) {
-        die("--jobs takes a positive integer");
-    }
-    if depth == Some(0) {
-        die("--depth takes a positive integer");
-    }
-    // Flags whose experiment cannot use them are contradictions, not
-    // defaults to silently fall back on.
-    if what != "fuzz" {
-        if seed.is_some() {
-            die(&format!(
-                "--seed only applies to the fuzz experiment, not {what:?}"
-            ));
-        }
-        if faults.is_some() {
-            die(&format!(
-                "--faults only applies to the fuzz experiment, not {what:?}"
-            ));
-        }
-    } else {
-        if jobs.is_some() {
-            die("--jobs does not apply to fuzz: campaign runs are sequential by design (the report is seed-deterministic)");
-        }
-        if trace_file.is_some() {
-            die("--trace only applies to the security experiment, not fuzz");
-        }
-        if csv_dir.is_some() {
-            die("--csv only applies to the figure experiments, not fuzz");
-        }
-    }
-    if what != "modelcheck" {
-        if depth.is_some() {
-            die(&format!(
-                "--depth only applies to the modelcheck experiment, not {what:?}"
-            ));
-        }
-        if ops.is_some() {
-            die(&format!(
-                "--ops only applies to the modelcheck experiment, not {what:?}"
-            ));
-        }
-        if ablate.is_some() {
-            die(&format!(
-                "--ablate only applies to the modelcheck experiment, not {what:?} \
-                 (the fuzz campaign's ablations are part of its fault classes)"
-            ));
-        }
-    } else {
-        if trace_file.is_some() {
-            die("--trace only applies to the security experiment, not modelcheck");
-        }
-        if csv_dir.is_some() {
-            die("--csv only applies to the figure experiments, not modelcheck");
-        }
-        if medium {
-            die("--medium is the CI-budgeted c1m trajectory shape; it does not apply to modelcheck (use --depth)");
-        }
-    }
-    if trace_file.is_some() && what != "all" && what != "security" {
-        die(&format!(
-            "--trace only applies to the security experiment, not {what:?}"
-        ));
-    }
-    if scheme.is_some() && what != "security" && what != "fuzz" && what != "modelcheck" {
-        die(&format!(
-            "--scheme only applies to the security, fuzz, and modelcheck experiments, not {what:?} \
-             (the performance figures are calibrated against the sv39 goldens)"
-        ));
-    }
-    const CSV_EXPERIMENTS: [&str; 5] = ["all", "fig4", "fig5", "fig6", "fig7"];
-    if csv_dir.is_some() && !CSV_EXPERIMENTS.contains(&what.as_str()) {
-        die(&format!(
-            "--csv only applies to the figure experiments (fig4|fig5|fig6|fig7), not {what:?}"
-        ));
-    }
-    if drain_policy.is_some() && what != "c1m" && what != "forkstress" && what != "modelcheck" {
-        die(&format!(
-            "--drain-policy only applies to the c1m, forkstress, and modelcheck experiments, \
-             not {what:?} \
-             (the other experiments run eager shootdowns, where no drain queue exists)"
-        ));
-    }
-    if medium {
-        if quick {
-            die("--medium and --quick are contradictory: pick one scale");
-        }
-        if what != "c1m" {
-            die(&format!(
-                "--medium is the CI-budgeted c1m trajectory shape; it does not apply to {what:?}"
-            ));
-        }
-    }
-
-    let scale = if medium {
-        Scale::medium()
-    } else if quick {
-        Scale::quick()
-    } else {
-        Scale::paper()
-    };
-    if let Some(dir) = &csv_dir {
+    let (exp, opts) = parse(&args);
+    if let Some(dir) = &opts.csv {
         if let Err(e) = std::fs::create_dir_all(dir) {
             die(&format!("cannot create csv dir {}: {e}", dir.display()));
         }
     }
-    set_csv_dir(csv_dir);
-
-    if what == "fuzz" {
-        // `--harts` defaults to 2 for fuzz so the IPI-fault classes have a
-        // victim hart to target.
-        print!(
-            "{}",
-            report_fuzz(
-                seed.unwrap_or(1),
-                faults.unwrap_or(70),
-                harts.unwrap_or(2),
-                quick,
-                scheme
-            )
-        );
-        return;
-    }
-    if what == "modelcheck" {
-        let base = ptstore_modelcheck::McConfig::default();
-        let mc = ptstore_modelcheck::McConfig {
-            // The default bound (depth 5, full alphabet, 2 harts) explores
-            // well over 10^4 deduped states — the coverage floor check.sh
-            // gates on; --quick trades coverage for a seconds-scale smoke
-            // run.
-            depth: depth.unwrap_or(if quick { 3 } else { base.depth }),
-            kinds: ops.unwrap_or(base.kinds),
-            ablate,
-            harts: harts.unwrap_or(2),
-            scheme: scheme.unwrap_or(base.scheme),
-            drain_policy: match drain_policy {
-                Some(p) => Some(p),
-                None => base.drain_policy,
-            },
-            jobs: jobs.unwrap_or(1),
-            max_states: base.max_states,
-        };
-        print!("{}", ptstore_modelcheck::explore(&mc).summary());
-        return;
-    }
-    let harts = harts.unwrap_or(1);
-    let jobs = jobs.unwrap_or(1);
-
-    // One report builder per experiment, in the fixed output order. Each
-    // returns its full report as a string so runs can be fanned out across
-    // threads and merged back deterministically.
-    type Task<'a> = (&'a str, Box<dyn Fn() -> String + Sync + 'a>);
-    let scale = &scale;
-    let trace_file = trace_file.as_deref();
-    let tasks: Vec<Task> = EXPERIMENTS
-        .iter()
-        // `all` is the paper-reproduction suite; the c1m macro workload runs
-        // only when named explicitly so the suite's wall-clock gate
-        // (scripts/bench.sh) keeps comparing the same work across commits.
-        // bench.sh times c1m in its own section.
-        .filter(|name| (what == "all" && **name != "c1m") || what == **name)
-        .map(|&name| {
-            let task: Box<dyn Fn() -> String + Sync> = match name {
-                "table1" => Box::new(report_table1),
-                "table2" => Box::new(report_table2),
-                "table3" => Box::new(report_table3),
-                "hwdetail" => Box::new(report_hwdetail),
-                "ltp" => Box::new(move || report_ltp(scale, jobs)),
-                "fig4" => Box::new(move || report_fig4(scale, jobs)),
-                "forkstress" => Box::new(move || report_stress(scale, jobs, drain_policy)),
-                "fig5" => Box::new(move || report_fig5(scale, jobs)),
-                "fig6" => Box::new(move || report_fig6(scale, jobs)),
-                "fig7" => Box::new(move || report_fig7(scale, jobs)),
-                "security" => Box::new(move || report_security(trace_file, harts, scheme)),
-                "smp" => Box::new(move || report_smp(scale, harts, jobs)),
-                "c1m" => Box::new(move || report_c1m(scale, harts, jobs, drain_policy)),
-                _ => unreachable!("EXPERIMENTS is exhaustive"),
-            };
-            (name, task)
-        })
-        .collect();
-
-    // Deterministic ordered merge: reports come back in task order no
-    // matter which thread finished first.
-    for report in ptstore_core::pool::fan_out(jobs, &tasks, |(_, run)| run()) {
-        print!("{report}");
-    }
+    print!("{}", (exp.run)(&opts));
 }
 
-use std::sync::OnceLock;
-
-static CSV_DIR: OnceLock<Option<std::path::PathBuf>> = OnceLock::new();
-
-fn set_csv_dir(dir: Option<std::path::PathBuf>) {
-    let _ = CSV_DIR.set(dir);
+/// Runs every member of `all` on the parallel map and joins their reports
+/// in table order, whichever thread finished first.
+fn report_all(o: &Opts) -> String {
+    let suite: Vec<&Experiment> = EXPERIMENTS.iter().filter(|e| e.in_all).collect();
+    fan_out(o.jobs(), &suite, |e| (e.run)(o)).concat()
 }
 
 /// Writes one figure's overhead series as CSV when `--csv` was given,
 /// appending a note to the report.
-fn write_series_csv(out: &mut String, name: &str, series: &[OverheadSeries]) {
-    let Some(Some(dir)) = CSV_DIR.get() else {
+fn write_series_csv(out: &mut String, o: &Opts, name: &str, series: &[OverheadSeries]) {
+    let Some(dir) = &o.csv else {
         return;
     };
     let mut csv = String::from("benchmark,config,cycles,overhead_pct\n");
@@ -566,13 +504,13 @@ fn report_hwdetail() -> String {
     out
 }
 
-fn report_ltp(scale: &Scale, jobs: usize) -> String {
+fn report_ltp(o: &Opts) -> String {
     let mut out = String::new();
     header(
         &mut out,
         "§V-C: LTP-style regression (output diff between kernels)",
     );
-    let r = run_ltp_jobs(scale, jobs);
+    let r = run_ltp_jobs(&o.scale(), o.jobs());
     w!(out, "test cases per kernel : {}", r.cases);
     w!(out, "deviations            : {}", r.deviations.len());
     for d in &r.deviations {
@@ -610,8 +548,9 @@ fn series_table(out: &mut String, series: &[OverheadSeries]) {
     }
 }
 
-fn report_fig4(scale: &Scale, jobs: usize) -> String {
+fn report_fig4(o: &Opts) -> String {
     let mut out = String::new();
+    let scale = o.scale();
     header(
         &mut out,
         &format!(
@@ -619,9 +558,9 @@ fn report_fig4(scale: &Scale, jobs: usize) -> String {
             scale.lmbench_iters
         ),
     );
-    let series = run_fig4_jobs(scale, jobs);
+    let series = run_fig4_jobs(&scale, o.jobs());
     series_table(&mut out, &series);
-    write_series_csv(&mut out, "fig4_lmbench", &series);
+    write_series_csv(&mut out, o, "fig4_lmbench", &series);
     w!(
         out,
         "average: CFI {:.2}%, CFI+PTStore {:.2}% (paper: PTStore adds no significant syscall overhead)",
@@ -631,12 +570,9 @@ fn report_fig4(scale: &Scale, jobs: usize) -> String {
     out
 }
 
-fn report_stress(
-    scale: &Scale,
-    jobs: usize,
-    policy: Option<ptstore_kernel::DrainPolicy>,
-) -> String {
+fn report_stress(o: &Opts) -> String {
     let mut out = String::new();
+    let (scale, policy) = (o.scale(), o.drain_policy);
     let under = match policy {
         Some(p) => format!("; deferred shootdowns, drain policy {p}"),
         None => String::new(),
@@ -659,7 +595,7 @@ fn report_stress(
         "region (MiB)",
         "tlb digest"
     );
-    for row in run_stress_policy_jobs(scale, jobs, policy) {
+    for row in run_stress_policy_jobs(&scale, o.jobs(), policy) {
         w!(
             out,
             "{:<18} {:>14} {:>10.2} {:>12} {:>10} {:>14} {:>#18x}",
@@ -685,15 +621,15 @@ fn report_stress(
     out
 }
 
-fn report_fig5(scale: &Scale, jobs: usize) -> String {
+fn report_fig5(o: &Opts) -> String {
     let mut out = String::new();
     header(
         &mut out,
         "Figure 5: SPEC CINT2006 execution-time overheads (paper: <0.91% CFI+PTStore, <0.29% PTStore alone)",
     );
-    let series = run_fig5_jobs(scale, jobs);
+    let series = run_fig5_jobs(&o.scale(), o.jobs());
     series_table(&mut out, &series);
-    write_series_csv(&mut out, "fig5_spec", &series);
+    write_series_csv(&mut out, o, "fig5_spec", &series);
     w!(
         out,
         "average: CFI+PTStore {:.3}% (PTStore-only {:.3}%)",
@@ -703,8 +639,9 @@ fn report_fig5(scale: &Scale, jobs: usize) -> String {
     out
 }
 
-fn report_fig6(scale: &Scale, jobs: usize) -> String {
+fn report_fig6(o: &Opts) -> String {
     let mut out = String::new();
+    let scale = o.scale();
     header(
         &mut out,
         &format!(
@@ -712,9 +649,9 @@ fn report_fig6(scale: &Scale, jobs: usize) -> String {
             scale.nginx_requests
         ),
     );
-    let series = run_fig6_jobs(scale, jobs);
+    let series = run_fig6_jobs(&scale, o.jobs());
     series_table(&mut out, &series);
-    write_series_csv(&mut out, "fig6_nginx", &series);
+    write_series_csv(&mut out, o, "fig6_nginx", &series);
     w!(
         out,
         "average: CFI+PTStore {:.2}%, PTStore-only {:.2}%",
@@ -724,8 +661,9 @@ fn report_fig6(scale: &Scale, jobs: usize) -> String {
     out
 }
 
-fn report_fig7(scale: &Scale, jobs: usize) -> String {
+fn report_fig7(o: &Opts) -> String {
     let mut out = String::new();
+    let scale = o.scale();
     header(
         &mut out,
         &format!(
@@ -733,9 +671,9 @@ fn report_fig7(scale: &Scale, jobs: usize) -> String {
             scale.redis_requests
         ),
     );
-    let series = run_fig7_jobs(scale, jobs);
+    let series = run_fig7_jobs(&scale, o.jobs());
     series_table(&mut out, &series);
-    write_series_csv(&mut out, "fig7_redis", &series);
+    write_series_csv(&mut out, o, "fig7_redis", &series);
     w!(
         out,
         "average: CFI+PTStore {:.2}%, PTStore-only {:.2}%",
@@ -745,14 +683,11 @@ fn report_fig7(scale: &Scale, jobs: usize) -> String {
     out
 }
 
-fn report_security(
-    trace_file: Option<&std::path::Path>,
-    harts: usize,
-    scheme: Option<ptstore_core::PagingScheme>,
-) -> String {
+fn report_security(o: &Opts) -> String {
     let mut out = String::new();
-    let scheme = scheme.unwrap_or(ptstore_core::PagingScheme::Sv39);
-    let under = if scheme == ptstore_core::PagingScheme::Sv39 {
+    let harts = o.harts.unwrap_or(1);
+    let scheme = o.scheme.unwrap_or(PagingScheme::Sv39);
+    let under = if scheme == PagingScheme::Sv39 {
         String::new()
     } else {
         format!(", {} paging", scheme.name())
@@ -770,7 +705,7 @@ fn report_security(
             &format!("§V-E: security matrix (attack × defense; fresh kernel per cell{under})"),
         );
     }
-    for report in run_security_with(harts, scheme) {
+    for report in ptstore_attacks::security_matrix_with(harts, scheme) {
         let tokens = if report.tokens { "" } else { " [tokens off]" };
         w!(out, "{report}{tokens}");
     }
@@ -779,13 +714,15 @@ fn report_security(
         "=> PTStore (full design) blocks every attack; see EXPERIMENTS.md"
     );
 
-    let Some(path) = trace_file else { return out };
+    let Some(path) = o.trace.as_deref() else {
+        return out;
+    };
     w!(out);
     w!(
         out,
         "-- traced PTStore rows (which check stopped each attack) --"
     );
-    let cells = run_security_traced();
+    let cells = ptstore_attacks::security_matrix_traced();
     for cell in &cells {
         let tokens = if cell.report.tokens {
             ""
@@ -827,16 +764,13 @@ fn report_security(
     out
 }
 
-fn report_fuzz(
-    seed: u64,
-    faults: u64,
-    harts: usize,
-    quick: bool,
-    scheme: Option<ptstore_core::PagingScheme>,
-) -> String {
+fn report_fuzz(o: &Opts) -> String {
     let mut out = String::new();
-    let under = match scheme {
-        Some(s) if s != ptstore_core::PagingScheme::Sv39 => format!(", {} paging", s.name()),
+    let (seed, faults) = (o.seed.unwrap_or(1), o.faults.unwrap_or(70));
+    // Two harts by default, so the IPI fault classes have a victim hart.
+    let harts = o.harts.unwrap_or(2);
+    let under = match o.scheme {
+        Some(s) if s != PagingScheme::Sv39 => format!(", {} paging", s.name()),
         _ => String::new(),
     };
     header(
@@ -845,14 +779,14 @@ fn report_fuzz(
             "Fuzz campaign: {faults} seeded faults across {harts} hart(s) (ptstore-fault{under})"
         ),
     );
-    let mut cfg = if quick {
+    let mut cfg = if o.quick() {
         // Paranoid mode: the invariant oracle runs after every workload
         // operation, not just at the post-injection checkpoints.
         CampaignConfig::quick(seed, faults, harts)
     } else {
         CampaignConfig::new(seed, faults, harts)
     };
-    if let Some(s) = scheme {
+    if let Some(s) = o.scheme {
         cfg.kernel = Some(cfg.kernel_config().with_scheme(s));
     }
     let report = ptstore_fault::run_campaign(&cfg);
@@ -865,15 +799,15 @@ fn report_fuzz(
     out
 }
 
-fn report_smp(scale: &Scale, harts: usize, jobs: usize) -> String {
+fn report_smp(o: &Opts) -> String {
     let mut out = String::new();
     // `reproduce smp` without --harts compares against a 4-hart machine.
-    let harts = if harts > 1 { harts } else { 4 };
+    let harts = o.harts.filter(|&h| h > 1).unwrap_or(4);
     header(
         &mut out,
         &format!("SMP scaling: hart-distributed workloads, 1 vs {harts} harts (CFI+PTStore)"),
     );
-    let rows = run_smp_jobs(scale, harts, jobs);
+    let rows = run_smp_jobs(&o.scale(), harts, o.jobs());
     w!(
         out,
         "{:<14} {:>14} {:>14} {:>9} {:>12} {:>10}",
@@ -910,14 +844,11 @@ fn report_smp(scale: &Scale, harts: usize, jobs: usize) -> String {
     out
 }
 
-fn report_c1m(
-    scale: &Scale,
-    harts: usize,
-    jobs: usize,
-    policy: Option<ptstore_kernel::DrainPolicy>,
-) -> String {
+fn report_c1m(o: &Opts) -> String {
     let mut out = String::new();
-    let harts = harts.max(2);
+    let scale = o.scale();
+    // With one hart there is no remote TLB to shoot down.
+    let harts = o.harts.unwrap_or(1).max(2);
     header(
         &mut out,
         &format!(
@@ -946,7 +877,7 @@ fn report_c1m(
         "early",
         "adjust"
     );
-    let rows = run_c1m_sweep_jobs(scale, harts, jobs, policy);
+    let rows = run_c1m_sweep_jobs(&scale, harts, o.jobs(), o.drain_policy);
     for row in &rows {
         w!(
             out,
@@ -996,5 +927,58 @@ fn report_c1m(
          boundary's with an identical tlb digest. All values are modeled — host wall time \
          is measured by scripts/bench.sh"
     );
+    out
+}
+
+fn report_modelcheck(o: &Opts) -> String {
+    let base = McConfig::default();
+    let mc = McConfig {
+        // The default bound (depth 5, full alphabet, 2 harts) explores
+        // well over 10^4 deduped states — the coverage floor check.sh
+        // gates on; --quick trades coverage for a seconds-scale smoke
+        // run.
+        depth: o.depth.unwrap_or(if o.quick() { 3 } else { base.depth }),
+        kinds: o.ops.clone().unwrap_or(base.kinds),
+        ablate: o.ablate,
+        harts: o.harts.unwrap_or(2),
+        scheme: o.scheme.unwrap_or(base.scheme),
+        drain_policy: o.drain_policy.or(base.drain_policy),
+        jobs: o.jobs(),
+        max_states: base.max_states,
+    };
+    ptstore_modelcheck::explore(&mc).summary()
+}
+
+fn report_ablation(o: &Opts) -> String {
+    let mut out = String::new();
+    header(
+        &mut out,
+        "Ablations: initial secure-region size and defense mode (cycle model)",
+    );
+    let (sweep, modes) = run_ablation(o.jobs());
+    w!(
+        out,
+        "-- initial secure-region size sweep ({ABLATION_STRESS_PROCS}-process fork stress; overhead vs CFI alone) --"
+    );
+    for row in &sweep {
+        w!(
+            out,
+            "initial {:>3} MiB: overhead {:>6.2}%  adjustments {:>2}",
+            row.initial_mib,
+            row.overhead_pct,
+            row.adjustments
+        );
+    }
+    w!(
+        out,
+        "-- defense-mode fork cost ({ABLATION_FORKS} fork+exit rounds; overhead vs no defense) --"
+    );
+    for (defense, pct) in &modes {
+        w!(
+            out,
+            "{:<20} fork+exit overhead {pct:>7.2}%",
+            defense.to_string()
+        );
+    }
     out
 }

@@ -1,27 +1,23 @@
 //! Experiment drivers, one per paper table/figure.
 
-use ptstore_attacks::{
-    security_matrix, security_matrix_traced, security_matrix_with, security_matrix_with_harts,
-    AttackReport, TracedAttackReport,
-};
 use ptstore_core::pool::fan_out;
 use ptstore_core::{GIB, MIB};
 use ptstore_hwcost::{table3, BoomConfig, Table3Row};
-use ptstore_kernel::{DrainPolicy, Kernel, KernelConfig, DEFAULT_WATERMARK_DEPTH};
+use ptstore_kernel::{DefenseMode, DrainPolicy, Kernel, KernelConfig, DEFAULT_WATERMARK_DEPTH};
 use ptstore_workloads::c1m::{run_c1m, tlb_digest, C1mParams, C1mResult};
 use ptstore_workloads::fork_stress::{run_fork_stress, stress_configs, ForkStressResult};
+use ptstore_workloads::lmbench;
 use ptstore_workloads::nginx::{run_nginx, NginxParams, RESPONSE_SIZES};
 use ptstore_workloads::redis::{run_redis_test, RedisParams, REDIS_TESTS};
 use ptstore_workloads::regression::{diff_outputs, run_suite, TestOutput};
 use ptstore_workloads::report::{overhead_pct, standard_configs, OverheadSeries};
 use ptstore_workloads::smp::{run_fork_stress_smp, run_nginx_smp, run_redis_smp, SmpRunReport};
 use ptstore_workloads::spec::{run_spec, SPEC_CINT2006};
-use ptstore_workloads::{lmbench, Measurement};
 
 use crate::par::measure_grid;
 
 /// Scale knobs: `paper()` matches the publication; `quick()` runs in
-/// seconds for CI and Criterion.
+/// seconds, for CI and the tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Scale {
     /// Physical memory of the modelled machine.
@@ -215,13 +211,8 @@ pub struct LtpResult {
     pub deviations: Vec<String>,
 }
 
-/// Runs the regression suite on the original and modified kernels and diffs
-/// the outputs (paper §V-C).
-pub fn run_ltp(scale: &Scale) -> LtpResult {
-    run_ltp_jobs(scale, 1)
-}
-
-/// [`run_ltp`] with the two kernels' suites run on up to `jobs` threads.
+/// Runs the regression suite on the original and modified kernels, on up
+/// to `jobs` threads, and diffs the outputs (paper §V-C).
 pub fn run_ltp_jobs(scale: &Scale, jobs: usize) -> LtpResult {
     let mk = |cfg: KernelConfig| {
         let scale = *scale;
@@ -251,12 +242,8 @@ pub fn run_ltp_jobs(scale: &Scale, jobs: usize) -> LtpResult {
 // Figure 4 — LMBench
 // ---------------------------------------------------------------------
 
-/// Runs every Figure 4 microbenchmark across baseline/CFI/CFI+PTStore.
-pub fn run_fig4(scale: &Scale) -> Vec<OverheadSeries> {
-    run_fig4_jobs(scale, 1)
-}
-
-/// [`run_fig4`] with up to `jobs` (benchmark × config) points in flight.
+/// Runs every Figure 4 microbenchmark across baseline/CFI/CFI+PTStore, with
+/// up to `jobs` (benchmark × config) points in flight.
 pub fn run_fig4_jobs(scale: &Scale, jobs: usize) -> Vec<OverheadSeries> {
     let configs = standard_configs(scale.mem_size, scale.secure_size.min(scale.mem_size / 4));
     measure_grid(
@@ -287,21 +274,12 @@ pub struct StressRow {
     pub tlb_digest: u64,
 }
 
-/// Runs the §V-D1 stress at the given scale across the four configurations.
-pub fn run_stress(scale: &Scale) -> Vec<StressRow> {
-    run_stress_jobs(scale, 1)
-}
-
-/// [`run_stress`] with up to `jobs` configurations in flight. The baseline
-/// is still the first configuration's result; each point boots a fresh
-/// kernel, so the rows are identical at any job count.
-pub fn run_stress_jobs(scale: &Scale, jobs: usize) -> Vec<StressRow> {
-    run_stress_policy_jobs(scale, jobs, None)
-}
-
-/// [`run_stress_jobs`] with an explicit drain policy: when `policy` is
-/// given, the two PTStore rows run with deferred shootdowns on under that
-/// policy (`reproduce forkstress --drain-policy …`). Early drains are pure
+/// Runs the §V-D1 stress at the given scale across the four
+/// configurations, with up to `jobs` of them in flight. The baseline is the
+/// first configuration's result; each point boots a fresh kernel, so the
+/// rows are identical at any job count. When `policy` is given, the two
+/// PTStore rows run with deferred shootdowns on under that policy
+/// (`reproduce forkstress --drain-policy …`). Early drains are pure
 /// placement, so every row's [`StressRow::tlb_digest`] is identical across
 /// policies — the `check.sh` policy-differential gate compares them.
 pub fn run_stress_policy_jobs(
@@ -352,12 +330,8 @@ pub fn run_stress_policy_jobs(
 // Figure 5 — SPEC CINT2006
 // ---------------------------------------------------------------------
 
-/// Runs every SPEC-shaped benchmark across the three configurations.
-pub fn run_fig5(scale: &Scale) -> Vec<OverheadSeries> {
-    run_fig5_jobs(scale, 1)
-}
-
-/// [`run_fig5`] with up to `jobs` (benchmark × config) points in flight.
+/// Runs every SPEC-shaped benchmark across the three configurations, with
+/// up to `jobs` (benchmark × config) points in flight.
 pub fn run_fig5_jobs(scale: &Scale, jobs: usize) -> Vec<OverheadSeries> {
     let configs = standard_configs(scale.mem_size, scale.secure_size.min(scale.mem_size / 4));
     measure_grid(
@@ -373,12 +347,8 @@ pub fn run_fig5_jobs(scale: &Scale, jobs: usize) -> Vec<OverheadSeries> {
 // Figure 6 — NGINX
 // ---------------------------------------------------------------------
 
-/// Runs the NGINX benchmark per response size across the configurations.
-pub fn run_fig6(scale: &Scale) -> Vec<OverheadSeries> {
-    run_fig6_jobs(scale, 1)
-}
-
-/// [`run_fig6`] with up to `jobs` (benchmark × config) points in flight.
+/// Runs the NGINX benchmark per response size across the configurations,
+/// with up to `jobs` (benchmark × config) points in flight.
 pub fn run_fig6_jobs(scale: &Scale, jobs: usize) -> Vec<OverheadSeries> {
     let configs = standard_configs(scale.mem_size, scale.secure_size.min(scale.mem_size / 4));
     measure_grid(
@@ -401,12 +371,8 @@ pub fn run_fig6_jobs(scale: &Scale, jobs: usize) -> Vec<OverheadSeries> {
 // Figure 7 — Redis
 // ---------------------------------------------------------------------
 
-/// Runs the redis-benchmark command list across the configurations.
-pub fn run_fig7(scale: &Scale) -> Vec<OverheadSeries> {
-    run_fig7_jobs(scale, 1)
-}
-
-/// [`run_fig7`] with up to `jobs` (benchmark × config) points in flight.
+/// Runs the redis-benchmark command list across the configurations, with
+/// up to `jobs` (benchmark × config) points in flight.
 pub fn run_fig7_jobs(scale: &Scale, jobs: usize) -> Vec<OverheadSeries> {
     let configs = standard_configs(scale.mem_size, scale.secure_size.min(scale.mem_size / 4));
     let params = RedisParams {
@@ -420,33 +386,6 @@ pub fn run_fig7_jobs(scale: &Scale, jobs: usize) -> Vec<OverheadSeries> {
         |t: &ptstore_workloads::redis::RedisTest| t.name.to_string(),
         |t, k| run_redis_test(k, t, &params),
     )
-}
-
-// ---------------------------------------------------------------------
-// §V-E — security matrix
-// ---------------------------------------------------------------------
-
-/// Runs the full attack × defense battery.
-pub fn run_security() -> Vec<AttackReport> {
-    security_matrix()
-}
-
-/// The same battery on an `harts`-way SMP machine: the verdicts must not
-/// depend on the hart count.
-pub fn run_security_with_harts(harts: usize) -> Vec<AttackReport> {
-    security_matrix_with_harts(harts)
-}
-
-/// The battery under an explicit paging scheme: the verdicts must not
-/// depend on the walk depth either (`reproduce security --scheme sv48`).
-pub fn run_security_with(harts: usize, scheme: ptstore_core::PagingScheme) -> Vec<AttackReport> {
-    security_matrix_with(harts, scheme)
-}
-
-/// Runs the PTStore rows (full design + tokens-off ablation) with a trace
-/// sink attached per cell, capturing each attack's event chain.
-pub fn run_security_traced() -> Vec<TracedAttackReport> {
-    security_matrix_traced()
 }
 
 // ---------------------------------------------------------------------
@@ -478,15 +417,11 @@ impl SmpComparison {
 }
 
 /// Runs the hart-distributed nginx, Redis (GET), and fork-stress drivers
-/// on 1-hart and `harts`-hart CFI+PTStore machines.
+/// on 1-hart and `harts`-hart CFI+PTStore machines, with up to `jobs`
+/// (workload × hart-count) points in flight.
 ///
 /// # Panics
 /// Panics when `harts` is 0 or the kernel fails to boot.
-pub fn run_smp(scale: &Scale, harts: usize) -> Vec<SmpComparison> {
-    run_smp_jobs(scale, harts, 1)
-}
-
-/// [`run_smp`] with up to `jobs` (workload × hart-count) points in flight.
 pub fn run_smp_jobs(scale: &Scale, harts: usize, jobs: usize) -> Vec<SmpComparison> {
     assert!(harts >= 1, "need at least one hart");
     let boot = |h: usize| {
@@ -560,25 +495,12 @@ pub fn sweep_policies() -> [DrainPolicy; 3] {
     ]
 }
 
-/// Runs the C1M workload on native, eager CFI+PTStore, and batched
-/// (deferred shootdowns + allocation magazines) CFI+PTStore machines —
-/// the batched rows are the ones the PR 8 fast paths must pull below
-/// eager, swept across every drain policy.
-pub fn run_c1m_bench(scale: &Scale, harts: usize) -> Vec<C1mRow> {
-    run_c1m_bench_jobs(scale, harts, 1)
-}
-
-/// [`run_c1m_bench`] with up to `jobs` configurations in flight; sweeps
-/// the batched row over every [`sweep_policies`] drain policy.
-pub fn run_c1m_bench_jobs(scale: &Scale, harts: usize, jobs: usize) -> Vec<C1mRow> {
-    run_c1m_sweep_jobs(scale, harts, jobs, None)
-}
-
 /// The C1M driver: a native row, an eager CFI+PTStore row, and one
 /// batched (deferred shootdowns + allocation magazines) row per drain
 /// policy — every [`sweep_policies`] policy when `policy` is `None`, or
-/// exactly the requested one (`reproduce c1m --drain-policy …`). Each row
-/// boots a fresh kernel, so rows are identical at any job count. The
+/// exactly the requested one (`reproduce c1m --drain-policy …`). Up to
+/// `jobs` rows run at once; each boots a fresh kernel, so rows are
+/// identical at any job count. The
 /// machine always has ≥ 2 harts: with one hart there is no remote TLB to
 /// shoot down, batching is (by design) a no-op, and every policy is inert.
 pub fn run_c1m_sweep_jobs(
@@ -643,6 +565,80 @@ pub fn run_c1m_sweep_jobs(
 }
 
 // ---------------------------------------------------------------------
+// Ablations — the design choices DESIGN.md calls out
+// ---------------------------------------------------------------------
+
+/// Processes alive at once in each point of the region-size sweep.
+pub const ABLATION_STRESS_PROCS: u64 = 300;
+
+/// Fork+exit rounds per defense mode.
+pub const ABLATION_FORKS: u64 = 100;
+
+/// One point of the initial secure-region size sweep.
+#[derive(Debug, Clone)]
+pub struct RegionSizeRow {
+    /// Initial secure-region size, MiB.
+    pub initial_mib: u64,
+    /// Fork-stress cycles over CFI alone, percent.
+    pub overhead_pct: f64,
+    /// Secure-region adjustments the run needed.
+    pub adjustments: u64,
+}
+
+/// Runs the two modeled ablations with up to `jobs` points in flight:
+///
+/// * the initial secure-region size sweep — a fork stress of
+///   [`ABLATION_STRESS_PROCS`] processes on a 512 MiB CFI+PTStore machine
+///   per size, against the same stress under CFI alone;
+/// * the fork+exit overhead of each [`DefenseMode`] on a 256 MiB CFI
+///   machine ([`ABLATION_FORKS`] rounds), against no defense.
+///
+/// Both are fixed-size, so they ignore the scale.
+pub fn run_ablation(jobs: usize) -> (Vec<RegionSizeRow>, Vec<(DefenseMode, f64)>) {
+    const REGION_MIB: [u64; 6] = [1, 2, 4, 8, 16, 64];
+    let mut configs = vec![KernelConfig::cfi().with_mem_size(512 * MIB)];
+    configs.extend(REGION_MIB.map(|mib| {
+        KernelConfig::cfi_ptstore()
+            .with_mem_size(512 * MIB)
+            .with_initial_secure_size(mib * MIB)
+    }));
+    let stress = fan_out(jobs, &configs, |cfg| {
+        let mut k = Kernel::boot(*cfg).expect("boot");
+        run_fork_stress(&mut k, ABLATION_STRESS_PROCS).expect("stress")
+    });
+    let sweep = REGION_MIB
+        .iter()
+        .zip(&stress[1..])
+        .map(|(&initial_mib, r)| RegionSizeRow {
+            initial_mib,
+            overhead_pct: overhead_pct(r.cycles, stress[0].cycles),
+            adjustments: r.adjustments,
+        })
+        .collect();
+
+    let modes = [
+        DefenseMode::None,
+        DefenseMode::PtRand,
+        DefenseMode::VirtualIsolation,
+        DefenseMode::PtStore,
+    ];
+    let cycles = fan_out(jobs, &modes, |&defense| {
+        let cfg = KernelConfig::cfi()
+            .with_defense(defense)
+            .with_mem_size(256 * MIB)
+            .with_initial_secure_size(16 * MIB);
+        let mut k = Kernel::boot(cfg).expect("boot");
+        lmbench::lat_fork_exit(&mut k, ABLATION_FORKS)
+    });
+    let by_mode = modes
+        .into_iter()
+        .zip(&cycles)
+        .map(|(defense, &c)| (defense, overhead_pct(c, cycles[0])))
+        .collect();
+    (sweep, by_mode)
+}
+
+// ---------------------------------------------------------------------
 // Summary helpers
 // ---------------------------------------------------------------------
 
@@ -656,14 +652,10 @@ pub fn average_overhead(series: &[OverheadSeries], label: &str) -> f64 {
     values.iter().sum::<f64>() / values.len() as f64
 }
 
-/// Extracts the measurement with the given label from a series.
-pub fn entry_of<'a>(series: &'a OverheadSeries, label: &str) -> Option<&'a Measurement> {
-    series.entries.iter().find(|m| m.label == label)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ptstore_workloads::Measurement;
 
     #[test]
     fn table1_counts_real_code() {
@@ -686,7 +678,7 @@ mod tests {
 
     #[test]
     fn ltp_passes_at_quick_scale() {
-        let r = run_ltp(&Scale::quick());
+        let r = run_ltp_jobs(&Scale::quick(), 1);
         assert!(r.cases >= 30);
         assert!(r.deviations.is_empty(), "{:#?}", r.deviations);
     }

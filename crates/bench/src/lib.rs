@@ -1,8 +1,8 @@
 //! # ptstore-bench
 //!
-//! Shared drivers behind the `reproduce` binary and the Criterion benches:
-//! one function per table/figure of the paper, each returning structured
-//! results so callers can print, assert, or benchmark them.
+//! The drivers behind the `reproduce` binary: one function per table and
+//! figure of the paper, each returning structured results so callers can
+//! print or assert them.
 
 pub mod experiments;
 mod par;

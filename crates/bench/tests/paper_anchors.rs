@@ -7,8 +7,8 @@
 //! (ordering and rough magnitude), not a curve fit.
 
 use ptstore_bench::{
-    average_overhead, run_fig4, run_fig5, run_fig6, run_fig7, run_ltp, run_security, run_stress,
-    run_table3, Scale,
+    average_overhead, run_fig4_jobs, run_fig5_jobs, run_fig6_jobs, run_fig7_jobs, run_ltp_jobs,
+    run_stress_policy_jobs, run_table3, Scale,
 };
 use ptstore_kernel::DefenseMode;
 
@@ -28,7 +28,7 @@ fn table3_hardware_overhead_bounds() {
 fn ltp_has_zero_deviations() {
     // §V-C: "we compare the outputs of the two runs and do not find any
     // deviation".
-    let r = run_ltp(&Scale::quick());
+    let r = run_ltp_jobs(&Scale::quick(), 1);
     assert!(r.cases >= 40, "suite size {}", r.cases);
     assert!(r.deviations.is_empty(), "{:#?}", r.deviations);
 }
@@ -36,7 +36,7 @@ fn ltp_has_zero_deviations() {
 #[test]
 fn fork_stress_matches_paper_bands() {
     // §V-D1: 2.84% / 6.83% / 3.77%.
-    let rows = run_stress(&Scale::quick());
+    let rows = run_stress_policy_jobs(&Scale::quick(), 1, None);
     let find = |label: &str| {
         rows.iter()
             .find(|r| r.label == label)
@@ -62,7 +62,7 @@ fn fork_stress_matches_paper_bands() {
 #[test]
 fn lmbench_shape_holds() {
     // Figure 4: PTStore's cost confined to the fork family; elsewhere ~0.
-    let series = run_fig4(&Scale::quick());
+    let series = run_fig4_jobs(&Scale::quick(), 1);
     for s in &series {
         let cfi = s.overhead_of("CFI").expect("cfi");
         let both = s.overhead_of("CFI+PTStore").expect("both");
@@ -93,7 +93,7 @@ fn lmbench_shape_holds() {
 #[test]
 fn spec_is_cpu_bound_small() {
     // Figure 5: <0.91% with CFI, <0.29% PTStore alone.
-    let series = run_fig5(&Scale::quick());
+    let series = run_fig5_jobs(&Scale::quick(), 1);
     let with_cfi = average_overhead(&series, "CFI+PTStore");
     let cfi_only = average_overhead(&series, "CFI");
     assert!(with_cfi < 0.91, "SPEC CFI+PTStore avg {with_cfi:.3}%");
@@ -107,7 +107,10 @@ fn spec_is_cpu_bound_small() {
 #[test]
 fn kernel_bound_macros_within_paper_bounds() {
     // Figures 6-7: <8.18% including CFI; PTStore alone <0.86%.
-    for series in [run_fig6(&Scale::quick()), run_fig7(&Scale::quick())] {
+    for series in [
+        run_fig6_jobs(&Scale::quick(), 1),
+        run_fig7_jobs(&Scale::quick(), 1),
+    ] {
         for s in &series {
             let both = s.overhead_of("CFI+PTStore").expect("both");
             let cfi = s.overhead_of("CFI").expect("cfi");
@@ -134,7 +137,7 @@ fn kernel_bound_macros_within_paper_bounds() {
 #[test]
 fn security_matrix_headline() {
     // §V-E: PTStore defeats everything; every baseline loses something.
-    let matrix = run_security();
+    let matrix = ptstore_attacks::security_matrix();
     assert!(matrix
         .iter()
         .filter(|r| r.defense == DefenseMode::PtStore && r.tokens)

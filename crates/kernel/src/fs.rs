@@ -88,13 +88,21 @@ impl RamFs {
 
     /// Writes `data` at `offset`, extending the file as needed; returns the
     /// new size.
-    pub fn write(&mut self, name: &str, offset: u64, data: &[u8]) -> Option<u64> {
+    pub fn write(
+        &mut self,
+        name: &str,
+        offset: u64,
+        data: impl ExactSizeIterator<Item = u8>,
+    ) -> Option<u64> {
         let f = self.files.get_mut(name)?;
-        let end = offset as usize + data.len();
+        let start = offset as usize;
+        let end = start + data.len();
         if f.data.len() < end {
             f.data.resize(end, 0);
         }
-        f.data[offset as usize..end].copy_from_slice(data);
+        for (byte, b) in f.data[start..end].iter_mut().zip(data) {
+            *byte = b;
+        }
         Some(f.data.len() as u64)
     }
 
@@ -138,36 +146,17 @@ impl Pipe {
     }
 
     /// Writes up to capacity; returns bytes accepted (0 = would block).
-    pub fn write(&mut self, data: &[u8]) -> usize {
-        let room = PIPE_CAPACITY - self.buf.len();
-        let n = room.min(data.len());
-        self.buf.extend(&data[..n]);
+    pub fn write(&mut self, data: impl ExactSizeIterator<Item = u8>) -> usize {
+        let n = (PIPE_CAPACITY - self.buf.len()).min(data.len());
+        self.buf.extend(data.take(n));
         n
     }
 
-    /// Reads up to `len` bytes; returns them (empty = would block or EOF).
-    pub fn read(&mut self, len: usize) -> Vec<u8> {
+    /// Takes up to `len` bytes off the front (none = would block or EOF).
+    /// Dropping the iterator unread still takes them.
+    pub fn read(&mut self, len: usize) -> std::collections::vec_deque::Drain<'_, u8> {
         let n = len.min(self.buf.len());
-        self.buf.drain(..n).collect()
-    }
-
-    /// Writes up to capacity without a source buffer; the length-only twin
-    /// of [`Self::write`] for payloads that are never inspected (the
-    /// drained bytes read back as zeros, exactly what the zero buffers the
-    /// callers historically materialized would have carried).
-    pub fn write_zeros(&mut self, len: usize) -> usize {
-        let room = PIPE_CAPACITY - self.buf.len();
-        let n = room.min(len);
-        self.buf.resize(self.buf.len() + n, 0);
-        n
-    }
-
-    /// Drains up to `len` bytes without returning them; the length-only
-    /// twin of [`Self::read`] for callers that discard the data.
-    pub fn discard(&mut self, len: usize) -> usize {
-        let n = len.min(self.buf.len());
-        self.buf.drain(..n);
-        n
+        self.buf.drain(..n)
     }
 
     /// EOF condition: no writers and drained.
@@ -253,7 +242,7 @@ mod tests {
         let st = fs.stat("/etc/passwd").unwrap();
         assert_eq!(st.size, 10);
         assert_eq!(fs.read("/etc/passwd", 5, 100).unwrap(), b"x:0:0");
-        fs.write("/etc/passwd", 10, b"!").unwrap();
+        fs.write("/etc/passwd", 10, b"!".iter().copied()).unwrap();
         assert_eq!(fs.stat("/etc/passwd").unwrap().size, 11);
         assert!(fs.unlink("/etc/passwd"));
         assert!(!fs.exists("/etc/passwd"));
@@ -279,14 +268,18 @@ mod tests {
     #[test]
     fn pipe_fifo_order_and_capacity() {
         let mut p = Pipe::new();
-        assert_eq!(p.write(b"hello"), 5);
-        assert_eq!(p.read(2), b"he");
-        assert_eq!(p.read(10), b"llo");
+        assert_eq!(p.write(b"hello".iter().copied()), 5);
+        assert_eq!(p.read(2).collect::<Vec<u8>>(), b"he");
+        assert_eq!(p.read(10).collect::<Vec<u8>>(), b"llo");
         assert!(p.is_empty());
         // Capacity bound.
         let big = vec![0u8; PIPE_CAPACITY + 10];
-        assert_eq!(p.write(&big), PIPE_CAPACITY);
-        assert_eq!(p.write(b"x"), 0, "full pipe accepts nothing");
+        assert_eq!(p.write(big.iter().copied()), PIPE_CAPACITY);
+        assert_eq!(
+            p.write(b"x".iter().copied()),
+            0,
+            "full pipe accepts nothing"
+        );
     }
 
     #[test]
@@ -305,7 +298,7 @@ mod tests {
     #[test]
     fn pipe_eof() {
         let mut p = Pipe::new();
-        p.write(b"x");
+        p.write(b"x".iter().copied());
         p.writers = 0;
         assert!(!p.at_eof());
         p.read(1);

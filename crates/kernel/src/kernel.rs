@@ -1135,11 +1135,14 @@ impl Kernel {
             new_pages.push(fresh);
             Ok(table.bits())
         };
-        let (_, _, pte) = walk(root, va, top, leaf_level + 1, make_table)?;
+        let walked = walk(root, va, top, leaf_level + 1, make_table);
+        // Recorded even when an allocation below them failed: the tables
+        // are in the tree, and exit frees what `pt_pages` lists.
         if !new_pages.is_empty() {
             let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
             p.aspace.pt_pages.extend(new_pages);
         }
+        let (_, _, pte) = walked?;
         Ok(pte_slot(pte.ppn(), va, leaf_level))
     }
 

@@ -3,7 +3,7 @@
 
 use std::collections::VecDeque;
 
-use ptstore_core::{AccessKind, PhysPageNum, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
+use ptstore_core::{AccessKind, PhysAddr, PhysPageNum, VirtAddr, PAGE_SHIFT, PAGE_SIZE};
 use ptstore_mmu::{Pte, PteFlags, TranslateError};
 
 use crate::cycles::{cost, CostKind};
@@ -152,107 +152,50 @@ impl Kernel {
 
     /// `fork()`: duplicates the current process with copy-on-write user
     /// pages; issues a fresh token for the child (paper §IV-C4 `copy_mm`).
+    /// A fork that fails releases the half-built child as exit and wait
+    /// would, so the process table and the zones are as they were.
     pub fn do_fork(&mut self) -> Result<Pid, KernelError> {
         self.charge(CostKind::Kernel, cost::FORK_BASE);
         let parent_pid = self.current_pid();
         let child_pid = self.allocate_pid();
         let child_aspace = self.create_address_space()?;
-        let pcb_addr = self.alloc_pcb()?;
-
-        // Snapshot parent state.
-        let (vmas, brk, mmap_cursor, fds, signals, parent_asid, user_mappings) = {
+        let pcb_addr = self.alloc_pcb().or_else(|e| {
+            self.free_pt_page(child_aspace.root)?;
+            Err(e)
+        })?;
+        let child = {
             let p = self
                 .procs
                 .get(parent_pid)
                 .ok_or(KernelError::NoSuchProcess)?;
-            (
-                p.vmas.clone(),
-                p.brk,
-                p.mmap_cursor,
-                p.fds.clone(),
-                p.signals.clone(),
-                p.aspace.asid,
-                p.aspace.user.clone(),
-            )
-        };
-
-        let child = Process {
-            pid: child_pid,
-            parent: Some(parent_pid),
-            state: ProcState::Ready,
-            pcb_addr,
-            aspace: child_aspace,
-            vmas,
-            brk,
-            mmap_cursor,
-            fds,
-            signals,
-            exit_code: 0,
-            children: VecDeque::new(),
-            mm_owner: None,
-            threads: Vec::new(),
+            Process {
+                pid: child_pid,
+                parent: Some(parent_pid),
+                state: ProcState::Ready,
+                pcb_addr,
+                aspace: child_aspace,
+                vmas: p.vmas.clone(),
+                brk: p.brk,
+                mmap_cursor: p.mmap_cursor,
+                fds: p.fds.clone(),
+                signals: p.signals.clone(),
+                exit_code: 0,
+                children: VecDeque::new(),
+                mm_owner: None,
+                threads: Vec::new(),
+            }
         };
         self.procs.insert(child)?;
-        self.mem_write(pcb_addr + PCB_OFF_PID, child_pid as u64)?;
-
         // Duplicate pipe/socket fd refcounts.
         self.dup_fd_resources(child_pid);
-
-        // Copy user mappings with CoW.
-        let mut made_parent_ro = false;
-        for (&vpn, &mapping) in &user_mappings {
-            let va = VirtAddr::new(vpn << PAGE_SHIFT);
-            *self.page_refs.entry(mapping.ppn.as_u64()).or_insert(0) += 1;
-            let (child_flags, share_cow) = if mapping.flags.writable() {
-                (mapping.flags.without(PteFlags::W), true)
-            } else {
-                (mapping.flags, mapping.cow)
-            };
-            // Parent side: drop W for CoW.
-            if mapping.flags.writable() {
-                let parent_root = self
-                    .procs
-                    .get(parent_pid)
-                    .ok_or(KernelError::NoSuchProcess)?
-                    .aspace
-                    .root;
-                let slot = self.user_leaf_slot(parent_root, va, mapping.huge)?;
-                self.pt_replace(slot, Pte::leaf(mapping.ppn, child_flags).bits())?
-                    .covered_by("tlb_flush_asid(parent_asid) after the loop");
-                let p = self
-                    .procs
-                    .get_mut(parent_pid)
-                    .ok_or(KernelError::NoSuchProcess)?;
-                if let Some(m) = p.aspace.user.get_mut(&vpn) {
-                    m.flags = child_flags;
-                    m.cow = true;
-                }
-                made_parent_ro = true;
-            }
-            let child_mapping = UserMapping {
-                flags: child_flags,
-                cow: share_cow,
-                ..mapping
-            };
-            self.map_user_leaf(child_pid, va, child_mapping)?;
+        if let Err(e) = self.fork_into(parent_pid, child_pid) {
+            self.release_mm(child_pid)?;
+            self.free_pcb(child_pid, pcb_addr)?;
+            return Err(e);
         }
-        if made_parent_ro {
-            self.tlb_flush_asid(parent_asid);
+        if let Some(p) = self.procs.get_mut(parent_pid) {
+            p.children.push_back(child_pid);
         }
-
-        // PCB pt pointer + token for the child.
-        let (pt_slot, root) = {
-            let p = self.procs.get(child_pid).expect("inserted");
-            (p.pt_ptr_slot(), p.aspace.root)
-        };
-        self.mem_write(pt_slot, root.base_addr().as_u64())?;
-        self.token_issue_as(child_pid, ptstore_trace::TokenOp::Copy)?;
-
-        self.procs
-            .get_mut(parent_pid)
-            .expect("parent exists")
-            .children
-            .push_back(child_pid);
         let hart = self.active_hart;
         self.harts[hart].run_queue.push_back(child_pid);
         // Publish the new process to the other harts (visibility record for
@@ -262,6 +205,110 @@ impl Kernel {
         }
         self.stats.forks += 1;
         Ok(child_pid)
+    }
+
+    /// Fills in the child `fork` has just entered into the process table:
+    /// its PCB, every user leaf of the parent mapped copy-on-write, and its
+    /// token.
+    fn fork_into(&mut self, parent_pid: Pid, child_pid: Pid) -> Result<(), KernelError> {
+        let (pcb_addr, pt_slot, root) = {
+            let p = self
+                .procs
+                .get(child_pid)
+                .ok_or(KernelError::NoSuchProcess)?;
+            (p.pcb_addr, p.pt_ptr_slot(), p.aspace.root)
+        };
+        self.mem_write(pcb_addr + PCB_OFF_PID, child_pid as u64)?;
+        let (parent_root, parent_asid, vpns) = {
+            let p = self
+                .procs
+                .get(parent_pid)
+                .ok_or(KernelError::NoSuchProcess)?;
+            let vpns: Vec<u64> = p.aspace.user.keys().copied().collect();
+            (p.aspace.root, p.aspace.asid, vpns)
+        };
+        let mut made_parent_ro = false;
+        let copied = vpns.into_iter().try_for_each(|vpn| {
+            self.fork_leaf(parent_pid, parent_root, child_pid, vpn, &mut made_parent_ro)
+        });
+        // Owed even when the copy failed partway: W is gone from the
+        // parent's leaves up to that point.
+        if made_parent_ro {
+            self.tlb_flush_asid(parent_asid);
+        }
+        copied?;
+        // PCB pt pointer + token for the child.
+        self.mem_write(pt_slot, root.base_addr().as_u64())?;
+        self.token_issue_as(child_pid, ptstore_trace::TokenOp::Copy)
+    }
+
+    /// Maps the parent's user leaf at `vpn` into the child copy-on-write,
+    /// first stripping W from the parent's leaf (`made_parent_ro` records
+    /// that a flush is owed).
+    ///
+    /// The parent's shadow entry is read afresh, and again once the child's
+    /// slot exists: a table allocated for the child can grow the secure
+    /// region, and the migration that makes room repoints the parent's
+    /// shadow to the pages' new frames. The demand-fault and exec paths
+    /// need no second read: they allocate the page before its table, the
+    /// allocator hands out the lowest free page, and a migration needs free
+    /// pages below the chunk it reserves, so no fresh page is ever in it.
+    fn fork_leaf(
+        &mut self,
+        parent_pid: Pid,
+        parent_root: PhysPageNum,
+        child_pid: Pid,
+        vpn: u64,
+        made_parent_ro: &mut bool,
+    ) -> Result<(), KernelError> {
+        let parent_leaf = |k: &Self| {
+            let p = k.procs.get(parent_pid).ok_or(KernelError::NoSuchProcess)?;
+            p.aspace
+                .user
+                .get(&vpn)
+                .copied()
+                .ok_or(KernelError::BadAddress)
+        };
+        let mapping = parent_leaf(self)?;
+        let va = VirtAddr::new(vpn << PAGE_SHIFT);
+        let (child_flags, share_cow) = if mapping.flags.writable() {
+            (mapping.flags.without(PteFlags::W), true)
+        } else {
+            (mapping.flags, mapping.cow)
+        };
+        // Parent side: drop W for CoW.
+        if mapping.flags.writable() {
+            let slot = self.user_leaf_slot(parent_root, va, mapping.huge)?;
+            self.pt_replace(slot, Pte::leaf(mapping.ppn, child_flags).bits())?
+                .covered_by("tlb_flush_asid(parent_asid) after the loop");
+            *made_parent_ro = true;
+            let p = self
+                .procs
+                .get_mut(parent_pid)
+                .ok_or(KernelError::NoSuchProcess)?;
+            if let Some(m) = p.aspace.user.get_mut(&vpn) {
+                m.flags = child_flags;
+                m.cow = true;
+            }
+        }
+        let slot = self.ensure_slot_at(child_pid, va, usize::from(mapping.huge))?;
+        let ppn = parent_leaf(self)?.ppn;
+        self.pt_install(slot, Pte::leaf(ppn, child_flags).bits())?;
+        *self.page_refs.entry(ppn.as_u64()).or_insert(0) += 1;
+        let p = self
+            .procs
+            .get_mut(child_pid)
+            .ok_or(KernelError::NoSuchProcess)?;
+        p.aspace.user.insert(
+            vpn,
+            UserMapping {
+                ppn,
+                flags: child_flags,
+                cow: share_cow,
+                ..mapping
+            },
+        );
+        Ok(())
     }
 
     /// Adds `pid` as one more holder of every pipe end and socket its
@@ -428,17 +475,7 @@ impl Kernel {
         if has_threads {
             return Err(KernelError::InvalidState);
         }
-        self.teardown_user_mappings(pid)?;
-        self.close_all_fds(pid)?;
-        self.token_clear(pid)?;
-        // Free page-table pages (root last).
-        let pt_pages: Vec<PhysPageNum> = {
-            let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
-            std::mem::take(&mut p.aspace.pt_pages)
-        };
-        for ppn in pt_pages.into_iter().rev() {
-            self.free_pt_page(ppn)?;
-        }
+        self.release_mm(pid)?;
         {
             let p = self.procs.get_mut(pid).expect("exists");
             p.state = ProcState::Zombie;
@@ -448,6 +485,22 @@ impl Kernel {
         // Schedule away if anyone is runnable.
         if let Some(next) = self.pick_next() {
             self.do_switch_to(next)?;
+        }
+        Ok(())
+    }
+
+    /// Releases everything an address-space owner holds but its PCB: its
+    /// user leaves, descriptors, token and page-table pages (root last).
+    fn release_mm(&mut self, pid: Pid) -> Result<(), KernelError> {
+        self.teardown_user_mappings(pid)?;
+        self.close_all_fds(pid)?;
+        self.token_clear(pid)?;
+        let pt_pages: Vec<PhysPageNum> = {
+            let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
+            std::mem::take(&mut p.aspace.pt_pages)
+        };
+        for ppn in pt_pages.into_iter().rev() {
+            self.free_pt_page(ppn)?;
         }
         Ok(())
     }
@@ -501,15 +554,7 @@ impl Kernel {
             let cp = self.procs.get(child).expect("zombie exists");
             (cp.pcb_addr, cp.exit_code)
         };
-        // Clear and release the PCB object (to this hart's magazine when
-        // the fast-path knob is on and it has room).
-        for off in (0..crate::process::PCB_SIZE).step_by(8) {
-            self.mem_write(pcb_addr + off, 0)?;
-        }
-        if !(self.cfg.alloc_magazines && self.pcb_slab.magazine_put(self.active_hart, pcb_addr)) {
-            self.pcb_slab.free(pcb_addr);
-        }
-        self.procs.remove(child);
+        self.free_pcb(child, pcb_addr)?;
         // No run queue is pruned: `pick_next` drops the stale entry when it
         // reaches it (pids are never recycled). The other harts still learn
         // of the reap through their mailboxes.
@@ -519,6 +564,20 @@ impl Kernel {
         let p = self.procs.get_mut(parent).expect("parent exists");
         p.children.remove(index);
         Ok((child, code))
+    }
+
+    /// Clears and releases `pid`'s PCB object (to this hart's magazine when
+    /// the fast-path knob is on and it has room), then drops `pid` from the
+    /// process table.
+    fn free_pcb(&mut self, pid: Pid, pcb_addr: PhysAddr) -> Result<(), KernelError> {
+        for off in (0..crate::process::PCB_SIZE).step_by(8) {
+            self.mem_write(pcb_addr + off, 0)?;
+        }
+        if !(self.cfg.alloc_magazines && self.pcb_slab.magazine_put(self.active_hart, pcb_addr)) {
+            self.pcb_slab.free(pcb_addr);
+        }
+        self.procs.remove(pid);
+        Ok(())
     }
 
     // ------------------------------------------------------------------

@@ -258,12 +258,13 @@ impl Kernel {
     /// `read()` — files, pipes, and sockets.
     pub fn sys_read(&mut self, fd: i32, len: u64) -> Result<Vec<u8>, KernelError> {
         self.syscall_enter(profile::READ);
-        let r = self.do_read(fd, len);
-        if let Ok(data) = &r {
-            self.charge_copy(data.len() as u64);
+        let mut data = Vec::new();
+        let r = self.do_read(fd, len, &mut data);
+        if let Ok(n) = r {
+            self.charge_copy(n);
         }
         self.syscall_exit();
-        r
+        r.map(|_| data)
     }
 
     /// `read()` for callers that discard the data: identical charges, fd
@@ -272,7 +273,7 @@ impl Kernel {
     /// (nginx's sendfile loop, redis payloads) use this.
     pub fn sys_read_discard(&mut self, fd: i32, len: u64) -> Result<u64, KernelError> {
         self.syscall_enter(profile::READ);
-        let r = self.do_read_len(fd, len);
+        let r = self.do_read(fd, len, &mut Discard);
         if let Ok(n) = r {
             self.charge_copy(n);
         }
@@ -280,7 +281,15 @@ impl Kernel {
         r
     }
 
-    fn do_read(&mut self, fd: i32, len: u64) -> Result<Vec<u8>, KernelError> {
+    /// The body of every read: takes up to `len` bytes from `fd` into `out`
+    /// and returns how many it took. `out` is the caller's buffer, or
+    /// [`Discard`] for the callers that only count.
+    fn do_read(
+        &mut self,
+        fd: i32,
+        len: u64,
+        out: &mut impl Extend<u8>,
+    ) -> Result<u64, KernelError> {
         let entry = {
             let p = self
                 .procs
@@ -293,51 +302,13 @@ impl Kernel {
                 let data = self
                     .fs
                     .read(&name, offset, len)
-                    .ok_or(KernelError::NoSuchFile)?
-                    .to_vec();
-                let p = self.procs.get_mut(self.current_pid()).expect("exists");
-                if let Some(FdEntry::File { offset, .. }) = p.fds.get_mut(fd) {
-                    *offset += data.len() as u64;
-                }
-                Ok(data)
-            }
-            FdEntry::PipeRead { id } => {
-                let pipe = self.pipes.get_mut(id).ok_or(KernelError::BadFd)?;
-                if pipe.is_empty() && !pipe.at_eof() {
-                    return Err(KernelError::WouldBlock);
-                }
-                Ok(pipe.read(len as usize))
-            }
-            FdEntry::Socket { id } => {
-                let s = self.sockets.get_mut(&id).ok_or(KernelError::BadFd)?;
-                let n = s.rx.min(len);
-                s.rx -= n;
-                Ok(vec![0u8; n as usize])
-            }
-            FdEntry::Console => Ok(Vec::new()),
-            FdEntry::PipeWrite { .. } => Err(KernelError::BadFd),
-        }
-    }
-
-    /// Length-only twin of [`Self::do_read`]: the same branch structure,
-    /// error paths, fd-offset updates, and pipe/socket drains, returning the
-    /// byte count that `do_read` would have returned as `data.len()`.
-    fn do_read_len(&mut self, fd: i32, len: u64) -> Result<u64, KernelError> {
-        let entry = {
-            let p = self
-                .procs
-                .get(self.current_pid())
-                .ok_or(KernelError::NoSuchProcess)?;
-            p.fds.get(fd).cloned().ok_or(KernelError::BadFd)?
-        };
-        match entry {
-            FdEntry::File { name, offset } => {
-                let n = self
-                    .fs
-                    .read(&name, offset, len)
-                    .ok_or(KernelError::NoSuchFile)?
-                    .len() as u64;
-                let p = self.procs.get_mut(self.current_pid()).expect("exists");
+                    .ok_or(KernelError::NoSuchFile)?;
+                let n = data.len() as u64;
+                out.extend(data.iter().copied());
+                let p = self
+                    .procs
+                    .get_mut(self.current_pid())
+                    .ok_or(KernelError::NoSuchProcess)?;
                 if let Some(FdEntry::File { offset, .. }) = p.fds.get_mut(fd) {
                     *offset += n;
                 }
@@ -348,12 +319,16 @@ impl Kernel {
                 if pipe.is_empty() && !pipe.at_eof() {
                     return Err(KernelError::WouldBlock);
                 }
-                Ok(pipe.discard(len as usize) as u64)
+                let taken = pipe.read(len as usize);
+                let n = taken.len() as u64;
+                out.extend(taken);
+                Ok(n)
             }
             FdEntry::Socket { id } => {
                 let s = self.sockets.get_mut(&id).ok_or(KernelError::BadFd)?;
                 let n = s.rx.min(len);
                 s.rx -= n;
+                out.extend(std::iter::repeat_n(0, n as usize));
                 Ok(n)
             }
             FdEntry::Console => Ok(0),
@@ -365,12 +340,22 @@ impl Kernel {
     pub fn sys_write(&mut self, fd: i32, data: &[u8]) -> Result<u64, KernelError> {
         self.syscall_enter(profile::WRITE);
         self.charge_copy(data.len() as u64);
-        let r = self.do_write(fd, data);
+        let r = self.do_write(fd, data.iter().copied());
         self.syscall_exit();
         r
     }
 
-    fn do_write(&mut self, fd: i32, data: &[u8]) -> Result<u64, KernelError> {
+    /// The body of every write: writes `data` to `fd` and returns how many
+    /// bytes it took. `data` is the caller's buffer, or zeros for the
+    /// callers that only count: those are never materialized, except into
+    /// a regular file, whose contents stay observable (`regression` diffs
+    /// them).
+    fn do_write(
+        &mut self,
+        fd: i32,
+        data: impl ExactSizeIterator<Item = u8>,
+    ) -> Result<u64, KernelError> {
+        let len = data.len() as u64;
         let entry = {
             let p = self
                 .procs
@@ -380,35 +365,34 @@ impl Kernel {
         };
         match entry {
             FdEntry::File { name, offset } => {
-                let new_size = self
-                    .fs
+                self.fs
                     .write(&name, offset, data)
                     .ok_or(KernelError::NoSuchFile)?;
-                let p = self.procs.get_mut(self.current_pid()).expect("exists");
+                let p = self
+                    .procs
+                    .get_mut(self.current_pid())
+                    .ok_or(KernelError::NoSuchProcess)?;
                 if let Some(FdEntry::File { offset, .. }) = p.fds.get_mut(fd) {
-                    *offset += data.len() as u64;
+                    *offset += len;
                 }
-                let _ = new_size;
-                Ok(data.len() as u64)
+                Ok(len)
             }
             FdEntry::PipeWrite { id } => {
                 let pipe = self.pipes.get_mut(id).ok_or(KernelError::BadFd)?;
-                let n = pipe.write(data);
-                if n == 0 {
-                    Err(KernelError::WouldBlock)
-                } else {
-                    Ok(n as u64)
+                match pipe.write(data) {
+                    0 => Err(KernelError::WouldBlock),
+                    n => Ok(n as u64),
                 }
             }
             FdEntry::Socket { id } => {
                 let s = self.sockets.get_mut(&id).ok_or(KernelError::BadFd)?;
-                s.tx += data.len() as u64;
-                self.charge(CostKind::Io, data.len() as u64 / 16);
-                Ok(data.len() as u64)
+                s.tx += len;
+                self.charge(CostKind::Io, len / 16);
+                Ok(len)
             }
             FdEntry::Console => {
                 self.charge(CostKind::Io, 200);
-                Ok(data.len() as u64)
+                Ok(len)
             }
             FdEntry::PipeRead { .. } => Err(KernelError::BadFd),
         }
@@ -682,7 +666,7 @@ impl Kernel {
                 // for may stay behind: the blocks mapped so far, the area
                 // and the cursor.
                 let base = VirtAddr::new(start);
-                self.do_munmap(base, len, base + len)?;
+                self.do_munmap(base, base + len)?;
                 self.drain_deferred_flushes();
                 let p = self.procs.get_mut(mm).ok_or(KernelError::NoSuchProcess)?;
                 p.mmap_cursor = cursor;
@@ -698,7 +682,7 @@ impl Kernel {
     pub fn sys_munmap(&mut self, addr: VirtAddr, len: u64) -> Result<(), KernelError> {
         self.syscall_enter(profile::MMAP);
         let r = match page_range(addr, len) {
-            Some((len, end)) => self.do_munmap(addr, len, end),
+            Some((_, end)) => self.do_munmap(addr, end),
             None => Err(KernelError::BadAddress),
         };
         // End of the unmap: the whole range's queued invalidations leave in
@@ -709,7 +693,7 @@ impl Kernel {
         r
     }
 
-    fn do_munmap(&mut self, addr: VirtAddr, len: u64, end: VirtAddr) -> Result<(), KernelError> {
+    fn do_munmap(&mut self, addr: VirtAddr, end: VirtAddr) -> Result<(), KernelError> {
         let pid = self.mm_owner_of(self.current_pid());
         // Unmap any resident pages.
         let mut va = addr;
@@ -732,9 +716,25 @@ impl Kernel {
             self.put_user_leaf(m.ppn, m.huge)?;
             va += span;
         }
+        // Trim or split every VMA the range overlaps, keeping the rest in
+        // their order; a VMA that starts below the range keeps its start,
+        // so the heap VMA `brk` looks up stays where it was.
+        let (lo, hi) = (addr.as_u64(), end.as_u64());
         let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
-        p.vmas
-            .retain(|v| !(v.start == addr.as_u64() && v.end == addr.as_u64() + len));
+        let vmas = std::mem::take(&mut p.vmas);
+        p.vmas.reserve(vmas.len() + 1);
+        for v in vmas {
+            if v.start.max(lo) >= v.end.min(hi) {
+                p.vmas.push(v);
+                continue;
+            }
+            if v.start < lo {
+                p.vmas.push(VmArea { end: lo, ..v });
+            }
+            if hi < v.end {
+                p.vmas.push(VmArea { start: hi, ..v });
+            }
+        }
         Ok(())
     }
 
@@ -928,7 +928,7 @@ impl Kernel {
     pub fn sys_recv(&mut self, fd: i32, len: u64) -> Result<u64, KernelError> {
         self.syscall_enter(profile::RECV);
         self.charge_copy(len);
-        let r = self.do_read_len(fd, len);
+        let r = self.do_read(fd, len, &mut Discard);
         self.syscall_exit();
         r
     }
@@ -937,7 +937,7 @@ impl Kernel {
     pub fn sys_send(&mut self, fd: i32, bytes: u64) -> Result<u64, KernelError> {
         self.syscall_enter(profile::SEND);
         self.charge_copy(bytes);
-        let r = self.do_write_len(fd, bytes);
+        let r = self.do_write(fd, std::iter::repeat_n(0, bytes as usize));
         self.syscall_exit();
         r
     }
@@ -949,47 +949,18 @@ impl Kernel {
     pub fn sys_write_discard(&mut self, fd: i32, len: u64) -> Result<u64, KernelError> {
         self.syscall_enter(profile::WRITE);
         self.charge_copy(len);
-        let r = self.do_write_len(fd, len);
+        let r = self.do_write(fd, std::iter::repeat_n(0, len as usize));
         self.syscall_exit();
         r
     }
+}
 
-    /// Length-only twin of [`Self::do_write`] for sinks that never look at
-    /// the payload: the same branch structure, error paths, charges, and
-    /// return values as a zero buffer of `len` bytes, buffer elided.
-    fn do_write_len(&mut self, fd: i32, len: u64) -> Result<u64, KernelError> {
-        let entry = {
-            let p = self
-                .procs
-                .get(self.current_pid())
-                .ok_or(KernelError::NoSuchProcess)?;
-            p.fds.get(fd).cloned().ok_or(KernelError::BadFd)?
-        };
-        match entry {
-            FdEntry::Socket { id } => {
-                let s = self.sockets.get_mut(&id).ok_or(KernelError::BadFd)?;
-                s.tx += len;
-                self.charge(CostKind::Io, len / 16);
-                Ok(len)
-            }
-            FdEntry::PipeWrite { id } => {
-                let pipe = self.pipes.get_mut(id).ok_or(KernelError::BadFd)?;
-                let n = pipe.write_zeros(len as usize);
-                if n == 0 {
-                    Err(KernelError::WouldBlock)
-                } else {
-                    Ok(n as u64)
-                }
-            }
-            FdEntry::Console => {
-                self.charge(CostKind::Io, 200);
-                Ok(len)
-            }
-            // Regular files keep their contents observable (`regression`
-            // diffs them): writes of real bytes stay on `do_write`.
-            _ => self.do_write(fd, &vec![0u8; len as usize]),
-        }
-    }
+/// A read target that keeps only the count: the length-only reads take
+/// their bytes through it without allocating.
+struct Discard;
+
+impl Extend<u8> for Discard {
+    fn extend<I: IntoIterator<Item = u8>>(&mut self, _: I) {}
 }
 
 /// Rounds `len` up to whole pages and pairs it with the end of the range

@@ -177,6 +177,33 @@ fn demand_paging_via_mmap() {
 }
 
 #[test]
+fn a_partial_munmap_trims_or_splits_its_vma() {
+    let mut k = boot(KernelConfig::cfi_ptstore());
+    let mapped = |k: &mut Kernel, pages: u64| {
+        let base = k.sys_mmap(pages * PAGE_SIZE).expect("mmap");
+        for i in 0..pages {
+            k.sys_touch(base + i * PAGE_SIZE, true).expect("touch");
+        }
+        base
+    };
+    // The unmapped page must not demand-fault back in.
+    let two = mapped(&mut k, 2);
+    k.sys_munmap(two, PAGE_SIZE).expect("munmap the head");
+    assert_eq!(k.sys_touch(two, true), Err(KernelError::SegFault));
+    assert_eq!(k.sys_touch(two + PAGE_SIZE, true), Ok(()));
+
+    let three = mapped(&mut k, 3);
+    k.sys_munmap(three + PAGE_SIZE, PAGE_SIZE)
+        .expect("munmap the middle");
+    assert_eq!(
+        k.sys_touch(three + PAGE_SIZE, true),
+        Err(KernelError::SegFault)
+    );
+    assert_eq!(k.sys_touch(three, true), Ok(()));
+    assert_eq!(k.sys_touch(three + 2 * PAGE_SIZE, true), Ok(()));
+}
+
+#[test]
 fn secure_region_adjustment_triggers_and_grows() {
     let mut k = boot_small_region(MIB);
     let region0 = k.secure_region().unwrap();

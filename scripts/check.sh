@@ -94,6 +94,16 @@ echo "== paper-scale fork stress (§V-D1 figures) =="
 grep -Eq "^CFI\+PTStore +434639726 +6\.96 +33 " target/forkstress.txt
 rm -f target/forkstress.txt
 
+echo "== ablations (the figures EXPERIMENTS.md quotes) =="
+# Both ablations are modeled, so the rows EXPERIMENTS.md quotes are exact:
+# the region-size sweep adjusts once up to 4 MiB and never from 8 MiB on,
+# and virtual isolation pays its write-window toll on fork+exit.
+./target/release/reproduce ablation > target/ablation.txt
+grep -Eq "^initial +4 MiB: overhead +9\.88% +adjustments +1$" target/ablation.txt
+grep -Eq "^initial +8 MiB: overhead +0\.95% +adjustments +0$" target/ablation.txt
+grep -Eq "^virtual-isolation +fork\+exit overhead +20\.75%$" target/ablation.txt
+rm -f target/ablation.txt
+
 echo "== smoke: fixed-seed fuzz campaign (deterministic, contained) =="
 # The 70-fault round-robin covers all nine classes, including the PR 9
 # drain-machinery pair; drain-drop must land (and stay contained) on
