@@ -25,10 +25,6 @@
 //!    drain. A translation that fails all three is a remote invalidation
 //!    the drain machinery lost — the missed-drain bug class the
 //!    `DrainDrop` fault injects.
-//! 5. **Table-handle consistency** — the generational process table's
-//!    views of each live slot agree: the slot walk and the pid index bind
-//!    the same `(slot, gen, pid)` triple, and the slot's handle resolves
-//!    back to the same process.
 //!
 //! The oracle deliberately does **not** check attacker-writable kernel
 //! data (PCB fields of non-running processes, user memory contents):
@@ -105,12 +101,6 @@ pub enum Violation {
         /// The cached physical page.
         ppn: PhysPageNum,
     },
-    /// A live slot's generational handle failed to resolve consistently
-    /// across the table's slot walk and pid index.
-    HandleBindingBroken {
-        /// The pid whose slot binding broke.
-        pid: Pid,
-    },
     /// A TLB entry caches a translation a live address space's page
     /// tables no longer back, and its invalidation is not queued for any
     /// deferred drain: a shootdown the drain machinery lost.
@@ -154,9 +144,6 @@ impl core::fmt::Display for Violation {
             }
             Violation::TlbMapsPtPage { hart, ppn } => {
                 write!(f, "hart {hart} TLB grants user access to pt page {ppn}")
-            }
-            Violation::HandleBindingBroken { pid } => {
-                write!(f, "generational handle binding broken for pid {pid}")
             }
             Violation::TlbStaleTranslation { hart, asid, vpn } => {
                 write!(
@@ -206,7 +193,6 @@ impl Invariants {
             }
         }
         check_satp_binding(k, region.as_ref(), &mut rep);
-        check_table_handles(k, &mut rep);
 
         if let Some(sink) = k.trace_sink() {
             sink.emit(TraceEvent::InvariantCheck {
@@ -220,8 +206,6 @@ impl Invariants {
 
 /// Every page-table page the kernel's bookkeeping claims exists: the
 /// kernel template plus each mm owner's root and tracked table pages.
-/// Walks the generational slot array through handles (pid order) so a
-/// slot whose generation moved on mid-sweep is skipped, never misread.
 /// The model checker hashes exactly this set, so a landed PTE flip always
 /// lands in a hashed page.
 pub fn known_pt_pages(k: &Kernel) -> BTreeSet<PhysPageNum> {
@@ -242,8 +226,7 @@ pub fn known_pt_pages(k: &Kernel) -> BTreeSet<PhysPageNum> {
 /// that would be misread at root level.
 fn space_owners(k: &Kernel) -> impl Iterator<Item = &Process> {
     k.procs
-        .handles()
-        .map(|(_, p)| p)
+        .iter()
         .filter(|p| p.mm_owner.is_none() && p.state != ProcState::Zombie)
 }
 
@@ -383,23 +366,6 @@ fn validate_active_token(
         return Err(TokenError::PageTablePointerMismatch);
     }
     Ok(())
-}
-
-/// Invariant 5: every live slot's views agree. The slot walk
-/// (`handles`), the pid index (`lookup`), and handle resolution
-/// (`resolve`) must all bind the same `(slot, gen, pid)` triple — the
-/// property that makes a stale handle's rejection trustworthy rather than
-/// a coincidence.
-fn check_table_handles(k: &Kernel, rep: &mut InvariantReport) {
-    for (h, p) in k.procs.handles() {
-        rep.checks += 1;
-        let consistent =
-            k.procs.lookup(p.pid) == Some(h) && k.procs.resolve(h).is_some_and(|q| q.pid == p.pid);
-        if !consistent {
-            rep.violations
-                .push(Violation::HandleBindingBroken { pid: p.pid });
-        }
-    }
 }
 
 /// Invariant 3: the PMP mirrors the kernel's region and enforcement

@@ -27,7 +27,6 @@ fn all_violations() -> Vec<Violation> {
         Violation::PmpEnforcementMismatch,
         Violation::SatpSBitMismatch { hart: 5 },
         Violation::TlbMapsPtPage { hart: 1, ppn },
-        Violation::HandleBindingBroken { pid: 41 },
         Violation::TlbStaleTranslation {
             hart: 3,
             asid: 42,
@@ -54,7 +53,6 @@ fn context(v: &Violation) -> Vec<String> {
         Violation::PmpRegionMismatch | Violation::PmpEnforcementMismatch => vec![],
         Violation::SatpSBitMismatch { hart } => vec![format!("hart {hart}")],
         Violation::TlbMapsPtPage { hart, ppn } => vec![format!("hart {hart}"), ppn.to_string()],
-        Violation::HandleBindingBroken { pid } => vec![format!("pid {pid}")],
         Violation::TlbStaleTranslation { hart, asid, vpn } => vec![
             format!("hart {hart}"),
             format!("asid {asid}"),

@@ -55,11 +55,6 @@ impl SystemCost {
     pub fn core_lut_overhead_pct(&self, base: &SystemCost) -> f64 {
         (self.core_lut as f64 - base.core_lut as f64) / base.core_lut as f64 * 100.0
     }
-
-    /// Percentage increase of `self` over `base` in core FFs.
-    pub fn core_ff_overhead_pct(&self, base: &SystemCost) -> f64 {
-        (self.core_ff as f64 - base.core_ff as f64) / base.core_ff as f64 * 100.0
-    }
 }
 
 #[cfg(test)]

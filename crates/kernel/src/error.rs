@@ -42,7 +42,7 @@ pub enum KernelError {
     InvalidState,
     /// A process with this pid already exists in the process table.
     DuplicatePid(crate::process::Pid),
-    /// The process table has no free slot (every slot is live).
+    /// The process table already holds its capacity of live processes.
     ProcessTableFull,
 }
 

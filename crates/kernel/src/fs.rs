@@ -8,7 +8,15 @@
 
 use std::collections::HashMap;
 
+use ptstore_core::MIB;
 use serde::{Deserialize, Serialize};
+
+use crate::error::KernelError;
+
+/// The most bytes a ramfs file may hold. File contents live on the host, so
+/// a write that would grow a file past this fails instead of asking the
+/// host for whatever length the caller names.
+pub const MAX_FILE_SIZE: u64 = 64 * MIB;
 
 /// File metadata returned by `stat`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -81,34 +89,38 @@ impl RamFs {
     /// Reads up to `len` bytes at `offset`; returns the bytes read.
     pub fn read(&self, name: &str, offset: u64, len: u64) -> Option<&[u8]> {
         let f = self.files.get(name)?;
-        let start = (offset as usize).min(f.data.len());
-        let end = (offset as usize + len as usize).min(f.data.len());
-        Some(&f.data[start..end])
+        let size = f.data.len() as u64;
+        let start = offset.min(size);
+        let end = offset.checked_add(len).map_or(size, |end| end.min(size));
+        Some(&f.data[start as usize..end as usize])
     }
 
     /// Writes `data` at `offset`, extending the file as needed; returns the
     /// new size.
+    ///
+    /// # Errors
+    /// [`KernelError::NoSuchFile`] for a missing file, and
+    /// [`KernelError::OutOfMemory`] when the file would grow past
+    /// [`MAX_FILE_SIZE`]; either leaves the file as it was.
     pub fn write(
         &mut self,
         name: &str,
         offset: u64,
         data: impl ExactSizeIterator<Item = u8>,
-    ) -> Option<u64> {
-        let f = self.files.get_mut(name)?;
-        let start = offset as usize;
-        let end = start + data.len();
+    ) -> Result<u64, KernelError> {
+        let f = self.files.get_mut(name).ok_or(KernelError::NoSuchFile)?;
+        let end = offset
+            .checked_add(data.len() as u64)
+            .filter(|&end| end <= MAX_FILE_SIZE)
+            .ok_or(KernelError::OutOfMemory)?;
+        let (start, end) = (offset as usize, end as usize);
         if f.data.len() < end {
             f.data.resize(end, 0);
         }
         for (byte, b) in f.data[start..end].iter_mut().zip(data) {
             *byte = b;
         }
-        Some(f.data.len() as u64)
-    }
-
-    /// Number of files.
-    pub fn file_count(&self) -> usize {
-        self.files.len()
+        Ok(f.data.len() as u64)
     }
 }
 

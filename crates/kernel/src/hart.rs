@@ -13,15 +13,14 @@
 //!
 //! Harts never reach into each other's private state directly. Cross-hart
 //! effects — shootdown IPIs and their acks, fork/exit visibility, idle
-//! stealing — are expressed as [`HartMsg`] values stamped with the
-//! **logical time** (the sender's machine-wide cycle total) at which they
-//! were sent. A hart drains its mailbox when it becomes the active modeling
-//! context, merging messages in `(time, from, seq)` order. Harts take
-//! turns on the one shared [`crate::Kernel`], so that merge is a total
-//! order. Applying the effects directly would leave every experiment's
-//! output unchanged, but the pending mailboxes are part of the model
-//! checker's canonical state, so removing them would change which states
-//! it dedups (DESIGN.md, "Sequential hart turns").
+//! stealing — are expressed as [`HartMsg`] values naming their sender. A
+//! hart drains its mailbox when it becomes the active modeling context.
+//! Harts take turns on the one shared [`crate::Kernel`] in one loop, so
+//! the order messages are posted in is already a total order and the
+//! mailbox keeps it. Applying the effects directly would leave every
+//! experiment's output unchanged, but the pending mailboxes are part of
+//! the model checker's canonical state, so removing them would change
+//! which states it dedups (DESIGN.md, "Sequential hart turns").
 
 use std::collections::VecDeque;
 
@@ -57,16 +56,11 @@ pub enum HartMsgKind {
     },
 }
 
-/// One cross-hart message, stamped for the deterministic logical-time merge.
+/// One cross-hart message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HartMsg {
-    /// Machine-wide cycle total when the sender posted the message.
-    pub time: u64,
     /// Sending hart.
     pub from: usize,
-    /// Sender-local sequence number, breaking ties between messages posted
-    /// at the same logical time.
-    pub seq: u64,
     /// Payload.
     pub kind: HartMsgKind,
 }
@@ -89,13 +83,9 @@ pub struct Hart {
     pub run_queue: VecDeque<Pid>,
     /// Cycles attributed to work performed on this hart.
     pub cycles: CycleCounter,
-    /// Pending cross-hart messages, drained (in logical-time order) when
-    /// this hart next becomes the active modeling context.
-    pub mailbox: VecDeque<HartMsg>,
-    /// Next sequence number for messages *sent* by this hart.
-    pub msg_seq: u64,
-    /// Messages this hart has merged over its lifetime.
-    pub msgs_merged: u64,
+    /// Pending cross-hart messages in the order they were posted, drained
+    /// when this hart next becomes the active modeling context.
+    pub mailbox: Vec<HartMsg>,
     /// Deferred-shootdown queue: `(vpn, asid)` pairs whose *local* TLB
     /// invalidation already happened eagerly but whose remote broadcast is
     /// postponed until the next drain (operation end or security boundary).
@@ -117,9 +107,7 @@ impl Hart {
             current: 0,
             run_queue: VecDeque::new(),
             cycles: CycleCounter::new(),
-            mailbox: VecDeque::new(),
-            msg_seq: 0,
-            msgs_merged: 0,
+            mailbox: Vec::new(),
             flush_queue: Vec::new(),
             pt_magazine: Vec::new(),
         }
@@ -132,54 +120,5 @@ impl Hart {
         } else {
             self.cycles.total() as f64 / total as f64
         }
-    }
-
-    /// Takes every pending message, sorted into the canonical
-    /// `(time, from, seq)` merge order.
-    pub fn drain_mailbox(&mut self) -> Vec<HartMsg> {
-        let mut msgs: Vec<HartMsg> = self.mailbox.drain(..).collect();
-        msgs.sort_by_key(|m| (m.time, m.from, m.seq));
-        self.msgs_merged += msgs.len() as u64;
-        msgs
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mailbox_merges_on_logical_time() {
-        let mut h = Hart::new(0, 4, 4);
-        // Posted out of order: a later-time message from hart 1 first.
-        h.mailbox.push_back(HartMsg {
-            time: 200,
-            from: 1,
-            seq: 0,
-            kind: HartMsgKind::ShootdownIpi,
-        });
-        h.mailbox.push_back(HartMsg {
-            time: 100,
-            from: 2,
-            seq: 0,
-            kind: HartMsgKind::ProcReaped { pid: 5 },
-        });
-        h.mailbox.push_back(HartMsg {
-            time: 100,
-            from: 1,
-            seq: 1,
-            kind: HartMsgKind::ShootdownAck,
-        });
-        h.mailbox.push_back(HartMsg {
-            time: 100,
-            from: 1,
-            seq: 0,
-            kind: HartMsgKind::ShootdownIpi,
-        });
-        let merged = h.drain_mailbox();
-        let keys: Vec<(u64, usize, u64)> = merged.iter().map(|m| (m.time, m.from, m.seq)).collect();
-        assert_eq!(keys, [(100, 1, 0), (100, 1, 1), (100, 2, 0), (200, 1, 0)]);
-        assert_eq!(h.msgs_merged, 4);
-        assert!(h.mailbox.is_empty());
     }
 }

@@ -185,11 +185,6 @@ impl Kernel {
             .ok_or(KernelError::BadAddress)
     }
 
-    /// The shared user text physical page (a tampering target).
-    pub fn shared_text_page(&self) -> PhysPageNum {
-        self.shared_text_ppn
-    }
-
     /// Reads kernel memory through the kernel's own regular channel (tests
     /// and experiment verification).
     pub fn mem_read_public(&mut self, pa: PhysAddr) -> Result<u64, KernelError> {

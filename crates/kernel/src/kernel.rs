@@ -283,9 +283,7 @@ impl Kernel {
 
         // Materialise the PT-Rand secret in kernel memory (it must exist
         // somewhere for the kernel to use it — that is the §VI-1 weakness).
-        kernel
-            .image_write_u64(PhysAddr::new(PT_RAND_GLOBAL_PA), kernel.pt_rand_offset)
-            .expect("kernel image in range");
+        kernel.image_write_u64(PhysAddr::new(PT_RAND_GLOBAL_PA), kernel.pt_rand_offset)?;
 
         kernel.build_kernel_address_space()?;
         kernel.ptw_check_armed = kernel.satp_s_bit();
@@ -364,9 +362,8 @@ impl Kernel {
     }
 
     /// Selects the hart that subsequent kernel entry points (syscalls,
-    /// faults, scheduling) model their work on. The incoming hart merges
-    /// its mailbox in logical-time order before any of its kernel work
-    /// runs.
+    /// faults, scheduling) model their work on. The incoming hart drains
+    /// its mailbox before any of its kernel work runs.
     ///
     /// # Panics
     /// When `hart` is out of range for this machine.
@@ -385,53 +382,41 @@ impl Kernel {
         self.merge_hart_msgs(hart);
     }
 
-    /// Drains `hart`'s mailbox in the canonical `(time, from, seq)` order.
-    /// Every record only counts: a reaped pid stays in the run queue until
-    /// `pick_next` reaches and drops it (pids never recycle).
+    /// Drains `hart`'s mailbox. Every record only counts: a reaped pid
+    /// stays in the run queue until `pick_next` reaches and drops it (pids
+    /// never recycle).
     fn merge_hart_msgs(&mut self, hart: usize) {
-        let msgs = self.harts[hart].drain_mailbox();
-        self.stats.hart_msgs_merged += msgs.len() as u64;
+        let mailbox = &mut self.harts[hart].mailbox;
+        self.stats.hart_msgs_merged += mailbox.len() as u64;
+        mailbox.clear();
     }
 
-    /// Posts a cross-hart message from the active hart to `to`, stamped
-    /// with the current machine-wide cycle total (logical time).
+    /// Posts a cross-hart message from the active hart to `to`.
     pub(crate) fn post_hart_msg(&mut self, to: usize, kind: HartMsgKind) {
         if to == self.active_hart || to >= self.harts.len() {
             return;
         }
-        let msg = HartMsg {
-            time: self.cycles.total(),
-            from: self.active_hart,
-            seq: self.harts[self.active_hart].msg_seq,
-            kind,
-        };
-        self.harts[self.active_hart].msg_seq += 1;
-        self.harts[to].mailbox.push_back(msg);
+        let from = self.active_hart;
+        self.harts[to].mailbox.push(HartMsg { from, kind });
     }
 
-    /// The live generational handle for `pid`, if any.
+    /// The handle for `pid` while it is live: the pid itself.
     pub fn proc_handle(&self, pid: Pid) -> Option<crate::process::ProcHandle> {
-        self.procs.lookup(pid)
+        self.procs.get(pid).map(|p| p.pid)
     }
 
-    /// Resolves a generational handle, counting a stale-handle rejection
-    /// (the ABA detection firing) when the slot's generation has moved on.
+    /// Resolves a handle, counting a stale-handle rejection when its
+    /// process has been reaped.
     pub fn resolve_handle(&mut self, h: crate::process::ProcHandle) -> Option<&Process> {
-        if self.procs.resolve(h).is_none() {
+        if self.procs.get(h).is_none() {
             self.stats.stale_handle_rejects += 1;
-            return None;
         }
-        self.procs.resolve(h)
+        self.procs.get(h)
     }
 
     /// The active hart's MMU.
     pub fn mmu(&self) -> &Mmu {
         &self.harts[self.active_hart].mmu
-    }
-
-    /// The active hart's MMU, mutably.
-    pub fn mmu_mut(&mut self) -> &mut Mmu {
-        &mut self.harts[self.active_hart].mmu
     }
 
     /// Charges `n` cycles of `kind` both machine-wide and to the active
@@ -681,19 +666,15 @@ impl Kernel {
                 self.harts[i].cycles.charge(CostKind::TlbFlush, flush_cost);
                 self.cycles.charge(CostKind::TlbFlush, flush_cost);
             }
-            // Visibility records for the deterministic mailbox merge: the
-            // remote hart sees the IPI, the initiator sees the ack. Costs
-            // were already charged synchronously above (the round is a
-            // barrier), so these messages carry no cycles.
+            // Visibility records: the remote hart sees the IPI, the
+            // initiator sees the ack. Costs were already charged
+            // synchronously above (the round is a barrier), so these
+            // messages carry no cycles.
             self.post_hart_msg(i, HartMsgKind::ShootdownIpi);
-            let ack = HartMsg {
-                time: self.cycles.total(),
+            self.harts[from].mailbox.push(HartMsg {
                 from: i,
-                seq: self.harts[i].msg_seq,
                 kind: HartMsgKind::ShootdownAck,
-            };
-            self.harts[i].msg_seq += 1;
-            self.harts[from].mailbox.push_back(ack);
+            });
         }
         self.stats.tlb_shootdowns += 1;
         self.stats.shootdown_ipis += remotes;
@@ -873,7 +854,7 @@ impl Kernel {
         let boundary = self
             .pt_zone
             .as_ref()
-            .expect("ptstore mode has a pt zone")
+            .ok_or(KernelError::InvalidState)?
             .base();
         let start = PhysPageNum::new(boundary.as_u64() - chunk_pages);
         self.charge(
@@ -911,13 +892,13 @@ impl Kernel {
         self.normal_zone.shrink_top(chunk_pages)?;
         self.pt_zone
             .as_mut()
-            .expect("checked above")
+            .ok_or(KernelError::InvalidState)?
             .grow_bottom(chunk_pages);
 
         // Update the secure region boundary via the SBI (the firmware
         // validates that the boundary only moves downward, §IV-B).
         self.charge(CostKind::Sbi, cost::SBI_CALL);
-        let region = self.secure_region.expect("ptstore mode has a region");
+        let region = self.secure_region.ok_or(KernelError::InvalidState)?;
         let grown = region.grow_down(self.cfg.adjust_chunk)?;
         match self.sbi.handle(
             &mut self.bus,
@@ -1340,7 +1321,7 @@ impl Kernel {
             let ppn = self.alloc_page(gfp | GfpFlags::ZERO)?;
             Ok(ppn)
         });
-        *self.token_slab.as_mut().expect("present") = slab_taken;
+        self.token_slab = Some(slab_taken);
         let (token_addr, _grew) = result?;
 
         let mm = self.mm_owner_of(pid);
@@ -1361,7 +1342,7 @@ impl Kernel {
         // PCB fields (normal memory; regular stores).
         self.mem_write(token_slot_field, token_addr.as_u64())?;
         let pt_slot = {
-            let p = self.procs.get(pid).expect("checked");
+            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
             p.pt_ptr_slot()
         };
         self.mem_write(pt_slot, pt_ptr.as_u64())?;
@@ -1389,12 +1370,13 @@ impl Kernel {
         if self
             .token_slab
             .as_ref()
-            .expect("checked")
-            .contains(token_addr)
+            .is_some_and(|s| s.contains(token_addr))
         {
             self.secure_u64_write(token_addr, 0)?;
             self.secure_u64_write(token_addr + 8, 0)?;
-            self.token_slab.as_mut().expect("checked").free(token_addr);
+            if let Some(slab) = self.token_slab.as_mut() {
+                slab.free(token_addr);
+            }
         }
         self.mem_write(token_slot, 0)?;
         if let Some(sink) = self.trace.get() {
@@ -1424,7 +1406,7 @@ impl Kernel {
         let token_ptr = PhysAddr::new(self.mem_read(token_slot)?);
         self.stats.token_validations += 1;
         self.charge(CostKind::Token, cost::TOKEN_VALIDATE);
-        let region = self.secure_region.expect("tokens imply ptstore");
+        let region = self.secure_region.ok_or(KernelError::InvalidState)?;
         if !region.contains_range(token_ptr, 16) {
             self.stats.token_failures += 1;
             self.security_log
@@ -1481,7 +1463,11 @@ impl Kernel {
             self.token_validate(pid)?
         } else {
             // Baselines trust the PCB field as-is.
-            let slot = self.procs.get(pid).expect("checked").pt_ptr_slot();
+            let slot = self
+                .procs
+                .get(pid)
+                .ok_or(KernelError::NoSuchProcess)?
+                .pt_ptr_slot();
             PhysAddr::new(self.mem_read(slot)?)
         };
         self.harts[self.active_hart].mmu.satp = Satp::new(
@@ -1698,13 +1684,6 @@ impl Kernel {
             }
         }
         Ok(())
-    }
-
-    /// The PT-Rand window base + secret offset (tests/attacks compute
-    /// randomised addresses with this after "leaking" the global).
-    pub fn pt_rand_window(&self) -> Option<u64> {
-        (self.cfg.defense == DefenseMode::PtRand)
-            .then_some(PT_RAND_WINDOW_BASE + self.pt_rand_offset)
     }
 
     /// Queues `bytes` of incoming data on socket `id` (the benchmark

@@ -22,13 +22,13 @@
 //! * **Syscalls** ([`syscall`]) with Clang-CFI cost accounting, a tiny VFS
 //!   ([`fs`]), demand paging with CoW, and a round-robin scheduler.
 //! * **SMP harts** ([`hart`]): N-hart machines with per-hart MMU/TLBs, run
-//!   queues with idle stealing, per-hart mailboxes of logical-time-stamped
-//!   cross-hart messages, and a modeled IPI/TLB-shootdown path
+//!   queues with idle stealing, per-hart mailboxes of cross-hart messages
+//!   in the order they were posted, and a modeled IPI/TLB-shootdown path
 //!   (`Kernel::shootdown`) charged to the cycle model; `harts = 1`
 //!   reproduces the single-hart prototype cycle-for-cycle.
-//! * **Generational process table** ([`process::ProcessTable`]): a slot
-//!   array whose per-slot generations make a [`ProcHandle`] O(1) to
-//!   resolve and detect reuse of its slot (ABA-safe).
+//! * **Process table** ([`process::ProcessTable`]): one pid-indexed vector.
+//!   Pids are never reused, so a pid is the process handle: lookup is one
+//!   index, and a reaped pid resolves to nothing.
 //! * **Baseline defenses** for comparison: PT-Rand-style randomisation and
 //!   virtual isolation ([`config::DefenseMode`]).
 //! * **An attacker API** ([`introspect`]) implementing the §III-A threat
@@ -53,6 +53,10 @@
 // A replaced page-table entry's `channel::Flush` may be neither dropped
 // nor discarded with `let _ =`.
 #![deny(unused_must_use, clippy::let_underscore_must_use)]
+// Kernel code returns a `KernelError` instead of panicking; a site that
+// must panic says why in an `#[expect(.., reason = "..")]`. Tests may
+// unwrap (`crates/kernel/clippy.toml`).
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod channel;
 pub mod config;

@@ -95,12 +95,6 @@ pub struct AddressSpace {
 }
 
 impl AddressSpace {
-    /// Number of page-table pages (the secure-region footprint that the
-    /// fork-stress experiment cares about).
-    pub fn pt_page_count(&self) -> usize {
-        self.pt_pages.len()
-    }
-
     /// Number of user pages mapped.
     pub fn user_page_count(&self) -> usize {
         self.user.len()

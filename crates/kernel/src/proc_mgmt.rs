@@ -152,42 +152,48 @@ impl Kernel {
 
     /// `fork()`: duplicates the current process with copy-on-write user
     /// pages; issues a fresh token for the child (paper §IV-C4 `copy_mm`).
-    /// A fork that fails releases the half-built child as exit and wait
-    /// would, so the process table and the zones are as they were.
+    /// A fork the process table refuses allocates nothing, and a fork that
+    /// fails later releases the half-built child as exit and wait would,
+    /// so the process table and the zones are as they were.
     pub fn do_fork(&mut self) -> Result<Pid, KernelError> {
         self.charge(CostKind::Kernel, cost::FORK_BASE);
         let parent_pid = self.current_pid();
+        let (vmas, brk, mmap_cursor, fds, signals) = {
+            let p = self
+                .procs
+                .get(parent_pid)
+                .ok_or(KernelError::NoSuchProcess)?;
+            (
+                p.vmas.clone(),
+                p.brk,
+                p.mmap_cursor,
+                p.fds.clone(),
+                p.signals.clone(),
+            )
+        };
+        self.procs.admits(self.next_pid)?;
         let child_pid = self.allocate_pid();
         let child_aspace = self.create_address_space()?;
         let pcb_addr = self.alloc_pcb().or_else(|e| {
             self.free_pt_page(child_aspace.root)?;
             Err(e)
         })?;
-        let child = {
-            let p = self
-                .procs
-                .get(parent_pid)
-                .ok_or(KernelError::NoSuchProcess)?;
-            Process {
-                pid: child_pid,
-                parent: Some(parent_pid),
-                state: ProcState::Ready,
-                pcb_addr,
-                aspace: child_aspace,
-                vmas: p.vmas.clone(),
-                brk: p.brk,
-                mmap_cursor: p.mmap_cursor,
-                fds: p.fds.clone(),
-                signals: p.signals.clone(),
-                exit_code: 0,
-                children: VecDeque::new(),
-                mm_owner: None,
-                threads: Vec::new(),
-            }
-        };
-        self.procs.insert(child)?;
-        // Duplicate pipe/socket fd refcounts.
-        self.dup_fd_resources(child_pid);
+        self.procs.insert(Process {
+            pid: child_pid,
+            parent: Some(parent_pid),
+            state: ProcState::Ready,
+            pcb_addr,
+            aspace: child_aspace,
+            vmas,
+            brk,
+            mmap_cursor,
+            fds,
+            signals,
+            exit_code: 0,
+            children: VecDeque::new(),
+            mm_owner: None,
+            threads: Vec::new(),
+        })?;
         if let Err(e) = self.fork_into(parent_pid, child_pid) {
             self.release_mm(child_pid)?;
             self.free_pcb(child_pid, pcb_addr)?;
@@ -198,8 +204,8 @@ impl Kernel {
         }
         let hart = self.active_hart;
         self.harts[hart].run_queue.push_back(child_pid);
-        // Publish the new process to the other harts (visibility record for
-        // the deterministic mailbox merge; idle harts learn the pid exists).
+        // Publish the new process to the other harts (a visibility record;
+        // idle harts learn the pid exists).
         for h in 0..self.harts.len() {
             self.post_hart_msg(h, crate::hart::HartMsgKind::ProcSpawned { pid: child_pid });
         }
@@ -208,9 +214,10 @@ impl Kernel {
     }
 
     /// Fills in the child `fork` has just entered into the process table:
-    /// its PCB, every user leaf of the parent mapped copy-on-write, and its
-    /// token.
+    /// its share of the pipes and sockets its descriptors name, its PCB,
+    /// every user leaf of the parent mapped copy-on-write, and its token.
     fn fork_into(&mut self, parent_pid: Pid, child_pid: Pid) -> Result<(), KernelError> {
+        self.dup_fd_resources(child_pid)?;
         let (pcb_addr, pt_slot, root) = {
             let p = self
                 .procs
@@ -313,9 +320,9 @@ impl Kernel {
 
     /// Adds `pid` as one more holder of every pipe end and socket its
     /// (inherited) descriptor table refers to.
-    fn dup_fd_resources(&mut self, pid: Pid) {
+    fn dup_fd_resources(&mut self, pid: Pid) -> Result<(), KernelError> {
         let entries: Vec<FdEntry> = {
-            let p = self.procs.get(pid).expect("exists");
+            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
             p.fds.iter().cloned().collect()
         };
         for e in entries {
@@ -330,6 +337,7 @@ impl Kernel {
                 FdEntry::File { .. } | FdEntry::Console => {}
             }
         }
+        Ok(())
     }
 
     /// `clone(CLONE_VM)`: creates a thread sharing the current process's
@@ -339,29 +347,22 @@ impl Kernel {
     pub fn do_clone_thread(&mut self) -> Result<Pid, KernelError> {
         self.charge(CostKind::Kernel, cost::FORK_BASE / 2);
         self.charge(CostKind::Token, cost::TOKEN_COPY);
-        let owner = self.mm_owner_of(self.current_pid());
+        let spawner = self.current_pid();
+        let owner = self.mm_owner_of(spawner);
+        let (fds, signals, brk, mmap_cursor) = {
+            let p = self.procs.get(spawner).ok_or(KernelError::NoSuchProcess)?;
+            (p.fds.clone(), p.signals.clone(), p.brk, p.mmap_cursor)
+        };
+        self.procs.admits(self.next_pid)?;
         let tid = self.allocate_pid();
         let pcb_addr = self.alloc_pcb()?;
-        let (fds, signals, vmas, brk, mmap_cursor) = {
-            let p = self
-                .procs
-                .get(self.current_pid())
-                .ok_or(KernelError::NoSuchProcess)?;
-            (
-                p.fds.clone(),
-                p.signals.clone(),
-                Vec::new(),
-                p.brk,
-                p.mmap_cursor,
-            )
-        };
         let thread = Process {
             pid: tid,
-            parent: Some(self.current_pid()),
+            parent: Some(spawner),
             state: ProcState::Ready,
             pcb_addr,
             aspace: AddressSpace::default(), // shared: resolved via mm_owner
-            vmas,
+            vmas: Vec::new(),
             brk,
             mmap_cursor,
             fds,
@@ -371,9 +372,10 @@ impl Kernel {
             mm_owner: Some(owner),
             threads: Vec::new(),
         };
+        let pt_slot = thread.pt_ptr_slot();
         self.procs.insert(thread)?;
         self.mem_write(pcb_addr + PCB_OFF_PID, tid as u64)?;
-        self.dup_fd_resources(tid);
+        self.dup_fd_resources(tid)?;
         // The shared page-table pointer, copied into the thread's PCB...
         let root = self
             .procs
@@ -381,19 +383,17 @@ impl Kernel {
             .ok_or(KernelError::NoSuchProcess)?
             .aspace
             .root;
-        let pt_slot = self.procs.get(tid).expect("inserted").pt_ptr_slot();
         self.mem_write(pt_slot, root.base_addr().as_u64())?;
         // ...bound by the thread's own token (token copy).
         self.token_issue_as(tid, ptstore_trace::TokenOp::Copy)?;
         self.procs
             .get_mut(owner)
-            .expect("owner exists")
+            .ok_or(KernelError::NoSuchProcess)?
             .threads
             .push(tid);
-        let spawner = self.current_pid();
         self.procs
             .get_mut(spawner)
-            .expect("spawner exists")
+            .ok_or(KernelError::NoSuchProcess)?
             .children
             .push_back(tid);
         let hart = self.active_hart;
@@ -460,7 +460,7 @@ impl Kernel {
                 op.threads.retain(|&t| t != pid);
             }
             {
-                let p = self.procs.get_mut(pid).expect("exists");
+                let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
                 p.state = ProcState::Zombie;
                 p.exit_code = code;
             }
@@ -477,7 +477,7 @@ impl Kernel {
         }
         self.release_mm(pid)?;
         {
-            let p = self.procs.get_mut(pid).expect("exists");
+            let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
             p.state = ProcState::Zombie;
             p.exit_code = code;
         }
@@ -543,16 +543,13 @@ impl Kernel {
         let parent = self.current_pid();
         let zombie = {
             let p = self.procs.get(parent).ok_or(KernelError::NoSuchProcess)?;
-            p.children.iter().copied().enumerate().find(
-                |&(_, c)| matches!(self.procs.get(c), Some(cp) if cp.state == ProcState::Zombie),
-            )
+            p.children.iter().enumerate().find_map(|(index, &c)| {
+                let cp = self.procs.get(c)?;
+                (cp.state == ProcState::Zombie).then_some((index, c, cp.pcb_addr, cp.exit_code))
+            })
         };
-        let Some((index, child)) = zombie else {
+        let Some((index, child, pcb_addr, code)) = zombie else {
             return Err(KernelError::InvalidState);
-        };
-        let (pcb_addr, code) = {
-            let cp = self.procs.get(child).expect("zombie exists");
-            (cp.pcb_addr, cp.exit_code)
         };
         self.free_pcb(child, pcb_addr)?;
         // No run queue is pruned: `pick_next` drops the stale entry when it
@@ -561,7 +558,10 @@ impl Kernel {
         for h in 0..self.harts.len() {
             self.post_hart_msg(h, crate::hart::HartMsgKind::ProcReaped { pid: child });
         }
-        let p = self.procs.get_mut(parent).expect("parent exists");
+        let p = self
+            .procs
+            .get_mut(parent)
+            .ok_or(KernelError::NoSuchProcess)?;
         p.children.remove(index);
         Ok((child, code))
     }

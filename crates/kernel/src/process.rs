@@ -1,5 +1,5 @@
-//! Processes, PCBs materialised in simulated memory, and VM areas — plus the
-//! **generational slot-array process table**.
+//! Processes, PCBs materialised in simulated memory, and VM areas — plus
+//! the **process table**.
 //!
 //! The fields PTStore cares about — the **page-table pointer** and the
 //! **token pointer** — live at fixed offsets inside a PCB object in *normal*
@@ -9,18 +9,17 @@
 //!
 //! ## The table
 //!
-//! [`ProcessTable`] is a slot array. Each slot carries a monotonically
-//! increasing **generation counter** (even = vacant, odd = occupied); a pid
-//! lookup returns a [`ProcHandle`]`{ slot, gen }` instead of a raw map
-//! reference, and resolving a handle is one index plus one compare. A
-//! reaped slot's generation advances and never repeats, so a stale handle
-//! can only *mismatch* — the ABA resolution a `BTreeMap<Pid, Process>`
-//! cannot express — and the slot is free for reuse at once. The slot
-//! vector grows with the peak number of live processes, so the many
-//! short-lived kernels the test and bench harnesses boot pay for the
-//! handful of slots they use, not for the fork-stress capacity.
+//! [`ProcessTable`] is one vector indexed by pid plus a live count. The
+//! kernel hands out pids in sequence and never reuses one, so a pid is
+//! already a handle that cannot alias a later process: a reaped pid's
+//! entry stays empty for good, and lookup is one index. Walking the vector
+//! visits processes in pid order, the order the oracle, the model
+//! checker's canonical walk and the migration index depend on. The vector
+//! grows with the largest pid inserted, one pointer per pid, so the many
+//! short-lived kernels the test and bench harnesses boot pay for the pids
+//! they use, not for the fork-stress capacity.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use ptstore_core::{PhysAddr, VirtAddr};
 use serde::{Deserialize, Serialize};
@@ -284,58 +283,34 @@ impl Process {
     }
 }
 
-/// Fixed slot capacity of the process table: the paper's 30 000-process
+/// Live-entry capacity of the process table: the paper's 30 000-process
 /// fork stress with headroom.
 pub const PROC_TABLE_CAPACITY: usize = 65_536;
 
-/// Sentinel in the dense pid index: "pid has no slot".
-const SLOT_NONE: u32 = u32::MAX;
-
-/// A generational reference to a process-table slot.
-///
-/// The handle stays valid exactly as long as the slot's generation counter
-/// equals `gen`. Once the process is reaped the generation advances (and
-/// never repeats for the slot), so a stale handle *detects* its staleness
-/// instead of silently resolving to whatever process reused the slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct ProcHandle {
-    /// Slot index in the table.
-    pub slot: u32,
-    /// Generation the slot had when the handle was issued (always odd).
-    pub gen: u32,
-}
+/// What a caller holds to refer to a process: its pid. Pids are never
+/// reused, so a reaped process's pid resolves to nothing from then on.
+/// The alias, [`crate::Kernel::proc_handle`] and
+/// [`crate::Kernel::resolve_handle`] remain because perfbench's
+/// tenant-churn workload still calls them.
+pub type ProcHandle = Pid;
 
 /// Why [`ProcessTable::insert`] refused a process.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TableError {
     /// A live entry with this pid already exists.
     DuplicatePid(Pid),
-    /// Every slot up to [`PROC_TABLE_CAPACITY`] is live.
+    /// [`PROC_TABLE_CAPACITY`] entries are live.
     Full,
 }
 
-/// One table slot: its generation and, while occupied, its process.
-#[derive(Debug, Clone)]
-struct Slot {
-    /// Even = vacant, odd = occupied; advances on every insert and remove.
-    gen: u32,
-    /// Boxed so a vacant slot costs one pointer, not a whole `Process`.
-    proc: Option<Box<Process>>,
-}
-
-/// The process table: a generational slot array (see the module docs).
+/// The process table: one pid-indexed vector (see the module docs).
 #[derive(Debug, Clone, Default)]
 pub struct ProcessTable {
-    /// Slots ever used; the vector grows only when no freed slot is left.
-    slots: Vec<Slot>,
-    /// Dense pid → slot index (O(1) hot-path lookup; pids are small and
-    /// allocated sequentially).
-    pid_slots: Vec<u32>,
-    /// Ordered pid → slot map, kept solely so `pids()`/`iter()` walk in
-    /// deterministic pid order (oracle and stats depend on that order).
-    by_pid: BTreeMap<Pid, u32>,
-    /// Vacant slots ready for reuse.
-    free: Vec<u32>,
+    /// Entry `pid` holds that process while it is live. Boxed, so a pid
+    /// that was reaped or never used costs one pointer.
+    by_pid: Vec<Option<Box<Process>>>,
+    /// Live entries.
+    live: usize,
 }
 
 impl ProcessTable {
@@ -344,139 +319,74 @@ impl ProcessTable {
         Self::default()
     }
 
-    /// Slot index for `pid`, if live.
-    #[inline]
-    fn slot_of(&self, pid: Pid) -> Option<u32> {
-        match self.pid_slots.get(pid as usize) {
-            Some(&s) if s != SLOT_NONE => Some(s),
-            _ => None,
+    /// Refuses `pid` exactly when [`Self::insert`] would, so a caller can
+    /// ask before it allocates what the new entry will own.
+    ///
+    /// # Errors
+    /// [`TableError::DuplicatePid`] when a live entry with the same pid
+    /// exists; [`TableError::Full`] when [`PROC_TABLE_CAPACITY`] entries
+    /// are live.
+    pub fn admits(&self, pid: Pid) -> Result<(), TableError> {
+        if self.get(pid).is_some() {
+            Err(TableError::DuplicatePid(pid))
+        } else if self.live >= PROC_TABLE_CAPACITY {
+            Err(TableError::Full)
+        } else {
+            Ok(())
         }
-    }
-
-    /// Picks a slot for a new entry: freed slots first, then fresh ones.
-    fn claim_slot(&mut self) -> Option<u32> {
-        if let Some(s) = self.free.pop() {
-            return Some(s);
-        }
-        if self.slots.len() < PROC_TABLE_CAPACITY {
-            self.slots.push(Slot { gen: 0, proc: None });
-            return Some((self.slots.len() - 1) as u32);
-        }
-        None
     }
 
     /// Inserts a process.
     ///
     /// # Errors
-    /// [`TableError::DuplicatePid`] when a live entry with the same pid
-    /// exists; [`TableError::Full`] when every slot is live.
-    pub fn insert(&mut self, p: Process) -> Result<ProcHandle, TableError> {
-        let pid = p.pid;
-        if self.slot_of(pid).is_some() {
-            return Err(TableError::DuplicatePid(pid));
+    /// As [`Self::admits`]; a refused process is dropped.
+    pub fn insert(&mut self, p: Process) -> Result<(), TableError> {
+        self.admits(p.pid)?;
+        let i = p.pid as usize;
+        if self.by_pid.len() <= i {
+            self.by_pid.resize_with(i + 1, || None);
         }
-        let Some(slot) = self.claim_slot() else {
-            return Err(TableError::Full);
-        };
-        let s = &mut self.slots[slot as usize];
-        debug_assert!(s.proc.is_none(), "claimed slot must be vacant");
-        s.proc = Some(Box::new(p));
-        s.gen += 1;
-        debug_assert_eq!(s.gen % 2, 1, "occupied generation must be odd");
-        let gen = s.gen;
-        if self.pid_slots.len() <= pid as usize {
-            self.pid_slots.resize(pid as usize + 1, SLOT_NONE);
-        }
-        self.pid_slots[pid as usize] = slot;
-        self.by_pid.insert(pid, slot);
-        Ok(ProcHandle { slot, gen })
+        self.by_pid[i] = Some(Box::new(p));
+        self.live += 1;
+        Ok(())
     }
 
-    /// The live handle for `pid`, if any (O(1)).
-    pub fn lookup(&self, pid: Pid) -> Option<ProcHandle> {
-        let slot = self.slot_of(pid)?;
-        let gen = self.slots[slot as usize].gen;
-        debug_assert_eq!(gen % 2, 1, "indexed slot must be occupied");
-        Some(ProcHandle { slot, gen })
-    }
-
-    /// Resolves a handle, failing on generation mismatch (stale handle).
-    pub fn resolve(&self, h: ProcHandle) -> Option<&Process> {
-        self.slots
-            .get(h.slot as usize)
-            .filter(|s| s.gen == h.gen)?
-            .proc
-            .as_deref()
-    }
-
-    /// Mutable handle resolution.
-    pub fn resolve_mut(&mut self, h: ProcHandle) -> Option<&mut Process> {
-        self.slots
-            .get_mut(h.slot as usize)
-            .filter(|s| s.gen == h.gen)?
-            .proc
-            .as_deref_mut()
-    }
-
-    /// Immutable pid lookup (O(1) through the dense index).
+    /// Immutable pid lookup (O(1)).
     pub fn get(&self, pid: Pid) -> Option<&Process> {
-        self.slot_of(pid)
-            .and_then(|s| self.slots[s as usize].proc.as_deref())
+        self.by_pid.get(pid as usize)?.as_deref()
     }
 
     /// Mutable pid lookup.
     pub fn get_mut(&mut self, pid: Pid) -> Option<&mut Process> {
-        self.slot_of(pid)
-            .and_then(|s| self.slots[s as usize].proc.as_deref_mut())
+        self.by_pid.get_mut(pid as usize)?.as_deref_mut()
     }
 
-    /// Removes a process (final reap): the slot's generation advances (odd →
-    /// even, invalidating every outstanding handle) and the slot goes
-    /// straight onto the free list.
+    /// Removes a process (final reap).
     pub fn remove(&mut self, pid: Pid) -> Option<Process> {
-        let slot = self.slot_of(pid)?;
-        let s = &mut self.slots[slot as usize];
-        let p = s.proc.take().map(|b| *b)?;
-        s.gen += 1;
-        debug_assert_eq!(s.gen % 2, 0, "vacant generation must be even");
-        self.pid_slots[pid as usize] = SLOT_NONE;
-        self.by_pid.remove(&pid);
-        self.free.push(slot);
-        Some(p)
+        let p = self.by_pid.get_mut(pid as usize)?.take()?;
+        self.live -= 1;
+        Some(*p)
     }
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.by_pid.len()
+        self.live
     }
 
     /// True when empty.
     pub fn is_empty(&self) -> bool {
-        self.by_pid.is_empty()
+        self.live == 0
     }
 
     /// Iterates pids in ascending order (deterministic; the oracle and the
     /// stats walk depend on it).
     pub fn pids(&self) -> impl Iterator<Item = Pid> + '_ {
-        self.by_pid.keys().copied()
+        self.iter().map(|p| p.pid)
     }
 
     /// Iterates processes in pid order.
     pub fn iter(&self) -> impl Iterator<Item = &Process> {
-        self.by_pid
-            .values()
-            .filter_map(|&s| self.slots[s as usize].proc.as_deref())
-    }
-
-    /// Iterates `(handle, process)` pairs in pid order — the slot-array walk
-    /// the invariant oracle uses to re-derive the satp↔token↔PCB binding.
-    pub fn handles(&self) -> impl Iterator<Item = (ProcHandle, &Process)> {
-        self.by_pid.values().filter_map(|&slot| {
-            let s = &self.slots[slot as usize];
-            s.proc
-                .as_deref()
-                .map(|p| (ProcHandle { slot, gen: s.gen }, p))
-        })
+        self.by_pid.iter().filter_map(Option::as_deref)
     }
 }
 
@@ -566,57 +476,41 @@ mod tests {
     #[test]
     fn stale_handle_mismatches_after_reap() {
         let mut t = ProcessTable::new();
-        let h = t.insert(proc(3)).expect("insert");
-        assert_eq!(t.resolve(h).unwrap().pid, 3);
+        t.insert(proc(3)).expect("insert");
+        t.insert(proc(4)).expect("insert");
         assert!(t.remove(3).is_some());
-        assert!(t.resolve(h).is_none(), "gen advanced on reap");
-        assert!(t.lookup(3).is_none());
-        // Reuse the slot for a different pid: the old handle must still
-        // mismatch (the ABA case).
-        let h2 = t.insert(proc(4)).expect("insert after reap");
-        assert_eq!(h.slot, h2.slot, "the freed slot is reused");
-        assert_ne!(h.gen, h2.gen, "generation never repeats");
-        assert!(t.resolve(h).is_none());
-        assert_eq!(t.resolve(h2).unwrap().pid, 4);
+        assert!(t.get(3).is_none(), "a reaped pid resolves to nothing");
+        assert!(t.remove(3).is_none());
+        assert_eq!(t.get(4).map(|p| p.pid), Some(4), "its neighbour stays");
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
-    fn reaped_slot_is_reused_before_the_table_grows() {
+    fn full_at_capacity_live_entries() {
         let mut t = ProcessTable::new();
-        let a = t.insert(proc(1)).expect("insert");
-        let b = t.insert(proc(2)).expect("insert");
-        // One-at-a-time churn next to a long-lived entry: every reap frees
-        // its slot at once, so the table never needs a third slot.
-        let mut prev = b;
-        for pid in 3..50 {
-            t.remove(pid - 1).expect("reap");
-            let h = t.insert(proc(pid)).expect("insert");
-            assert_eq!(h.slot, b.slot, "pid {pid} reuses the reaped slot");
-            assert_eq!(h.gen, prev.gen + 2, "one vacant generation in between");
-            prev = h;
+        for pid in 1..=PROC_TABLE_CAPACITY as Pid {
+            t.insert(proc(pid)).expect("below capacity");
         }
-        assert_eq!(
-            t.resolve(a).unwrap().pid,
-            1,
-            "the long-lived entry is untouched"
-        );
-        assert_eq!(t.len(), 2);
+        let next = PROC_TABLE_CAPACITY as Pid + 1;
+        assert_eq!(t.admits(next), Err(TableError::Full));
+        assert_eq!(t.insert(proc(next)), Err(TableError::Full));
+        assert_eq!(t.admits(1), Err(TableError::DuplicatePid(1)));
+        t.remove(1).expect("reap");
+        t.insert(proc(next)).expect("a reap makes room");
+        assert_eq!(t.len(), PROC_TABLE_CAPACITY);
     }
 
     #[test]
-    fn iteration_stays_pid_ordered_across_slot_reuse() {
+    fn iteration_stays_pid_ordered() {
         let mut t = ProcessTable::new();
         for pid in [5, 3, 8] {
             t.insert(proc(pid)).expect("insert");
         }
         t.remove(3).expect("reap");
-        t.insert(proc(2)).expect("reuses slot of pid 3");
+        t.insert(proc(2)).expect("insert");
         let pids: Vec<Pid> = t.pids().collect();
-        assert_eq!(pids, [2, 5, 8], "pid order, not slot order");
-        let via_handles: Vec<Pid> = t.handles().map(|(_, p)| p.pid).collect();
-        assert_eq!(via_handles, [2, 5, 8]);
-        for (h, p) in t.handles() {
-            assert_eq!(t.resolve(h).unwrap().pid, p.pid);
-        }
+        assert_eq!(pids, [2, 5, 8], "pid order, not insertion order");
+        let via_iter: Vec<Pid> = t.iter().map(|p| p.pid).collect();
+        assert_eq!(via_iter, [2, 5, 8]);
     }
 }

@@ -105,24 +105,27 @@ impl SlabCache {
         &mut self,
         mut page_source: impl FnMut(GfpFlags) -> Result<PhysPageNum, E>,
     ) -> Result<(PhysAddr, bool), E> {
-        let mut grew = false;
-        if self.free_objects == 0 {
-            let ppn = page_source(self.gfp)?;
-            self.pages.push(SlabPage {
-                ppn,
-                used: vec![false; self.objects_per_page],
-                used_count: 0,
-            });
-            self.free_objects += self.objects_per_page;
-            grew = true;
-        }
-        let (pi, page) = self
+        let free = self
             .pages
-            .iter_mut()
+            .iter()
             .enumerate()
-            .find(|(_, p)| p.used_count < p.used.len())
-            .expect("free_objects > 0 implies a page with space");
-        let slot = page.used.iter().position(|&u| !u).expect("slot available");
+            .filter(|(_, p)| p.used_count < p.used.len())
+            .find_map(|(pi, p)| Some((pi, p.used.iter().position(|&u| !u)?)));
+        let grew = free.is_none();
+        let (pi, slot) = match free {
+            Some(found) => found,
+            None => {
+                let ppn = page_source(self.gfp)?;
+                self.pages.push(SlabPage {
+                    ppn,
+                    used: vec![false; self.objects_per_page],
+                    used_count: 0,
+                });
+                self.free_objects += self.objects_per_page;
+                (self.pages.len() - 1, 0)
+            }
+        };
+        let page = &mut self.pages[pi];
         page.used[slot] = true;
         page.used_count += 1;
         self.free_objects -= 1;
@@ -136,6 +139,10 @@ impl SlabCache {
     ///
     /// # Panics
     /// Panics on a double free or an address not from this cache.
+    #[expect(
+        clippy::expect_used,
+        reason = "a double free is a kernel bug; `double_free_panics` pins the panic"
+    )]
     pub fn free(&mut self, addr: PhysAddr) {
         let (pi, slot) = self
             .index

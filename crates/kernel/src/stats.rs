@@ -62,11 +62,10 @@ pub struct KernelStats {
     /// High-water mark of any hart's deferred-shootdown queue depth (the
     /// statistic watermark policies exist to bound).
     pub deferred_queue_peak: u64,
-    /// Cross-hart mailbox messages merged (in logical-time order) at hart
-    /// activation; always 0 on single-hart machines.
+    /// Cross-hart mailbox messages drained at hart activation; always 0 on
+    /// single-hart machines.
     pub hart_msgs_merged: u64,
-    /// Generational-handle resolutions rejected because the slot's
-    /// generation moved on (the ABA detection of the slot-array table).
+    /// Handle resolutions rejected because the process had been reaped.
     pub stale_handle_rejects: u64,
     /// Page-table pages currently allocated.
     pub pt_pages_live: u64,

@@ -365,9 +365,7 @@ impl Kernel {
         };
         match entry {
             FdEntry::File { name, offset } => {
-                self.fs
-                    .write(&name, offset, data)
-                    .ok_or(KernelError::NoSuchFile)?;
+                self.fs.write(&name, offset, data)?;
                 let p = self
                     .procs
                     .get_mut(self.current_pid())

@@ -374,11 +374,6 @@ impl BuddyZone {
         Ok(())
     }
 
-    /// Looks up allocation info of a block start.
-    pub fn alloc_info(&self, ppn: PhysPageNum) -> Option<AllocInfo> {
-        self.allocated.get(&ppn.as_u64()).copied()
-    }
-
     /// The Linux `split_page()` model: converts one allocated block of
     /// `2^order` pages into `2^order` independently tracked order-0
     /// allocations (same movability), so the pages can afterwards be freed
@@ -425,8 +420,9 @@ impl BuddyZone {
             return Err(AllocError::OutOfZone);
         }
         // Pass 1: every page must be free, or inside a movable allocated
-        // block. Collect the overlapping allocated block starts.
+        // block. Collect the overlapping allocated and free blocks.
         let mut to_migrate: Vec<(PhysPageNum, AllocInfo)> = Vec::new();
+        let mut to_claim: Vec<(u64, u8)> = Vec::new();
         {
             let mut p = s;
             while p < e {
@@ -439,6 +435,7 @@ impl BuddyZone {
                     to_migrate.push((PhysPageNum::new(block), info));
                     p = block + (1u64 << info.order);
                 } else if let Some((fstart, forder)) = self.find_free_block_containing(p) {
+                    to_claim.push((fstart, forder));
                     p = fstart + (1u64 << forder);
                 } else {
                     // Page belongs to neither a free nor an allocated block:
@@ -450,15 +447,7 @@ impl BuddyZone {
         // Pass 2: claim the free blocks overlapping the range. Blocks that
         // straddle the boundary are split so the outside part stays free.
         let mut claimed_free = 0u64;
-        let mut p = s;
-        while p < e {
-            if let Some((block, info)) = self.find_block_containing(p) {
-                p = block + (1u64 << info.order);
-                continue;
-            }
-            let (fstart, forder) = self
-                .find_free_block_containing(p)
-                .expect("verified in pass 1");
+        for (fstart, forder) in to_claim {
             self.free[forder as usize].remove(fstart >> forder);
             let fend = fstart + (1u64 << forder);
             // Keep the parts outside [s, e) free.
@@ -471,7 +460,6 @@ impl BuddyZone {
             let inside = fend.min(e) - fstart.max(s);
             self.free_pages -= inside;
             claimed_free += inside;
-            p = fend;
         }
         Ok(RangeReservation {
             start,
@@ -729,11 +717,6 @@ pub mod reference {
             Ok(())
         }
 
-        /// Looks up allocation info of a block start.
-        pub fn alloc_info(&self, ppn: PhysPageNum) -> Option<AllocInfo> {
-            self.allocated.get(&ppn.as_u64()).copied()
-        }
-
         /// `split_page()`: one allocated block becomes order-0 allocations.
         ///
         /// # Errors
@@ -771,6 +754,7 @@ pub mod reference {
                 return Err(AllocError::OutOfZone);
             }
             let mut to_migrate: Vec<(PhysPageNum, AllocInfo)> = Vec::new();
+            let mut to_claim: Vec<(u64, u8)> = Vec::new();
             {
                 let mut p = s;
                 while p < e {
@@ -783,6 +767,7 @@ pub mod reference {
                         to_migrate.push((PhysPageNum::new(block), info));
                         p = block + (1u64 << info.order);
                     } else if let Some((fstart, forder)) = self.find_free_block_containing(p) {
+                        to_claim.push((fstart, forder));
                         p = fstart + (1u64 << forder);
                     } else {
                         unreachable!("page {p:#x} untracked in reference zone");
@@ -790,15 +775,7 @@ pub mod reference {
                 }
             }
             let mut claimed_free = 0u64;
-            let mut p = s;
-            while p < e {
-                if let Some((block, info)) = self.find_block_containing(p) {
-                    p = block + (1u64 << info.order);
-                    continue;
-                }
-                let (fstart, forder) = self
-                    .find_free_block_containing(p)
-                    .expect("verified in pass 1");
+            for (fstart, forder) in to_claim {
                 self.free_lists[forder as usize].remove(&fstart);
                 let fend = fstart + (1u64 << forder);
                 if fstart < s {
@@ -810,7 +787,6 @@ pub mod reference {
                 let inside = fend.min(e) - fstart.max(s);
                 self.free_pages -= inside;
                 claimed_free += inside;
-                p = fend;
             }
             Ok(RangeReservation {
                 start,

@@ -619,3 +619,110 @@ fn a_corrupted_table_above_a_huge_leaf_is_a_bad_address() {
     let p = k.procs.get(pid).expect("init");
     assert!(p.aspace.user[&(va.as_u64() >> 12)].huge);
 }
+
+/// Fills the process table to `PROC_TABLE_CAPACITY` live entries with
+/// never-scheduled processes at pids no fork will reach.
+fn fill_process_table(k: &mut Kernel) {
+    use std::collections::VecDeque;
+
+    use ptstore_core::PhysAddr;
+    use ptstore_kernel::pagetable::AddressSpace;
+    use ptstore_kernel::process::{FdTable, Process, SignalTable, PROC_TABLE_CAPACITY};
+    use ptstore_kernel::ProcState;
+
+    let first = 1_000_000;
+    for pid in first..first + (PROC_TABLE_CAPACITY - k.procs.len()) as u32 {
+        let filler = Process {
+            pid,
+            parent: None,
+            state: ProcState::Blocked,
+            pcb_addr: PhysAddr::new(0),
+            aspace: AddressSpace::default(),
+            vmas: Vec::new(),
+            brk: 0,
+            mmap_cursor: 0,
+            fds: FdTable::default(),
+            signals: SignalTable::default(),
+            exit_code: 0,
+            children: VecDeque::new(),
+            mm_owner: None,
+            threads: Vec::new(),
+        };
+        assert!(k.procs.insert(filler).is_ok(), "pid {pid} fits");
+    }
+    assert_eq!(k.procs.len(), PROC_TABLE_CAPACITY);
+}
+
+/// What a refused fork or clone must leave as it was: the PTStore zone's
+/// free pages, the normal zone's, and the slab caches' occupancy.
+fn allocator_state(k: &Kernel) -> (Option<u64>, u64, Vec<u64>) {
+    (
+        k.pt_area_free_pages(),
+        k.normal_free_pages(),
+        k.slab_canon_words(),
+    )
+}
+
+#[test]
+fn a_fork_the_full_table_refuses_allocates_nothing() {
+    let mut k = boot(KernelConfig::cfi_ptstore());
+    fill_process_table(&mut k);
+    let before = allocator_state(&k);
+    assert_eq!(k.sys_fork(), Err(KernelError::ProcessTableFull));
+    assert_eq!(allocator_state(&k), before, "no root table, no PCB");
+}
+
+#[test]
+fn a_thread_clone_the_full_table_refuses_allocates_nothing() {
+    let mut k = boot(KernelConfig::cfi_ptstore());
+    fill_process_table(&mut k);
+    let before = allocator_state(&k);
+    assert_eq!(k.sys_clone_thread(), Err(KernelError::ProcessTableFull));
+    assert_eq!(allocator_state(&k), before, "no PCB");
+}
+
+/// Opens `/tmp/XXX` (1 KiB of zeros) and writes `hi` at its start.
+fn open_scratch_file(k: &mut Kernel) -> i32 {
+    let fd = k.sys_open("/tmp/XXX").expect("open");
+    assert_eq!(k.sys_write(fd, b"hi"), Ok(2));
+    fd
+}
+
+/// The file still holds 1 KiB starting `hi`, and the fd's offset is still
+/// 2: the next write lands right after `hi`.
+fn assert_scratch_file_unchanged(k: &mut Kernel, fd: i32) {
+    assert_eq!(k.fs.stat("/tmp/XXX").map(|s| s.size), Some(1024));
+    assert_eq!(k.sys_write(fd, b"!"), Ok(1));
+    assert_eq!(k.fs.read("/tmp/XXX", 0, 4), Some(&b"hi!\0"[..]));
+}
+
+#[test]
+fn a_huge_discarded_write_to_a_file_is_refused() {
+    let mut k = boot(KernelConfig::cfi_ptstore());
+    let fd = open_scratch_file(&mut k);
+    assert_eq!(
+        k.sys_write_discard(fd, u64::MAX),
+        Err(KernelError::OutOfMemory)
+    );
+    assert_scratch_file_unchanged(&mut k, fd);
+}
+
+#[test]
+fn a_huge_send_to_a_file_is_refused() {
+    let mut k = boot(KernelConfig::cfi_ptstore());
+    let fd = open_scratch_file(&mut k);
+    assert_eq!(k.sys_send(fd, u64::MAX), Err(KernelError::OutOfMemory));
+    assert_scratch_file_unchanged(&mut k, fd);
+}
+
+#[test]
+fn a_huge_read_from_a_file_returns_the_rest() {
+    let mut k = boot(KernelConfig::cfi_ptstore());
+    let fd = k.sys_open("/etc/passwd").expect("open");
+    assert_eq!(k.sys_read(fd, 1), Ok(b"r".to_vec()));
+    assert_eq!(
+        k.sys_read(fd, u64::MAX),
+        Ok(b"oot:x:0:0:root:/root:/bin/sh\n".to_vec())
+    );
+    assert_eq!(k.sys_read(fd, u64::MAX), Ok(Vec::new()), "at the end");
+}

@@ -1,22 +1,22 @@
-//! Property tests for the generational process table.
+//! Property tests for the pid-indexed process table.
 //!
-//! The table's whole point is that a handle to a reaped process *detects*
-//! its staleness instead of silently resolving to whatever reused the
-//! slot. Random insert/reap schedules drive the table and check, after
-//! every step, that per-slot generations only grow, that no retired handle
-//! resolves again, that the pid index, handle resolution and the slot walk
-//! agree, and that freed slots are reused before the table grows.
+//! Random insert/reap schedules drive the table next to a `BTreeMap`
+//! model and check, after every step, that both refuse the same inserts
+//! and that lookup, the pid walk, the process walk and the live count
+//! agree with the model; and that a reaped pid, which the kernel never
+//! hands out again, stays unresolvable whatever comes and goes after it.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use proptest::collection::vec;
 use proptest::prelude::*;
 use ptstore_core::PhysAddr;
 use ptstore_kernel::pagetable::AddressSpace;
 use ptstore_kernel::process::{FdTable, Process, SignalTable};
-use ptstore_kernel::{Pid, ProcHandle, ProcState, ProcessTable};
+use ptstore_kernel::{Pid, ProcState, ProcessTable, TableError};
 
-fn proc(pid: Pid) -> Process {
+fn proc(pid: Pid, brk: u64) -> Process {
     Process {
         pid,
         parent: None,
@@ -24,7 +24,7 @@ fn proc(pid: Pid) -> Process {
         pcb_addr: PhysAddr::new(0x1000),
         aspace: AddressSpace::default(),
         vmas: Vec::new(),
-        brk: 0,
+        brk,
         mmap_cursor: 0,
         fds: FdTable::with_std(),
         signals: SignalTable::default(),
@@ -52,90 +52,65 @@ fn schedule() -> impl Strategy<Value = Vec<Op>> {
     )
 }
 
-/// What one step did to the table.
-enum Step {
-    Inserted(ProcHandle),
-    Retired(Pid, ProcHandle),
-    Nothing,
-}
-
-fn step(t: &mut ProcessTable, op: Op) -> Step {
-    match op {
-        // Duplicate pids are a clean error, never a panic.
-        Op::Insert(pid) => t.insert(proc(pid)).map_or(Step::Nothing, Step::Inserted),
-        Op::Remove(pid) => match t.lookup(pid) {
-            Some(h) => {
-                assert!(t.remove(pid).is_some());
-                Step::Retired(pid, h)
-            }
-            None => Step::Nothing,
-        },
-    }
-}
-
 proptest! {
-    /// Every handle the table issues for a slot carries a larger (odd)
-    /// generation than the one before it.
-    #[test]
-    fn generations_never_repeat_per_slot(ops in schedule()) {
-        let mut t = ProcessTable::new();
-        let mut last: HashMap<u32, u32> = HashMap::new();
-        for op in ops {
-            if let Step::Inserted(h) = step(&mut t, op) {
-                prop_assert_eq!(h.gen % 2, 1, "issued generation must be odd");
-                if let Some(&prev) = last.get(&h.slot) {
-                    prop_assert!(h.gen > prev, "slot {} went from gen {} to {}", h.slot, prev, h.gen);
-                }
-                last.insert(h.slot, h.gen);
-            }
-        }
-    }
-
-    /// A reaped pid's handle never resolves again, however its slot is
-    /// reused afterwards.
-    #[test]
-    fn retired_handles_never_resolve(ops in schedule()) {
-        let mut t = ProcessTable::new();
-        let mut retired: Vec<(Pid, ProcHandle)> = Vec::new();
-        for op in ops {
-            if let Step::Retired(pid, h) = step(&mut t, op) {
-                retired.push((pid, h));
-            }
-            for &(pid, h) in &retired {
-                prop_assert!(t.resolve(h).is_none(), "pid {} resolved after reap", pid);
-            }
-        }
-    }
-
-    /// The pid index (`lookup`), handle resolution (`resolve`) and the slot
-    /// walk (`handles`) bind the same `(slot, gen, pid)` triples after
-    /// every step.
+    /// Lookup (`get`), the pid walk (`pids`), the process walk (`iter`)
+    /// and `len` agree with a `BTreeMap` after every step, and an insert
+    /// of a live pid is refused without touching the live entry.
     #[test]
     fn table_views_agree_after_every_op(ops in schedule()) {
         let mut t = ProcessTable::new();
-        for op in ops {
-            step(&mut t, op);
-            let walked: Vec<Pid> = t.handles().map(|(_, p)| p.pid).collect();
-            prop_assert_eq!(&walked, &t.pids().collect::<Vec<_>>());
-            prop_assert_eq!(walked.len(), t.len());
-            for (h, p) in t.handles() {
-                prop_assert_eq!(t.lookup(p.pid), Some(h));
-                prop_assert_eq!(t.resolve(h).map(|q| q.pid), Some(p.pid));
+        let mut model: BTreeMap<Pid, u64> = BTreeMap::new();
+        for (i, op) in ops.into_iter().enumerate() {
+            // `brk` tags each entry with the step that inserted it.
+            let tag = i as u64;
+            match op {
+                Op::Insert(pid) => {
+                    let want = match model.entry(pid) {
+                        Entry::Occupied(_) => Err(TableError::DuplicatePid(pid)),
+                        Entry::Vacant(v) => {
+                            v.insert(tag);
+                            Ok(())
+                        }
+                    };
+                    prop_assert_eq!(t.insert(proc(pid, tag)), want);
+                }
+                Op::Remove(pid) => {
+                    let got = t.remove(pid).map(|p| (p.pid, p.brk));
+                    prop_assert_eq!(got, model.remove(&pid).map(|tag| (pid, tag)));
+                }
+            }
+            let pids: Vec<Pid> = t.pids().collect();
+            prop_assert_eq!(&pids, &model.keys().copied().collect::<Vec<_>>());
+            let walked: Vec<(Pid, u64)> = t.iter().map(|p| (p.pid, p.brk)).collect();
+            prop_assert_eq!(&walked, &model.iter().map(|(&p, &b)| (p, b)).collect::<Vec<_>>());
+            prop_assert_eq!(t.len(), model.len());
+            prop_assert_eq!(t.is_empty(), model.is_empty());
+            for pid in 0..25 {
+                prop_assert_eq!(t.get(pid).map(|p| p.brk), model.get(&pid).copied());
             }
         }
     }
 
-    /// A reaped slot is reused before the table grows: no slot index
-    /// `insert` hands out reaches the peak number of live processes.
+    /// A reaped pid never resolves again. Inserts skip reaped pids, as
+    /// the kernel's pid counter never reissues one.
     #[test]
-    fn slot_indices_stay_below_peak_live_count(ops in schedule()) {
+    fn retired_handles_never_resolve(ops in schedule()) {
         let mut t = ProcessTable::new();
-        let mut peak = 0;
+        let mut retired: BTreeSet<Pid> = BTreeSet::new();
         for op in ops {
-            let s = step(&mut t, op);
-            peak = peak.max(t.len());
-            if let Step::Inserted(h) = s {
-                prop_assert!((h.slot as usize) < peak, "slot {} with peak live count {}", h.slot, peak);
+            match op {
+                Op::Insert(pid) if !retired.contains(&pid) => {
+                    let _ = t.insert(proc(pid, 0));
+                }
+                Op::Insert(_) => {}
+                Op::Remove(pid) => {
+                    if t.remove(pid).is_some() {
+                        retired.insert(pid);
+                    }
+                }
+            }
+            for &pid in &retired {
+                prop_assert!(t.get(pid).is_none(), "pid {} resolved after reap", pid);
             }
         }
     }

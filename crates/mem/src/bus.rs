@@ -170,11 +170,6 @@ impl Bus {
         &self.stats
     }
 
-    /// Resets the access statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = AccessStats::new();
-    }
-
     /// Raw physical memory, bypassing the PMP.
     ///
     /// This is the *DRAM's-eye view* used by the simulator infrastructure

@@ -1,6 +1,6 @@
 //! The physical frame store.
 
-use ptstore_core::{AccessError, PhysAddr, PhysPageNum, GIB, PAGE_SIZE};
+use ptstore_core::{AccessError, PhysAddr, PhysPageNum, PAGE_SIZE};
 
 use crate::frame::{Frame, PAGE_WORDS};
 
@@ -38,11 +38,6 @@ impl PhysMem {
             touched: 0,
             size,
         }
-    }
-
-    /// The prototype configuration: 4 GiB.
-    pub fn new_4gib() -> Self {
-        Self::new(4 * GIB)
     }
 
     /// Total memory size in bytes.
@@ -345,6 +340,8 @@ impl PhysMem {
 
 #[cfg(test)]
 mod tests {
+    use ptstore_core::GIB;
+
     use super::*;
 
     #[test]

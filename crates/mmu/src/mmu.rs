@@ -206,12 +206,6 @@ impl Mmu {
         self.dtlb.stats()
     }
 
-    /// Direct D-TLB access for fault-injection experiments (the
-    /// TLB-inconsistency attack of paper §V-E5 plants a stale entry here).
-    pub fn dtlb_mut(&mut self) -> &mut Tlb {
-        &mut self.dtlb
-    }
-
     /// Read-only I-TLB view (invariant oracle / diagnostics).
     pub fn itlb(&self) -> &Tlb {
         &self.itlb
@@ -220,11 +214,6 @@ impl Mmu {
     /// Read-only D-TLB view (invariant oracle / diagnostics).
     pub fn dtlb(&self) -> &Tlb {
         &self.dtlb
-    }
-
-    /// Direct I-TLB access for fault-injection experiments.
-    pub fn itlb_mut(&mut self) -> &mut Tlb {
-        &mut self.itlb
     }
 }
 

@@ -170,11 +170,6 @@ impl Tlb {
         self.stats
     }
 
-    /// Resets the counters (not the contents).
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
-    }
-
     /// Looks up `vpn` for `asid`; on a hit, validates `kind`/`mode` against
     /// the *cached* flags and returns the entry. Global entries match any
     /// ASID. A permission mismatch on a hit reports the entry anyway — the

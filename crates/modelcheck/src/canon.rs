@@ -28,13 +28,13 @@
 //!   different addresses on the next allocation.
 //!
 //! Deliberately excluded (documented approximations): cycle counters,
-//! statistics, the security log, trace sinks, message `time`/`seq` stamps,
-//! fs/pipe state, and user frame contents — none are read by any op's
-//! control flow. TLB entries are hashed as a sorted set: replacement-victim
-//! rotation is host-private state, so two states merged here can diverge
-//! only in *which* entry a future eviction drops; the invariant oracle's
-//! verdict depends on the entry set alone, never on the victim choice.
-//! They are sorted by the tuple of all their fields.
+//! statistics, the security log, trace sinks, fs/pipe state, and user
+//! frame contents — none are read by any op's control flow. TLB entries
+//! are hashed as a sorted set: replacement-victim rotation is host-private
+//! state, so two states merged here can diverge only in *which* entry a
+//! future eviction drops; the invariant oracle's verdict depends on the
+//! entry set alone, never on the victim choice. They are sorted by the
+//! tuple of all their fields.
 //!
 //! The walk feeds one of two sinks. [`digest`] feeds each field's derived
 //! `Hash` into FNV-1a, whose `Hasher` writes every integer little-endian,
@@ -131,7 +131,7 @@ fn walk(k: &Kernel, out: &mut impl Sink) {
     }
 
     let mem = k.bus.mem();
-    for (_, p) in k.procs.handles() {
+    for p in k.procs.iter() {
         out.record("proc");
         out.field("pid", &p.pid);
         out.field("parent", &p.parent);

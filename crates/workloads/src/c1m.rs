@@ -127,10 +127,9 @@ pub fn run_c1m(k: &mut Kernel, p: &C1mParams) -> C1mResult {
     k.fs.create("/srv/tenant.bin", doc);
     let stats0 = k.stats;
     let workers = smp::spawn_workers(k).expect("c1m supervisors spawn");
-    let worker_pids: Vec<_> = workers.iter().map(|&(pid, _)| pid).collect();
     let shares = smp::partition(p.tenants, k.harts.len());
     let report = smp::run_distributed(k, "c1m", &workers, &shares, |k, h, slots| {
-        let supervisor = worker_pids[h];
+        let supervisor = workers[h];
         for _ in 0..p.churn_rounds {
             for _ in 0..slots {
                 // The supervisor forks the tenant; the exit path's

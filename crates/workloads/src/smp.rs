@@ -10,12 +10,11 @@
 //! Shootdown IPIs (the cost SMP adds to every mapping change) are charged
 //! by the kernel along the way and surface in the report.
 //!
-//! Workers are referred to by generational [`ProcHandle`]s, never by raw
-//! table access: a driver that accidentally reaps its own worker is
-//! caught by the handle going stale, not by silently resolving to
-//! whatever process reused the slot.
+//! Workers are referred to by pid. Pids are never reused, so a driver
+//! that accidentally reaps its own worker is caught by the pid no longer
+//! resolving, not by it silently resolving to a later process.
 
-use ptstore_kernel::{Kernel, KernelError, Pid, ProcHandle};
+use ptstore_kernel::{Kernel, KernelError, Pid};
 use serde::{Deserialize, Serialize};
 
 use crate::nginx::{self, NginxParams};
@@ -65,15 +64,6 @@ impl SmpRunReport {
             self.ops as f64 * 1000.0 / self.wall_cycles as f64
         }
     }
-
-    /// Mean per-hart utilization over the run.
-    pub fn mean_utilization(&self) -> f64 {
-        if self.per_hart.is_empty() {
-            0.0
-        } else {
-            self.per_hart.iter().map(|h| h.utilization).sum::<f64>() / self.per_hart.len() as f64
-        }
-    }
 }
 
 /// Splits `total` into one share per hart; earlier harts absorb the
@@ -88,18 +78,14 @@ pub(crate) fn partition(total: u64, harts: usize) -> Vec<u64> {
 
 /// Forks one worker process per hart and switches each hart to its worker.
 /// Worker `h` runs on hart `h` (hart 0 reuses the spawning process's hart).
-/// Returns each worker as a `(pid, handle)` pair; the generational handle
-/// is the only reference drivers keep to the worker.
-pub(crate) fn spawn_workers(k: &mut Kernel) -> Result<Vec<(Pid, ProcHandle)>, KernelError> {
+/// Returns the workers' pids, worker `h` at index `h`.
+pub(crate) fn spawn_workers(k: &mut Kernel) -> Result<Vec<Pid>, KernelError> {
     let harts = k.harts.len();
     k.set_active_hart(0);
-    let pids: Vec<Pid> = (0..harts).map(|_| k.sys_fork()).collect::<Result<_, _>>()?;
-    let mut workers = Vec::with_capacity(harts);
-    for (h, &w) in pids.iter().enumerate() {
+    let workers: Vec<Pid> = (0..harts).map(|_| k.sys_fork()).collect::<Result<_, _>>()?;
+    for (h, &w) in workers.iter().enumerate() {
         k.set_active_hart(h);
         k.do_switch_to(w)?;
-        let handle = k.proc_handle(w).ok_or(KernelError::NoSuchProcess)?;
-        workers.push((w, handle));
     }
     k.set_active_hart(0);
     Ok(workers)
@@ -108,12 +94,12 @@ pub(crate) fn spawn_workers(k: &mut Kernel) -> Result<Vec<(Pid, ProcHandle)>, Ke
 /// Runs one hart-distributed workload: `serve(k, hart, share)` performs
 /// `share` operations on the already-active hart. Harts with a non-zero
 /// share take one turn each, in hart order. After the run every worker
-/// handle must still resolve — a driver that reaped its own worker trips
-/// the stale-handle check here.
+/// must still be in the process table — a driver that reaped its own
+/// worker trips the check here.
 pub(crate) fn run_distributed(
     k: &mut Kernel,
     workload: &str,
-    workers: &[(Pid, ProcHandle)],
+    workers: &[Pid],
     shares: &[u64],
     mut serve: impl FnMut(&mut Kernel, usize, u64),
 ) -> SmpRunReport {
@@ -128,10 +114,10 @@ pub(crate) fn run_distributed(
         }
     }
     k.set_active_hart(0);
-    for &(pid, handle) in workers {
+    for &pid in workers {
         assert!(
-            k.resolve_handle(handle).is_some_and(|p| p.pid == pid),
-            "{workload}: worker pid {pid} handle went stale during the run"
+            k.procs.get(pid).is_some(),
+            "{workload}: worker pid {pid} was reaped during the run"
         );
     }
     let deltas: Vec<u64> = k
@@ -233,11 +219,10 @@ mod tests {
         let mut k = boot(2);
         let workers = spawn_workers(&mut k).expect("spawn");
         assert_eq!(workers.len(), 2);
-        for &(pid, handle) in &workers {
-            let p = k.resolve_handle(handle).expect("worker handle resolves");
-            assert_eq!(p.pid, pid);
+        for (h, &pid) in workers.iter().enumerate() {
+            assert!(k.procs.get(pid).is_some(), "worker {pid} is live");
+            assert_eq!(k.harts[h].current, pid, "worker {pid} runs on hart {h}");
         }
-        assert_eq!(k.stats.stale_handle_rejects, 0);
     }
 
     #[test]

@@ -104,6 +104,44 @@ grep -Eq "^initial +8 MiB: overhead +0\.95% +adjustments +0$" target/ablation.tx
 grep -Eq "^virtual-isolation +fork\+exit overhead +20\.75%$" target/ablation.txt
 rm -f target/ablation.txt
 
+echo "== paper-scale reproduce all (the run EXPERIMENTS.md quotes) =="
+# reproduce_paper_scale.txt is the recorded paper-scale run the figures in
+# EXPERIMENTS.md come from. Every experiment in it is modeled, so a rerun
+# must match it line for line, except Table I's "Ours LoC" cells: they
+# count this repository's own source and move with every kernel change.
+mask_loc() {
+    sed -E 's/^((RISC-V Processor|LLVM Back-end|Linux Kernel) .*[^ ]) +[0-9]+(  ptstore-)/\1 LOC\3/' "$1"
+}
+./target/release/reproduce all > target/paper-scale.txt
+mask_loc reproduce_paper_scale.txt > target/paper-scale-want.txt
+mask_loc target/paper-scale.txt > target/paper-scale-got.txt
+diff -u target/paper-scale-want.txt target/paper-scale-got.txt
+rm -f target/paper-scale.txt target/paper-scale-want.txt target/paper-scale-got.txt
+
+echo "== fuzz campaign figures (the report EXPERIMENTS.md quotes) =="
+# The 200-fault campaign's totals and per-class rows, as EXPERIMENTS.md
+# quotes them: a change that moves a fault to another class, or lets one
+# through, fails here.
+./target/release/reproduce fuzz --seed 1 --faults 200 \
+    | sed -n '/detected-and-contained/,/watermark-skip/p' > target/fuzz-200.txt
+cat > target/fuzz-200-want.txt <<'ROWS'
+  detected-and-contained : 109
+  benign                 : 91
+  invariant-violated     : 0
+  per fault class:
+    pte-bit-flip detected=20 benign=3 violated=0
+    pmp-csr-corrupt detected=23 benign=0 violated=0
+    satp-corrupt detected=22 benign=0 violated=0
+    ipi-drop detected=0 benign=22 violated=0
+    ipi-reorder detected=0 benign=22 violated=0
+    zone-exhaust detected=22 benign=0 violated=0
+    token-forge detected=22 benign=0 violated=0
+    drain-drop detected=0 benign=22 violated=0
+    watermark-skip detected=0 benign=22 violated=0
+ROWS
+diff -u target/fuzz-200-want.txt target/fuzz-200.txt
+rm -f target/fuzz-200.txt target/fuzz-200-want.txt
+
 echo "== smoke: fixed-seed fuzz campaign (deterministic, contained) =="
 # The 70-fault round-robin covers all nine classes, including the PR 9
 # drain-machinery pair; drain-drop must land (and stay contained) on
