@@ -16,6 +16,13 @@ use crate::kernel::{Kernel, Socket};
 use crate::pagetable::{leaf_pages, UserMapping, HUGE_PAGE_SPAN};
 use crate::process::{FdEntry, Pid, SigAction, VmArea, VmPerms};
 
+/// The most bytes one `read`, `write`, `send` or `recv` moves: Linux's
+/// `MAX_RW_COUNT`, `INT_MAX` rounded down to a page. As Linux's
+/// `rw_verify_area` does, the length-taking calls clamp a longer count to
+/// it at entry and report the clamped count, so a hostile length can
+/// neither overflow the cycle counters nor a socket's byte count.
+pub const MAX_RW_COUNT: u64 = 0x7fff_f000;
+
 /// Static per-syscall cost profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SyscallProfile {
@@ -257,6 +264,7 @@ impl Kernel {
 
     /// `read()` — files, pipes, and sockets.
     pub fn sys_read(&mut self, fd: i32, len: u64) -> Result<Vec<u8>, KernelError> {
+        let len = len.min(MAX_RW_COUNT);
         self.syscall_enter(profile::READ);
         let mut data = Vec::new();
         let r = self.do_read(fd, len, &mut data);
@@ -272,6 +280,7 @@ impl Kernel {
     /// materializing the buffer on the host. The macro-workload drivers
     /// (nginx's sendfile loop, redis payloads) use this.
     pub fn sys_read_discard(&mut self, fd: i32, len: u64) -> Result<u64, KernelError> {
+        let len = len.min(MAX_RW_COUNT);
         self.syscall_enter(profile::READ);
         let r = self.do_read(fd, len, &mut Discard);
         if let Ok(n) = r {
@@ -384,7 +393,7 @@ impl Kernel {
             }
             FdEntry::Socket { id } => {
                 let s = self.sockets.get_mut(&id).ok_or(KernelError::BadFd)?;
-                s.tx += len;
+                s.tx = s.tx.saturating_add(len);
                 self.charge(CostKind::Io, len / 16);
                 Ok(len)
             }
@@ -924,6 +933,7 @@ impl Kernel {
 
     /// `recv()` on a socket fd.
     pub fn sys_recv(&mut self, fd: i32, len: u64) -> Result<u64, KernelError> {
+        let len = len.min(MAX_RW_COUNT);
         self.syscall_enter(profile::RECV);
         self.charge_copy(len);
         let r = self.do_read(fd, len, &mut Discard);
@@ -933,6 +943,7 @@ impl Kernel {
 
     /// `send()` on a socket fd.
     pub fn sys_send(&mut self, fd: i32, bytes: u64) -> Result<u64, KernelError> {
+        let bytes = bytes.min(MAX_RW_COUNT);
         self.syscall_enter(profile::SEND);
         self.charge_copy(bytes);
         let r = self.do_write(fd, std::iter::repeat_n(0, bytes as usize));
@@ -945,6 +956,7 @@ impl Kernel {
     /// buffer of `len` bytes, without materializing it on the host. The
     /// LMBench latency/bandwidth drivers and SPEC profiles use this.
     pub fn sys_write_discard(&mut self, fd: i32, len: u64) -> Result<u64, KernelError> {
+        let len = len.min(MAX_RW_COUNT);
         self.syscall_enter(profile::WRITE);
         self.charge_copy(len);
         let r = self.do_write(fd, std::iter::repeat_n(0, len as usize));

@@ -2,6 +2,7 @@
 
 use ptstore_core::{VirtAddr, MIB, PAGE_SIZE};
 use ptstore_kernel::pagetable::{USER_MMAP_BASE, USER_TEXT_BASE};
+use ptstore_kernel::syscall::MAX_RW_COUNT;
 use ptstore_kernel::{DefenseMode, Kernel, KernelConfig, KernelError};
 use ptstore_trace::{TraceEvent, TraceSink};
 
@@ -713,6 +714,50 @@ fn a_huge_send_to_a_file_is_refused() {
     let fd = open_scratch_file(&mut k);
     assert_eq!(k.sys_send(fd, u64::MAX), Err(KernelError::OutOfMemory));
     assert_scratch_file_unchanged(&mut k, fd);
+}
+
+#[test]
+fn a_huge_discarded_write_to_the_console_is_clamped() {
+    let mut k = boot(KernelConfig::cfi_ptstore());
+    let mut twin = k.clone();
+    // Sixteen unclamped writes would charge 2^65 cycles.
+    for _ in 0..16 {
+        assert_eq!(k.sys_write_discard(1, u64::MAX), Ok(MAX_RW_COUNT));
+        assert_eq!(twin.sys_write_discard(1, MAX_RW_COUNT), Ok(MAX_RW_COUNT));
+    }
+    assert_eq!(k.cycles, twin.cycles);
+}
+
+#[test]
+fn a_huge_send_on_a_socket_is_clamped() {
+    let mut k = boot(KernelConfig::cfi_ptstore());
+    let fd = k.sys_accept(0).expect("accept");
+    let mut twin = k.clone();
+    for _ in 0..2 {
+        assert_eq!(k.sys_send(fd, u64::MAX), Ok(MAX_RW_COUNT));
+        assert_eq!(twin.sys_send(fd, MAX_RW_COUNT), Ok(MAX_RW_COUNT));
+    }
+    assert_eq!(k.cycles, twin.cycles);
+}
+
+#[test]
+fn a_huge_recv_is_charged_as_a_clamped_one() {
+    let mut k = boot(KernelConfig::cfi_ptstore());
+    let fd = k.sys_accept(100).expect("accept");
+    let mut twin = k.clone();
+    assert_eq!(k.sys_recv(fd, u64::MAX), Ok(100));
+    assert_eq!(twin.sys_recv(fd, MAX_RW_COUNT), Ok(100));
+    assert_eq!(k.cycles, twin.cycles);
+}
+
+#[test]
+fn a_huge_discarded_read_from_a_socket_is_clamped() {
+    let mut k = boot(KernelConfig::cfi_ptstore());
+    let fd = k.sys_accept(u64::MAX).expect("accept");
+    let mut twin = k.clone();
+    assert_eq!(k.sys_read_discard(fd, u64::MAX), Ok(MAX_RW_COUNT));
+    assert_eq!(twin.sys_read_discard(fd, MAX_RW_COUNT), Ok(MAX_RW_COUNT));
+    assert_eq!(k.cycles, twin.cycles);
 }
 
 #[test]

@@ -117,13 +117,6 @@ impl Frame {
         }
     }
 
-    /// All 512 words of the frame, in index order.
-    pub fn words(&self) -> [u64; PAGE_WORDS] {
-        let mut words = [0; PAGE_WORDS];
-        self.read_words(0, &mut words);
-        words
-    }
-
     /// Reads `out.len()` consecutive words from word index `first` into
     /// `out`: one pass over the backing, where as many [`Self::read_word`]
     /// calls would make one map probe each.
@@ -206,39 +199,44 @@ impl Frame {
         *self = Frame::Zero;
     }
 
+    /// The frame's non-zero words as `(index, word)` pairs in ascending
+    /// index order: the same listing whichever backing (zero / sparse /
+    /// dense) holds them, and for sparse frames as long as the words they
+    /// hold rather than the page. [`Self::content_digest`] folds it, and
+    /// the page-table scan reads its entries from it; a zero word is never
+    /// a valid PTE.
+    pub fn nonzero_words(&self) -> impl Iterator<Item = (u16, u64)> + '_ {
+        let mut sparse: Vec<(u16, u64)> = match self {
+            Frame::Words(map) => map
+                .iter()
+                .filter(|&(_, &v)| v != 0)
+                .map(|(&i, &v)| (i, v))
+                .collect(),
+            _ => Vec::new(),
+        };
+        sparse.sort_unstable();
+        let dense: &[u8] = match self {
+            Frame::Dense(bytes) => &bytes[..],
+            _ => &[],
+        };
+        let dense = (0..).zip(dense.chunks_exact(8)).filter_map(|(i, chunk)| {
+            let v = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
+            (v != 0).then_some((i, v))
+        });
+        sparse.into_iter().chain(dense)
+    }
+
     /// FNV-1a digest of the frame's contents: the `(index, value)` pairs of
-    /// every **non-zero** word, folded in ascending index order — therefore
-    /// identical for equal contents regardless of which backing
-    /// representation (zero / sparse / dense) holds them, and proportional
-    /// to the live words rather than the page size for sparse frames. The
-    /// model checker's canonical state hash folds every reachable
-    /// page-table page through this instead of 512 bounds-checked bus
-    /// reads.
+    /// [`Self::nonzero_words`], folded in order — therefore identical for
+    /// equal contents regardless of which backing representation holds
+    /// them. The model checker's canonical state hash folds every
+    /// reachable page-table page through this instead of 512
+    /// bounds-checked bus reads.
     pub fn content_digest(&self) -> u64 {
         let mut f = Fnv1a::new();
-        match self {
-            Frame::Zero => {}
-            Frame::Words(map) => {
-                let mut words: Vec<(u16, u64)> = map
-                    .iter()
-                    .filter(|&(_, &v)| v != 0)
-                    .map(|(&i, &v)| (i, v))
-                    .collect();
-                words.sort_unstable();
-                for (i, v) in words {
-                    f.write_u64(u64::from(i));
-                    f.write_u64(v);
-                }
-            }
-            Frame::Dense(bytes) => {
-                for (i, chunk) in bytes.chunks_exact(8).enumerate() {
-                    let v = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-                    if v != 0 {
-                        f.write_u64(i as u64);
-                        f.write_u64(v);
-                    }
-                }
-            }
+        for (i, v) in self.nonzero_words() {
+            f.write_u64(u64::from(i));
+            f.write_u64(v);
         }
         f.finish()
     }

@@ -1,8 +1,10 @@
 //! The physical frame store.
 
+use std::sync::Arc;
+
 use ptstore_core::{AccessError, PhysAddr, PhysPageNum, PAGE_SIZE};
 
-use crate::frame::{Frame, PAGE_WORDS};
+use crate::frame::Frame;
 
 /// Frames per second-level chunk. A chunk spans 2 MiB of physical memory,
 /// so a 4 GiB machine needs a 2048-slot root table (16 KiB of pointers).
@@ -14,9 +16,16 @@ const CHUNK_FRAMES: u64 = 512;
 /// so untouched regions cost nothing beyond the root table, and lookups are
 /// two array indexings with no hashing. The prototype system carries a 4 GiB
 /// DDR3 SO-DIMM (paper Table II).
+///
+/// Chunks are shared copy-on-write between clones: cloning a `PhysMem`
+/// copies one pointer per chunk, and the first write that changes a frame
+/// of a shared chunk copies that chunk, once. A write that leaves its frame
+/// as it was (a zero into a never-written word, say) copies and allocates
+/// nothing. The model checker clones a whole machine per explored
+/// transition, so a clone costs the root table, not the frames it holds.
 #[derive(Debug, Clone, Default)]
 pub struct PhysMem {
-    chunks: Vec<Option<Box<[Frame]>>>,
+    chunks: Vec<Option<Arc<[Frame]>>>,
     /// Number of frames currently holding non-[`Frame::Zero`] backing.
     touched: usize,
     size: u64,
@@ -57,7 +66,8 @@ impl PhysMem {
         self.touched
     }
 
-    /// Approximate host memory used by frame backings (diagnostics).
+    /// Approximate host memory used by frame backings (diagnostics). A
+    /// chunk shared with a clone counts in full on both sides.
     pub fn backing_bytes(&self) -> usize {
         self.chunks
             .iter()
@@ -79,24 +89,25 @@ impl PhysMem {
         Ok(())
     }
 
-    /// The frame for `ppn`, if its chunk has been allocated. `ppn` must be
-    /// in range (callers go through [`Self::check_range`] first).
+    /// The frame for `ppn`, if its chunk has been allocated.
     #[inline]
     fn frame(&self, ppn: u64) -> Option<&Frame> {
-        self.chunks[(ppn / CHUNK_FRAMES) as usize]
+        self.chunks
+            .get((ppn / CHUNK_FRAMES) as usize)?
             .as_deref()
             .map(|chunk| &chunk[(ppn % CHUNK_FRAMES) as usize])
     }
 
     /// Mutable access to the frame for `ppn`, allocating its chunk on
-    /// demand. The `touched` counter is kept in sync with the frame's
-    /// before/after zero-ness around the mutation.
+    /// demand and copying it first if a clone shares it. A caller whose
+    /// mutation may leave the frame as it was checks that first when the
+    /// chunk is absent or shared. The `touched` counter is kept in sync
+    /// with the frame's before/after zero-ness around the mutation.
     #[inline]
     fn with_frame_mut<R>(&mut self, ppn: u64, f: impl FnOnce(&mut Frame) -> R) -> R {
         let slot = &mut self.chunks[(ppn / CHUNK_FRAMES) as usize];
-        let chunk =
-            slot.get_or_insert_with(|| vec![Frame::Zero; CHUNK_FRAMES as usize].into_boxed_slice());
-        let frame = &mut chunk[(ppn % CHUNK_FRAMES) as usize];
+        let chunk = slot.get_or_insert_with(|| (0..CHUNK_FRAMES).map(|_| Frame::Zero).collect());
+        let frame = &mut Arc::make_mut(chunk)[(ppn % CHUNK_FRAMES) as usize];
         let was_backed = !matches!(frame, Frame::Zero);
         let result = f(frame);
         let is_backed = !matches!(frame, Frame::Zero);
@@ -108,19 +119,70 @@ impl PhysMem {
         result
     }
 
+    /// Reads the `bytes`-byte value at `addr`, which is aligned to `bytes`
+    /// and so lies within one 8-byte word: the one reader behind the
+    /// fixed-width accessors.
+    #[inline]
+    fn load(&self, addr: PhysAddr, bytes: u64) -> Result<u64, AccessError> {
+        if !addr.is_aligned(bytes) {
+            return Err(AccessError::Misaligned {
+                addr,
+                required: bytes,
+            });
+        }
+        self.check_range(addr, bytes)?;
+        let word = self
+            .frame(addr.as_u64() >> 12)
+            .map_or(0, |f| f.read_word((addr.page_offset() / 8) as u16));
+        Ok((word >> (8 * (addr.page_offset() % 8))) & (u64::MAX >> (64 - 8 * bytes)))
+    }
+
+    /// Writes the low `bytes` bytes of `value` at `addr`, which is aligned
+    /// to `bytes`: the one writer behind the fixed-width accessors. A write
+    /// that leaves its word as it was neither allocates a chunk nor copies
+    /// a shared one.
+    #[inline]
+    fn store(&mut self, addr: PhysAddr, bytes: u64, value: u64) -> Result<(), AccessError> {
+        if !addr.is_aligned(bytes) {
+            return Err(AccessError::Misaligned {
+                addr,
+                required: bytes,
+            });
+        }
+        self.check_range(addr, bytes)?;
+        let ppn = addr.as_u64() >> 12;
+        let index = (addr.page_offset() / 8) as u16;
+        let shift = 8 * (addr.page_offset() % 8);
+        let mask = (u64::MAX >> (64 - 8 * bytes)) << shift;
+        let merge = |old: u64| (old & !mask) | ((value << shift) & mask);
+        // Only a write into an absent or shared chunk can allocate or copy
+        // one, so only such a write first checks that it changes its word.
+        let chunk = self.chunks[(ppn / CHUNK_FRAMES) as usize].as_ref();
+        if chunk.is_none_or(|c| Arc::strong_count(c) > 1) {
+            let old = self.frame(ppn).map_or(0, |f| f.read_word(index));
+            if merge(old) == old {
+                return Ok(());
+            }
+        }
+        // A whole-word write replaces the word without reading it.
+        self.with_frame_mut(ppn, |f| {
+            let new = if bytes == 8 {
+                value
+            } else {
+                merge(f.read_word(index))
+            };
+            f.write_word(index, new);
+        });
+        Ok(())
+    }
+
     /// Reads an aligned u64.
     ///
     /// # Errors
     /// [`AccessError::Misaligned`] or [`AccessError::OutOfRange`].
     #[inline]
     pub fn read_u64(&self, addr: PhysAddr) -> Result<u64, AccessError> {
-        if !addr.is_aligned(8) {
-            return Err(AccessError::Misaligned { addr, required: 8 });
-        }
-        self.check_range(addr, 8)?;
-        let ppn = addr.as_u64() >> 12;
-        let word = (addr.page_offset() / 8) as u16;
-        Ok(self.frame(ppn).map(|f| f.read_word(word)).unwrap_or(0))
+        self.load(addr, 8)
     }
 
     /// Writes an aligned u64.
@@ -129,19 +191,12 @@ impl PhysMem {
     /// [`AccessError::Misaligned`] or [`AccessError::OutOfRange`].
     #[inline]
     pub fn write_u64(&mut self, addr: PhysAddr, value: u64) -> Result<(), AccessError> {
-        if !addr.is_aligned(8) {
-            return Err(AccessError::Misaligned { addr, required: 8 });
-        }
-        self.check_range(addr, 8)?;
-        let ppn = addr.as_u64() >> 12;
-        let word = (addr.page_offset() / 8) as u16;
-        self.with_frame_mut(ppn, |f| f.write_word(word, value));
-        Ok(())
+        self.store(addr, 8, value)
     }
 
     /// The frame behind page `ppn`, for reading many of its words at once;
     /// a page never written reads as [`Frame::Zero`]. The one frame reader
-    /// behind [`Self::read_page`], [`Self::page_digest`] and the bus's
+    /// behind [`Self::nonzero_words`], [`Self::page_digest`] and the bus's
     /// multi-word read.
     ///
     /// # Errors
@@ -154,17 +209,20 @@ impl PhysMem {
         Ok(self.frame(ppn.as_u64()).unwrap_or(&ZERO))
     }
 
-    /// Reads the whole page `ppn` as its 512 words, in index order: one
-    /// range check and one frame lookup, where 512 [`Self::read_u64`] calls
-    /// would make 512 of each. The page-table scan reads a table page
-    /// through this.
+    /// The non-zero words of page `ppn` as `(index, word)` pairs in index
+    /// order, per [`Frame::nonzero_words`]: one range check and one frame
+    /// lookup, and work in proportion to the words the page holds. The
+    /// page-table scan reads a table page through this.
     ///
     /// # Errors
     /// [`AccessError::OutOfRange`] at the page's base address when `ppn` is
     /// outside physical memory — the error a read of its first word gives.
     #[inline]
-    pub fn read_page(&self, ppn: PhysPageNum) -> Result<[u64; PAGE_WORDS], AccessError> {
-        self.page(ppn).map(Frame::words)
+    pub fn nonzero_words(
+        &self,
+        ppn: PhysPageNum,
+    ) -> Result<impl Iterator<Item = (u16, u64)> + '_, AccessError> {
+        self.page(ppn).map(Frame::nonzero_words)
     }
 
     /// Reads one byte.
@@ -173,12 +231,7 @@ impl PhysMem {
     /// [`AccessError::OutOfRange`].
     #[inline]
     pub fn read_u8(&self, addr: PhysAddr) -> Result<u8, AccessError> {
-        self.check_range(addr, 1)?;
-        let ppn = addr.as_u64() >> 12;
-        Ok(self
-            .frame(ppn)
-            .map(|f| f.read_byte(addr.page_offset() as u16))
-            .unwrap_or(0))
+        self.load(addr, 1).map(|v| v as u8)
     }
 
     /// Writes one byte.
@@ -187,10 +240,7 @@ impl PhysMem {
     /// [`AccessError::OutOfRange`].
     #[inline]
     pub fn write_u8(&mut self, addr: PhysAddr, value: u8) -> Result<(), AccessError> {
-        self.check_range(addr, 1)?;
-        let ppn = addr.as_u64() >> 12;
-        self.with_frame_mut(ppn, |f| f.write_byte(addr.page_offset() as u16, value));
-        Ok(())
+        self.store(addr, 1, value.into())
     }
 
     /// Reads an aligned u16 (compressed-instruction fetch parcel).
@@ -199,20 +249,7 @@ impl PhysMem {
     /// [`AccessError::Misaligned`] or [`AccessError::OutOfRange`].
     #[inline]
     pub fn read_u16(&self, addr: PhysAddr) -> Result<u16, AccessError> {
-        if !addr.is_aligned(2) {
-            return Err(AccessError::Misaligned { addr, required: 2 });
-        }
-        self.check_range(addr, 2)?;
-        let ppn = addr.as_u64() >> 12;
-        let off = addr.page_offset() as u16;
-        Ok(self
-            .frame(ppn)
-            .map(|f| {
-                let lo = f.read_byte(off) as u16;
-                let hi = f.read_byte(off + 1) as u16;
-                lo | (hi << 8)
-            })
-            .unwrap_or(0))
+        self.load(addr, 2).map(|v| v as u16)
     }
 
     /// Writes an aligned u16.
@@ -221,17 +258,7 @@ impl PhysMem {
     /// [`AccessError::Misaligned`] or [`AccessError::OutOfRange`].
     #[inline]
     pub fn write_u16(&mut self, addr: PhysAddr, value: u16) -> Result<(), AccessError> {
-        if !addr.is_aligned(2) {
-            return Err(AccessError::Misaligned { addr, required: 2 });
-        }
-        self.check_range(addr, 2)?;
-        let ppn = addr.as_u64() >> 12;
-        let off = addr.page_offset() as u16;
-        self.with_frame_mut(ppn, |f| {
-            f.write_byte(off, value as u8);
-            f.write_byte(off + 1, (value >> 8) as u8);
-        });
-        Ok(())
+        self.store(addr, 2, value.into())
     }
 
     /// Reads an aligned u32 (instruction fetch granularity).
@@ -240,21 +267,7 @@ impl PhysMem {
     /// [`AccessError::Misaligned`] or [`AccessError::OutOfRange`].
     #[inline]
     pub fn read_u32(&self, addr: PhysAddr) -> Result<u32, AccessError> {
-        if !addr.is_aligned(4) {
-            return Err(AccessError::Misaligned { addr, required: 4 });
-        }
-        self.check_range(addr, 4)?;
-        let ppn = addr.as_u64() >> 12;
-        let word_index = (addr.page_offset() / 8) as u16;
-        let word = self
-            .frame(ppn)
-            .map(|f| f.read_word(word_index))
-            .unwrap_or(0);
-        Ok(if addr.page_offset() % 8 < 4 {
-            word as u32
-        } else {
-            (word >> 32) as u32
-        })
+        self.load(addr, 4).map(|v| v as u32)
     }
 
     /// Writes an aligned u32.
@@ -263,28 +276,12 @@ impl PhysMem {
     /// [`AccessError::Misaligned`] or [`AccessError::OutOfRange`].
     #[inline]
     pub fn write_u32(&mut self, addr: PhysAddr, value: u32) -> Result<(), AccessError> {
-        if !addr.is_aligned(4) {
-            return Err(AccessError::Misaligned { addr, required: 4 });
-        }
-        self.check_range(addr, 4)?;
-        let ppn = addr.as_u64() >> 12;
-        let word_index = (addr.page_offset() / 8) as u16;
-        let low_half = addr.page_offset() % 8 < 4;
-        self.with_frame_mut(ppn, |f| {
-            let word = f.read_word(word_index);
-            let new = if low_half {
-                (word & 0xffff_ffff_0000_0000) | value as u64
-            } else {
-                (word & 0x0000_0000_ffff_ffff) | ((value as u64) << 32)
-            };
-            f.write_word(word_index, new);
-        });
-        Ok(())
+        self.store(addr, 4, value.into())
     }
 
     /// Canonical FNV-1a content digest of page `ppn` (DRAM's-eye view),
-    /// per [`Frame::content_digest`]: the non-zero `(index, word)` pairs in
-    /// ascending index order, one frame lookup instead of 512
+    /// per [`Frame::content_digest`]: a fold of the page's
+    /// [`Self::nonzero_words`] listing, one frame lookup instead of 512
     /// bounds-checked reads. The model checker hashes every reachable
     /// page-table page per explored state through this.
     ///
@@ -299,25 +296,14 @@ impl PhysMem {
     /// defense checks this before using a page as a page table (paper §V-E3).
     #[inline]
     pub fn page_is_zero(&self, ppn: PhysPageNum) -> bool {
-        self.chunks
-            .get((ppn.as_u64() / CHUNK_FRAMES) as usize)
-            .and_then(|slot| slot.as_deref())
-            .map(|chunk| chunk[(ppn.as_u64() % CHUNK_FRAMES) as usize].is_zero())
-            .unwrap_or(true)
+        self.frame(ppn.as_u64()).is_none_or(Frame::is_zero)
     }
 
     /// Zeroes a whole page (releases its backing).
     pub fn zero_page(&mut self, ppn: PhysPageNum) {
-        if let Some(chunk) = self
-            .chunks
-            .get_mut((ppn.as_u64() / CHUNK_FRAMES) as usize)
-            .and_then(|slot| slot.as_deref_mut())
-        {
-            let frame = &mut chunk[(ppn.as_u64() % CHUNK_FRAMES) as usize];
-            if !matches!(frame, Frame::Zero) {
-                self.touched -= 1;
-            }
-            frame.clear();
+        let ppn = ppn.as_u64();
+        if self.frame(ppn).is_some_and(|f| !matches!(f, Frame::Zero)) {
+            self.with_frame_mut(ppn, Frame::clear);
         }
     }
 
@@ -326,13 +312,9 @@ impl PhysMem {
     /// # Errors
     /// [`AccessError::OutOfRange`] when either page is outside memory.
     pub fn copy_page(&mut self, src: PhysPageNum, dst: PhysPageNum) -> Result<(), AccessError> {
-        self.check_range(src.base_addr(), PAGE_SIZE)?;
-        self.check_range(dst.base_addr(), PAGE_SIZE)?;
-        match self.frame(src.as_u64()).cloned() {
-            Some(f) => {
-                self.with_frame_mut(dst.as_u64(), |d| *d = f);
-            }
-            None => self.zero_page(dst),
+        let frame = self.page(src)?.clone();
+        if self.page(dst)? != &frame {
+            self.with_frame_mut(dst.as_u64(), |d| *d = frame);
         }
         Ok(())
     }
@@ -343,6 +325,7 @@ mod tests {
     use ptstore_core::GIB;
 
     use super::*;
+    use crate::frame::PAGE_WORDS;
 
     #[test]
     fn u64_round_trip_and_default_zero() {
@@ -451,31 +434,48 @@ mod tests {
     }
 
     #[test]
-    fn read_page_matches_word_reads_in_every_backing() {
+    fn nonzero_words_lists_exactly_the_nonzero_slots_in_order() {
         let mut m = PhysMem::new(CHUNK_FRAMES * PAGE_SIZE + PAGE_SIZE);
-        let (zero, sparse, dense) = (
-            PhysPageNum::new(1),
-            PhysPageNum::new(2),
-            PhysPageNum::new(3),
-        );
-        m.write_u64(sparse.base_addr() + 8 * 7, 0x77).unwrap();
-        for i in 0..PAGE_WORDS as u64 {
-            m.write_u64(dense.base_addr() + 8 * i, i + 1).unwrap();
+        // A zero page, a sparse one, a dense one, a dense one with every
+        // fifth word written back to zero, and a page of a chunk never
+        // allocated.
+        let pages = [1, 2, 3, 4, CHUNK_FRAMES].map(PhysPageNum::new);
+        let [_, sparse, dense, rezeroed, _] = pages;
+        for i in [7, 300, 2, 511] {
+            m.write_u64(sparse.base_addr() + 8 * i, 0x70 + i).unwrap();
         }
-        for ppn in [zero, sparse, dense, PhysPageNum::new(CHUNK_FRAMES)] {
-            let words = m.read_page(ppn).unwrap();
-            for (i, &w) in words.iter().enumerate() {
-                assert_eq!(Ok(w), m.read_u64(ppn.base_addr() + 8 * i as u64));
+        for page in [dense, rezeroed] {
+            for i in 0..PAGE_WORDS as u64 {
+                m.write_u64(page.base_addr() + 8 * i, i + 1).unwrap();
             }
         }
-        assert_eq!(m.read_page(sparse).unwrap()[7], 0x77);
+        for i in (0..PAGE_WORDS as u64).step_by(5) {
+            m.write_u64(rezeroed.base_addr() + 8 * i, 0).unwrap();
+        }
+        for (ppn, want) in pages.into_iter().zip([0, 4, PAGE_WORDS, 409, 0]) {
+            let listed: Vec<(u16, u64)> = m.nonzero_words(ppn).unwrap().collect();
+            let nonzero: Vec<(u16, u64)> = (0..PAGE_WORDS as u16)
+                .map(|i| (i, m.read_u64(ppn.base_addr() + 8 * u64::from(i)).unwrap()))
+                .filter(|&(_, w)| w != 0)
+                .collect();
+            assert_eq!(listed, nonzero, "page {ppn:?}");
+            assert_eq!(listed.len(), want, "page {ppn:?}");
+        }
         let outside = PhysPageNum::new(CHUNK_FRAMES + 1);
         assert_eq!(
-            m.read_page(outside),
-            Err(AccessError::OutOfRange {
+            m.nonzero_words(outside).err(),
+            Some(AccessError::OutOfRange {
                 addr: outside.base_addr()
             })
         );
+    }
+
+    /// A stored machine must be able to cross threads, so the chunks are
+    /// shared through `Arc`, not `Rc`.
+    #[test]
+    fn memory_is_send_and_sync() {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<PhysMem>();
     }
 
     #[test]

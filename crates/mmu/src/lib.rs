@@ -10,7 +10,8 @@
 //!   is not a table pointer. Its only parameter is the handler that reads
 //!   an entry, so the hardware walker, the kernel's table lookups and the
 //!   invariant oracle all walk the same way; [`walker::table_entries`] is
-//!   the one raw scan over a whole table page, read from DRAM at once;
+//!   the one raw scan over a table page, its non-zero entries read from
+//!   DRAM at once;
 //! * [`satp::Satp`] — the `satp` CSR extended with PTStore's **S-bit**
 //!   (paper §IV-A1) that arms the walker's secure-region origin check;
 //! * [`walker::PageTableWalker`] — the hardware page-table walker: [`walk`]

@@ -58,21 +58,22 @@ pub fn walk<E>(
     unreachable!("walk floor {floor} above top {top}");
 }
 
-/// All 512 entries of the table page `table`, raw from DRAM, in slot order,
-/// each paired with its slot address. The page is read once, through
-/// [`PhysMem::read_page`].
+/// The non-zero entries of the table page `table`, raw from DRAM, in slot
+/// order, each paired with its slot address: the page's
+/// [`PhysMem::nonzero_words`] listing. A zero slot is an invalid entry, so
+/// a scan for valid ones loses nothing, and a sparse table costs the
+/// entries it holds rather than 512 slots.
 ///
 /// # Errors
 /// The page's read error when `table` lies outside physical memory.
 pub fn table_entries(
     table: PhysPageNum,
     mem: &PhysMem,
-) -> Result<impl Iterator<Item = (PhysAddr, Pte)>, AccessError> {
+) -> Result<impl Iterator<Item = (PhysAddr, Pte)> + '_, AccessError> {
     let base = table.base_addr();
-    let words = mem.read_page(table)?;
-    Ok((0..)
-        .zip(words)
-        .map(move |(i, word)| (base + i * 8, Pte::from_bits(word))))
+    Ok(mem
+        .nonzero_words(table)?
+        .map(move |(i, word)| (base + u64::from(i) * 8, Pte::from_bits(word))))
 }
 
 /// Why a translation failed.
@@ -444,18 +445,34 @@ mod tests {
     }
 
     #[test]
-    fn table_entries_reads_every_slot_in_order() {
-        let table = PhysPageNum::new(0x300);
+    fn table_entries_lists_the_nonzero_slots_in_order() {
         let mut mem = PhysMem::new(4 * MIB);
-        for i in (0..PAGE_WORDS as u64).step_by(3) {
-            let slot = table.base_addr() + i * 8;
-            mem.write_u64(slot, slot.as_u64()).unwrap();
+        let tables = [0x300, 0x301, 0x302, 0x303].map(PhysPageNum::new);
+        let [_, sparse, dense, rezeroed] = tables;
+        let slots = |table: PhysPageNum, step| {
+            (0..PAGE_WORDS as u64)
+                .step_by(step)
+                .map(move |i| table.base_addr() + i * 8)
+        };
+        // A zero page, every 97th slot, every slot, and every slot with
+        // every third one written back to zero.
+        for slot in slots(sparse, 97)
+            .chain(slots(dense, 1))
+            .chain(slots(rezeroed, 1))
+        {
+            mem.write_u64(slot, slot.as_u64() | 1).unwrap();
         }
-        let entries: Vec<_> = table_entries(table, &mem).unwrap().collect();
-        assert_eq!(entries.len(), PAGE_WORDS);
-        for (i, (slot, pte)) in entries.into_iter().enumerate() {
-            assert_eq!(slot, table.base_addr() + i as u64 * 8);
-            assert_eq!(Ok(pte.bits()), mem.read_u64(slot));
+        for slot in slots(rezeroed, 3) {
+            mem.write_u64(slot, 0).unwrap();
+        }
+        for (table, want) in tables.into_iter().zip([0, 6, PAGE_WORDS, 341]) {
+            let entries: Vec<_> = table_entries(table, &mem).unwrap().collect();
+            let nonzero = slots(table, 1).filter(|&slot| mem.read_u64(slot) != Ok(0));
+            assert_eq!(entries.len(), want, "{table:?}");
+            assert!(entries.iter().map(|&(slot, _)| slot).eq(nonzero));
+            for (slot, pte) in entries {
+                assert_eq!(Ok(pte.bits()), mem.read_u64(slot));
+            }
         }
     }
 

@@ -1,15 +1,20 @@
 //! Bounded breadth-first exploration of the miniature machine.
 //!
 //! A frontier state is stored as the op sequence that reaches it, not as a
-//! machine: one machine costs ~93 KiB of host memory, so a stored depth-5
-//! frontier would take gigabytes. Expanding a state replays its trace once
-//! from a fresh boot ([`ptstore_fault::replay()`]), then applies each op of
-//! the alphabet to its own clone of that machine. Each successor is
-//! oracle-checked and deduplicated on its canonical digest. BFS guarantees
-//! that the first violating state found is reached by a *minimal-length*
-//! trace: any shorter violating trace would have been expanded at an
-//! earlier level. [`replay_trace`] then validates the shrinker's candidates
-//! and the printed counterexample on fresh machines.
+//! machine. Expanding a state replays its trace once from a fresh boot
+//! ([`ptstore_fault::replay()`]), then applies each op of the alphabet to
+//! its own clone of that machine. A clone shares the physical-memory
+//! chunks of the machine it was cloned from, and the op's first write into
+//! a chunk copies that chunk alone (`ptstore_mem::PhysMem`), so cloning
+//! costs the kernel's own state, not the machine's memory. A successor
+//! still holds ~41 KiB of its own once its op has run, most of it copied
+//! chunks, so a stored depth-5 frontier would take ~1.6 GB, where replay
+//! costs ~2 µs per transition. Each successor is oracle-checked and
+//! deduplicated on its canonical digest. BFS guarantees that the first
+//! violating state found is reached by a *minimal-length* trace: any
+//! shorter violating trace would have been expanded at an earlier level.
+//! [`replay_trace`] then validates the shrinker's candidates and the
+//! printed counterexample on fresh machines.
 //!
 //! ## Determinism
 //!

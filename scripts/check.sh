@@ -188,6 +188,19 @@ grep -q "transitions      : 155040$" target/mc-full.txt
 grep -q "exploration hash : 0xd7487b2bd73dbce4$" target/mc-full.txt
 rm -f target/mc-full.txt
 
+echo "== modelcheck: depth 6 (one level past the default bound) =="
+# 389,771 deduped states and 1,352,490 transitions, every state VERIFIED.
+# A successor machine shares its parent's physical-memory chunks until it
+# writes one, so this level runs in about half a minute at --jobs 4 on a
+# 2-core host. The counts and the hash pin the search as the two steps
+# above do at their bounds.
+./target/release/reproduce modelcheck --depth 6 --jobs 4 > target/mc-d6.txt
+grep -q ": VERIFIED" target/mc-d6.txt
+grep -q "per depth: 1 7 59 522 4579 39915 344688)" target/mc-d6.txt
+grep -q "transitions      : 1352490$" target/mc-d6.txt
+grep -q "exploration hash : 0xa457405a7256b28a$" target/mc-d6.txt
+rm -f target/mc-d6.txt
+
 echo "== modelcheck: ablation counterexample (minimal, replayable) =="
 # Removing the PMP S-bit check must flip the verdict and print the shrunk
 # one-op attack trace with the containment violation it lands.
