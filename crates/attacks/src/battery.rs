@@ -36,27 +36,6 @@ impl fmt::Display for AttackReport {
     }
 }
 
-fn attack_config(defense: DefenseMode, tokens: bool, harts: usize) -> KernelConfig {
-    attack_config_scheme(defense, tokens, harts, PagingScheme::Sv39)
-}
-
-fn attack_config_scheme(
-    defense: DefenseMode,
-    tokens: bool,
-    harts: usize,
-    scheme: PagingScheme,
-) -> KernelConfig {
-    let mut cfg = KernelConfig::baseline()
-        .with_defense(defense)
-        .with_mem_size(256 * MIB)
-        .with_initial_secure_size(16 * MIB)
-        .with_harts(harts)
-        .with_scheme(scheme);
-    cfg.cfi = true; // the threat model deploys CFI
-    cfg.token_checks = tokens;
-    cfg
-}
-
 /// One matrix cell plus the event chain captured while the scenario ran.
 ///
 /// The sink is attached *after* boot, so `events` is exactly the forensic
@@ -108,41 +87,7 @@ impl TracedAttackReport {
 
 /// Boots a fresh kernel and runs one attack against one defense.
 pub fn run_attack(kind: AttackKind, defense: DefenseMode, tokens: bool) -> AttackReport {
-    run_attack_on(1, kind, defense, tokens)
-}
-
-/// Like [`run_attack`], but on an `harts`-way SMP machine. The attacker
-/// runs on the boot hart while the remote harts participate in every
-/// shootdown — the defense verdict must not depend on the hart count.
-pub fn run_attack_on(
-    harts: usize,
-    kind: AttackKind,
-    defense: DefenseMode,
-    tokens: bool,
-) -> AttackReport {
-    run_attack_on_scheme(harts, PagingScheme::Sv39, kind, defense, tokens)
-}
-
-/// Like [`run_attack_on`], but under an explicit paging scheme. The verdict
-/// must be scheme-independent — PTStore's checks fire on physical addresses
-/// and credentials, not on how many levels the walk has — which the
-/// scheme-differential suite asserts cell for cell.
-pub fn run_attack_on_scheme(
-    harts: usize,
-    scheme: PagingScheme,
-    kind: AttackKind,
-    defense: DefenseMode,
-    tokens: bool,
-) -> AttackReport {
-    let mut k =
-        Kernel::boot(attack_config_scheme(defense, tokens, harts, scheme)).expect("kernel boots");
-    let outcome = run(kind, &mut k);
-    AttackReport {
-        attack: kind,
-        defense,
-        tokens,
-        outcome,
-    }
+    run_cell(1, PagingScheme::Sv39, kind, defense, tokens, None)
 }
 
 /// Like [`run_attack`], but with a [`TraceSink`] attached for the duration
@@ -153,38 +98,56 @@ pub fn run_attack_traced(
     defense: DefenseMode,
     tokens: bool,
 ) -> TracedAttackReport {
-    let mut k = Kernel::boot(attack_config(defense, tokens, 1)).expect("kernel boots");
     let sink = TraceSink::new();
-    k.set_trace_sink(Some(sink.clone()));
-    let outcome = run(kind, &mut k);
-    k.set_trace_sink(None);
     TracedAttackReport {
-        report: AttackReport {
-            attack: kind,
-            defense,
-            tokens,
-            outcome,
-        },
+        report: run_cell(1, PagingScheme::Sv39, kind, defense, tokens, Some(&sink)),
         events: sink.events(),
         counters: sink.counters(),
+    }
+}
+
+/// Runs one matrix cell: boots a fresh `harts`-way kernel under `scheme`,
+/// attaches `sink` (if any) after boot, and runs the attack. The
+/// attacker runs on the boot hart while the remote harts participate in
+/// every shootdown, and the verdict must depend on neither the hart count
+/// nor the scheme: PTStore's checks fire on physical addresses and
+/// credentials, not on how many levels the walk has.
+fn run_cell(
+    harts: usize,
+    scheme: PagingScheme,
+    kind: AttackKind,
+    defense: DefenseMode,
+    tokens: bool,
+    sink: Option<&TraceSink>,
+) -> AttackReport {
+    let mut cfg = KernelConfig::baseline()
+        .with_defense(defense)
+        .with_mem_size(256 * MIB)
+        .with_initial_secure_size(16 * MIB)
+        .with_harts(harts)
+        .with_scheme(scheme);
+    cfg.cfi = true; // the threat model deploys CFI
+    cfg.token_checks = tokens;
+    let mut k = Kernel::boot(cfg).expect("kernel boots");
+    k.set_trace_sink(sink.cloned());
+    AttackReport {
+        attack: kind,
+        defense,
+        tokens,
+        outcome: run(kind, &mut k),
     }
 }
 
 /// The full §V-E matrix: every attack against every defense (fresh kernel
 /// per cell), plus the tokens-off PTStore ablation rows.
 pub fn security_matrix() -> Vec<AttackReport> {
-    security_matrix_with_harts(1)
-}
-
-/// The full matrix on an `harts`-way SMP machine (every cell boots a fresh
-/// N-hart kernel). `security_matrix()` is the `harts == 1` case.
-pub fn security_matrix_with_harts(harts: usize) -> Vec<AttackReport> {
-    security_matrix_with(harts, PagingScheme::Sv39)
+    security_matrix_with(1, PagingScheme::Sv39)
 }
 
 /// The full matrix under an explicit paging scheme on an `harts`-way SMP
-/// machine. The scheme-differential suite runs this for Sv39/Sv48/Sv57 and
-/// demands byte-identical verdicts.
+/// machine (every cell boots a fresh N-hart kernel). The
+/// scheme-differential suite runs this for Sv39/Sv48/Sv57 and demands
+/// byte-identical verdicts.
 pub fn security_matrix_with(harts: usize, scheme: PagingScheme) -> Vec<AttackReport> {
     let mut out = Vec::new();
     for defense in [
@@ -194,13 +157,13 @@ pub fn security_matrix_with(harts: usize, scheme: PagingScheme) -> Vec<AttackRep
         DefenseMode::PtStore,
     ] {
         for kind in AttackKind::ALL {
-            out.push(run_attack_on_scheme(harts, scheme, kind, defense, true));
+            out.push(run_cell(harts, scheme, kind, defense, true, None));
         }
     }
     // Ablation: PTStore with the token layer disabled — shows which attacks
     // the secure region + PTW check alone cannot stop.
     for kind in AttackKind::ALL {
-        let mut r = run_attack_on_scheme(harts, scheme, kind, DefenseMode::PtStore, false);
+        let mut r = run_cell(harts, scheme, kind, DefenseMode::PtStore, false, None);
         r.tokens = false;
         out.push(r);
     }
@@ -229,7 +192,14 @@ mod tests {
     fn ptstore_blocks_all_attacks_on_smp_machines() {
         for harts in [1, 2, 4] {
             for kind in AttackKind::ALL {
-                let r = run_attack_on(harts, kind, DefenseMode::PtStore, true);
+                let r = run_cell(
+                    harts,
+                    PagingScheme::Sv39,
+                    kind,
+                    DefenseMode::PtStore,
+                    true,
+                    None,
+                );
                 assert!(
                     !r.outcome.attacker_won(),
                     "PTStore must stop {kind} on {harts} harts, got {}",
@@ -244,7 +214,7 @@ mod tests {
         // The whole matrix, cell for cell, is hart-count independent.
         let base = security_matrix();
         for harts in [2, 4] {
-            let smp = security_matrix_with_harts(harts);
+            let smp = security_matrix_with(harts, PagingScheme::Sv39);
             assert_eq!(base.len(), smp.len());
             for (b, m) in base.iter().zip(&smp) {
                 assert_eq!(

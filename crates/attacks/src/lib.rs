@@ -30,9 +30,8 @@ pub mod outcome;
 pub mod scenarios;
 
 pub use battery::{
-    run_attack, run_attack_on, run_attack_on_scheme, run_attack_traced, security_matrix,
-    security_matrix_traced, security_matrix_with, security_matrix_with_harts, AttackReport,
-    TracedAttackReport,
+    run_attack, run_attack_traced, security_matrix, security_matrix_traced, security_matrix_with,
+    AttackReport, TracedAttackReport,
 };
 pub use outcome::{AttackOutcome, BlockedBy};
 pub use scenarios::AttackKind;

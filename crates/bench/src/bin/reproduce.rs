@@ -123,7 +123,7 @@ const FLAGS: [Flag; 13] = [
         int(v, 0, None).map(|n| o.seed = Some(n))
     }),
     Flag::new(FAULTS, "--faults", "N", |o, v| {
-        int(v, 0, None).map(|n| o.faults = Some(n))
+        int(v, 0, Some(1_000_000)).map(|n| o.faults = Some(n))
     }),
     Flag::new(DEPTH, "--depth", "N", |o, v| {
         int(v, 1, None).map(|n| o.depth = Some(n))

@@ -169,9 +169,10 @@ fn bad_invocations_exit_2_without_panicking() {
     let csv_under_file = under_a_file("csv");
     let trace_under_file = under_a_file("trace.json");
     let csv_blocked = csv_dir_with_blocked_fig4();
-    let rows: [&[&str]; 20] = [
+    let rows: [&[&str]; 21] = [
         &["--quick", "--harts", "65", "c1m"],
         &["fuzz", "--harts", "65", "--faults", "1"],
+        &["fuzz", "--faults", "18446744073709551615"],
         &["modelcheck", "--harts", "65", "--depth", "1"],
         &["--quick", "--harts", "65", "smp"],
         &["--quick", "--harts", "65", "security"],

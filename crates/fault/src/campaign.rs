@@ -7,8 +7,8 @@
 //!
 //! * **detected-and-contained** — a mechanism layer (PMP S-bit, PTW
 //!   origin check, token validation), the SBI firmware, or the allocator
-//!   refused the fault, and after repairing any collateral the invariant
-//!   oracle finds the machine healthy;
+//!   refused the fault, and once the fault has undone its own setup the
+//!   invariant oracle finds the machine healthy;
 //! * **benign** — the fault landed but changed nothing the mechanism
 //!   promises about (e.g. a reordered shootdown ack);
 //! * **invariant-violated** — the oracle found corrupted translation
@@ -18,13 +18,14 @@
 //! bit-for-bit: same seed, same faults, same classification.
 
 use ptstore_core::{VirtAddr, MIB, PAGE_SIZE};
-use ptstore_kernel::{DrainPolicy, Kernel, KernelConfig, Pid};
+use ptstore_kernel::{DrainPolicy, Kernel, KernelConfig};
 use ptstore_trace::{FaultClass, TraceCounters, TraceSink};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::inject::{DetectedBy, FaultInjector, FaultPlan, InjectOutcome, Trigger};
+use crate::inject::{DetectedBy, FaultPlan, InjectOutcome, Trigger};
 use crate::oracle::Invariants;
+use crate::replay::spawn_workers;
 
 /// Campaign parameters (`reproduce fuzz` maps its flags onto this).
 #[derive(Debug, Clone)]
@@ -222,7 +223,9 @@ impl CampaignReport {
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let mut master = StdRng::seed_from_u64(cfg.seed);
     let kcfg = cfg.kernel_config();
-    let mut runs = Vec::with_capacity(cfg.faults as usize);
+    // Grown run by run, not sized from `cfg.faults`: a huge count would
+    // overflow the capacity before the first run.
+    let mut runs = Vec::new();
     for i in 0..cfg.faults {
         let run_seed = master.random::<u64>();
         let class = cfg.classes[(i as usize) % cfg.classes.len().max(1)];
@@ -272,40 +275,39 @@ pub fn run_one(
     let mut rng = StdRng::seed_from_u64(run_seed);
     let mut k = Kernel::boot(*kcfg).expect("campaign kernel boots");
     let sink = TraceSink::new();
+    // Attached before the workers fork: `AfterSyscalls` triggers count
+    // those forks.
     k.set_trace_sink(Some(sink.clone()));
+    spawn_workers(&mut k);
 
-    let mut wl = Workload::spawn(&mut k);
+    let mut wl = Workload {
+        mapped: vec![Vec::new(); k.harts.len()],
+    };
     for _ in 0..4 {
         wl.step(&mut k, &mut rng);
     }
 
     let plan = FaultPlan::random(class, &k, &mut rng);
-    let mut injector = FaultInjector::new(plan);
     let mut checks = 0u64;
     let mut violations: Vec<String> = Vec::new();
 
     // Pre-injection phase: run until the trigger fires (bounded by the
     // op budget so a far trigger still fires, just later).
     let mut steps = 0;
-    while !injector.ready(&k) && steps < ops {
+    while !plan.trigger.ready(&k) && steps < ops {
         wl.step(&mut k, &mut rng);
         steps += 1;
     }
-    let outcome = injector.fire(&mut k, &mut rng);
+    // A *denied* fault restores its own scaffolding (bogus satp, forged
+    // PCB word, drained zone) before `fire` returns: the mechanism refused
+    // it, so the scaffolding is debris, not live state the mechanism failed
+    // to stop. A *landed* fault is left in place so the oracle judges it.
+    let outcome = plan.fire(&mut k, &mut rng);
     let injected = outcome != InjectOutcome::Skipped;
     let mut detected_by = match outcome {
         InjectOutcome::Denied(by) => Some(by),
         _ => None,
     };
-
-    // A *detected* fault is repaired before the first oracle sweep: the
-    // mechanism already refused it, so the injector's own scaffolding
-    // (bogus satp write, forged PCB bytes, drained zone) is debris, not
-    // live state the mechanism failed to stop. A *landed* fault is left
-    // in place so the oracle judges it.
-    if detected_by.is_some() {
-        injector.repair(&mut k);
-    }
 
     // Oracle immediately after injection: a landed corruption must be
     // flagged here, before further execution compounds it.
@@ -378,22 +380,6 @@ struct Workload {
 }
 
 impl Workload {
-    /// Forks one worker per hart and switches each hart to its worker
-    /// (the same pattern the SMP benchmarks use).
-    fn spawn(k: &mut Kernel) -> Self {
-        let harts = k.harts.len();
-        k.set_active_hart(0);
-        let workers: Vec<Pid> = (0..harts).filter_map(|_| k.sys_fork().ok()).collect();
-        for (h, &w) in workers.iter().enumerate() {
-            k.set_active_hart(h);
-            let _ = k.do_switch_to(w);
-        }
-        k.set_active_hart(0);
-        Self {
-            mapped: vec![Vec::new(); harts],
-        }
-    }
-
     /// One workload operation on a randomly chosen hart.
     fn step(&mut self, k: &mut Kernel, rng: &mut StdRng) {
         let h = (rng.random::<u64>() as usize) % k.harts.len();

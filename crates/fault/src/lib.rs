@@ -7,19 +7,20 @@
 //! that case analysis into an executable, adversarial test harness with
 //! three parts:
 //!
-//! * **[`inject`]** — a deterministic, seeded fault injector. Each
-//!   [`FaultClass`] models one way the
+//! * **[`inject`]** — the fault primitives and the campaign's seeded
+//!   [`FaultPlan`]s. Each [`FaultClass`] models one way the
 //!   mechanism can be attacked or can mis-operate: PTE bit flips through
 //!   the regular channel, rogue PMP CSR (SBI) requests, corrupted `satp`
 //!   roots, dropped or reordered TLB-shootdown IPIs, PTStore-zone
 //!   exhaustion mid-`fork`, forged tokens, and drain-machinery faults (a
 //!   queued remote invalidation silently discarded before its batched
-//!   drain, or a watermark-triggered early drain skipped whole). Faults
-//!   are addressable by
-//!   site (hart, process, PTE slot) and trigger condition (cycle count,
-//!   Nth bus access, trace-counter predicate) and are injected through
-//!   the same architectural paths an attacker would use, so the modeled
-//!   hardware gets to adjudicate them.
+//!   drain, or a watermark-triggered early drain skipped whole). A plan
+//!   fixes the site (hart, process) and trigger condition (cycle count,
+//!   Nth bus access, trace-counter predicate); [`FaultPlan::fire`] draws
+//!   the remaining choices (PTE slot and bit, forgery victim) from the
+//!   run's rng. Faults are injected through the same architectural paths
+//!   an attacker would use, so the modeled hardware gets to adjudicate
+//!   them, and a denied fault restores what it set up itself.
 //!
 //! * **[`oracle`]** — a machine-wide invariant oracle
 //!   ([`Invariants::check`]) verifying, from raw (DRAM's-eye) state: every
@@ -41,11 +42,12 @@
 //!   flips its fault class to *invariant-violated*.
 //!
 //! * **[`mod@replay`]** — a deterministic op-sequence replay layer: the
-//!   model checker's operation alphabet ([`ModelOp`]) pairing the kernel
-//!   ops above with de-randomized versions of the injector's attacker
-//!   primitives, plus [`replay_trace`], which re-executes a printed
-//!   counterexample on a fresh machine and re-asserts the oracle verdict.
-//!   `ptstore-modelcheck` builds its bounded exhaustive search on top.
+//!   model checker's operation alphabet ([`ModelOp`]) pairing kernel ops
+//!   with five of the attacker primitives above — the same bodies the
+//!   campaign fires, with fixed choices in place of its rng draws — plus
+//!   [`replay_trace`], which re-executes a printed counterexample on a
+//!   fresh machine and re-asserts the oracle verdict. `ptstore-modelcheck`
+//!   builds its bounded exhaustive search on top.
 //!
 //! ```
 //! use ptstore_fault::{run_campaign, CampaignConfig, RunClass};
@@ -62,7 +64,7 @@ pub mod oracle;
 pub mod replay;
 
 pub use campaign::{run_campaign, run_one, CampaignConfig, CampaignReport, RunClass, RunResult};
-pub use inject::{DetectedBy, FaultInjector, FaultPlan, InjectOutcome, Trigger};
+pub use inject::{DetectedBy, FaultPlan, InjectOutcome, Trigger};
 pub use oracle::{known_pt_pages, InvariantReport, Invariants, Violation};
 pub use ptstore_trace::FaultClass;
 pub use replay::{apply, boot_model, format_trace, replay, replay_trace, ModelOp, OpOutcome};

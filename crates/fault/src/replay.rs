@@ -10,15 +10,18 @@
 //! * [`ModelOp`] — a small, fully deterministic operation alphabet: the
 //!   kernel ops the paper's mechanism must survive (fork/exit churn,
 //!   mmap/munmap/mprotect, CoW breaks, secure-region adjustment, token
-//!   re-validation, deferred-drain flushes) plus the attacker primitives of
-//!   [`crate::inject`] with their randomized site selection replaced by
-//!   state-derived deterministic choices (first eligible PTE slot, first
-//!   other process as forgery victim, fixed probe addresses).
-//! * [`apply`] — executes one op against a live kernel. Attacker ops follow
-//!   the campaign's repair discipline: a *denied* fault restores its own
-//!   scaffolding (satp put back, PCB bytes rewritten) so the machine state
-//!   is exactly "the mechanism refused, nothing happened", while a *landed*
-//!   fault leaves its corruption in place for the oracle to judge.
+//!   re-validation, deferred-drain flushes) plus five attacker primitives
+//!   of [`crate::inject`]: PTE bit flip, rogue region shrink, `satp`
+//!   corruption, token forgery and a dropped IPI.
+//! * [`apply`] — executes one op against a live kernel. An attacker op
+//!   calls the same primitive body the fuzz campaign fires, with fixed
+//!   choices where the campaign draws from its rng: the first eligible PTE
+//!   slot, the first other process as forgery victim, the first probe page,
+//!   the next hart over as the IPI victim. A *denied* attack restores its
+//!   own scaffolding (`satp` put back, PCB word rewritten), so the machine
+//!   state is exactly "the mechanism refused, nothing happened", while a
+//!   *landed* attack leaves its corruption in place for the oracle to
+//!   judge.
 //! * [`replay`] / [`replay_trace`] — re-execute a whole trace on a fresh
 //!   boot; `replay_trace` re-asserts the final oracle verdict, which is what
 //!   makes a printed counterexample *replayable*: the shrinker uses it to
@@ -36,14 +39,14 @@
 
 use core::fmt;
 
-use ptstore_core::{AccessContext, AccessKind, Channel, PrivilegeMode, VirtAddr, PAGE_SIZE};
+use ptstore_core::{VirtAddr, PAGE_SIZE};
 use ptstore_kernel::pagetable::{USER_MMAP_BASE, USER_STACK_PAGES, USER_STACK_TOP};
 use ptstore_kernel::process::VmPerms;
-use ptstore_kernel::{
-    GfpFlags, IpiFault, Kernel, KernelConfig, KernelError, Pid, ProcState, SbiCall, SbiResult,
-};
-use ptstore_mmu::{table_entries, Satp, TranslateError};
+use ptstore_kernel::{IpiFault, Kernel, KernelConfig, Pid, ProcState};
 
+use crate::inject::{
+    ipi_fault, pte_bit_flip, region_shrink, satp_corrupt, token_forge, InjectOutcome, SATP_PROBE_VA,
+};
 use crate::oracle::{InvariantReport, Invariants};
 
 /// One deterministic operation of the model checker's alphabet.
@@ -231,7 +234,7 @@ impl fmt::Display for OpOutcome {
 
 /// Boots the model-checking machine: a fresh kernel per `cfg` with one
 /// worker process forked per hart and each hart switched to its worker —
-/// the same prologue the fuzz campaign uses, so oracle expectations carry
+/// the prologue the fuzz campaign runs too, so oracle expectations carry
 /// over.
 ///
 /// # Panics
@@ -239,9 +242,20 @@ impl fmt::Display for OpOutcome {
 /// geometry is validated ahead of time, so this indicates a bug.
 pub fn boot_model(cfg: &KernelConfig) -> Kernel {
     let mut k = Kernel::boot(*cfg).expect("model kernel boots");
-    let harts = k.harts.len();
+    spawn_workers(&mut k);
+    k
+}
+
+/// Forks one worker process per hart from hart 0, switches each hart to
+/// its worker and leaves hart 0 active: the prologue of every model
+/// machine and every campaign run.
+///
+/// # Panics
+/// Panics when a worker cannot fork or be switched to, which a freshly
+/// booted machine always allows.
+pub(crate) fn spawn_workers(k: &mut Kernel) {
     k.set_active_hart(0);
-    let workers: Vec<Pid> = (0..harts)
+    let workers: Vec<Pid> = (0..k.harts.len())
         .map(|_| k.sys_fork().expect("worker forks"))
         .collect();
     for (h, &w) in workers.iter().enumerate() {
@@ -249,7 +263,6 @@ pub fn boot_model(cfg: &KernelConfig) -> Kernel {
         k.do_switch_to(w).expect("worker switch");
     }
     k.set_active_hart(0);
-    k
 }
 
 /// The newest live (non-zombie) child of `pid`.
@@ -365,131 +378,34 @@ pub fn apply(k: &mut Kernel, op: ModelOp) -> OpOutcome {
             k.drain_deferred_flushes();
             OpOutcome::Mutated
         }
-        ModelOp::PteFlip { hart, bit } => apply_pte_flip(k, hart, bit),
-        ModelOp::RogueRegionShrink => {
-            let Some(region) = k.secure_region() else {
-                return OpOutcome::Unavailable;
-            };
-            let rogue = SbiCall::SecureRegionSet {
-                new_base: region.base() + PAGE_SIZE,
-            };
-            match k.sbi_call(rogue) {
-                SbiResult::Err(_) => OpOutcome::Denied,
-                SbiResult::Ok | SbiResult::Region { .. } => OpOutcome::Landed,
-            }
-        }
-        ModelOp::SatpCorrupt { hart } => apply_satp_corrupt(k, hart),
-        ModelOp::TokenForge { hart } => apply_token_forge(k, hart),
-        ModelOp::DropIpi { hart } => {
-            let harts = k.harts.len();
-            if harts < 2 {
-                return OpOutcome::Unavailable;
-            }
-            k.inject_ipi_fault(IpiFault::DropNext {
-                victim: (hart + 1) % harts,
-            });
+        ModelOp::PteFlip { hart, bit } => {
             k.set_active_hart(hart);
-            if let Ok(va) = k.sys_mmap(PAGE_SIZE) {
-                let _ = k.sys_touch(va, true);
-                let _ = k.sys_munmap(va, PAGE_SIZE);
-            }
-            OpOutcome::Landed
+            let owner = k.mm_owner_of(k.current_pid());
+            attack(pte_bit_flip(k, hart, owner, |slots| {
+                Some((*slots.first()?, u32::from(bit)))
+            }))
+        }
+        ModelOp::RogueRegionShrink => attack(region_shrink(k)),
+        ModelOp::SatpCorrupt { hart } => {
+            attack(satp_corrupt(k, hart, VirtAddr::new(SATP_PROBE_VA)))
+        }
+        ModelOp::TokenForge { hart } => {
+            attack(token_forge(k, hart, |victims| victims.first().copied()))
+        }
+        ModelOp::DropIpi { hart } => {
+            let victim = (hart + 1) % k.harts.len();
+            attack(ipi_fault(k, hart, IpiFault::DropNext { victim }))
         }
     }
 }
 
-/// Deterministic core of [`crate::inject::FaultInjector`]'s PTE bit flip:
-/// the victim slot is the *first* valid non-leaf entry of the worker's root
-/// table instead of a seeded pick.
-fn apply_pte_flip(k: &mut Kernel, hart: usize, bit: u8) -> OpOutcome {
-    k.set_active_hart(hart);
-    let owner = k.mm_owner_of(k.current_pid());
-    let Some(root) = k.process_root(owner) else {
-        return OpOutcome::Unavailable;
-    };
-    let victim = table_entries(root, k.bus.mem())
-        .into_iter()
-        .flatten()
-        .find(|(_, pte)| pte.is_table());
-    let Some((addr, _)) = victim else {
-        return OpOutcome::Unavailable;
-    };
-    let ctx = AccessContext::supervisor(k.satp_s_bit()).on_hart(hart);
-    match k
-        .bus
-        .inject_bit_flip(addr, u32::from(bit), Channel::Regular, ctx)
-    {
-        Err(_) => OpOutcome::Denied,
-        Ok(_) => OpOutcome::Landed,
-    }
-}
-
-/// Deterministic core of the injector's `satp` corruption: fixed probe VA,
-/// and a denied corruption restores `satp` and frees the decoy root (the
-/// campaign's repair step, folded into the op so a denied attack leaves the
-/// machine exactly where it was).
-fn apply_satp_corrupt(k: &mut Kernel, hart: usize) -> OpOutcome {
-    let old = k.harts[hart].mmu.satp;
-    let Some(scheme) = old.scheme else {
-        return OpOutcome::Unavailable;
-    };
-    let Ok(bogus) = k.alloc_page(GfpFlags::KERNEL.union(GfpFlags::ZERO)) else {
-        return OpOutcome::Unavailable;
-    };
-    k.harts[hart].mmu.satp = Satp::new(scheme, bogus, old.asid, old.s_bit);
-    let probe = VirtAddr::new(0x7a00_0000);
-    let machine = &mut *k;
-    let outcome = machine.harts[hart].mmu.translate_data(
-        &mut machine.bus,
-        probe,
-        AccessKind::Read,
-        PrivilegeMode::Supervisor,
-    );
+/// An attack's outcome as a transition: which layer denied it does not
+/// enter the state.
+fn attack(outcome: InjectOutcome) -> OpOutcome {
     match outcome {
-        Err(TranslateError::AccessFault(_)) => {
-            k.harts[hart].mmu.satp = old;
-            let _ = k.free_page(bogus);
-            OpOutcome::Denied
-        }
-        Err(TranslateError::PageFault { .. }) | Ok(_) => OpOutcome::Landed,
-    }
-}
-
-/// Deterministic core of the injector's token forge: the forged pointer is
-/// the first other process's root (the classic PT-Reuse victim), falling
-/// back to a shifted pointer on a lone process. A refused forge rewrites
-/// the PCB bytes it corrupted.
-fn apply_token_forge(k: &mut Kernel, hart: usize) -> OpOutcome {
-    let pid = k.harts[hart].current;
-    if pid == 0 {
-        return OpOutcome::Unavailable;
-    }
-    let owner = k.mm_owner_of(pid);
-    let Some(slot) = k.pcb_pt_ptr_slot(owner) else {
-        return OpOutcome::Unavailable;
-    };
-    let Ok(old) = k.bus.mem().read_u64(slot) else {
-        return OpOutcome::Unavailable;
-    };
-    let forged = k
-        .procs
-        .pids()
-        .find(|&p| p != owner)
-        .and_then(|v| k.process_root(v))
-        .map(|r| r.base_addr().as_u64())
-        .filter(|&v| v != old)
-        .unwrap_or(old + PAGE_SIZE);
-    let slot_va = k.direct_map(slot);
-    if k.attacker_write_u64(slot_va, forged).is_err() {
-        return OpOutcome::Unavailable;
-    }
-    k.set_active_hart(hart);
-    match k.activate_address_space(owner) {
-        Err(KernelError::TokenInvalid(_)) | Err(KernelError::Access(_)) => {
-            let _ = k.bus.mem_unchecked().write_u64(slot, old);
-            OpOutcome::Denied
-        }
-        Err(_) | Ok(()) => OpOutcome::Landed,
+        InjectOutcome::Denied(_) => OpOutcome::Denied,
+        InjectOutcome::Landed => OpOutcome::Landed,
+        InjectOutcome::Skipped => OpOutcome::Unavailable,
     }
 }
 

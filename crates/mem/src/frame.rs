@@ -5,8 +5,8 @@
 //! the 30 000-process fork-stress experiment (paper §V-D1) cost gigabytes of
 //! host memory, so a frame starts as all-zero, is promoted to a sparse
 //! 8-byte-word map on first write, and only becomes a dense byte array when
-//! it accumulates enough distinct words (or sees sub-word writes that don't
-//! fit the word map cleanly).
+//! it accumulates enough distinct words. A frame is written a whole word at
+//! a time: [`crate::PhysMem`] merges a sub-word write into its word first.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -146,42 +146,6 @@ impl Frame {
         }
     }
 
-    /// Reads a single byte at `offset`.
-    ///
-    /// # Panics
-    /// Panics if `offset >= PAGE_SIZE`.
-    #[inline]
-    pub fn read_byte(&self, offset: u16) -> u8 {
-        assert!((offset as u64) < PAGE_SIZE);
-        match self {
-            Frame::Zero => 0,
-            Frame::Words(_) => {
-                let word = self.read_word(offset / 8);
-                word.to_le_bytes()[(offset % 8) as usize]
-            }
-            Frame::Dense(bytes) => bytes[offset as usize],
-        }
-    }
-
-    /// Writes a single byte at `offset`, promoting sparse backing through the
-    /// word map (read-modify-write of the containing word).
-    ///
-    /// # Panics
-    /// Panics if `offset >= PAGE_SIZE`.
-    #[inline]
-    pub fn write_byte(&mut self, offset: u16, value: u8) {
-        assert!((offset as u64) < PAGE_SIZE);
-        match self {
-            Frame::Dense(bytes) => bytes[offset as usize] = value,
-            _ => {
-                let wi = offset / 8;
-                let mut word = self.read_word(wi).to_le_bytes();
-                word[(offset % 8) as usize] = value;
-                self.write_word(wi, u64::from_le_bytes(word));
-            }
-        }
-    }
-
     /// True when every byte of the frame is zero. Used by the kernel's
     /// zero-check defense against allocator-metadata attacks (paper §V-E3).
     #[inline]
@@ -264,16 +228,22 @@ impl Frame {
 
 #[cfg(test)]
 mod tests {
+    use ptstore_core::{PhysAddr, PhysPageNum};
+
     use super::*;
+    use crate::PhysMem;
 
     #[test]
     fn zero_frame_reads_zero() {
         let f = Frame::new();
         assert_eq!(f.read_word(0), 0);
         assert_eq!(f.read_word(511), 0);
-        assert_eq!(f.read_byte(4095), 0);
         assert!(f.is_zero());
         assert_eq!(f.backing_bytes(), 0);
+        // A page never written reads zero through the byte path too.
+        let m = PhysMem::new(PAGE_SIZE);
+        assert_eq!(m.read_u8(PhysAddr::new(4095)).expect("in range"), 0);
+        assert!(matches!(m.page(PhysPageNum::new(0)), Ok(Frame::Zero)));
     }
 
     #[test]
@@ -303,13 +273,16 @@ mod tests {
 
     #[test]
     fn byte_access_within_words() {
-        let mut f = Frame::new();
-        f.write_byte(10, 0xAB);
-        assert_eq!(f.read_byte(10), 0xAB);
+        let mut m = PhysMem::new(PAGE_SIZE);
+        let (page, byte) = (PhysPageNum::new(0), PhysAddr::new(10));
+        m.write_u8(byte, 0xAB).expect("in range");
+        assert_eq!(m.read_u8(byte).expect("in range"), 0xAB);
         // Byte 10 lives in word 1 at lane 2.
+        let f = m.page(page).expect("in range");
+        assert!(matches!(f, Frame::Words(_)));
         assert_eq!(f.read_word(1), 0xAB_u64 << 16);
-        f.write_byte(10, 0);
-        assert!(f.is_zero());
+        m.write_u8(byte, 0).expect("in range");
+        assert!(m.page(page).expect("in range").is_zero());
     }
 
     #[test]
@@ -327,17 +300,23 @@ mod tests {
 
     #[test]
     fn dense_byte_ops() {
-        let mut f = Frame::new();
-        for i in 0..(DENSE_PROMOTION_WORDS as u16 + 8) {
-            f.write_word(i, u64::MAX);
+        let mut m = PhysMem::new(PAGE_SIZE);
+        let (page, byte) = (PhysPageNum::new(0), PhysAddr::new(4095));
+        for i in 0..(DENSE_PROMOTION_WORDS as u64 + 8) {
+            m.write_u64(PhysAddr::new(8 * i), u64::MAX)
+                .expect("in range");
         }
+        assert!(matches!(m.page(page), Ok(Frame::Dense(_))));
+        m.write_u8(byte, 0x7f).expect("in range");
+        assert_eq!(m.read_u8(byte).expect("in range"), 0x7f);
+        // The byte landed in the top lane of the last word, in place.
+        let f = m.page(page).expect("in range");
         assert!(matches!(f, Frame::Dense(_)));
-        f.write_byte(4095, 0x7f);
-        assert_eq!(f.read_byte(4095), 0x7f);
+        assert_eq!(f.read_word(511), 0x7f << 56);
         assert!(!f.is_zero());
-        f.clear();
-        assert!(f.is_zero());
-        assert!(matches!(f, Frame::Zero));
+        m.zero_page(page);
+        assert!(m.page_is_zero(page));
+        assert!(matches!(m.page(page), Ok(Frame::Zero)));
     }
 
     #[test]

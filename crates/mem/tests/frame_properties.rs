@@ -2,8 +2,8 @@
 //! from a plain 4 KiB byte array.
 
 use proptest::prelude::*;
-use ptstore_core::{PhysAddr, PAGE_SIZE};
-use ptstore_mem::{Frame, PhysMem};
+use ptstore_core::{PhysAddr, PhysPageNum, PAGE_SIZE};
+use ptstore_mem::PhysMem;
 
 /// A write operation against one frame.
 #[derive(Debug, Clone)]
@@ -22,21 +22,22 @@ fn arb_frame_op() -> impl Strategy<Value = FrameOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The frame agrees with a reference byte array after any op sequence,
-    /// across all backing promotions.
+    /// The frame behind one page agrees with a reference byte array after
+    /// any op sequence, across all backing promotions. Byte writes go
+    /// through `PhysMem`, which merges them into their word.
     #[test]
     fn frame_matches_reference(ops in proptest::collection::vec(arb_frame_op(), 1..300)) {
-        let mut frame = Frame::new();
+        let mut mem = PhysMem::new(PAGE_SIZE);
         let mut reference = [0u8; PAGE_SIZE as usize];
         for op in ops {
             match op {
                 FrameOp::WriteWord { index, value } => {
-                    frame.write_word(index, value);
+                    mem.write_u64(PhysAddr::new(u64::from(index) * 8), value).expect("in range");
                     reference[index as usize * 8..index as usize * 8 + 8]
                         .copy_from_slice(&value.to_le_bytes());
                 }
                 FrameOp::WriteByte { offset, value } => {
-                    frame.write_byte(offset, value);
+                    mem.write_u8(PhysAddr::new(offset.into()), value).expect("in range");
                     reference[offset as usize] = value;
                 }
             }
@@ -46,12 +47,15 @@ proptest! {
             let want = u64::from_le_bytes(
                 reference[i as usize * 8..i as usize * 8 + 8].try_into().expect("8"),
             );
-            prop_assert_eq!(frame.read_word(i), want, "word {}", i);
+            let got = mem.read_u64(PhysAddr::new(u64::from(i) * 8)).expect("in range");
+            prop_assert_eq!(got, want, "word {}", i);
         }
         for off in (0u16..4096).step_by(97) {
-            prop_assert_eq!(frame.read_byte(off), reference[off as usize], "byte {}", off);
+            let got = mem.read_u8(PhysAddr::new(off.into())).expect("in range");
+            prop_assert_eq!(got, reference[off as usize], "byte {}", off);
         }
-        prop_assert_eq!(frame.is_zero(), reference.iter().all(|&b| b == 0));
+        let zero = reference.iter().all(|&b| b == 0);
+        prop_assert_eq!(mem.page_is_zero(PhysPageNum::new(0)), zero);
     }
 
     /// PhysMem u8/u32/u64 accessors are mutually consistent.

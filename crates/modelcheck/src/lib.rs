@@ -6,10 +6,10 @@
 //! interleaving of a small deterministic operation alphabet
 //! ([`ModelOp`](ptstore_fault::ModelOp)): fork/exit churn,
 //! mmap/munmap/mprotect, CoW breaks, secure-region adjustment, token
-//! re-validation, deferred-drain flushes, and the de-randomized attacker
-//! primitives of the fault injector (PTE flips through the regular channel,
-//! rogue PMP requests, `satp` corruption, token forging, dropped shootdown
-//! IPIs).
+//! re-validation, deferred-drain flushes, and five attacker primitives
+//! (PTE flips through the regular channel, rogue PMP requests, `satp`
+//! corruption, token forging, dropped shootdown IPIs), each the same body
+//! the campaign fires, with fixed choices in place of its rng draws.
 //!
 //! The search is a breadth-first enumeration with canonical state hashing:
 //!

@@ -201,16 +201,26 @@ grep -q "transitions      : 1352490$" target/mc-d6.txt
 grep -q "exploration hash : 0xa457405a7256b28a$" target/mc-d6.txt
 rm -f target/mc-d6.txt
 
-echo "== modelcheck: ablation counterexample (minimal, replayable) =="
-# Removing the PMP S-bit check must flip the verdict and print the shrunk
-# one-op attack trace with the containment violation it lands.
-./target/release/reproduce modelcheck --depth 2 --ops mmap,fork,pte-flip \
-    --ablate pmp_s_bit_check > target/mc-abl.txt
-grep -q ": FALSIFIED" target/mc-abl.txt
-grep -q "counterexample (1 ops" target/mc-abl.txt
-grep -q "attack:pte-flip" target/mc-abl.txt
-grep -q "PtPageOutsideRegion" target/mc-abl.txt
-rm -f target/mc-abl.txt
+echo "== modelcheck: ablation counterexamples (minimal, replayable) =="
+# Removing any one of the three checks must flip the verdict and print the
+# shrunk one-op attack trace with the violation it lands; the exploration
+# hash pins the search that found it. Arguments: the modelcheck flags
+# (split on spaces), the attack op, the violation, the hash.
+pin_ablation() {
+    ./target/release/reproduce modelcheck $1 > target/mc-abl.txt
+    grep -q ": FALSIFIED" target/mc-abl.txt
+    grep -q "counterexample (1 ops" target/mc-abl.txt
+    grep -qF "0: $2" target/mc-abl.txt
+    grep -qF "$3" target/mc-abl.txt
+    grep -q "exploration hash : $4\$" target/mc-abl.txt
+    rm -f target/mc-abl.txt
+}
+pin_ablation "--depth 2 --ops mmap,fork,pte-flip --ablate pmp_s_bit_check" \
+    "attack:pte-flip" PtPageOutsideRegion 0x20d5732ad041e91b
+pin_ablation "--ops mmap,fork,satp --ablate ptw_origin_check" \
+    "attack:satp-corrupt(h0)" SatpRootMismatch 0x3f5efd47e812a145
+pin_ablation "--ops mmap,fork,forge --ablate token_checks" \
+    "attack:token-forge(h0)" SatpRootMismatch 0xe55d8fb4a427ab0e
 
 echo "== bench_history: BENCH_PR*.json trajectory collation =="
 # The collator depends only on the committed artifacts, so two runs are
