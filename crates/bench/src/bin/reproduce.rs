@@ -25,6 +25,9 @@
 //! deterministic kernel and reports merge back in a fixed order, so the
 //! output is byte-identical at any job count.
 //!
+//! `--drain-policy boundary|watermark[:D]` applies to `c1m`, whose batched
+//! rows otherwise sweep both policies, and to `modelcheck`'s machine.
+//!
 //! `fuzz` runs the ptstore-fault campaign: seeded runs, each injecting one
 //! fault drawn round-robin from the fault classes, classified as
 //! detected-and-contained / benign / invariant-violated; the report is
@@ -113,12 +116,9 @@ const FLAGS: [Flag; 13] = [
     Flag::new(SCHEME, "--scheme", "sv39|sv48|sv57", |o, v| {
         parsed(v).map(|s| o.scheme = Some(s))
     }),
-    Flag::new(
-        DRAIN,
-        "--drain-policy",
-        "boundary|watermark[:D]|asid-recycle",
-        |o, v| parsed(v).map(|p| o.drain_policy = Some(p)),
-    ),
+    Flag::new(DRAIN, "--drain-policy", "boundary|watermark[:D]", |o, v| {
+        parsed(v).map(|p| o.drain_policy = Some(p))
+    }),
     Flag::new(SEED, "--seed", "S", |o, v| {
         int(v, 0, None).map(|n| o.seed = Some(n))
     }),
@@ -183,7 +183,7 @@ const EXPERIMENTS: [Experiment; 17] = [
     Experiment::new("hwdetail", true, QUICK | JOBS, |_| report_hwdetail()),
     Experiment::new("ltp", true, QUICK | JOBS, report_ltp),
     Experiment::new("fig4", true, QUICK | JOBS | CSV, report_fig4),
-    Experiment::new("forkstress", true, QUICK | JOBS | DRAIN, report_stress),
+    Experiment::new("forkstress", true, QUICK | JOBS, report_stress),
     Experiment::new("fig5", true, QUICK | JOBS | CSV, report_fig5),
     Experiment::new("fig6", true, QUICK | JOBS | CSV, report_fig6),
     Experiment::new("fig7", true, QUICK | JOBS | CSV, report_fig7),
@@ -572,33 +572,28 @@ fn report_fig4(o: &Opts) -> String {
 
 fn report_stress(o: &Opts) -> String {
     let mut out = String::new();
-    let (scale, policy) = (o.scale(), o.drain_policy);
-    let under = match policy {
-        Some(p) => format!("; deferred shootdowns, drain policy {p}"),
-        None => String::new(),
-    };
+    let scale = o.scale();
     header(
         &mut out,
         &format!(
-            "§V-D1: fork stress — {} simultaneous processes (paper: 30,000; 2.84% / 6.83% / 3.77%{under})",
+            "§V-D1: fork stress — {} simultaneous processes (paper: 30,000; 2.84% / 6.83% / 3.77%)",
             scale.stress_procs
         ),
     );
     w!(
         out,
-        "{:<18} {:>14} {:>10} {:>12} {:>10} {:>14} {:>18}",
+        "{:<18} {:>14} {:>10} {:>12} {:>10} {:>14}",
         "config",
         "cycles",
         "overhead%",
         "adjustments",
         "migrated",
-        "region (MiB)",
-        "tlb digest"
+        "region (MiB)"
     );
-    for row in run_stress_policy_jobs(&scale, o.jobs(), policy) {
+    for row in run_stress_jobs(&scale, o.jobs()) {
         w!(
             out,
-            "{:<18} {:>14} {:>10.2} {:>12} {:>10} {:>14} {:>#18x}",
+            "{:<18} {:>14} {:>10.2} {:>12} {:>10} {:>14}",
             row.label,
             row.result.cycles,
             row.overhead_pct,
@@ -608,14 +603,6 @@ fn report_stress(o: &Opts) -> String {
                 .final_region_size
                 .map(|s| (s / (1 << 20)).to_string())
                 .unwrap_or_else(|| "-".to_string()),
-            row.tlb_digest,
-        );
-    }
-    if policy.is_some() {
-        w!(
-            out,
-            "=> drain policies are pure placement: the tlb digest column must be identical \
-             for every --drain-policy value (check.sh compares boundary vs watermark)"
         );
     }
     out
@@ -891,40 +878,28 @@ fn report_c1m(o: &Opts) -> String {
             row.result.deferred_drains,
             row.result.deferred_pages_coalesced,
             row.result.deferred_queue_peak,
-            row.result.watermark_drains + row.result.asid_recycle_drains,
+            row.result.watermark_drains,
             row.result.adjustments,
         );
     }
     // The machine-greppable policy trade-off line check.sh and bench.sh
-    // parse: per-policy queue peaks plus the state-identity verdict.
-    let batched: Vec<_> = rows
-        .iter()
-        .filter(|r| r.label.starts_with("CFI+PTStore batched/"))
-        .collect();
+    // parse: per-policy queue peaks and IPI counts.
     let mut sweep = String::from("drain-policy sweep:");
-    for r in &batched {
-        let _ = write!(
-            sweep,
-            " {} maxq={} ipis={}",
-            r.label.trim_start_matches("CFI+PTStore batched/"),
-            r.result.deferred_queue_peak,
-            r.result.report.shootdown_ipis
-        );
+    for r in &rows {
+        if let Some(policy) = r.label.strip_prefix("CFI+PTStore batched/") {
+            let _ = write!(
+                sweep,
+                " {policy} maxq={} ipis={}",
+                r.result.deferred_queue_peak, r.result.report.shootdown_ipis
+            );
+        }
     }
-    let identical = batched
-        .windows(2)
-        .all(|w| w[0].result.tlb_digest == w[1].result.tlb_digest);
-    let _ = write!(
-        sweep,
-        " tlb-digest-identical={}",
-        if identical { "yes" } else { "NO" }
-    );
     w!(out, "{sweep}");
     w!(
         out,
         "=> batching (deferred shootdowns + magazines) must cut IPIs and wall cycles versus \
          the eager row; policies only move drain placement — watermark must cap maxq below \
-         boundary's with an identical tlb digest. All values are modeled — host wall time \
+         boundary's and coalesce the same pages. All values are modeled — host wall time \
          is measured by scripts/bench.sh"
     );
     out

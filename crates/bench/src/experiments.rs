@@ -4,7 +4,7 @@ use ptstore_core::pool::fan_out;
 use ptstore_core::{GIB, MIB};
 use ptstore_hwcost::{table3, BoomConfig, Table3Row};
 use ptstore_kernel::{DefenseMode, DrainPolicy, Kernel, KernelConfig, DEFAULT_WATERMARK_DEPTH};
-use ptstore_workloads::c1m::{run_c1m, tlb_digest, C1mParams, C1mResult};
+use ptstore_workloads::c1m::{run_c1m, C1mParams, C1mResult};
 use ptstore_workloads::fork_stress::{run_fork_stress, stress_configs, ForkStressResult};
 use ptstore_workloads::lmbench;
 use ptstore_workloads::nginx::{run_nginx, NginxParams, RESPONSE_SIZES};
@@ -268,59 +268,34 @@ pub struct StressRow {
     pub result: ForkStressResult,
     /// Overhead versus the no-CFI baseline, percent.
     pub overhead_pct: f64,
-    /// Post-run TLB fingerprint ([`tlb_digest`]): drain policies may only
-    /// move IPI rounds around, never the final translation state, so this
-    /// value must not depend on the `--drain-policy` flag.
-    pub tlb_digest: u64,
 }
 
 /// Runs the §V-D1 stress at the given scale across the four
 /// configurations, with up to `jobs` of them in flight. The baseline is the
 /// first configuration's result; each point boots a fresh kernel, so the
-/// rows are identical at any job count. When `policy` is given, the two
-/// PTStore rows run with deferred shootdowns on under that policy
-/// (`reproduce forkstress --drain-policy …`). Early drains are pure
-/// placement, so every row's [`StressRow::tlb_digest`] is identical across
-/// policies — the `check.sh` policy-differential gate compares them.
-pub fn run_stress_policy_jobs(
-    scale: &Scale,
-    jobs: usize,
-    policy: Option<DrainPolicy>,
-) -> Vec<StressRow> {
+/// rows are identical at any job count.
+pub fn run_stress_jobs(scale: &Scale, jobs: usize) -> Vec<StressRow> {
     // The small-region configuration is sized so adjustments must fire, as
     // the paper's 64 MiB does for 30 000 processes.
     let small_region = (scale.stress_procs * 6 * ptstore_core::PAGE_SIZE / 10)
         .clamp(MIB, scale.mem_size / 8)
         .next_power_of_two()
         / 2;
-    let mut configs = stress_configs(scale.mem_size, small_region, scale.stress_large_region);
-    if let Some(p) = policy {
-        // A drain queue only exists with a remote TLB to shoot down, so the
-        // policy run boots 2-hart machines (every row, to keep the overhead
-        // baseline comparable); only the PTStore rows get the deferred
-        // machinery — the knob is meaningless without a secure region.
-        for (i, cfg) in configs.iter_mut().enumerate() {
-            *cfg = cfg.with_harts(2);
-            if i >= 2 {
-                *cfg = cfg.with_deferred_shootdowns(true).with_drain_policy(p);
-            }
-        }
-    }
+    let configs = stress_configs(scale.mem_size, small_region, scale.stress_large_region);
     let results = fan_out(jobs, &configs, |cfg| {
         let mut k = Kernel::boot(*cfg).expect("boot");
         let result = run_fork_stress(&mut k, scale.stress_procs).expect("stress");
-        (cfg.label(), result, tlb_digest(&k))
+        (cfg.label(), result)
     });
     let baseline = results[0].1.cycles;
     results
         .into_iter()
-        .map(|(label, result, tlb_digest)| {
+        .map(|(label, result)| {
             let overhead_pct = overhead_pct(result.cycles, baseline);
             StressRow {
                 label,
                 result,
                 overhead_pct,
-                tlb_digest,
             }
         })
         .collect()
@@ -483,15 +458,13 @@ pub struct C1mRow {
 }
 
 /// The batched-row drain policies the full C1M sweep walks, in display
-/// order: the PR 8 default, a depth-capped watermark, and the paranoid
-/// ASID-hygiene variant.
-pub fn sweep_policies() -> [DrainPolicy; 3] {
+/// order: the boundary-only default and a depth-capped watermark.
+pub fn sweep_policies() -> [DrainPolicy; 2] {
     [
         DrainPolicy::Boundary,
         DrainPolicy::Watermark {
             depth: DEFAULT_WATERMARK_DEPTH,
         },
-        DrainPolicy::AsidRecycle,
     ]
 }
 

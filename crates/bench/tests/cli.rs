@@ -17,7 +17,7 @@ const ACCEPTS: [(&str, &[&str]); 17] = [
     ("hwdetail", &["--quick", "--jobs"]),
     ("ltp", &["--quick", "--jobs"]),
     ("fig4", &["--quick", "--jobs", "--csv"]),
-    ("forkstress", &["--quick", "--jobs", "--drain-policy"]),
+    ("forkstress", &["--quick", "--jobs"]),
     ("fig5", &["--quick", "--jobs", "--csv"]),
     ("fig6", &["--quick", "--jobs", "--csv"]),
     ("fig7", &["--quick", "--jobs", "--csv"]),
@@ -169,7 +169,7 @@ fn bad_invocations_exit_2_without_panicking() {
     let csv_under_file = under_a_file("csv");
     let trace_under_file = under_a_file("trace.json");
     let csv_blocked = csv_dir_with_blocked_fig4();
-    let rows: [&[&str]; 21] = [
+    let rows: [&[&str]; 23] = [
         &["--quick", "--harts", "65", "c1m"],
         &["fuzz", "--harts", "65", "--faults", "1"],
         &["fuzz", "--faults", "18446744073709551615"],
@@ -188,6 +188,8 @@ fn bad_invocations_exit_2_without_panicking() {
         &["--quick", "table4"],
         &["--quick", "--verbose", "table1"],
         &["--quick", "--ablate", "everything", "modelcheck"],
+        &["--quick", "forkstress", "--drain-policy", "boundary"],
+        &["--quick", "c1m", "--drain-policy", "asid-recycle"],
         &["--csv", &csv_under_file, "--quick", "fig4"],
         &["--csv", &csv_blocked, "--quick", "fig4"],
         &["--trace", &trace_under_file, "--quick", "security"],

@@ -8,7 +8,7 @@
 
 use ptstore_bench::{
     average_overhead, run_fig4_jobs, run_fig5_jobs, run_fig6_jobs, run_fig7_jobs, run_ltp_jobs,
-    run_stress_policy_jobs, run_table3, Scale,
+    run_stress_jobs, run_table3, Scale,
 };
 use ptstore_kernel::DefenseMode;
 
@@ -36,7 +36,7 @@ fn ltp_has_zero_deviations() {
 #[test]
 fn fork_stress_matches_paper_bands() {
     // §V-D1: 2.84% / 6.83% / 3.77%.
-    let rows = run_stress_policy_jobs(&Scale::quick(), 1, None);
+    let rows = run_stress_jobs(&Scale::quick(), 1);
     let find = |label: &str| {
         rows.iter()
             .find(|r| r.label == label)

@@ -25,7 +25,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::inject::{DetectedBy, FaultPlan, InjectOutcome, Trigger};
 use crate::oracle::Invariants;
-use crate::replay::spawn_workers;
 
 /// Campaign parameters (`reproduce fuzz` maps its flags onto this).
 #[derive(Debug, Clone)]
@@ -226,9 +225,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     // Grown run by run, not sized from `cfg.faults`: a huge count would
     // overflow the capacity before the first run.
     let mut runs = Vec::new();
-    for i in 0..cfg.faults {
+    for (i, &class) in (0..cfg.faults).zip(cfg.classes.iter().cycle()) {
         let run_seed = master.random::<u64>();
-        let class = cfg.classes[(i as usize) % cfg.classes.len().max(1)];
         runs.push(run_one(
             &class_config(&kcfg, class),
             class,
@@ -263,7 +261,8 @@ fn class_config(base: &KernelConfig, class: FaultClass) -> KernelConfig {
 /// Executes one run: fresh kernel, seeded workload, one fault, verdict.
 ///
 /// # Panics
-/// Panics when `kcfg` cannot boot (see [`run_campaign`]).
+/// Panics when `kcfg` cannot boot or its workers cannot spawn (see
+/// [`run_campaign`]).
 pub fn run_one(
     kcfg: &KernelConfig,
     class: FaultClass,
@@ -278,7 +277,7 @@ pub fn run_one(
     // Attached before the workers fork: `AfterSyscalls` triggers count
     // those forks.
     k.set_trace_sink(Some(sink.clone()));
-    spawn_workers(&mut k);
+    k.spawn_workers().expect("campaign workers spawn");
 
     let mut wl = Workload {
         mapped: vec![Vec::new(); k.harts.len()],

@@ -242,27 +242,8 @@ impl fmt::Display for OpOutcome {
 /// geometry is validated ahead of time, so this indicates a bug.
 pub fn boot_model(cfg: &KernelConfig) -> Kernel {
     let mut k = Kernel::boot(*cfg).expect("model kernel boots");
-    spawn_workers(&mut k);
+    k.spawn_workers().expect("model workers spawn");
     k
-}
-
-/// Forks one worker process per hart from hart 0, switches each hart to
-/// its worker and leaves hart 0 active: the prologue of every model
-/// machine and every campaign run.
-///
-/// # Panics
-/// Panics when a worker cannot fork or be switched to, which a freshly
-/// booted machine always allows.
-pub(crate) fn spawn_workers(k: &mut Kernel) {
-    k.set_active_hart(0);
-    let workers: Vec<Pid> = (0..k.harts.len())
-        .map(|_| k.sys_fork().expect("worker forks"))
-        .collect();
-    for (h, &w) in workers.iter().enumerate() {
-        k.set_active_hart(h);
-        k.do_switch_to(w).expect("worker switch");
-    }
-    k.set_active_hart(0);
 }
 
 /// The newest live (non-zombie) child of `pid`.

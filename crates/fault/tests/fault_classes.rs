@@ -135,3 +135,13 @@ fn ablations_leave_other_classes_contained() {
         report.summary()
     );
 }
+
+#[test]
+fn an_empty_class_list_runs_nothing() {
+    // Classes are drawn round-robin over the runs, so with none to draw
+    // from the campaign has no run to make — and must not panic.
+    let mut cfg = CampaignConfig::quick(1, 3, 2);
+    cfg.classes.clear();
+    let report = run_campaign(&cfg);
+    assert!(report.runs.is_empty(), "{}", report.summary());
+}

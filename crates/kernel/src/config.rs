@@ -108,9 +108,9 @@ pub struct KernelConfig {
     /// magazines reorder address reuse, which the golden traces pin.
     pub alloc_magazines: bool,
     /// When, beyond the mandatory security boundaries, deferred-shootdown
-    /// queues drain early (see [`crate::drain`] for the policy × event
-    /// matrix). Irrelevant unless `deferred_shootdowns` is on; the default
-    /// [`DrainPolicy::Boundary`] reproduces the PR 8 behaviour exactly.
+    /// queues drain early (see [`crate::drain`]). Irrelevant unless
+    /// `deferred_shootdowns` is on; the default [`DrainPolicy::Boundary`]
+    /// drains only at the mandatory points.
     pub drain_policy: DrainPolicy,
 }
 
@@ -542,9 +542,9 @@ mod tests {
         );
         assert_eq!(
             KernelConfig::cfi_ptstore()
-                .with_drain_policy(DrainPolicy::AsidRecycle)
+                .with_drain_policy(DrainPolicy::Watermark { depth: 2 })
                 .drain_policy,
-            DrainPolicy::AsidRecycle
+            DrainPolicy::Watermark { depth: 2 }
         );
     }
 

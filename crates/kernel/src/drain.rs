@@ -1,15 +1,8 @@
 //! Drain policies for the batched-shootdown machinery.
 //!
-//! PR 8's deferral drains the per-hart `(asid, vpn)` flush queue at fixed
-//! security boundaries only. A production kernel also drains *early* for
-//! performance (bounding queue depth, and with it the worst-case remote
-//! staleness window and the size of each IPI round) and at ASID-lifecycle
-//! events (so a recycled ASID can never go live while invalidations for
-//! its previous generation still sit in a queue). [`DrainPolicy`] names
-//! those placements.
-//!
-//! Two drain kinds are **mandatory under every policy** and are not
-//! negotiable through this knob:
+//! With deferred shootdowns on, each hart queues its remote `(asid, vpn)`
+//! invalidations and a *drain* delivers the whole queue in one IPI round.
+//! Two drain kinds are **mandatory under every policy**:
 //!
 //! * **Security boundaries** — secure-region adjustment, context switch,
 //!   hart handoff, end of every unmap/protect operation (including error
@@ -24,13 +17,17 @@
 //!   state from straddling generations.
 //!
 //! What the policy selects is the *additional*, purely performance-placed
-//! drains: nothing ([`DrainPolicy::Boundary`]), a queue-depth watermark
-//! ([`DrainPolicy::Watermark`]), or paranoid generation hygiene that
-//! treats every ASID hand-out as a potential reuse
-//! ([`DrainPolicy::AsidRecycle`]). Early drains are behaviour-preserving:
-//! they flush queued pages sooner than a boundary would, which can only
-//! shrink remote staleness windows — the policy-differential tests pin
-//! final TLB state byte-identical across policies.
+//! drains: none ([`DrainPolicy::Boundary`]) or one whenever the active
+//! hart's queue reaches a depth ([`DrainPolicy::Watermark`]). An early
+//! drain delivers every entry it takes, so it can only shrink remote
+//! staleness windows: the warm-TLB proptest
+//! `tests/deferred_shootdowns.rs::drained_tlb_state_matches_eager` checks
+//! after every op that a watermark kernel's TLBs equal an eager kernel's.
+//!
+//! No policy drains at every ASID allocation: every operation that queues
+//! an invalidation drains before it returns, and a hart handoff drains the
+//! outgoing hart, so the queue is already empty whenever an address space
+//! is created and such a drain would never fire.
 
 use core::fmt;
 use core::str::FromStr;
@@ -41,10 +38,9 @@ use serde::{Deserialize, Serialize};
 /// depth is given (`--drain-policy watermark`).
 pub const DEFAULT_WATERMARK_DEPTH: u32 = 8;
 
-/// When, beyond the mandatory security boundaries, the active hart's
-/// deferred-shootdown queue is drained. See the module docs for the
-/// policy × event matrix; `Boundary` is the default and reproduces PR 8's
-/// behaviour exactly.
+/// When, beyond the mandatory security boundaries and ASID reuse, the
+/// active hart's deferred-shootdown queue is drained. `Boundary` is the
+/// default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum DrainPolicy {
     /// Drain only at the mandatory points: security boundaries, and ASID
@@ -59,27 +55,15 @@ pub enum DrainPolicy {
         /// early drain. Must be non-zero.
         depth: u32,
     },
-    /// Additionally drain at *every* ASID allocation, treating each
-    /// hand-out as a potential reuse — the conservative policy a kernel
-    /// with a small ASID space effectively runs. (Reuse after rollover
-    /// drains under every policy; this variant merely refuses to rely on
-    /// the rollover bookkeeping.)
-    AsidRecycle,
 }
 
 impl DrainPolicy {
     /// The watermark depth, when this policy has one.
     pub fn watermark_depth(self) -> Option<u32> {
         match self {
+            DrainPolicy::Boundary => None,
             DrainPolicy::Watermark { depth } => Some(depth),
-            _ => None,
         }
-    }
-
-    /// True when this policy drains at every ASID allocation (not just at
-    /// reuse after rollover, which is mandatory under every policy).
-    pub fn drains_on_asid_alloc(self) -> bool {
-        matches!(self, DrainPolicy::AsidRecycle)
     }
 }
 
@@ -88,7 +72,6 @@ impl fmt::Display for DrainPolicy {
         match self {
             DrainPolicy::Boundary => f.write_str("boundary"),
             DrainPolicy::Watermark { depth } => write!(f, "watermark:{depth}"),
-            DrainPolicy::AsidRecycle => f.write_str("asid-recycle"),
         }
     }
 }
@@ -101,8 +84,7 @@ impl fmt::Display for DrainPolicyParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "unknown drain policy `{}` (expected `boundary`, `watermark[:depth]`, \
-             or `asid-recycle`)",
+            "unknown drain policy `{}` (expected `boundary` or `watermark[:depth]`)",
             self.0
         )
     }
@@ -114,15 +96,14 @@ impl FromStr for DrainPolicy {
     type Err = DrainPolicyParseError;
 
     /// Parses `boundary`, `watermark` (default depth
-    /// [`DEFAULT_WATERMARK_DEPTH`]), `watermark:<depth>`, or
-    /// `asid-recycle` — the `--drain-policy` flag vocabulary.
+    /// [`DEFAULT_WATERMARK_DEPTH`]) or `watermark:<depth>` — the
+    /// `--drain-policy` flag vocabulary.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "boundary" => Ok(DrainPolicy::Boundary),
             "watermark" => Ok(DrainPolicy::Watermark {
                 depth: DEFAULT_WATERMARK_DEPTH,
             }),
-            "asid-recycle" => Ok(DrainPolicy::AsidRecycle),
             other => match other.strip_prefix("watermark:") {
                 Some(depth) => depth
                     .parse::<u32>()
@@ -173,8 +154,14 @@ mod tests {
             "watermark:3".parse(),
             Ok(DrainPolicy::Watermark { depth: 3 })
         );
-        assert_eq!("asid-recycle".parse(), Ok(DrainPolicy::AsidRecycle));
-        for bad in ["", "watermark:", "watermark:0", "watermark:x", "eager"] {
+        for bad in [
+            "",
+            "watermark:",
+            "watermark:0",
+            "watermark:x",
+            "eager",
+            "asid-recycle",
+        ] {
             assert!(
                 bad.parse::<DrainPolicy>().is_err(),
                 "{bad:?} must not parse"
@@ -184,11 +171,7 @@ mod tests {
 
     #[test]
     fn displays_round_trip() {
-        for p in [
-            DrainPolicy::Boundary,
-            DrainPolicy::Watermark { depth: 17 },
-            DrainPolicy::AsidRecycle,
-        ] {
+        for p in [DrainPolicy::Boundary, DrainPolicy::Watermark { depth: 17 }] {
             assert_eq!(p.to_string().parse(), Ok(p));
         }
     }
@@ -196,20 +179,14 @@ mod tests {
     #[test]
     fn policy_helpers() {
         assert_eq!(DrainPolicy::default(), DrainPolicy::Boundary);
-        for p in [
-            DrainPolicy::Boundary,
-            DrainPolicy::Watermark { depth: 4 },
-            DrainPolicy::AsidRecycle,
-        ] {
+        for p in [DrainPolicy::Boundary, DrainPolicy::Watermark { depth: 4 }] {
             // No wildcard arm: a new policy does not compile until its
-            // helpers' answers are written down here.
-            let (depth, on_alloc) = match p {
-                DrainPolicy::Boundary => (None, false),
-                DrainPolicy::Watermark { depth } => (Some(depth), false),
-                DrainPolicy::AsidRecycle => (None, true),
+            // helper's answer is written down here.
+            let depth = match p {
+                DrainPolicy::Boundary => None,
+                DrainPolicy::Watermark { depth } => Some(depth),
             };
             assert_eq!(p.watermark_depth(), depth, "{p}");
-            assert_eq!(p.drains_on_asid_alloc(), on_alloc, "{p}");
         }
     }
 

@@ -127,10 +127,6 @@ pub struct Kernel {
     pub(crate) trace: SinkSlot,
     /// `(name, cycle total at entry)` of the in-flight traced syscall.
     pub(crate) syscall_mark: Option<(&'static str, u64)>,
-    /// Monotonic count of deferred-shootdown drains completed machine-wide;
-    /// after any security-relevant boundary the active hart's flush queue is
-    /// empty and this generation has advanced past every queued page.
-    pub(crate) flush_generation: u64,
 }
 
 /// Kernel virtual address where the PT-Rand secret offset global lives
@@ -278,7 +274,6 @@ impl Kernel {
             ptw_check_armed: false,
             trace: SinkSlot::default(),
             syscall_mark: None,
-            flush_generation: 0,
         };
 
         // Materialise the PT-Rand secret in kernel memory (it must exist
@@ -541,7 +536,6 @@ impl Kernel {
         let acks = self.ipi_round(&scopes);
         self.stats.deferred_drains += 1;
         self.stats.deferred_pages_coalesced += queue.len() as u64;
-        self.flush_generation += 1;
         if let Some(sink) = self.trace.get() {
             // One trace record per consecutive run; the whole batch rode a
             // single IPI round, so only the first run reports the acks.
@@ -560,12 +554,6 @@ impl Kernel {
                 });
             }
         }
-    }
-
-    /// Number of deferred-shootdown drains completed so far (a drain
-    /// generation counter; advances once per batched IPI round).
-    pub fn flush_generation(&self) -> u64 {
-        self.flush_generation
     }
 
     /// Pages currently queued for a deferred shootdown on the active hart.

@@ -132,15 +132,10 @@ impl Kernel {
     /// queued under that ASID belong to the previous address-space
     /// generation, and the new space must not go live while they are
     /// pending — so the drain is mandatory under *every*
-    /// [`DrainPolicy`](crate::drain::DrainPolicy). The
-    /// [`AsidRecycle`](crate::drain::DrainPolicy::AsidRecycle) policy
-    /// additionally refuses to rely on the rollover bookkeeping and drains
-    /// at every allocation. A no-op when nothing is queued.
+    /// [`DrainPolicy`](crate::drain::DrainPolicy). A no-op when nothing is
+    /// queued.
     pub(crate) fn drain_on_asid_recycle(&mut self) {
-        if !(self.asid_wrapped || self.cfg.drain_policy.drains_on_asid_alloc()) {
-            return;
-        }
-        if self.pending_deferred_flushes() > 0 {
+        if self.asid_wrapped && self.pending_deferred_flushes() > 0 {
             self.stats.asid_recycle_drains += 1;
             self.drain_deferred_flushes();
         }
@@ -645,6 +640,23 @@ impl Kernel {
             self.do_switch_to(next)?;
         }
         Ok(())
+    }
+
+    /// Forks one worker process per hart from hart 0, switches each hart
+    /// to its worker and leaves hart 0 active: the prologue of the SMP
+    /// drivers, the model machine and every fault-campaign run. Returns
+    /// the workers' pids, worker `h` at index `h`.
+    pub fn spawn_workers(&mut self) -> Result<Vec<Pid>, KernelError> {
+        self.set_active_hart(0);
+        let workers = (0..self.harts.len())
+            .map(|_| self.sys_fork())
+            .collect::<Result<Vec<_>, _>>()?;
+        for (h, &w) in workers.iter().enumerate() {
+            self.set_active_hart(h);
+            self.do_switch_to(w)?;
+        }
+        self.set_active_hart(0);
+        Ok(workers)
     }
 
     // ------------------------------------------------------------------

@@ -55,9 +55,9 @@ pub struct KernelStats {
     /// Of those drains, how many a `Watermark` drain policy triggered early
     /// (queue depth reached the configured watermark before any boundary).
     pub watermark_drains: u64,
-    /// Drains forced by the ASID lifecycle: a recycled (or, under the
-    /// `AsidRecycle` policy, any newly allocated) ASID found invalidations
-    /// still queued and flushed them before going live.
+    /// Drains forced by the ASID lifecycle: an ASID recycled after the
+    /// allocator rolled over found invalidations still queued and flushed
+    /// them before going live.
     pub asid_recycle_drains: u64,
     /// High-water mark of any hart's deferred-shootdown queue depth (the
     /// statistic watermark policies exist to bound).

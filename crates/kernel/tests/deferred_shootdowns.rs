@@ -1,9 +1,9 @@
 //! Shootdown-coalescing properties: with `deferred_shootdowns` on, queued
 //! page invalidations that drain at the end of the mapping operation (or a
-//! security boundary) must leave **every hart's TLBs in exactly the state**
-//! the eager per-page broadcasts would have produced — at 1, 2, and 4
-//! harts, across random heap churn that warms remote TLBs between
-//! operations. On top of state equality, the modeled IPI traffic must
+//! security boundary), or early at a queue-depth watermark, must leave
+//! **every hart's TLBs in exactly the state** the eager per-page
+//! broadcasts would have produced — at 1, 2, and 4 harts, across random
+//! heap churn that warms remote TLBs between operations. On top of state equality, the modeled IPI traffic must
 //! *strictly decrease* on the workloads batching targets: fork/exit storms
 //! (address-space teardown unmaps page-by-page) and huge-page splits under
 //! `mprotect` (a span flush plus per-page permission downgrades). On a
@@ -12,14 +12,19 @@
 use proptest::prelude::*;
 use ptstore_core::{AccessKind, PrivilegeMode, VirtAddr, MIB, PAGE_SIZE};
 use ptstore_kernel::process::VmPerms;
-use ptstore_kernel::{Kernel, KernelConfig};
+use ptstore_kernel::{DrainPolicy, Kernel, KernelConfig};
 
 fn boot(harts: usize, deferred: bool) -> Kernel {
+    boot_policy(harts, deferred, DrainPolicy::Boundary)
+}
+
+fn boot_policy(harts: usize, deferred: bool, policy: DrainPolicy) -> Kernel {
     let cfg = KernelConfig::cfi_ptstore()
         .with_mem_size(128 * MIB)
         .with_initial_secure_size(8 * MIB)
         .with_harts(harts)
-        .with_deferred_shootdowns(deferred);
+        .with_deferred_shootdowns(deferred)
+        .with_drain_policy(policy);
     Kernel::boot(cfg).expect("kernel boots")
 }
 
@@ -144,35 +149,50 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Deferred-then-drained flushes are TLB-state-equivalent to eager
-    /// broadcasts at 1, 2, and 4 harts, step by step.
+    /// broadcasts at 1, 2, and 4 harts, step by step, whether they drain
+    /// only at the end of each op (`Boundary`) or also early, mid-op, as
+    /// soon as two pages are queued (`Watermark`).
     #[test]
     fn drained_tlb_state_matches_eager(
         ops in proptest::collection::vec(arb_op(), 1..40),
     ) {
         for harts in [1usize, 2, 4] {
             let mut eager = boot(harts, false);
-            let mut deferred = boot(harts, true);
+            let mut drained = [
+                boot_policy(harts, true, DrainPolicy::Boundary),
+                boot_policy(harts, true, DrainPolicy::Watermark { depth: 2 }),
+            ];
             let heap_base = eager.procs.get(1).expect("init").brk;
-            prop_assert_eq!(heap_base, deferred.procs.get(1).expect("init").brk);
-            let (mut ge, mut gd) = (0u64, 0u64);
+            for k in &drained {
+                prop_assert_eq!(heap_base, k.procs.get(1).expect("init").brk);
+            }
+            let mut ge = 0u64;
+            let mut gd = [0u64; 2];
             for (step, &op) in ops.iter().enumerate() {
-                let a = run_op(&mut eager, heap_base, &mut ge, op);
-                let b = run_op(&mut deferred, heap_base, &mut gd, op);
-                prop_assert_eq!(&a, &b, "outcome diverged at step {} ({:?})", step, op);
-                // Every mapping operation ends on a drained queue (its own
-                // end-of-op drain); the explicit drain must be a no-op.
-                prop_assert_eq!(deferred.pending_deferred_flushes(), 0);
-                deferred.drain_deferred_flushes();
-                prop_assert_eq!(
-                    tlb_state(&eager),
-                    tlb_state(&deferred),
-                    "TLB state diverged at {} harts, step {} ({:?})",
-                    harts, step, op
-                );
+                let want = run_op(&mut eager, heap_base, &mut ge, op);
+                for (k, grown) in drained.iter_mut().zip(&mut gd) {
+                    let policy = k.cfg.drain_policy;
+                    let got = run_op(k, heap_base, grown, op);
+                    prop_assert_eq!(
+                        &want, &got,
+                        "{}: outcome diverged at step {} ({:?})", policy, step, op
+                    );
+                    // Every mapping operation ends on a drained queue (its
+                    // own end-of-op drain).
+                    prop_assert_eq!(k.pending_deferred_flushes(), 0);
+                    prop_assert_eq!(
+                        tlb_state(&eager),
+                        tlb_state(k),
+                        "{}: TLB diverged at {} harts, step {} ({:?})",
+                        policy, harts, step, op
+                    );
+                }
             }
             // Page-level bookkeeping agreed throughout.
-            prop_assert_eq!(eager.stats.page_faults, deferred.stats.page_faults);
-            prop_assert_eq!(eager.stats.sfences, deferred.stats.sfences);
+            for k in &drained {
+                prop_assert_eq!(eager.stats.page_faults, k.stats.page_faults);
+                prop_assert_eq!(eager.stats.sfences, k.stats.sfences);
+            }
         }
     }
 
@@ -194,7 +214,6 @@ proptest! {
         prop_assert_eq!(eager.cycles.total(), deferred.cycles.total());
         prop_assert_eq!(eager.stats, deferred.stats);
         prop_assert_eq!(deferred.stats.deferred_drains, 0);
-        prop_assert_eq!(deferred.flush_generation(), 0);
     }
 }
 
@@ -242,7 +261,6 @@ fn fork_stress_ipis_strictly_decrease() {
     assert!(deferred.stats.tlb_shootdowns < eager.stats.tlb_shootdowns);
     assert!(deferred.stats.deferred_drains > 0);
     assert!(deferred.stats.deferred_pages_coalesced > deferred.stats.deferred_drains);
-    assert_eq!(deferred.flush_generation(), deferred.stats.deferred_drains);
     // Remote TLB hygiene held: both machines end in the same TLB state.
     assert_eq!(tlb_state(&eager), tlb_state(&deferred));
 }

@@ -2,13 +2,14 @@
 //!
 //! Early drains are pure *placement*: every entry a `Watermark` policy
 //! drains ahead of time would otherwise ride the next mandatory security
-//! boundary, so at 1, 2 and 4 harts the final TLB state and the work done
-//! (faults, forks) must be byte-identical across policies — only the IPI
-//! round-trip counts and the queue-depth high-water mark may move. The
-//! rollover half pins the one drain no policy may skip: an ASID handed
-//! out *after* the 15-bit allocator wraps is a reuse, and the new address
-//! space must never observe a deferred invalidation queued against its
-//! previous life.
+//! boundary, so the work done (faults, forks) must be identical across
+//! policies — only the IPI round-trip counts and the queue-depth
+//! high-water mark may move. (That a watermark kernel's TLBs match an
+//! eager kernel's after every op, with remote TLBs warm, is the
+//! `deferred_shootdowns.rs` proptest's job.) The rollover half pins the
+//! one drain no policy may skip: an ASID handed out *after* the 15-bit
+//! allocator wraps is a reuse, and the new address space must never
+//! observe a deferred invalidation queued against its previous life.
 
 use ptstore_core::{AccessKind, PrivilegeMode, VirtAddr, MIB, PAGE_SIZE};
 use ptstore_kernel::{DrainPolicy, Kernel, KernelConfig};
@@ -21,21 +22,6 @@ fn boot(harts: usize, deferred: bool, policy: DrainPolicy) -> Kernel {
         .with_deferred_shootdowns(deferred)
         .with_drain_policy(policy);
     Kernel::boot(cfg).expect("kernel boots")
-}
-
-/// Every TLB entry of every hart, as a sorted canonical listing.
-fn tlb_state(k: &Kernel) -> Vec<String> {
-    let mut v = Vec::new();
-    for h in &k.harts {
-        for e in h.mmu.itlb().entries() {
-            v.push(format!("hart{} itlb {e:?}", h.id));
-        }
-        for e in h.mmu.dtlb().entries() {
-            v.push(format!("hart{} dtlb {e:?}", h.id));
-        }
-    }
-    v.sort();
-    v
 }
 
 /// Fork/exit storm: each child dirties `pages` CoW pages, and its exit
@@ -67,14 +53,9 @@ fn watermark_bounds_queue_depth_with_identical_state() {
         fork_stress(&mut boundary, 3, 8);
         fork_stress(&mut watermark, 3, 8);
 
-        // Identical work, identical final translation state...
+        // Identical work...
         assert_eq!(boundary.stats.forks, watermark.stats.forks);
         assert_eq!(boundary.stats.page_faults, watermark.stats.page_faults);
-        assert_eq!(
-            tlb_state(&boundary),
-            tlb_state(&watermark),
-            "{harts} harts: policies diverged"
-        );
         // ...but the watermark capped the queue at its depth while the
         // boundary policy let the teardown batch build up.
         assert!(
@@ -97,16 +78,13 @@ fn single_hart_policies_are_cycle_identical() {
     let mut machines = [
         boot(1, true, DrainPolicy::Boundary),
         boot(1, true, DrainPolicy::Watermark { depth: 2 }),
-        boot(1, true, DrainPolicy::AsidRecycle),
     ];
     for k in &mut machines {
         fork_stress(k, 3, 8);
     }
-    let [a, b, c] = machines;
+    let [a, b] = machines;
     assert_eq!(a.cycles.total(), b.cycles.total());
-    assert_eq!(a.cycles.total(), c.cycles.total());
     assert_eq!(a.stats, b.stats);
-    assert_eq!(a.stats, c.stats);
     assert_eq!(a.stats.watermark_drains, 0);
     assert_eq!(a.stats.asid_recycle_drains, 0);
 }
@@ -134,21 +112,17 @@ fn any_tlb_holds(k: &Kernel, asid: u16, vpn: u64) -> bool {
     })
 }
 
-/// The regression the `AsidRecycle` mandatory drain exists for: fast-
+/// The regression the mandatory ASID-reuse drain exists for: fast-
 /// forward the allocator to its wrap point, manufacture a queued deferred
 /// invalidation plus a still-cached remote translation against the ASID
 /// about to be recycled, then allocate. The new address space must come
 /// up with zero pending flushes and no stale entry, at every hart count,
-/// under both eager and deferred shootdowns, under every policy.
+/// under both eager and deferred shootdowns, under both policies.
 #[test]
 fn recycled_asid_never_observes_stale_deferred_invalidations() {
     for harts in [1usize, 2, 4] {
         for deferred in [false, true] {
-            for policy in [
-                DrainPolicy::Boundary,
-                DrainPolicy::Watermark { depth: 64 },
-                DrainPolicy::AsidRecycle,
-            ] {
+            for policy in [DrainPolicy::Boundary, DrainPolicy::Watermark { depth: 64 }] {
                 let mut k = boot(harts, deferred, policy);
                 let heap_base = k.procs.get(1).expect("init").brk;
                 k.sys_brk(heap_base + PAGE_SIZE).expect("brk");
@@ -191,25 +165,4 @@ fn recycled_asid_never_observes_stale_deferred_invalidations() {
             }
         }
     }
-}
-
-/// `AsidRecycle` drains at *every* allocation, not only post-rollover —
-/// the paranoid generation-hygiene variant of the matrix.
-#[test]
-fn asid_recycle_policy_drains_pre_rollover_allocations_too() {
-    let mut strict = boot(2, true, DrainPolicy::AsidRecycle);
-    let mut lax = boot(2, true, DrainPolicy::Boundary);
-    for k in [&mut strict, &mut lax] {
-        let heap_base = k.procs.get(1).expect("init").brk;
-        k.sys_brk(heap_base + PAGE_SIZE).expect("brk");
-        k.sys_touch(VirtAddr::new(heap_base), true).expect("touch");
-        k.inject_deferred_flush(VirtAddr::new(heap_base), 1);
-        k.sys_fork().expect("fork");
-    }
-    assert_eq!(strict.stats.asid_recycle_drains, 1);
-    assert_eq!(strict.pending_deferred_flushes(), 0);
-    // Boundary leaves the (benign) queue for the next boundary drain: the
-    // fresh ASID is not a reuse, so nothing forces it.
-    assert_eq!(lax.stats.asid_recycle_drains, 0);
-    assert!(lax.pending_deferred_flushes() > 0);
 }

@@ -14,7 +14,7 @@
 //! that accidentally reaps its own worker is caught by the pid no longer
 //! resolving, not by it silently resolving to a later process.
 
-use ptstore_kernel::{Kernel, KernelError, Pid};
+use ptstore_kernel::{Kernel, Pid};
 use serde::{Deserialize, Serialize};
 
 use crate::nginx::{self, NginxParams};
@@ -74,21 +74,6 @@ pub(crate) fn partition(total: u64, harts: usize) -> Vec<u64> {
     (0..harts as u64)
         .map(|h| base + u64::from(h < extra))
         .collect()
-}
-
-/// Forks one worker process per hart and switches each hart to its worker.
-/// Worker `h` runs on hart `h` (hart 0 reuses the spawning process's hart).
-/// Returns the workers' pids, worker `h` at index `h`.
-pub(crate) fn spawn_workers(k: &mut Kernel) -> Result<Vec<Pid>, KernelError> {
-    let harts = k.harts.len();
-    k.set_active_hart(0);
-    let workers: Vec<Pid> = (0..harts).map(|_| k.sys_fork()).collect::<Result<_, _>>()?;
-    for (h, &w) in workers.iter().enumerate() {
-        k.set_active_hart(h);
-        k.do_switch_to(w)?;
-    }
-    k.set_active_hart(0);
-    Ok(workers)
 }
 
 /// Runs one hart-distributed workload: `serve(k, hart, share)` performs
@@ -158,7 +143,7 @@ pub(crate) fn run_distributed(
 /// Panics on kernel errors (the server must run cleanly).
 pub fn run_nginx_smp(k: &mut Kernel, p: &NginxParams) -> SmpRunReport {
     nginx::stage_document(k, p);
-    let workers = spawn_workers(k).expect("nginx workers spawn");
+    let workers = k.spawn_workers().expect("nginx workers spawn");
     let shares = partition(p.requests, k.harts.len());
     run_distributed(k, "nginx", &workers, &shares, |k, _h, share| {
         nginx::serve_requests(k, p, share);
@@ -171,7 +156,7 @@ pub fn run_nginx_smp(k: &mut Kernel, p: &NginxParams) -> SmpRunReport {
 /// # Panics
 /// Panics on kernel errors.
 pub fn run_redis_smp(k: &mut Kernel, test: &RedisTest, p: &RedisParams) -> SmpRunReport {
-    let workers = spawn_workers(k).expect("redis instances spawn");
+    let workers = k.spawn_workers().expect("redis instances spawn");
     let shares = partition(p.requests, k.harts.len());
     run_distributed(k, test.name, &workers, &shares, |k, _h, share| {
         redis::serve_requests(k, test, p, share);
@@ -184,7 +169,7 @@ pub fn run_redis_smp(k: &mut Kernel, test: &RedisTest, p: &RedisParams) -> SmpRu
 /// # Panics
 /// Panics on kernel errors (OOM means the configuration is too small).
 pub fn run_fork_stress_smp(k: &mut Kernel, count: u64) -> SmpRunReport {
-    let workers = spawn_workers(k).expect("stress workers spawn");
+    let workers = k.spawn_workers().expect("stress workers spawn");
     let shares = partition(count, k.harts.len());
     run_distributed(k, "fork_stress", &workers, &shares, |k, _h, share| {
         let children: Vec<Pid> = (0..share).map(|_| k.sys_fork().expect("fork")).collect();
@@ -217,7 +202,7 @@ mod tests {
     #[test]
     fn spawn_workers_returns_live_handles() {
         let mut k = boot(2);
-        let workers = spawn_workers(&mut k).expect("spawn");
+        let workers = k.spawn_workers().expect("spawn");
         assert_eq!(workers.len(), 2);
         for (h, &pid) in workers.iter().enumerate() {
             assert!(k.procs.get(pid).is_some(), "worker {pid} is live");

@@ -14,8 +14,8 @@
 # script measures wall-clock only. The c1m report prints no wall time by
 # design (check.sh cmp-gates its reruns), so its throughput in
 # connections per host second is computed here, outside the deterministic
-# output; the report's drain-policy sweep line (per-policy queue peaks,
-# digest identity) is lifted into the JSON.
+# output; the report's drain-policy sweep line (per-policy queue peaks
+# and IPI counts) is lifted into the JSON.
 #
 # The shared CI container jitters by ~10% on multi-second timescales,
 # so baseline-vs-current comparisons alternate the two binaries within
@@ -123,13 +123,13 @@ echo "  current:  1 job ${SINGLE_MS} ms, $JOBS jobs ${JOBS_MS} ms" >&2
 
 # C1M throughput: the experiment itself prints only modeled values;
 # host wall time (and hence connections per host second, across the
-# five sweep rows: native + eager + three batched policies) is measured
+# four sweep rows: native + eager + two batched policies) is measured
 # here. The quick shape serves 1 800 connections per row, the medium
 # trajectory shape 60 000 — together they chart connections-per-host-
 # second on the road to the paper's one-million-connection run.
 echo "== timing reproduce --quick c1m =="
 C1M_MS=$(time_run "c1m quick" --quick c1m)
-C1M_CONNECTIONS=$((5 * 1800))
+C1M_CONNECTIONS=$((4 * 1800))
 if [ "$C1M_MS" -gt 0 ]; then
     C1M_CONN_PER_SEC=$((C1M_CONNECTIONS * 1000 / C1M_MS))
 else
@@ -138,7 +138,7 @@ fi
 echo "  c1m: ${C1M_CONNECTIONS} connections in ${C1M_MS} ms (${C1M_CONN_PER_SEC}/s)" >&2
 
 # The drain-policy sweep line from the deterministic report, lifted
-# verbatim into the JSON artifact (queue peaks and digest identity are
+# verbatim into the JSON artifact (queue peaks and IPI counts are
 # modeled, so one capture run is enough).
 C1M_SWEEP=$("$BIN" --quick c1m | grep "^drain-policy sweep:" || echo "")
 echo "  $C1M_SWEEP" >&2
@@ -146,7 +146,7 @@ echo "  $C1M_SWEEP" >&2
 # Medium trajectory shape: 33x the quick connection count per row.
 echo "== timing reproduce --medium c1m =="
 C1M_MED_MS=$(time_run "c1m medium" --medium c1m)
-C1M_MED_CONNECTIONS=$((5 * 60000))
+C1M_MED_CONNECTIONS=$((4 * 60000))
 if [ "$C1M_MED_MS" -gt 0 ]; then
     C1M_MED_CONN_PER_SEC=$((C1M_MED_CONNECTIONS * 1000 / C1M_MED_MS))
 else
