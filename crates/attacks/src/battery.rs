@@ -6,13 +6,12 @@ use ptstore_core::{PagingScheme, MIB};
 use ptstore_kernel::{DefenseMode, Kernel, KernelConfig};
 use ptstore_trace::json::{array, JsonWriter};
 use ptstore_trace::{RejectingLayer, TraceCounters, TraceEvent, TraceSink};
-use serde::{Deserialize, Serialize};
 
 use crate::outcome::AttackOutcome;
 use crate::scenarios::{run, AttackKind};
 
 /// One cell of the security matrix.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AttackReport {
     /// Which attack ran.
     pub attack: AttackKind,

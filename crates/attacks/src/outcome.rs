@@ -2,10 +2,8 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Which defense layer stopped an attack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BlockedBy {
     /// The PMP S-bit: a regular instruction faulted inside the secure region
     /// (paper Fig. 1 ②).
@@ -41,7 +39,7 @@ impl fmt::Display for BlockedBy {
 }
 
 /// How an attack run ended.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttackOutcome {
     /// The attack achieved its goal directly.
     Succeeded,

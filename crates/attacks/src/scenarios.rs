@@ -7,12 +7,11 @@ use ptstore_core::{PhysAddr, VirtAddr, MIB};
 use ptstore_kernel::pagetable::USER_TEXT_BASE;
 use ptstore_kernel::process::{VmPerms, PCB_OFF_PT_PTR, PCB_OFF_TOKEN_PTR};
 use ptstore_kernel::{AttackerFault, DefenseMode, Kernel, KernelError};
-use serde::{Deserialize, Serialize};
 
 use crate::outcome::{AttackOutcome, BlockedBy};
 
 /// The attack classes of §II-B and §V-E.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AttackKind {
     /// Flip permission bits / remap pages by writing PTEs directly.
     PtTampering,

@@ -8,8 +8,6 @@
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// Base-2 kibibyte (1024 bytes).
 pub const KIB: u64 = 1024;
 /// Base-2 mebibyte.
@@ -30,28 +28,20 @@ pub const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 /// assert_eq!(pa.page_offset(), 0x123);
 /// assert_eq!(pa.page_align_down().as_u64() % PAGE_SIZE, 0);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysAddr(u64);
 
 /// A virtual memory address (39/48/57 significant sign-extended bits,
 /// depending on the active [`PagingScheme`](crate::paging::PagingScheme)).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtAddr(u64);
 
 /// A physical page number (`PhysAddr >> PAGE_SHIFT`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct PhysPageNum(u64);
 
 /// A virtual page number (`VirtAddr >> PAGE_SHIFT`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtPageNum(u64);
 
 macro_rules! addr_impls {

@@ -9,10 +9,8 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// What an access does to memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessKind {
     /// A data read (regular load, `ld.pt`, or PTW fetch).
     Read,
@@ -33,7 +31,7 @@ impl fmt::Display for AccessKind {
 }
 
 /// The hardware path an access was issued from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Channel {
     /// Ordinary load/store/fetch instructions. Denied inside the secure
     /// region (paper Fig. 1, arrow 2).

@@ -1,12 +1,12 @@
 //! Deterministic FNV-1a hashing for machine-state fingerprints.
 //!
 //! Several layers of the model need a stable, platform-independent digest of
-//! some canonical state listing: the C1M drain-policy sweep fingerprints the
-//! final TLB contents across policies, the hwcost timing model derives
-//! deterministic place-and-route jitter from the design name, and the bounded
-//! model checker dedups reachable machine states by canonical hash. All of
-//! them use 64-bit FNV-1a with the standard offset basis and prime so that
-//! digests are reproducible across hosts, processes, and `--jobs` settings.
+//! some canonical state listing: the hwcost timing model derives
+//! deterministic place-and-route jitter from the design name, the bounded
+//! model checker dedups reachable machine states by canonical hash, and the
+//! golden tests pin digests of whole runs. All of them use 64-bit FNV-1a
+//! with the standard offset basis and prime so that digests are
+//! reproducible across hosts, processes, and `--jobs` settings.
 //! The model checker feeds derived `Hash` impls through [`Fnv1a`]'s
 //! `Hasher` impl, which writes every integer little-endian for the same
 //! reason.
@@ -70,18 +70,6 @@ impl Fnv1a {
     pub fn hash_bytes(bytes: &[u8]) -> u64 {
         let mut h = Fnv1a::new();
         h.write(bytes);
-        h.finish()
-    }
-
-    /// One-shot digest of a sorted listing of lines, newline-terminated —
-    /// the "sorted state strings" fingerprint shape of the C1M TLB digest.
-    /// The caller sorts; this just frames.
-    pub fn hash_lines<S: AsRef<str>>(lines: &[S]) -> u64 {
-        let mut h = Fnv1a::new();
-        for s in lines {
-            h.write(s.as_ref().as_bytes());
-            h.write_u8(b'\n');
-        }
         h.finish()
     }
 }
@@ -172,20 +160,6 @@ mod tests {
         assert_eq!(Fnv1a::hash_bytes(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(Fnv1a::hash_bytes(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(Fnv1a::hash_bytes(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn line_framing_distinguishes_boundaries() {
-        // ["ab", "c"] and ["a", "bc"] must not collide: the newline frame
-        // is part of the digest.
-        assert_ne!(
-            Fnv1a::hash_lines(&["ab", "c"]),
-            Fnv1a::hash_lines(&["a", "bc"])
-        );
-        assert_eq!(
-            Fnv1a::hash_lines(&["ab", "c"]),
-            Fnv1a::hash_bytes(b"ab\nc\n")
-        );
     }
 
     #[test]

@@ -2,8 +2,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::PhysAddr;
 use crate::channel::{AccessKind, Channel};
 
@@ -11,7 +9,7 @@ use crate::channel::{AccessKind, Channel};
 ///
 /// These correspond to the *access fault* exceptions the modified BOOM core
 /// raises (paper §IV-A1) plus model-level range/alignment errors.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessError {
     /// A regular instruction touched the secure region (paper Fig. 1, ②).
     SecureRegionDenied {
@@ -131,7 +129,7 @@ impl fmt::Display for AccessError {
 impl std::error::Error for AccessError {}
 
 /// Errors configuring or resizing the secure region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RegionError {
     /// Base or size not page-aligned (PMP granule).
     Unaligned,
@@ -161,7 +159,7 @@ impl fmt::Display for RegionError {
 impl std::error::Error for RegionError {}
 
 /// Why token validation failed (paper §III-C3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TokenError {
     /// The PCB's token pointer does not point into the secure region, so the
     /// "token" could be attacker-controlled normal memory.

@@ -14,8 +14,6 @@
 use core::fmt;
 use core::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::VirtAddr;
 
 /// Bits of virtual address translated per page-table level (all Sv
@@ -23,9 +21,7 @@ use crate::addr::VirtAddr;
 pub const BITS_PER_LEVEL: u32 = 9;
 
 /// The paging scheme a `satp` value encodes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum PagingScheme {
     /// 3-level Sv39 (the paper's prototype scheme, 512 GiB).
     #[default]

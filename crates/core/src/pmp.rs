@@ -25,7 +25,6 @@
 use core::fmt;
 
 use ptstore_trace::{SinkSlot, TraceEvent, TraceSink, Verdict};
-use serde::{Deserialize, Serialize};
 
 use crate::addr::PhysAddr;
 use crate::channel::{AccessKind, Channel};
@@ -41,7 +40,7 @@ pub const PMP_ENTRY_COUNT: usize = 8;
 pub const PMPADDR_MASK: u64 = (1 << 54) - 1;
 
 /// PMP address-matching mode (the `A` field of `pmpcfg`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PmpAddressMode {
     /// Entry disabled.
     #[default]
@@ -88,7 +87,7 @@ impl PmpAddressMode {
 /// | 3–4 | A    | address-matching mode          |
 /// | 5   | S    | **PTStore secure region** (new)|
 /// | 7   | L    | locked (applies to M-mode too) |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PmpPermissions(u8);
 
 impl PmpPermissions {
@@ -201,7 +200,7 @@ impl fmt::Display for PmpPermissions {
 
 /// One PMP entry: a configuration byte plus the raw `pmpaddr` register
 /// (physical address bits `[55:2]`, i.e. the address shifted right by two).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PmpEntry {
     /// The `pmpcfg` byte for this entry.
     pub cfg: PmpPermissions,
@@ -245,7 +244,7 @@ pub struct PmpRun {
 
 /// Context needed to evaluate an access: the hart's privilege mode and the
 /// `satp.S` bit that arms the page-table-walker origin check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AccessContext {
     /// Current privilege mode of the hart.
     pub mode: PrivilegeMode,
@@ -295,14 +294,13 @@ impl AccessContext {
 
 /// The PMP unit of the modelled core: [`PMP_ENTRY_COUNT`] prioritised entries
 /// plus helpers to install and resize the PTStore secure region as a TOR pair.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PmpUnit {
     entries: [PmpEntry; PMP_ENTRY_COUNT],
     /// Index of the TOR entry carrying the secure region's S-bit, when
     /// installed (its lower bound lives in the preceding entry).
     secure_tor_index: Option<usize>,
     /// Optional decision-trace sink; not part of the architectural state.
-    #[serde(skip)]
     trace: SinkSlot,
     /// Ablation switch (defaults to `true`): when `false`, the S-bit loses
     /// its channel semantics and regular accesses reach the secure region

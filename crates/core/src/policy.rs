@@ -6,12 +6,10 @@
 //! and *is the walker check armed* — so the security argument of the paper
 //! (§III-B, Fig. 1) can be stated, tested, and property-checked in isolation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::channel::Channel;
 
 /// The outcome of the PTStore access-control matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccessDecision {
     /// The access proceeds (still subject to baseline PMP R/W/X bits).
     Allow,

@@ -2,13 +2,9 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// RISC-V privilege modes (the prototype runs RV64 with M, S, and U modes;
 /// paper Table II).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum PrivilegeMode {
     /// User mode: applications, including the attacker-controlled process.
     #[default]

@@ -10,8 +10,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::{PhysAddr, PAGE_SIZE};
 use crate::error::RegionError;
 
@@ -26,7 +24,7 @@ use crate::error::RegionError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SecureRegion {
     base: PhysAddr,
     size: u64,

@@ -15,8 +15,6 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::addr::PhysAddr;
 use crate::error::TokenError;
 
@@ -24,7 +22,7 @@ use crate::error::TokenError;
 pub const TOKEN_SIZE: u64 = 16;
 
 /// A page-table-pointer credential stored in the secure region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Token {
     /// The protected page-table (root) pointer.
     pub pt_ptr: PhysAddr,

@@ -1,8 +1,6 @@
 //! Parametric resource model of the RISC-V BOOM core (`SmallBooms`
 //! configuration of paper Table II, FPU disabled).
 
-use serde::{Deserialize, Serialize};
-
 use crate::component::{total_ff, total_lut, Component};
 
 /// Paper Table III baseline core LUTs (calibration target).
@@ -11,7 +9,7 @@ pub const CORE_BASE_LUT: u64 = 55_367;
 pub const CORE_BASE_FF: u64 = 37_327;
 
 /// Microarchitectural parameters of the modelled core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BoomConfig {
     /// Instructions fetched per cycle.
     pub fetch_width: u64,

@@ -2,10 +2,8 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// A named block with LUT/FF usage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Component {
     /// Block name (matches the RTL hierarchy it models).
     pub name: &'static str,

@@ -9,8 +9,6 @@
 //! between PTStore's always-parallel PMP match and an always-walking NPT
 //! unit is.
 
-use serde::{Deserialize, Serialize};
-
 use crate::boom::BoomConfig;
 use crate::component::Component;
 use crate::ptstore::ptstore_delta;
@@ -62,7 +60,7 @@ pub fn dynamic_power(components: &[Component]) -> f64 {
 const BASELINE_RAW: f64 = 17_252.0;
 
 /// Power summary for one build.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerEstimate {
     /// Baseline core (normalised 1.0 reference).
     pub baseline: f64,

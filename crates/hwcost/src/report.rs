@@ -2,14 +2,12 @@
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::boom::BoomConfig;
 use crate::system::SystemCost;
 use crate::timing::TimingModel;
 
 /// One row of Table III.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table3Row {
     /// "without PTStore" / "with PTStore".
     pub label: &'static str,

@@ -1,8 +1,6 @@
 //! Whole-system aggregation: the core plus the Xilinx peripherals of paper
 //! Table II.
 
-use serde::{Deserialize, Serialize};
-
 use crate::boom::BoomConfig;
 use crate::component::{total_ff, total_lut, Component};
 use crate::ptstore::ptstore_delta;
@@ -21,7 +19,7 @@ pub fn peripherals() -> Vec<Component> {
 }
 
 /// Aggregated resource cost of one build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SystemCost {
     /// Core LUTs.
     pub core_lut: u64,

@@ -7,8 +7,6 @@
 //! a function of the baseline microarchitecture; PTStore contributes only a
 //! deterministic seed change to the P&R "jitter" term.
 
-use serde::{Deserialize, Serialize};
-
 use crate::boom::BoomConfig;
 
 /// The synthesis timing target of the prototype (90.000 MHz).
@@ -21,7 +19,7 @@ fn pnr_jitter_ns(design: &str) -> f64 {
 }
 
 /// Timing results of one implementation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimingModel {
     /// Clock period target (ns).
     pub period_ns: f64,

@@ -6,14 +6,13 @@ use core::fmt;
 use ptstore_core::{AccessContext, AccessError, AccessKind, Channel, PrivilegeMode, VirtAddr};
 use ptstore_mem::Bus;
 use ptstore_mmu::{Mmu, Satp, TranslateError};
-use serde::{Deserialize, Serialize};
 
 use crate::csr::{addr as csr_addr, status, CsrError, CsrFile};
 use crate::decode::decode;
 use crate::inst::{AluOp, AmoOp, BranchOp, CsrOp, Inst, LoadOp, StoreOp};
 
 /// RISC-V exception causes raised by the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrapCause {
     /// Instruction access fault (1) — e.g. fetching from the secure region.
     InstructionAccessFault,
@@ -81,7 +80,7 @@ impl fmt::Display for TrapCause {
 }
 
 /// A delivered trap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Trap {
     /// Exception cause.
     pub cause: TrapCause,

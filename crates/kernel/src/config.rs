@@ -3,13 +3,12 @@
 use core::fmt;
 
 use ptstore_core::{PagingScheme, GIB, MIB, PAGE_SIZE};
-use serde::{Deserialize, Serialize};
 
 use crate::drain::DrainPolicy;
 
 /// Which page-table defense the kernel deploys. The paper's related-work
 /// taxonomy (§VI) maps onto these baselines; PTStore is the contribution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DefenseMode {
     /// No page-table protection (the unmodified kernel).
     #[default]
@@ -50,7 +49,7 @@ impl fmt::Display for DefenseMode {
 pub const MAX_HARTS: usize = 64;
 
 /// Full kernel configuration (the model's `defconfig`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelConfig {
     /// Deployed page-table defense.
     pub defense: DefenseMode,
@@ -80,10 +79,6 @@ pub struct KernelConfig {
     /// clear, so the walker may fetch page tables from anywhere. Always true
     /// in the paper's full design.
     pub ptw_origin_check: bool,
-    /// I-TLB capacity in entries (prototype: 32, paper Table II).
-    pub itlb_entries: usize,
-    /// D-TLB capacity in entries (prototype: 8, paper Table II).
-    pub dtlb_entries: usize,
     /// Number of harts (cores). Each hart owns its MMU/TLBs, current
     /// process, run queue, and cycle counter; everything else — bus, PMP,
     /// zones, process table — is machine-wide. `1` reproduces the paper's
@@ -114,8 +109,8 @@ pub struct KernelConfig {
     pub drain_policy: DrainPolicy,
 }
 
-/// Why a [`KernelConfigBuilder`] refused to produce a configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// Why [`KernelConfig::validate`] refused a configuration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// `mem_size` below the 64 MiB floor or not page-aligned.
     BadMemSize,
@@ -124,8 +119,6 @@ pub enum ConfigError {
     BadSecureSize,
     /// `adjust_chunk` empty or not page-aligned.
     BadAdjustChunk,
-    /// A TLB capacity of zero entries.
-    BadTlbCapacity,
     /// A hart count of zero, or beyond the modelled IPI fabric (64).
     BadHartCount,
     /// A watermark drain policy with a depth of zero (it would drain on
@@ -141,7 +134,6 @@ impl fmt::Display for ConfigError {
                 "initial_secure_size must be page-aligned, non-empty, and below mem_size/2"
             }
             ConfigError::BadAdjustChunk => "adjust_chunk must be page-aligned and non-empty",
-            ConfigError::BadTlbCapacity => "tlb capacities must be non-zero",
             ConfigError::BadHartCount => "harts must be between 1 and 64",
             ConfigError::BadDrainWatermark => "watermark drain depth must be non-zero",
         })
@@ -152,9 +144,9 @@ impl std::error::Error for ConfigError {}
 
 /// Checked builder for [`KernelConfig`].
 ///
-/// Starts from a preset (default: [`KernelConfig::baseline`]) and validates
-/// the geometry once in [`build`](Self::build) — the same invariants
-/// [`Kernel::boot`](crate::Kernel::boot) would otherwise assert on.
+/// Starts from a preset (default: [`KernelConfig::baseline`]) and checks
+/// it once in [`build`](Self::build) with [`KernelConfig::validate`], the
+/// check [`Kernel::boot`](crate::Kernel::boot) also makes.
 ///
 /// ```
 /// use ptstore_core::MIB;
@@ -165,11 +157,11 @@ impl std::error::Error for ConfigError {}
 ///     .cfi(true)
 ///     .mem_size(256 * MIB)
 ///     .initial_secure_size(16 * MIB)
-///     .dtlb_entries(16)
+///     .harts(2)
 ///     .build()
 ///     .unwrap();
 /// assert_eq!(cfg.label(), "CFI+PTStore");
-/// assert_eq!(cfg.dtlb_entries, 16);
+/// assert_eq!(cfg.harts, 2);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct KernelConfigBuilder {
@@ -231,18 +223,6 @@ impl KernelConfigBuilder {
         self
     }
 
-    /// I-TLB capacity in entries.
-    pub fn itlb_entries(mut self, entries: usize) -> Self {
-        self.cfg.itlb_entries = entries;
-        self
-    }
-
-    /// D-TLB capacity in entries.
-    pub fn dtlb_entries(mut self, entries: usize) -> Self {
-        self.cfg.dtlb_entries = entries;
-        self
-    }
-
     /// Number of harts.
     pub fn harts(mut self, harts: usize) -> Self {
         self.cfg.harts = harts;
@@ -273,34 +253,12 @@ impl KernelConfigBuilder {
         self
     }
 
-    /// Validates the geometry and produces the configuration.
+    /// Validates the configuration and produces it.
     ///
     /// # Errors
-    /// A [`ConfigError`] naming the first invariant violated.
+    /// The [`ConfigError`] of [`KernelConfig::validate`].
     pub fn build(self) -> Result<KernelConfig, ConfigError> {
-        let c = &self.cfg;
-        if c.mem_size < 64 * MIB || !c.mem_size.is_multiple_of(PAGE_SIZE) {
-            return Err(ConfigError::BadMemSize);
-        }
-        if c.initial_secure_size == 0
-            || !c.initial_secure_size.is_multiple_of(PAGE_SIZE)
-            || c.initial_secure_size >= c.mem_size / 2
-        {
-            return Err(ConfigError::BadSecureSize);
-        }
-        if c.adjust_chunk == 0 || !c.adjust_chunk.is_multiple_of(PAGE_SIZE) {
-            return Err(ConfigError::BadAdjustChunk);
-        }
-        if c.itlb_entries == 0 || c.dtlb_entries == 0 {
-            return Err(ConfigError::BadTlbCapacity);
-        }
-        if c.harts == 0 || c.harts > MAX_HARTS {
-            return Err(ConfigError::BadHartCount);
-        }
-        if c.drain_policy.watermark_depth() == Some(0) {
-            return Err(ConfigError::BadDrainWatermark);
-        }
-        Ok(self.cfg)
+        self.cfg.validate().map(|()| self.cfg)
     }
 }
 
@@ -321,6 +279,32 @@ impl KernelConfig {
         KernelConfigBuilder::from(self)
     }
 
+    /// Checks the machine geometry and the knobs a boot relies on.
+    ///
+    /// # Errors
+    /// A [`ConfigError`] naming the first invariant violated.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        if self.mem_size < 64 * MIB || !self.mem_size.is_multiple_of(PAGE_SIZE) {
+            return Err(ConfigError::BadMemSize);
+        }
+        if self.initial_secure_size == 0
+            || !self.initial_secure_size.is_multiple_of(PAGE_SIZE)
+            || self.initial_secure_size >= self.mem_size / 2
+        {
+            return Err(ConfigError::BadSecureSize);
+        }
+        if self.adjust_chunk == 0 || !self.adjust_chunk.is_multiple_of(PAGE_SIZE) {
+            return Err(ConfigError::BadAdjustChunk);
+        }
+        if self.harts == 0 || self.harts > MAX_HARTS {
+            return Err(ConfigError::BadHartCount);
+        }
+        if self.drain_policy.watermark_depth() == Some(0) {
+            return Err(ConfigError::BadDrainWatermark);
+        }
+        Ok(())
+    }
+
     /// The baseline kernel: no defense, no CFI.
     pub fn baseline() -> Self {
         Self {
@@ -333,8 +317,6 @@ impl KernelConfig {
             token_checks: true,
             pmp_s_bit_check: true,
             ptw_origin_check: true,
-            itlb_entries: 32,
-            dtlb_entries: 8,
             harts: 1,
             scheme: PagingScheme::Sv39,
             deferred_shootdowns: false,
@@ -502,10 +484,6 @@ mod tests {
         assert_eq!(
             KernelConfig::builder().adjust_chunk(PAGE_SIZE + 1).build(),
             Err(ConfigError::BadAdjustChunk)
-        );
-        assert_eq!(
-            KernelConfig::builder().itlb_entries(0).build(),
-            Err(ConfigError::BadTlbCapacity)
         );
         assert_eq!(
             KernelConfig::builder().harts(0).build(),

@@ -14,10 +14,8 @@ use std::collections::BTreeMap;
 
 use core::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Where cycles were spent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum CostKind {
     /// User-mode computation.
     User,
@@ -154,7 +152,7 @@ pub mod cost {
 /// `charge` sits on the hot path of every modeled memory access, so the
 /// per-kind accumulators are a flat array indexed by the `CostKind`
 /// discriminant rather than a map.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CycleCounter {
     total: u64,
     by_kind: [u64; CostKind::ALL.len()],

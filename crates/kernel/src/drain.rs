@@ -32,8 +32,6 @@
 use core::fmt;
 use core::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 /// Queue depth at which [`DrainPolicy::Watermark`] drains when no explicit
 /// depth is given (`--drain-policy watermark`).
 pub const DEFAULT_WATERMARK_DEPTH: u32 = 8;
@@ -41,7 +39,7 @@ pub const DEFAULT_WATERMARK_DEPTH: u32 = 8;
 /// When, beyond the mandatory security boundaries and ASID reuse, the
 /// active hart's deferred-shootdown queue is drained. `Boundary` is the
 /// default.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DrainPolicy {
     /// Drain only at the mandatory points: security boundaries, and ASID
     /// reuse after rollover. Deepest queues, fewest IPI rounds.

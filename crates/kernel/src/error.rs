@@ -3,13 +3,15 @@
 use core::fmt;
 
 use ptstore_core::{AccessError, RegionError, TokenError};
-use serde::{Deserialize, Serialize};
 
+use crate::config::ConfigError;
 use crate::zones::AllocError;
 
 /// Errors surfaced by the kernel model's public operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelError {
+    /// [`Kernel::boot`](crate::Kernel::boot) refused the configuration.
+    Config(ConfigError),
     /// Physical memory exhausted (after any secure-region adjustment
     /// attempts).
     OutOfMemory,
@@ -49,6 +51,7 @@ pub enum KernelError {
 impl fmt::Display for KernelError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            KernelError::Config(e) => write!(f, "bad configuration: {e}"),
             KernelError::OutOfMemory => f.write_str("out of memory"),
             KernelError::TokenInvalid(e) => write!(f, "token validation failed: {e}"),
             KernelError::Access(e) => write!(f, "access denied: {e}"),
@@ -76,6 +79,12 @@ impl From<crate::process::TableError> for KernelError {
             crate::process::TableError::DuplicatePid(pid) => KernelError::DuplicatePid(pid),
             crate::process::TableError::Full => KernelError::ProcessTableFull,
         }
+    }
+}
+
+impl From<ConfigError> for KernelError {
+    fn from(e: ConfigError) -> Self {
+        KernelError::Config(e)
     }
 }
 

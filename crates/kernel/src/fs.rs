@@ -9,7 +9,6 @@
 use std::collections::HashMap;
 
 use ptstore_core::MIB;
-use serde::{Deserialize, Serialize};
 
 use crate::error::KernelError;
 
@@ -19,7 +18,7 @@ use crate::error::KernelError;
 pub const MAX_FILE_SIZE: u64 = 64 * MIB;
 
 /// File metadata returned by `stat`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileStat {
     /// Size in bytes.
     pub size: u64,
@@ -30,7 +29,7 @@ pub struct FileStat {
 }
 
 /// One ramfs file.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct FileNode {
     data: Vec<u8>,
     mode: u32,

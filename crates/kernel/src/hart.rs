@@ -97,9 +97,9 @@ pub struct Hart {
 }
 
 impl Hart {
-    /// Creates an idle hart with the given TLB geometry.
-    pub fn new(id: usize, itlb_entries: usize, dtlb_entries: usize) -> Self {
-        let mut mmu = Mmu::with_tlb_sizes(itlb_entries, dtlb_entries);
+    /// Creates an idle hart with the prototype's TLB geometry.
+    pub fn new(id: usize) -> Self {
+        let mut mmu = Mmu::new();
         mmu.set_hart_id(id);
         Self {
             id,

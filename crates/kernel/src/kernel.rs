@@ -159,17 +159,11 @@ impl Kernel {
     /// table into it using `sd.pt`, then arm the walker check (`satp.S`).
     ///
     /// # Errors
-    /// Propagates allocation and region errors; a too-small `mem_size`
-    /// panics.
+    /// [`KernelError::Config`] when [`KernelConfig::validate`] refuses
+    /// `cfg`, before anything is built; otherwise propagates allocation and
+    /// region errors.
     pub fn boot(cfg: KernelConfig) -> Result<Self, KernelError> {
-        assert!(
-            cfg.mem_size >= 64 * MIB && cfg.mem_size.is_multiple_of(PAGE_SIZE),
-            "machine needs at least 64 MiB"
-        );
-        assert!(
-            cfg.initial_secure_size < cfg.mem_size / 2,
-            "secure region must leave room for the normal zone"
-        );
+        cfg.validate()?;
         let mut bus = Bus::new(cfg.mem_size);
         let mut cycles = CycleCounter::new();
 
@@ -238,9 +232,7 @@ impl Kernel {
         let mut kernel = Self {
             cfg,
             bus,
-            harts: (0..cfg.harts)
-                .map(|id| Hart::new(id, cfg.itlb_entries, cfg.dtlb_entries))
-                .collect(),
+            harts: (0..cfg.harts).map(Hart::new).collect(),
             active_hart: 0,
             cycles,
             stats: KernelStats::default(),

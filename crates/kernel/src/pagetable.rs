@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 
 use ptstore_core::{PhysAddr, PhysPageNum, VirtAddr, MIB, PAGE_SIZE};
 use ptstore_mmu::PteFlags;
-use serde::{Deserialize, Serialize};
 
 /// Base of the kernel's direct map of all physical memory
 /// (`va = DIRECT_MAP_BASE + pa`). The top 256 GiB of the address space —
@@ -65,7 +64,7 @@ pub(crate) fn leaf_pages(huge: bool) -> u64 {
 }
 
 /// One user-page mapping in the Rust-side shadow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UserMapping {
     /// Mapped physical page — for a huge mapping, the naturally aligned
     /// base of the 2 MiB block.

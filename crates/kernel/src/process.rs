@@ -22,7 +22,6 @@
 use std::collections::VecDeque;
 
 use ptstore_core::{PhysAddr, VirtAddr};
-use serde::{Deserialize, Serialize};
 
 use crate::pagetable::AddressSpace;
 
@@ -45,7 +44,7 @@ pub const PCB_OFF_PID: u64 = 0x00;
 pub const PCB_OFF_UPC: u64 = 0x18;
 
 /// Scheduling state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProcState {
     /// Currently on the (single) hart.
     Running,
@@ -58,7 +57,7 @@ pub enum ProcState {
 }
 
 /// Per-VMA permissions (the VM metadata the §V-E4 attack targets).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VmPerms {
     /// Readable.
     pub read: bool,
@@ -90,7 +89,7 @@ impl VmPerms {
 }
 
 /// A user virtual memory area (demand-paged).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VmArea {
     /// Inclusive page-aligned start.
     pub start: u64,
@@ -108,7 +107,7 @@ impl VmArea {
 }
 
 /// An open file description.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FdEntry {
     /// Regular file in the ramfs.
     File {
@@ -137,7 +136,7 @@ pub enum FdEntry {
 }
 
 /// A per-process descriptor table.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FdTable {
     entries: Vec<Option<FdEntry>>,
 }
@@ -202,7 +201,7 @@ impl FdTable {
 }
 
 /// Signal disposition (install/catch latency is what LMBench measures).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SigAction {
     /// Default disposition.
     #[default]
@@ -214,7 +213,7 @@ pub enum SigAction {
 }
 
 /// Per-process signal state.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SignalTable {
     /// Dispositions for signals 1–31.
     pub actions: [SigAction; 32],

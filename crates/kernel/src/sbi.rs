@@ -12,11 +12,10 @@ use core::fmt;
 
 use ptstore_core::{PhysAddr, SecureRegion, PAGE_SIZE};
 use ptstore_mem::Bus;
-use serde::{Deserialize, Serialize};
 
 /// The PTStore SBI function set (extension-specific calls the kernel makes
 /// with `ecall` from S-mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SbiCall {
     /// `sbi_ptstore_init(base, size)` — one-shot installation at boot.
     SecureRegionInit {
@@ -36,7 +35,7 @@ pub enum SbiCall {
 }
 
 /// SBI return values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SbiResult {
     /// Success with no payload.
     Ok,
@@ -52,7 +51,7 @@ pub enum SbiResult {
 }
 
 /// Why the firmware rejected a call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SbiError {
     /// `init` called twice.
     AlreadyInitialised,

@@ -192,11 +192,6 @@ impl SlabCache {
             .map(PhysAddr::new)
     }
 
-    /// Objects currently parked across all magazines.
-    pub fn magazine_objects(&self) -> usize {
-        self.magazines.iter().map(Vec::len).sum()
-    }
-
     /// Appends the cache's full allocation-steering state to `out` in
     /// deterministic order: each backing page's ppn followed by its packed
     /// occupancy bitmap (slot order), then each hart magazine's cached
@@ -350,7 +345,6 @@ mod tests {
         assert!(cache.magazine_put(0, a));
         assert!(cache.magazine_put(1, b));
         assert!(cache.contains(a) && cache.contains(b));
-        assert_eq!(cache.magazine_objects(), 2);
         // LIFO hit returns the hart's own object without touching bitmaps.
         assert_eq!(cache.magazine_get(0), Some(a));
         assert_eq!(cache.magazine_get(0), None, "hart 0 magazine drained");
@@ -362,10 +356,10 @@ mod tests {
         let (overflow, _) = cache.alloc(&mut src).unwrap();
         assert!(!cache.magazine_put(2, overflow));
         cache.free(overflow);
-        // Flush performs the real frees so shrink can release pages.
-        let flushed = cache.flush_magazines();
-        assert_eq!(flushed, MAGAZINE_CAP + 1);
-        assert_eq!(cache.magazine_objects(), 0);
+        // Flush performs the real frees so shrink can release pages: hart
+        // 1's `b` and hart 2's full magazine, leaving every magazine empty.
+        assert_eq!(cache.flush_magazines(), MAGAZINE_CAP + 1);
+        assert_eq!(cache.flush_magazines(), 0);
         cache.free(a);
         let mut released = Vec::new();
         cache.shrink(|p| released.push(p));

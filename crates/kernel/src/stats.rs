@@ -4,12 +4,11 @@ use core::fmt;
 
 use ptstore_core::{PhysAddr, PhysPageNum, TokenError};
 use ptstore_trace::Snapshot;
-use serde::{Deserialize, Serialize};
 
 use crate::process::Pid;
 
 /// Aggregate kernel event counters (the model's `/proc/stat`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
     /// Syscalls dispatched.
     pub syscalls: u64,
@@ -111,7 +110,7 @@ impl Snapshot for KernelStats {
 }
 
 /// Security-relevant events the kernel logged (defense firings).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SecurityEvent {
     /// A `switch_mm` token validation rejected a page-table pointer.
     TokenRejected {

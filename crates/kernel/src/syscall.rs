@@ -160,12 +160,6 @@ pub mod profile {
         base_cycles: 460,
         indirect_calls: 18,
     };
-    /// Socket close.
-    pub const SOCK_CLOSE: SyscallProfile = SyscallProfile {
-        name: "sock_close",
-        base_cycles: 380,
-        indirect_calls: 12,
-    };
 }
 
 impl Kernel {

@@ -23,13 +23,12 @@ use std::collections::HashMap;
 use core::fmt;
 
 use ptstore_core::PhysPageNum;
-use serde::{Deserialize, Serialize};
 
 /// Largest buddy order (2^10 pages = 4 MiB blocks, as in Linux).
 pub const MAX_ORDER: u8 = 10;
 
 /// GFP-style allocation flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct GfpFlags(u8);
 
 impl GfpFlags {
@@ -61,7 +60,7 @@ impl core::ops::BitOr for GfpFlags {
 }
 
 /// Bookkeeping for an allocated block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AllocInfo {
     /// Buddy order of the block.
     pub order: u8,
@@ -70,7 +69,7 @@ pub struct AllocInfo {
 }
 
 /// Errors from the buddy allocator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AllocError {
     /// No block of the requested order (after splitting) is available.
     OutOfMemory,
@@ -450,16 +449,15 @@ impl BuddyZone {
         for (fstart, forder) in to_claim {
             self.free[forder as usize].remove(fstart >> forder);
             let fend = fstart + (1u64 << forder);
-            // Keep the parts outside [s, e) free.
+            self.free_pages -= 1u64 << forder;
+            // Give the parts outside [s, e) back.
             if fstart < s {
-                self.insert_free_run_nocount(fstart, s - fstart);
+                self.insert_free_run(fstart, s - fstart);
             }
             if fend > e {
-                self.insert_free_run_nocount(e, fend - e);
+                self.insert_free_run(e, fend - e);
             }
-            let inside = fend.min(e) - fstart.max(s);
-            self.free_pages -= inside;
-            claimed_free += inside;
+            claimed_free += fend.min(e) - fstart.max(s);
         }
         Ok(RangeReservation {
             start,
@@ -467,18 +465,6 @@ impl BuddyZone {
             to_migrate,
             claimed_free,
         })
-    }
-
-    fn insert_free_run_nocount(&mut self, mut start: u64, mut len: u64) {
-        while len > 0 {
-            let align_order = start.trailing_zeros().min(MAX_ORDER as u32) as u8;
-            let len_order = (63 - len.leading_zeros()).min(MAX_ORDER as u32) as u8;
-            let order = align_order.min(len_order);
-            self.free[order as usize].insert(start >> order);
-            let block = 1u64 << order;
-            start += block;
-            len -= block;
-        }
     }
 
     /// Marks a migrated block as vacated (its pages join the reservation).

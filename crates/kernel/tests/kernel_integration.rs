@@ -1,9 +1,10 @@
 //! Integration tests across the kernel's subsystems.
 
 use ptstore_core::{VirtAddr, MIB, PAGE_SIZE};
+use ptstore_kernel::config::MAX_HARTS;
 use ptstore_kernel::pagetable::{USER_MMAP_BASE, USER_TEXT_BASE};
 use ptstore_kernel::syscall::MAX_RW_COUNT;
-use ptstore_kernel::{DefenseMode, Kernel, KernelConfig, KernelError};
+use ptstore_kernel::{ConfigError, DefenseMode, DrainPolicy, Kernel, KernelConfig, KernelError};
 use ptstore_trace::{TraceEvent, TraceSink};
 
 fn boot(cfg: KernelConfig) -> Kernel {
@@ -20,6 +21,66 @@ fn boot_small_region(chunk: u64) -> Kernel {
         .with_initial_secure_size(MIB);
     cfg.adjust_chunk = chunk;
     Kernel::boot(cfg).expect("kernel boots")
+}
+
+/// `Kernel::boot` refuses every config the builder refuses, with the same
+/// error and before it builds anything: none of these may panic, or boot a
+/// machine that later spins (a zero `adjust_chunk` grew a full region by
+/// nothing, forever).
+#[test]
+fn boot_rejects_what_the_builder_rejects() {
+    let base = KernelConfig::cfi_ptstore()
+        .with_mem_size(64 * MIB)
+        .with_initial_secure_size(MIB);
+    let chunk = |adjust_chunk| KernelConfig {
+        adjust_chunk,
+        ..base
+    };
+    let cases = [
+        ("0 harts", base.with_harts(0), ConfigError::BadHartCount),
+        (
+            "65 harts",
+            base.with_harts(MAX_HARTS + 1),
+            ConfigError::BadHartCount,
+        ),
+        (
+            "32 MiB",
+            base.with_mem_size(32 * MIB),
+            ConfigError::BadMemSize,
+        ),
+        (
+            "secure = mem/2",
+            base.with_initial_secure_size(32 * MIB),
+            ConfigError::BadSecureSize,
+        ),
+        (
+            "unaligned secure",
+            base.with_initial_secure_size(MIB + 8),
+            ConfigError::BadSecureSize,
+        ),
+        ("chunk 0", chunk(0), ConfigError::BadAdjustChunk),
+        (
+            "chunk page + 1",
+            chunk(PAGE_SIZE + 1),
+            ConfigError::BadAdjustChunk,
+        ),
+        (
+            "watermark depth 0",
+            base.with_deferred_shootdowns(true)
+                .with_drain_policy(DrainPolicy::Watermark { depth: 0 }),
+            ConfigError::BadDrainWatermark,
+        ),
+    ];
+    assert_eq!(base.to_builder().build(), Ok(base));
+    assert!(Kernel::boot(base).is_ok());
+    for (name, cfg, want) in cases {
+        assert_eq!(cfg.to_builder().build(), Err(want), "{name}");
+        assert_eq!(
+            Kernel::boot(cfg).err(),
+            Some(KernelError::Config(want)),
+            "{name}"
+        );
+    }
 }
 
 #[test]

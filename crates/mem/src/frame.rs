@@ -205,15 +205,6 @@ impl Frame {
         f.finish()
     }
 
-    /// Approximate host-memory footprint of the backing, for diagnostics.
-    pub fn backing_bytes(&self) -> usize {
-        match self {
-            Frame::Zero => 0,
-            Frame::Words(map) => map.len() * 16,
-            Frame::Dense(_) => PAGE_SIZE as usize,
-        }
-    }
-
     fn promote_to_dense(&mut self) {
         if let Frame::Words(map) = self {
             let mut bytes = Box::new([0u8; PAGE_SIZE as usize]);
@@ -239,7 +230,7 @@ mod tests {
         assert_eq!(f.read_word(0), 0);
         assert_eq!(f.read_word(511), 0);
         assert!(f.is_zero());
-        assert_eq!(f.backing_bytes(), 0);
+        assert!(matches!(f, Frame::Zero));
         // A page never written reads zero through the byte path too.
         let m = PhysMem::new(PAGE_SIZE);
         assert_eq!(m.read_u8(PhysAddr::new(4095)).expect("in range"), 0);

@@ -26,8 +26,6 @@ const CHUNK_FRAMES: u64 = 512;
 #[derive(Debug, Clone, Default)]
 pub struct PhysMem {
     chunks: Vec<Option<Arc<[Frame]>>>,
-    /// Number of frames currently holding non-[`Frame::Zero`] backing.
-    touched: usize,
     size: u64,
 }
 
@@ -44,7 +42,6 @@ impl PhysMem {
         let chunk_count = (size / PAGE_SIZE).div_ceil(CHUNK_FRAMES) as usize;
         Self {
             chunks: vec![None; chunk_count],
-            touched: 0,
             size,
         }
     }
@@ -59,22 +56,6 @@ impl PhysMem {
     #[inline]
     pub fn page_count(&self) -> u64 {
         self.size / PAGE_SIZE
-    }
-
-    /// Number of frames with live backing (diagnostics).
-    pub fn touched_frames(&self) -> usize {
-        self.touched
-    }
-
-    /// Approximate host memory used by frame backings (diagnostics). A
-    /// chunk shared with a clone counts in full on both sides.
-    pub fn backing_bytes(&self) -> usize {
-        self.chunks
-            .iter()
-            .flatten()
-            .flat_map(|chunk| chunk.iter())
-            .map(Frame::backing_bytes)
-            .sum()
     }
 
     #[inline]
@@ -101,22 +82,12 @@ impl PhysMem {
     /// Mutable access to the frame for `ppn`, allocating its chunk on
     /// demand and copying it first if a clone shares it. A caller whose
     /// mutation may leave the frame as it was checks that first when the
-    /// chunk is absent or shared. The `touched` counter is kept in sync
-    /// with the frame's before/after zero-ness around the mutation.
+    /// chunk is absent or shared.
     #[inline]
     fn with_frame_mut<R>(&mut self, ppn: u64, f: impl FnOnce(&mut Frame) -> R) -> R {
         let slot = &mut self.chunks[(ppn / CHUNK_FRAMES) as usize];
         let chunk = slot.get_or_insert_with(|| (0..CHUNK_FRAMES).map(|_| Frame::Zero).collect());
-        let frame = &mut Arc::make_mut(chunk)[(ppn % CHUNK_FRAMES) as usize];
-        let was_backed = !matches!(frame, Frame::Zero);
-        let result = f(frame);
-        let is_backed = !matches!(frame, Frame::Zero);
-        match (was_backed, is_backed) {
-            (false, true) => self.touched += 1,
-            (true, false) => self.touched -= 1,
-            _ => {}
-        }
-        result
+        f(&mut Arc::make_mut(chunk)[(ppn % CHUNK_FRAMES) as usize])
     }
 
     /// Reads the `bytes`-byte value at `addr`, which is aligned to `bytes`
@@ -408,29 +379,34 @@ mod tests {
             m.write_u64(PhysAddr::new(i * PAGE_SIZE + 8), i + 1)
                 .unwrap();
         }
-        assert_eq!(m.touched_frames(), 1000);
-        // 1000 single-word sparse frames are far below dense cost.
-        assert!(m.backing_bytes() < 1000 * 64);
+        // 1000 single-word frames stay sparse, far below dense cost.
+        for i in 0..1000u64 {
+            let frame = m.page(PhysPageNum::new(i)).unwrap();
+            assert!(matches!(frame, Frame::Words(w) if w.len() == 1), "page {i}");
+        }
     }
 
     #[test]
-    fn touched_counter_tracks_zeroing_and_cross_chunk_pages() {
+    fn copy_and_zero_across_chunks() {
         let mut m = PhysMem::new(4 * GIB);
         // Pages in two different chunks.
         let a = PhysPageNum::new(3);
         let b = PhysPageNum::new(CHUNK_FRAMES + 5);
         m.write_u64(a.base_addr(), 1).unwrap();
-        m.write_u64(b.base_addr(), 2).unwrap();
-        assert_eq!(m.touched_frames(), 2);
+        m.write_u64(b.base_addr() + 8, 2).unwrap();
         m.copy_page(a, b).unwrap();
-        assert_eq!(m.touched_frames(), 2);
+        assert_eq!(m.read_u64(b.base_addr()).unwrap(), 1);
+        assert_eq!(m.read_u64(b.base_addr() + 8).unwrap(), 0);
         m.zero_page(a);
-        assert_eq!(m.touched_frames(), 1);
-        // Zeroing a never-touched page in an unallocated chunk is a no-op.
-        m.zero_page(PhysPageNum::new(7 * CHUNK_FRAMES + 1));
-        assert_eq!(m.touched_frames(), 1);
+        assert!(m.page_is_zero(a));
+        assert_eq!(m.read_u64(b.base_addr()).unwrap(), 1, "b keeps the copy");
+        // Zeroing a never-written page in an unallocated chunk is a no-op.
+        let far = PhysPageNum::new(7 * CHUNK_FRAMES + 1);
+        m.zero_page(far);
+        assert!(m.page_is_zero(far));
+        assert!(m.chunks[7].is_none(), "zeroing allocated no chunk");
         m.copy_page(PhysPageNum::new(9), b).unwrap();
-        assert_eq!(m.touched_frames(), 0);
+        assert!(m.page_is_zero(b));
     }
 
     #[test]

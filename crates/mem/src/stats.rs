@@ -4,14 +4,13 @@ use core::fmt;
 
 use ptstore_core::{AccessKind, Channel};
 use ptstore_trace::Snapshot;
-use serde::{Deserialize, Serialize};
 
 /// Counters for every (channel, kind) combination plus faults, maintained by
 /// [`Bus`](crate::bus::Bus). The cycle model and the evaluation harness read
 /// these to attribute time and to verify experiments actually exercised the
 /// paths they claim (e.g. that the PTStore kernel really issues `sd.pt`
 /// stores for every page-table write).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AccessStats {
     /// Regular-channel reads.
     pub regular_reads: u64,
@@ -71,12 +70,6 @@ impl AccessStats {
     /// Total accesses through the dedicated `ld.pt`/`sd.pt` channel.
     pub fn secure_total(&self) -> u64 {
         self.secure_reads + self.secure_writes
-    }
-
-    /// Difference against an earlier snapshot (for scoped measurement).
-    #[deprecated(note = "use `Snapshot::delta`")]
-    pub fn since(&self, earlier: &AccessStats) -> AccessStats {
-        self.delta(earlier)
     }
 }
 

@@ -2,7 +2,6 @@
 
 use ptstore_core::{AccessKind, PhysAddr, PrivilegeMode, VirtAddr, VirtPageNum, PAGE_SIZE};
 use ptstore_trace::{TlbUnit, TraceSink};
-use serde::{Deserialize, Serialize};
 
 use ptstore_mem::Bus;
 
@@ -12,7 +11,7 @@ use crate::walker::{PageTableWalker, TranslateError, WalkOutcome};
 
 /// How a translation was served — the cycle model charges differently for
 /// hits and walks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TranslationOutcome {
     /// Served from the TLB.
     TlbHit {
@@ -65,17 +64,9 @@ impl Default for Mmu {
 impl Mmu {
     /// An MMU with the prototype's TLB geometry and translation off.
     pub fn new() -> Self {
-        Self::with_tlb_sizes(32, 8)
-    }
-
-    /// An MMU with custom TLB sizes (for ablation experiments).
-    ///
-    /// # Panics
-    /// Panics if either capacity is zero.
-    pub fn with_tlb_sizes(itlb: usize, dtlb: usize) -> Self {
         Self {
-            itlb: Tlb::with_unit(itlb, TlbUnit::Instruction),
-            dtlb: Tlb::with_unit(dtlb, TlbUnit::Data),
+            itlb: Tlb::with_unit(32, TlbUnit::Instruction),
+            dtlb: Tlb::with_unit(8, TlbUnit::Data),
             walker: PageTableWalker::new(),
             satp: Satp::bare(),
             hart_id: 0,

@@ -6,10 +6,9 @@
 use core::fmt;
 
 use ptstore_core::{PhysAddr, PhysPageNum};
-use serde::{Deserialize, Serialize};
 
 /// The low-byte flag bits of an RV64 PTE.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct PteFlags(u8);
 
 impl PteFlags {
@@ -146,7 +145,7 @@ impl fmt::Display for PteFlags {
 }
 
 /// One 64-bit RV64 page-table entry: `PPN[53:10] | flags[7:0]`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Pte(u64);
 
 impl Pte {

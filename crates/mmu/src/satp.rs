@@ -13,7 +13,6 @@
 use core::fmt;
 
 use ptstore_core::{PagingScheme, PhysAddr, PhysPageNum};
-use serde::{Deserialize, Serialize};
 
 const MODE_SHIFT: u64 = 60;
 const MODE_BARE: u64 = 0;
@@ -23,7 +22,7 @@ const ASID_MASK: u64 = 0x7fff; // 15 bits after the S-bit carve-out
 const PPN_MASK: u64 = (1 << 44) - 1;
 
 /// A decoded `satp` value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct Satp {
     /// The active translation scheme; `None` is Bare mode.
     pub scheme: Option<PagingScheme>,

@@ -10,14 +10,13 @@
 
 use ptstore_core::{AccessKind, PhysPageNum, PrivilegeMode, VirtPageNum, PAGE_SIZE};
 use ptstore_trace::{FlushScope, SinkSlot, Snapshot, TlbUnit, TraceEvent, TraceSink};
-use serde::{Deserialize, Serialize};
 
 use crate::pte::PteFlags;
 
 /// One cached translation. A superpage leaf is cached as a single entry
 /// spanning `page_size / 4 KiB` consecutive pages (`vpn`/`ppn` hold the
 /// span-aligned bases), so one 2 MiB mapping costs one slot, not 512.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbEntry {
     /// Virtual page (span-aligned base for superpage entries).
     pub vpn: VirtPageNum,
@@ -49,7 +48,7 @@ impl TlbEntry {
 }
 
 /// Hit/miss counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TlbStats {
     /// Lookups that hit.
     pub hits: u64,
@@ -96,9 +95,6 @@ struct MicroEntry {
 pub struct Tlb {
     entries: Vec<Option<TlbEntry>>,
     next_victim: usize,
-    /// Live-entry count, maintained incrementally (== the number of `Some`
-    /// slots in `entries` at all times).
-    live: usize,
     micro: [Option<MicroEntry>; MICRO_TLB_SLOTS],
     stats: TlbStats,
     unit: TlbUnit,
@@ -125,7 +121,6 @@ impl Tlb {
         Self {
             entries: vec![None; capacity],
             next_victim: 0,
-            live: 0,
             micro: [None; MICRO_TLB_SLOTS],
             stats: TlbStats::default(),
             unit,
@@ -280,7 +275,6 @@ impl Tlb {
         }
         if let Some(slot) = self.entries.iter_mut().find(|s| s.is_none()) {
             *slot = Some(entry);
-            self.live += 1;
             return;
         }
         // Round-robin eviction.
@@ -295,7 +289,6 @@ impl Tlb {
     /// `sfence.vma x0, x0`: flush everything.
     pub fn flush_all(&mut self) {
         self.entries.iter_mut().for_each(|e| *e = None);
-        self.live = 0;
         self.micro_invalidate_all();
         self.stats.flushes += 1;
         self.emit_flush(FlushScope::All);
@@ -309,7 +302,6 @@ impl Tlb {
             if matches!(slot, Some(e) if e.covers(vpn) && e.asid == asid) {
                 flushed_superpage |= slot.unwrap().span_pages() > 1;
                 *slot = None;
-                self.live -= 1;
             }
         }
         if flushed_superpage {
@@ -329,7 +321,6 @@ impl Tlb {
         for slot in self.entries.iter_mut() {
             if matches!(slot, Some(e) if e.asid == asid && !e.flags.global()) {
                 *slot = None;
-                self.live -= 1;
             }
         }
         self.micro_invalidate_all();
@@ -351,12 +342,6 @@ impl Tlb {
     /// Order is slot order; no accounting is touched.
     pub fn entries(&self) -> impl Iterator<Item = &TlbEntry> {
         self.entries.iter().flatten()
-    }
-
-    /// Number of live entries (diagnostics), maintained incrementally.
-    pub fn occupancy(&self) -> usize {
-        debug_assert_eq!(self.live, self.entries.iter().flatten().count());
-        self.live
     }
 }
 
@@ -491,7 +476,7 @@ mod tests {
         for i in 0..10 {
             tlb.insert(entry(i, 1, i + 100, PteFlags::user_rw()));
         }
-        assert_eq!(tlb.occupancy(), 2);
+        assert_eq!(tlb.entries().count(), 2);
         assert_eq!(tlb.stats().evictions, 8);
     }
 
@@ -500,7 +485,7 @@ mod tests {
         let mut tlb = Tlb::new(4);
         tlb.insert(entry(5, 1, 100, PteFlags::user_rw()));
         tlb.insert(entry(5, 1, 999, PteFlags::user_rw()));
-        assert_eq!(tlb.occupancy(), 1);
+        assert_eq!(tlb.entries().count(), 1);
         let hit = tlb
             .lookup(
                 VirtPageNum::new(5),
@@ -518,7 +503,7 @@ mod tests {
         tlb.insert(entry(1, 1, 100, PteFlags::user_rw()));
         tlb.insert(entry(2, 1, 200, PteFlags::kernel_rw().with(PteFlags::G)));
         tlb.flush_asid(1);
-        assert_eq!(tlb.occupancy(), 1);
+        assert_eq!(tlb.entries().count(), 1);
         assert!(tlb
             .lookup(
                 VirtPageNum::new(2),
@@ -534,7 +519,7 @@ mod tests {
         let mut tlb = Tlb::new(4);
         tlb.insert(entry(1, 1, 100, PteFlags::user_rw()));
         tlb.flush_all();
-        assert_eq!(tlb.occupancy(), 0);
+        assert_eq!(tlb.entries().count(), 0);
     }
 
     #[test]
@@ -571,7 +556,7 @@ mod tests {
                 PrivilegeMode::User
             )
             .is_none());
-        assert_eq!(tlb.occupancy(), 1);
+        assert_eq!(tlb.entries().count(), 1);
     }
 
     #[test]
@@ -592,7 +577,7 @@ mod tests {
             )
             .is_some());
         tlb.insert(entry(0x200, 1, 0x5000, PteFlags::user_rw()));
-        assert_eq!(tlb.occupancy(), 1);
+        assert_eq!(tlb.entries().count(), 1);
         assert!(tlb
             .lookup(
                 VirtPageNum::new(0x203),
@@ -623,7 +608,7 @@ mod tests {
         )
         .unwrap();
         tlb.flush_page(VirtPageNum::new(0x200 + 100), 1);
-        assert_eq!(tlb.occupancy(), 0);
+        assert_eq!(tlb.entries().count(), 0);
         assert!(tlb
             .lookup(
                 VirtPageNum::new(0x200 + 3),

@@ -20,7 +20,6 @@ use ptstore_core::{
 };
 use ptstore_mem::{Bus, PhysMem};
 use ptstore_trace::TraceEvent;
-use serde::{Deserialize, Serialize};
 
 use crate::pte::{Pte, PteFlags};
 use crate::satp::Satp;
@@ -77,7 +76,7 @@ pub fn table_entries(
 }
 
 /// Why a translation failed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TranslateError {
     /// The classic page fault: invalid entry, permission mismatch, or
     /// malformed superpage.
@@ -110,7 +109,7 @@ impl From<AccessError> for TranslateError {
 }
 
 /// A successful walk: the physical address plus what the walk cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkOutcome {
     /// Translated physical address.
     pub pa: PhysAddr,

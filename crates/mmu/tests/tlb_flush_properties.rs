@@ -85,7 +85,7 @@ proptest! {
         let mut surviving = model(&inserts);
         surviving.retain(|&(v, a, _)| !(v == target_vpn && a == target_asid));
 
-        prop_assert_eq!(tlb.occupancy(), surviving.len());
+        prop_assert_eq!(tlb.entries().count(), surviving.len());
         for vpn in 0..VPNS {
             for asid in 0..ASIDS {
                 prop_assert_eq!(
@@ -117,7 +117,7 @@ proptest! {
         let mut surviving = model(&inserts);
         surviving.retain(|&(_, a, g)| a != target_asid || g);
 
-        prop_assert_eq!(tlb.occupancy(), surviving.len());
+        prop_assert_eq!(tlb.entries().count(), surviving.len());
         for vpn in 0..VPNS {
             for asid in 0..ASIDS {
                 prop_assert_eq!(
@@ -143,17 +143,17 @@ proptest! {
         for vpn in 0..capacity as u64 {
             tlb.insert(entry(vpn, 1, false));
         }
-        prop_assert_eq!(tlb.occupancy(), capacity);
+        prop_assert_eq!(tlb.entries().count(), capacity);
         prop_assert_eq!(tlb.stats().evictions, 0);
 
         tlb.flush_page(VirtPageNum::new(victim), 1);
-        prop_assert_eq!(tlb.occupancy(), capacity - 1);
+        prop_assert_eq!(tlb.entries().count(), capacity - 1);
         prop_assert!(!hits(&mut tlb, victim, 1));
 
         // Re-inserting fills the hole; everything else still hits and no
         // round-robin eviction fires.
         tlb.insert(entry(victim, 1, false));
-        prop_assert_eq!(tlb.occupancy(), capacity);
+        prop_assert_eq!(tlb.entries().count(), capacity);
         prop_assert_eq!(tlb.stats().evictions, 0);
         for vpn in 0..capacity as u64 {
             prop_assert!(hits(&mut tlb, vpn, 1), "vpn {} after refill", vpn);
@@ -172,10 +172,10 @@ proptest! {
             tlb.insert(entry(vpn, 1, false));
             tlb.insert(entry(vpn, 2, false));
         }
-        prop_assert_eq!(tlb.occupancy(), pages * 2);
+        prop_assert_eq!(tlb.entries().count(), pages * 2);
 
         tlb.flush_asid(1);
-        prop_assert_eq!(tlb.occupancy(), pages);
+        prop_assert_eq!(tlb.entries().count(), pages);
         for vpn in 0..pages as u64 {
             prop_assert!(!hits(&mut tlb, vpn, 1), "asid 1 vpn {} flushed", vpn);
             prop_assert!(hits(&mut tlb, vpn, 2), "asid 2 vpn {} kept", vpn);

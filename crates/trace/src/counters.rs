@@ -4,14 +4,12 @@
 //! has wrapped, so they summarise the *whole* run while the ring holds the
 //! most recent window.
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::{TokenOp, TraceEvent};
 use crate::json::JsonWriter;
 use crate::snapshot::Snapshot;
 
 /// Event totals per layer, plus denial breakdowns.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceCounters {
     /// PMP adjudications (every physical access under enforcement).
     pub pmp_checks: u64,
@@ -88,26 +86,6 @@ impl TraceCounters {
                 self.invariant_violations += u64::from(*violations);
             }
         }
-    }
-
-    /// Total events counted across all layers.
-    pub fn total(&self) -> u64 {
-        self.pmp_checks
-            + self.bus_reads
-            + self.bus_writes
-            + self.bus_fetches
-            + self.ptw_steps
-            + self.ptw_origin_rejections
-            + self.tlb_hits
-            + self.tlb_misses
-            + self.tlb_flushes
-            + self.tlb_shootdowns
-            + self.token_ops
-            + self.syscalls
-            + self.region_moves
-            + self.faults_injected
-            + self.ipi_faults
-            + self.invariant_checks
     }
 
     /// Serialises the counters as one JSON object.
@@ -195,6 +173,5 @@ mod tests {
         let d = c.delta(&snap);
         assert_eq!(d.pmp_checks, 0);
         assert_eq!(d.bus_reads, 1);
-        assert_eq!(c.total(), 3);
     }
 }

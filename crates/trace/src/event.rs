@@ -7,12 +7,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::json::JsonWriter;
 
 /// Which bus channel an access used (mirror of `ptstore_core::Channel`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Chan {
     /// Ordinary load/store/fetch traffic.
     Regular,
@@ -33,7 +31,7 @@ impl fmt::Display for Chan {
 }
 
 /// Read / write / execute (mirror of `ptstore_core::AccessKind`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Access {
     /// A data load.
     Read,
@@ -54,7 +52,7 @@ impl fmt::Display for Access {
 }
 
 /// Outcome of a PMP check (mirror of the `AccessError` cases plus Allow).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
     /// The access passed every check.
     Allowed,
@@ -88,7 +86,7 @@ impl fmt::Display for Verdict {
 }
 
 /// Which TLB a lookup went through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TlbUnit {
     /// The instruction TLB.
     Instruction,
@@ -106,7 +104,7 @@ impl fmt::Display for TlbUnit {
 }
 
 /// Scope of a TLB flush.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushScope {
     /// Every entry.
     All,
@@ -136,7 +134,7 @@ pub enum FlushScope {
 }
 
 /// A token-lifecycle operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenOp {
     /// A fresh token bound to a PCB/root pair.
     Issue,
@@ -159,48 +157,9 @@ impl fmt::Display for TokenOp {
     }
 }
 
-/// The architectural layer an event belongs to (counter bucket).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum Layer {
-    /// PMP adjudications.
-    Pmp,
-    /// Bus transactions.
-    Bus,
-    /// Page-table-walker activity.
-    Ptw,
-    /// TLB lookups, flushes, and shootdowns.
-    Tlb,
-    /// Token lifecycle operations.
-    Token,
-    /// Syscall entry/exit.
-    Syscall,
-    /// Secure-region boundary moves.
-    Region,
-    /// Fault-injection events (`ptstore-fault` and the kernel's IPI tap).
-    Fault,
-    /// Invariant-oracle sweeps (`ptstore-fault`).
-    Oracle,
-}
-
-impl fmt::Display for Layer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Layer::Pmp => "pmp",
-            Layer::Bus => "bus",
-            Layer::Ptw => "ptw",
-            Layer::Tlb => "tlb",
-            Layer::Token => "token",
-            Layer::Syscall => "syscall",
-            Layer::Region => "region",
-            Layer::Fault => "fault",
-            Layer::Oracle => "oracle",
-        })
-    }
-}
-
 /// The class of an injected fault, shared vocabulary between the
 /// `ptstore-fault` injector, the kernel's IPI tap, and trace consumers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultClass {
     /// A bit flip attempted on a page-table entry in the secure region
     /// through the regular channel (the attacker's write primitive).
@@ -262,7 +221,7 @@ impl fmt::Display for FaultClass {
 }
 
 /// The check that finally rejected an access, in the paper's terms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectingLayer {
     /// The PMP S-bit: regular-channel access into the secure region.
     PmpSBit,
@@ -286,7 +245,7 @@ impl fmt::Display for RejectingLayer {
 }
 
 /// One traced decision.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A PMP unit decision. `entry` is the index of the matching PMP entry
     /// (`None` when no entry matched and the default policy applied).
@@ -444,26 +403,6 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
-    /// The counter bucket this event belongs to.
-    pub fn layer(&self) -> Layer {
-        match self {
-            TraceEvent::PmpCheck { .. } => Layer::Pmp,
-            TraceEvent::BusRead { .. }
-            | TraceEvent::BusWrite { .. }
-            | TraceEvent::BusFetch { .. } => Layer::Bus,
-            TraceEvent::PtwStep { .. } | TraceEvent::PtwOriginRejected { .. } => Layer::Ptw,
-            TraceEvent::TlbHit { .. }
-            | TraceEvent::TlbMiss { .. }
-            | TraceEvent::TlbFlush { .. }
-            | TraceEvent::TlbShootdown { .. } => Layer::Tlb,
-            TraceEvent::Token { .. } => Layer::Token,
-            TraceEvent::SyscallEnter { .. } | TraceEvent::SyscallExit { .. } => Layer::Syscall,
-            TraceEvent::RegionMove { .. } => Layer::Region,
-            TraceEvent::FaultInjected { .. } | TraceEvent::IpiFault { .. } => Layer::Fault,
-            TraceEvent::InvariantCheck { .. } => Layer::Oracle,
-        }
-    }
-
     /// True when this event records a rejected access or operation.
     pub fn is_denial(&self) -> bool {
         self.rejecting_layer().is_some()
@@ -730,7 +669,6 @@ mod tests {
             from_hart: 1,
             acks: 3,
         };
-        assert_eq!(e.layer(), Layer::Tlb);
         assert!(!e.is_denial());
         let j = e.to_json();
         assert!(j.contains("\"type\":\"tlb_shootdown\""), "{j}");

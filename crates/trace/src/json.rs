@@ -1,6 +1,7 @@
 //! A tiny hand-rolled JSON object writer.
 //!
-//! The workspace's serde is an offline marker stub, so the trace layer
+//! The workspace builds offline, without a serialisation library (the
+//! vendored serde is a stand-in that derives nothing), so the trace layer
 //! renders its own JSON. Only the shapes the trace dump needs are
 //! supported: flat objects with string / number / hex-string / bool /
 //! null fields.

@@ -6,7 +6,7 @@
 //! attack. This crate is the forensic layer that keeps that provenance.
 //!
 //! It deliberately sits at the **bottom** of the workspace dependency
-//! graph (it depends on nothing but the serde markers), so every other
+//! graph (it depends on no other crate of the workspace), so every other
 //! layer — `ptstore-core`'s PMP, `ptstore-mem`'s bus, `ptstore-mmu`'s
 //! walker and TLBs, and `ptstore-kernel`'s token/syscall/SBI paths — can
 //! hold an optional [`TraceSink`] handle in a [`SinkSlot`] (which a
@@ -53,8 +53,7 @@ mod snapshot;
 
 pub use counters::TraceCounters;
 pub use event::{
-    Access, Chan, FaultClass, FlushScope, Layer, RejectingLayer, TlbUnit, TokenOp, TraceEvent,
-    Verdict,
+    Access, Chan, FaultClass, FlushScope, RejectingLayer, TlbUnit, TokenOp, TraceEvent, Verdict,
 };
 pub use sink::{SinkSlot, TraceBuffer, TraceSink, DEFAULT_CAPACITY};
 pub use snapshot::Snapshot;

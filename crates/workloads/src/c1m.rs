@@ -19,13 +19,16 @@
 
 use ptstore_core::{VirtAddr, PAGE_SIZE};
 use ptstore_kernel::process::VmPerms;
-use ptstore_kernel::{CostKind, Kernel, Snapshot};
-use serde::{Deserialize, Serialize};
+use ptstore_kernel::{Kernel, Snapshot};
 
+use crate::nginx;
 use crate::smp::{self, SmpRunReport};
 
+/// The file every tenant serves.
+const DOCUMENT: &str = "/srv/tenant.bin";
+
 /// Workload parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct C1mParams {
     /// Concurrent tenant slots across the whole machine.
     pub tenants: u64,
@@ -78,7 +81,7 @@ impl C1mParams {
 }
 
 /// Modeled results of one C1M run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct C1mResult {
     /// The hart-distributed run report (wall cycles = slowest hart).
     pub report: SmpRunReport,
@@ -117,7 +120,7 @@ impl C1mResult {
 /// configuration is too small for the tenant count).
 pub fn run_c1m(k: &mut Kernel, p: &C1mParams) -> C1mResult {
     let doc = vec![0x42u8; p.response_bytes as usize];
-    k.fs.create("/srv/tenant.bin", doc);
+    k.fs.create(DOCUMENT, doc);
     let stats0 = k.stats;
     let workers = k.spawn_workers().expect("c1m supervisors spawn");
     let shares = smp::partition(p.tenants, k.harts.len());
@@ -155,7 +158,6 @@ pub fn run_c1m(k: &mut Kernel, p: &C1mParams) -> C1mResult {
 /// One tenant generation: build the session arena, serve the connection
 /// loop, periodically harden and churn the paging path.
 fn serve_tenant(k: &mut Kernel, p: &C1mParams) {
-    const REQUEST_BYTES: u64 = 420; // typical GET + headers
     const BATCH: u64 = 16; // event-loop readiness batch
 
     // Session arena: demand-faulted heap the request handlers write into.
@@ -173,18 +175,12 @@ fn serve_tenant(k: &mut Kernel, p: &C1mParams) {
     while served < p.requests_per_tenant {
         let batch = BATCH.min(p.requests_per_tenant - served);
         k.sys_select(batch).expect("select");
-        // Connection-pool churn: request-buffer arenas cycle with the
-        // connections, exercising mmap/touch/munmap (and, batched, the
+        // Connection-pool churn, as nginx's (batched, it also feeds the
         // deferred shootdown queue).
         since_pool_churn += batch;
         if since_pool_churn >= 32 {
             since_pool_churn = 0;
-            let arena = k.sys_mmap(4 * PAGE_SIZE).expect("pool mmap");
-            for i in 0..4 {
-                k.sys_touch(VirtAddr::new(arena.as_u64() + i * PAGE_SIZE), true)
-                    .expect("pool touch");
-            }
-            k.sys_munmap(arena, 4 * PAGE_SIZE).expect("pool munmap");
+            nginx::churn_pool(k);
             // Config hardening: flip the head of the session arena
             // read-only once warm (and back, so later generations of the
             // loop can rewrite it) — mprotect downgrades are a prime
@@ -196,20 +192,7 @@ fn serve_tenant(k: &mut Kernel, p: &C1mParams) {
             hardened = !hardened;
         }
         for _ in 0..batch {
-            let sock = k.sys_accept(REQUEST_BYTES).expect("accept");
-            k.sys_recv(sock, REQUEST_BYTES).expect("recv");
-            k.charge(CostKind::User, p.user_cycles_per_request);
-            let fd = k.sys_open("/srv/tenant.bin").expect("open");
-            k.sys_fstat(fd).expect("fstat");
-            let mut remaining = p.response_bytes;
-            while remaining > 0 {
-                let chunk = remaining.min(64 << 10);
-                k.sys_read_discard(fd, chunk).expect("read");
-                k.sys_send(sock, chunk).expect("send");
-                remaining -= chunk;
-            }
-            k.sys_close(fd).expect("close file");
-            k.sys_close(sock).expect("close sock");
+            nginx::serve_connection(k, DOCUMENT, p.response_bytes, p.user_cycles_per_request);
         }
         served += batch;
     }

@@ -4,10 +4,9 @@
 //! of them down.
 
 use ptstore_kernel::{Kernel, KernelConfig, KernelError, Snapshot};
-use serde::{Deserialize, Serialize};
 
 /// Result of one fork-stress run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForkStressResult {
     /// Processes actually created.
     pub created: u64,

@@ -12,10 +12,9 @@
 use ptstore_core::{AccessKind, VirtAddr, MIB, PAGE_SIZE};
 use ptstore_kernel::process::VmPerms;
 use ptstore_kernel::{Kernel, KernelError};
-use serde::{Deserialize, Serialize};
 
 /// Result of one huge-page lifecycle run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HugePageResult {
     /// 2 MiB blocks mapped.
     pub blocks: u64,

@@ -6,8 +6,8 @@
 //! close. A small per-request user-mode cost stands in for parsing and
 //! response assembly.
 
+use ptstore_core::{VirtAddr, PAGE_SIZE};
 use ptstore_kernel::{CostKind, Kernel};
-use serde::{Deserialize, Serialize};
 
 use crate::report::timed;
 
@@ -15,7 +15,7 @@ use crate::report::timed;
 pub const RESPONSE_SIZES: [u64; 5] = [1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10];
 
 /// Benchmark parameters (paper: 10 000 requests, 100 concurrent).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NginxParams {
     /// Total requests.
     pub requests: u64,
@@ -57,61 +57,68 @@ pub fn run_nginx(k: &mut Kernel, p: &NginxParams) -> u64 {
     timed(k, |k| serve_requests(k, p, p.requests))
 }
 
+/// The static document the benchmark serves.
+const DOCUMENT: &str = "/srv/index.html";
+
 /// Creates the static document the benchmark serves.
 pub(crate) fn stage_document(k: &mut Kernel, p: &NginxParams) {
     let doc = vec![0x41u8; p.response_bytes as usize];
-    k.fs.create("/srv/index.html", doc);
+    k.fs.create(DOCUMENT, doc);
 }
 
 /// The server's event loop: serves exactly `requests` requests on the
 /// current process (one nginx worker). The SMP driver runs one of these
 /// per hart.
 pub(crate) fn serve_requests(k: &mut Kernel, p: &NginxParams, requests: u64) {
-    const REQUEST_BYTES: u64 = 420; // typical GET + headers
-    {
-        let mut served = 0u64;
-        let mut since_pool_growth = 0u64;
-        while served < requests {
-            let batch = p.concurrency.min(requests - served);
-            // One event-loop turn: poll readiness over the live connections.
-            k.sys_select(batch).expect("select");
-            // Connection-pool churn: nginx grows/releases request-buffer
-            // arenas as connections cycle, touching the paging path (this is
-            // where PTStore's page-table work shows up in a server).
-            since_pool_growth += batch;
-            if since_pool_growth >= 32 {
-                since_pool_growth = 0;
-                let arena = k.sys_mmap(4 * ptstore_core::PAGE_SIZE).expect("pool mmap");
-                for i in 0..4 {
-                    k.sys_touch(
-                        ptstore_core::VirtAddr::new(arena.as_u64() + i * ptstore_core::PAGE_SIZE),
-                        true,
-                    )
-                    .expect("pool touch");
-                }
-                k.sys_munmap(arena, 4 * ptstore_core::PAGE_SIZE)
-                    .expect("pool munmap");
-            }
-            for _ in 0..batch {
-                let sock = k.sys_accept(REQUEST_BYTES).expect("accept");
-                k.sys_recv(sock, REQUEST_BYTES).expect("recv");
-                k.charge(CostKind::User, p.user_cycles_per_request);
-                let fd = k.sys_open("/srv/index.html").expect("open");
-                k.sys_fstat(fd).expect("fstat");
-                // sendfile-style loop in 64 KiB chunks.
-                let mut remaining = p.response_bytes;
-                while remaining > 0 {
-                    let chunk = remaining.min(64 << 10);
-                    k.sys_read_discard(fd, chunk).expect("read");
-                    k.sys_send(sock, chunk).expect("send");
-                    remaining -= chunk;
-                }
-                k.sys_close(fd).expect("close file");
-                k.sys_close(sock).expect("close sock");
-            }
-            served += batch;
+    let mut served = 0u64;
+    let mut since_pool_growth = 0u64;
+    while served < requests {
+        let batch = p.concurrency.min(requests - served);
+        // One event-loop turn: poll readiness over the live connections.
+        k.sys_select(batch).expect("select");
+        since_pool_growth += batch;
+        if since_pool_growth >= 32 {
+            since_pool_growth = 0;
+            churn_pool(k);
         }
+        for _ in 0..batch {
+            serve_connection(k, DOCUMENT, p.response_bytes, p.user_cycles_per_request);
+        }
+        served += batch;
     }
+}
+
+/// Connection-pool churn: the server grows and releases a 4-page
+/// request-buffer arena as connections cycle, touching the paging path
+/// (this is where PTStore's page-table work shows up in a server).
+pub(crate) fn churn_pool(k: &mut Kernel) {
+    let arena = k.sys_mmap(4 * PAGE_SIZE).expect("pool mmap");
+    for i in 0..4 {
+        k.sys_touch(VirtAddr::new(arena.as_u64() + i * PAGE_SIZE), true)
+            .expect("pool touch");
+    }
+    k.sys_munmap(arena, 4 * PAGE_SIZE).expect("pool munmap");
+}
+
+/// One connection: accept and receive a request, charge `user_cycles` of
+/// parsing, then open and fstat `path` and send `response_bytes` of it in
+/// sendfile-style 64 KiB chunks before closing the file and the socket.
+pub(crate) fn serve_connection(k: &mut Kernel, path: &str, response_bytes: u64, user_cycles: u64) {
+    const REQUEST_BYTES: u64 = 420; // typical GET + headers
+    let sock = k.sys_accept(REQUEST_BYTES).expect("accept");
+    k.sys_recv(sock, REQUEST_BYTES).expect("recv");
+    k.charge(CostKind::User, user_cycles);
+    let fd = k.sys_open(path).expect("open");
+    k.sys_fstat(fd).expect("fstat");
+    let mut remaining = response_bytes;
+    while remaining > 0 {
+        let chunk = remaining.min(64 << 10);
+        k.sys_read_discard(fd, chunk).expect("read");
+        k.sys_send(sock, chunk).expect("send");
+        remaining -= chunk;
+    }
+    k.sys_close(fd).expect("close file");
+    k.sys_close(sock).expect("close sock");
 }
 
 #[cfg(test)]

@@ -7,12 +7,11 @@
 //! commands — exactly why the paper classes Redis as kernel-intensive.
 
 use ptstore_kernel::{CostKind, Kernel};
-use serde::{Deserialize, Serialize};
 
 use crate::report::timed;
 
 /// One redis-benchmark test.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RedisTest {
     /// Test name as `redis-benchmark` prints it.
     pub name: &'static str,
@@ -113,7 +112,7 @@ pub const REDIS_TESTS: [RedisTest; 14] = [
 ];
 
 /// Benchmark parameters (paper: 100 000 requests, 50 connections).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RedisParams {
     /// Requests per test.
     pub requests: u64,
@@ -151,57 +150,47 @@ pub fn run_redis_test(k: &mut Kernel, test: &RedisTest, p: &RedisParams) -> u64 
 /// on the current process. The SMP driver shards the keyspace and runs one
 /// instance per hart (Redis cluster mode).
 pub(crate) fn serve_requests(k: &mut Kernel, test: &RedisTest, p: &RedisParams, requests: u64) {
-    {
-        // Persistent connections: accept once per connection.
-        let socks: Vec<i32> = (0..p.connections)
-            .map(|_| k.sys_accept(0).expect("accept"))
-            .collect();
-        let mut done = 0u64;
-        let mut since_rehash = 0u64;
-        'outer: loop {
-            // One event-loop turn over the connection set.
-            k.sys_select(p.connections).expect("select");
-            // Allocator/dict churn: redis recycles zmalloc arenas and
-            // rehashes dicts, exercising map/fault/unmap — the page-table
-            // path PTStore instruments. Bounded (steady-state heap).
-            since_rehash += p.connections;
-            if since_rehash >= 64 {
-                since_rehash = 0;
-                let arena = k.sys_mmap(2 * ptstore_core::PAGE_SIZE).expect("arena mmap");
-                for i in 0..2 {
-                    k.sys_touch(
-                        ptstore_core::VirtAddr::new(arena.as_u64() + i * ptstore_core::PAGE_SIZE),
-                        true,
-                    )
-                    .expect("arena touch");
-                }
-                k.sys_munmap(arena, 2 * ptstore_core::PAGE_SIZE)
-                    .expect("arena munmap");
+    // Persistent connections: accept once per connection.
+    let socks: Vec<i32> = (0..p.connections)
+        .map(|_| k.sys_accept(0).expect("accept"))
+        .collect();
+    let mut done = 0u64;
+    let mut since_rehash = 0u64;
+    'outer: loop {
+        // One event-loop turn over the connection set.
+        k.sys_select(p.connections).expect("select");
+        // Allocator/dict churn: redis recycles zmalloc arenas and
+        // rehashes dicts, exercising map/fault/unmap — the page-table
+        // path PTStore instruments. Bounded (steady-state heap).
+        since_rehash += p.connections;
+        if since_rehash >= 64 {
+            since_rehash = 0;
+            let arena = k.sys_mmap(2 * ptstore_core::PAGE_SIZE).expect("arena mmap");
+            for i in 0..2 {
+                k.sys_touch(
+                    ptstore_core::VirtAddr::new(arena.as_u64() + i * ptstore_core::PAGE_SIZE),
+                    true,
+                )
+                .expect("arena touch");
             }
-            for &s in &socks {
-                if done >= requests {
-                    break 'outer;
-                }
-                // Request arrives on the socket.
-                let _ = k.sockets_feed(s, test.request_bytes);
-                k.sys_recv(s, test.request_bytes).expect("recv");
-                k.charge(CostKind::User, test.user_cycles);
-                k.sys_send(s, test.response_bytes).expect("send");
-                done += 1;
-            }
+            k.sys_munmap(arena, 2 * ptstore_core::PAGE_SIZE)
+                .expect("arena munmap");
         }
-        for s in socks {
-            k.sys_close(s).expect("close");
+        for &s in &socks {
+            if done >= requests {
+                break 'outer;
+            }
+            // Request arrives on the socket.
+            let _ = k.sockets_feed(s, test.request_bytes);
+            k.sys_recv(s, test.request_bytes).expect("recv");
+            k.charge(CostKind::User, test.user_cycles);
+            k.sys_send(s, test.response_bytes).expect("send");
+            done += 1;
         }
     }
-}
-
-/// Runs the full test list, returning (test name, cycles) rows.
-pub fn run_redis_suite(k: &mut Kernel, p: &RedisParams) -> Vec<(&'static str, u64)> {
-    REDIS_TESTS
-        .iter()
-        .map(|t| (t.name, run_redis_test(k, t, p)))
-        .collect()
+    for s in socks {
+        k.sys_close(s).expect("close");
+    }
 }
 
 /// Feeds `bytes` into an accepted socket's receive queue (the benchmark
@@ -240,8 +229,10 @@ mod tests {
             requests: 200,
             connections: 10,
         };
-        let rows = run_redis_suite(&mut k, &p);
-        assert_eq!(rows.len(), REDIS_TESTS.len());
+        let rows: Vec<(&str, u64)> = REDIS_TESTS
+            .iter()
+            .map(|t| (t.name, run_redis_test(&mut k, t, &p)))
+            .collect();
         let ping = rows
             .iter()
             .find(|(n, _)| *n == "PING_INLINE")

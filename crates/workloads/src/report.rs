@@ -4,10 +4,9 @@
 use core::fmt;
 
 use ptstore_kernel::{Kernel, KernelConfig};
-use serde::{Deserialize, Serialize};
 
 /// One (configuration, cycles) measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Measurement {
     /// Configuration label (`baseline`, `CFI`, `CFI+PTStore`, ...).
     pub label: String,
@@ -18,7 +17,7 @@ pub struct Measurement {
 }
 
 /// A benchmark's measurements across configurations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverheadSeries {
     /// Benchmark name (e.g. `lat_syscall null`).
     pub benchmark: String,

@@ -15,13 +15,12 @@
 //! resolving, not by it silently resolving to a later process.
 
 use ptstore_kernel::{Kernel, Pid};
-use serde::{Deserialize, Serialize};
 
 use crate::nginx::{self, NginxParams};
 use crate::redis::{self, RedisParams, RedisTest};
 
 /// One hart's share of an SMP run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HartShare {
     /// Hart id.
     pub hart: usize,
@@ -34,7 +33,7 @@ pub struct HartShare {
 }
 
 /// The result of distributing one workload across all harts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SmpRunReport {
     /// Workload name.
     pub workload: String,

@@ -11,12 +11,11 @@
 
 use ptstore_core::{VirtAddr, PAGE_SIZE};
 use ptstore_kernel::{CostKind, Kernel};
-use serde::{Deserialize, Serialize};
 
 use crate::report::timed;
 
 /// One benchmark's kernel-interaction profile (scaled-down "reference run").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpecProfile {
     /// Benchmark name.
     pub name: &'static str,

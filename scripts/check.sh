@@ -8,6 +8,15 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
+echo "== no serde derives or imports =="
+# The vendored serde stand-in's derives emit no code and nothing in-tree
+# serialises through serde (JSON is hand-rolled in ptstore-trace), so a
+# derive, import or attribute that comes back is dead weight.
+if grep -rnE --include='*.rs' 'Serialize|Deserialize|serde::|#\[serde' crates tests examples; then
+    echo "serde derive, import or attribute found (listed above)" >&2
+    exit 1
+fi
+
 echo "== cargo clippy (-D warnings) =="
 # Besides clippy's defaults this enforces the secure-access discipline:
 # raw `Bus` access in ptstore-kernel outside `src/channel.rs` is a
@@ -32,7 +41,10 @@ cargo test --offline --workspace -q
 echo "== perfbench tests (benchmark builds against crates/ by path) =="
 # perfbench/ is its own Cargo workspace, so the workspace test run above
 # never compiles it; an API change that breaks the benchmark fails here.
-CARGO_TARGET_DIR=target/perfbench cargo test --offline -q --manifest-path perfbench/Cargo.toml
+# `--locked` turns a change that would rewrite perfbench/Cargo.lock (a
+# dependency edge added or dropped inside the benchmark's build graph)
+# into a failure instead of a silent edit of the benchmark's lock file.
+CARGO_TARGET_DIR=target/perfbench cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml
 
 echo "== smoke: 2-hart security battery =="
 cargo run --offline --quiet -p ptstore-bench --bin reproduce -- --quick --harts 2 security \
