@@ -3,9 +3,9 @@
 
 use core::fmt;
 
-use ptstore_core::{PhysAddr, VirtAddr, MIB};
+use ptstore_core::{AccessKind, PhysAddr, VirtAddr, MIB};
 use ptstore_kernel::pagetable::USER_TEXT_BASE;
-use ptstore_kernel::process::{VmPerms, PCB_OFF_PT_PTR, PCB_OFF_TOKEN_PTR};
+use ptstore_kernel::process::{Pid, VmPerms, PCB_OFF_PT_PTR, PCB_OFF_TOKEN_PTR};
 use ptstore_kernel::{AttackerFault, DefenseMode, Kernel, KernelError};
 
 use crate::outcome::{AttackOutcome, BlockedBy};
@@ -81,26 +81,29 @@ pub fn pt_tampering(k: &mut Kernel) -> AttackOutcome {
         .pte_phys_addr(victim, VirtAddr::new(USER_TEXT_BASE))
         .expect("victim text is mapped");
     let before = k.read_pte_raw(pte_pa).expect("kernel can read its own PTE");
-    let tampered = before | 0b100; // set W
-    let dm = k.direct_map(pte_pa);
+    overwrite_pte(k, pte_pa, before | 0b100) // set W
+}
 
-    match k.attacker_write_u64(dm, tampered) {
+/// Writes `tampered` over the PTE at `slot` through the kernel direct map.
+/// Under PT-Rand a page fault is not the end: randomisation falls to
+/// information disclosure (§VI-1), so the attacker leaks the window offset
+/// and writes through the window.
+fn overwrite_pte(k: &mut Kernel, slot: PhysAddr, tampered: u64) -> AttackOutcome {
+    match k.attacker_write_u64(k.direct_map(slot), tampered) {
         Ok(()) => {
-            let after = k.read_pte_raw(pte_pa).expect("readable");
+            let after = k.read_pte_raw(slot).expect("readable");
             debug_assert_eq!(after, tampered, "write landed");
             AttackOutcome::Succeeded
         }
         Err(f) if f.is_ptstore() => AttackOutcome::Blocked(BlockedBy::SecureRegionPmp),
-        Err(AttackerFault::PageFault) => match k.cfg.defense {
+        Err(AttackerFault::PageFault) => match k.cfg().defense {
             DefenseMode::VirtualIsolation => AttackOutcome::Blocked(BlockedBy::PagePermissions),
             DefenseMode::PtRand => {
-                // Randomisation fell to information disclosure (§VI-1): leak
-                // the window offset, then write through the window.
                 let window = match k.attacker_leak_pt_rand_window() {
                     Ok(w) => w,
                     Err(_) => return AttackOutcome::Blocked(BlockedBy::UnmappedTarget),
                 };
-                let via = VirtAddr::new(window + pte_pa.as_u64());
+                let via = VirtAddr::new(window + slot.as_u64());
                 match k.attacker_write_u64(via, tampered) {
                     Ok(()) => AttackOutcome::SucceededViaLeak,
                     Err(_) => AttackOutcome::Blocked(BlockedBy::UnmappedTarget),
@@ -109,6 +112,27 @@ pub fn pt_tampering(k: &mut Kernel) -> AttackOutcome {
             _ => AttackOutcome::Blocked(BlockedBy::UnmappedTarget),
         },
         Err(AttackerFault::AccessFault(_)) => AttackOutcome::Blocked(BlockedBy::SecureRegionPmp),
+    }
+}
+
+/// Switches to `victim`'s address space and touches VA `0x3000` from it.
+/// A token check refusing the switch and a walker origin check refusing
+/// the probe are verdicts of their own; `other` maps any other result.
+fn switch_and_probe(
+    k: &mut Kernel,
+    victim: Pid,
+    other: impl FnOnce(Result<PhysAddr, KernelError>) -> AttackOutcome,
+) -> AttackOutcome {
+    match k.activate_address_space(victim) {
+        Err(KernelError::TokenInvalid(_)) => return AttackOutcome::Blocked(BlockedBy::TokenCheck),
+        Err(e) => panic!("unexpected switch_mm error: {e}"),
+        Ok(()) => {}
+    }
+    match k.touch_user(VirtAddr::new(0x3000), AccessKind::Read) {
+        Err(KernelError::Access(e)) if e.is_ptstore_fault() => {
+            AttackOutcome::Blocked(BlockedBy::PtwOriginCheck)
+        }
+        probe => other(probe),
     }
 }
 
@@ -123,7 +147,7 @@ pub fn pt_injection(k: &mut Kernel) -> AttackOutcome {
     // learned. (mmap + touch + leak.)
     let user_page = k.sys_mmap(ptstore_core::PAGE_SIZE).expect("mmap");
     let fake_root_pa = k
-        .touch_user(user_page, ptstore_core::AccessKind::Write)
+        .touch_user(user_page, AccessKind::Write)
         .expect("touch")
         .page_align_down();
     // Fake PTE: VPN2 slot 0 → 1 GiB superpage at PA 0, user RWX.
@@ -142,25 +166,15 @@ pub fn pt_injection(k: &mut Kernel) -> AttackOutcome {
     k.attacker_write_u64(pt_slot_va, fake_root_pa.as_u64())
         .expect("PCB fields are attackable in every mode");
 
-    // Step 3: the kernel switches to the victim.
-    match k.activate_address_space(victim) {
-        Err(KernelError::TokenInvalid(_)) => return AttackOutcome::Blocked(BlockedBy::TokenCheck),
-        Err(e) => panic!("unexpected switch_mm error: {e}"),
-        Ok(()) => {}
-    }
-
-    // Step 4: the fake table is live in satp; the next translation decides.
-    let probe = VirtAddr::new(0x3000);
-    match k.touch_user(probe, ptstore_core::AccessKind::Read) {
+    // Step 3: the kernel switches to the victim; step 4: the fake table is
+    // live in satp, and the next translation decides.
+    switch_and_probe(k, victim, |probe| match probe {
         Ok(pa) => {
             debug_assert_eq!(pa, PhysAddr::new(0x3000), "identity superpage used");
             AttackOutcome::Succeeded
         }
-        Err(KernelError::Access(e)) if e.is_ptstore_fault() => {
-            AttackOutcome::Blocked(BlockedBy::PtwOriginCheck)
-        }
         Err(_) => AttackOutcome::Blocked(BlockedBy::UnmappedTarget),
-    }
+    })
 }
 
 /// PT-Reuse: replace a victim's page-table pointer with the attacker
@@ -251,7 +265,7 @@ pub fn vm_metadata(k: &mut Kernel) -> AttackOutcome {
         vma.start -= ptstore_core::PAGE_SIZE;
     }
     let fresh = VirtAddr::new(grow_va.as_u64() - 0x1000);
-    k.touch_user(fresh, ptstore_core::AccessKind::Write)
+    k.touch_user(fresh, AccessKind::Write)
         .expect("demand map from tampered vma");
     // The composed PTE is user-RWX — nasty for the process, irrelevant for
     // the kernel: it cannot map kernel addresses or the secure region.
@@ -306,21 +320,13 @@ pub fn secure_data_reuse(k: &mut Kernel) -> AttackOutcome {
     k.attacker_write_u64(k.direct_map(pcb + PCB_OFF_PT_PTR), fake_root_page.as_u64())
         .expect("PCB fields are attackable in every mode");
 
-    match k.activate_address_space(victim) {
-        Err(KernelError::TokenInvalid(_)) => return AttackOutcome::Blocked(BlockedBy::TokenCheck),
-        Err(e) => panic!("unexpected switch_mm error: {e}"),
-        Ok(()) => {}
-    }
     // The walker now consumes the data page as a root table.
-    match k.touch_user(VirtAddr::new(0x3000), ptstore_core::AccessKind::Read) {
+    switch_and_probe(k, victim, |probe| match probe {
         Ok(_) => AttackOutcome::Succeeded,
-        Err(KernelError::Access(e)) if e.is_ptstore_fault() => {
-            AttackOutcome::Blocked(BlockedBy::PtwOriginCheck)
-        }
         // §V-E2: pointer-valued fields have V=0 — invalid PTEs, page fault.
         Err(KernelError::SegFault) => AttackOutcome::Blocked(BlockedBy::InvalidAsPte),
         Err(e) => panic!("unexpected probe error: {e}"),
-    }
+    })
 }
 
 /// Token forging: the attacker builds a perfectly *consistent* fake token
@@ -339,7 +345,7 @@ pub fn token_forging(k: &mut Kernel) -> AttackOutcome {
     // Attacker-reachable scratch memory for the forged token + fake root.
     let user_page = k.sys_mmap(2 * ptstore_core::PAGE_SIZE).expect("mmap");
     let scratch_pa = k
-        .touch_user(user_page, ptstore_core::AccessKind::Write)
+        .touch_user(user_page, AccessKind::Write)
         .expect("touch")
         .page_align_down();
     let fake_root = scratch_pa;
@@ -358,20 +364,9 @@ pub fn token_forging(k: &mut Kernel) -> AttackOutcome {
     k.attacker_write_u64(k.direct_map(victim_token_slot), forged_token.as_u64())
         .expect("pcb writable");
 
-    match k.activate_address_space(victim) {
-        Err(KernelError::TokenInvalid(_)) => AttackOutcome::Blocked(BlockedBy::TokenCheck),
-        Err(e) => panic!("unexpected switch_mm error: {e}"),
-        Ok(()) => {
-            // Tokens ablated (or broken): the forged credential was accepted.
-            // The PTW origin check is the next line of defense.
-            match k.touch_user(VirtAddr::new(0x3000), ptstore_core::AccessKind::Read) {
-                Err(KernelError::Access(e)) if e.is_ptstore_fault() => {
-                    AttackOutcome::Blocked(BlockedBy::PtwOriginCheck)
-                }
-                _ => AttackOutcome::Succeeded,
-            }
-        }
-    }
+    // With tokens ablated (or broken) the forged credential is accepted,
+    // and the PTW origin check is the next line of defense.
+    switch_and_probe(k, victim, |_| AttackOutcome::Succeeded)
 }
 
 /// Huge-page tampering: the victim owns a 2 MiB anonymous huge mapping, so
@@ -392,33 +387,7 @@ pub fn huge_page_tampering(k: &mut Kernel) -> AttackOutcome {
         .read_pte_raw(slot_pa)
         .expect("kernel can read its own PTE");
     // Keep V|R|W|U|A|D, zero the PPN: the span now aliases PA 0..2 MiB.
-    let tampered = before & 0x3ff;
-    let dm = k.direct_map(slot_pa);
-
-    match k.attacker_write_u64(dm, tampered) {
-        Ok(()) => {
-            let after = k.read_pte_raw(slot_pa).expect("readable");
-            debug_assert_eq!(after, tampered, "write landed");
-            AttackOutcome::Succeeded
-        }
-        Err(f) if f.is_ptstore() => AttackOutcome::Blocked(BlockedBy::SecureRegionPmp),
-        Err(AttackerFault::PageFault) => match k.cfg.defense {
-            DefenseMode::VirtualIsolation => AttackOutcome::Blocked(BlockedBy::PagePermissions),
-            DefenseMode::PtRand => {
-                let window = match k.attacker_leak_pt_rand_window() {
-                    Ok(w) => w,
-                    Err(_) => return AttackOutcome::Blocked(BlockedBy::UnmappedTarget),
-                };
-                let via = VirtAddr::new(window + slot_pa.as_u64());
-                match k.attacker_write_u64(via, tampered) {
-                    Ok(()) => AttackOutcome::SucceededViaLeak,
-                    Err(_) => AttackOutcome::Blocked(BlockedBy::UnmappedTarget),
-                }
-            }
-            _ => AttackOutcome::Blocked(BlockedBy::UnmappedTarget),
-        },
-        Err(AttackerFault::AccessFault(_)) => AttackOutcome::Blocked(BlockedBy::SecureRegionPmp),
-    }
+    overwrite_pte(k, slot_pa, before & 0x3ff)
 }
 
 /// Dispatches one attack scenario.

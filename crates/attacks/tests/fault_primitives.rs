@@ -9,7 +9,7 @@ use ptstore_trace::RejectingLayer;
 
 /// One deterministic run of a single class on the full-mechanism kernel.
 fn run(class: FaultClass, seed: u64) -> ptstore_fault::RunResult {
-    let kcfg = CampaignConfig::quick(0, 0, 2).kernel_config();
+    let kcfg = CampaignConfig::quick(0, 0, 2).kernel;
     run_one(&kcfg, class, seed, 0, 16, true)
 }
 

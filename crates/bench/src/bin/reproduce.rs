@@ -774,7 +774,7 @@ fn report_fuzz(o: &Opts) -> String {
         CampaignConfig::new(seed, faults, harts)
     };
     if let Some(s) = o.scheme {
-        cfg.kernel = Some(cfg.kernel_config().with_scheme(s));
+        cfg.kernel = cfg.kernel.with_scheme(s);
     }
     let report = ptstore_fault::run_campaign(&cfg);
     out.push_str(&report.summary());

@@ -10,11 +10,9 @@ use ptstore_workloads::lmbench;
 use ptstore_workloads::nginx::{run_nginx, NginxParams, RESPONSE_SIZES};
 use ptstore_workloads::redis::{run_redis_test, RedisParams, REDIS_TESTS};
 use ptstore_workloads::regression::{diff_outputs, run_suite, TestOutput};
-use ptstore_workloads::report::{overhead_pct, standard_configs, OverheadSeries};
+use ptstore_workloads::report::{measure, overhead_pct, standard_configs, OverheadSeries};
 use ptstore_workloads::smp::{run_fork_stress_smp, run_nginx_smp, run_redis_smp, SmpRunReport};
 use ptstore_workloads::spec::{run_spec, SPEC_CINT2006};
-
-use crate::par::measure_grid;
 
 /// Scale knobs: `paper()` matches the publication; `quick()` runs in
 /// seconds, for CI and the tests.
@@ -215,16 +213,10 @@ pub struct LtpResult {
 /// to `jobs` threads, and diffs the outputs (paper §V-C).
 pub fn run_ltp_jobs(scale: &Scale, jobs: usize) -> LtpResult {
     let mk = |cfg: KernelConfig| {
-        let scale = *scale;
-        move || {
-            let cfg = cfg
-                .to_builder()
-                .mem_size(scale.mem_size)
-                .initial_secure_size(scale.secure_size.min(scale.mem_size / 4))
-                .build()
-                .expect("valid scale geometry");
-            Kernel::boot(cfg).expect("boot")
-        }
+        let cfg = cfg
+            .with_mem_size(scale.mem_size)
+            .with_initial_secure_size(scale.secure_size);
+        move || Kernel::boot(cfg).expect("boot")
     };
     let configs = [KernelConfig::cfi(), KernelConfig::cfi_ptstore()];
     let mut suites = fan_out(jobs, &configs, |cfg| run_suite(mk(*cfg)));
@@ -245,8 +237,8 @@ pub fn run_ltp_jobs(scale: &Scale, jobs: usize) -> LtpResult {
 /// Runs every Figure 4 microbenchmark across baseline/CFI/CFI+PTStore, with
 /// up to `jobs` (benchmark × config) points in flight.
 pub fn run_fig4_jobs(scale: &Scale, jobs: usize) -> Vec<OverheadSeries> {
-    let configs = standard_configs(scale.mem_size, scale.secure_size.min(scale.mem_size / 4));
-    measure_grid(
+    let configs = standard_configs(scale.mem_size, scale.secure_size);
+    measure(
         jobs,
         &configs,
         &lmbench::MICROBENCHMARKS,
@@ -308,8 +300,8 @@ pub fn run_stress_jobs(scale: &Scale, jobs: usize) -> Vec<StressRow> {
 /// Runs every SPEC-shaped benchmark across the three configurations, with
 /// up to `jobs` (benchmark × config) points in flight.
 pub fn run_fig5_jobs(scale: &Scale, jobs: usize) -> Vec<OverheadSeries> {
-    let configs = standard_configs(scale.mem_size, scale.secure_size.min(scale.mem_size / 4));
-    measure_grid(
+    let configs = standard_configs(scale.mem_size, scale.secure_size);
+    measure(
         jobs,
         &configs,
         &SPEC_CINT2006,
@@ -325,8 +317,8 @@ pub fn run_fig5_jobs(scale: &Scale, jobs: usize) -> Vec<OverheadSeries> {
 /// Runs the NGINX benchmark per response size across the configurations,
 /// with up to `jobs` (benchmark × config) points in flight.
 pub fn run_fig6_jobs(scale: &Scale, jobs: usize) -> Vec<OverheadSeries> {
-    let configs = standard_configs(scale.mem_size, scale.secure_size.min(scale.mem_size / 4));
-    measure_grid(
+    let configs = standard_configs(scale.mem_size, scale.secure_size);
+    measure(
         jobs,
         &configs,
         &RESPONSE_SIZES,
@@ -349,12 +341,12 @@ pub fn run_fig6_jobs(scale: &Scale, jobs: usize) -> Vec<OverheadSeries> {
 /// Runs the redis-benchmark command list across the configurations, with
 /// up to `jobs` (benchmark × config) points in flight.
 pub fn run_fig7_jobs(scale: &Scale, jobs: usize) -> Vec<OverheadSeries> {
-    let configs = standard_configs(scale.mem_size, scale.secure_size.min(scale.mem_size / 4));
+    let configs = standard_configs(scale.mem_size, scale.secure_size);
     let params = RedisParams {
         requests: scale.redis_requests,
         connections: 50,
     };
-    measure_grid(
+    measure(
         jobs,
         &configs,
         &REDIS_TESTS,
@@ -403,7 +395,7 @@ pub fn run_smp_jobs(scale: &Scale, harts: usize, jobs: usize) -> Vec<SmpComparis
         Kernel::boot(
             KernelConfig::cfi_ptstore()
                 .with_mem_size(scale.mem_size)
-                .with_initial_secure_size(scale.secure_size.min(scale.mem_size / 4))
+                .with_initial_secure_size(scale.secure_size)
                 .with_harts(h),
         )
         .expect("smp kernel boots")
@@ -490,12 +482,9 @@ pub fn run_c1m_sweep_jobs(
         ..C1mParams::paper()
     };
     let geometry = |cfg: KernelConfig| {
-        cfg.to_builder()
-            .mem_size(scale.mem_size)
-            .initial_secure_size(scale.secure_size.min(scale.mem_size / 4))
-            .harts(harts)
-            .build()
-            .expect("valid c1m geometry")
+        cfg.with_mem_size(scale.mem_size)
+            .with_initial_secure_size(scale.secure_size)
+            .with_harts(harts)
     };
     let batched: Vec<DrainPolicy> = match policy {
         Some(one) => vec![one],

@@ -5,7 +5,6 @@
 //! print or assert them.
 
 pub mod experiments;
-mod par;
 
 pub use experiments::*;
 pub use ptstore_workloads::{Measurement, OverheadSeries};

@@ -573,6 +573,18 @@ impl PmpUnit {
         matched: Option<MatchResult>,
     ) -> Result<(), AccessError> {
         let secure = matches!(matched, Some(m) if m.cfg.secure());
+        // The matched entry's own R/W/X bits decide.
+        let permits = |m: MatchResult| {
+            if m.cfg.permits(kind) {
+                Ok(())
+            } else {
+                Err(AccessError::PmpDenied {
+                    addr,
+                    kind,
+                    channel,
+                })
+            }
+        };
 
         if secure {
             // Inside the secure region: only the dedicated instructions and
@@ -582,29 +594,8 @@ impl PmpUnit {
                 Channel::Regular if self.secure_enforcement => {
                     Err(AccessError::SecureRegionDenied { addr, kind })
                 }
-                Channel::Regular => {
-                    // Ablated S-bit: fall back to the entry's R/W bits.
-                    if m.cfg.permits(kind) {
-                        Ok(())
-                    } else {
-                        Err(AccessError::PmpDenied {
-                            addr,
-                            kind,
-                            channel,
-                        })
-                    }
-                }
-                Channel::SecurePt | Channel::Ptw => {
-                    if m.cfg.permits(kind) {
-                        Ok(())
-                    } else {
-                        Err(AccessError::PmpDenied {
-                            addr,
-                            kind,
-                            channel,
-                        })
-                    }
-                }
+                // An ablated S-bit falls back to the entry's R/W bits.
+                Channel::Regular | Channel::SecurePt | Channel::Ptw => permits(m),
             }
         } else {
             // Outside the secure region.
@@ -621,15 +612,7 @@ impl PmpUnit {
                     if ctx.mode == PrivilegeMode::Machine && !m.cfg.locked() {
                         return Ok(());
                     }
-                    if m.cfg.permits(kind) {
-                        Ok(())
-                    } else {
-                        Err(AccessError::PmpDenied {
-                            addr,
-                            kind,
-                            channel,
-                        })
-                    }
+                    permits(m)
                 }
             }
         }

@@ -89,6 +89,13 @@ impl SecureRegion {
         }
     }
 
+    /// True when the non-empty range `[addr, addr+len)` shares at least one
+    /// byte with the region.
+    #[inline]
+    pub fn overlaps(&self, addr: PhysAddr, len: u64) -> bool {
+        addr < self.end() && self.base.as_u64() < addr.as_u64() + len
+    }
+
     /// Grows the region downward by `bytes`, keeping the end fixed.
     ///
     /// This models the dynamic adjustment of paper §IV-C1: the kernel has just
@@ -177,6 +184,16 @@ mod tests {
         assert!(r.contains(PhysAddr::new(0x11fff)));
         assert!(!r.contains(PhysAddr::new(0x12000)));
         assert!(!r.contains(PhysAddr::new(0xffff)));
+    }
+
+    #[test]
+    fn overlaps_edges() {
+        let r = SecureRegion::new(PhysAddr::new(0x10000), PAGE_SIZE).unwrap();
+        assert!(r.overlaps(PhysAddr::new(0xf000), PAGE_SIZE + 1));
+        assert!(!r.overlaps(PhysAddr::new(0xf000), PAGE_SIZE));
+        assert!(r.overlaps(PhysAddr::new(0x10fff), 1));
+        assert!(!r.overlaps(PhysAddr::new(0x11000), PAGE_SIZE));
+        assert!(r.overlaps(PhysAddr::new(0), 2 * MIB));
     }
 
     #[test]

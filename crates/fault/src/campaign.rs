@@ -33,37 +33,32 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Number of runs (one fault each).
     pub faults: u64,
-    /// Harts per machine.
-    pub harts: usize,
-    /// Physical memory per machine, bytes.
-    pub mem_size: u64,
-    /// Initial secure-region size, bytes.
-    pub secure_size: u64,
     /// Workload operations per run (split around the injection point).
     pub ops_per_run: u64,
     /// Run the oracle after every operation, not just at the checkpoints.
     pub paranoid: bool,
     /// Fault classes to cycle through (round-robin over the runs).
     pub classes: Vec<FaultClass>,
-    /// Kernel configuration override; `None` boots the full PTStore
-    /// mechanism (`cfi_ptstore`) with the geometry above.
-    pub kernel: Option<KernelConfig>,
+    /// The kernel configuration each run boots, and the one source of
+    /// the machine's geometry (harts, memory, secure region).
+    pub kernel: KernelConfig,
 }
 
 impl CampaignConfig {
-    /// The standard campaign: full mechanism, 128 MiB machines with an
-    /// 8 MiB secure region, all fault classes.
+    /// The standard campaign: the full PTStore mechanism (`cfi_ptstore`)
+    /// on `harts`-way 128 MiB machines with an 8 MiB secure region, all
+    /// fault classes.
     pub fn new(seed: u64, faults: u64, harts: usize) -> Self {
         Self {
             seed,
             faults,
-            harts,
-            mem_size: 128 * MIB,
-            secure_size: 8 * MIB,
             ops_per_run: 32,
             paranoid: false,
             classes: FaultClass::ALL.to_vec(),
-            kernel: None,
+            kernel: KernelConfig::cfi_ptstore()
+                .with_mem_size(128 * MIB)
+                .with_initial_secure_size(8 * MIB)
+                .with_harts(harts),
         }
     }
 
@@ -74,16 +69,6 @@ impl CampaignConfig {
             paranoid: true,
             ..Self::new(seed, faults, harts)
         }
-    }
-
-    /// The kernel configuration each run boots.
-    pub fn kernel_config(&self) -> KernelConfig {
-        self.kernel.unwrap_or_else(|| {
-            KernelConfig::cfi_ptstore()
-                .with_mem_size(self.mem_size)
-                .with_initial_secure_size(self.secure_size)
-                .with_harts(self.harts)
-        })
     }
 }
 
@@ -221,14 +206,13 @@ impl CampaignReport {
 /// geometry is validated, so this indicates a bug, not a fault.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let mut master = StdRng::seed_from_u64(cfg.seed);
-    let kcfg = cfg.kernel_config();
     // Grown run by run, not sized from `cfg.faults`: a huge count would
     // overflow the capacity before the first run.
     let mut runs = Vec::new();
     for (i, &class) in (0..cfg.faults).zip(cfg.classes.iter().cycle()) {
         let run_seed = master.random::<u64>();
         runs.push(run_one(
-            &class_config(&kcfg, class),
+            &class_config(&cfg.kernel, class),
             class,
             run_seed,
             i,
@@ -238,7 +222,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     }
     CampaignReport {
         seed: cfg.seed,
-        harts: cfg.harts,
+        harts: cfg.kernel.harts,
         runs,
     }
 }

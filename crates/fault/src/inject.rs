@@ -384,10 +384,10 @@ fn zone_exhaust(k: &mut Kernel, hart: usize) -> InjectOutcome {
 /// design. Both need batching on an SMP machine (and the skip needs a
 /// watermark policy) to have a site.
 fn drain_fault(k: &mut Kernel, class: FaultClass, hart: usize, index: u64) -> InjectOutcome {
-    if k.harts.len() < 2 || !k.cfg.deferred_shootdowns {
+    if k.harts.len() < 2 || !k.cfg().deferred_shootdowns {
         return InjectOutcome::Skipped;
     }
-    let depth = match (class, k.cfg.drain_policy.watermark_depth()) {
+    let depth = match (class, k.cfg().drain_policy.watermark_depth()) {
         // The skip has no site without a watermark to trigger.
         (FaultClass::WatermarkSkip, None) => return InjectOutcome::Skipped,
         (_, Some(d)) => u64::from(d),

@@ -184,7 +184,7 @@ impl Invariants {
         let region = k.secure_region();
         let known = known_pt_pages(k);
 
-        if k.cfg.defense.is_ptstore() {
+        if k.cfg().defense.is_ptstore() {
             if let Some(region) = region {
                 check_containment(k, &region, &known, &mut rep);
                 check_pmp(k, &region, &mut rep);
@@ -245,7 +245,7 @@ fn check_containment(
             rep.violations.push(Violation::PtPageOutsideRegion { ppn });
         }
     }
-    let root_level = k.cfg.scheme.root_level();
+    let root_level = k.cfg().scheme.root_level();
     let mut stack: Vec<(PhysPageNum, usize)> = core::iter::once(k.kernel_root())
         .chain(space_owners(k).map(|p| p.aspace.root))
         .map(|root| (root, root_level))
@@ -270,10 +270,7 @@ fn check_containment(
                 // mapping if *any* of that span reaches into the region.
                 let span_bytes = ptstore_core::PAGE_SIZE << (9 * level);
                 let pa = pte.phys_addr();
-                let overlaps = region.contains(pa)
-                    || region.contains(pa + (span_bytes - 1))
-                    || (pa <= region.base() && region.base().as_u64() < pa.as_u64() + span_bytes);
-                if pte.flags().user() && overlaps {
+                if pte.flags().user() && region.overlaps(pa, span_bytes) {
                     rep.violations
                         .push(Violation::UserLeafIntoRegion { ppn: pte.ppn() });
                 }
@@ -326,7 +323,7 @@ fn check_satp_binding(k: &Kernel, region: Option<&SecureRegion>, rep: &mut Invar
                 .push(Violation::SatpRootMismatch { hart: hart.id, pid });
             continue;
         }
-        if k.cfg.defense.is_ptstore() && k.cfg.token_checks {
+        if k.cfg().defense.is_ptstore() && k.cfg().token_checks {
             rep.checks += 1;
             if let Err(err) = validate_active_token(k, owner, proc_root, region) {
                 rep.violations
@@ -376,7 +373,7 @@ fn check_pmp(k: &Kernel, region: &SecureRegion, rep: &mut InvariantReport) {
         rep.violations.push(Violation::PmpRegionMismatch);
     }
     rep.checks += 1;
-    if k.bus.pmp().secure_enforcement() != k.cfg.pmp_s_bit_check {
+    if k.bus.pmp().secure_enforcement() != k.cfg().pmp_s_bit_check {
         rep.violations.push(Violation::PmpEnforcementMismatch);
     }
     for hart in &k.harts {
@@ -416,11 +413,7 @@ fn check_tlbs(
                 .range(entry.ppn..PhysPageNum::new(base + span_pages))
                 .next()
                 .is_some();
-            let base_addr = entry.ppn.base_addr();
-            let touches_region = region.contains(base_addr)
-                || region.contains(base_addr + (entry.page_size - 1))
-                || (base_addr <= region.base()
-                    && region.base().as_u64() < base_addr.as_u64() + entry.page_size);
+            let touches_region = region.overlaps(entry.ppn.base_addr(), entry.page_size);
             if entry.flags.user() && (touches_known || touches_region) {
                 rep.violations.push(Violation::TlbMapsPtPage {
                     hart,
@@ -449,7 +442,7 @@ fn check_tlb_staleness(k: &Kernel, rep: &mut InvariantReport) {
         .map(|p| (p.aspace.asid, p.aspace.root))
         .collect();
     let pending = k.queued_flush_pairs();
-    let root_level = k.cfg.scheme.root_level();
+    let root_level = k.cfg().scheme.root_level();
     for hart in &k.harts {
         for tlb in [hart.mmu.itlb(), hart.mmu.dtlb()] {
             for entry in tlb.entries() {

@@ -22,16 +22,14 @@ fn digest(runs: &[RunResult]) -> u64 {
 /// `quick(11, 36, 2)` with one of the mechanism's checks cleared.
 fn ablated(clear: fn(&mut ptstore_kernel::KernelConfig)) -> CampaignConfig {
     let mut cfg = CampaignConfig::quick(11, 36, 2);
-    let mut kernel = cfg.kernel_config();
-    clear(&mut kernel);
-    cfg.kernel = Some(kernel);
+    clear(&mut cfg.kernel);
     cfg
 }
 
 /// Every pinned campaign with its name and expected digest.
 fn campaigns() -> Vec<(&'static str, CampaignConfig, u64)> {
     let mut sv48 = CampaignConfig::quick(5, 45, 3);
-    sv48.kernel = Some(sv48.kernel_config().with_scheme(PagingScheme::Sv48));
+    sv48.kernel = sv48.kernel.with_scheme(PagingScheme::Sv48);
     vec![
         (
             "new(1, 200, 2)",

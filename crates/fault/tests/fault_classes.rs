@@ -22,7 +22,7 @@ fn campaign(
 ) -> ptstore_fault::CampaignReport {
     let mut cfg = CampaignConfig::quick(0xF417 ^ class as u64, runs, 2);
     cfg.classes = vec![class];
-    cfg.kernel = kernel;
+    cfg.kernel = kernel.unwrap_or(cfg.kernel);
     run_campaign(&cfg)
 }
 
@@ -81,8 +81,7 @@ fn full_mechanism_contains_every_class() {
 
 /// Base kernel config matching the campaign geometry, for ablations.
 fn ablation_base() -> KernelConfig {
-    let c = CampaignConfig::quick(0, 0, 2);
-    c.kernel_config()
+    CampaignConfig::quick(0, 0, 2).kernel
 }
 
 #[test]

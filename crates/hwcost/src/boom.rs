@@ -110,12 +110,6 @@ impl BoomConfig {
         ));
         cs
     }
-
-    /// Baseline core totals.
-    pub fn core_totals(&self) -> (u64, u64) {
-        let cs = self.components();
-        (total_lut(&cs), total_ff(&cs))
-    }
 }
 
 impl Default for BoomConfig {
@@ -130,7 +124,8 @@ mod tests {
 
     #[test]
     fn small_boom_matches_table3_baseline() {
-        let (lut, ff) = BoomConfig::small_boom().core_totals();
+        let cs = BoomConfig::small_boom().components();
+        let (lut, ff) = (total_lut(&cs), total_ff(&cs));
         assert_eq!(lut, CORE_BASE_LUT);
         assert_eq!(ff, CORE_BASE_FF);
     }
@@ -154,7 +149,8 @@ mod tests {
     fn fpu_config_is_larger() {
         let mut cfg = BoomConfig::small_boom();
         cfg.fpu = true;
-        let (lut, ff) = cfg.core_totals();
+        let cs = cfg.components();
+        let (lut, ff) = (total_lut(&cs), total_ff(&cs));
         assert!(lut > CORE_BASE_LUT + 10_000);
         assert!(ff > CORE_BASE_FF + 5_000);
     }

@@ -28,24 +28,22 @@ pub fn ptstore_delta(pmp_entries: u64) -> Vec<Component> {
     ]
 }
 
-/// Delta totals for a configuration.
-pub fn delta_totals(pmp_entries: u64) -> (u64, u64) {
-    let cs = ptstore_delta(pmp_entries);
-    (
-        crate::component::total_lut(&cs),
-        crate::component::total_ff(&cs),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::boom::{CORE_BASE_FF, CORE_BASE_LUT};
+    use crate::component::{total_ff, total_lut};
+
+    /// The (LUT, FF) sums of the delta.
+    fn delta_sums(pmp_entries: u64) -> (u64, u64) {
+        let cs = ptstore_delta(pmp_entries);
+        (total_lut(&cs), total_ff(&cs))
+    }
 
     /// Paper Table III: with-PTStore core is 55,875 LUT / 37,423 FF.
     #[test]
     fn delta_matches_table3() {
-        let (lut, ff) = delta_totals(8);
+        let (lut, ff) = delta_sums(8);
         assert_eq!(CORE_BASE_LUT + lut, 55_875);
         assert_eq!(CORE_BASE_FF + ff, 37_423);
     }
@@ -53,7 +51,7 @@ mod tests {
     /// Paper abstract: <0.92 % hardware overhead.
     #[test]
     fn overhead_below_paper_bound() {
-        let (lut, ff) = delta_totals(8);
+        let (lut, ff) = delta_sums(8);
         let lut_pct = lut as f64 / CORE_BASE_LUT as f64 * 100.0;
         let ff_pct = ff as f64 / CORE_BASE_FF as f64 * 100.0;
         assert!(lut_pct < 0.92, "lut overhead {lut_pct:.3}%");
@@ -67,8 +65,8 @@ mod tests {
     /// is fixed.
     #[test]
     fn scales_with_pmp_entries() {
-        let (lut8, ff8) = delta_totals(8);
-        let (lut16, ff16) = delta_totals(16);
+        let (lut8, ff8) = delta_sums(8);
+        let (lut16, ff16) = delta_sums(16);
         assert_eq!(lut16 - lut8, 16);
         assert_eq!(ff16 - ff8, 8);
     }

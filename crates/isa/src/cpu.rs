@@ -3,7 +3,7 @@
 
 use core::fmt;
 
-use ptstore_core::{AccessContext, AccessError, AccessKind, Channel, PrivilegeMode, VirtAddr};
+use ptstore_core::{AccessContext, AccessKind, Channel, PhysAddr, PrivilegeMode, VirtAddr};
 use ptstore_mem::Bus;
 use ptstore_mmu::{Mmu, Satp, TranslateError};
 
@@ -67,6 +67,24 @@ impl TrapCause {
     /// True for interrupt causes (the high bit of `scause`).
     pub const fn is_interrupt(self) -> bool {
         matches!(self, TrapCause::SupervisorTimerInterrupt)
+    }
+
+    /// The access fault an access of `kind` raises.
+    const fn access_fault(kind: AccessKind) -> Self {
+        match kind {
+            AccessKind::Execute => TrapCause::InstructionAccessFault,
+            AccessKind::Read => TrapCause::LoadAccessFault,
+            AccessKind::Write => TrapCause::StoreAccessFault,
+        }
+    }
+
+    /// The page fault an access of `kind` raises.
+    const fn page_fault(kind: AccessKind) -> Self {
+        match kind {
+            AccessKind::Execute => TrapCause::InstructionPageFault,
+            AccessKind::Read => TrapCause::LoadPageFault,
+            AccessKind::Write => TrapCause::StorePageFault,
+        }
     }
 }
 
@@ -196,10 +214,10 @@ impl Cpu {
         // instruction boundaries.
         self.update_timer_pending();
         if self.s_timer_interrupt_ready() {
-            let pc = self.pc;
-            return self
-                .take_s_interrupt(TrapCause::SupervisorTimerInterrupt, pc)
-                .map(StepEvent::Trapped);
+            // `sepc` holds the instruction to resume: the current pc.
+            let (cause, pc) = (TrapCause::SupervisorTimerInterrupt, self.pc);
+            let trap = self.enter_trap(PrivilegeMode::Supervisor, cause, 0, pc);
+            return trap.map(StepEvent::Trapped);
         }
         let pc = self.pc;
         // Fetch: 16-bit parcels (the C extension allows 2-byte alignment).
@@ -248,16 +266,75 @@ impl Cpu {
     }
 
     fn fetch_parcel(&mut self, bus: &mut Bus, pc: u64) -> Result<u16, (TrapCause, u64)> {
-        let va = VirtAddr::new(pc);
-        let outcome = self
-            .mmu
-            .translate_fetch(bus, va, self.mode)
-            .map_err(|e| match e {
-                TranslateError::PageFault { .. } => (TrapCause::InstructionPageFault, pc),
-                TranslateError::AccessFault(_) => (TrapCause::InstructionAccessFault, pc),
-            })?;
-        bus.fetch::<u16>(outcome.pa(), self.access_ctx())
+        let pa = self.translate(bus, pc, AccessKind::Execute)?;
+        bus.fetch::<u16>(pa, self.access_ctx())
             .map_err(|_| (TrapCause::InstructionAccessFault, pc))
+    }
+
+    /// Translates `va` for an access of `kind`. A failed translation raises
+    /// the page or access fault an access of that kind raises, with `va`
+    /// as the trap value.
+    fn translate(
+        &mut self,
+        bus: &mut Bus,
+        va: u64,
+        kind: AccessKind,
+    ) -> Result<PhysAddr, (TrapCause, u64)> {
+        let addr = VirtAddr::new(va);
+        let outcome = if kind == AccessKind::Execute {
+            self.mmu.translate_fetch(bus, addr, self.mode)
+        } else {
+            self.mmu.translate_data(bus, addr, kind, self.mode)
+        };
+        outcome.map(|o| o.pa()).map_err(|e| match e {
+            TranslateError::PageFault { .. } => (TrapCause::page_fault(kind), va),
+            TranslateError::AccessFault(_) => (TrapCause::access_fault(kind), va),
+        })
+    }
+
+    /// Reads `width` bytes at `pa`, zero-extended: one access for a
+    /// doubleword, byte accesses in ascending address order otherwise. A
+    /// denied access raises `fault`.
+    fn read_mem(
+        &self,
+        bus: &mut Bus,
+        pa: PhysAddr,
+        width: u64,
+        channel: Channel,
+        fault: (TrapCause, u64),
+    ) -> Result<u64, (TrapCause, u64)> {
+        let ctx = self.access_ctx();
+        if width == 8 {
+            return bus.read::<u64>(pa, channel, ctx).map_err(|_| fault);
+        }
+        let mut value = 0;
+        for i in 0..width {
+            let byte = bus.read::<u8>(pa + i, channel, ctx).map_err(|_| fault)?;
+            value |= u64::from(byte) << (8 * i);
+        }
+        Ok(value)
+    }
+
+    /// Writes the low `width` bytes of `value` at `pa`, split as
+    /// [`read_mem`](Self::read_mem) splits a read.
+    fn write_mem(
+        &self,
+        bus: &mut Bus,
+        pa: PhysAddr,
+        value: u64,
+        width: u64,
+        channel: Channel,
+        fault: (TrapCause, u64),
+    ) -> Result<(), (TrapCause, u64)> {
+        let ctx = self.access_ctx();
+        if width == 8 {
+            return bus.write::<u64>(pa, value, channel, ctx).map_err(|_| fault);
+        }
+        for i in 0..width {
+            bus.write::<u8>(pa + i, (value >> (8 * i)) as u8, channel, ctx)
+                .map_err(|_| fault)?;
+        }
+        Ok(())
     }
 
     fn execute(
@@ -415,39 +492,13 @@ impl Cpu {
                 if self.mode != PrivilegeMode::Machine {
                     return Err((TrapCause::IllegalInstruction, 0));
                 }
-                let mstatus = self.csrs.read_raw(csr_addr::MSTATUS);
-                let mpp = (mstatus & status::MPP_MASK) >> status::MPP_SHIFT;
-                self.mode = PrivilegeMode::from_encoding(mpp).unwrap_or(PrivilegeMode::User);
-                // MIE <- MPIE, MPIE <- 1, MPP <- U.
-                let mie = if mstatus & status::MPIE != 0 {
-                    status::MIE
-                } else {
-                    0
-                };
-                let cleared = mstatus & !(status::MIE | status::MPP_MASK);
-                self.csrs
-                    .write_raw(csr_addr::MSTATUS, cleared | mie | status::MPIE);
-                Ok(self.csrs.read_raw(csr_addr::MEPC))
+                Ok(self.trap_return(PrivilegeMode::Machine))
             }
             Inst::Sret => {
                 if self.mode == PrivilegeMode::User {
                     return Err((TrapCause::IllegalInstruction, 0));
                 }
-                let sstatus = self.csrs.read_raw(csr_addr::SSTATUS);
-                self.mode = if sstatus & status::SPP != 0 {
-                    PrivilegeMode::Supervisor
-                } else {
-                    PrivilegeMode::User
-                };
-                let sie = if sstatus & status::SPIE != 0 {
-                    status::SIE
-                } else {
-                    0
-                };
-                let cleared = sstatus & !(status::SIE | status::SPP);
-                self.csrs
-                    .write_raw(csr_addr::SSTATUS, cleared | sie | status::SPIE);
-                Ok(self.csrs.read_raw(csr_addr::SEPC))
+                Ok(self.trap_return(PrivilegeMode::Supervisor))
             }
             Inst::Wfi => Ok(next),
             Inst::Fence => Ok(next),
@@ -486,127 +537,57 @@ impl Cpu {
         if !va.is_multiple_of(width) {
             return Err((TrapCause::StoreMisaligned, va));
         }
-        // AMOs and SC need write permission; LR needs read.
+        // AMOs and SC need write permission and fault as stores; LR needs
+        // read and faults as a load.
         let kind = if op == AmoOp::Lr {
             AccessKind::Read
         } else {
             AccessKind::Write
         };
-        let outcome = self
-            .mmu
-            .translate_data(bus, VirtAddr::new(va), kind, self.mode)
-            .map_err(|e| match (e, op) {
-                (TranslateError::PageFault { .. }, AmoOp::Lr) => (TrapCause::LoadPageFault, va),
-                (TranslateError::PageFault { .. }, _) => (TrapCause::StorePageFault, va),
-                (TranslateError::AccessFault(_), AmoOp::Lr) => (TrapCause::LoadAccessFault, va),
-                (TranslateError::AccessFault(_), _) => (TrapCause::StoreAccessFault, va),
-            })?;
-        let pa = outcome.pa();
-        let ctx = self.access_ctx();
-        let fault = |op: AmoOp, va: u64| {
-            move |_e: AccessError| {
-                if op == AmoOp::Lr {
-                    (TrapCause::LoadAccessFault, va)
-                } else {
-                    (TrapCause::StoreAccessFault, va)
-                }
+        let pa = self.translate(bus, va, kind)?;
+        let fault = (TrapCause::access_fault(kind), va);
+        if op == AmoOp::Sc {
+            let success = self.reservation == Some(pa.as_u64());
+            self.reservation = None;
+            if !success {
+                return Ok(1);
             }
-        };
-        let read_mem = |bus: &mut Bus, s: &mut Self| -> Result<u64, (TrapCause, u64)> {
-            let raw = if word {
-                let mut v = 0u64;
-                for i in 0..4 {
-                    v |= (bus
-                        .read::<u8>(pa + i, Channel::Regular, ctx)
-                        .map_err(fault(op, va))? as u64)
-                        << (8 * i);
-                }
-                v as u32 as i32 as i64 as u64 // .w loads sign-extend
-            } else {
-                bus.read::<u64>(pa, Channel::Regular, ctx)
-                    .map_err(fault(op, va))?
-            };
-            let _ = s;
-            Ok(raw)
-        };
-        let write_mem = |bus: &mut Bus, value: u64| -> Result<(), (TrapCause, u64)> {
-            if word {
-                for i in 0..4 {
-                    bus.write::<u8>(pa + i, (value >> (8 * i)) as u8, Channel::Regular, ctx)
-                        .map_err(fault(op, va))?;
-                }
-            } else {
-                bus.write::<u64>(pa, value, Channel::Regular, ctx)
-                    .map_err(fault(op, va))?;
-            }
-            Ok(())
-        };
-        match op {
-            AmoOp::Lr => {
-                let v = read_mem(bus, self)?;
-                self.reservation = Some(pa.as_u64());
-                Ok(v)
-            }
-            AmoOp::Sc => {
-                let success = self.reservation == Some(pa.as_u64());
-                self.reservation = None;
-                if success {
-                    write_mem(bus, src)?;
-                    Ok(0)
-                } else {
-                    Ok(1)
-                }
-            }
-            _ => {
-                let old = read_mem(bus, self)?;
-                let (a, b) = (old, src);
-                let new = match op {
-                    AmoOp::Swap => b,
-                    AmoOp::Add => a.wrapping_add(b),
-                    AmoOp::Xor => a ^ b,
-                    AmoOp::And => a & b,
-                    AmoOp::Or => a | b,
-                    AmoOp::Min => {
-                        if word {
-                            ((a as i32).min(b as i32)) as u32 as u64
-                        } else if (a as i64) < (b as i64) {
-                            a
-                        } else {
-                            b
-                        }
-                    }
-                    AmoOp::Max => {
-                        if word {
-                            ((a as i32).max(b as i32)) as u32 as u64
-                        } else if (a as i64) > (b as i64) {
-                            a
-                        } else {
-                            b
-                        }
-                    }
-                    AmoOp::Minu => {
-                        if word {
-                            ((a as u32).min(b as u32)) as u64
-                        } else {
-                            a.min(b)
-                        }
-                    }
-                    AmoOp::Maxu => {
-                        if word {
-                            ((a as u32).max(b as u32)) as u64
-                        } else {
-                            a.max(b)
-                        }
-                    }
-                    AmoOp::Lr | AmoOp::Sc => unreachable!("handled above"),
-                };
-                write_mem(bus, if word { new as u32 as u64 } else { new })?;
-                // Another hart's AMO would break a reservation; on a single
-                // hart, self-AMOs conservatively clear it too.
-                self.reservation = None;
-                Ok(old)
-            }
+            self.write_mem(bus, pa, src, width, Channel::Regular, fault)?;
+            return Ok(0);
         }
+        let raw = self.read_mem(bus, pa, width, Channel::Regular, fault)?;
+        // .w loads sign-extend
+        let old = if word {
+            raw as u32 as i32 as i64 as u64
+        } else {
+            raw
+        };
+        if op == AmoOp::Lr {
+            self.reservation = Some(pa.as_u64());
+            return Ok(old);
+        }
+        let (a, b) = (old, src);
+        let new = match op {
+            AmoOp::Swap => b,
+            AmoOp::Add => a.wrapping_add(b),
+            AmoOp::Xor => a ^ b,
+            AmoOp::And => a & b,
+            AmoOp::Or => a | b,
+            AmoOp::Min if word => (a as i32).min(b as i32) as u32 as u64,
+            AmoOp::Min => (a as i64).min(b as i64) as u64,
+            AmoOp::Max if word => (a as i32).max(b as i32) as u32 as u64,
+            AmoOp::Max => (a as i64).max(b as i64) as u64,
+            AmoOp::Minu if word => u64::from((a as u32).min(b as u32)),
+            AmoOp::Minu => a.min(b),
+            AmoOp::Maxu if word => u64::from((a as u32).max(b as u32)),
+            AmoOp::Maxu => a.max(b),
+            AmoOp::Lr | AmoOp::Sc => unreachable!("handled above"),
+        };
+        self.write_mem(bus, pa, new, width, Channel::Regular, fault)?;
+        // Another hart's AMO would break a reservation; on a single
+        // hart, self-AMOs conservatively clear it too.
+        self.reservation = None;
+        Ok(old)
     }
 
     /// Samples the Sstc timer: `time >= stimecmp` (armed when non-zero)
@@ -637,39 +618,6 @@ impl Cpu {
             PrivilegeMode::Supervisor => self.csrs.read_raw(csr_addr::SSTATUS) & status::SIE != 0,
             PrivilegeMode::Machine => false,
         }
-    }
-
-    /// Delivers an interrupt to S-mode (like `trap`, but `sepc` holds the
-    /// *next* instruction to resume, which for interrupts is the current pc).
-    fn take_s_interrupt(&mut self, cause: TrapCause, epc: u64) -> Result<Trap, CpuError> {
-        let stvec = self.csrs.read_raw(csr_addr::STVEC);
-        if stvec == 0 {
-            return Err(CpuError::TrapVectorUnset(cause));
-        }
-        self.csrs.write_raw(csr_addr::SCAUSE, cause.code());
-        self.csrs.write_raw(csr_addr::SEPC, epc);
-        self.csrs.write_raw(csr_addr::STVAL, 0);
-        let mut sstatus = self.csrs.read_raw(csr_addr::SSTATUS);
-        if sstatus & status::SIE != 0 {
-            sstatus |= status::SPIE;
-        } else {
-            sstatus &= !status::SPIE;
-        }
-        sstatus &= !status::SIE;
-        if self.mode == PrivilegeMode::Supervisor {
-            sstatus |= status::SPP;
-        } else {
-            sstatus &= !status::SPP;
-        }
-        self.csrs.write_raw(csr_addr::SSTATUS, sstatus);
-        self.mode = PrivilegeMode::Supervisor;
-        self.pc = stvec & !0b11;
-        Ok(Trap {
-            cause,
-            tval: 0,
-            epc,
-            delegated: true,
-        })
     }
 
     fn shadow_counter(&self, csr: u16) -> Option<u64> {
@@ -780,35 +728,9 @@ impl Cpu {
         if !va.is_multiple_of(op.width()) {
             return Err((TrapCause::LoadMisaligned, va));
         }
-        let outcome = self
-            .mmu
-            .translate_data(bus, VirtAddr::new(va), AccessKind::Read, self.mode)
-            .map_err(|e| match e {
-                TranslateError::PageFault { .. } => (TrapCause::LoadPageFault, va),
-                TranslateError::AccessFault(_) => (TrapCause::LoadAccessFault, va),
-            })?;
-        let pa = outcome.pa();
-        let ctx = self.access_ctx();
-        let read = |e: AccessError| {
-            let _ = e;
-            (TrapCause::LoadAccessFault, va)
-        };
-        let value = match op {
-            LoadOp::D => bus.read::<u64>(pa, channel, ctx).map_err(read)?,
-            LoadOp::W | LoadOp::Wu => {
-                let lo = bus.read::<u8>(pa, channel, ctx).map_err(read)? as u64;
-                let b1 = bus.read::<u8>(pa + 1, channel, ctx).map_err(read)? as u64;
-                let b2 = bus.read::<u8>(pa + 2, channel, ctx).map_err(read)? as u64;
-                let b3 = bus.read::<u8>(pa + 3, channel, ctx).map_err(read)? as u64;
-                lo | (b1 << 8) | (b2 << 16) | (b3 << 24)
-            }
-            LoadOp::H | LoadOp::Hu => {
-                let lo = bus.read::<u8>(pa, channel, ctx).map_err(read)? as u64;
-                let hi = bus.read::<u8>(pa + 1, channel, ctx).map_err(read)? as u64;
-                lo | (hi << 8)
-            }
-            LoadOp::B | LoadOp::Bu => bus.read::<u8>(pa, channel, ctx).map_err(read)? as u64,
-        };
+        let pa = self.translate(bus, va, AccessKind::Read)?;
+        let fault = (TrapCause::LoadAccessFault, va);
+        let value = self.read_mem(bus, pa, op.width(), channel, fault)?;
         Ok(match op {
             LoadOp::B => value as u8 as i8 as i64 as u64,
             LoadOp::H => value as u16 as i16 as i64 as u64,
@@ -830,35 +752,9 @@ impl Cpu {
         }
         // Stores conservatively break any LR reservation (single-hart model).
         self.reservation = None;
-        let outcome = self
-            .mmu
-            .translate_data(bus, VirtAddr::new(va), AccessKind::Write, self.mode)
-            .map_err(|e| match e {
-                TranslateError::PageFault { .. } => (TrapCause::StorePageFault, va),
-                TranslateError::AccessFault(_) => (TrapCause::StoreAccessFault, va),
-            })?;
-        let pa = outcome.pa();
-        let ctx = self.access_ctx();
-        let werr = |_e: AccessError| (TrapCause::StoreAccessFault, va);
-        match op {
-            StoreOp::D => bus.write::<u64>(pa, value, channel, ctx).map_err(werr)?,
-            StoreOp::W => {
-                for i in 0..4 {
-                    bus.write::<u8>(pa + i, (value >> (8 * i)) as u8, channel, ctx)
-                        .map_err(werr)?;
-                }
-            }
-            StoreOp::H => {
-                for i in 0..2 {
-                    bus.write::<u8>(pa + i, (value >> (8 * i)) as u8, channel, ctx)
-                        .map_err(werr)?;
-                }
-            }
-            StoreOp::B => bus
-                .write::<u8>(pa, value as u8, channel, ctx)
-                .map_err(werr)?,
-        }
-        Ok(())
+        let pa = self.translate(bus, va, AccessKind::Write)?;
+        let fault = (TrapCause::StoreAccessFault, va);
+        self.write_mem(bus, pa, value, op.width(), channel, fault)
     }
 
     /// Takes a trap: updates cause/epc/tval and privilege, honouring
@@ -866,56 +762,77 @@ impl Cpu {
     fn trap(&mut self, cause: TrapCause, tval: u64, epc: u64) -> Result<Trap, CpuError> {
         let medeleg = self.csrs.read_raw(csr_addr::MEDELEG);
         let delegate = self.mode != PrivilegeMode::Machine && (medeleg >> cause.code()) & 1 == 1;
-        if delegate {
-            let stvec = self.csrs.read_raw(csr_addr::STVEC);
-            if stvec == 0 {
-                return Err(CpuError::TrapVectorUnset(cause));
-            }
-            self.csrs.write_raw(csr_addr::SCAUSE, cause.code());
-            self.csrs.write_raw(csr_addr::SEPC, epc);
-            self.csrs.write_raw(csr_addr::STVAL, tval);
-            let mut sstatus = self.csrs.read_raw(csr_addr::SSTATUS);
-            // SPIE <- SIE, SIE <- 0, SPP <- prior mode.
-            if sstatus & status::SIE != 0 {
-                sstatus |= status::SPIE;
-            } else {
-                sstatus &= !status::SPIE;
-            }
-            sstatus &= !status::SIE;
-            if self.mode == PrivilegeMode::Supervisor {
-                sstatus |= status::SPP;
-            } else {
-                sstatus &= !status::SPP;
-            }
-            self.csrs.write_raw(csr_addr::SSTATUS, sstatus);
-            self.mode = PrivilegeMode::Supervisor;
-            self.pc = stvec & !0b11;
+        let level = if delegate {
+            PrivilegeMode::Supervisor
         } else {
-            let mtvec = self.csrs.read_raw(csr_addr::MTVEC);
-            if mtvec == 0 {
-                return Err(CpuError::TrapVectorUnset(cause));
-            }
-            self.csrs.write_raw(csr_addr::MCAUSE, cause.code());
-            self.csrs.write_raw(csr_addr::MEPC, epc);
-            self.csrs.write_raw(csr_addr::MTVAL, tval);
-            let mut mstatus = self.csrs.read_raw(csr_addr::MSTATUS);
-            if mstatus & status::MIE != 0 {
-                mstatus |= status::MPIE;
-            } else {
-                mstatus &= !status::MPIE;
-            }
-            mstatus &= !status::MIE;
-            mstatus = (mstatus & !status::MPP_MASK) | (self.mode.encoding() << status::MPP_SHIFT);
-            self.csrs.write_raw(csr_addr::MSTATUS, mstatus);
-            self.mode = PrivilegeMode::Machine;
-            self.pc = mtvec & !0b11;
+            PrivilegeMode::Machine
+        };
+        self.enter_trap(level, cause, tval, epc)
+    }
+
+    /// Takes a trap into `level`: M, or S for a delegated exception or an
+    /// interrupt. Records the cause, `epc` and `tval` in that level's CSRs,
+    /// sets xPIE <- xIE, xIE <- 0 and xPP <- the prior mode, and jumps to
+    /// the level's vector.
+    fn enter_trap(
+        &mut self,
+        level: PrivilegeMode,
+        cause: TrapCause,
+        tval: u64,
+        epc: u64,
+    ) -> Result<Trap, CpuError> {
+        let ([tvec, xcause, xepc, xtval, xstatus], [ie, pie, pp]) = trap_level(level);
+        let vector = self.csrs.read_raw(tvec);
+        if vector == 0 {
+            return Err(CpuError::TrapVectorUnset(cause));
         }
+        self.csrs.write_raw(xcause, cause.code());
+        self.csrs.write_raw(xepc, epc);
+        self.csrs.write_raw(xtval, tval);
+        let old = self.csrs.read_raw(xstatus);
+        let stacked = if old & ie != 0 { pie } else { 0 };
+        let prior = (self.mode.encoding() << pp.trailing_zeros()) & pp;
+        self.csrs
+            .write_raw(xstatus, (old & !(ie | pie | pp)) | stacked | prior);
+        self.mode = level;
+        self.pc = vector & !0b11;
         Ok(Trap {
             cause,
             tval,
             epc,
-            delegated: delegate,
+            delegated: level == PrivilegeMode::Supervisor,
         })
+    }
+
+    /// `mret`/`sret` from `level`: the mode <- xPP, xIE <- xPIE, xPIE <- 1
+    /// and xPP <- U. Returns xepc, where execution resumes.
+    fn trap_return(&mut self, level: PrivilegeMode) -> u64 {
+        let ([_, _, xepc, _, xstatus], [ie, pie, pp]) = trap_level(level);
+        let old = self.csrs.read_raw(xstatus);
+        let prior = (old & pp) >> pp.trailing_zeros();
+        self.mode = PrivilegeMode::from_encoding(prior).unwrap_or(PrivilegeMode::User);
+        let restored = if old & pie != 0 { ie } else { 0 };
+        self.csrs
+            .write_raw(xstatus, (old & !(ie | pp)) | restored | pie);
+        self.csrs.read_raw(xepc)
+    }
+}
+
+/// The trap CSRs of `level` (M, or S for any other mode),
+/// `[xtvec, xcause, xepc, xtval, xstatus]`, and its `xstatus` fields
+/// `[xIE, xPIE, xPP]`.
+fn trap_level(level: PrivilegeMode) -> ([u16; 5], [u64; 3]) {
+    use csr_addr::*;
+    if level == PrivilegeMode::Machine {
+        (
+            [MTVEC, MCAUSE, MEPC, MTVAL, MSTATUS],
+            [status::MIE, status::MPIE, status::MPP_MASK],
+        )
+    } else {
+        (
+            [STVEC, SCAUSE, SEPC, STVAL, SSTATUS],
+            [status::SIE, status::SPIE, status::SPP],
+        )
     }
 }
 

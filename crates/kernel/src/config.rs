@@ -142,19 +142,21 @@ impl fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Checked builder for [`KernelConfig`].
+/// Checked builder for [`KernelConfig`], made by
+/// [`KernelConfig::to_builder`] from a preset.
 ///
-/// Starts from a preset (default: [`KernelConfig::baseline`]) and checks
-/// it once in [`build`](Self::build) with [`KernelConfig::validate`], the
-/// check [`Kernel::boot`](crate::Kernel::boot) also makes.
+/// It sets the machine geometry and checks the result once in
+/// [`build`](Self::build) with [`KernelConfig::validate`], the check
+/// [`Kernel::boot`](crate::Kernel::boot) also makes. Other knobs are set
+/// on the [`KernelConfig`] itself, through its `with_*` methods or its
+/// public fields.
 ///
 /// ```
 /// use ptstore_core::MIB;
-/// use ptstore_kernel::{DefenseMode, KernelConfig};
+/// use ptstore_kernel::KernelConfig;
 ///
-/// let cfg = KernelConfig::builder()
-///     .defense(DefenseMode::PtStore)
-///     .cfi(true)
+/// let cfg = KernelConfig::cfi_ptstore()
+///     .to_builder()
 ///     .mem_size(256 * MIB)
 ///     .initial_secure_size(16 * MIB)
 ///     .harts(2)
@@ -169,18 +171,6 @@ pub struct KernelConfigBuilder {
 }
 
 impl KernelConfigBuilder {
-    /// Deployed page-table defense.
-    pub fn defense(mut self, defense: DefenseMode) -> Self {
-        self.cfg.defense = defense;
-        self
-    }
-
-    /// Clang CFI instrumentation.
-    pub fn cfi(mut self, cfi: bool) -> Self {
-        self.cfg.cfi = cfi;
-        self
-    }
-
     /// Physical memory size in bytes.
     pub fn mem_size(mut self, bytes: u64) -> Self {
         self.cfg.mem_size = bytes;
@@ -193,63 +183,9 @@ impl KernelConfigBuilder {
         self
     }
 
-    /// Dynamic-adjustment growth granule in bytes.
-    pub fn adjust_chunk(mut self, bytes: u64) -> Self {
-        self.cfg.adjust_chunk = bytes;
-        self
-    }
-
-    /// Enables or disables dynamic secure-region adjustment.
-    pub fn adjustment_enabled(mut self, enabled: bool) -> Self {
-        self.cfg.adjustment_enabled = enabled;
-        self
-    }
-
-    /// Enables or disables token validation (ablation switch).
-    pub fn token_checks(mut self, enabled: bool) -> Self {
-        self.cfg.token_checks = enabled;
-        self
-    }
-
-    /// Enables or disables PMP S-bit enforcement (ablation switch).
-    pub fn pmp_s_bit_check(mut self, enabled: bool) -> Self {
-        self.cfg.pmp_s_bit_check = enabled;
-        self
-    }
-
-    /// Enables or disables the PTW origin check (ablation switch).
-    pub fn ptw_origin_check(mut self, enabled: bool) -> Self {
-        self.cfg.ptw_origin_check = enabled;
-        self
-    }
-
     /// Number of harts.
     pub fn harts(mut self, harts: usize) -> Self {
         self.cfg.harts = harts;
-        self
-    }
-
-    /// Paging scheme (Sv39/Sv48/Sv57).
-    pub fn scheme(mut self, scheme: PagingScheme) -> Self {
-        self.cfg.scheme = scheme;
-        self
-    }
-
-    /// Enables or disables batched remote TLB shootdowns.
-    pub fn deferred_shootdowns(mut self, enabled: bool) -> Self {
-        self.cfg.deferred_shootdowns = enabled;
-        self
-    }
-
-    /// Enables or disables per-hart allocation magazines.
-    pub fn alloc_magazines(mut self, enabled: bool) -> Self {
-        self.cfg.alloc_magazines = enabled;
-        self
-    }
-
-    /// Selects the deferred-shootdown drain policy.
-    pub fn drain_policy(mut self, policy: DrainPolicy) -> Self {
-        self.cfg.drain_policy = policy;
         self
     }
 
@@ -262,21 +198,10 @@ impl KernelConfigBuilder {
     }
 }
 
-impl From<KernelConfig> for KernelConfigBuilder {
-    fn from(cfg: KernelConfig) -> Self {
-        Self { cfg }
-    }
-}
-
 impl KernelConfig {
-    /// A checked builder seeded with the baseline preset.
-    pub fn builder() -> KernelConfigBuilder {
-        KernelConfigBuilder::from(Self::baseline())
-    }
-
     /// A checked builder seeded with this configuration (tweak a preset).
     pub fn to_builder(self) -> KernelConfigBuilder {
-        KernelConfigBuilder::from(self)
+        KernelConfigBuilder { cfg: self }
     }
 
     /// Checks the machine geometry and the knobs a boot relies on.
@@ -456,64 +381,63 @@ mod tests {
 
     #[test]
     fn builder_validates_geometry() {
+        let base = KernelConfig::baseline();
         // The baseline preset passes untouched.
+        assert_eq!(base.to_builder().build(), Ok(base));
         assert_eq!(
-            KernelConfig::builder().build(),
-            Ok(KernelConfig::baseline())
-        );
-        assert_eq!(
-            KernelConfig::builder().mem_size(MIB).build(),
+            base.to_builder().mem_size(MIB).build(),
             Err(ConfigError::BadMemSize)
         );
         assert_eq!(
-            KernelConfig::builder().mem_size(64 * MIB + 1).build(),
+            base.to_builder().mem_size(64 * MIB + 1).build(),
             Err(ConfigError::BadMemSize)
         );
         // A secure region at (or above) half of memory starves the normal zone.
         assert_eq!(
-            KernelConfig::builder()
+            base.to_builder()
                 .mem_size(128 * MIB)
                 .initial_secure_size(64 * MIB)
                 .build(),
             Err(ConfigError::BadSecureSize)
         );
         assert_eq!(
-            KernelConfig::builder().initial_secure_size(0).build(),
+            base.to_builder().initial_secure_size(0).build(),
             Err(ConfigError::BadSecureSize)
         );
+        let chunk = KernelConfig {
+            adjust_chunk: PAGE_SIZE + 1,
+            ..base
+        };
+        assert_eq!(chunk.validate(), Err(ConfigError::BadAdjustChunk));
         assert_eq!(
-            KernelConfig::builder().adjust_chunk(PAGE_SIZE + 1).build(),
-            Err(ConfigError::BadAdjustChunk)
-        );
-        assert_eq!(
-            KernelConfig::builder().harts(0).build(),
+            base.to_builder().harts(0).build(),
             Err(ConfigError::BadHartCount)
         );
         assert_eq!(
-            KernelConfig::builder().harts(MAX_HARTS + 1).build(),
+            base.to_builder().harts(MAX_HARTS + 1).build(),
             Err(ConfigError::BadHartCount)
         );
-        assert!(KernelConfig::builder().harts(4).build().is_ok());
+        assert!(base.to_builder().harts(4).build().is_ok());
     }
 
     #[test]
     fn drain_policy_validates_and_composes() {
+        let base = KernelConfig::baseline();
         assert_eq!(
-            KernelConfig::builder()
-                .drain_policy(DrainPolicy::Watermark { depth: 0 })
-                .build(),
+            base.with_drain_policy(DrainPolicy::Watermark { depth: 0 })
+                .validate(),
             Err(ConfigError::BadDrainWatermark)
         );
         assert_eq!(
-            KernelConfig::builder()
-                .drain_policy(DrainPolicy::Watermark { depth: 8 })
+            base.with_drain_policy(DrainPolicy::Watermark { depth: 8 })
+                .to_builder()
                 .build()
                 .unwrap()
                 .drain_policy,
             DrainPolicy::Watermark { depth: 8 }
         );
         // Every preset defaults to the PR 8 boundary-only behaviour.
-        assert_eq!(KernelConfig::baseline().drain_policy, DrainPolicy::Boundary);
+        assert_eq!(base.drain_policy, DrainPolicy::Boundary);
         assert_eq!(
             KernelConfig::cfi_ptstore().drain_policy,
             DrainPolicy::Boundary
@@ -551,13 +475,8 @@ mod tests {
         assert_eq!(c.scheme, PagingScheme::Sv48);
         // Every preset defaults to the paper's Sv39 prototype.
         assert_eq!(KernelConfig::baseline().scheme, PagingScheme::Sv39);
-        assert_eq!(
-            KernelConfig::builder()
-                .scheme(PagingScheme::Sv57)
-                .build()
-                .unwrap()
-                .scheme,
-            PagingScheme::Sv57
-        );
+        // The builder keeps every knob it does not set.
+        let built = c.to_builder().harts(2).build().unwrap();
+        assert_eq!(built, KernelConfig { harts: 2, ..c });
     }
 }

@@ -112,13 +112,4 @@ impl Hart {
             pt_magazine: Vec::new(),
         }
     }
-
-    /// Fraction of machine-wide `total` cycles spent on this hart.
-    pub fn utilization(&self, total: u64) -> f64 {
-        if total == 0 {
-            0.0
-        } else {
-            self.cycles.total() as f64 / total as f64
-        }
-    }
 }

@@ -154,12 +154,7 @@ impl Kernel {
     /// The physical address of the leaf PTE mapping `va` in `pid`'s address
     /// space (what PT-Tampering wants to overwrite).
     pub fn pte_phys_addr(&mut self, pid: Pid, va: VirtAddr) -> Result<PhysAddr, KernelError> {
-        let root = self
-            .procs
-            .get(pid)
-            .ok_or(KernelError::NoSuchProcess)?
-            .aspace
-            .root;
+        let root = self.procs.live(pid)?.aspace.root;
         self.user_leaf_slot(root, va, false)
     }
 
@@ -172,12 +167,7 @@ impl Kernel {
         pid: Pid,
         va: VirtAddr,
     ) -> Result<(PhysAddr, usize), KernelError> {
-        let root = self
-            .procs
-            .get(pid)
-            .ok_or(KernelError::NoSuchProcess)?
-            .aspace
-            .root;
+        let root = self.procs.live(pid)?.aspace.root;
         let top = self.cfg.scheme.root_level();
         let (slot, level, pte) = walk(root, va, top, 0, |slot, _| self.pt_read(slot))?;
         pte.is_leaf()

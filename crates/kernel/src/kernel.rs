@@ -58,8 +58,8 @@ pub struct Socket {
 /// once per op.
 #[derive(Debug, Clone)]
 pub struct Kernel {
-    /// Static configuration.
-    pub cfg: KernelConfig,
+    /// Static configuration, fixed at boot (read it with [`Kernel::cfg`]).
+    pub(crate) cfg: KernelConfig,
     /// The memory bus (physical memory behind the PMP).
     pub bus: Bus,
     /// The harts: each owns an MMU (both TLBs and the walker), the process
@@ -241,11 +241,8 @@ impl Kernel {
             pt_zone,
             secure_region,
             sbi,
-            pcb_slab: SlabCache::new("pcb", crate::process::PCB_SIZE, GfpFlags::KERNEL),
-            token_slab: cfg
-                .defense
-                .is_ptstore()
-                .then(|| SlabCache::new("ptstore_token", 16, GfpFlags::PTSTORE)),
+            pcb_slab: SlabCache::new(crate::process::PCB_SIZE),
+            token_slab: cfg.defense.is_ptstore().then(|| SlabCache::new(16)),
             procs: ProcessTable::new(),
             next_pid: 1,
             next_asid: 1,
@@ -955,7 +952,7 @@ impl Kernel {
     fn repoint_mapping(&mut self, pid: Pid, vpn: u64, new: PhysPageNum) -> Result<(), KernelError> {
         let va = VirtAddr::new(vpn << PAGE_SHIFT);
         let (root, asid, flags) = {
-            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(pid)?;
             let m = p.aspace.mapping(va).ok_or(KernelError::BadAddress)?;
             (p.aspace.root, p.aspace.asid, m.flags)
         };
@@ -1075,12 +1072,7 @@ impl Kernel {
         leaf_level: usize,
     ) -> Result<PhysAddr, KernelError> {
         let pid = self.mm_owner_of(pid);
-        let root = self
-            .procs
-            .get(pid)
-            .ok_or(KernelError::NoSuchProcess)?
-            .aspace
-            .root;
+        let root = self.procs.live(pid)?.aspace.root;
         let top = self.cfg.scheme.root_level();
         let mut new_pages: Vec<PhysPageNum> = Vec::new();
         // Every entry that is not a table pointer is replaced by one to a
@@ -1100,7 +1092,7 @@ impl Kernel {
         // Recorded even when an allocation below them failed: the tables
         // are in the tree, and exit frees what `pt_pages` lists.
         if !new_pages.is_empty() {
-            let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live_mut(pid)?;
             p.aspace.pt_pages.extend(new_pages);
         }
         let (_, _, pte) = walked?;
@@ -1120,7 +1112,7 @@ impl Kernel {
         let pid = self.mm_owner_of(pid);
         let slot = self.ensure_slot_at(pid, va, usize::from(m.huge))?;
         self.pt_install(slot, Pte::leaf(m.ppn, m.flags).bits())?;
-        let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
+        let p = self.procs.live_mut(pid)?;
         p.aspace.user.insert(va.as_u64() >> PAGE_SHIFT, m);
         Ok(())
     }
@@ -1137,7 +1129,7 @@ impl Kernel {
         let pid = self.mm_owner_of(pid);
         let vpn = va.as_u64() >> PAGE_SHIFT;
         let (root, asid, m) = {
-            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(pid)?;
             let m = p.aspace.user.get(&vpn).ok_or(KernelError::BadAddress)?;
             (p.aspace.root, p.aspace.asid, *m)
         };
@@ -1225,7 +1217,7 @@ impl Kernel {
         let base_vpn = (va.as_u64() >> PAGE_SHIFT) & !(HUGE_PAGE_SPAN - 1);
         let base_va = VirtAddr::new(base_vpn << PAGE_SHIFT);
         let (root, asid, mut m) = {
-            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(pid)?;
             let m = p
                 .aspace
                 .user
@@ -1261,7 +1253,7 @@ impl Kernel {
         for i in 0..HUGE_PAGE_SPAN {
             self.page_refs.insert(m.ppn.as_u64() + i, 1);
         }
-        let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
+        let p = self.procs.live_mut(pid)?;
         p.aspace.user.remove(&base_vpn);
         for i in 0..HUGE_PAGE_SPAN {
             p.aspace.user.insert(
@@ -1275,6 +1267,25 @@ impl Kernel {
         }
         p.aspace.pt_pages.push(table);
         Ok(())
+    }
+
+    /// Allocates one object from the slab `cache` picks, or `None` when the
+    /// kernel has no such slab: a free slot when the slab has one, else the
+    /// first slot of a zeroed `gfp` page that the kernel allocates and
+    /// lends the slab.
+    pub(crate) fn slab_alloc(
+        &mut self,
+        gfp: GfpFlags,
+        cache: fn(&mut Self) -> Option<&mut SlabCache>,
+    ) -> Result<Option<PhysAddr>, KernelError> {
+        let Some(slab) = cache(self) else {
+            return Ok(None);
+        };
+        if let Some(addr) = slab.alloc() {
+            return Ok(Some(addr));
+        }
+        let ppn = self.alloc_page(gfp | GfpFlags::ZERO)?;
+        Ok(cache(self).map(|slab| slab.grow(ppn)))
     }
 
     // ------------------------------------------------------------------
@@ -1291,28 +1302,15 @@ impl Kernel {
     /// As [`Self::token_issue`], but tagged with `op` in the trace — fork and
     /// thread creation record their child token as a copy.
     pub(crate) fn token_issue_as(&mut self, pid: Pid, op: TokenOp) -> Result<(), KernelError> {
-        let Some(slab) = self.token_slab.as_mut() else {
+        let token = self.slab_alloc(GfpFlags::PTSTORE, |k| k.token_slab.as_mut())?;
+        let Some(token_addr) = token else {
             return Ok(()); // tokens only exist under PTStore
         };
-        // Route the slab's page source through the zones manually to avoid
-        // double borrows: take the slab, allocate, put it back.
-        let mut slab_taken = std::mem::replace(slab, SlabCache::new("x", 16, GfpFlags::PTSTORE));
-        let result = slab_taken.alloc(|gfp| -> Result<PhysPageNum, KernelError> {
-            let ppn = self.alloc_page(gfp | GfpFlags::ZERO)?;
-            Ok(ppn)
-        });
-        self.token_slab = Some(slab_taken);
-        let (token_addr, _grew) = result?;
 
         let mm = self.mm_owner_of(pid);
         let (pt_ptr, token_slot_field) = {
-            let root = self
-                .procs
-                .get(mm)
-                .ok_or(KernelError::NoSuchProcess)?
-                .aspace
-                .root;
-            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
+            let root = self.procs.live(mm)?.aspace.root;
+            let p = self.procs.live(pid)?;
             (root.base_addr(), p.token_slot())
         };
         let token = Token::new(pt_ptr, token_slot_field);
@@ -1322,17 +1320,11 @@ impl Kernel {
         // PCB fields (normal memory; regular stores).
         self.mem_write(token_slot_field, token_addr.as_u64())?;
         let pt_slot = {
-            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(pid)?;
             p.pt_ptr_slot()
         };
         self.mem_write(pt_slot, pt_ptr.as_u64())?;
-        if let Some(sink) = self.trace.get() {
-            sink.emit(TraceEvent::Token {
-                op,
-                pid: u64::from(pid),
-                ok: true,
-            });
-        }
+        self.emit_token(op, pid, true);
         Ok(())
     }
 
@@ -1342,7 +1334,7 @@ impl Kernel {
             return Ok(());
         }
         let token_slot = {
-            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(pid)?;
             p.token_slot()
         };
         let token_addr = PhysAddr::new(self.mem_read(token_slot)?);
@@ -1359,13 +1351,7 @@ impl Kernel {
             }
         }
         self.mem_write(token_slot, 0)?;
-        if let Some(sink) = self.trace.get() {
-            sink.emit(TraceEvent::Token {
-                op: TokenOp::Clear,
-                pid: u64::from(pid),
-                ok: true,
-            });
-        }
+        self.emit_token(TokenOp::Clear, pid, true);
         Ok(())
     }
 
@@ -1378,7 +1364,7 @@ impl Kernel {
     /// event is recorded in the security log.
     pub(crate) fn token_validate(&mut self, pid: Pid) -> Result<PhysAddr, KernelError> {
         let (pt_slot, token_slot) = {
-            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(pid)?;
             (p.pt_ptr_slot(), p.token_slot())
         };
         // Both reads hit attacker-writable memory.
@@ -1394,7 +1380,7 @@ impl Kernel {
                     pid,
                     ptr: token_ptr,
                 });
-            self.emit_token_validate(pid, false);
+            self.emit_token(TokenOp::Validate, pid, false);
             return Err(TokenError::TokenOutsideSecureRegion.into());
         }
         // Token fields are read back with ld.pt — unforgeable by regular
@@ -1404,23 +1390,24 @@ impl Kernel {
         let token = Token::new(PhysAddr::new(t_pt), PhysAddr::new(t_user));
         match token.validate(pcb_pt_ptr, token_slot) {
             Ok(()) => {
-                self.emit_token_validate(pid, true);
+                self.emit_token(TokenOp::Validate, pid, true);
                 Ok(pcb_pt_ptr)
             }
             Err(e) => {
                 self.stats.token_failures += 1;
                 self.security_log
                     .push(SecurityEvent::TokenRejected { pid, err: e });
-                self.emit_token_validate(pid, false);
+                self.emit_token(TokenOp::Validate, pid, false);
                 Err(e.into())
             }
         }
     }
 
-    fn emit_token_validate(&self, pid: Pid, ok: bool) {
+    /// Traces one token operation on `pid`'s token.
+    fn emit_token(&self, op: TokenOp, pid: Pid, ok: bool) {
         if let Some(sink) = self.trace.get() {
             sink.emit(TraceEvent::Token {
-                op: TokenOp::Validate,
+                op,
                 pid: u64::from(pid),
                 ok,
             });
@@ -1433,21 +1420,12 @@ impl Kernel {
     /// # Errors
     /// Token validation failures abort the switch — the PT-Reuse defense.
     pub fn activate_address_space(&mut self, pid: Pid) -> Result<(), KernelError> {
-        let asid = self
-            .procs
-            .get(pid)
-            .ok_or(KernelError::NoSuchProcess)?
-            .aspace
-            .asid;
+        let asid = self.procs.live(pid)?.aspace.asid;
         let pt_ptr = if self.cfg.defense.is_ptstore() && self.cfg.token_checks {
             self.token_validate(pid)?
         } else {
             // Baselines trust the PCB field as-is.
-            let slot = self
-                .procs
-                .get(pid)
-                .ok_or(KernelError::NoSuchProcess)?
-                .pt_ptr_slot();
+            let slot = self.procs.live(pid)?.pt_ptr_slot();
             PhysAddr::new(self.mem_read(slot)?)
         };
         self.harts[self.active_hart].mmu.satp = Satp::new(
@@ -1476,6 +1454,21 @@ impl Kernel {
     /// Free pages in the PTStore zone / pt area.
     pub fn pt_area_free_pages(&self) -> Option<u64> {
         self.pt_zone.as_ref().map(BuddyZone::free_pages)
+    }
+
+    /// The configuration the kernel booted with. It is fixed at boot:
+    /// [`Kernel::boot`] validates it once, and a knob changed afterwards
+    /// (say, a zero `adjust_chunk`) would run a machine no check has seen.
+    ///
+    /// ```compile_fail
+    /// use ptstore_kernel::{Kernel, KernelConfig};
+    ///
+    /// let mut k = Kernel::boot(KernelConfig::cfi_ptstore()).unwrap();
+    /// assert_eq!(k.cfg().harts, 1);
+    /// k.cfg.adjust_chunk = 0; // error[E0616]: field `cfg` is private
+    /// ```
+    pub fn cfg(&self) -> &KernelConfig {
+        &self.cfg
     }
 
     /// The pid running on the active hart.

@@ -53,7 +53,7 @@ impl Kernel {
         self.mem_write(pcb_addr + PCB_OFF_PID, pid as u64)?;
         self.map_program_image(pid)?;
         // PCB pt pointer + token.
-        let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
+        let p = self.procs.live(pid)?;
         let (pt_slot, root) = (p.pt_ptr_slot(), p.aspace.root);
         self.mem_write(pt_slot, root.base_addr().as_u64())?;
         self.token_issue(pid)?;
@@ -95,14 +95,8 @@ impl Kernel {
                 return Ok(addr);
             }
         }
-        let mut slab = std::mem::replace(
-            &mut self.pcb_slab,
-            crate::slab::SlabCache::new("x", crate::process::PCB_SIZE, GfpFlags::KERNEL),
-        );
-        let result = slab.alloc(|gfp| self.alloc_page(gfp | GfpFlags::ZERO));
-        self.pcb_slab = slab;
-        let (addr, _grew) = result?;
-        Ok(addr)
+        self.slab_alloc(GfpFlags::KERNEL, |k| Some(&mut k.pcb_slab))?
+            .ok_or(KernelError::InvalidState)
     }
 
     /// Creates a fresh address space whose kernel half mirrors the kernel
@@ -154,10 +148,7 @@ impl Kernel {
         self.charge(CostKind::Kernel, cost::FORK_BASE);
         let parent_pid = self.current_pid();
         let (vmas, brk, mmap_cursor, fds, signals) = {
-            let p = self
-                .procs
-                .get(parent_pid)
-                .ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(parent_pid)?;
             (
                 p.vmas.clone(),
                 p.brk,
@@ -214,18 +205,12 @@ impl Kernel {
     fn fork_into(&mut self, parent_pid: Pid, child_pid: Pid) -> Result<(), KernelError> {
         self.dup_fd_resources(child_pid)?;
         let (pcb_addr, pt_slot, root) = {
-            let p = self
-                .procs
-                .get(child_pid)
-                .ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(child_pid)?;
             (p.pcb_addr, p.pt_ptr_slot(), p.aspace.root)
         };
         self.mem_write(pcb_addr + PCB_OFF_PID, child_pid as u64)?;
         let (parent_root, parent_asid, vpns) = {
-            let p = self
-                .procs
-                .get(parent_pid)
-                .ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(parent_pid)?;
             let vpns: Vec<u64> = p.aspace.user.keys().copied().collect();
             (p.aspace.root, p.aspace.asid, vpns)
         };
@@ -264,7 +249,7 @@ impl Kernel {
         made_parent_ro: &mut bool,
     ) -> Result<(), KernelError> {
         let parent_leaf = |k: &Self| {
-            let p = k.procs.get(parent_pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = k.procs.live(parent_pid)?;
             p.aspace
                 .user
                 .get(&vpn)
@@ -284,10 +269,7 @@ impl Kernel {
             self.pt_replace(slot, Pte::leaf(mapping.ppn, child_flags).bits())?
                 .covered_by("tlb_flush_asid(parent_asid) after the loop");
             *made_parent_ro = true;
-            let p = self
-                .procs
-                .get_mut(parent_pid)
-                .ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live_mut(parent_pid)?;
             if let Some(m) = p.aspace.user.get_mut(&vpn) {
                 m.flags = child_flags;
                 m.cow = true;
@@ -297,10 +279,7 @@ impl Kernel {
         let ppn = parent_leaf(self)?.ppn;
         self.pt_install(slot, Pte::leaf(ppn, child_flags).bits())?;
         *self.page_refs.entry(ppn.as_u64()).or_insert(0) += 1;
-        let p = self
-            .procs
-            .get_mut(child_pid)
-            .ok_or(KernelError::NoSuchProcess)?;
+        let p = self.procs.live_mut(child_pid)?;
         p.aspace.user.insert(
             vpn,
             UserMapping {
@@ -317,7 +296,7 @@ impl Kernel {
     /// (inherited) descriptor table refers to.
     fn dup_fd_resources(&mut self, pid: Pid) -> Result<(), KernelError> {
         let entries: Vec<FdEntry> = {
-            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(pid)?;
             p.fds.iter().cloned().collect()
         };
         for e in entries {
@@ -345,7 +324,7 @@ impl Kernel {
         let spawner = self.current_pid();
         let owner = self.mm_owner_of(spawner);
         let (fds, signals, brk, mmap_cursor) = {
-            let p = self.procs.get(spawner).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(spawner)?;
             (p.fds.clone(), p.signals.clone(), p.brk, p.mmap_cursor)
         };
         self.procs.admits(self.next_pid)?;
@@ -372,25 +351,12 @@ impl Kernel {
         self.mem_write(pcb_addr + PCB_OFF_PID, tid as u64)?;
         self.dup_fd_resources(tid)?;
         // The shared page-table pointer, copied into the thread's PCB...
-        let root = self
-            .procs
-            .get(owner)
-            .ok_or(KernelError::NoSuchProcess)?
-            .aspace
-            .root;
+        let root = self.procs.live(owner)?.aspace.root;
         self.mem_write(pt_slot, root.base_addr().as_u64())?;
         // ...bound by the thread's own token (token copy).
         self.token_issue_as(tid, ptstore_trace::TokenOp::Copy)?;
-        self.procs
-            .get_mut(owner)
-            .ok_or(KernelError::NoSuchProcess)?
-            .threads
-            .push(tid);
-        self.procs
-            .get_mut(spawner)
-            .ok_or(KernelError::NoSuchProcess)?
-            .children
-            .push_back(tid);
+        self.procs.live_mut(owner)?.threads.push(tid);
+        self.procs.live_mut(spawner)?.children.push_back(tid);
         let hart = self.active_hart;
         self.harts[hart].run_queue.push_back(tid);
         for h in 0..self.harts.len() {
@@ -412,7 +378,7 @@ impl Kernel {
         }
         self.teardown_user_mappings(pid)?;
         {
-            let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live_mut(pid)?;
             p.vmas = program_vmas();
             p.brk = USER_HEAP_BASE;
             p.mmap_cursor = USER_MMAP_BASE;
@@ -424,7 +390,7 @@ impl Kernel {
 
     fn teardown_user_mappings(&mut self, pid: Pid) -> Result<(), KernelError> {
         let vpns: Vec<u64> = {
-            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(pid)?;
             p.aspace.user.keys().copied().collect()
         };
         for vpn in vpns {
@@ -443,7 +409,7 @@ impl Kernel {
         self.charge(CostKind::Kernel, cost::EXIT_BASE);
         let pid = self.current_pid();
         let mm_owner = {
-            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(pid)?;
             p.mm_owner
         };
         if let Some(owner) = mm_owner {
@@ -455,7 +421,7 @@ impl Kernel {
                 op.threads.retain(|&t| t != pid);
             }
             {
-                let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
+                let p = self.procs.live_mut(pid)?;
                 p.state = ProcState::Zombie;
                 p.exit_code = code;
             }
@@ -472,7 +438,7 @@ impl Kernel {
         }
         self.release_mm(pid)?;
         {
-            let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live_mut(pid)?;
             p.state = ProcState::Zombie;
             p.exit_code = code;
         }
@@ -491,7 +457,7 @@ impl Kernel {
         self.close_all_fds(pid)?;
         self.token_clear(pid)?;
         let pt_pages: Vec<PhysPageNum> = {
-            let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live_mut(pid)?;
             std::mem::take(&mut p.aspace.pt_pages)
         };
         for ppn in pt_pages.into_iter().rev() {
@@ -502,7 +468,7 @@ impl Kernel {
 
     pub(crate) fn close_all_fds(&mut self, pid: Pid) -> Result<(), KernelError> {
         let fds = {
-            let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live_mut(pid)?;
             std::mem::take(&mut p.fds)
         };
         for e in fds.iter() {
@@ -537,7 +503,7 @@ impl Kernel {
     pub fn do_wait(&mut self) -> Result<(Pid, i32), KernelError> {
         let parent = self.current_pid();
         let zombie = {
-            let p = self.procs.get(parent).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(parent)?;
             p.children.iter().enumerate().find_map(|(index, &c)| {
                 let cp = self.procs.get(c)?;
                 (cp.state == ProcState::Zombie).then_some((index, c, cp.pcb_addr, cp.exit_code))
@@ -553,10 +519,7 @@ impl Kernel {
         for h in 0..self.harts.len() {
             self.post_hart_msg(h, crate::hart::HartMsgKind::ProcReaped { pid: child });
         }
-        let p = self
-            .procs
-            .get_mut(parent)
-            .ok_or(KernelError::NoSuchProcess)?;
+        let p = self.procs.live_mut(parent)?;
         p.children.remove(index);
         Ok((child, code))
     }
@@ -673,7 +636,7 @@ impl Kernel {
         self.stats.page_faults += 1;
         let pid = self.mm_owner_of(self.current_pid());
         let (perms, mapping) = {
-            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(pid)?;
             let vma = p.vma_for(va).ok_or(KernelError::SegFault)?;
             let allowed = match kind {
                 AccessKind::Read => vma.perms.read,
@@ -713,7 +676,7 @@ impl Kernel {
     /// `do_huge_pmd_wp_page` analogue).
     fn break_cow(&mut self, pid: Pid, va: VirtAddr) -> Result<(), KernelError> {
         let (root, asid, (vpn, m)) = {
-            let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(pid)?;
             let leaf = p.aspace.leaf(va).ok_or(KernelError::BadAddress)?;
             (p.aspace.root, p.aspace.asid, leaf)
         };

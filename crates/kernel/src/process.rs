@@ -23,6 +23,7 @@ use std::collections::VecDeque;
 
 use ptstore_core::{PhysAddr, VirtAddr};
 
+use crate::error::KernelError;
 use crate::pagetable::AddressSpace;
 
 /// Process identifier.
@@ -187,11 +188,6 @@ impl FdTable {
             .ok()
             .and_then(|i| self.entries.get_mut(i))
             .and_then(Option::take)
-    }
-
-    /// Number of open descriptors.
-    pub fn open_count(&self) -> usize {
-        self.iter().count()
     }
 
     /// The open descriptions, in fd order.
@@ -360,6 +356,22 @@ impl ProcessTable {
         self.by_pid.get_mut(pid as usize)?.as_deref_mut()
     }
 
+    /// The live process `pid`.
+    ///
+    /// # Errors
+    /// [`KernelError::NoSuchProcess`] when `pid` is not live.
+    pub fn live(&self, pid: Pid) -> Result<&Process, KernelError> {
+        self.get(pid).ok_or(KernelError::NoSuchProcess)
+    }
+
+    /// As [`Self::live`], mutably.
+    ///
+    /// # Errors
+    /// [`KernelError::NoSuchProcess`] when `pid` is not live.
+    pub fn live_mut(&mut self, pid: Pid) -> Result<&mut Process, KernelError> {
+        self.get_mut(pid).ok_or(KernelError::NoSuchProcess)
+    }
+
     /// Removes a process (final reap).
     pub fn remove(&mut self, pid: Pid) -> Option<Process> {
         let p = self.by_pid.get_mut(pid as usize)?.take()?;
@@ -415,7 +427,7 @@ mod tests {
         t.remove(a);
         let c = t.insert(FdEntry::Console);
         assert_eq!(c, 3, "lowest free slot is reused");
-        assert_eq!(t.open_count(), 5);
+        assert_eq!(t.iter().count(), 5);
         assert!(t.get(99).is_none());
         assert!(t.get(-1).is_none());
     }

@@ -1,15 +1,13 @@
 //! Slab caches for small kernel objects.
 //!
-//! The kernel allocates (usually small) objects from slab caches; each cache
-//! carries its own GFP flags and constructor. PTStore adds a token cache with
-//! `GFP_PTSTORE` so the tokens themselves live in the secure region, and a
-//! constructor that zero-initialises every new token (paper §IV-C3).
+//! The kernel allocates (usually small) objects from slab caches. PTStore
+//! adds a token cache whose backing pages the kernel allocates with
+//! `GFP_PTSTORE`, so the tokens themselves live in the secure region, and
+//! zeroed, so every new token starts zero-initialised (paper §IV-C3).
 
 use std::collections::HashMap;
 
 use ptstore_core::{PhysAddr, PhysPageNum, PAGE_SIZE};
-
-use crate::zones::GfpFlags;
 
 /// Objects a per-hart magazine holds before overflowing to the shared
 /// bookkeeping (a small LIFO keeps the hot-reuse window tight).
@@ -26,19 +24,17 @@ struct SlabPage {
 
 /// A fixed-object-size slab cache.
 ///
-/// The cache does not own a page allocator; `alloc` takes a page-source
-/// closure so the kernel can route the request through its zones (and charge
-/// cycles / run constructors through the proper access channel).
+/// The cache does not own a page allocator. Allocation has two phases:
+/// [`alloc`](Self::alloc) takes a free slot or reports that there is none,
+/// and then the kernel allocates a page through its zones (charging cycles
+/// and choosing the zone) and hands it over with [`grow`](Self::grow).
 #[derive(Debug, Clone)]
 pub struct SlabCache {
-    name: &'static str,
     object_size: u64,
     objects_per_page: usize,
-    gfp: GfpFlags,
     pages: Vec<SlabPage>,
     /// Object physical address → (page index, slot).
     index: HashMap<u64, (usize, usize)>,
-    free_objects: usize,
     /// Per-hart LIFO front-end magazines (the percpu-cache analogue):
     /// cached objects stay *marked used* in the shared bookkeeping, so a
     /// magazine hit touches no page bitmap at all. Grown on demand; empty
@@ -47,91 +43,56 @@ pub struct SlabCache {
 }
 
 impl SlabCache {
-    /// A cache of `object_size`-byte objects allocated with `gfp`.
+    /// A cache of `object_size`-byte objects.
     ///
     /// # Panics
     /// Panics unless `8 <= object_size <= PAGE_SIZE` and it divides the page
     /// size evenly.
-    pub fn new(name: &'static str, object_size: u64, gfp: GfpFlags) -> Self {
+    pub fn new(object_size: u64) -> Self {
         assert!(
             (8..=PAGE_SIZE).contains(&object_size) && PAGE_SIZE.is_multiple_of(object_size),
             "object size must divide the page size"
         );
         Self {
-            name,
             object_size,
             objects_per_page: (PAGE_SIZE / object_size) as usize,
-            gfp,
             pages: Vec::new(),
             index: HashMap::new(),
-            free_objects: 0,
             magazines: Vec::new(),
         }
     }
 
-    /// Cache name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Object size in bytes.
-    pub fn object_size(&self) -> u64 {
-        self.object_size
-    }
-
-    /// The cache's GFP flags (the token cache carries `GFP_PTSTORE`).
-    pub fn gfp(&self) -> GfpFlags {
-        self.gfp
-    }
-
-    /// Number of backing pages.
-    pub fn page_count(&self) -> usize {
-        self.pages.len()
-    }
-
-    /// Currently free object slots.
-    pub fn free_objects(&self) -> usize {
-        self.free_objects
-    }
-
-    /// Allocates one object, growing the cache via `page_source` when empty.
-    /// Returns the object's physical address and whether a new backing page
-    /// was taken (so the caller can charge allocation costs and run the
-    /// constructor over it).
-    ///
-    /// # Errors
-    /// Propagates the page source's failure as `None`.
-    pub fn alloc<E>(
-        &mut self,
-        mut page_source: impl FnMut(GfpFlags) -> Result<PhysPageNum, E>,
-    ) -> Result<(PhysAddr, bool), E> {
-        let free = self
+    /// Allocates one object from the first backing page with a free slot,
+    /// returning its physical address, or `None` when every backing page
+    /// is full: the caller then allocates a page and hands it to
+    /// [`Self::grow`].
+    pub fn alloc(&mut self) -> Option<PhysAddr> {
+        let (pi, slot) = self
             .pages
             .iter()
             .enumerate()
             .filter(|(_, p)| p.used_count < p.used.len())
-            .find_map(|(pi, p)| Some((pi, p.used.iter().position(|&u| !u)?)));
-        let grew = free.is_none();
-        let (pi, slot) = match free {
-            Some(found) => found,
-            None => {
-                let ppn = page_source(self.gfp)?;
-                self.pages.push(SlabPage {
-                    ppn,
-                    used: vec![false; self.objects_per_page],
-                    used_count: 0,
-                });
-                self.free_objects += self.objects_per_page;
-                (self.pages.len() - 1, 0)
-            }
-        };
+            .find_map(|(pi, p)| Some((pi, p.used.iter().position(|&u| !u)?)))?;
+        Some(self.take(pi, slot))
+    }
+
+    /// Adds `ppn` as a new backing page and allocates its first object.
+    pub fn grow(&mut self, ppn: PhysPageNum) -> PhysAddr {
+        self.pages.push(SlabPage {
+            ppn,
+            used: vec![false; self.objects_per_page],
+            used_count: 0,
+        });
+        self.take(self.pages.len() - 1, 0)
+    }
+
+    fn take(&mut self, pi: usize, slot: usize) -> PhysAddr {
         let page = &mut self.pages[pi];
         page.used[slot] = true;
         page.used_count += 1;
-        self.free_objects -= 1;
         let addr = PhysAddr::new(page.ppn.base_addr().as_u64() + slot as u64 * self.object_size);
         self.index.insert(addr.as_u64(), (pi, slot));
-        Ok((addr, grew))
+        addr
     }
 
     /// Frees one object. Empty backing pages are *retained* (like a slab
@@ -152,7 +113,6 @@ impl SlabCache {
         assert!(page.used[slot], "double free in slab cache");
         page.used[slot] = false;
         page.used_count -= 1;
-        self.free_objects += 1;
     }
 
     /// True when `addr` is a live object of this cache.
@@ -245,7 +205,6 @@ impl SlabCache {
         while i < self.pages.len() {
             if self.pages[i].used_count == 0 {
                 let page = self.pages.swap_remove(i);
-                self.free_objects -= self.objects_per_page;
                 release_page(page.ppn);
                 released += 1;
                 // swap_remove moved the last page into slot i: fix the index
@@ -270,40 +229,42 @@ impl SlabCache {
 mod tests {
     use super::*;
 
-    fn page_source() -> impl FnMut(GfpFlags) -> Result<PhysPageNum, ()> {
-        let mut next = 0x200u64;
-        move |_| {
-            let p = PhysPageNum::new(next);
-            next += 1;
-            Ok(p)
+    /// Allocates as the kernel does: a free slot, or else the next page
+    /// of a pretend zone. Returns the object and whether a page was taken.
+    fn alloc(cache: &mut SlabCache, next_page: &mut u64) -> (PhysAddr, bool) {
+        match cache.alloc() {
+            Some(addr) => (addr, false),
+            None => {
+                *next_page += 1;
+                (cache.grow(PhysPageNum::new(0x200 + *next_page)), true)
+            }
         }
     }
 
     #[test]
     fn token_sized_cache_packs_256_per_page() {
-        let mut cache = SlabCache::new("ptstore_token", 16, GfpFlags::PTSTORE);
-        let mut src = page_source();
-        let (first, grew) = cache.alloc(&mut src).unwrap();
+        let mut cache = SlabCache::new(16);
+        let mut pages = 0;
+        let (first, grew) = alloc(&mut cache, &mut pages);
         assert!(grew);
-        assert_eq!(cache.page_count(), 1);
         // 255 more allocations fit in the same page.
         for _ in 0..255 {
-            let (_, grew) = cache.alloc(&mut src).unwrap();
+            let (_, grew) = alloc(&mut cache, &mut pages);
             assert!(!grew);
         }
-        assert_eq!(cache.page_count(), 1);
-        let (_, grew) = cache.alloc(&mut src).unwrap();
+        assert_eq!(pages, 1);
+        let (_, grew) = alloc(&mut cache, &mut pages);
         assert!(grew, "257th object needs a second page");
         assert_eq!(first.as_u64() % 16, 0);
     }
 
     #[test]
     fn objects_are_distinct_and_aligned() {
-        let mut cache = SlabCache::new("pcb", 256, GfpFlags::KERNEL);
-        let mut src = page_source();
+        let mut cache = SlabCache::new(256);
+        let mut pages = 0;
         let mut addrs = Vec::new();
         for _ in 0..20 {
-            addrs.push(cache.alloc(&mut src).unwrap().0);
+            addrs.push(alloc(&mut cache, &mut pages).0);
         }
         let mut dedup = addrs.clone();
         dedup.sort();
@@ -314,13 +275,13 @@ mod tests {
 
     #[test]
     fn free_and_reuse() {
-        let mut cache = SlabCache::new("t", 512, GfpFlags::KERNEL);
-        let mut src = page_source();
-        let (a, _) = cache.alloc(&mut src).unwrap();
+        let mut cache = SlabCache::new(512);
+        let mut pages = 0;
+        let (a, _) = alloc(&mut cache, &mut pages);
         assert!(cache.contains(a));
         cache.free(a);
         assert!(!cache.contains(a));
-        let (b, grew) = cache.alloc(&mut src).unwrap();
+        let (b, grew) = alloc(&mut cache, &mut pages);
         assert!(!grew, "freed slot is reused");
         assert_eq!(a, b);
     }
@@ -328,19 +289,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "not allocated from this cache")]
     fn double_free_panics() {
-        let mut cache = SlabCache::new("t", 512, GfpFlags::KERNEL);
-        let mut src = page_source();
-        let (a, _) = cache.alloc(&mut src).unwrap();
+        let mut cache = SlabCache::new(512);
+        let (a, _) = alloc(&mut cache, &mut 0);
         cache.free(a);
         cache.free(a);
     }
 
     #[test]
     fn magazines_cache_and_flush() {
-        let mut cache = SlabCache::new("pcb", 256, GfpFlags::KERNEL);
-        let mut src = page_source();
-        let (a, _) = cache.alloc(&mut src).unwrap();
-        let (b, _) = cache.alloc(&mut src).unwrap();
+        let mut cache = SlabCache::new(256);
+        let mut pages = 0;
+        let (a, _) = alloc(&mut cache, &mut pages);
+        let (b, _) = alloc(&mut cache, &mut pages);
         // Cached objects stay "used" in the shared bookkeeping.
         assert!(cache.magazine_put(0, a));
         assert!(cache.magazine_put(1, b));
@@ -350,10 +310,10 @@ mod tests {
         assert_eq!(cache.magazine_get(0), None, "hart 0 magazine drained");
         // A full magazine rejects the put; the caller falls back to free().
         for _ in 0..MAGAZINE_CAP {
-            let (x, _) = cache.alloc(&mut src).unwrap();
+            let (x, _) = alloc(&mut cache, &mut pages);
             assert!(cache.magazine_put(2, x));
         }
-        let (overflow, _) = cache.alloc(&mut src).unwrap();
+        let (overflow, _) = alloc(&mut cache, &mut pages);
         assert!(!cache.magazine_put(2, overflow));
         cache.free(overflow);
         // Flush performs the real frees so shrink can release pages: hart
@@ -363,24 +323,26 @@ mod tests {
         cache.free(a);
         let mut released = Vec::new();
         cache.shrink(|p| released.push(p));
-        assert_eq!(cache.free_objects(), 0, "all empty pages released");
+        assert_eq!(released.len(), pages as usize, "all empty pages released");
+        assert_eq!(cache.alloc(), None, "no backing page left");
     }
 
     #[test]
     fn shrink_releases_empty_pages() {
-        let mut cache = SlabCache::new("t", 2048, GfpFlags::KERNEL);
-        let mut src = page_source();
-        let (a, _) = cache.alloc(&mut src).unwrap();
-        let (b, _) = cache.alloc(&mut src).unwrap();
-        let (c, _) = cache.alloc(&mut src).unwrap(); // second page
+        let mut cache = SlabCache::new(2048);
+        let mut pages = 0;
+        let (a, _) = alloc(&mut cache, &mut pages);
+        let (b, _) = alloc(&mut cache, &mut pages);
+        let (c, _) = alloc(&mut cache, &mut pages); // second page
         cache.free(a);
         cache.free(b);
         let mut released = Vec::new();
         let n = cache.shrink(|p| released.push(p));
         assert_eq!(n, 1);
-        assert_eq!(cache.page_count(), 1);
-        // The object on the second page is still tracked correctly.
+        // The object on the second page is still tracked correctly, and
+        // its page is the one left: its free slot serves the next alloc.
         assert!(cache.contains(c));
+        assert_eq!(cache.alloc(), Some(c + 2048));
         cache.free(c);
     }
 }

@@ -207,12 +207,7 @@ impl Kernel {
     /// `getppid` — the LMBench null syscall.
     pub fn sys_null(&mut self) -> Result<Pid, KernelError> {
         self.syscall_enter(profile::NULL);
-        let r = self
-            .procs
-            .get(self.current_pid())
-            .ok_or(KernelError::NoSuchProcess)?
-            .parent
-            .unwrap_or(0);
+        let r = self.procs.live(self.current_pid())?.parent.unwrap_or(0);
         self.syscall_exit();
         Ok(r)
     }
@@ -226,10 +221,7 @@ impl Kernel {
         self.syscall_enter(profile::OPEN_CLOSE);
         let exists = self.fs.exists(name);
         let r = if exists {
-            let p = self
-                .procs
-                .get_mut(self.current_pid())
-                .ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live_mut(self.current_pid())?;
             Ok(p.fds.insert(FdEntry::File {
                 name: name.to_string(),
                 offset: 0,
@@ -245,10 +237,7 @@ impl Kernel {
     pub fn sys_close(&mut self, fd: i32) -> Result<(), KernelError> {
         self.syscall_enter(profile::OPEN_CLOSE);
         let entry = {
-            let p = self
-                .procs
-                .get_mut(self.current_pid())
-                .ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live_mut(self.current_pid())?;
             p.fds.remove(fd).ok_or(KernelError::BadFd)
         };
         let r = entry.map(|e| self.release_fd_entry(&e));
@@ -294,10 +283,7 @@ impl Kernel {
         out: &mut impl Extend<u8>,
     ) -> Result<u64, KernelError> {
         let entry = {
-            let p = self
-                .procs
-                .get(self.current_pid())
-                .ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(self.current_pid())?;
             p.fds.get(fd).cloned().ok_or(KernelError::BadFd)?
         };
         match entry {
@@ -308,10 +294,7 @@ impl Kernel {
                     .ok_or(KernelError::NoSuchFile)?;
                 let n = data.len() as u64;
                 out.extend(data.iter().copied());
-                let p = self
-                    .procs
-                    .get_mut(self.current_pid())
-                    .ok_or(KernelError::NoSuchProcess)?;
+                let p = self.procs.live_mut(self.current_pid())?;
                 if let Some(FdEntry::File { offset, .. }) = p.fds.get_mut(fd) {
                     *offset += n;
                 }
@@ -360,19 +343,13 @@ impl Kernel {
     ) -> Result<u64, KernelError> {
         let len = data.len() as u64;
         let entry = {
-            let p = self
-                .procs
-                .get(self.current_pid())
-                .ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(self.current_pid())?;
             p.fds.get(fd).cloned().ok_or(KernelError::BadFd)?
         };
         match entry {
             FdEntry::File { name, offset } => {
                 self.fs.write(&name, offset, data)?;
-                let p = self
-                    .procs
-                    .get_mut(self.current_pid())
-                    .ok_or(KernelError::NoSuchProcess)?;
+                let p = self.procs.live_mut(self.current_pid())?;
                 if let Some(FdEntry::File { offset, .. }) = p.fds.get_mut(fd) {
                     *offset += len;
                 }
@@ -411,10 +388,7 @@ impl Kernel {
     pub fn sys_fstat(&mut self, fd: i32) -> Result<FileStat, KernelError> {
         self.syscall_enter(profile::FSTAT);
         let r = {
-            let p = self
-                .procs
-                .get(self.current_pid())
-                .ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(self.current_pid())?;
             match p.fds.get(fd) {
                 Some(FdEntry::File { name, .. }) => {
                     let name = name.clone();
@@ -445,10 +419,7 @@ impl Kernel {
     pub fn sys_pipe(&mut self) -> Result<(i32, i32), KernelError> {
         self.syscall_enter(profile::PIPE);
         let id = self.pipes.create();
-        let p = self
-            .procs
-            .get_mut(self.current_pid())
-            .ok_or(KernelError::NoSuchProcess)?;
+        let p = self.procs.live_mut(self.current_pid())?;
         let r = p.fds.insert(FdEntry::PipeRead { id });
         let w = p.fds.insert(FdEntry::PipeWrite { id });
         self.syscall_exit();
@@ -463,10 +434,7 @@ impl Kernel {
     pub fn sys_signal_install(&mut self, signum: usize) -> Result<(), KernelError> {
         self.syscall_enter(profile::SIG_INSTALL);
         let r = {
-            let p = self
-                .procs
-                .get_mut(self.current_pid())
-                .ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live_mut(self.current_pid())?;
             if signum == 0 || signum >= 32 {
                 Err(KernelError::BadAddress)
             } else {
@@ -482,10 +450,7 @@ impl Kernel {
     pub fn sys_signal_catch(&mut self, signum: usize) -> Result<(), KernelError> {
         self.syscall_enter(profile::SIG_CATCH);
         let r = {
-            let p = self
-                .procs
-                .get_mut(self.current_pid())
-                .ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live_mut(self.current_pid())?;
             if signum == 0 || signum >= 32 {
                 Err(KernelError::BadAddress)
             } else if p.signals.actions[signum] == SigAction::Handler {
@@ -576,7 +541,7 @@ impl Kernel {
             .filter(|&len| len <= stack_guard)
             .ok_or(KernelError::OutOfMemory)?;
         let mm = self.mm_owner_of(self.current_pid());
-        let p = self.procs.get_mut(mm).ok_or(KernelError::NoSuchProcess)?;
+        let p = self.procs.live_mut(mm)?;
         let start = if p.mmap_cursor + len <= stack_guard {
             let s = p.mmap_cursor;
             p.mmap_cursor += len;
@@ -632,7 +597,7 @@ impl Kernel {
             .ok_or(KernelError::OutOfMemory)?;
         let mm = self.mm_owner_of(self.current_pid());
         let (start, cursor) = {
-            let p = self.procs.get_mut(mm).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live_mut(mm)?;
             let aligned = p.mmap_cursor.div_ceil(2 * MIB) * (2 * MIB);
             if aligned + len > stack_guard {
                 return Err(KernelError::OutOfMemory);
@@ -669,7 +634,7 @@ impl Kernel {
                 let base = VirtAddr::new(start);
                 self.do_munmap(base, base + len)?;
                 self.drain_deferred_flushes();
-                let p = self.procs.get_mut(mm).ok_or(KernelError::NoSuchProcess)?;
+                let p = self.procs.live_mut(mm)?;
                 p.mmap_cursor = cursor;
                 return Err(e);
             }
@@ -700,7 +665,7 @@ impl Kernel {
         let mut va = addr;
         while va < end {
             let mapped = {
-                let p = self.procs.get(pid).ok_or(KernelError::NoSuchProcess)?;
+                let p = self.procs.live(pid)?;
                 p.aspace.mapping(va)
             };
             let Some(m) = mapped else {
@@ -721,7 +686,7 @@ impl Kernel {
         // their order; a VMA that starts below the range keeps its start,
         // so the heap VMA `brk` looks up stays where it was.
         let (lo, hi) = (addr.as_u64(), end.as_u64());
-        let p = self.procs.get_mut(pid).ok_or(KernelError::NoSuchProcess)?;
+        let p = self.procs.live_mut(pid)?;
         let vmas = std::mem::take(&mut p.vmas);
         p.vmas.reserve(vmas.len() + 1);
         for v in vmas {
@@ -794,7 +759,7 @@ impl Kernel {
         // Update the VMA (split handling kept simple: exact or inner range
         // updates the whole containing VMA's overlap by splitting).
         {
-            let p = self.procs.get_mut(mm).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live_mut(mm)?;
             let vma = p
                 .vmas
                 .iter_mut()
@@ -833,7 +798,7 @@ impl Kernel {
         let start_vpn = addr.as_u64() >> 12;
         let end_vpn = (addr.as_u64() + len) >> 12;
         let blocks: Vec<u64> = {
-            let p = self.procs.get(mm).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(mm)?;
             p.aspace
                 .user
                 .range(start_vpn.saturating_sub(HUGE_PAGE_SPAN - 1)..end_vpn)
@@ -849,7 +814,7 @@ impl Kernel {
             }
         }
         let pages: Vec<u64> = {
-            let p = self.procs.get(mm).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(mm)?;
             p.aspace
                 .user
                 .range(start_vpn..end_vpn)
@@ -868,7 +833,7 @@ impl Kernel {
     fn protect_user_leaf(&mut self, mm: Pid, vpn: u64, perms: VmPerms) -> Result<(), KernelError> {
         let va = VirtAddr::new(vpn << 12);
         let (root, asid, m) = {
-            let p = self.procs.get(mm).ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live(mm)?;
             let m = p.aspace.user.get(&vpn).ok_or(KernelError::BadAddress)?;
             (p.aspace.root, p.aspace.asid, *m)
         };
@@ -915,10 +880,7 @@ impl Kernel {
             },
         );
         let r = {
-            let p = self
-                .procs
-                .get_mut(self.current_pid())
-                .ok_or(KernelError::NoSuchProcess)?;
+            let p = self.procs.live_mut(self.current_pid())?;
             Ok(p.fds.insert(FdEntry::Socket { id }))
         };
         self.syscall_exit();

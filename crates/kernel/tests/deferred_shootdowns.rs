@@ -171,7 +171,7 @@ proptest! {
             for (step, &op) in ops.iter().enumerate() {
                 let want = run_op(&mut eager, heap_base, &mut ge, op);
                 for (k, grown) in drained.iter_mut().zip(&mut gd) {
-                    let policy = k.cfg.drain_policy;
+                    let policy = k.cfg().drain_policy;
                     let got = run_op(k, heap_base, grown, op);
                     prop_assert_eq!(
                         &want, &got,

@@ -93,5 +93,8 @@ fn magazines_off_by_default() {
             .with_initial_secure_size(8 * MIB),
     )
     .expect("kernel boots");
-    assert!(!k.cfg.alloc_magazines, "goldens pin the knob-off behavior");
+    assert!(
+        !k.cfg().alloc_magazines,
+        "goldens pin the knob-off behavior"
+    );
 }

@@ -34,11 +34,6 @@ impl TranslationOutcome {
             TranslationOutcome::TlbHit { pa } | TranslationOutcome::Walk { pa, .. } => pa,
         }
     }
-
-    /// True when served from the TLB.
-    pub fn is_hit(&self) -> bool {
-        matches!(self, TranslationOutcome::TlbHit { .. })
-    }
 }
 
 /// The memory-management unit: split I/D TLBs in front of the shared walker.
@@ -51,8 +46,6 @@ pub struct Mmu {
     walker: PageTableWalker,
     /// Current `satp` (owned by the hart; updated on `switch_mm`).
     pub satp: Satp,
-    /// Id of the owning hart (0 on single-hart machines).
-    hart_id: usize,
 }
 
 impl Default for Mmu {
@@ -69,7 +62,6 @@ impl Mmu {
             dtlb: Tlb::with_unit(8, TlbUnit::Data),
             walker: PageTableWalker::new(),
             satp: Satp::bare(),
-            hart_id: 0,
         }
     }
 
@@ -82,15 +74,9 @@ impl Mmu {
 
     /// Attributes this MMU (TLB events and walker fetches) to `hart`.
     pub fn set_hart_id(&mut self, hart: usize) {
-        self.hart_id = hart;
         self.itlb.set_hart(hart as u32);
         self.dtlb.set_hart(hart as u32);
         self.walker.set_hart(hart);
-    }
-
-    /// The hart this MMU belongs to.
-    pub fn hart_id(&self) -> usize {
-        self.hart_id
     }
 
     /// Translates a data access.
@@ -269,12 +255,12 @@ mod tests {
         let first = mmu
             .translate_data(&mut bus, va, AccessKind::Read, PrivilegeMode::User)
             .unwrap();
-        assert!(!first.is_hit());
+        assert!(!matches!(first, TranslationOutcome::TlbHit { .. }));
         assert_eq!(first.pa(), PhysAddr::new((0x100 << 12) | 0x123));
         let second = mmu
             .translate_data(&mut bus, va, AccessKind::Read, PrivilegeMode::User)
             .unwrap();
-        assert!(second.is_hit());
+        assert!(matches!(second, TranslationOutcome::TlbHit { .. }));
         assert_eq!(second.pa(), first.pa());
         assert_eq!(mmu.dtlb_stats().hits, 1);
         assert_eq!(mmu.dtlb_stats().misses, 1);
@@ -291,7 +277,7 @@ mod tests {
         let after = mmu
             .translate_data(&mut bus, va, AccessKind::Read, PrivilegeMode::User)
             .unwrap();
-        assert!(!after.is_hit());
+        assert!(!matches!(after, TranslationOutcome::TlbHit { .. }));
     }
 
     #[test]
@@ -314,7 +300,7 @@ mod tests {
         let stale = mmu
             .translate_data(&mut bus, va, AccessKind::Write, PrivilegeMode::User)
             .unwrap();
-        assert!(stale.is_hit());
+        assert!(matches!(stale, TranslationOutcome::TlbHit { .. }));
         assert_eq!(stale.pa(), out.pa());
         // ...but the physical store is refused: PTStore checks physical
         // addresses, not virtual mappings.
@@ -365,14 +351,14 @@ mod tests {
         let first = mmu
             .translate_data(&mut bus, va, AccessKind::Read, PrivilegeMode::User)
             .unwrap();
-        assert!(!first.is_hit());
+        assert!(!matches!(first, TranslationOutcome::TlbHit { .. }));
         // A different 4 KiB page inside the same 2 MiB leaf hits the one
         // cached span entry.
         let other = VirtAddr::new(0x4000_0000 + 37 * PAGE_SIZE + 0x10);
         let second = mmu
             .translate_data(&mut bus, other, AccessKind::Read, PrivilegeMode::User)
             .unwrap();
-        assert!(second.is_hit());
+        assert!(matches!(second, TranslationOutcome::TlbHit { .. }));
         assert_eq!(
             second.pa(),
             PhysAddr::new((0x400 << 12) + 37 * PAGE_SIZE + 0x10)

@@ -12,7 +12,7 @@
 
 use core::fmt;
 
-use ptstore_core::{PagingScheme, PhysAddr, PhysPageNum};
+use ptstore_core::{PagingScheme, PhysPageNum};
 
 const MODE_SHIFT: u64 = 60;
 const MODE_BARE: u64 = 0;
@@ -58,11 +58,6 @@ impl Satp {
     /// True when translation is enabled (any scheme; false = Bare).
     pub const fn translating(&self) -> bool {
         self.scheme.is_some()
-    }
-
-    /// Physical address of the root page table.
-    pub const fn root_addr(&self) -> PhysAddr {
-        self.root_ppn.base_addr()
     }
 
     /// Encodes to the raw CSR value.
@@ -142,9 +137,12 @@ mod tests {
     }
 
     #[test]
-    fn root_addr() {
+    fn root_table_is_the_ppn_page() {
         let s = Satp::new(PagingScheme::Sv48, PhysPageNum::new(0x1000), 0, false);
-        assert_eq!(s.root_addr(), PhysAddr::new(0x1000 << 12));
+        assert_eq!(
+            s.root_ppn.base_addr(),
+            ptstore_core::PhysAddr::new(0x1000 << 12)
+        );
     }
 
     #[test]

@@ -122,10 +122,7 @@ pub fn run_c1m(k: &mut Kernel, p: &C1mParams) -> C1mResult {
     let doc = vec![0x42u8; p.response_bytes as usize];
     k.fs.create(DOCUMENT, doc);
     let stats0 = k.stats;
-    let workers = k.spawn_workers().expect("c1m supervisors spawn");
-    let shares = smp::partition(p.tenants, k.harts.len());
-    let report = smp::run_distributed(k, "c1m", &workers, &shares, |k, h, slots| {
-        let supervisor = workers[h];
+    let report = smp::run_distributed(k, "c1m", p.tenants, |k, supervisor, slots| {
         for _ in 0..p.churn_rounds {
             for _ in 0..slots {
                 // The supervisor forks the tenant; the exit path's
@@ -180,7 +177,7 @@ fn serve_tenant(k: &mut Kernel, p: &C1mParams) {
         since_pool_churn += batch;
         if since_pool_churn >= 32 {
             since_pool_churn = 0;
-            nginx::churn_pool(k);
+            nginx::churn_pool(k, 4);
             // Config hardening: flip the head of the session arena
             // read-only once warm (and back, so later generations of the
             // loop can rewrite it) — mprotect downgrades are a prime

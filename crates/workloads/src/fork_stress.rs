@@ -29,18 +29,7 @@ pub struct ForkStressResult {
 pub fn run_fork_stress(k: &mut Kernel, count: u64) -> Result<ForkStressResult, KernelError> {
     let cycles_before = k.cycles.total();
     let stats_before = k.stats;
-    let mut children = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        children.push(k.sys_fork()?);
-    }
-    // Teardown: each child runs, exits; parent reaps.
-    for &child in &children {
-        k.do_switch_to(child)?;
-        k.sys_exit(0)?;
-    }
-    for _ in 0..children.len() {
-        k.sys_wait()?;
-    }
+    fork_exit_reap(k, count)?;
     let d = k.stats.delta(&stats_before);
     Ok(ForkStressResult {
         created: count,
@@ -50,6 +39,25 @@ pub fn run_fork_stress(k: &mut Kernel, count: u64) -> Result<ForkStressResult, K
         final_region_size: k.secure_region().map(|r| r.size()),
         pt_pages_peak: k.stats.pt_pages_peak,
     })
+}
+
+/// Forks `count` children of the current process, then tears them down:
+/// each child in fork order runs and exits, and the parent reaps them all.
+///
+/// # Errors
+/// Propagates the first kernel error.
+pub(crate) fn fork_exit_reap(k: &mut Kernel, count: u64) -> Result<(), KernelError> {
+    let children = (0..count)
+        .map(|_| k.sys_fork())
+        .collect::<Result<Vec<_>, _>>()?;
+    for &child in &children {
+        k.do_switch_to(child)?;
+        k.sys_exit(0)?;
+    }
+    for _ in &children {
+        k.sys_wait()?;
+    }
+    Ok(())
 }
 
 /// The four §V-D1 configurations at a chosen scale: baseline, CFI,

@@ -29,9 +29,11 @@
 //! use ptstore_workloads::report::standard_configs;
 //!
 //! let configs = standard_configs(256 * MIB, 16 * MIB);
-//! let series = measure("null call", &configs, |k| lmbench::lat_null(k, 50));
-//! assert_eq!(series.entries[0].overhead_pct, 0.0); // baseline
-//! assert!(series.overhead_of("CFI").unwrap() > 0.0);
+//! let grid = measure(1, &configs, &["null call"], |n| n.to_string(), |_, k| {
+//!     lmbench::lat_null(k, 50)
+//! });
+//! assert_eq!(grid[0].entries[0].overhead_pct, 0.0); // baseline
+//! assert!(grid[0].overhead_of("CFI").unwrap() > 0.0);
 //! ```
 
 pub mod c1m;

@@ -298,7 +298,13 @@ mod tests {
     #[test]
     fn cfi_overhead_is_positive_and_moderate() {
         let configs = standard_configs(256 * MIB, 16 * MIB);
-        let series = measure("null call", &configs, |k| lat_null(k, 200));
+        let series = &measure(
+            1,
+            &configs,
+            &["null call"],
+            |n| n.to_string(),
+            |_, k| lat_null(k, 200),
+        )[0];
         let cfi = series.overhead_of("CFI").expect("present");
         assert!(cfi > 0.0 && cfi < 20.0, "CFI on null call: {cfi:.2}%");
         // PTStore adds nearly nothing on the null path.
@@ -312,7 +318,13 @@ mod tests {
     #[test]
     fn ptstore_extra_on_fork_is_small() {
         let configs = standard_configs(256 * MIB, 16 * MIB);
-        let series = measure("fork+exit", &configs, |k| lat_fork_exit(k, 50));
+        let series = &measure(
+            1,
+            &configs,
+            &["fork+exit"],
+            |n| n.to_string(),
+            |_, k| lat_fork_exit(k, 50),
+        )[0];
         let cfi = series.overhead_of("CFI").expect("present");
         let both = series.overhead_of("CFI+PTStore").expect("present");
         assert!(both > 0.0);
@@ -395,7 +407,13 @@ mod bandwidth_tests {
         // Bulk data movement never touches page tables: PTStore-only
         // overhead on bandwidth is ~zero (consistent with Fig. 4's I/O rows).
         let configs = standard_configs(256 * MIB, 16 * MIB);
-        let series = measure("bw_pipe", &configs, |k| bw_pipe(k, 256 << 10));
+        let series = &measure(
+            1,
+            &configs,
+            &["bw_pipe"],
+            |n| n.to_string(),
+            |_, k| bw_pipe(k, 256 << 10),
+        )[0];
         let cfi = series.overhead_of("CFI").expect("cfi");
         let both = series.overhead_of("CFI+PTStore").expect("both");
         assert!(

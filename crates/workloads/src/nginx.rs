@@ -79,7 +79,7 @@ pub(crate) fn serve_requests(k: &mut Kernel, p: &NginxParams, requests: u64) {
         since_pool_growth += batch;
         if since_pool_growth >= 32 {
             since_pool_growth = 0;
-            churn_pool(k);
+            churn_pool(k, 4);
         }
         for _ in 0..batch {
             serve_connection(k, DOCUMENT, p.response_bytes, p.user_cycles_per_request);
@@ -88,16 +88,17 @@ pub(crate) fn serve_requests(k: &mut Kernel, p: &NginxParams, requests: u64) {
     }
 }
 
-/// Connection-pool churn: the server grows and releases a 4-page
-/// request-buffer arena as connections cycle, touching the paging path
-/// (this is where PTStore's page-table work shows up in a server).
-pub(crate) fn churn_pool(k: &mut Kernel) {
-    let arena = k.sys_mmap(4 * PAGE_SIZE).expect("pool mmap");
-    for i in 0..4 {
+/// Pool churn: a server grows and releases a `pages`-page buffer arena
+/// (mmap, a write touch of each page, munmap) as connections cycle,
+/// touching the paging path; this is where PTStore's page-table work
+/// shows up in a server.
+pub(crate) fn churn_pool(k: &mut Kernel, pages: u64) {
+    let arena = k.sys_mmap(pages * PAGE_SIZE).expect("pool mmap");
+    for i in 0..pages {
         k.sys_touch(VirtAddr::new(arena.as_u64() + i * PAGE_SIZE), true)
             .expect("pool touch");
     }
-    k.sys_munmap(arena, 4 * PAGE_SIZE).expect("pool munmap");
+    k.sys_munmap(arena, pages * PAGE_SIZE).expect("pool munmap");
 }
 
 /// One connection: accept and receive a request, charge `user_cycles` of
@@ -148,7 +149,13 @@ mod tests {
         // Figure 6: CFI dominates (kernel-bound), PTStore adds <0.86 %.
         let configs = standard_configs(256 * MIB, 16 * MIB);
         let p = NginxParams::quick(4 << 10);
-        let series = measure("nginx 4k", &configs, |k| run_nginx(k, &p));
+        let series = &measure(
+            1,
+            &configs,
+            &["nginx 4k"],
+            |n| n.to_string(),
+            |_, k| run_nginx(k, &p),
+        )[0];
         let cfi = series.overhead_of("CFI").expect("present");
         let both = series.overhead_of("CFI+PTStore").expect("present");
         assert!(cfi > 1.0, "nginx is kernel-bound; CFI visible: {cfi:.2}%");

@@ -8,6 +8,7 @@
 
 use ptstore_kernel::{CostKind, Kernel};
 
+use crate::nginx;
 use crate::report::timed;
 
 /// One redis-benchmark test.
@@ -165,16 +166,7 @@ pub(crate) fn serve_requests(k: &mut Kernel, test: &RedisTest, p: &RedisParams, 
         since_rehash += p.connections;
         if since_rehash >= 64 {
             since_rehash = 0;
-            let arena = k.sys_mmap(2 * ptstore_core::PAGE_SIZE).expect("arena mmap");
-            for i in 0..2 {
-                k.sys_touch(
-                    ptstore_core::VirtAddr::new(arena.as_u64() + i * ptstore_core::PAGE_SIZE),
-                    true,
-                )
-                .expect("arena touch");
-            }
-            k.sys_munmap(arena, 2 * ptstore_core::PAGE_SIZE)
-                .expect("arena munmap");
+            nginx::churn_pool(k, 2);
         }
         for &s in &socks {
             if done >= requests {
@@ -251,7 +243,13 @@ mod tests {
         let configs = standard_configs(256 * MIB, 16 * MIB);
         let test = &REDIS_TESTS[3]; // GET
         let p = RedisParams::quick();
-        let series = measure("redis GET", &configs, |k| run_redis_test(k, test, &p));
+        let series = &measure(
+            1,
+            &configs,
+            &[test],
+            |t| t.name.to_string(),
+            |t, k| run_redis_test(k, t, &p),
+        )[0];
         let cfi = series.overhead_of("CFI").expect("present");
         let both = series.overhead_of("CFI+PTStore").expect("present");
         assert!(cfi > 1.0, "redis is kernel-bound: CFI {cfi:.2}%");

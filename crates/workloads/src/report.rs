@@ -3,6 +3,7 @@
 
 use core::fmt;
 
+use ptstore_core::pool::fan_out;
 use ptstore_kernel::{Kernel, KernelConfig};
 
 /// One (configuration, cycles) measurement.
@@ -53,35 +54,47 @@ pub fn overhead_pct(cycles: u64, baseline: u64) -> f64 {
     (cycles as f64 - baseline as f64) / baseline as f64 * 100.0
 }
 
-/// Boots a kernel per configuration, runs `workload` on each, and assembles
-/// the overhead series (first configuration is the baseline).
+/// Measures a (benchmark × configuration) grid with up to `jobs` points in
+/// flight, and assembles one overhead series per benchmark; the first
+/// configuration of each series is its baseline. Every point boots a fresh
+/// kernel, so the points are independent: they run through the workspace's
+/// parallel map ([`fan_out`]) and the series come out the same at any job
+/// count.
 ///
 /// # Panics
-/// Panics when a kernel fails to boot or `configs` is empty.
-pub fn measure(
-    benchmark: &str,
+/// Panics when `configs` is empty (there is no baseline) or a kernel fails
+/// to boot.
+pub fn measure<B: Sync>(
+    jobs: usize,
     configs: &[KernelConfig],
-    mut workload: impl FnMut(&mut Kernel) -> u64,
-) -> OverheadSeries {
+    benches: &[B],
+    name: impl Fn(&B) -> String,
+    run: impl Fn(&B, &mut Kernel) -> u64 + Sync,
+) -> Vec<OverheadSeries> {
     assert!(!configs.is_empty(), "need at least a baseline config");
-    let mut entries = Vec::with_capacity(configs.len());
-    let mut baseline = 0u64;
-    for (i, cfg) in configs.iter().enumerate() {
-        let mut k = Kernel::boot(*cfg).expect("kernel boots");
-        let cycles = workload(&mut k);
-        if i == 0 {
-            baseline = cycles;
-        }
-        entries.push(Measurement {
-            label: cfg.label(),
-            cycles,
-            overhead_pct: overhead_pct(cycles, baseline),
-        });
-    }
-    OverheadSeries {
-        benchmark: benchmark.to_string(),
-        entries,
-    }
+    let points: Vec<(usize, usize)> = (0..benches.len())
+        .flat_map(|b| (0..configs.len()).map(move |c| (b, c)))
+        .collect();
+    let cycles = fan_out(jobs, &points, |&(b, c)| {
+        let mut k = Kernel::boot(configs[c]).expect("kernel boots");
+        run(&benches[b], &mut k)
+    });
+    benches
+        .iter()
+        .zip(cycles.chunks(configs.len()))
+        .map(|(bench, row)| OverheadSeries {
+            benchmark: name(bench),
+            entries: configs
+                .iter()
+                .zip(row)
+                .map(|(cfg, &cycles)| Measurement {
+                    label: cfg.label(),
+                    cycles,
+                    overhead_pct: overhead_pct(cycles, row[0]),
+                })
+                .collect(),
+        })
+        .collect()
 }
 
 /// The three-way comparison used throughout §V-D: no-CFI baseline, CFI, and
@@ -111,6 +124,7 @@ pub fn timed(k: &mut Kernel, f: impl FnOnce(&mut Kernel)) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lmbench;
     use ptstore_core::MIB;
 
     #[test]
@@ -123,13 +137,21 @@ mod tests {
     #[test]
     fn measure_produces_labelled_series() {
         let configs = standard_configs(256 * MIB, 16 * MIB);
-        let series = measure("nulls", &configs, |k| {
-            timed(k, |k| {
-                for _ in 0..100 {
-                    k.sys_null().expect("null");
-                }
-            })
-        });
+        let grid = measure(
+            1,
+            &configs,
+            &["nulls"],
+            |n| n.to_string(),
+            |_, k| {
+                timed(k, |k| {
+                    for _ in 0..100 {
+                        k.sys_null().expect("null");
+                    }
+                })
+            },
+        );
+        assert_eq!(grid.len(), 1, "one series per benchmark");
+        let series = &grid[0];
         assert_eq!(series.entries.len(), 3);
         assert_eq!(series.entries[0].label, "baseline");
         assert_eq!(series.entries[0].overhead_pct, 0.0);
@@ -140,5 +162,65 @@ mod tests {
         assert!(series.overhead_of("nope").is_none());
         let s = series.to_string();
         assert!(s.contains("CFI+PTStore"));
+    }
+
+    const ITERS: u64 = 2;
+
+    fn grid(jobs: usize, configs: &[KernelConfig], benches: &[&str]) -> Vec<OverheadSeries> {
+        measure(
+            jobs,
+            configs,
+            benches,
+            |name| name.to_string(),
+            |name, k| lmbench::run(name, k, ITERS),
+        )
+    }
+
+    /// The cycles of one point, measured on its own.
+    fn point(cfg: KernelConfig, bench: &str) -> u64 {
+        let mut k = Kernel::boot(cfg).expect("kernel boots");
+        lmbench::run(bench, &mut k, ITERS)
+    }
+
+    #[test]
+    fn preserves_order_at_any_job_count() {
+        let configs = standard_configs(512 * MIB, 8 * MIB);
+        let benches = ["null call", "read", "fork+exit", "mmap"];
+        let serial = grid(1, &configs, &benches);
+        assert_eq!(serial.len(), benches.len());
+        for (series, bench) in serial.iter().zip(benches) {
+            assert_eq!(series.benchmark, bench);
+            let labels: Vec<String> = series.entries.iter().map(|m| m.label.clone()).collect();
+            let expect: Vec<String> = configs.iter().map(KernelConfig::label).collect();
+            assert_eq!(labels, expect, "{bench}: entries in config order");
+            for (m, cfg) in series.entries.iter().zip(configs) {
+                assert_eq!(m.cycles, point(cfg, bench), "{bench} under {}", m.label);
+            }
+            assert_eq!(
+                series.entries[0].overhead_pct, 0.0,
+                "{bench}: baseline first"
+            );
+        }
+        for jobs in [2, 3, 8, 64] {
+            assert_eq!(grid(jobs, &configs, &benches), serial, "jobs={jobs}");
+        }
+    }
+
+    #[test]
+    fn empty_and_single() {
+        let configs = standard_configs(512 * MIB, 8 * MIB);
+        assert_eq!(grid(4, &configs, &[]), Vec::<OverheadSeries>::new());
+        let single = grid(4, &configs[..1], &["null call"]);
+        assert_eq!(
+            single,
+            vec![OverheadSeries {
+                benchmark: "null call".into(),
+                entries: vec![Measurement {
+                    label: configs[0].label(),
+                    cycles: point(configs[0], "null call"),
+                    overhead_pct: 0.0,
+                }],
+            }]
+        );
     }
 }

@@ -16,6 +16,7 @@
 
 use ptstore_kernel::{Kernel, Pid};
 
+use crate::fork_stress::fork_exit_reap;
 use crate::nginx::{self, NginxParams};
 use crate::redis::{self, RedisParams, RedisTest};
 
@@ -75,30 +76,36 @@ pub(crate) fn partition(total: u64, harts: usize) -> Vec<u64> {
         .collect()
 }
 
-/// Runs one hart-distributed workload: `serve(k, hart, share)` performs
-/// `share` operations on the already-active hart. Harts with a non-zero
-/// share take one turn each, in hart order. After the run every worker
-/// must still be in the process table — a driver that reaped its own
-/// worker trips the check here.
+/// Runs one hart-distributed workload of `total` operations: forks one
+/// worker per hart ([`Kernel::spawn_workers`]), splits `total` into one
+/// share per hart, and has `serve(k, worker, share)` perform each share on
+/// its worker's hart, which is active. Harts with a non-zero share take
+/// one turn each, in hart order. After the run every worker must still be
+/// in the process table — a driver that reaped its own worker trips the
+/// check here.
+///
+/// # Panics
+/// Panics when the workers cannot be spawned.
 pub(crate) fn run_distributed(
     k: &mut Kernel,
     workload: &str,
-    workers: &[Pid],
-    shares: &[u64],
-    mut serve: impl FnMut(&mut Kernel, usize, u64),
+    total: u64,
+    mut serve: impl FnMut(&mut Kernel, Pid, u64),
 ) -> SmpRunReport {
+    let workers = k.spawn_workers().expect("workers spawn");
     let harts = k.harts.len();
+    let shares = partition(total, harts);
     let shootdowns0 = k.stats.tlb_shootdowns;
     let ipis0 = k.stats.shootdown_ipis;
     let before: Vec<u64> = k.harts.iter().map(|h| h.cycles.total()).collect();
     for (hart, &share) in shares.iter().enumerate() {
         if share > 0 {
             k.set_active_hart(hart);
-            serve(k, hart, share);
+            serve(k, workers[hart], share);
         }
     }
     k.set_active_hart(0);
-    for &pid in workers {
+    for &pid in &workers {
         assert!(
             k.procs.get(pid).is_some(),
             "{workload}: worker pid {pid} was reaped during the run"
@@ -142,9 +149,7 @@ pub(crate) fn run_distributed(
 /// Panics on kernel errors (the server must run cleanly).
 pub fn run_nginx_smp(k: &mut Kernel, p: &NginxParams) -> SmpRunReport {
     nginx::stage_document(k, p);
-    let workers = k.spawn_workers().expect("nginx workers spawn");
-    let shares = partition(p.requests, k.harts.len());
-    run_distributed(k, "nginx", &workers, &shares, |k, _h, share| {
+    run_distributed(k, "nginx", p.requests, |k, _worker, share| {
         nginx::serve_requests(k, p, share);
     })
 }
@@ -155,9 +160,7 @@ pub fn run_nginx_smp(k: &mut Kernel, p: &NginxParams) -> SmpRunReport {
 /// # Panics
 /// Panics on kernel errors.
 pub fn run_redis_smp(k: &mut Kernel, test: &RedisTest, p: &RedisParams) -> SmpRunReport {
-    let workers = k.spawn_workers().expect("redis instances spawn");
-    let shares = partition(p.requests, k.harts.len());
-    run_distributed(k, test.name, &workers, &shares, |k, _h, share| {
+    run_distributed(k, test.name, p.requests, |k, _worker, share| {
         redis::serve_requests(k, test, p, share);
     })
 }
@@ -168,17 +171,8 @@ pub fn run_redis_smp(k: &mut Kernel, test: &RedisTest, p: &RedisParams) -> SmpRu
 /// # Panics
 /// Panics on kernel errors (OOM means the configuration is too small).
 pub fn run_fork_stress_smp(k: &mut Kernel, count: u64) -> SmpRunReport {
-    let workers = k.spawn_workers().expect("stress workers spawn");
-    let shares = partition(count, k.harts.len());
-    run_distributed(k, "fork_stress", &workers, &shares, |k, _h, share| {
-        let children: Vec<Pid> = (0..share).map(|_| k.sys_fork().expect("fork")).collect();
-        for &child in &children {
-            k.do_switch_to(child).expect("switch");
-            k.sys_exit(0).expect("exit");
-        }
-        for _ in &children {
-            k.sys_wait().expect("wait");
-        }
+    run_distributed(k, "fork_stress", count, |k, _worker, share| {
+        fork_exit_reap(k, share).expect("fork storm");
     })
 }
 

@@ -181,16 +181,23 @@ mod tests {
         // Figure 5: CFI+PTStore < 0.91 % on CPU-bound benchmarks; PTStore
         // alone < 0.29 %. Check the two extremes of the suite.
         let configs = standard_configs(512 * MIB, 16 * MIB);
-        for p in [
+        let profiles = [
             &SPEC_CINT2006[6], /* libquantum */
             &SPEC_CINT2006[2], /* mcf */
-        ] {
-            let series = measure(p.name, &configs, |k| run_spec(k, p));
+        ];
+        let grid = measure(
+            1,
+            &configs,
+            &profiles,
+            |p| p.name.to_string(),
+            |p, k| run_spec(k, p),
+        );
+        for series in grid {
             let both = series.overhead_of("CFI+PTStore").expect("present");
             assert!(
                 both < 2.0,
                 "{} CFI+PTStore overhead {both:.3}% too large for a CPU-bound run",
-                p.name
+                series.benchmark
             );
         }
     }

@@ -9,12 +9,12 @@
 use ptstore::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let cfg = KernelConfig::cfi_ptstore()
-        .to_builder()
-        .mem_size(512 * MIB)
-        .initial_secure_size(2 * MIB)
-        .adjust_chunk(2 * MIB)
-        .build()?;
+    let cfg = KernelConfig {
+        adjust_chunk: 2 * MIB,
+        ..KernelConfig::cfi_ptstore()
+            .with_mem_size(512 * MIB)
+            .with_initial_secure_size(2 * MIB)
+    };
     let mut k = Kernel::boot(cfg)?;
 
     let region0 = k.secure_region().expect("region");

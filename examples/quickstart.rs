@@ -9,12 +9,9 @@ use ptstore::prelude::*;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Boot the CFI+PTStore kernel on a 256 MiB machine with a 16 MiB
     //    secure region at the top of physical memory.
-    let cfg = KernelConfig::builder()
-        .defense(DefenseMode::PtStore)
-        .cfi(true)
-        .mem_size(256 * MIB)
-        .initial_secure_size(16 * MIB)
-        .build()?;
+    let cfg = KernelConfig::cfi_ptstore()
+        .with_mem_size(256 * MIB)
+        .with_initial_secure_size(16 * MIB);
     let mut k = Kernel::boot(cfg)?;
     let region = k.secure_region().expect("ptstore kernel has a region");
     println!("booted: secure region {region}");
