@@ -18,25 +18,28 @@ if grep -rnE --include='*.rs' 'Serialize|Deserialize|serde::|#\[serde' crates te
 fi
 
 echo "== cargo clippy (-D warnings) =="
+# Every cargo step of the workspace runs with `--locked`: a change that
+# adds or drops a dependency edge fails with "cannot update the lock file"
+# instead of silently rewriting the root Cargo.lock.
 # Besides clippy's defaults this enforces the secure-access discipline:
 # raw `Bus` access in ptstore-kernel outside `src/channel.rs` is a
 # `disallowed_methods` error (crates/kernel/clippy.toml), an exempted call
 # site whose raw call is gone leaves its `#[expect]` unfulfilled, and every
 # `#[allow]` must carry a `reason` (`allow_attributes_without_reason`,
 # the workspace `[lints]` table).
-cargo clippy --offline --workspace --all-targets -- -D warnings
+cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 
 echo "== cargo doc (-D warnings) =="
 # Our crates only — the vendored third_party crates are not held to our
 # documentation bar.
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --quiet \
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --locked --no-deps --quiet \
     -p ptstore-core -p ptstore-mem -p ptstore-mmu -p ptstore-isa \
     -p ptstore-kernel -p ptstore-trace -p ptstore-workloads \
     -p ptstore-attacks -p ptstore-fault -p ptstore-hwcost \
     -p ptstore-bench -p ptstore -p ptstore-modelcheck
 
 echo "== cargo test =="
-cargo test --offline --workspace -q
+cargo test --offline --locked --workspace -q
 
 echo "== perfbench tests (benchmark builds against crates/ by path) =="
 # perfbench/ is its own Cargo workspace, so the workspace test run above
@@ -47,22 +50,22 @@ echo "== perfbench tests (benchmark builds against crates/ by path) =="
 CARGO_TARGET_DIR=target/perfbench cargo test --offline --locked -q --manifest-path perfbench/Cargo.toml
 
 echo "== smoke: 2-hart security battery =="
-cargo run --offline --quiet -p ptstore-bench --bin reproduce -- --quick --harts 2 security \
+cargo run --offline --locked --quiet -p ptstore-bench --bin reproduce -- --quick --harts 2 security \
     | grep -q "PTStore (full design) blocks every attack"
 
 echo "== smoke: sv48 security battery (scheme-independent verdicts) =="
-cargo run --offline --quiet -p ptstore-bench --bin reproduce -- --quick --scheme sv48 security \
+cargo run --offline --locked --quiet -p ptstore-bench --bin reproduce -- --quick --scheme sv48 security \
     | grep -q "PTStore (full design) blocks every attack"
 
 echo "== scheme differential (sv39 goldens + sv48/sv57 verdict identity) =="
-cargo test --offline -q -p ptstore-workloads --test scheme_differential
+cargo test --offline --locked -q -p ptstore-workloads --test scheme_differential
 
 echo "== smoke: parallel runner determinism (whole quick suite) =="
 # Experiments, and the (benchmark x config) points inside each, fan out
 # through the one parallel map; results merge in input order, so a
 # sequential run and a 4-job run of the whole 2-hart quick suite must
 # compare byte-for-byte.
-cargo build --offline --quiet --release -p ptstore-bench --bin reproduce
+cargo build --offline --locked --quiet --release -p ptstore-bench --bin reproduce
 ./target/release/reproduce --quick --harts 2 --jobs 1 all > target/all-1job.txt
 ./target/release/reproduce --quick --harts 2 --jobs 4 all > target/all-4job.txt
 cmp target/all-1job.txt target/all-4job.txt
