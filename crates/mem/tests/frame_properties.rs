@@ -2,8 +2,8 @@
 //! from a plain 4 KiB byte array.
 
 use proptest::prelude::*;
-use ptstore_core::{PhysAddr, PhysPageNum, PAGE_SIZE};
-use ptstore_mem::PhysMem;
+use ptstore_core::{AccessContext, Channel, PhysAddr, PhysPageNum, PAGE_SIZE};
+use ptstore_mem::{Bus, PhysMem, PAGE_WORDS};
 
 /// A write operation against one frame.
 #[derive(Debug, Clone)]
@@ -12,9 +12,12 @@ enum FrameOp {
     WriteByte { offset: u16, value: u8 },
 }
 
+/// About a third of the word writes store zero, so a frame's non-zero
+/// words shrink as well as grow.
 fn arb_frame_op() -> impl Strategy<Value = FrameOp> {
+    let word = prop_oneof![1 => Just(0u64), 2 => any::<u64>()];
     prop_oneof![
-        (0u16..512, any::<u64>()).prop_map(|(index, value)| FrameOp::WriteWord { index, value }),
+        (0u16..512, word).prop_map(|(index, value)| FrameOp::WriteWord { index, value }),
         (0u16..4096, any::<u8>()).prop_map(|(offset, value)| FrameOp::WriteByte { offset, value }),
     ]
 }
@@ -23,11 +26,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The frame behind one page agrees with a reference byte array after
-    /// any op sequence, across all backing promotions. Byte writes go
-    /// through `PhysMem`, which merges them into their word.
+    /// any op sequence, across all backing promotions: word by word, byte
+    /// by byte, as its listing of non-zero words, and through the bus's
+    /// range read over `first..first + len`. Byte writes go through
+    /// `PhysMem`, which merges them into their word.
     #[test]
-    fn frame_matches_reference(ops in proptest::collection::vec(arb_frame_op(), 1..300)) {
-        let mut mem = PhysMem::new(PAGE_SIZE);
+    fn frame_matches_reference(
+        ops in proptest::collection::vec(arb_frame_op(), 1..300),
+        first in 0..PAGE_WORDS,
+        len in 1..=PAGE_WORDS,
+    ) {
+        let mut bus = Bus::new(PAGE_SIZE);
+        let mem = bus.mem_unchecked();
         let mut reference = [0u8; PAGE_SIZE as usize];
         for op in ops {
             match op {
@@ -42,12 +52,13 @@ proptest! {
                 }
             }
         }
+        let words: Vec<u64> = reference
+            .chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("8 bytes")))
+            .collect();
         // Full readback comparison, both word- and byte-granular.
-        for i in 0u16..512 {
-            let want = u64::from_le_bytes(
-                reference[i as usize * 8..i as usize * 8 + 8].try_into().expect("8"),
-            );
-            let got = mem.read_u64(PhysAddr::new(u64::from(i) * 8)).expect("in range");
+        for (i, &want) in words.iter().enumerate() {
+            let got = mem.read_u64(PhysAddr::new(i as u64 * 8)).expect("in range");
             prop_assert_eq!(got, want, "word {}", i);
         }
         for off in (0u16..4096).step_by(97) {
@@ -56,6 +67,22 @@ proptest! {
         }
         let zero = reference.iter().all(|&b| b == 0);
         prop_assert_eq!(mem.page_is_zero(PhysPageNum::new(0)), zero);
+        let listed: Vec<(u16, u64)> = mem
+            .nonzero_words(PhysPageNum::new(0))
+            .expect("in range")
+            .collect();
+        let nonzero: Vec<(u16, u64)> = (0..)
+            .zip(words.iter().copied())
+            .filter(|&(_, w)| w != 0)
+            .collect();
+        prop_assert_eq!(listed, nonzero);
+        let range = first..(first + len).min(PAGE_WORDS);
+        let mut buf = vec![0; range.len()];
+        let ctx = AccessContext::supervisor(true);
+        let at = PhysAddr::new(8 * range.start as u64);
+        let (read, end) = bus.read_u64_run(at, &mut buf, Channel::Regular, ctx, |_| false);
+        prop_assert_eq!((read, end), (range.len(), Ok(false)));
+        prop_assert_eq!(&buf[..], &words[range]);
     }
 
     /// PhysMem u8/u32/u64 accessors are mutually consistent.
