@@ -1514,16 +1514,10 @@ impl Kernel {
     /// interleavings that leave different free-list shapes behind allocate
     /// differently afterwards, so the model checker folds this into its
     /// state digest.
-    pub fn zone_free_blocks(&self) -> Vec<(&'static str, u8, PhysPageNum)> {
-        let mut v: Vec<(&'static str, u8, PhysPageNum)> = self
-            .normal_zone
-            .free_blocks()
-            .map(|(o, p)| (self.normal_zone.name(), o, p))
-            .collect();
-        if let Some(z) = self.pt_zone.as_ref() {
-            v.extend(z.free_blocks().map(|(o, p)| (z.name(), o, p)));
-        }
-        v
+    pub fn zone_free_blocks(&self) -> impl Iterator<Item = (&'static str, u8, PhysPageNum)> + '_ {
+        std::iter::once(&self.normal_zone)
+            .chain(self.pt_zone.as_ref())
+            .flat_map(|z| z.free_blocks().map(|(o, p)| (z.name(), o, p)))
     }
 
     /// The kernel root page table (the template for process kernel halves).

@@ -208,16 +208,22 @@ impl BlockSet {
 
     /// Every present index in ascending order (invariant checking and
     /// canonical-state digests). Zero words — the overwhelming majority in
-    /// a mostly-coalesced zone — are skipped wholesale.
+    /// a mostly-coalesced zone — are skipped wholesale, and each other word
+    /// gives up its set bits lowest first.
     fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.levels[0]
-            .iter()
-            .enumerate()
+        (0..)
+            .step_by(64)
+            .zip(&self.levels[0])
             .filter(|&(_, &word)| word != 0)
-            .flat_map(|(w, &word)| {
-                (0..64)
-                    .filter(move |b| word >> b & 1 == 1)
-                    .map(move |b| w as u64 * 64 + b)
+            .flat_map(|(base, &word)| {
+                let mut rest = word;
+                std::iter::from_fn(move || {
+                    let bit = u64::from(rest.trailing_zeros());
+                    (rest != 0).then(|| {
+                        rest &= rest - 1;
+                        base + bit
+                    })
+                })
             })
     }
 }

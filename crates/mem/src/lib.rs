@@ -3,8 +3,9 @@
 //! The physical memory substrate of the PTStore machine model.
 //!
 //! * [`frame::Frame`] — one 4 KiB physical frame with an adaptive backing
-//!   (zero / sparse word map / dense bytes) so that simulating a 4 GiB DDR3
-//!   SO-DIMM (paper Table II) with tens of thousands of processes stays cheap.
+//!   (zero / sparse listing of its non-zero words / dense bytes) so that
+//!   simulating a 4 GiB DDR3 SO-DIMM (paper Table II) with tens of
+//!   thousands of processes stays cheap.
 //! * [`phys::PhysMem`] — the frame store with byte/word accessors.
 //! * [`bus::Bus`] — the memory bus: every access carries a
 //!   [`Channel`](ptstore_core::Channel) and is checked by the
