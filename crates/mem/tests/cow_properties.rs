@@ -86,7 +86,8 @@ fn assert_reads_alike(got: &PhysMem, want: &PhysMem, ops: &[Op]) -> Result<(), T
     }
     for ppn in PAGES.map(PhysPageNum::new) {
         prop_assert_eq!(got.page_is_zero(ppn), want.page_is_zero(ppn), "{:?}", ppn);
-        prop_assert_eq!(got.page_digest(ppn), want.page_digest(ppn), "{:?}", ppn);
+        let listing = |m: &PhysMem| m.nonzero_words(ppn).map(Iterator::collect::<Vec<_>>);
+        prop_assert_eq!(listing(got), listing(want), "{:?}", ppn);
     }
     Ok(())
 }

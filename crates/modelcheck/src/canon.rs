@@ -20,9 +20,9 @@
 //!   (page-table pointer, token pointer, and the pointed-to token fields),
 //!   which live in attacker-writable memory and are what the forging
 //!   attacks corrupt;
-//! * a per-page FNV digest of the *contents* of every reachable page-table
-//!   page (kernel template plus every live address space), which is where
-//!   PTE flips, CoW flag changes, and mapping changes land;
+//! * the *contents* of every reachable page-table page (kernel template
+//!   plus every live address space) as its listing of non-zero words,
+//!   which is where PTE flips, CoW flag changes, and mapping changes land;
 //! * the buddy zones' free-block sets and the slab caches'
 //!   allocation-steering words — two states whose heaps differ hand out
 //!   different addresses on the next allocation.
@@ -37,15 +37,19 @@
 //! tuple of all their fields.
 //!
 //! The walk feeds one of two sinks. [`digest`] feeds each field's derived
-//! `Hash` into FNV-1a, whose `Hasher` writes every integer little-endian,
-//! so the digest is the same on every host. [`encode`] writes each field's
-//! derived `Debug` as text; only tests use it, to check that two states
-//! have equal digests exactly when they have equal texts.
+//! `Hash` into a word hasher that takes each integer as one 64-bit step
+//! (`usize` and `isize` widened), so an integer field digests the same on
+//! every host. A derived `Hash` of an integer slice (`Vec<u64>`, say) hands
+//! the hasher the slice's bytes in native byte order, which the hasher
+//! reads as little-endian words, so the digest as a whole is the same only
+//! across little-endian hosts. [`encode`] writes each field's derived
+//! `Debug` as text; only tests use it, to check that two states have equal
+//! digests exactly when they have equal texts.
 
-use core::fmt::{Debug, Write as _};
-use core::hash::Hash;
+use core::fmt::{self, Debug, Write as _};
+use core::hash::{Hash, Hasher};
 
-use ptstore_core::{Fnv1a, PhysAddr};
+use ptstore_core::{PhysAddr, PhysPageNum};
 use ptstore_fault::known_pt_pages;
 use ptstore_kernel::{Kernel, Pid};
 
@@ -57,10 +61,80 @@ trait Sink {
     fn field<T: Hash + Debug + ?Sized>(&mut self, name: &'static str, value: &T);
 }
 
+/// [`digest`]'s hasher. Each integer is one step: the state xor the
+/// integer, times an odd constant as a 64×64→128-bit product, whose two
+/// halves xored are the new state. `usize` is widened to 64 bits, and the
+/// signed types go through their unsigned twins (`Hasher`'s defaults). A
+/// byte slice is its little-endian 8-byte words, then one tail word: the
+/// last `len % 8` bytes with that count in the top byte.
+/// [`Hasher::finish`] folds once more. There is no seed, so the digest is a
+/// pure function of the walk.
+#[derive(Default)]
+struct WordHasher(u64);
+
+/// Multiplies `x` by an odd constant (2^64 over the golden ratio) and
+/// folds the 128-bit product to 64 bits.
+#[inline]
+fn fold(x: u64) -> u64 {
+    let product = u128::from(x) * 0x9e37_79b9_7f4a_7c15;
+    (product as u64) ^ (product >> 64) as u64
+}
+
+impl WordHasher {
+    #[inline]
+    fn step(&mut self, word: u64) {
+        self.0 = fold(self.0 ^ word);
+    }
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        fold(self.0)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.step(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let mut tail = [0; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        tail[7] = words.remainder().len() as u8;
+        self.step(u64::from_le_bytes(tail));
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.step(i.into());
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.step(i.into());
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.step(i.into());
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.step(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.step(i as u64);
+    }
+}
+
 /// [`digest`]'s sink: each tag and each field's derived `Hash`, in walk
 /// order. Tags are `str`s (terminated in the hash stream) and every field
-/// has a fixed type per tag, so distinct walks feed distinct byte streams.
-impl Sink for Fnv1a {
+/// has a fixed type per tag, so distinct walks feed distinct streams.
+impl Sink for WordHasher {
     fn record(&mut self, tag: &'static str) {
         tag.hash(self);
     }
@@ -80,6 +154,43 @@ impl Sink for String {
 
     fn field<T: Hash + Debug + ?Sized>(&mut self, name: &'static str, value: &T) {
         let _ = writeln!(self, "  {name}={value:?}");
+    }
+}
+
+/// The non-zero words of page-table page `ppn`, read straight from its
+/// frame's listing. A page outside memory lists none; its `ppn`, hashed
+/// just before, already tells it apart from an empty page.
+struct PageWords<'a> {
+    k: &'a Kernel,
+    ppn: PhysPageNum,
+}
+
+impl PageWords<'_> {
+    fn words(&self) -> impl Iterator<Item = (u16, u64)> + '_ {
+        self.k
+            .bus
+            .mem()
+            .nonzero_words(self.ppn)
+            .into_iter()
+            .flatten()
+    }
+}
+
+/// Each `(index, word)` pair, then `u16::MAX`, which no word index
+/// (0..512) equals, as the end marker.
+impl Hash for PageWords<'_> {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        for (index, word) in self.words() {
+            h.write_u16(index);
+            h.write_u64(word);
+        }
+        h.write_u16(u16::MAX);
+    }
+}
+
+impl Debug for PageWords<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.words()).finish()
     }
 }
 
@@ -163,7 +274,7 @@ fn walk(k: &Kernel, out: &mut impl Sink) {
     for ppn in known_pt_pages(k) {
         out.record("ptpage");
         out.field("ppn", &ppn);
-        out.field("digest", &mem.page_digest(ppn).unwrap_or(u64::MAX));
+        out.field("words", &PageWords { k, ppn });
     }
 
     for (zone, order, ppn) in k.zone_free_blocks() {
@@ -185,12 +296,12 @@ pub fn encode(k: &Kernel) -> String {
     out
 }
 
-/// FNV-1a digest of the canonical walk: every field's derived `Hash`, fed
-/// straight into the hasher. BFS dedups on this; the injectivity property
-/// test checks that two sampled states' digests are equal exactly when
-/// their [`encode`] texts are.
+/// Digest of the canonical walk: every field's derived `Hash`, fed
+/// straight into the word hasher. BFS dedups on this; the injectivity
+/// property test checks that two sampled states' digests are equal exactly
+/// when their [`encode`] texts are.
 pub fn digest(k: &Kernel) -> u64 {
-    let mut h = Fnv1a::new();
+    let mut h = WordHasher::default();
     walk(k, &mut h);
     h.finish()
 }
@@ -207,6 +318,31 @@ mod tests {
             .with_mem_size(64 * MIB)
             .with_initial_secure_size(4 * MIB)
             .with_harts(2)
+    }
+
+    #[test]
+    fn the_word_hasher_takes_an_integer_as_one_word() {
+        let hashed = |feed: &dyn Fn(&mut WordHasher)| {
+            let mut h = WordHasher::default();
+            feed(&mut h);
+            h.finish()
+        };
+        let five = hashed(&|h| h.write_u64(5));
+        assert_eq!(hashed(&|h| h.write_u16(5)), five);
+        assert_eq!(hashed(&|h| h.write_usize(5)), five);
+        assert_eq!(
+            hashed(&|h| h.write_i64(-1)),
+            hashed(&|h| h.write_u64(u64::MAX))
+        );
+        // Bytes: the whole little-endian words, then the tail tagged with
+        // its length, so trailing zero bytes still count.
+        let bytes = [1, 0, 0, 0, 0, 0, 0, 0, 2];
+        let words = hashed(&|h| {
+            h.write_u64(1);
+            h.write_u64(2 | 1 << 56);
+        });
+        assert_eq!(hashed(&|h| h.write(&bytes)), words);
+        assert_ne!(hashed(&|h| h.write(&[1])), hashed(&|h| h.write(&[1, 0])));
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //! * [`canon`] walks a kernel's canonical fields — secure region, PMP
 //!   entry file, allocation cursors, per-hart MMU/queue state with sorted
 //!   TLB entries, the process table in pid order with the raw
-//!   (attacker-writable) PCB credential words, a content digest of every
+//!   (attacker-writable) PCB credential words, the non-zero words of every
 //!   reachable page-table page, and the buddy/slab free-structure — and
-//!   feeds each field's derived `Hash` into the workspace FNV-1a
-//!   ([`ptstore_core::Fnv1a`]). Two states with equal canonical fields
+//!   feeds each field's derived `Hash` into a hasher that takes each
+//!   integer as one 64-bit word. Two states with equal canonical fields
 //!   behave identically under every future op, so BFS dedups on the
 //!   digest.
 //! * [`explore()`] replays each frontier state once from a fresh boot,
