@@ -71,12 +71,6 @@ macro_rules! addr_impls {
                 Self(self.0 & !(PAGE_SIZE - 1))
             }
 
-            /// Rounds up to the next page boundary (identity when aligned).
-            #[inline]
-            pub const fn page_align_up(self) -> Self {
-                Self((self.0 + PAGE_SIZE - 1) & !(PAGE_SIZE - 1))
-            }
-
             /// True when the address is a multiple of `align` (a power of two).
             #[inline]
             pub const fn is_aligned(self, align: u64) -> bool {
@@ -247,9 +241,7 @@ mod tests {
     fn page_alignment_round_trip() {
         let pa = PhysAddr::new(0x8000_1234);
         assert_eq!(pa.page_align_down().as_u64(), 0x8000_1000);
-        assert_eq!(pa.page_align_up().as_u64(), 0x8000_2000);
         let aligned = PhysAddr::new(0x8000_2000);
-        assert_eq!(aligned.page_align_up(), aligned);
         assert_eq!(aligned.page_align_down(), aligned);
     }
 

@@ -153,19 +153,9 @@ impl PmpPermissions {
         Self(self.0 | Self::W)
     }
 
-    /// Returns a copy with execute permission set.
-    pub const fn with_execute(self) -> Self {
-        Self(self.0 | Self::X)
-    }
-
     /// Returns a copy with the PTStore secure bit set.
     pub const fn with_secure(self) -> Self {
         Self(self.0 | Self::S)
-    }
-
-    /// Returns a copy with the lock bit set.
-    pub const fn with_locked(self) -> Self {
-        Self(self.0 | Self::L)
     }
 
     /// Returns a copy with the given address mode.
@@ -440,11 +430,6 @@ impl PmpUnit {
         SecureRegion::new(base, end.offset_from(base)).ok()
     }
 
-    /// True when `addr` falls inside an installed S region.
-    pub fn is_secure(&self, addr: PhysAddr) -> bool {
-        matches!(self.match_entry(addr), Some(m) if m.cfg.secure())
-    }
-
     /// The byte range `[lo, hi)` entry `i` matches: the one decode of an
     /// entry's address bits, shared by [`Self::check`] and
     /// [`Self::decide_run`]. Empty (`lo >= hi`) for an `Off` entry and for an
@@ -647,9 +632,15 @@ mod tests {
     fn secure_region_round_trips_through_tor_pair() {
         let (pmp, region) = unit_with_region(0xFC00_0000, 64 * MIB);
         assert_eq!(pmp.secure_region(), Some(region));
-        assert!(pmp.is_secure(PhysAddr::new(0xFC00_0000)));
-        assert!(pmp.is_secure(PhysAddr::new(0xFFFF_FFF8)));
-        assert!(!pmp.is_secure(PhysAddr::new(0xFBFF_FFF8)));
+        // An S region refuses a regular read; memory outside it does not.
+        let secure = |addr| {
+            let ctx = AccessContext::supervisor(false);
+            let read = pmp.check(PhysAddr::new(addr), AccessKind::Read, Channel::Regular, ctx);
+            matches!(read, Err(AccessError::SecureRegionDenied { .. }))
+        };
+        assert!(secure(0xFC00_0000));
+        assert!(secure(0xFFFF_FFF8));
+        assert!(!secure(0xFBFF_FFF8));
     }
 
     #[test]
@@ -867,9 +858,7 @@ mod tests {
         .unwrap();
         // Lock it: now M-mode is constrained too.
         let locked = PmpEntry {
-            cfg: PmpPermissions::new()
-                .with_locked()
-                .with_mode(PmpAddressMode::Napot),
+            cfg: PmpPermissions::from_bits(PmpPermissions::L).with_mode(PmpAddressMode::Napot),
             addr: (0x2000 >> 2) | ((8192 >> 3) - 1),
         };
         pmp.set_entry(0, locked);

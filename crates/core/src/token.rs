@@ -50,24 +50,6 @@ impl Token {
         self.pt_ptr.as_u64() == 0 && self.user_ptr.as_u64() == 0
     }
 
-    /// Serialises to the 16-byte secure-region representation.
-    pub fn to_bytes(&self) -> [u8; TOKEN_SIZE as usize] {
-        let mut out = [0u8; TOKEN_SIZE as usize];
-        out[..8].copy_from_slice(&self.pt_ptr.as_u64().to_le_bytes());
-        out[8..].copy_from_slice(&self.user_ptr.as_u64().to_le_bytes());
-        out
-    }
-
-    /// Deserialises from the 16-byte secure-region representation.
-    pub fn from_bytes(bytes: &[u8; TOKEN_SIZE as usize]) -> Self {
-        let pt = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-        let user = u64::from_le_bytes(bytes[8..].try_into().expect("8 bytes"));
-        Self {
-            pt_ptr: PhysAddr::new(pt),
-            user_ptr: PhysAddr::new(user),
-        }
-    }
-
     /// Validates the token against the PCB that presented it.
     ///
     /// `pcb_pt_ptr` is the page-table pointer read from the PCB;
@@ -95,13 +77,6 @@ impl Token {
         }
         Ok(())
     }
-
-    /// Paper §V-E2: both fields are pointers to 8-byte-aligned objects, so
-    /// their low three bits are zero and neither field forms a *valid* PTE
-    /// (the V/present bit — bit 0 — is clear). Returns true when that holds.
-    pub const fn fields_invalid_as_ptes(&self) -> bool {
-        self.pt_ptr.as_u64() & 0b111 == 0 && self.user_ptr.as_u64() & 0b111 == 0
-    }
 }
 
 impl fmt::Display for Token {
@@ -113,16 +88,6 @@ impl fmt::Display for Token {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn byte_round_trip() {
-        let t = Token::new(PhysAddr::new(0xFC12_3000), PhysAddr::new(0x8000_0040));
-        assert_eq!(Token::from_bytes(&t.to_bytes()), t);
-        assert_eq!(
-            Token::from_bytes(&Token::cleared().to_bytes()),
-            Token::cleared()
-        );
-    }
 
     #[test]
     fn valid_token_passes() {
@@ -168,11 +133,13 @@ mod tests {
 
     #[test]
     fn aligned_fields_are_invalid_ptes() {
+        // Paper §V-E2: both fields point at 8-byte-aligned objects, so bit 0
+        // of each (a PTE's V bit) is clear.
         let t = Token::new(PhysAddr::new(0xFC12_3000), PhysAddr::new(0x8000_0040));
-        assert!(t.fields_invalid_as_ptes());
-        // A hypothetical misaligned pointer would violate the property.
-        let bad = Token::new(PhysAddr::new(0xFC12_3001), PhysAddr::new(0x8000_0040));
-        assert!(!bad.fields_invalid_as_ptes());
+        for field in [t.pt_ptr, t.user_ptr] {
+            assert!(field.is_aligned(8));
+            assert_eq!(field.as_u64() & 1, 0, "{field}");
+        }
     }
 
     #[test]

@@ -94,11 +94,6 @@ pub struct AddressSpace {
 }
 
 impl AddressSpace {
-    /// Number of user pages mapped.
-    pub fn user_page_count(&self) -> usize {
-        self.user.len()
-    }
-
     /// Looks up the shadow mapping of `va`'s page. A covering huge mapping
     /// is reported as the 4 KiB view at `va`: the returned `ppn` is the page
     /// within the block and `huge` stays true so callers can find the real
@@ -183,7 +178,7 @@ mod tests {
                 huge: false,
             },
         );
-        assert_eq!(aspace.user_page_count(), 1);
+        assert_eq!(aspace.user.len(), 1);
         let m = aspace
             .mapping(VirtAddr::new(USER_TEXT_BASE + 0x123))
             .unwrap();

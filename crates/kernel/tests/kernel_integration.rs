@@ -115,7 +115,7 @@ fn ptstore_kernel_issues_secure_channel_traffic() {
 #[test]
 fn baseline_kernel_never_touches_secure_channel() {
     let k = boot(KernelConfig::cfi());
-    assert_eq!(k.bus.stats().secure_total(), 0);
+    assert_eq!(k.bus.stats().secure_reads + k.bus.stats().secure_writes, 0);
 }
 
 #[test]
@@ -363,11 +363,11 @@ fn exec_replaces_address_space() {
     let mut k = boot(KernelConfig::cfi_ptstore());
     let addr = k.sys_mmap(2 * PAGE_SIZE).expect("mmap");
     k.sys_touch(addr, true).expect("touch");
-    let pages_before = k.procs.get(1).unwrap().aspace.user_page_count();
+    let pages_before = k.procs.get(1).unwrap().aspace.user.len();
     assert!(pages_before >= 4); // text + 2 stack + mmap page
     k.sys_exec().expect("exec");
     let p = k.procs.get(1).unwrap();
-    assert_eq!(p.aspace.user_page_count(), 3, "text + 2 stack only");
+    assert_eq!(p.aspace.user.len(), 3, "text + 2 stack only");
     assert!(p.vma_for(addr).is_none(), "mmap vma gone");
     // Text is mapped and executable again.
     k.sys_touch(VirtAddr::new(USER_TEXT_BASE), false)

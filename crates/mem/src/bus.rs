@@ -490,7 +490,7 @@ mod tests {
         assert!(bus.read::<u64>(outside, Channel::SecurePt, ctx).is_err());
         assert!(bus.read::<u64>(outside, Channel::Regular, ctx).is_ok());
         // Stats: 2 secure ok (w+r), faults 3.
-        assert_eq!(bus.stats().secure_total(), 2);
+        assert_eq!(bus.stats().secure_reads + bus.stats().secure_writes, 2);
         assert_eq!(bus.stats().faults, 3);
     }
 
@@ -587,14 +587,12 @@ mod tests {
             bus.write::<u64>(plain + 8 * i, v, Channel::Regular, ctx)
                 .unwrap();
         }
-        // An execute-only NA4 over word 40 of the plain page denies the
-        // middle of a regular read of it.
+        // An NA4 entry granting nothing over word 40 of the plain page
+        // denies the middle of a regular read of it.
         bus.pmp_mut().set_entry(
             2,
             PmpEntry {
-                cfg: PmpPermissions::new()
-                    .with_execute()
-                    .with_mode(PmpAddressMode::Na4),
+                cfg: PmpPermissions::new().with_mode(PmpAddressMode::Na4),
                 addr: PmpEntry::encode_addr(plain + 8 * 40),
             },
         );

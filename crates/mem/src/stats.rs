@@ -66,11 +66,6 @@ impl AccessStats {
             + self.ptw_reads
             + self.ptw_writes
     }
-
-    /// Total accesses through the dedicated `ld.pt`/`sd.pt` channel.
-    pub fn secure_total(&self) -> u64 {
-        self.secure_reads + self.secure_writes
-    }
 }
 
 impl Snapshot for AccessStats {
@@ -127,7 +122,6 @@ mod tests {
         assert_eq!(s.ptw_reads, 1);
         assert_eq!(s.ptw_writes, 1);
         assert_eq!(s.total(), 7);
-        assert_eq!(s.secure_total(), 2);
     }
 
     #[test]

@@ -119,11 +119,6 @@ impl PteFlags {
     pub const fn user_rx() -> Self {
         Self(Self::V | Self::R | Self::X | Self::U | Self::A | Self::D)
     }
-
-    /// User read-only data leaf flags (e.g. copy-on-write pages).
-    pub const fn user_ro() -> Self {
-        Self(Self::V | Self::R | Self::U | Self::A)
-    }
 }
 
 impl fmt::Display for PteFlags {

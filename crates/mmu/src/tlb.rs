@@ -412,7 +412,8 @@ mod tests {
     #[test]
     fn permission_mismatch_is_miss() {
         let mut tlb = Tlb::new(4);
-        tlb.insert(entry(5, 1, 100, PteFlags::user_ro()));
+        let read_only = PteFlags::V | PteFlags::R | PteFlags::U | PteFlags::A;
+        tlb.insert(entry(5, 1, 100, PteFlags::from_bits(read_only)));
         assert!(tlb
             .lookup(
                 VirtPageNum::new(5),

@@ -131,7 +131,8 @@ proptest! {
         let satp = Satp::new(PagingScheme::Sv39, PhysPageNum::from(root), 3, true);
         let va = VirtAddr::new(vpn << 12);
         // Map read-only.
-        map_page(&mut bus, &region, root, 0, va, PhysPageNum::new(0x1000), PteFlags::user_ro());
+        let read_only = PteFlags::from_bits(PteFlags::V | PteFlags::R | PteFlags::U | PteFlags::A);
+        map_page(&mut bus, &region, root, 0, va, PhysPageNum::new(0x1000), read_only);
         let mut mmu = Mmu::new();
         mmu.satp = satp;
         let kind = if write { AccessKind::Write } else { AccessKind::Read };
