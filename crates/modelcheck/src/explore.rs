@@ -7,9 +7,10 @@
 //! chunks of the machine it was cloned from, and the op's first write into
 //! a chunk copies that chunk alone (`ptstore_mem::PhysMem`), so cloning
 //! costs the kernel's own state, not the machine's memory. A successor
-//! still holds ~41 KiB of its own once its op has run, most of it copied
-//! chunks, so a stored depth-5 frontier would take ~1.6 GB, where replay
-//! costs ~2 µs per transition. Each successor is oracle-checked and
+//! still holds ~39 KiB of its own once its op has run (~32 KiB of it the
+//! kernel state a clone copies, the rest the chunks the op copied), so a
+//! stored depth-5 frontier would take ~1.5 GB, where replay costs under
+//! 1 µs per transition. Each successor is oracle-checked and
 //! deduplicated on its canonical digest. BFS guarantees that the first
 //! violating state found is reached by a *minimal-length* trace: any
 //! shorter violating trace would have been expanded at an earlier level.
