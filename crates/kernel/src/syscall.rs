@@ -6,7 +6,7 @@
 //! (the paper's threat-model prerequisite), every indirect call pays a check
 //! — that is the `CFI` series of Figures 4–7.
 
-use ptstore_core::{AccessKind, VirtAddr, MIB, PAGE_SIZE};
+use ptstore_core::{AccessKind, VirtAddr, MIB, PAGE_SHIFT, PAGE_SIZE};
 use ptstore_mmu::PteFlags;
 
 use crate::cycles::{cost, CostKind};
@@ -22,6 +22,11 @@ use crate::process::{FdEntry, Pid, SigAction, VmArea, VmPerms};
 /// it at entry and report the clamped count, so a hostile length can
 /// neither overflow the cycle counters nor a socket's byte count.
 pub const MAX_RW_COUNT: u64 = 0x7fff_f000;
+
+/// The most descriptors one `fd_set` names. As Linux's `core_sys_select`
+/// does, `select` clamps a larger `nfds` to it at entry and reports the
+/// clamped count, so a hostile count cannot overflow the cycle charge.
+pub const FD_SETSIZE: u64 = 1024;
 
 /// Static per-syscall cost profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -408,6 +413,7 @@ impl Kernel {
 
     /// `select()` over `nfds` descriptors (latency scales mildly with n).
     pub fn sys_select(&mut self, nfds: u64) -> Result<u64, KernelError> {
+        let nfds = nfds.min(FD_SETSIZE);
         self.syscall_enter(profile::SELECT_10);
         self.charge(CostKind::Kernel, 14 * nfds);
         self.charge_indirect_calls(nfds / 4);
@@ -661,15 +667,17 @@ impl Kernel {
 
     fn do_munmap(&mut self, addr: VirtAddr, end: VirtAddr) -> Result<(), KernelError> {
         let pid = self.mm_owner_of(self.current_pid());
-        // Unmap any resident pages.
+        // Unmap any resident pages, jumping over unmapped ones to the next
+        // shadow entry, so the cost follows the leaves and not the length.
         let mut va = addr;
         while va < end {
-            let mapped = {
-                let p = self.procs.live(pid)?;
-                p.aspace.mapping(va)
-            };
-            let Some(m) = mapped else {
-                va += PAGE_SIZE;
+            let p = self.procs.live(pid)?;
+            let Some(m) = p.aspace.mapping(va) else {
+                let vpn = va.as_u64() >> PAGE_SHIFT;
+                match p.aspace.user.range(vpn + 1..).next() {
+                    Some((&next, _)) => va += (next - vpn) * PAGE_SIZE,
+                    None => break,
+                }
                 continue;
             };
             let span = leaf_pages(m.huge) * PAGE_SIZE;

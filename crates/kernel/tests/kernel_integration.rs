@@ -3,7 +3,7 @@
 use ptstore_core::{VirtAddr, MIB, PAGE_SIZE};
 use ptstore_kernel::config::MAX_HARTS;
 use ptstore_kernel::pagetable::{USER_MMAP_BASE, USER_TEXT_BASE};
-use ptstore_kernel::syscall::MAX_RW_COUNT;
+use ptstore_kernel::syscall::{FD_SETSIZE, MAX_RW_COUNT};
 use ptstore_kernel::{ConfigError, DefenseMode, DrainPolicy, Kernel, KernelConfig, KernelError};
 use ptstore_trace::{TraceEvent, TraceSink};
 
@@ -831,4 +831,107 @@ fn a_huge_read_from_a_file_returns_the_rest() {
         Ok(b"oot:x:0:0:root:/root:/bin/sh\n".to_vec())
     );
     assert_eq!(k.sys_read(fd, u64::MAX), Ok(Vec::new()), "at the end");
+}
+
+#[test]
+fn a_huge_select_is_charged_as_a_clamped_one() {
+    let mut k = boot(KernelConfig::cfi_ptstore());
+    let mut twin = k.clone();
+    assert_eq!(k.sys_select(u64::MAX), Ok(FD_SETSIZE));
+    assert_eq!(twin.sys_select(FD_SETSIZE), Ok(FD_SETSIZE));
+    assert_eq!(k.cycles, twin.cycles);
+}
+
+#[test]
+fn unmapping_the_whole_user_range_costs_the_leaves_not_the_length() {
+    let mut k = boot(KernelConfig::cfi_ptstore());
+    let small = k.sys_mmap(4 * PAGE_SIZE).expect("mmap");
+    k.sys_touch(small, true).expect("touch");
+    let huge = k.sys_mmap_huge(2 * MIB).expect("mmap_huge");
+    k.sys_touch(huge, true).expect("touch");
+    let start = std::time::Instant::now();
+    assert_eq!(
+        k.sys_munmap(VirtAddr::new(0x1000), u64::MAX - 0x2000),
+        Ok(())
+    );
+    assert!(start.elapsed() < std::time::Duration::from_secs(1));
+    let p = k.procs.get(k.current_pid()).expect("init");
+    assert!(p.aspace.user.is_empty(), "no user leaf is left");
+}
+
+/// One length- or count-taking syscall, made with a hostile argument.
+type HostileRow = (
+    &'static str,
+    fn(&mut Kernel, u64) -> Result<(), KernelError>,
+);
+
+/// Every length- or count-taking syscall, on a fresh 64 MiB machine, with
+/// zero, one, one page, 2^63 (a non-canonical address) and values near
+/// `u64::MAX`: each returns `Ok` or a `KernelError`, never panics or spins,
+/// and the machine still serves a syscall afterwards.
+#[test]
+fn hostile_arguments_return_ok_or_an_error() {
+    use std::panic::AssertUnwindSafe;
+
+    use ptstore_kernel::process::VmPerms;
+
+    let rows: [HostileRow; 17] = [
+        ("read", |k, n| {
+            let fd = k.sys_open("/etc/passwd")?;
+            k.sys_read(fd, n).map(drop)
+        }),
+        ("read_discard", |k, n| {
+            let fd = k.sys_accept(n)?;
+            k.sys_read_discard(fd, n).map(drop)
+        }),
+        ("write_discard console", |k, n| {
+            k.sys_write_discard(1, n).map(drop)
+        }),
+        ("write_discard file", |k, n| {
+            let fd = k.sys_open("/tmp/XXX")?;
+            k.sys_write_discard(fd, n).map(drop)
+        }),
+        ("send", |k, n| {
+            let fd = k.sys_accept(0)?;
+            k.sys_send(fd, n).map(drop)
+        }),
+        ("recv", |k, n| {
+            let fd = k.sys_accept(n)?;
+            k.sys_recv(fd, n).map(drop)
+        }),
+        ("select", |k, n| k.sys_select(n).map(drop)),
+        ("mmap", |k, n| k.sys_mmap(n).map(drop)),
+        ("mmap_huge", |k, n| k.sys_mmap_huge(n).map(drop)),
+        ("munmap length", |k, n| {
+            k.sys_munmap(VirtAddr::new(0x1000), n)
+        }),
+        ("munmap address", |k, n| {
+            k.sys_munmap(VirtAddr::new(n), PAGE_SIZE)
+        }),
+        ("mprotect length", |k, n| {
+            k.sys_mprotect(VirtAddr::new(0x1000), n, VmPerms::RW)
+        }),
+        ("mprotect address", |k, n| {
+            k.sys_mprotect(VirtAddr::new(n), PAGE_SIZE, VmPerms::RW)
+        }),
+        ("brk", |k, n| k.sys_brk(n).map(drop)),
+        ("signal_install", |k, n| k.sys_signal_install(n as usize)),
+        ("signal_catch", |k, n| k.sys_signal_catch(n as usize)),
+        ("touch", |k, n| k.sys_touch(VirtAddr::new(n), true)),
+    ];
+    let values = [0, 1, PAGE_SIZE, 1 << 63, u64::MAX - 0x2000, u64::MAX];
+    let fresh = Kernel::boot(
+        KernelConfig::cfi_ptstore()
+            .with_mem_size(64 * MIB)
+            .with_initial_secure_size(MIB),
+    )
+    .expect("kernel boots");
+    for (name, call) in rows {
+        for n in values {
+            let mut k = fresh.clone();
+            let returned = std::panic::catch_unwind(AssertUnwindSafe(|| call(&mut k, n)));
+            assert!(returned.is_ok(), "{name}({n:#x}) panicked");
+            assert_eq!(k.sys_null(), Ok(0), "{name}({n:#x}) left a broken machine");
+        }
+    }
 }
