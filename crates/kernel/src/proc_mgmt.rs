@@ -420,23 +420,14 @@ impl Kernel {
             if let Some(op) = self.procs.get_mut(owner) {
                 op.threads.retain(|&t| t != pid);
             }
-            {
-                let p = self.procs.live_mut(pid)?;
-                p.state = ProcState::Zombie;
-                p.exit_code = code;
+        } else {
+            // An mm owner with live threads cannot release the address space.
+            let has_threads = self.procs.get(pid).is_some_and(|p| !p.threads.is_empty());
+            if has_threads {
+                return Err(KernelError::InvalidState);
             }
-            self.stats.exits += 1;
-            if let Some(next) = self.pick_next() {
-                self.do_switch_to(next)?;
-            }
-            return Ok(());
+            self.release_mm(pid)?;
         }
-        // An mm owner with live threads cannot release the address space.
-        let has_threads = self.procs.get(pid).is_some_and(|p| !p.threads.is_empty());
-        if has_threads {
-            return Err(KernelError::InvalidState);
-        }
-        self.release_mm(pid)?;
         {
             let p = self.procs.live_mut(pid)?;
             p.state = ProcState::Zombie;
@@ -663,7 +654,7 @@ impl Kernel {
                 let page = self.alloc_page(GfpFlags::MOVABLE | GfpFlags::ZERO)?;
                 *self.page_refs.entry(page.as_u64()).or_insert(0) += 1;
                 let leaf = small_leaf(page, perms_to_flags(perms));
-                self.map_user_leaf(pid, va.page_align_down_va(), leaf)?;
+                self.map_user_leaf(pid, va.page_align_down(), leaf)?;
                 self.stats.demand_faults += 1;
                 Ok(FaultResolution::DemandMapped)
             }
@@ -719,7 +710,6 @@ impl Kernel {
     ) -> Result<ptstore_core::PhysAddr, KernelError> {
         for _attempt in 0..3 {
             let hart = self.active_hart;
-            let satp = self.harts[hart].mmu.satp;
             let outcome = self.harts[hart].mmu.translate_data(
                 &mut self.bus,
                 va,
@@ -731,7 +721,6 @@ impl Kernel {
                     if let ptstore_mmu::TranslationOutcome::Walk { fetches, .. } = o {
                         self.charge(CostKind::TlbMiss, cost::PTW_FETCH * fetches as u64);
                     }
-                    let _ = satp;
                     return Ok(o.pa());
                 }
                 Err(TranslateError::PageFault { .. }) => {
@@ -803,18 +792,6 @@ fn perms_to_flags(perms: VmPerms) -> PteFlags {
         bits |= PteFlags::X;
     }
     PteFlags::from_bits(bits)
-}
-
-/// `VirtAddr::page_align_down` with the virt-addr return type (tiny helper
-/// so the call site reads naturally).
-trait PageAlignVa {
-    fn page_align_down_va(self) -> VirtAddr;
-}
-
-impl PageAlignVa for VirtAddr {
-    fn page_align_down_va(self) -> VirtAddr {
-        VirtAddr::new(self.as_u64() & !(PAGE_SIZE - 1))
-    }
 }
 
 #[cfg(test)]
