@@ -30,13 +30,11 @@ echo "== cargo clippy (-D warnings) =="
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 
 echo "== cargo doc (-D warnings) =="
-# Our crates only — the vendored third_party crates are not held to our
-# documentation bar.
-RUSTDOCFLAGS="-D warnings" cargo doc --offline --locked --no-deps --quiet \
-    -p ptstore-core -p ptstore-mem -p ptstore-mmu -p ptstore-isa \
-    -p ptstore-kernel -p ptstore-trace -p ptstore-workloads \
-    -p ptstore-attacks -p ptstore-fault -p ptstore-hwcost \
-    -p ptstore-bench -p ptstore -p ptstore-modelcheck
+# Every workspace crate but the vendored third_party ones, which are not
+# held to our documentation bar; a crate added under crates/ is documented
+# without editing this list.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --locked --no-deps --quiet --workspace \
+    --exclude proptest --exclude rand --exclude serde --exclude serde_derive
 
 echo "== cargo test =="
 cargo test --offline --locked --workspace -q
