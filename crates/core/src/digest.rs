@@ -1,4 +1,5 @@
-//! Deterministic FNV-1a hashing for machine-state fingerprints.
+//! Deterministic hashing: FNV-1a for fingerprints, and a word hasher for
+//! the canonical state digest and the kernel's hash maps.
 //!
 //! Several layers of the model need a stable, platform-independent digest of
 //! some canonical listing: the hwcost timing model derives deterministic
@@ -6,9 +7,18 @@
 //! folds the state digests it discovers into one exploration hash, and the
 //! golden tests pin digests of whole runs. All of them use 64-bit FNV-1a
 //! with the standard offset basis and prime so that digests are
-//! reproducible across hosts, processes, and `--jobs` settings. (The
-//! model checker's per-state canonical digest has its own word-at-a-time
-//! hasher, in `ptstore-modelcheck`.)
+//! reproducible across hosts, processes, and `--jobs` settings.
+//!
+//! [`WordHasher`] takes each integer as one 64-bit step instead of eight
+//! byte steps. The model checker's per-state canonical digest
+//! (`ptstore-modelcheck`'s `canon`) feeds it every field of a state, and
+//! every hash map in `ptstore-kernel` is a [`WordHashMap`]: keyed by page
+//! numbers, object addresses, ids and paths, with no per-process seed, so
+//! a map costs one multiply per integer key and behaves the same in every
+//! run.
+
+use core::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashMap;
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
@@ -73,8 +83,84 @@ impl Fnv1a {
     }
 }
 
+/// A word-at-a-time hasher. Each integer is one step: the state xor the
+/// integer, times an odd constant as a 64×64→128-bit product, whose two
+/// halves xored are the new state. `usize` is widened to 64 bits, and the
+/// signed types go through their unsigned twins (`Hasher`'s defaults). A
+/// byte slice is its little-endian 8-byte words, then one tail word: the
+/// last `len % 8` bytes with that count in the top byte.
+/// [`Hasher::finish`] folds once more. There is no seed, so a hash is a
+/// pure function of what was fed.
+#[derive(Debug, Default)]
+pub struct WordHasher(u64);
+
+/// A `HashMap` hashed by [`WordHasher`]: deterministic, and one multiply
+/// per integer key. Build one with `WordHashMap::default()`.
+pub type WordHashMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// Multiplies `x` by an odd constant (2^64 over the golden ratio) and
+/// folds the 128-bit product to 64 bits.
+#[inline]
+fn fold(x: u64) -> u64 {
+    let product = u128::from(x) * 0x9e37_79b9_7f4a_7c15;
+    (product as u64) ^ (product >> 64) as u64
+}
+
+impl WordHasher {
+    #[inline]
+    fn step(&mut self, word: u64) {
+        self.0 = fold(self.0 ^ word);
+    }
+}
+
+impl Hasher for WordHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        fold(self.0)
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            self.step(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+        let mut tail = [0; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        tail[7] = words.remainder().len() as u8;
+        self.step(u64::from_le_bytes(tail));
+    }
+
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.step(i.into());
+    }
+
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.step(i.into());
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.step(i.into());
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.step(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.step(i as u64);
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use core::hash::BuildHasher;
+
     use super::*;
 
     #[test]
@@ -91,5 +177,35 @@ mod tests {
         h.write(b"hello ");
         h.write(b"world");
         assert_eq!(h.finish(), Fnv1a::hash_bytes(b"hello world"));
+    }
+
+    #[test]
+    fn the_word_hasher_takes_an_integer_as_one_word() {
+        let hashed = |feed: &dyn Fn(&mut WordHasher)| {
+            let mut h = WordHasher::default();
+            feed(&mut h);
+            h.finish()
+        };
+        let five = hashed(&|h| h.write_u64(5));
+        assert_eq!(hashed(&|h| h.write_u16(5)), five);
+        assert_eq!(hashed(&|h| h.write_usize(5)), five);
+        assert_eq!(
+            hashed(&|h| h.write_i64(-1)),
+            hashed(&|h| h.write_u64(u64::MAX))
+        );
+        // Bytes: the whole little-endian words, then the tail tagged with
+        // its length, so trailing zero bytes still count.
+        let bytes = [1, 0, 0, 0, 0, 0, 0, 0, 2];
+        let words = hashed(&|h| {
+            h.write_u64(1);
+            h.write_u64(2 | 1 << 56);
+        });
+        assert_eq!(hashed(&|h| h.write(&bytes)), words);
+        assert_ne!(hashed(&|h| h.write(&[1])), hashed(&|h| h.write(&[1, 0])));
+        // Pinned outputs: the canonical digest feeds this hasher, so a
+        // change here moves every model-checker exploration hash.
+        let map_hash = BuildHasherDefault::<WordHasher>::default();
+        assert_eq!(map_hash.hash_one(5u64), 0xf4c8_6953_8318_23ff);
+        assert_eq!(map_hash.hash_one("/srv/tenant.bin"), 0x9316_2de0_c5e4_ccb0);
     }
 }

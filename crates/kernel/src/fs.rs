@@ -6,8 +6,7 @@
 //! bytes so the LTP-style regression suite can diff observable behaviour
 //! between kernel configurations.
 
-use std::collections::HashMap;
-
+use ptstore_core::digest::WordHashMap;
 use ptstore_core::MIB;
 
 use crate::error::KernelError;
@@ -33,13 +32,18 @@ pub struct FileStat {
 struct FileNode {
     data: Vec<u8>,
     mode: u32,
-    ino: u64,
 }
 
-/// The in-memory filesystem.
+/// The in-memory filesystem: each path names an inode, and each inode
+/// holds one file. A path is resolved once, by [`Self::lookup`] (`open`
+/// and `stat` call it); an open file description names the inode, so
+/// `read`, `write` and `fstat` never hash the path again. Re-creating or
+/// unlinking a path drops its inode, and a descriptor still naming that
+/// inode then finds no file.
 #[derive(Debug, Clone, Default)]
 pub struct RamFs {
-    files: HashMap<String, FileNode>,
+    paths: WordHashMap<String, u64>,
+    inodes: WordHashMap<u64, FileNode>,
     next_ino: u64,
 }
 
@@ -47,67 +51,68 @@ impl RamFs {
     /// An empty filesystem.
     pub fn new() -> Self {
         Self {
-            files: HashMap::new(),
             next_ino: 2,
+            ..Self::default()
         }
     }
 
-    /// Creates (or truncates) a file with the given content.
+    /// Creates a file with the given content under a fresh inode; an
+    /// existing file at `name` is replaced.
     pub fn create(&mut self, name: &str, data: Vec<u8>) {
         let ino = self.next_ino;
         self.next_ino += 1;
-        self.files.insert(
-            name.to_string(),
-            FileNode {
-                data,
-                mode: 0o644,
-                ino,
-            },
-        );
+        if let Some(old) = self.paths.insert(name.to_string(), ino) {
+            self.inodes.remove(&old);
+        }
+        self.inodes.insert(ino, FileNode { data, mode: 0o644 });
     }
 
-    /// True when the file exists.
-    pub fn exists(&self, name: &str) -> bool {
-        self.files.contains_key(name)
+    /// The inode `name` resolves to.
+    pub fn lookup(&self, name: &str) -> Option<u64> {
+        self.paths.get(name).copied()
     }
 
     /// Removes a file.
     pub fn unlink(&mut self, name: &str) -> bool {
-        self.files.remove(name).is_some()
+        self.paths
+            .remove(name)
+            .map(|ino| self.inodes.remove(&ino))
+            .is_some()
     }
 
-    /// `stat` metadata.
-    pub fn stat(&self, name: &str) -> Option<FileStat> {
-        self.files.get(name).map(|f| FileStat {
+    /// `stat` metadata of inode `ino`.
+    pub fn stat(&self, ino: u64) -> Option<FileStat> {
+        self.inodes.get(&ino).map(|f| FileStat {
             size: f.data.len() as u64,
             mode: f.mode,
-            ino: f.ino,
+            ino,
         })
     }
 
-    /// Reads up to `len` bytes at `offset`; returns the bytes read.
-    pub fn read(&self, name: &str, offset: u64, len: u64) -> Option<&[u8]> {
-        let f = self.files.get(name)?;
+    /// Reads up to `len` bytes of inode `ino` at `offset`; returns the bytes
+    /// read.
+    pub fn read(&self, ino: u64, offset: u64, len: u64) -> Option<&[u8]> {
+        let f = self.inodes.get(&ino)?;
         let size = f.data.len() as u64;
         let start = offset.min(size);
         let end = offset.checked_add(len).map_or(size, |end| end.min(size));
         Some(&f.data[start as usize..end as usize])
     }
 
-    /// Writes `data` at `offset`, extending the file as needed; returns the
-    /// new size.
+    /// Writes `data` into inode `ino` at `offset`, extending the file as
+    /// needed; returns the new size.
     ///
     /// # Errors
-    /// [`KernelError::NoSuchFile`] for a missing file, and
+    /// [`KernelError::NoSuchFile`] for a missing inode, and
     /// [`KernelError::OutOfMemory`] when the file would grow past
     /// [`MAX_FILE_SIZE`]; either leaves the file as it was.
     pub fn write(
         &mut self,
-        name: &str,
+        ino: u64,
         offset: u64,
         data: impl ExactSizeIterator<Item = u8>,
     ) -> Result<u64, KernelError> {
-        let f = self.files.get_mut(name).ok_or(KernelError::NoSuchFile)?;
+        let f = self.inodes.get_mut(&ino).ok_or(KernelError::NoSuchFile)?;
         let end = offset
             .checked_add(data.len() as u64)
             .filter(|&end| end <= MAX_FILE_SIZE)
@@ -179,7 +184,7 @@ impl Pipe {
 /// The pipe table.
 #[derive(Debug, Clone, Default)]
 pub struct PipeTable {
-    pipes: HashMap<u32, Pipe>,
+    pipes: WordHashMap<u32, Pipe>,
     next_id: u32,
 }
 
@@ -249,23 +254,27 @@ mod tests {
     fn ramfs_crud() {
         let mut fs = RamFs::new();
         fs.create("/etc/passwd", b"root:x:0:0".to_vec());
-        assert!(fs.exists("/etc/passwd"));
-        let st = fs.stat("/etc/passwd").unwrap();
+        let ino = fs.lookup("/etc/passwd").unwrap();
+        let st = fs.stat(ino).unwrap();
         assert_eq!(st.size, 10);
-        assert_eq!(fs.read("/etc/passwd", 5, 100).unwrap(), b"x:0:0");
-        fs.write("/etc/passwd", 10, b"!".iter().copied()).unwrap();
-        assert_eq!(fs.stat("/etc/passwd").unwrap().size, 11);
+        assert_eq!(st.ino, ino);
+        assert_eq!(fs.read(ino, 5, 100).unwrap(), b"x:0:0");
+        fs.write(ino, 10, b"!".iter().copied()).unwrap();
+        assert_eq!(fs.stat(ino).unwrap().size, 11);
         assert!(fs.unlink("/etc/passwd"));
-        assert!(!fs.exists("/etc/passwd"));
-        assert_eq!(fs.stat("/nope"), None);
+        assert_eq!(fs.lookup("/etc/passwd"), None);
+        assert_eq!(fs.stat(ino), None);
+        assert!(!fs.unlink("/etc/passwd"));
+        assert_eq!(fs.lookup("/nope"), None);
     }
 
     #[test]
     fn ramfs_read_past_end() {
         let mut fs = RamFs::new();
         fs.create("f", b"abc".to_vec());
-        assert_eq!(fs.read("f", 2, 10).unwrap(), b"c");
-        assert_eq!(fs.read("f", 5, 10).unwrap(), b"");
+        let ino = fs.lookup("f").unwrap();
+        assert_eq!(fs.read(ino, 2, 10).unwrap(), b"c");
+        assert_eq!(fs.read(ino, 5, 10).unwrap(), b"");
     }
 
     #[test]
@@ -273,7 +282,35 @@ mod tests {
         let mut fs = RamFs::new();
         fs.create("a", vec![]);
         fs.create("b", vec![]);
-        assert_ne!(fs.stat("a").unwrap().ino, fs.stat("b").unwrap().ino);
+        assert_ne!(fs.lookup("a"), fs.lookup("b"));
+    }
+
+    #[test]
+    fn a_descriptor_names_its_inode_not_its_path() {
+        let cfg = crate::KernelConfig::cfi_ptstore()
+            .with_mem_size(64 * MIB)
+            .with_initial_secure_size(MIB);
+        let mut k = crate::Kernel::boot(cfg).unwrap();
+        k.fs.create("/tmp/f", b"old".to_vec());
+        let fd = k.sys_open("/tmp/f").unwrap();
+        let old = k.sys_fstat(fd).unwrap().ino;
+        // Re-created while open: the descriptor's inode is gone, and a fresh
+        // open reads the new file under a new inode.
+        k.fs.create("/tmp/f", b"newer".to_vec());
+        assert_eq!(k.sys_read(fd, 16), Err(KernelError::NoSuchFile));
+        assert_eq!(k.sys_fstat(fd), Err(KernelError::NoSuchFile));
+        assert_eq!(k.sys_write(fd, b"x"), Err(KernelError::NoSuchFile));
+        let fresh = k.sys_open("/tmp/f").unwrap();
+        assert_eq!(k.sys_read(fresh, 16).unwrap(), b"newer");
+        let new = k.sys_fstat(fresh).unwrap().ino;
+        assert_ne!(new, old);
+        assert_eq!(k.sys_stat("/tmp/f").unwrap().ino, new);
+        // Unlinked while open.
+        assert!(k.fs.unlink("/tmp/f"));
+        assert_eq!(k.sys_read(fresh, 16), Err(KernelError::NoSuchFile));
+        assert_eq!(k.sys_fstat(fresh), Err(KernelError::NoSuchFile));
+        assert_eq!(k.sys_open("/tmp/f"), Err(KernelError::NoSuchFile));
+        assert_eq!(k.sys_stat("/tmp/f"), Err(KernelError::NoSuchFile));
     }
 
     #[test]

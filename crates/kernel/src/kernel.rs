@@ -5,8 +5,7 @@
 //! This file is the software half of the co-design (paper §IV-B/§IV-C); the
 //! hardware half lives in `ptstore-core`/`ptstore-mem`/`ptstore-mmu`.
 
-use std::collections::HashMap;
-
+use ptstore_core::digest::WordHashMap;
 use ptstore_core::{
     AccessContext, Channel, PhysAddr, PhysPageNum, SecureRegion, Token, TokenError, VirtAddr, MIB,
     PAGE_SHIFT, PAGE_SIZE,
@@ -95,9 +94,9 @@ pub struct Kernel {
     /// Shared user text page (all model programs run the same "binary").
     pub(crate) shared_text_ppn: PhysPageNum,
     /// Reference counts of user data pages.
-    pub(crate) page_refs: HashMap<u64, u32>,
+    pub(crate) page_refs: WordHashMap<u64, u32>,
     pub(crate) pipes: PipeTable,
-    pub(crate) sockets: HashMap<u32, Socket>,
+    pub(crate) sockets: WordHashMap<u32, Socket>,
     pub(crate) next_socket: u32,
     /// PT-Rand: the secret offset of the randomised page-table window, also
     /// materialised at a fixed kernel global address (leakable, §VI-1).
@@ -249,9 +248,9 @@ impl Kernel {
             kernel_root: PhysPageNum::new(0),
             kernel_pt_pages: Vec::new(),
             shared_text_ppn: PhysPageNum::new(0),
-            page_refs: HashMap::new(),
+            page_refs: WordHashMap::default(),
             pipes: PipeTable::new(),
-            sockets: HashMap::new(),
+            sockets: WordHashMap::default(),
             next_socket: 1,
             pt_rand_offset,
             injected_overlap: None,
@@ -905,9 +904,13 @@ impl Kernel {
     /// fork appends the newest pid, and every other mapping of a movable
     /// page is that page's only one. Huge blocks are pinned, so they are
     /// skipped.
-    fn user_mappings_in(&self, start: PhysPageNum, pages: u64) -> HashMap<u64, Vec<(Pid, u64)>> {
+    fn user_mappings_in(
+        &self,
+        start: PhysPageNum,
+        pages: u64,
+    ) -> WordHashMap<u64, Vec<(Pid, u64)>> {
         let range = start.as_u64()..start.as_u64() + pages;
-        let mut index: HashMap<u64, Vec<(Pid, u64)>> = HashMap::new();
+        let mut index: WordHashMap<u64, Vec<(Pid, u64)>> = WordHashMap::default();
         for p in self.procs.iter() {
             for (&vpn, m) in &p.aspace.user {
                 if !m.huge && range.contains(&m.ppn.as_u64()) {
@@ -925,7 +928,7 @@ impl Kernel {
         &mut self,
         block: PhysPageNum,
         order: u8,
-        sharers: &mut HashMap<u64, Vec<(Pid, u64)>>,
+        sharers: &mut WordHashMap<u64, Vec<(Pid, u64)>>,
     ) -> Result<(), KernelError> {
         let pages = 1u64 << order;
         for i in 0..pages {

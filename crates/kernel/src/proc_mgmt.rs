@@ -297,7 +297,7 @@ impl Kernel {
     fn dup_fd_resources(&mut self, pid: Pid) -> Result<(), KernelError> {
         let entries: Vec<FdEntry> = {
             let p = self.procs.live(pid)?;
-            p.fds.iter().cloned().collect()
+            p.fds.iter().copied().collect()
         };
         for e in entries {
             match e {

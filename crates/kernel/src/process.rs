@@ -107,13 +107,15 @@ impl VmArea {
     }
 }
 
-/// An open file description.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An open file description. A regular file is named by its inode, which
+/// `open` resolved from the path once: reads, writes and `fstat` go to that
+/// inode, and find no file once the path is re-created or unlinked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FdEntry {
     /// Regular file in the ramfs.
     File {
-        /// File name (ramfs key).
-        name: String,
+        /// Inode number.
+        ino: u64,
         /// Current offset.
         offset: u64,
     },

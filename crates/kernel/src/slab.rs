@@ -5,8 +5,7 @@
 //! `GFP_PTSTORE`, so the tokens themselves live in the secure region, and
 //! zeroed, so every new token starts zero-initialised (paper §IV-C3).
 
-use std::collections::HashMap;
-
+use ptstore_core::digest::WordHashMap;
 use ptstore_core::{PhysAddr, PhysPageNum, PAGE_SIZE};
 
 /// Objects a per-hart magazine holds before overflowing to the shared
@@ -34,7 +33,7 @@ pub struct SlabCache {
     objects_per_page: usize,
     pages: Vec<SlabPage>,
     /// Object physical address → (page index, slot).
-    index: HashMap<u64, (usize, usize)>,
+    index: WordHashMap<u64, (usize, usize)>,
     /// Per-hart LIFO front-end magazines (the percpu-cache analogue):
     /// cached objects stay *marked used* in the shared bookkeeping, so a
     /// magazine hit touches no page bitmap at all. Grown on demand; empty
@@ -57,7 +56,7 @@ impl SlabCache {
             object_size,
             objects_per_page: (PAGE_SIZE / object_size) as usize,
             pages: Vec::new(),
-            index: HashMap::new(),
+            index: WordHashMap::default(),
             magazines: Vec::new(),
         }
     }

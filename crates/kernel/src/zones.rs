@@ -18,10 +18,9 @@
 //! `tests/buddy_properties.rs` checks the zone's invariants under random
 //! workloads.
 
-use std::collections::HashMap;
-
 use core::fmt;
 
+use ptstore_core::digest::WordHashMap;
 use ptstore_core::PhysPageNum;
 
 /// Largest buddy order (2^10 pages = 4 MiB blocks, as in Linux).
@@ -238,7 +237,7 @@ pub struct BuddyZone {
     /// `free[order]` holds the free blocks of that order, indexed by
     /// `start >> order` (block starts are naturally aligned).
     free: Vec<BlockSet>,
-    allocated: HashMap<u64, AllocInfo>,
+    allocated: WordHashMap<u64, AllocInfo>,
     free_pages: u64,
 }
 
@@ -262,7 +261,7 @@ impl BuddyZone {
             free: (0..=MAX_ORDER)
                 .map(|o| BlockSet::with_capacity((end >> o) + 1))
                 .collect(),
-            allocated: HashMap::new(),
+            allocated: WordHashMap::default(),
             free_pages: 0,
         };
         zone.insert_free_run(base.as_u64(), pages);

@@ -37,7 +37,8 @@
 //! tuple of all their fields.
 //!
 //! The walk feeds one of two sinks. [`digest`] feeds each field's derived
-//! `Hash` into a word hasher that takes each integer as one 64-bit step
+//! `Hash` into [`WordHasher`], `ptstore-core`'s word hasher (the one every
+//! kernel hash map uses), which takes each integer as one 64-bit step
 //! (`usize` and `isize` widened), so an integer field digests the same on
 //! every host. A derived `Hash` of an integer slice (`Vec<u64>`, say) hands
 //! the hasher the slice's bytes in native byte order, which the hasher
@@ -49,6 +50,7 @@
 use core::fmt::{self, Debug, Write as _};
 use core::hash::{Hash, Hasher};
 
+use ptstore_core::digest::WordHasher;
 use ptstore_core::{PhysAddr, PhysPageNum};
 use ptstore_fault::known_pt_pages;
 use ptstore_kernel::{Kernel, Pid};
@@ -59,76 +61,6 @@ trait Sink {
     fn record(&mut self, tag: &'static str);
     /// One field of the current record.
     fn field<T: Hash + Debug + ?Sized>(&mut self, name: &'static str, value: &T);
-}
-
-/// [`digest`]'s hasher. Each integer is one step: the state xor the
-/// integer, times an odd constant as a 64×64→128-bit product, whose two
-/// halves xored are the new state. `usize` is widened to 64 bits, and the
-/// signed types go through their unsigned twins (`Hasher`'s defaults). A
-/// byte slice is its little-endian 8-byte words, then one tail word: the
-/// last `len % 8` bytes with that count in the top byte.
-/// [`Hasher::finish`] folds once more. There is no seed, so the digest is a
-/// pure function of the walk.
-#[derive(Default)]
-struct WordHasher(u64);
-
-/// Multiplies `x` by an odd constant (2^64 over the golden ratio) and
-/// folds the 128-bit product to 64 bits.
-#[inline]
-fn fold(x: u64) -> u64 {
-    let product = u128::from(x) * 0x9e37_79b9_7f4a_7c15;
-    (product as u64) ^ (product >> 64) as u64
-}
-
-impl WordHasher {
-    #[inline]
-    fn step(&mut self, word: u64) {
-        self.0 = fold(self.0 ^ word);
-    }
-}
-
-impl Hasher for WordHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        fold(self.0)
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for word in &mut words {
-            self.step(u64::from_le_bytes(word.try_into().expect("8 bytes")));
-        }
-        let mut tail = [0; 8];
-        tail[..words.remainder().len()].copy_from_slice(words.remainder());
-        tail[7] = words.remainder().len() as u8;
-        self.step(u64::from_le_bytes(tail));
-    }
-
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.step(i.into());
-    }
-
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.step(i.into());
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.step(i.into());
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.step(i);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.step(i as u64);
-    }
 }
 
 /// [`digest`]'s sink: each tag and each field's derived `Hash`, in walk
@@ -318,31 +250,6 @@ mod tests {
             .with_mem_size(64 * MIB)
             .with_initial_secure_size(4 * MIB)
             .with_harts(2)
-    }
-
-    #[test]
-    fn the_word_hasher_takes_an_integer_as_one_word() {
-        let hashed = |feed: &dyn Fn(&mut WordHasher)| {
-            let mut h = WordHasher::default();
-            feed(&mut h);
-            h.finish()
-        };
-        let five = hashed(&|h| h.write_u64(5));
-        assert_eq!(hashed(&|h| h.write_u16(5)), five);
-        assert_eq!(hashed(&|h| h.write_usize(5)), five);
-        assert_eq!(
-            hashed(&|h| h.write_i64(-1)),
-            hashed(&|h| h.write_u64(u64::MAX))
-        );
-        // Bytes: the whole little-endian words, then the tail tagged with
-        // its length, so trailing zero bytes still count.
-        let bytes = [1, 0, 0, 0, 0, 0, 0, 0, 2];
-        let words = hashed(&|h| {
-            h.write_u64(1);
-            h.write_u64(2 | 1 << 56);
-        });
-        assert_eq!(hashed(&|h| h.write(&bytes)), words);
-        assert_ne!(hashed(&|h| h.write(&[1])), hashed(&|h| h.write(&[1, 0])));
     }
 
     #[test]

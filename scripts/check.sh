@@ -26,7 +26,9 @@ echo "== cargo clippy (-D warnings) =="
 # `disallowed_methods` error (crates/kernel/clippy.toml), an exempted call
 # site whose raw call is gone leaves its `#[expect]` unfulfilled, and every
 # `#[allow]` must carry a `reason` (`allow_attributes_without_reason`,
-# the workspace `[lints]` table).
+# the workspace `[lints]` table). The same clippy.toml makes a
+# `std::collections::HashMap` in ptstore-kernel a `disallowed_types`
+# error: kernel maps are `ptstore_core::digest::WordHashMap`.
 cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 
 echo "== cargo doc (-D warnings) =="
