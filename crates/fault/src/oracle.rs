@@ -205,17 +205,18 @@ impl Invariants {
 }
 
 /// Every page-table page the kernel's bookkeeping claims exists: the
-/// kernel template plus each mm owner's root and tracked table pages.
-/// The model checker hashes exactly this set, so a landed PTE flip always
-/// lands in a hashed page.
-pub fn known_pt_pages(k: &Kernel) -> BTreeSet<PhysPageNum> {
-    let mut known: BTreeSet<PhysPageNum> = BTreeSet::new();
-    known.insert(k.kernel_root());
+/// kernel template plus each mm owner's root and tracked table pages,
+/// sorted and without duplicates. The model checker hashes exactly these
+/// pages, so a landed PTE flip always lands in a hashed page.
+pub fn known_pt_pages(k: &Kernel) -> Vec<PhysPageNum> {
+    let mut known = vec![k.kernel_root()];
     known.extend(k.kernel_pt_pages().iter().copied());
     for p in space_owners(k) {
-        known.insert(p.aspace.root);
+        known.push(p.aspace.root);
         known.extend(p.aspace.pt_pages.iter().copied());
     }
+    known.sort_unstable();
+    known.dedup();
     known
 }
 
@@ -236,7 +237,7 @@ fn space_owners(k: &Kernel) -> impl Iterator<Item = &Process> {
 fn check_containment(
     k: &Kernel,
     region: &SecureRegion,
-    known: &BTreeSet<PhysPageNum>,
+    known: &[PhysPageNum],
     rep: &mut InvariantReport,
 ) {
     for &ppn in known {
@@ -282,7 +283,7 @@ fn check_containment(
             if !region.contains(child.base_addr()) {
                 rep.violations
                     .push(Violation::PtPageOutsideRegion { ppn: child });
-            } else if !known.contains(&child) {
+            } else if known.binary_search(&child).is_err() {
                 rep.violations.push(Violation::ReachableUnknownPtPage {
                     ppn: child,
                     parent: page,
@@ -390,17 +391,12 @@ fn check_pmp(k: &Kernel, region: &SecureRegion, rep: &mut InvariantReport) {
 
 /// Invariant 4: no TLB entry grants user access to page-table storage
 /// (tracked pages or anything inside the region).
-fn check_tlbs(
-    k: &Kernel,
-    region: &SecureRegion,
-    known: &BTreeSet<PhysPageNum>,
-    rep: &mut InvariantReport,
-) {
+fn check_tlbs(k: &Kernel, region: &SecureRegion, known: &[PhysPageNum], rep: &mut InvariantReport) {
     fn scan(
         hart: usize,
         tlb: &Tlb,
         region: &SecureRegion,
-        known: &BTreeSet<PhysPageNum>,
+        known: &[PhysPageNum],
         rep: &mut InvariantReport,
     ) {
         for entry in tlb.entries() {
@@ -409,10 +405,10 @@ fn check_tlbs(
             // them touching pt storage is a violation.
             let span_pages = entry.page_size / ptstore_core::PAGE_SIZE;
             let base = entry.ppn.as_u64();
+            let first = known.partition_point(|&ppn| ppn < entry.ppn);
             let touches_known = known
-                .range(entry.ppn..PhysPageNum::new(base + span_pages))
-                .next()
-                .is_some();
+                .get(first)
+                .is_some_and(|&ppn| ppn.as_u64() < base + span_pages);
             let touches_region = region.overlaps(entry.ppn.base_addr(), entry.page_size);
             if entry.flags.user() && (touches_known || touches_region) {
                 rep.violations.push(Violation::TlbMapsPtPage {
